@@ -30,7 +30,6 @@ __all__ = [
     "cj_from_kraus",
     "channel_from_unitary",
     "apply_channel",
-    "transpose_channel",
     "channel_no_influence",
     "channel_influence_residual",
     "input_signals",
@@ -117,15 +116,6 @@ def apply_channel(ch: ChannelOperator, state: LabeledOperator) -> LabeledOperato
     st = transpose_systems(state, [s.key for s in state.systems])
     joined = product([ch.op, st])
     return partial_trace(joined, [dual(s).key for s in ch.inputs])
-
-
-def transpose_channel(ch: ChannelOperator) -> LabeledOperator:
-    """Full transpose of the CJ operator: outputs become dual, inputs primal.
-
-    This is the form that multiplies process operators directly (the node's
-    in-space primal and out-space dual).
-    """
-    return transpose_systems(ch.op, [s.key for s in ch.op.systems])
 
 
 def channel_influence_residual(ch: ChannelOperator, in_ref, out_ref) -> float:

@@ -125,7 +125,7 @@ def cmd_validate(args) -> int:
         report["forbidden_norm"] = verdict.forbidden_norm
         report["offending_types"] = list(verdict.offending_types)
         failed = []
-        if verdict.hermitian_residual > args.tol * max(1.0, abs(verdict.trace)):
+        if not verdict.hermitian_ok:
             failed.append("hermitian")
         if not verdict.psd_ok:
             failed.append("positive-semidefinite")

@@ -27,7 +27,6 @@ __all__ = [
     "unitary_causal_separability",
     "SeparabilityVerdict",
     "bipartite_separability",
-    "switch_type_decomposition_check",
 ]
 
 
@@ -271,15 +270,3 @@ def bipartite_separability(
                 "inconclusive", float("nan"), None, None, residual, iterations, tol
             )
     return SeparabilityVerdict("separable", weight, x_comp, y_comp, residual, iterations, tol)
-
-
-def switch_type_decomposition_check(up: UnitaryProcess, parts, tol: float = 1e-9) -> bool:
-    """Cross-validate a control-of-order style process against declared routing parts.
-
-    Reconstructs the three-stage direct-sum sandwich from the parts, compares
-    it with the process unitary, and checks that every block signals in at
-    most one direction between the two slots.
-    """
-    from .exemplars import verify_decomposition
-
-    return verify_decomposition(up.unitary, parts, tol)

@@ -139,7 +139,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
             raise ProcessFileError(f"node {i} is missing a field: {exc!r}") from exc
         if not isinstance(name, str) or not name:
             raise ProcessFileError(f"node {i} has an invalid name")
-        if not isinstance(d_in, int) or not isinstance(d_out, int) or d_in < 1 or d_out < 1:
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in (d_in, d_out)):
             raise ProcessFileError(f"node {name!r} has invalid dimensions")
         parsed.append((name, d_in, d_out))
     names = [name for name, _, _ in parsed]

@@ -1,88 +1,23 @@
-"""Hermitian operator bases, type decompositions, and identity projections.
+"""Type projections: identity projections and per-type Frobenius norms.
 
-A basis here is {η^0 = (1/d)·1} ∪ {η^l traceless, orthonormal}; the dual basis
-{1, η^1, ...} extracts expansion coefficients, so α_0 = Tr σ and the "type" of a
-coefficient records which tensor factors carry a non-identity element.
+The "type" of a component of an operator is the set of tensor factors on which
+it acts as something other than a multiple of the identity. Both functions
+here work directly on the operator's (row_i, col_i) axes: a trivial factor is
+traced out, a nontrivial one keeps its traceless part X − Tr(X)/d·1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .labeled import LabeledOperator, identity_operator, partial_trace, reorder, tensor
+from .labeled import LabeledOperator, _as_key
 
 __all__ = [
-    "HSBasis",
-    "gell_mann_basis",
     "project_trivial",
-    "hs_expand",
-    "reconstruct",
     "type_norms",
 ]
-
-
-@dataclass(frozen=True)
-class HSBasis:
-    """Hermitian operator basis for one d-dimensional factor.
-
-    ``elements[0]`` is (1/d)·identity; elements 1..d²−1 are traceless and
-    orthonormal in the trace inner product.
-    """
-
-    dim: int
-    elements: np.ndarray  # shape (d*d, d, d)
-
-    def check(self, tol: float = 1e-12) -> dict[str, float]:
-        """Residuals of the defining properties (all should be ~0)."""
-        d = self.dim
-        e = self.elements
-        res = {}
-        res["element0"] = float(np.linalg.norm(e[0] - np.eye(d) / d))
-        res["hermitian"] = float(max(np.linalg.norm(x - x.conj().T) for x in e))
-        res["traceless"] = float(max((abs(np.trace(x)) for x in e[1:]), default=0.0))
-        gram = np.einsum("aij,bji->ab", e[1:], e[1:]) if d > 1 else np.zeros((0, 0))
-        res["orthonormal"] = float(
-            np.linalg.norm(gram - np.eye(d * d - 1)) if d > 1 else 0.0
-        )
-        cross = np.einsum("ij,bji->b", e[0], e[1:]) if d > 1 else np.zeros(0)
-        res["orthogonal0"] = float(np.linalg.norm(cross))
-        return res
-
-    def dual_elements(self) -> np.ndarray:
-        """Basis dual to ``elements``: identity followed by the traceless part."""
-        out = self.elements.copy()
-        out[0] = np.eye(self.dim)
-        return out
-
-
-@lru_cache(maxsize=None)
-def gell_mann_basis(d: int) -> HSBasis:
-    """Generalized Gell-Mann basis: symmetric/antisymmetric pairs then diagonals."""
-    elements = np.zeros((d * d, d, d), dtype=complex)
-    elements[0] = np.eye(d) / d
-    k = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1 / math.sqrt(2)
-            elements[k] = m
-            k += 1
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j / math.sqrt(2)
-            m[j, i] = 1j / math.sqrt(2)
-            elements[k] = m
-            k += 1
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[:l, :l] = np.eye(l)
-        m[l, l] = -l
-        elements[k] = m / math.sqrt(l * (l + 1))
-        k += 1
-    return HSBasis(d, elements)
 
 
 def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
@@ -91,106 +26,59 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
     This is the conditional expectation  op ↦ (1/Πd) Tr_refs[op] ⊗ 1_refs,
     returned in the original system order.
     """
-    refs = list(refs)
-    if not refs:
+    keys = {_as_key(r, op.systems) for r in refs}
+    if not keys:
         return op
-    traced = partial_trace(op, refs)
-    labels = [op.system(r) for r in refs]
-    scale = math.prod(s.dim for s in labels)
-    rest = tensor(traced, identity_operator(labels))
-    out = reorder(rest, [s.key for s in op.systems])
-    return LabeledOperator(out.systems, out.matrix / scale)
-
-
-def _bases_for(op: LabeledOperator, bases) -> list[HSBasis]:
-    if bases is None:
-        return [gell_mann_basis(s.dim) for s in op.systems]
-    bases = list(bases)
-    if len(bases) != len(op.systems):
-        raise ValueError("need one basis per system")
-    for b, s in zip(bases, op.systems):
-        if b.dim != s.dim:
-            raise ValueError(f"basis dim {b.dim} != system dim {s.dim}")
-    return bases
-
-
-def _coefficient_tensor(op: LabeledOperator, bases) -> np.ndarray:
-    """Full coefficient tensor α[M1..Mn] = Tr[(⊗ dual η^{M_i}) op]."""
     n = len(op.systems)
-    if n == 0:
-        return np.asarray(op.matrix[0, 0])
-    operands = [op.as_tensor(), list(range(2 * n))]
-    for i, b in enumerate(bases):
-        operands.append(b.dual_elements())
-        operands.append([2 * n + i, n + i, i])
-    operands.append([2 * n + i for i in range(n)])
-    return np.einsum(*operands, optimize="greedy")
+    traced = [i for i in range(n) if op.systems[i].key in keys]
+    if len(traced) != len(keys):
+        raise KeyError(f"no systems {keys} in {op.systems}")
+    keep = [i for i in range(n) if op.systems[i].key not in keys]
+    # Subscripts: rows 0..n-1, columns n..2n-1, a traced factor's column
+    # sharing its row subscript. With one operand, einsum gives the partial
+    # trace; on the zeroed output it gives a writable view of the diagonal.
+    subs = list(range(n)) + [i if i in traced else n + i for i in range(n)]
+    kept = keep + [n + i for i in keep]
+    scale = math.prod(op.systems[i].dim for i in traced)
+    t = op.as_tensor()
+    out = np.zeros(t.shape, dtype=np.result_type(t.dtype, np.float64))
+    diag = np.einsum(out, subs, kept + traced)
+    part = np.einsum(t, subs, kept)
+    np.divide(part[(...,) + (None,) * len(traced)], scale, out=diag)
+    return LabeledOperator(op.systems, out.reshape(op.dim, op.dim))
 
 
-def hs_expand(op: LabeledOperator, bases=None) -> dict[tuple, np.ndarray]:
-    """Expansion coefficients grouped by type signature.
+def type_norms(op: LabeledOperator, min_norm: float = 0.0) -> dict[tuple, float]:
+    """Frobenius norm of each type component of op, above ``min_norm``.
 
-    The key is the tuple of (name, dual) keys of the systems that carry a
-    non-identity basis element; the value holds the coefficients over those
-    systems' traceless indices (axis length d²−1 each). The key () holds the
-    scalar coefficient of the all-identity term.
+    The key is the tuple of (name, dual) keys of the systems on which the
+    component is nontrivial, in system order; () is the identity component.
+    Squared norms sum to ‖op‖_F². One-dimensional systems are always trivial.
     """
-    bases = _bases_for(op, bases)
-    alpha = _coefficient_tensor(op, bases)
     n = len(op.systems)
-    table: dict[tuple, np.ndarray] = {}
-    for mask in range(2**n):
-        involved = [i for i in range(n) if mask >> i & 1]
-        sl = tuple(
-            slice(1, None) if i in involved else 0 for i in range(n)
-        )
-        block = alpha[sl]
-        key = tuple(op.systems[i].key for i in involved)
-        table[key] = np.asarray(block)
-    return table
-
-
-def reconstruct(systems, table: dict[tuple, np.ndarray], bases=None) -> LabeledOperator:
-    """Rebuild the operator from an hs_expand coefficient table."""
-    systems = tuple(systems)
-    probe = identity_operator(systems)
-    bases = _bases_for(probe, bases)
-    n = len(systems)
-    dims2 = [b.dim * b.dim for b in bases]
-    alpha = np.zeros(dims2, dtype=complex)
-    keys = [s.key for s in systems]
-    for key, block in table.items():
-        involved = [keys.index(k) for k in key]
-        sl = tuple(
-            slice(1, None) if i in involved else 0 for i in range(n)
-        )
-        alpha[sl] = block
-    operands = [alpha, [2 * n + i for i in range(n)]]
-    for i, b in enumerate(bases):
-        operands.append(b.elements)
-        operands.append([2 * n + i, i, n + i])
-    operands.append(list(range(2 * n)))
-    t = np.einsum(*operands, optimize="greedy")
-    d = math.prod(s.dim for s in systems)
-    return LabeledOperator(systems, t.reshape(d, d))
-
-
-def type_norms(op: LabeledOperator, bases=None, min_norm: float = 0.0) -> dict[tuple, float]:
-    """Frobenius norm of each type component of op, keyed like hs_expand.
-
-    Squared norms sum to ‖op‖_F²: coefficient-block norms are weighted by the
-    norm of the identity factors (1/√d per trivial system).
-    """
-    bases = _bases_for(op, bases)
-    table = hs_expand(op, bases)
+    # Axes (batch, row_0, col_0, row_1, col_1, ...): each step splits the
+    # leading factor off axes 1 and 2. The trivial branch traces it out (the
+    # identity it leaves has norm √d, so the component's norm is the trace's
+    # over √d); the nontrivial branch keeps the traceless part and folds the
+    # factor's axes into the batch.
+    t = op.as_tensor().transpose([a for i in range(n) for a in (i, n + i)])[None]
+    stack = [(t, 0, (), 1.0)]
     out = {}
-    for key, block in table.items():
-        involved = set(key)
-        weight = 1.0
-        for s in op.systems:
-            if s.key not in involved:
-                weight /= math.sqrt(s.dim)
-        norm = float(np.linalg.norm(block)) * weight
-        if norm > min_norm:
-            out[key] = norm
+    while stack:
+        t, i, key, weight = stack.pop()
+        if i == n:
+            norm = float(np.linalg.norm(t)) * weight
+            if norm > min_norm:
+                out[key] = norm
+            continue
+        s = op.systems[i]
+        if s.dim == 1:
+            stack.append((t[:, 0, 0], i + 1, key, weight))
+            continue
+        tr = np.trace(t, axis1=1, axis2=2)
+        stack.append((tr, i + 1, key, weight / math.sqrt(s.dim)))
+        rest = t.copy()
+        diag = np.arange(s.dim)
+        rest[:, diag, diag] -= tr[:, None] / s.dim
+        stack.append((rest.reshape((-1,) + rest.shape[3:]), i + 1, key + (s.key,), weight))
     return out

@@ -244,8 +244,8 @@ def product(ops, systems=None) -> LabeledOperator:
     """Matrix product of operators embedded in a common system set.
 
     ``systems`` fixes the output order; by default the union in first-seen order.
-    A factor supported on a small subsystem is contracted on its own axes
-    instead of being embedded and multiplied in the full space.
+    Each factor after the first is contracted on its own axes of the running
+    product; no factor is embedded into the full space except the first.
     """
     ops = list(ops)
     if systems is None:
@@ -275,20 +275,13 @@ def _right_multiply_embedded(m, op: LabeledOperator, systems) -> np.ndarray:
         return embed(op, systems).matrix
     keys = {s.key for s in op.systems}
     pos = [i for i, s in enumerate(systems) if s.key in keys]
-    sub = reorder(op, [systems[i] for i in pos])
+    a = reorder(op, [systems[i] for i in pos]).as_tensor()
     d = m.shape[0]
-    if sub.dim * sub.dim >= d:
-        return m @ embed(op, systems).matrix
-    dims = [s.dim for s in systems]
-    n = len(systems)
-    t = m.reshape([d] + dims)
-    a = sub.as_tensor()
+    t = m.reshape([d] + [s.dim for s in systems])
     k = len(pos)
-    t_subs = [0] + [1 + i for i in range(n)]
-    a_subs = [1 + p for p in pos] + [n + 1 + j for j in range(k)]
-    out_subs = [0] + [n + 1 + pos.index(i) if i in pos else 1 + i for i in range(n)]
-    out = np.einsum(t, t_subs, a, a_subs, out_subs)
-    return np.ascontiguousarray(out.reshape(d, d))
+    out = np.tensordot(t, a, axes=([1 + p for p in pos], list(range(k))))
+    out = np.moveaxis(out, range(out.ndim - k, out.ndim), [1 + p for p in pos])
+    return out.reshape(d, d)
 
 
 def distance(a: LabeledOperator, b: LabeledOperator) -> float:
@@ -348,34 +341,27 @@ def tensor_maps(*maps: LinearMap) -> LinearMap:
     return LinearMap(matrix, dom, cod)
 
 
-def _perm_matrix(from_systems, to_systems) -> np.ndarray:
-    """Permutation matrix taking the composite index of from-order to to-order."""
-    from_keys = [s.key for s in from_systems]
-    to_keys = [s.key for s in to_systems]
-    if sorted(from_keys) != sorted(to_keys):
-        raise ValueError(f"{from_keys} vs {to_keys}: not a permutation")
-    dims = [s.dim for s in from_systems]
-    d = math.prod(dims)
-    perm = [from_keys.index(k) for k in to_keys]
-    idx = np.arange(d).reshape(dims).transpose(perm).reshape(-1)
-    p = np.zeros((d, d), dtype=complex)
-    p[np.arange(d), idx] = 1.0
-    return p
+def _positions(systems, refs) -> list[int]:
+    """Positions in ``systems`` of ``refs``, which must be a permutation of them."""
+    keys = [s.key for s in systems]
+    new = [_as_key(r, systems) for r in refs]
+    if sorted(new) != sorted(keys):
+        raise ValueError(f"{new} vs {keys}: not a permutation")
+    return [keys.index(k) for k in new]
 
 
 def permute_map(m: LinearMap, domain=None, codomain=None) -> LinearMap:
     """Same map with domain/codomain systems listed in a new order."""
-    matrix = m.matrix
-    dom, cod = m.domain, m.codomain
-    if domain is not None:
-        new_dom = tuple(m.domain[[s.key for s in m.domain].index(_as_key(r, m.domain))] for r in domain)
-        matrix = matrix @ _perm_matrix(new_dom, m.domain)
-        dom = new_dom
-    if codomain is not None:
-        new_cod = tuple(m.codomain[[s.key for s in m.codomain].index(_as_key(r, m.codomain))] for r in codomain)
-        matrix = _perm_matrix(m.codomain, new_cod) @ matrix
-        cod = new_cod
-    return LinearMap(matrix, dom, cod)
+    n = len(m.codomain)
+    cod = list(range(n)) if codomain is None else _positions(m.codomain, codomain)
+    dom = list(range(len(m.domain))) if domain is None else _positions(m.domain, domain)
+    dims = [s.dim for s in m.codomain + m.domain]
+    t = m.matrix.reshape(dims).transpose(cod + [n + p for p in dom])
+    return LinearMap(
+        t.reshape(m.matrix.shape),
+        tuple(m.domain[p] for p in dom),
+        tuple(m.codomain[p] for p in cod),
+    )
 
 
 def compose_maps(f: LinearMap, g: LinearMap) -> LinearMap:

@@ -23,7 +23,6 @@ from .labeled import (
     SystemLabel,
     distance,
     dual,
-    fuse,
     identity_operator,
     partial_trace,
     product,
@@ -50,9 +49,7 @@ __all__ = [
     "preparation_instrument",
     "joint_probabilities",
     "conditional_process",
-    "extend_nodes",
     "comb_from_circuit",
-    "random_chain_process",
 ]
 
 
@@ -143,6 +140,7 @@ def process_operator(nodes, op: LabeledOperator) -> ProcessOperator:
 class ValidationVerdict:
     valid: bool
     hermitian_residual: float
+    hermitian_ok: bool
     psd_ok: bool
     min_eigenvalue: float
     psd_method: str
@@ -237,6 +235,7 @@ def validate_process(
     return ValidationVerdict(
         valid=valid,
         hermitian_residual=herm,
+        hermitian_ok=bool(herm_ok),
         psd_ok=bool(psd_ok),
         min_eigenvalue=min_eig,
         psd_method=method,
@@ -453,49 +452,6 @@ def conditional_process(
     return result
 
 
-def extend_nodes(sigma: ProcessOperator, ancilla: LabeledOperator, attach: dict, tol: float = 1e-9) -> ProcessOperator:
-    """Tensor an ancillary state onto chosen nodes' in-spaces.
-
-    ``attach`` maps node names to lists of ancilla system references; every
-    ancilla system must be attached to exactly one node. The extended node's
-    in-space orders the original factor first. Validity is preserved, so the
-    certification latch carries over when the ancilla is a genuine state.
-    """
-    anc_keys = [s.key for s in ancilla.systems]
-    cover = []
-    for name, refs in attach.items():
-        sigma.node(name)
-        for r in refs:
-            cover.append(r)
-    resolved = []
-    for r in cover:
-        lbl = ancilla.system(r)
-        if lbl.dual:
-            raise ValueError("ancilla systems must be primal")
-        resolved.append(lbl.key)
-    if sorted(resolved) != sorted(anc_keys):
-        raise ValueError("attach must cover every ancilla system exactly once")
-
-    tr = float(np.trace(ancilla.matrix).real)
-    eigs = np.linalg.eigvalsh((ancilla.matrix + ancilla.matrix.conj().T) / 2)
-    is_state = abs(tr - 1.0) <= tol and float(eigs[0]) >= -tol
-
-    big = tensor(sigma.op, ancilla)
-    new_nodes = []
-    for n in sigma.nodes:
-        refs = attach.get(n.name, ())
-        if refs:
-            group = [n.in_system.key] + [ancilla.system(r).key for r in refs]
-            extra = int(np.prod([ancilla.system(r).dim for r in refs]))
-            big = fuse(big, group, f"{n.name}.in")
-            new_nodes.append(QuantumNode(n.name, n.d_in * extra, n.d_out))
-        else:
-            new_nodes.append(n)
-    out = process_operator(new_nodes, big)
-    out.certified = bool(sigma.certified and is_state)
-    return out
-
-
 def _identity_cj(out_label: SystemLabel, in_dual: SystemLabel) -> LabeledOperator:
     d = out_label.dim
     if in_dual.dim != d:
@@ -590,37 +546,3 @@ def comb_from_circuit(initial_state: LabeledOperator, channels, node_slots) -> P
     for nm, node in virtual.items():
         current = tensor(current, identity_operator([node.out_dual]))
     return process_operator(nodes, current)
-
-
-def random_chain_process(nodes, rng: np.random.Generator, memory_dim: int = 2) -> ProcessOperator:
-    """Random process in which the given nodes occur in a fixed chain order.
-
-    A memory wire threads random channels between consecutive slots, so the
-    result is a valid process by construction and compatible with the listed
-    total order.
-    """
-    from .rand import random_cptp, random_state
-
-    nodes = tuple(nodes)
-    if not nodes:
-        raise ValueError("need at least one node")
-    first = nodes[0]
-    w0 = SystemLabel("w0", first.d_in)
-    m0 = SystemLabel("m0", memory_dim)
-    rho = random_state(first.d_in * memory_dim, rng)
-    init = LabeledOperator((w0, m0), rho)
-
-    slots = []
-    channels = []
-    for i, node in enumerate(nodes):
-        slots.append((node, f"w{i}", f"u{i}"))
-        if i + 1 < len(nodes):
-            nxt = nodes[i + 1]
-            kraus = random_cptp(node.d_out * memory_dim, nxt.d_in * memory_dim, rng)
-            ch = cj_from_kraus(
-                kraus,
-                (SystemLabel(f"u{i}", node.d_out), SystemLabel(f"m{i}", memory_dim)),
-                (SystemLabel(f"w{i+1}", nxt.d_in), SystemLabel(f"m{i+1}", memory_dim)),
-            )
-            channels.append(ch)
-    return comb_from_circuit(init, channels, slots)

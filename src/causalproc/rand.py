@@ -14,7 +14,6 @@ from .labeled import LabeledOperator, LinearMap, SystemLabel
 __all__ = [
     "haar_unitary",
     "random_state",
-    "random_pure_state",
     "random_cptp",
     "random_signalling_channel",
     "random_instrument_kraus",
@@ -26,12 +25,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     if d == 1:
         return np.exp(2j * np.pi * rng.random()) * np.ones((1, 1))
     return unitary_group.rvs(d, random_state=rng)
-
-
-def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 def random_state(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

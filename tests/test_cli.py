@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from causalproc import make_mix_example, process_operator, LabeledOperator, write_process_file
+from causalproc import LabeledOperator, embed, make_mix_example, process_operator, write_process_file
 from causalproc.cli import EXEMPLAR_NAMES, main
 
 
@@ -46,6 +46,21 @@ def test_validate_invalid_process_exits_one(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert "total-trace" in report["failed_conditions"]
+
+
+def test_validate_reports_hermitian_failure(tmp_path, capsys):
+    # Residual 2e-9: above tol·‖σ‖_F = 1e-9, below tol·|Tr σ| = 4e-9.
+    sigma = make_mix_example()
+    a = sigma.op.system("A.in")
+    k = np.array([[0.0, 2.5e-10], [-2.5e-10, 0.0]])
+    bad = process_operator(sigma.nodes, sigma.op + embed(LabeledOperator((a,), k), sigma.op.systems))
+    path = tmp_path / "nonhermitian.json"
+    write_process_file(path, bad)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert report["failed_conditions"] == ["hermitian"]
 
 
 def test_validate_malformed_exits_two(tmp_path, capsys):

@@ -20,9 +20,9 @@ from causalproc import (
     process_operator,
     reorder,
     switch_decomposition,
-    switch_type_decomposition_check,
     unitary_causal_separability,
     validate_process,
+    verify_decomposition,
 )
 from causalproc.exemplars import random_unitary_chain
 from causalproc.rand import haar_unitary, random_state
@@ -136,9 +136,9 @@ def test_bipartite_separability_of_conditioned_reduced_switch(reduced_switch, rn
 
 
 def test_switch_type_decomposition_check(switch_up):
-    assert switch_type_decomposition_check(switch_up, switch_decomposition(2))
+    assert verify_decomposition(switch_up.unitary, switch_decomposition(2))
     bad = switch_decomposition(2)
     import dataclasses
 
     bad = dataclasses.replace(bad, v=(np.eye(2, dtype=complex), np.eye(4, dtype=complex)))
-    assert not switch_type_decomposition_check(switch_up, bad)
+    assert not verify_decomposition(switch_up.unitary, bad)

@@ -14,6 +14,7 @@ from causalproc import (
     make_af_deterministic,
     make_methods_counterexample,
     make_mix_example,
+    make_switch,
     process_to_dict,
     read_process_file,
     write_process_file,
@@ -128,3 +129,10 @@ def test_bad_node_entries_rejected():
     bad2["nodes"][0]["name"] = bad2["nodes"][1]["name"]
     with pytest.raises(ProcessFileError):
         dict_to_process(bad2)
+    # A JSON boolean is not a dimension, even where true would mean 1.
+    sw = json.loads(json.dumps(process_to_dict(make_switch(2).process)))
+    p = next(nd for nd in sw["nodes"] if nd["name"] == "P")
+    assert p["d_in"] == 1
+    p["d_in"] = True
+    with pytest.raises(ProcessFileError):
+        dict_to_process(sw)

@@ -5,38 +5,17 @@ import numpy as np
 from causalproc import (
     LabeledOperator,
     SystemLabel,
-    gell_mann_basis,
-    hs_expand,
     identity_operator,
+    make_methods_counterexample,
+    partial_trace,
     project_trivial,
-    reconstruct,
+    quantize,
+    reorder,
     tensor,
     type_norms,
+    validate_process,
 )
 from causalproc.rand import random_state
-
-
-def test_basis_orthonormal_traceless():
-    for d in (2, 3, 4):
-        basis = gell_mann_basis(d)
-        els = basis.elements
-        assert els.shape == (d * d, d, d)
-        assert np.abs(els[0] - np.eye(d) / d).max() < 1e-14
-        for i in range(1, d * d):
-            assert abs(np.trace(els[i])) < 1e-12
-            assert np.abs(els[i] - els[i].conj().T).max() < 1e-12
-            for j in range(1, d * d):
-                g = np.trace(els[i].conj().T @ els[j])
-                assert abs(g - (1.0 if i == j else 0.0)) < 1e-12
-
-
-def test_expand_reconstruct_round_trip(rng):
-    a, b = SystemLabel("a", 2), SystemLabel("b", 3)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    x = LabeledOperator((a, b), m)
-    table = hs_expand(x)
-    y = reconstruct((a, b), table)
-    assert np.abs(y.matrix - m).max() < 1e-12
 
 
 def test_type_norms_sum_to_squared_frobenius(rng):
@@ -76,3 +55,37 @@ def test_project_trivial_on_product_state(rng):
     p = project_trivial(x, [b])
     want = np.kron(ra, np.trace(rb) * np.eye(3) / 3)
     assert np.abs(p.matrix - want).max() < 1e-12
+
+
+def test_project_trivial_matches_trace_then_tensor(rng):
+    systems = (SystemLabel("a", 2), SystemLabel("b", 3, True), SystemLabel("c", 1), SystemLabel("d", 2))
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    x = LabeledOperator(systems, m)
+    keys = [s.key for s in systems]
+    for refs in ([systems[1]], [systems[3], systems[0]], [systems[2], systems[1]], list(systems)):
+        labels = [x.system(r) for r in refs]
+        scale = np.prod([s.dim for s in labels])
+        ref = reorder(tensor(partial_trace(x, refs), identity_operator(labels)), keys)
+        got = project_trivial(x, refs)
+        assert got.systems == systems
+        assert np.abs(got.matrix - ref.matrix / scale).max() < 1e-12
+
+
+def test_type_norms_of_pauli_sum():
+    a, one, b = SystemLabel("a", 2), SystemLabel("one", 1), SystemLabel("b", 2)
+    px = np.array([[0, 1], [1, 0]], dtype=complex)
+    py = np.array([[0, -1j], [1j, 0]])
+    pz = np.diag([1.0, -1.0]).astype(complex)
+    x = LabeledOperator((a, one, b), np.kron(px, np.eye(2)) + 2 * np.kron(pz, py))
+    norms = type_norms(x, min_norm=1e-12)
+    assert set(norms) == {(a.key,), (a.key, b.key)}
+    # ‖X⊗1‖_F = 2 and ‖2·Z⊗Y‖_F = 4
+    assert abs(norms[(a.key,)] - 2.0) < 1e-12
+    assert abs(norms[(a.key, b.key)] - 4.0) < 1e-12
+
+
+def test_counterexample_offending_types_order():
+    cx = make_methods_counterexample()
+    verdict = validate_process(quantize(cx.combined([0.5, 0.5])))
+    # The two sectors have equal norm; the report keeps this order.
+    assert verdict.offending_types == ("A.in*A.out'*B.in*B.out'*C.out'", "A.in*A.out'*B.in*B.out'")

@@ -110,6 +110,44 @@ def test_product_embeds_factors(rng):
     assert np.abs(w.matrix - ma @ mb).max() < 1e-14
 
 
+def test_product_matches_dense_embedding(rng):
+    a, b, c = SystemLabel("a", 2), SystemLabel("b", 3, True), SystemLabel("c", 2)
+    systems = (a, b, c)
+    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    x = LabeledOperator(systems, m)
+    # Small and large factors: (c, a) and (c, b, a) have sub.dim² ≥ 12 = d.
+    for sub in ((b,), (c, a), (b, c), (c, b, a)):
+        d = int(np.prod([s.dim for s in sub]))
+        y = LabeledOperator(sub, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        got = product([x, y], systems)
+        assert np.abs(got.matrix - m @ embed(y, systems).matrix).max() < 1e-12
+
+
+def test_permute_map_matches_permutation_matrix(rng):
+    a, b, c = SystemLabel("a", 2), SystemLabel("b", 3), SystemLabel("c", 2)
+    x, y = SystemLabel("x", 3), SystemLabel("y", 4)
+    u = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    f = LinearMap(u, (a, b, c), (x, y))
+
+    def perm(old, new):
+        # p[i, j] = 1 iff composite index i in ``new`` order and j in ``old``
+        # order name the same basis state.
+        dims = [s.dim for s in old]
+        p = np.zeros((np.prod(dims), np.prod(dims)))
+        for j, digits in enumerate(np.ndindex(*dims)):
+            state = dict(zip(old, digits))
+            i = np.ravel_multi_index([state[s] for s in new], [s.dim for s in new])
+            p[i, j] = 1.0
+        return p
+
+    g = permute_map(f, domain=(c, a, b), codomain=(y, x))
+    assert g.domain == (c, a, b) and g.codomain == (y, x)
+    ref = perm((x, y), (y, x)) @ u @ perm((a, b, c), (c, a, b)).T
+    assert np.abs(g.matrix - ref).max() < 1e-12
+    with pytest.raises(ValueError):
+        permute_map(f, domain=(a, a, b))
+
+
 def test_transpose_systems_is_involutive(rng):
     a, b = SystemLabel("a", 2), SystemLabel("b", 3)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
