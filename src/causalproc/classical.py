@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .labeled import LabeledOperator
 from .process import ProcessOperator, QuantumNode, process_operator
@@ -392,6 +391,8 @@ def polytope_membership(kp: ClassicalProcess, vertices=None, tol: float = 1e-8, 
     minimal L1 distance to the hull. ``vertices`` defaults to the full
     enumeration for the node signature.
     """
+    from scipy.optimize import linprog  # imported on first use: scipy.optimize is slow to load
+
     if vertices is None:
         vertices = enumerate_deterministic_processes(kp.nodes, budget)
     v = np.stack([vert.to_classical().table.reshape(-1) for vert in vertices], axis=1)
@@ -510,6 +511,8 @@ def find_process_outside_hull(nodes, budget: int = 2**24, seed: int = 0, attempt
     attempted vertex is deterministic-decomposable (possible when the two
     sets coincide).
     """
+    from scipy.optimize import linprog  # imported on first use: scipy.optimize is slow to load
+
     nodes = tuple(nodes)
     shape = _interleaved_shape(nodes)
     size = int(np.prod(shape))

@@ -19,7 +19,6 @@ import numpy as np
 
 from .classical import (
     ClassicalProcess,
-    classical_markov_check,
     enumerate_deterministic_processes,
     polytope_membership,
     quantize,

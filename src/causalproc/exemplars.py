@@ -6,18 +6,17 @@ verifiers for the routing unitaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelOperator, channel_from_unitary, channel_influence_residual
+from .channels import channel_from_unitary, channel_influence_residual
 from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess, quantize
 from .graphs import DirectedGraph, UnitaryProcess, directed_graph, make_unitary_process
 from .labeled import (
     LabeledOperator,
     LinearMap,
     SystemLabel,
-    cj_operator,
     identity_operator,
     partial_trace,
     tensor,

@@ -1,14 +1,25 @@
-"""JSON process files: dense operators with node declarations.
+"""JSON process files: quantum operators and classical tables with node declarations.
 
-A file stores either a quantum process operator (complex matrix, row-major
-over the canonical interleaved system order, entries as [re, im] pairs) or a
-classical process table (shape plus flat row-major values). An optional graph
-block carries a directed graph and a metadata block free-form data.
+A file stores either a quantum process operator or a classical process table
+(shape plus flat row-major values). The operator is a complex matrix, row-major
+over the canonical interleaved system order, with entries as [re, im] pairs,
+in one of two payloads:
+
+- dense: the nested ``[side, side, 2]`` list (format versions 1 and 2);
+- sparse (version 2 only): sorted COO, ``{"index": [...], "values": [...]}``,
+  the strictly increasing flat row-major indices of the stored entries and
+  their [re, im] pairs.
+
+An entry is stored unless both of its parts are +0.0, so -0.0 survives. The
+writer picks the sparse payload iff ``4 * stored <= side**2``, a rule on the
+matrix alone, so export, import and re-export give the same bytes. An optional
+graph block carries a directed graph and a metadata block free-form data.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +39,10 @@ __all__ = [
     "read_process_file",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)
+# Largest dense quantum operator a file may declare: side 16384 at 16 B an entry.
+MAX_DENSE_BYTES = 2**32
 
 
 class ProcessFileError(ValueError):
@@ -44,23 +58,62 @@ class LoadedProcessFile:
 
 
 def _encode_matrix(m: np.ndarray):
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    """Sorted-COO payload if at most a quarter of the entries are stored, else dense."""
+    side = m.shape[0]
+    pairs = np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2)
+    index = np.flatnonzero((pairs.view(np.uint64) != 0).any(axis=1))
+    if 4 * index.size <= side * side:
+        return {"index": index.tolist(), "values": pairs[index].tolist()}
+    return pairs.reshape(side, side, 2).tolist()
 
 
-def _decode_matrix(rows, side: int):
+def _finite_numbers(items, shape: tuple, what: str) -> np.ndarray:
+    """``items`` as a float array of the given shape; only finite JSON numbers."""
+    try:
+        arr = np.asarray(items)
+    except (TypeError, ValueError) as exc:
+        raise ProcessFileError(f"{what} must hold numbers: {exc}") from exc
+    if arr.size == 0 and math.prod(shape) == 0:
+        arr = arr.reshape(shape)
+    if arr.dtype.kind not in "iuf":
+        raise ProcessFileError(f"{what} must hold numbers only")
+    if arr.shape != shape:
+        raise ProcessFileError(f"{what} must have shape {list(shape)}, got {list(arr.shape)}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ProcessFileError(f"{what} contains non-finite numbers")
+    return arr
+
+
+def _decode_dense(rows, side: int) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != side:
         raise ProcessFileError(f"payload must be a {side}x{side} matrix")
+    arr = _finite_numbers(rows, (side, side, 2), "payload of [re, im] pairs")
+    return arr.view(complex).reshape(side, side)
+
+
+def _decode_sparse(payload: dict, side: int) -> np.ndarray:
+    if set(payload) != {"index", "values"}:
+        raise ProcessFileError("sparse payload must hold exactly 'index' and 'values'")
+    index, values = payload["index"], payload["values"]
+    if not isinstance(index, list) or not isinstance(values, list):
+        raise ProcessFileError("sparse 'index' and 'values' must be lists")
+    if len(index) != len(values):
+        raise ProcessFileError(f"sparse payload has {len(index)} indices but {len(values)} values")
+    if any(type(i) is not int for i in index):
+        raise ProcessFileError("sparse indices must be integers")
     try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProcessFileError(f"payload entries must be [re, im] number pairs: {exc}") from exc
-    if arr.shape != (side, side, 2):
-        raise ProcessFileError(
-            f"payload must be a {side}x{side} matrix of [re, im] pairs, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ProcessFileError("payload contains non-finite numbers")
-    return arr[..., 0] + 1j * arr[..., 1]
+        idx = np.array(index, dtype=np.int64)
+    except OverflowError as exc:
+        raise ProcessFileError("sparse index out of range") from exc
+    if idx.size and (idx[0] < 0 or idx[-1] >= side * side):
+        raise ProcessFileError(f"sparse index out of range for a {side}x{side} matrix")
+    if np.any(idx[1:] <= idx[:-1]):
+        raise ProcessFileError("sparse indices must be strictly increasing")
+    pairs = _finite_numbers(values, (idx.size, 2), "sparse values")
+    m = np.zeros(side * side, dtype=complex)
+    m[idx] = pairs.view(complex)[:, 0]
+    return m.reshape(side, side)
 
 
 def _graph_block(graph: DirectedGraph):
@@ -74,9 +127,9 @@ def _parse_graph(block) -> DirectedGraph:
     try:
         vertices = list(block["vertices"])
         edges = [tuple(e) for e in block["edges"]]
-    except (TypeError, KeyError) as exc:
+        return directed_graph(vertices, edges, allow_self_loops=True)
+    except (TypeError, KeyError, ValueError) as exc:
         raise ProcessFileError(f"bad graph block: {exc!r}") from exc
-    return directed_graph(vertices, edges, allow_self_loops=True)
 
 
 def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | None = None) -> dict:
@@ -96,7 +149,7 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
             {"name": n.name, "d_in": n.d_in, "d_out": n.d_out, "kind": "quantum"}
             for n in obj.nodes
         ]
-        doc["payload"] = _encode_matrix(np.asarray(obj.op.matrix, dtype=complex))
+        doc["payload"] = _encode_matrix(obj.op.matrix)
     elif isinstance(obj, ClassicalProcess):
         doc["kind"] = "classical"
         doc["nodes"] = [
@@ -105,7 +158,7 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
         ]
         doc["payload"] = {
             "shape": list(obj.table.shape),
-            "values": [float(v) for v in obj.table.reshape(-1)],
+            "values": obj.table.reshape(-1).astype(float).tolist(),
         }
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -121,7 +174,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
     if not isinstance(doc, dict):
         raise ProcessFileError("top level must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in READ_VERSIONS:
         raise ProcessFileError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
     if kind not in ("quantum", "classical"):
@@ -151,18 +204,25 @@ def dict_to_process(doc) -> LoadedProcessFile:
     if not isinstance(metadata, dict):
         raise ProcessFileError("metadata must be an object")
 
+    payload = doc.get("payload")
     if kind == "quantum":
         nodes = tuple(QuantumNode(nm, di, do) for nm, di, do in parsed)
-        side = 1
-        for nm, di, do in parsed:
-            side *= di * do
-        m = _decode_matrix(doc.get("payload"), side)
+        side = math.prod(di * do for _, di, do in parsed)
+        if 16 * side * side > MAX_DENSE_BYTES:
+            raise ProcessFileError(
+                f"declared operator is {side}x{side}; its dense matrix would exceed {MAX_DENSE_BYTES} bytes"
+            )
+        if not isinstance(payload, dict):
+            m = _decode_dense(payload, side)
+        elif version >= 2:
+            m = _decode_sparse(payload, side)
+        else:
+            raise ProcessFileError("a sparse payload needs format_version 2")
         op = LabeledOperator(tuple(canonical_systems(nodes)), m)
         sigma = process_operator(nodes, op)
         return LoadedProcessFile("quantum", sigma, graph, metadata)
 
     nodes_c = tuple(ClassicalNode(nm, di, do) for nm, di, do in parsed)
-    payload = doc.get("payload")
     if not isinstance(payload, dict) or "shape" not in payload or "values" not in payload:
         raise ProcessFileError("classical payload must carry 'shape' and 'values'")
     shape = payload["shape"]
@@ -170,23 +230,20 @@ def dict_to_process(doc) -> LoadedProcessFile:
     expect = []
     for nd in nodes_c:
         expect.extend([nd.in_card, nd.out_card])
-    if list(shape) != expect:
+    if shape != expect:
         raise ProcessFileError(f"payload shape {shape} does not match nodes (expected {expect})")
-    size = int(np.prod(expect)) if expect else 1
+    size = math.prod(expect)
     if not isinstance(values, list) or len(values) != size:
         raise ProcessFileError(f"payload values must hold {size} numbers")
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ProcessFileError("payload contains non-finite numbers")
-    table = arr.reshape(expect)
+    table = _finite_numbers(values, (size,), "payload values").reshape(expect)
     kp = ClassicalProcess(nodes_c, table)
     return LoadedProcessFile("classical", kp, graph, metadata)
 
 
 def write_process_file(path, obj, graph: DirectedGraph | None = None, metadata: dict | None = None) -> None:
-    doc = process_to_dict(obj, graph, metadata)
+    text = json.dumps(process_to_dict(obj, graph, metadata), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -196,6 +253,8 @@ def read_process_file(path) -> LoadedProcessFile:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ProcessFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ProcessFileError("JSON nested too deeply") from exc
     except OSError as exc:
         raise ProcessFileError(f"cannot read {path}: {exc.strerror}") from exc
     return dict_to_process(doc)

@@ -12,17 +12,16 @@ the same spaces as sigma's node factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelOperator, cj_from_kraus
+from .channels import cj_from_kraus
 from .hs import project_trivial, type_norms
 from .labeled import (
     LabeledOperator,
     SystemLabel,
     distance,
-    dual,
     identity_operator,
     partial_trace,
     product,

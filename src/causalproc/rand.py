@@ -6,10 +6,9 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from .channels import ChannelOperator, cj_from_kraus, input_signals
-from .labeled import LabeledOperator, LinearMap, SystemLabel
+from .labeled import SystemLabel
 
 __all__ = [
     "haar_unitary",
@@ -24,6 +23,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary matrix."""
     if d == 1:
         return np.exp(2j * np.pi * rng.random()) * np.ones((1, 1))
+    from scipy.stats import unitary_group  # imported on first use: scipy.stats is slow to load
+
     return unitary_group.rvs(d, random_state=rng)
 
 

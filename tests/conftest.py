@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from causalproc import (
     make_af,
     make_af_deterministic,
     make_bw_extension,
+    make_mix_example,
     make_reduced_switch,
     make_switch,
+    process_to_dict,
 )
 
 
@@ -40,3 +44,48 @@ def bw_up():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260816)
+
+
+
+@pytest.fixture(scope="session")
+def bad_docs():
+    """Process-file documents that each break one header, sparse-payload or
+    graph rule, by name; all are the mix exemplar's sparse document with one
+    entry replaced."""
+    good = process_to_dict(make_mix_example())
+    index, values = good["payload"]["index"], good["payload"]["values"]
+    side = 16
+    assert len(index) == side
+
+    def setting(*path, value):
+        doc = copy.deepcopy(good)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    return {
+        "unsorted index": setting("payload", "index", value=[index[1], index[0], *index[2:]]),
+        "duplicate index": setting("payload", "index", 1, value=index[0]),
+        "index past the end": setting("payload", "index", -1, value=side * side),
+        "negative index": setting("payload", "index", 0, value=-1),
+        "index beyond int64": setting("payload", "index", -1, value=2**70),
+        "bool index": setting("payload", "index", 0, value=True),
+        "float index": setting("payload", "index", 0, value=0.0),
+        "fewer values than indices": setting("payload", "values", value=values[:-1]),
+        "fewer indices than values": setting("payload", "index", value=index[:-1]),
+        "value not a pair": setting("payload", "values", 0, value=[0.25]),
+        "value not a number": setting("payload", "values", 0, value=["0.25", 0.0]),
+        "infinite value": setting("payload", "values", 0, 0, value=float("inf")),
+        "nan value": setting("payload", "values", 0, 1, value=float("nan")),
+        "extra payload key": setting("payload", "shape", value=[side, side]),
+        "sparse payload in a v1 file": setting("format_version", value=1),
+        "bool format_version": setting("format_version", value=True),
+        "float format_version": setting("format_version", value=1.0),
+        "unhashable graph vertex": setting("graph", value={"vertices": [["A"]], "edges": []}),
+        # 16385 x 16385 complex entries would need more than 2**32 bytes
+        "oversized declared side": setting(
+            "nodes", value=[{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}]
+        ),
+    }

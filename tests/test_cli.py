@@ -165,3 +165,12 @@ def test_reports_carry_input_digest(tmp_path, capsys):
     assert len(report["sha256"]) == 64
     expected = hashlib.sha256(path.read_bytes()).hexdigest()
     assert report["sha256"] == expected
+
+
+def test_malformed_files_exit_two(tmp_path, capsys, bad_docs):
+    path = tmp_path / "bad.json"
+    for name, doc in bad_docs.items():
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: "), name

@@ -1,24 +1,49 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalproc import (
     FORMAT_VERSION,
+    LabeledOperator,
     ProcessFileError,
+    QuantumNode,
     af_causal_graph,
     dict_to_process,
     make_af,
     make_af_deterministic,
     make_methods_counterexample,
     make_mix_example,
+    make_reduced_switch,
     make_switch,
+    process_operator,
     process_to_dict,
+    random_unitary_chain,
     read_process_file,
     write_process_file,
 )
+from causalproc.process import canonical_systems
+
+DATA = Path(__file__).parent / "data"
+
+
+def dense_chain():
+    """A process whose every entry is nonzero, so files store it dense."""
+    return random_unitary_chain(1, np.random.default_rng(5)).process
+
+
+def bits(m: np.ndarray) -> np.ndarray:
+    """The raw float64 words of a complex matrix: tells -0.0 from 0.0."""
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
+
+
+def with_matrix(sigma, m: np.ndarray):
+    return process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, m))
 
 
 def test_quantum_round_trip_bit_exact(tmp_path):
@@ -67,12 +92,20 @@ def test_deterministic_process_saves_as_classical(tmp_path):
 
 
 def test_complex_payload_encoding(tmp_path):
-    sigma = make_mix_example()
+    sigma = dense_chain()
     doc = process_to_dict(sigma)
     side = sigma.op.matrix.shape[0]
     payload = np.asarray(doc["payload"])
     assert payload.shape == (side, side, 2)
     assert np.array_equal(payload[..., 0] + 1j * payload[..., 1], sigma.op.matrix)
+    # the mix exemplar is diagonal: sorted COO over flat row-major indices
+    mix = make_mix_example()
+    sparse = process_to_dict(mix)["payload"]
+    side = mix.op.matrix.shape[0]
+    assert sparse["index"] == [i * side + i for i in range(side)]
+    values = np.asarray(sparse["values"])
+    assert values.shape == (side, 2)
+    assert np.array_equal(values[:, 0] + 1j * values[:, 1], np.diag(mix.op.matrix))
 
 
 def test_invalid_json_reports_location(tmp_path):
@@ -83,6 +116,13 @@ def test_invalid_json_reports_location(tmp_path):
     assert "line" in str(err.value)
 
 
+def test_deeply_nested_json_rejected(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ProcessFileError):
+        read_process_file(path)
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(ProcessFileError) as err:
         read_process_file(tmp_path / "nope.json")
@@ -90,19 +130,27 @@ def test_missing_file_raises(tmp_path):
 
 
 def test_wrong_payload_shape_rejected(tmp_path):
-    sigma = make_mix_example()
+    sigma = dense_chain()
     doc = process_to_dict(sigma)
     doc["payload"] = doc["payload"][:-1]
     with pytest.raises(ProcessFileError):
         dict_to_process(doc)
+    sparse = process_to_dict(make_mix_example())
+    sparse["payload"]["values"] = sparse["payload"]["values"][:-1]
+    with pytest.raises(ProcessFileError):
+        dict_to_process(sparse)
 
 
 def test_nonfinite_payload_rejected():
-    sigma = make_mix_example()
+    sigma = dense_chain()
     doc = process_to_dict(sigma)
     doc["payload"][0][0][0] = float("inf")
     with pytest.raises(ProcessFileError):
         dict_to_process(doc)
+    sparse = process_to_dict(make_mix_example())
+    sparse["payload"]["values"][0][0] = float("inf")
+    with pytest.raises(ProcessFileError):
+        dict_to_process(sparse)
 
 
 def test_unknown_kind_and_version_rejected():
@@ -113,9 +161,10 @@ def test_unknown_kind_and_version_rejected():
     with pytest.raises(ProcessFileError):
         dict_to_process(bad)
     bad2 = dict(doc)
-    bad2["format_version"] = 99
-    with pytest.raises(ProcessFileError):
-        dict_to_process(bad2)
+    for version in (99, 2.0, "2", None, 0):
+        bad2["format_version"] = version
+        with pytest.raises(ProcessFileError):
+            dict_to_process(bad2)
 
 
 def test_bad_node_entries_rejected():
@@ -136,3 +185,103 @@ def test_bad_node_entries_rejected():
     p["d_in"] = True
     with pytest.raises(ProcessFileError):
         dict_to_process(sw)
+
+
+def test_writer_picks_layout_by_stored_count():
+    # sparse iff 4 * stored <= side**2, whatever the values
+    mix = make_mix_example()
+    side = mix.op.matrix.shape[0]
+    for stored, layout in ((side * side // 4, dict), (side * side // 4 + 1, list)):
+        m = np.zeros(side * side, dtype=complex)
+        m[:stored] = 1e-300j
+        doc = process_to_dict(with_matrix(mix, m.reshape(side, side)))
+        assert isinstance(doc["payload"], layout)
+    assert isinstance(process_to_dict(dense_chain())["payload"], list)
+
+
+def test_golden_v1_file_reads_bit_exact():
+    # written by the format-1 writer: dense payload, "format_version": 1
+    path = DATA / "mix-v1.json"
+    assert json.loads(path.read_text())["format_version"] == 1
+    loaded = read_process_file(path)
+    mix = make_mix_example()
+    assert loaded.kind == "quantum"
+    assert [(n.name, n.d_in, n.d_out) for n in loaded.process.nodes] == [("A", 2, 2), ("B", 2, 2)]
+    assert np.array_equal(bits(loaded.process.op.matrix), bits(mix.op.matrix))
+    assert loaded.metadata == {"description": "two-node no-signalling process with mixed inputs"}
+    # a re-export is format 2 and reads back to the same bits
+    doc = process_to_dict(loaded.process)
+    assert doc["format_version"] == FORMAT_VERSION == 2
+    assert np.array_equal(bits(dict_to_process(doc).process.op.matrix), bits(mix.op.matrix))
+
+
+def test_exemplars_reexport_identically_from_either_layout(tmp_path):
+    for name, sigma in (
+        ("mix", make_mix_example()),
+        ("af", make_af()),
+        ("switch", make_switch(2).process),
+        ("reduced-switch", make_reduced_switch(2)),
+        ("dense-chain", dense_chain()),
+    ):
+        path = tmp_path / f"{name}.json"
+        write_process_file(path, sigma)
+        # the same matrix in the v1 dense layout
+        doc = json.loads(path.read_text())
+        side = sigma.op.matrix.shape[0]
+        doc["format_version"] = 1
+        doc["payload"] = bits(sigma.op.matrix).view(float).reshape(side, side, 2).tolist()
+        for loaded in (read_process_file(path), dict_to_process(doc)):
+            assert np.array_equal(bits(loaded.process.op.matrix), bits(sigma.op.matrix))
+            again = tmp_path / f"{name}-again.json"
+            write_process_file(again, loaded.process)
+            assert again.read_bytes() == path.read_bytes(), name
+
+
+def test_negative_zero_survives_round_trip(tmp_path):
+    for sigma in (make_mix_example(), dense_chain()):
+        m = sigma.op.matrix.copy()
+        m[0, 1] = complex(-0.0, 0.0)
+        m[1, 0] = complex(0.0, -0.0)
+        m[1, 1] = complex(-0.0, -0.0)
+        signed = with_matrix(sigma, m)
+        path = tmp_path / "signed.json"
+        write_process_file(path, signed)
+        back = read_process_file(path).process.op.matrix
+        assert np.array_equal(bits(back), bits(m))
+        assert np.signbit(back[0, 1].real) and np.signbit(back[1, 0].imag)
+        assert np.signbit(back[1, 1].real) and np.signbit(back[1, 1].imag)
+
+
+def test_malformed_documents_rejected(bad_docs):
+    for name, doc in bad_docs.items():
+        with pytest.raises(ProcessFileError):
+            dict_to_process(doc)
+            pytest.fail(f"accepted: {name}")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def quantum_processes(draw):
+    """Random operators on one or two nodes, from empty to full, -0.0 included."""
+    dims = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=2))
+    nodes = tuple(QuantumNode(f"N{i}", d_in, d_out) for i, (d_in, d_out) in enumerate(dims))
+    side = int(np.prod([d_in * d_out for d_in, d_out in dims]))
+    pairs = np.zeros((side * side, 2))
+    for i in draw(st.sets(st.integers(0, side * side - 1))):
+        pairs[i] = draw(st.tuples(finite, finite))
+    m = pairs.view(complex).reshape(side, side)
+    return process_operator(nodes, LabeledOperator(tuple(canonical_systems(nodes)), m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma=quantum_processes())
+def test_round_trip_is_byte_identical_in_both_layouts(sigma, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("hypothesis")
+    first, second = folder / "first.json", folder / "second.json"
+    write_process_file(first, sigma)
+    loaded = read_process_file(first).process
+    assert np.array_equal(bits(loaded.op.matrix), bits(sigma.op.matrix))
+    write_process_file(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
