@@ -20,8 +20,10 @@ from .labeled import (
     cj_operator,
     distance,
     dual,
+    identity_operator,
     partial_trace,
     product,
+    reorder,
     transpose_systems,
 )
 
@@ -61,8 +63,6 @@ class ChannelOperator:
         herm = float(np.linalg.norm(self.op.matrix - self.op.matrix.conj().T))
         eigs = np.linalg.eigvalsh((self.op.matrix + self.op.matrix.conj().T) / 2)
         marg = partial_trace(self.op, self.outputs)
-        from .labeled import identity_operator, reorder
-
         ident = reorder(
             identity_operator([dual(s) for s in self.inputs]),
             [s.key for s in marg.systems],

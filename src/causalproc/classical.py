@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .graphs import DirectedGraph
 from .labeled import LabeledOperator
 from .process import ProcessOperator, QuantumNode, process_operator
 
@@ -60,6 +61,12 @@ def _interleaved_shape(nodes) -> tuple[int, ...]:
     for n in nodes:
         shape.extend([n.in_card, n.out_card])
     return tuple(shape)
+
+
+def _interleaved_index(ins: np.ndarray, outs) -> tuple:
+    """Index (in_1, out_1, ..., in_n, out_n) of an interleaved table, from the
+    in-values ``ins[..., i]`` and the out-value grids ``outs[i]``."""
+    return tuple(a for i in range(len(outs)) for a in (ins[..., i], outs[i]))
 
 
 @dataclass(frozen=True)
@@ -113,14 +120,9 @@ class DeterministicProcess:
 
     def to_classical(self) -> ClassicalProcess:
         """The 0/1 table kappa(ins, outs) = [ins == f(outs)]."""
-        shape = _interleaved_shape(self.nodes)
-        table = np.zeros(shape)
-        for outs in np.ndindex(*[n.out_card for n in self.nodes]):
-            ins = self.function[outs]
-            idx = []
-            for i in range(len(self.nodes)):
-                idx.extend([int(ins[i]), int(outs[i])])
-            table[tuple(idx)] = 1.0
+        table = np.zeros(_interleaved_shape(self.nodes))
+        outs = np.indices(self.function.shape[:-1])
+        table[_interleaved_index(self.function, outs)] = 1.0
         return ClassicalProcess(self.nodes, table)
 
 
@@ -210,8 +212,6 @@ def classical_joint_probabilities(kp: ClassicalProcess, channels) -> np.ndarray:
 
 def causal_structure_deterministic(dp: DeterministicProcess):
     """Influence graph of a deterministic process: j -> i iff f_i varies with X_j^out."""
-    from .graphs import DirectedGraph
-
     n = len(dp.nodes)
     edges = set()
     for i in range(n):
@@ -442,18 +442,16 @@ class ReversibleExtension:
 
 
 def _extension_marginal(ext: DeterministicProcess, dist: np.ndarray, base_nodes) -> ClassicalProcess:
-    root = ext.nodes[0]
-    n = len(base_nodes)
-    out_cards = [nd.out_card for nd in base_nodes]
+    # function axes: (root out, out_1..out_n, leaf out = 1, component)
+    ins = ext.function[..., 0, 1:-1]
+    grids = np.indices(ins.shape[:-1])
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != ins.shape[:1]:
+        raise ValueError(f"need one weight per root value ({ins.shape[0]}), got shape {dist.shape}")
     acc = np.zeros(_interleaved_shape(base_nodes))
-    for lam in range(root.out_card):
-        p = float(dist[lam])
-        for outs in np.ndindex(*out_cards):
-            full = ext.function[(lam,) + outs + (0,)]
-            idx = []
-            for i in range(n):
-                idx.extend([int(full[1 + i]), int(outs[i])])
-            acc[tuple(idx)] += p
+    # np.add.at adds in C order (root value by root value), which fixes the rounding of each sum
+    weights = np.broadcast_to(dist.reshape((-1,) + (1,) * len(base_nodes)), ins.shape[:-1])
+    np.add.at(acc, _interleaved_index(ins, grids[1:]), weights)
     return ClassicalProcess(tuple(base_nodes), acc)
 
 
@@ -485,20 +483,17 @@ def reversible_extension(mixture) -> ReversibleExtension:
     leaf = ClassicalNode("leaf", m * out_space, 1)
     nodes = (root,) + base + (leaf,)
 
-    func = np.zeros((m * in_space,) + tuple(out_cards) + (1, n + 2), dtype=np.int64)
-    for lam in range(m * in_space):
-        i, z = divmod(lam, in_space)
-        z_tuple = np.unravel_index(z, in_cards)
-        f_i = mixture[i][1].function
-        for outs in np.ndindex(*out_cards):
-            ins = [(int(z_tuple[k]) + int(f_i[outs][k])) % in_cards[k] for k in range(n)]
-            x_flat = int(np.ravel_multi_index(outs, out_cards))
-            func[(lam,) + outs + (0,)] = [0] + ins + [x_flat * m + i]
-    ext = DeterministicProcess(nodes, func)
+    # root value lam = (branch i, shift z); axes below are (lam, out_1..out_n, component)
+    i, z = np.divmod(np.arange(m * in_space), in_space)
+    shift = np.stack(np.unravel_index(z, in_cards), axis=-1).reshape((m * in_space,) + (1,) * n + (n,))
+    f = np.stack([dp.function for _, dp in mixture])[i]
+    ins = (shift + f) % np.array(in_cards)
+    leaf = np.arange(out_space).reshape(out_cards) * m + i.reshape((-1,) + (1,) * n)
+    func = np.concatenate([np.zeros_like(leaf)[..., None], ins, leaf[..., None]], axis=-1)
+    ext = DeterministicProcess(nodes, func[..., None, :].astype(np.int64))
 
     dist = np.zeros(m * in_space)
-    for i in range(m):
-        dist[i * in_space] = weights[i]
+    dist[::in_space] = weights
     return ReversibleExtension(ext, dist, base)
 
 

@@ -17,8 +17,10 @@ import time
 
 import numpy as np
 
+from . import exemplars as ex
 from .classical import (
     ClassicalProcess,
+    causal_structure_deterministic,
     enumerate_deterministic_processes,
     polytope_membership,
     quantize,
@@ -70,11 +72,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _load(path: str):
-    loaded = read_process_file(path)
-    return loaded
-
-
 def _as_quantum(loaded) -> ProcessOperator:
     if loaded.kind == "quantum":
         return loaded.process
@@ -83,9 +80,6 @@ def _as_quantum(loaded) -> ProcessOperator:
 
 def _exemplar(name: str):
     """Build an exemplar by CLI name: (object, graph, metadata)."""
-    from . import exemplars as ex
-    from .classical import causal_structure_deterministic
-
     if name == "switch":
         return ex.make_switch(2), ex.switch_causal_graph(), {"description": "order-controlling unitary process, qubit target"}
     if name == "reduced-switch":
@@ -110,7 +104,7 @@ def _exemplar(name: str):
 
 def cmd_validate(args) -> int:
     started = time.time()
-    loaded = _load(args.file)
+    loaded = read_process_file(args.file)
     report = {"command": "validate", "input": args.file, "sha256": _sha256(args.file), "tol": args.tol}
     if loaded.kind == "quantum":
         verdict = validate_process(loaded.process, args.tol)
@@ -135,20 +129,25 @@ def cmd_validate(args) -> int:
         report["failed_conditions"] = failed
         ok = verdict.valid
     else:
-        verdict = validate_classical(loaded.process, args.tol)
         report["kind"] = "classical"
-        report["valid"] = verdict.valid
-        report["min_entry"] = verdict.min_entry
-        report["max_normalization_error"] = verdict.max_normalization_error
-        report["tuples_checked"] = verdict.tuples_checked
-        ok = verdict.valid
+        ok = _report_classical_validity(report, loaded.process, args.tol)
     _emit(report, started)
     return 0 if ok else 1
 
 
+def _report_classical_validity(report: dict, kp: ClassicalProcess, tol: float) -> bool:
+    """Add the classical validity fields to ``report``; return the verdict."""
+    verdict = validate_classical(kp, tol)
+    report["valid"] = verdict.valid
+    report["min_entry"] = verdict.min_entry
+    report["max_normalization_error"] = verdict.max_normalization_error
+    report["tuples_checked"] = verdict.tuples_checked
+    return verdict.valid
+
+
 def cmd_discover(args) -> int:
     started = time.time()
-    loaded = _load(args.file)
+    loaded = read_process_file(args.file)
     sigma = _as_quantum(loaded)
     graph, mf = discover(sigma, args.tol)
     report = {
@@ -176,7 +175,7 @@ def cmd_discover(args) -> int:
 
 def cmd_comb(args) -> int:
     started = time.time()
-    loaded = _load(args.file)
+    loaded = read_process_file(args.file)
     sigma = _as_quantum(loaded)
     report = {"command": "comb", "input": args.file, "sha256": _sha256(args.file), "tol": args.tol}
     if args.order:
@@ -203,7 +202,7 @@ def cmd_comb(args) -> int:
 
 def cmd_separability(args) -> int:
     started = time.time()
-    loaded = _load(args.file)
+    loaded = read_process_file(args.file)
     sigma = _as_quantum(loaded)
     sv = bipartite_separability(sigma, args.tol, args.max_iter)
     report = {
@@ -230,19 +229,14 @@ def _require_classical(loaded) -> ClassicalProcess:
 
 def cmd_classical(args) -> int:
     started = time.time()
-    loaded = _load(args.file)
+    loaded = read_process_file(args.file)
     base = {"command": f"classical {args.subcommand}", "input": args.file, "sha256": _sha256(args.file)}
 
     if args.subcommand == "validate":
-        kp = _require_classical(loaded)
-        verdict = validate_classical(kp, args.tol)
         base["tol"] = args.tol
-        base["valid"] = verdict.valid
-        base["min_entry"] = verdict.min_entry
-        base["max_normalization_error"] = verdict.max_normalization_error
-        base["tuples_checked"] = verdict.tuples_checked
+        ok = _report_classical_validity(base, _require_classical(loaded), args.tol)
         _emit(base, started)
-        return 0 if verdict.valid else 1
+        return 0 if ok else 1
 
     if args.subcommand == "polytope":
         kp = _require_classical(loaded)

@@ -6,20 +6,31 @@ verifiers for the routing unitaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import channel_from_unitary, channel_influence_residual
-from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess, quantize
+from .classical import (
+    ClassicalNode,
+    ClassicalProcess,
+    DeterministicProcess,
+    quantize,
+    reversible_extension,
+)
 from .graphs import DirectedGraph, UnitaryProcess, directed_graph, make_unitary_process
 from .labeled import (
     LabeledOperator,
     LinearMap,
     SystemLabel,
+    apply_stage,
+    identity_map,
     identity_operator,
     partial_trace,
+    permute_map,
     tensor,
+    tensor_maps,
 )
 from .process import ProcessOperator, QuantumNode, comb_from_circuit, process_operator
 from .rand import haar_unitary
@@ -51,11 +62,28 @@ __all__ = [
 
 def _swap_matrix(d1: int, d2: int) -> np.ndarray:
     """Permutation sending |x, y> to |y, x>."""
-    m = np.zeros((d1 * d2, d1 * d2))
-    for x in range(d1):
-        for y in range(d2):
-            m[y * d1 + x, x * d2 + y] = 1.0
-    return m
+    return np.eye(d1 * d2).reshape(d1, d2, -1).swapaxes(0, 1).reshape(d1 * d2, -1)
+
+
+def _coherent_copy(dp: DeterministicProcess, names=None) -> UnitaryProcess:
+    """Unitary process of a bijective deterministic process: U|x> = |f(x)>.
+
+    ``names`` maps the classical node names to the quantum ones; its order is
+    the node order (default: the process's own names and order). The unitarity
+    check of ``make_unitary_process`` rejects a function that is not a bijection.
+    """
+    kp = dp.to_classical()
+    names = names or {nm: nm for nm in kp.node_names}
+    order = [kp.node_names.index(nm) for nm in names]
+    nodes = [QuantumNode(names[nm], kp.node(nm).in_card, kp.node(nm).out_card) for nm in names]
+    # the 0/1 table kappa(ins, outs) with in-axes first is U[ins, outs]
+    u = kp.table.transpose([2 * i for i in order] + [2 * i + 1 for i in order])
+    um = LinearMap(
+        u.reshape(math.prod(n.d_in for n in nodes), -1).astype(complex),
+        tuple(n.out_system for n in nodes if n.d_out > 1),
+        tuple(n.in_system for n in nodes if n.d_in > 1),
+    )
+    return make_unitary_process(nodes, um)
 
 
 def make_switch(d: int = 2) -> UnitaryProcess:
@@ -65,34 +93,9 @@ def make_switch(d: int = 2) -> UnitaryProcess:
     qubit and the initial target (composite dimension 2d, control most
     significant); the leaf F absorbs the control and the final target.
     Control value 0 routes the target through A then B, value 1 through B
-    then A.
+    then A: the coherent copy of ``make_classical_switch(d)``.
     """
-    if d < 2:
-        raise ValueError("target dimension must be at least 2")
-    na = QuantumNode("A", d, d)
-    nb = QuantumNode("B", d, d)
-    np_ = QuantumNode("P", 1, 2 * d)
-    nf = QuantumNode("F", 2 * d, 1)
-
-    dim = d * d * 2 * d
-    u = np.zeros((dim, dim))
-    for a in range(d):
-        for b in range(d):
-            for q in range(2):
-                for s in range(d):
-                    col = (a * d + b) * 2 * d + q * d + s
-                    if q == 0:
-                        row = (s * d + a) * 2 * d + b
-                    else:
-                        row = (b * d + s) * 2 * d + d + a
-                    u[row, col] = 1.0
-    um = LinearMap(
-        u.astype(complex),
-        (na.out_system, nb.out_system, np_.out_system),
-        (na.in_system, nb.in_system, nf.in_system),
-    )
-    up = make_unitary_process([na, nb, np_, nf], um)
-    return up
+    return _coherent_copy(make_classical_switch(d))
 
 
 def make_reduced_switch(d: int = 2) -> ProcessOperator:
@@ -108,12 +111,8 @@ def make_af_deterministic() -> DeterministicProcess:
     """Three-bit cyclic function process: each input is a function of the
     other two outputs (in = NOT(next) AND previous, cyclically)."""
     nodes = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2), ClassicalNode("C", 2, 2))
-    func = np.zeros((2, 2, 2, 3), dtype=np.int64)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                func[a, b, c] = [(1 - b) & c, (1 - c) & a, (1 - a) & b]
-    return DeterministicProcess(nodes, func)
+    a, b, c = np.indices((2, 2, 2), dtype=np.int64)
+    return DeterministicProcess(nodes, np.stack([(1 - b) & c, (1 - c) & a, (1 - a) & b], axis=-1))
 
 
 def make_af() -> ProcessOperator:
@@ -127,33 +126,11 @@ def make_bw_extension() -> UnitaryProcess:
     The root P emits three ancilla bits (one per node, A-major); the leaf F
     absorbs a copy of all three node outputs. The permutation XORs each
     ancilla with the corresponding function value:
-    (a, b, c, (l, m, n)) -> (l + (!b & c), m + (!c & a), n + (!a & b), (a, b, c)).
+    (a, b, c, (l, m, n)) -> (l + (!b & c), m + (!c & a), n + (!a & b), (a, b, c)),
+    the coherent copy of the reversible extension of ``make_af_deterministic``.
     """
-    na = QuantumNode("A", 2, 2)
-    nb = QuantumNode("B", 2, 2)
-    nc = QuantumNode("C", 2, 2)
-    np_ = QuantumNode("P", 1, 8)
-    nf = QuantumNode("F", 8, 1)
-
-    u = np.zeros((64, 64))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for l in range(2):
-                    for m in range(2):
-                        for n in range(2):
-                            col = ((a * 2 + b) * 2 + c) * 8 + (l * 4 + m * 2 + n)
-                            x = l ^ ((1 - b) & c)
-                            y = m ^ ((1 - c) & a)
-                            z = n ^ ((1 - a) & b)
-                            row = ((x * 2 + y) * 2 + z) * 8 + (a * 4 + b * 2 + c)
-                            u[row, col] = 1.0
-    um = LinearMap(
-        u.astype(complex),
-        (na.out_system, nb.out_system, nc.out_system, np_.out_system),
-        (na.in_system, nb.in_system, nc.in_system, nf.in_system),
-    )
-    return make_unitary_process([na, nb, nc, np_, nf], um)
+    ext = reversible_extension([(1.0, make_af_deterministic())]).extension
+    return _coherent_copy(ext, {"A": "A", "B": "B", "C": "C", "root": "P", "leaf": "F"})
 
 
 def make_classical_switch(d: int = 2) -> DeterministicProcess:
@@ -167,17 +144,13 @@ def make_classical_switch(d: int = 2) -> DeterministicProcess:
         ClassicalNode("P", 1, 2 * d),
         ClassicalNode("F", 2 * d, 1),
     )
-    func = np.zeros((d, d, 2 * d, 1, 4), dtype=np.int64)
-    for a in range(d):
-        for b in range(d):
-            for q in range(2):
-                for s in range(d):
-                    if q == 0:
-                        a_in, b_in, f_in = s, a, 0 * d + b
-                    else:
-                        a_in, b_in, f_in = b, s, d + a
-                    func[a, b, q * d + s, 0] = [a_in, b_in, 0, f_in]
-    return DeterministicProcess(nodes, func)
+    a, b, q, s = np.indices((d, d, 2, d), dtype=np.int64)
+    first = q == 0
+    func = np.stack(
+        [np.where(first, s, b), np.where(first, a, s), np.zeros_like(a), np.where(first, b, d + a)],
+        axis=-1,
+    )
+    return DeterministicProcess(nodes, func.reshape(d, d, 2 * d, 1, 4))
 
 
 @dataclass(frozen=True)
@@ -197,16 +170,8 @@ class MethodsCounterexample:
         if p_c.shape != (2,):
             raise ValueError("need a distribution over two C.in values")
         nodes = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2), ClassicalNode("C", 2, 2))
-        table = np.zeros((2, 2, 2, 2, 2, 2))
-        for ai in range(2):
-            for ao in range(2):
-                for bi in range(2):
-                    for bo in range(2):
-                        for ci in range(2):
-                            for co in range(2):
-                                table[ai, ao, bi, bo, ci, co] = (
-                                    self.p_a[ai, bo, co] * self.p_b[bi, ao, co] * p_c[ci]
-                                )
+        # axes (a_in, a_out, b_in, b_out, c_in, c_out)
+        table = np.einsum("adf,cbf,e->abcdef", self.p_a, self.p_b, p_c)
         return ClassicalProcess(nodes, table)
 
 
@@ -252,10 +217,7 @@ def make_mix_components(rho_a_in=None):
     d = rho_a_in.shape[0]
     if d != 2:
         raise ValueError("the controlled-NOT construction needs qubit wires")
-    cnot = np.zeros((4, 4))
-    for x in range(2):
-        for y in range(2):
-            cnot[x * 2 + (y ^ x), x * 2 + y] = 1.0
+    cnot = np.eye(4)[[0, 1, 3, 2]]  # |x, y> -> |x, y XOR x>
 
     out = []
     for coin in range(2):
@@ -352,22 +314,25 @@ class DecompositionReport:
     tol: float
 
 
-def _axis_order(labels, wanted_names):
-    """Axis permutation bringing ``wanted_names`` first; any extra axes must be
-    trivial (dimension one) and are appended at the end."""
+def _systems_in_order(labels, wanted_names) -> list:
+    """``labels`` with the systems named in ``wanted_names`` first, in that
+    order; any other system must be trivial (dimension one) and goes last."""
     names = [s.name for s in labels]
-    order = []
     for nm in wanted_names:
         if nm not in names:
             raise ValueError(f"expected a system named {nm!r}, found {names}")
-        order.append(names.index(nm))
-    for i, s in enumerate(labels):
-        if i in order:
-            continue
+    rest = [s for s in labels if s.name not in wanted_names]
+    for s in rest:
         if s.dim != 1:
             raise ValueError(f"unexpected nontrivial system {s!r}")
-        order.append(i)
-    return order
+    return [labels[names.index(nm)] for nm in wanted_names] + rest
+
+
+def _aligned_matrix(u: LinearMap, codomain_names, domain_names) -> np.ndarray:
+    """Matrix of u with its systems listed as the decomposition expects them."""
+    cod = _systems_in_order(u.codomain, codomain_names)
+    dom = _systems_in_order(u.domain, domain_names)
+    return permute_map(u, dom, cod).matrix
 
 
 def _switch_report(u: LinearMap, parts: SwitchParts, tol: float) -> DecompositionReport:
@@ -376,59 +341,39 @@ def _switch_report(u: LinearMap, parts: SwitchParts, tol: float) -> Decompositio
     df = sum(l * r for l, r in parts.f_block_dims)
     if parts.s.shape != (dp, dp) or parts.t.shape != (df, df):
         raise ValueError("boundary matrices do not match the block dimensions")
+
+    # middle stage on (A.out, sum-block, B.out) -> (B.in, f-sum-block, A.in);
+    # block i is v_i (x) w_i on (A.out, L_i, R_i, B.out) -> (B.in, FL_i, FR_i, A.in)
+    mid = np.zeros((d, df, d, d, dp, d), dtype=complex)
+    off_in = 0
+    off_out = 0
     for i, ((ld, rd), (fld, frd)) in enumerate(zip(parts.block_dims, parts.f_block_dims)):
         if parts.v[i].shape != (d * fld, d * ld):
             raise ValueError(f"block {i}: v has shape {parts.v[i].shape}, expected {(d * fld, d * ld)}")
         if parts.w[i].shape != (frd * d, rd * d):
             raise ValueError(f"block {i}: w has shape {parts.w[i].shape}, expected {(frd * d, rd * d)}")
-
-    # middle stage on (A.out, sum-block, B.out) -> (B.in, f-sum-block, A.in)
-    mid = np.zeros((d * df * d, d * dp * d), dtype=complex)
-    off_in = 0
-    off_out = 0
-    for i, ((ld, rd), (fld, frd)) in enumerate(zip(parts.block_dims, parts.f_block_dims)):
-        v = parts.v[i]
-        w = parts.w[i]
-        for a in range(d):
-            for l in range(ld):
-                for r in range(rd):
-                    for b in range(d):
-                        col = (a * dp + off_in + l * rd + r) * d + b
-                        for y in range(d):
-                            for fl in range(fld):
-                                vv = v[y * fld + fl, a * ld + l]
-                                if vv == 0:
-                                    continue
-                                for fr in range(frd):
-                                    for x in range(d):
-                                        ww = w[fr * d + x, r * d + b]
-                                        if ww == 0:
-                                            continue
-                                        row = (y * df + off_out + fl * frd + fr) * d + x
-                                        mid[row, col] += vv * ww
+        block = np.einsum(
+            "yfal,gxrb->yfgxalrb", parts.v[i].reshape(d, fld, d, ld), parts.w[i].reshape(frd, d, rd, d)
+        )
+        mid[:, off_out:off_out + fld * frd, :, :, off_in:off_in + ld * rd, :] = block.reshape(
+            d, fld * frd, d, d, ld * rd, d
+        )
         off_in += ld * rd
         off_out += fld * frd
 
     stage1 = np.kron(np.kron(np.eye(d), parts.s), np.eye(d))
     stage3 = np.kron(np.kron(np.eye(d), parts.t), np.eye(d))
-    u_rec = stage3 @ mid @ stage1
-
-    dom_dims = [s.dim for s in u.domain]
-    cod_dims = [s.dim for s in u.codomain]
-    arr = u.matrix.reshape(cod_dims + dom_dims)
-    cod_perm = _axis_order(u.codomain, ["B.in", "F.in", "A.in"])
-    dom_perm = [len(cod_dims) + k for k in _axis_order(u.domain, ["A.out", "P.out", "B.out"])]
-    arr = np.transpose(arr, cod_perm + dom_perm)
-    u_target = arr.reshape(d * df * d, d * dp * d)
+    u_rec = stage3 @ mid.reshape(d * df * d, d * dp * d) @ stage1
+    u_target = _aligned_matrix(u, ["B.in", "F.in", "A.in"], ["A.out", "P.out", "B.out"])
     resid = float(np.abs(u_rec - u_target).max())
 
     block_sig = {}
     one_way = True
+    aout = SystemLabel("A.out", d)
+    bout = SystemLabel("B.out", d)
+    ain = SystemLabel("A.in", d)
+    bin_ = SystemLabel("B.in", d)
     for i, ((ld, rd), (fld, frd)) in enumerate(zip(parts.block_dims, parts.f_block_dims)):
-        aout = SystemLabel("A.out", d)
-        bout = SystemLabel("B.out", d)
-        ain = SystemLabel("A.in", d)
-        bin_ = SystemLabel("B.in", d)
         pl = SystemLabel("P.L", ld)
         pr = SystemLabel("P.R", rd)
         fl = SystemLabel("F.L", fld)
@@ -452,67 +397,42 @@ def _bw_report(u: LinearMap, parts: BWParts, tol: float) -> DecompositionReport:
     if parts.w.shape != (8, 8):
         raise ValueError("w must be 8x8")
 
-    # middle stage on (lC, i, lB, j, k, lA) -> (C.in, B.in, A.in, sum-ijk)
-    mid = np.zeros((64, 64), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                pm = parts.p[i][j]
-                qm = parts.q[i][k]
-                rm = parts.r[j][k]
-                for n in range(2):
-                    for m in range(2):
-                        for l in range(2):
-                            col = ((((n * 2 + i) * 2 + m) * 2 + j) * 2 + k) * 2 + l
-                            for z in range(2):
-                                for y in range(2):
-                                    for x in range(2):
-                                        val = pm[z, n] * qm[y, m] * rm[x, l]
-                                        if val == 0:
-                                            continue
-                                        row = ((z * 2 + y) * 2 + x) * 8 + (i * 4 + j * 2 + k)
-                                        mid[row, col] += val
+    # middle stage on (lC, i, lB, j, k, lA) -> (C.in, B.in, A.in, sum-ijk):
+    # block (i, j, k) is p[i][j] (x) q[i][k] (x) r[j][k] on (lC, lB, lA)
+    mid = np.zeros((2,) * 12, dtype=complex)
+    for i, j, k in np.ndindex(2, 2, 2):
+        mid[:, :, :, i, j, k, :, i, :, j, k, :] = np.einsum(
+            "zn,ym,xl->zyxnml", parts.p[i][j], parts.q[i][k], parts.r[j][k]
+        )
     stage1 = np.kron(np.kron(np.kron(np.eye(2), parts.s), np.kron(np.eye(2), parts.t)),
                      np.kron(parts.v, np.eye(2)))
     stage3 = np.kron(np.eye(8), parts.w)
-    u_rec = stage3 @ mid @ stage1
+    u_rec = stage3 @ mid.reshape(64, 64) @ stage1
 
-    dom_dims = [s.dim for s in u.domain]
-    cod_dims = [s.dim for s in u.codomain]
-    arr = u.matrix.reshape(cod_dims + dom_dims)
-    cod_perm = _axis_order(u.codomain, ["C.in", "B.in", "A.in", "F.in"])
-    dom_perm = [len(cod_dims) + kk for kk in _axis_order(u.domain, ["A.out", "B.out", "C.out", "P.out"])]
-    arr = np.transpose(arr, cod_perm + dom_perm)
+    arr = _aligned_matrix(u, ["C.in", "B.in", "A.in", "F.in"], ["A.out", "B.out", "C.out", "P.out"])
     # split P.out (A-major l, m, n) and bring the domain to (n, a, m, b, c, l)
     arr = arr.reshape(2, 2, 2, 8, 2, 2, 2, 2, 2, 2)
-    arr = np.transpose(arr, (0, 1, 2, 3, 9, 4, 8, 5, 6, 7))
-    u_target = arr.reshape(64, 64)
+    u_target = np.transpose(arr, (0, 1, 2, 3, 9, 4, 8, 5, 6, 7)).reshape(64, 64)
     resid = float(np.abs(u_rec - u_target).max())
 
     block_sig = {}
     one_way = True
-    lam = {nm: SystemLabel(f"anc.{nm}", 2) for nm in "ABC"}
-    ins = {nm: SystemLabel(f"{nm}.in", 2) for nm in "ABC"}
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                block = np.kron(np.kron(parts.p[i][j], parts.q[i][k]), parts.r[j][k])
-                ch = channel_from_unitary(LinearMap(
-                    block.astype(complex),
-                    (lam["C"], lam["B"], lam["A"]),
-                    (ins["C"], ins["B"], ins["A"]),
-                ))
-                cross = {}
-                for src in "ABC":
-                    for dst in "ABC":
-                        if src == dst:
-                            continue
-                        cross[f"anc.{src}->{dst}.in"] = channel_influence_residual(
-                            ch, f"anc.{src}", f"{dst}.in"
-                        )
-                block_sig[(i, j, k)] = cross
-                if any(vv > tol for vv in cross.values()):
-                    one_way = False
+    lam = tuple(SystemLabel(f"anc.{nm}", 2) for nm in "CBA")
+    ins = tuple(SystemLabel(f"{nm}.in", 2) for nm in "CBA")
+    for i, j, k in np.ndindex(2, 2, 2):
+        block = np.kron(np.kron(parts.p[i][j], parts.q[i][k]), parts.r[j][k])
+        ch = channel_from_unitary(LinearMap(block.astype(complex), lam, ins))
+        cross = {}
+        for src in "ABC":
+            for dst in "ABC":
+                if src == dst:
+                    continue
+                cross[f"anc.{src}->{dst}.in"] = channel_influence_residual(
+                    ch, f"anc.{src}", f"{dst}.in"
+                )
+        block_sig[(i, j, k)] = cross
+        if any(vv > tol for vv in cross.values()):
+            one_way = False
     passed = resid <= max(tol, 1e-12) and one_way
     return DecompositionReport(bool(passed), resid, block_sig, bool(one_way), tol)
 
@@ -568,9 +488,6 @@ def random_unitary_chain(n_slots: int, rng: np.random.Generator) -> UnitaryProce
 
 def _chain_stage(u: LinearMap, stage: LinearMap) -> LinearMap:
     """Compose a stage that consumes some of u's codomain plus fresh inputs."""
-    from .labeled import apply_stage, tensor_maps, identity_map
-
-    consumed = {s.key for s in stage.domain}
     fresh = [s for s in stage.domain if s.key not in {c.key for c in u.codomain}]
     if fresh:
         u = tensor_maps(u, identity_map(fresh))

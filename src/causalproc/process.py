@@ -153,6 +153,13 @@ class ValidationVerdict:
     tol: float
 
 
+def _drop_out_witness(op: LabeledOperator, node: QuantumNode) -> LabeledOperator:
+    """Apply 1 - D_out + D_out,in at one node: remove the terms trivial on its
+    out-dual factor but not on its in factor."""
+    od, ik = node.out_dual.key, node.in_system.key
+    return op - project_trivial(op, [od]) + project_trivial(op, [od, ik])
+
+
 def _forbidden_component(sigma: ProcessOperator) -> LabeledOperator:
     """Component of sigma outside the span of allowed basis types.
 
@@ -164,10 +171,7 @@ def _forbidden_component(sigma: ProcessOperator) -> LabeledOperator:
     """
     cur = sigma.op
     for n in sigma.nodes:
-        od, ik = n.out_dual.key, n.in_system.key
-        d_out_part = project_trivial(cur, [od])
-        d_both = project_trivial(cur, [od, ik])
-        cur = cur - d_out_part + d_both
+        cur = _drop_out_witness(cur, n)
     all_refs = [s.key for s in sigma.op.systems]
     ident_part = project_trivial(sigma.op, all_refs)
     return cur - reorder(ident_part, [s.key for s in cur.systems])
@@ -266,9 +270,8 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
     for n in sigma.nodes:
         if n.name not in names:
             continue
-        od, ik = n.out_dual.key, n.in_system.key
-        lhs = lhs - project_trivial(lhs, [od]) + project_trivial(lhs, [od, ik])
-        refs.extend([od, ik])
+        lhs = _drop_out_witness(lhs, n)
+        refs.extend([n.out_dual.key, n.in_system.key])
     rhs = project_trivial(sigma.op, refs)
     return distance(lhs, rhs)
 

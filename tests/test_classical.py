@@ -152,6 +152,9 @@ def test_classical_compatibility_chain():
     )
     assert not bad.compatible
     assert bad.violations
+    for dist in ([1.0], np.append(ext.lambda_distribution, 0.0)):
+        with pytest.raises(ValueError, match="one weight per root value"):
+            classical_compatibility_check(kp, g, ext.extension, dist)
 
 
 def test_validate_classical_rejects_negative_and_unnormalized():

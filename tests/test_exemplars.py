@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from causalproc import (
     validate_process,
     verify_decomposition,
 )
+from causalproc.cli import main
 
 
 def test_switch_process_is_rank_one_with_right_trace(switch_up):
@@ -188,3 +190,30 @@ def test_bw_marginal_equals_af(bw_up, af_process):
     marg = partial_trace(cond.op, [nf.in_system.key, nf.out_dual.key])
     sig = process_operator([n for n in cond.nodes if n.name in "ABC"], marg)
     assert distance(sig.op, af_process.op) == 0.0
+
+
+# sha256 of each `causalproc exemplar NAME` file, and of the raw bytes of the
+# dense make_switch(3) process operator, as written before the switch and
+# three-bit dilation unitaries were derived from their classical processes.
+EXEMPLAR_DIGESTS = {
+    "switch": "495679e5e1fad362113810c704271b1dc1dfa1b22a6c2136b1ef56e8a055be4b",
+    "reduced-switch": "b16b3033c4c5348662abccdccb8eaa79d5ea901d335d13fa3e2ad3fc4d084465",
+    "af": "6066876ffde342aaf5a42fd88feb0bd0282d22defaaad2bb8a20b462a78cfc2e",
+    "af-classical": "00d08889361031a334b4e90c2e9424d4d04000efdee60b9fa80d011933600371",
+    "bw-extension": "fc1d8187ae376da379d7225279fa13506127a2a4bde19026c87c47d30ed56219",
+    "classical-switch": "288c2535265c18db692cc2266f1ec13e45898685e8af466843cbd0172cada506",
+    "counterexample": "371d9a172bcb5bab6ca8d3f6ab5b658b939a729ed1f7df9725509c7cb9cfe5d4",
+    "mix": "6b5fe30e419786fa0f0bc8d5367691aada739f9c29f28969f77b0baad52bbb7f",
+    "switch(3) matrix": "6b2d061f36e0cb6e3ff40bd961044df41a5d0e997d1cb2e8706f49646ec4d42a",
+}
+
+
+@pytest.mark.parametrize("name", list(EXEMPLAR_DIGESTS))
+def test_exemplar_content_is_pinned(name, tmp_path, capsys):
+    if name == "switch(3) matrix":
+        data = make_switch(3).process.op.matrix.tobytes()
+    else:
+        out = tmp_path / "exemplar.json"
+        assert main(["exemplar", name, "--out", str(out)]) == 0
+        data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EXEMPLAR_DIGESTS[name]
