@@ -10,9 +10,7 @@ f has exactly one consistent assignment against every local tuple g.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -126,18 +124,45 @@ class DeterministicProcess:
         return ClassicalProcess(self.nodes, table)
 
 
-def _local_function_tuples(nodes, budget: int):
-    """All tuples of deterministic local maps g_i: in_i -> out_i, in a fixed order."""
+def _product_rows(card: int, length: int) -> np.ndarray:
+    """All tuples of ``length`` values below ``card``, as rows in ``itertools.product`` order."""
+    return np.arange(card**length)[:, None] // card ** np.arange(length - 1, -1, -1) % card
+
+
+def _local_instruments(nodes, budget: int) -> list[np.ndarray]:
+    """Per node, the classical instrument whose outcome is a local map g: in -> out.
+
+    Array i has shape (out_i**in_i, out_i, in_i) with [g, y, x] = 1 iff
+    g(x) = y. The maps run in ``itertools.product`` order, so tuples of maps
+    run in the C order of the outcome axes.
+    """
     total = 1
     for n in nodes:
         total *= n.out_card**n.in_card
     if total > budget:
         raise ValueError(f"{total} local function tuples exceed the budget {budget}")
-    per_node = [
-        [np.array(g, dtype=np.int64) for g in itertools.product(range(n.out_card), repeat=n.in_card)]
-        for n in nodes
-    ]
-    return list(itertools.product(*per_node))
+    instruments = []
+    for n in nodes:
+        maps = _product_rows(n.out_card, n.in_card)
+        instruments.append((maps[:, None, :] == np.arange(n.out_card)[:, None]).astype(float))
+    return instruments
+
+
+def _fixed_point_counts(funcs: np.ndarray, instruments) -> np.ndarray:
+    """#{y : g(f(y)) = y} for every function f of a batch and every tuple g of local maps.
+
+    ``funcs`` has shape (batch, out_space, n): each function's in-values at
+    each flat out-value. The result has shape (batch, G_1, ..., G_n).
+    """
+    n = len(instruments)
+    outs = np.indices([inst.shape[1] for inst in instruments]).reshape(n, -1)
+    operands = []
+    for i, inst in enumerate(instruments):
+        maps = inst.argmax(axis=1)
+        # hit[g, b, y] = [g(f_i(y)) == y_i]
+        hit = (maps[:, funcs[..., i]] == outs[i]).astype(np.int64)
+        operands += [hit, [1 + i, 0, n + 1]]
+    return np.einsum(*operands, list(range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -151,39 +176,28 @@ class ClassicalValidationVerdict:
 
 def validate_classical(kp: ClassicalProcess, tol: float = 1e-9, budget: int = 10**7) -> ClassicalValidationVerdict:
     """Nonnegativity plus unit total weight against every deterministic tuple."""
-    t = kp.table
-    min_entry = float(t.min())
-    grids = np.indices([n.in_card for n in kp.nodes])
-    worst = 0.0
-    tuples = _local_function_tuples(kp.nodes, budget)
-    for g in tuples:
-        idx = []
-        for i in range(len(kp.nodes)):
-            idx.append(grids[i])
-            idx.append(g[i][grids[i]])
-        s = float(t[tuple(idx)].sum())
-        worst = max(worst, abs(s - 1.0))
+    min_entry = float(kp.table.min())
+    totals = classical_joint_probabilities(kp, _local_instruments(kp.nodes, budget))
+    worst = float(np.abs(totals - 1.0).max())
     valid = min_entry >= -tol and worst <= tol
-    return ClassicalValidationVerdict(bool(valid), min_entry, worst, len(tuples), tol)
+    return ClassicalValidationVerdict(bool(valid), min_entry, worst, totals.size, tol)
 
 
 def validate_deterministic(dp: DeterministicProcess, budget: int = 10**7):
     """True iff every local tuple admits exactly one consistent assignment.
 
-    Returns (valid, witness): the witness is an offending tuple of local maps
-    (or None), with its number of consistent assignments.
+    Returns (valid, witness): the witness is the first offending tuple of local
+    maps (or None), with its number of consistent assignments.
     """
-    out_cards = [n.out_card for n in dp.nodes]
-    out_space = int(np.prod(out_cards))
-    f_comp = dp.function.reshape(out_space, len(dp.nodes))
-    xs = np.arange(out_space)
-    for g in _local_function_tuples(dp.nodes, budget):
-        mapped = [g[i][f_comp[:, i]] for i in range(len(dp.nodes))]
-        y = np.ravel_multi_index(mapped, out_cards)
-        count = int((y == xs).sum())
-        if count != 1:
-            return False, (tuple(tuple(gi) for gi in g), count)
-    return True, None
+    instruments = _local_instruments(dp.nodes, budget)
+    funcs = dp.function.reshape(1, -1, len(dp.nodes))
+    counts = _fixed_point_counts(funcs, instruments)[0]
+    bad = np.flatnonzero(counts != 1)
+    if bad.size == 0:
+        return True, None
+    g = np.unravel_index(bad[0], counts.shape)
+    maps = tuple(tuple(inst[gi].argmax(axis=0)) for inst, gi in zip(instruments, g))
+    return False, (maps, int(counts[g]))
 
 
 def classical_joint_probabilities(kp: ClassicalProcess, channels) -> np.ndarray:
@@ -210,6 +224,12 @@ def classical_joint_probabilities(kp: ClassicalProcess, channels) -> np.ndarray:
     return np.einsum(*operands, optimize="greedy")
 
 
+def _varies_along(comp: np.ndarray, axis: int) -> bool:
+    """Does the in-value table ``comp`` change along ``axis``?"""
+    ref = np.take(comp, [0], axis=axis)
+    return not np.array_equal(comp, np.broadcast_to(ref, comp.shape))
+
+
 def causal_structure_deterministic(dp: DeterministicProcess):
     """Influence graph of a deterministic process: j -> i iff f_i varies with X_j^out."""
     n = len(dp.nodes)
@@ -217,10 +237,7 @@ def causal_structure_deterministic(dp: DeterministicProcess):
     for i in range(n):
         comp = dp.function[..., i]
         for j in range(n):
-            if dp.nodes[j].out_card == 1:
-                continue
-            ref = np.take(comp, [0], axis=j)
-            if not np.array_equal(comp, np.broadcast_to(ref, comp.shape)):
+            if _varies_along(comp, j):
                 if i == j:
                     raise ValueError(
                         f"node {dp.nodes[i].name!r} input depends on its own output; "
@@ -250,9 +267,10 @@ def classical_markov_check(kp: ClassicalProcess, graph, tol: float = 1e-9) -> Cl
     if set(graph.vertices) != set(kp.node_names):
         raise ValueError("graph vertices must match the process nodes")
     n = len(kp.nodes)
-    names = list(kp.node_names)
     factors = {}
     stoch = 0.0
+    operands = []
+    covered_out = set()
     for i, node in enumerate(kp.nodes):
         parents = set(graph.parents(node.name))
         keep_axes = [2 * i]
@@ -262,6 +280,7 @@ def classical_markov_check(kp: ClassicalProcess, graph, tol: float = 1e-9) -> Cl
                 keep_axes.append(2 * j + 1)
             else:
                 scale /= other.out_card
+        covered_out.update(keep_axes[1:])
         # marginalize: sum over everything else
         axes = tuple(a for a in range(2 * n) if a not in keep_axes)
         fac = kp.table.sum(axis=axes) * scale
@@ -273,108 +292,51 @@ def classical_markov_check(kp: ClassicalProcess, graph, tol: float = 1e-9) -> Cl
         stoch = max(stoch, float(np.abs(fac.sum(axis=0) - 1.0).max()))
         if fac.min() < -tol:
             stoch = max(stoch, -float(fac.min()))
+        operands += [fac, keep_axes]
 
-    subs = []
-    for i in range(n):
-        subs.extend([2 * i, 2 * i + 1])
-    operands = []
-    covered_out = set()
-    for i, node in enumerate(kp.nodes):
-        parents = set(graph.parents(node.name))
-        fac_subs = [2 * i]
-        for j, other in enumerate(kp.nodes):
-            if other.name in parents:
-                fac_subs.append(2 * j + 1)
-                covered_out.add(2 * j + 1)
-        operands.append(factors[node.name])
-        operands.append(fac_subs)
     for j, node in enumerate(kp.nodes):
         if 2 * j + 1 not in covered_out:
             operands.append(np.ones(node.out_card))
             operands.append([2 * j + 1])
-    operands.append(subs)
+    operands.append([a for i in range(n) for a in (2 * i, 2 * i + 1)])
     rec = np.einsum(*operands, optimize="greedy")
     prod_res = float(np.abs(rec - kp.table).max())
     accepted = stoch <= tol and prod_res <= tol
     return ClassicalMarkov(graph, factors, stoch, prod_res, bool(accepted), tol)
 
 
-@lru_cache(maxsize=8)
-def _enumerate_cached(cards: tuple, budget: int):
-    in_cards = [c[0] for c in cards]
-    out_cards = [c[1] for c in cards]
-    in_space = int(np.prod(in_cards))
-    out_space = int(np.prod(out_cards))
-    total = in_space**out_space
-    if total > budget:
-        raise ValueError(f"{total} candidate functions exceed the budget {budget}")
-
-    # Flat local tuples: g maps flat-in -> flat-out.
-    nodes = tuple(ClassicalNode(f"n{i}", ic, oc) for i, (ic, oc) in enumerate(cards))
-    gmaps = []
-    for g in _local_function_tuples(nodes, budget):
-        grids = np.indices(in_cards).reshape(len(cards), in_space)
-        outs = [g[i][grids[i]] for i in range(len(cards))]
-        gmaps.append(np.ravel_multi_index(outs, out_cards).astype(np.int64))
-
-    xs = np.arange(out_space, dtype=np.int64)
-    powers = np.array([in_space ** (out_space - 1 - c) for c in range(out_space)], dtype=np.int64)
-    in_divs = []
-    acc = 1
-    for ic in reversed(in_cards):
-        in_divs.append(acc)
-        acc *= ic
-    in_divs = list(reversed(in_divs))
-    valid_ids = []
-    chunk = 1 << 20
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        f = ((idx[:, None] // powers[None, :]) % in_space).astype(np.int64)
-        # cheap necessary condition: no component may read its own out-value
-        # (fixing the other parties' maps to constants would leave zero fixed points)
-        ok = np.ones(hi - lo, dtype=bool)
-        for i in range(len(cards)):
-            comp = ((f // in_divs[i]) % in_cards[i]).reshape((hi - lo,) + tuple(out_cards))
-            ref = np.take(comp, [0], axis=1 + i)
-            ok &= (comp == ref).all(axis=tuple(range(1, len(cards) + 1)))
-        keep = np.flatnonzero(ok)
-        if keep.size == 0:
-            continue
-        f = f[keep]
-        sub_ok = np.ones(keep.size, dtype=bool)
-        for gflat in gmaps:
-            y = gflat[f]
-            sub_ok &= (y == xs[None, :]).sum(axis=1) == 1
-            if not sub_ok.any():
-                break
-        valid_ids.extend(idx[keep[sub_ok]].tolist())
-    return tuple(valid_ids)
-
-
 def enumerate_deterministic_processes(nodes, budget: int = 2**24) -> list[DeterministicProcess]:
-    """All valid deterministic processes over the nodes, in a fixed order.
+    """All valid deterministic processes over the nodes, ordered by function table.
 
-    The scan covers every function from out-values to in-values (count
-    (prod in)^(prod out), guarded by ``budget``) and keeps those whose
-    fixed-point count is one against every local tuple. Results are cached
-    per node signature.
+    ``budget`` bounds both the number of functions from out-values to
+    in-values, (prod in)^(prod out), and the number of tuples of local maps;
+    a larger count raises ValueError. Only the functions in which no node's
+    in-value reads its own out-value are scanned (any other one has no fixed
+    point once the other nodes' maps are constant), and those with exactly
+    one fixed point against every tuple of local maps are kept.
     """
     nodes = tuple(nodes)
-    cards = tuple((n.in_card, n.out_card) for n in nodes)
-    ids = _enumerate_cached(cards, budget)
-    in_cards = [n.in_card for n in nodes]
-    out_cards = [n.out_card for n in nodes]
+    n = len(nodes)
+    out_cards = tuple(nd.out_card for nd in nodes)
     out_space = int(np.prod(out_cards))
-    in_space = int(np.prod(in_cards))
-    powers = np.array([in_space ** (out_space - 1 - c) for c in range(out_space)], dtype=np.int64)
-    result = []
-    for fid in ids:
-        flat = (fid // powers) % in_space
-        per_node = np.stack(np.unravel_index(flat, in_cards), axis=-1)
-        func = per_node.reshape(tuple(out_cards) + (len(nodes),))
-        result.append(DeterministicProcess(nodes, func))
-    return result
+    total = int(np.prod([nd.in_card for nd in nodes])) ** out_space
+    if total > budget:
+        raise ValueError(f"{total} candidate functions exceed the budget {budget}")
+    instruments = _local_instruments(nodes, budget)
+
+    # candidate axes (one per node: its in-value as a table over the other
+    # nodes' out-values), then the out-value axes and the component axis
+    tables = [_product_rows(nd.in_card, out_space // nd.out_card) for nd in nodes]
+    funcs = np.empty(tuple(len(t) for t in tables) + out_cards + (n,), dtype=np.int64)
+    for i, t in enumerate(tables):
+        own = (1,) * i + (-1,) + (1,) * (n - 1 - i)
+        funcs[..., i] = t.reshape(own + out_cards[:i] + (1,) + out_cards[i + 1 :])
+    funcs = funcs.reshape(-1, out_space, n)
+
+    counts = _fixed_point_counts(funcs, instruments)
+    funcs = funcs[(counts == 1).reshape(len(funcs), -1).all(axis=1)]
+    funcs = funcs[np.lexsort(funcs.reshape(len(funcs), -1).T[::-1])]
+    return [DeterministicProcess(nodes, f.reshape(out_cards + (n,))) for f in funcs]
 
 
 @dataclass(frozen=True)
@@ -511,25 +473,18 @@ def find_process_outside_hull(nodes, budget: int = 2**24, seed: int = 0, attempt
     nodes = tuple(nodes)
     shape = _interleaved_shape(nodes)
     size = int(np.prod(shape))
-    tuples = _local_function_tuples(nodes, budget)
-    grids = np.indices([n.in_card for n in nodes])
-    rows = []
-    for g in tuples:
-        idx = []
-        for i in range(len(nodes)):
-            idx.append(grids[i])
-            idx.append(g[i][grids[i]])
-        flat = np.ravel_multi_index(tuple(a.reshape(-1) for a in idx), shape)
-        row = np.zeros(size)
-        np.add.at(row, flat, 1.0)
-        rows.append(row)
-    a_eq = np.stack(rows)
-    b_eq = np.ones(len(rows))
+    # one normalization row per tuple of local maps: the outer product of the instruments
+    instruments = _local_instruments(nodes, budget)
+    n = len(nodes)
+    operands = []
+    for i, inst in enumerate(instruments):
+        operands += [inst, [i, n + 2 * i + 1, n + 2 * i]]
+    a_eq = np.einsum(*operands, list(range(3 * n))).reshape(-1, size)
+    b_eq = np.ones(len(a_eq))
 
     vertices = enumerate_deterministic_processes(nodes, budget)
 
     rng = np.random.default_rng(seed)
-    n = len(nodes)
     directions = []
     # structured candidates: reward agreement with cyclic copies of out-values
     for shift in range(1, n):
@@ -608,17 +563,11 @@ def classical_compatibility_check(
     for i, node in enumerate(base):
         comp = split[..., 1 + i]
         for j, other in enumerate(base):
-            if j != i and in_cards[j] > 1:
-                ref = np.take(comp, [0], axis=j)
-                if not np.array_equal(comp, np.broadcast_to(ref, comp.shape)):
-                    violations.append(f"root[{other.name}] -> {node.name}.in")
+            if j != i and _varies_along(comp, j):
+                violations.append(f"root[{other.name}] -> {node.name}.in")
         parents = set(graph.parents(node.name))
         for j, other in enumerate(base):
-            if other.out_card == 1 or other.name in parents:
-                continue
-            axis = n + j
-            ref = np.take(comp, [0], axis=axis)
-            if not np.array_equal(comp, np.broadcast_to(ref, comp.shape)):
+            if other.name not in parents and _varies_along(comp, n + j):
                 violations.append(f"{other.name}.out -> {node.name}.in")
     compatible = bool(valid and mres <= tol and not violations)
     return ClassicalCompatibilityVerdict(compatible, bool(valid), mres, tuple(violations))

@@ -250,14 +250,14 @@ def cmd_classical(args) -> int:
 
     if args.subcommand == "extend":
         kp = _require_classical(loaded)
-        verdict = polytope_membership(kp, tol=args.tol, budget=args.budget)
+        vertices = enumerate_deterministic_processes(kp.nodes, args.budget)
+        verdict = polytope_membership(kp, vertices, tol=args.tol)
         base["tol"] = args.tol
         base["inside"] = verdict.inside
         if not verdict.inside:
             base["message"] = "process lies outside the deterministic hull; no reversible extension"
             _emit(base, started)
             return 1
-        vertices = enumerate_deterministic_processes(kp.nodes, args.budget)
         mixture = [
             (float(w), vert)
             for w, vert in zip(verdict.weights, vertices)
@@ -371,13 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProcessFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (ProcessFileError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

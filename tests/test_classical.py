@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -169,3 +172,75 @@ def test_validate_classical_rejects_negative_and_unnormalized():
     v2 = validate_classical(ClassicalProcess(BITS2, scaled))
     assert not v2.valid
     assert v2.max_normalization_error > 0.1
+
+
+def _brute_force_library(cards):
+    """Every function from out-values to in-values, in id order (first out-value
+    most significant), kept iff each tuple of local maps has one fixed point."""
+    in_cards = [c[0] for c in cards]
+    out_cards = [c[1] for c in cards]
+    in_space = int(np.prod(in_cards))
+    out_space = int(np.prod(out_cards))
+    ids = np.arange(in_space**out_space)
+    flat_ins = ids[:, None] // in_space ** np.arange(out_space - 1, -1, -1) % in_space
+    per_node_maps = [list(itertools.product(range(o), repeat=i)) for i, o in cards]
+    in_grid = np.indices(in_cards).reshape(len(cards), in_space)
+    valid = np.ones(len(ids), dtype=bool)
+    for g in itertools.product(*per_node_maps):
+        # flat in-value -> flat out-value under the local maps g
+        gflat = np.ravel_multi_index([np.array(g[i])[in_grid[i]] for i in range(len(cards))], out_cards)
+        valid &= (gflat[flat_ins] == np.arange(out_space)).sum(axis=1) == 1
+    funcs = np.stack(np.unravel_index(flat_ins[valid], in_cards), axis=-1)
+    return funcs.reshape((-1,) + tuple(out_cards) + (len(cards),))
+
+
+@pytest.mark.parametrize(
+    "cards",
+    [((2, 3), (3, 2)), ((1, 2), (2, 2), (2, 1)), ((2, 2), (1, 3)), ((3, 2),), ((2, 3),), ((2, 1),)],
+)
+def test_enumeration_matches_brute_force_oracle(cards):
+    nodes = tuple(ClassicalNode(f"N{i}", i_card, o_card) for i, (i_card, o_card) in enumerate(cards))
+    lib = enumerate_deterministic_processes(nodes)
+    oracle = _brute_force_library(cards)
+    assert len(lib) == len(oracle) > 0
+    funcs = np.stack([dp.function for dp in lib])
+    assert funcs.dtype == np.int64
+    assert np.array_equal(funcs, oracle)
+
+
+def test_three_bit_library_is_pinned():
+    bits3 = tuple(ClassicalNode(x, 2, 2) for x in "ABC")
+    lib = enumerate_deterministic_processes(bits3)
+    assert len(lib) == 744
+    digest = hashlib.sha256(np.stack([dp.function for dp in lib]).tobytes()).hexdigest()
+    assert digest == "58d87613577cfbecd23368af0062f3238ee627ab0c0abbe946c8769e3acaf785"
+
+
+def test_single_node_with_many_in_values_enumerates_constants():
+    lib = enumerate_deterministic_processes((ClassicalNode("F", 2**14, 1),))
+    assert len(lib) == 2**14
+    assert [int(dp.function[0, 0]) for dp in lib[:3]] == [0, 1, 2]
+
+
+def _witness(nodes, func):
+    ok, witness = validate_deterministic(DeterministicProcess(nodes, np.asarray(func, dtype=np.int64)))
+    assert not ok
+    maps, count = witness
+    return tuple(tuple(int(v) for v in g) for g in maps), count
+
+
+def test_validate_deterministic_witnesses_are_the_first_bad_tuple():
+    bit = (ClassicalNode("A", 2, 2),)
+    assert _witness(bit, [[0], [1]]) == (((0, 1),), 2)
+    assert _witness(bit, [[1], [0]]) == (((0, 1),), 0)
+    swap = np.stack(np.indices((2, 2))[::-1], axis=-1)
+    assert _witness(BITS2, swap) == (((0, 1), (0, 1)), 2)
+    bits3 = tuple(ClassicalNode(x, 2, 2) for x in "ABC")
+    o = np.indices((2, 2, 2))
+    parity = np.stack([o[1] ^ o[2], o[0] ^ o[2], o[0] ^ o[1]], axis=-1)
+    assert _witness(bits3, parity) == (((0, 0), (0, 1), (0, 1)), 2)
+    cycle = np.stack([o[1], o[2], o[0]], axis=-1)
+    assert _witness(bits3, cycle) == (((0, 1), (0, 1), (0, 1)), 2)
+    mixed = (ClassicalNode("A", 2, 3), ClassicalNode("B", 3, 2))
+    o = np.indices((3, 2))
+    assert _witness(mixed, np.stack([o[1], o[0]], axis=-1)) == (((0, 1), (0, 1, 0)), 2)

@@ -77,6 +77,22 @@ def test_validate_missing_file_exits_two(tmp_path, capsys):
     assert err
 
 
+def test_exemplar_unwritable_out_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "exemplar", "mix", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_discover_unwritable_dot_exits_two(tmp_path, capsys):
+    path = tmp_path / "mix.json"
+    assert run(capsys, "exemplar", "mix", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "discover", str(path), "--dot", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_discover_emits_deterministic_dot(tmp_path, capsys):
     path = tmp_path / "switch.json"
     assert run(capsys, "exemplar", "switch", "--out", str(path))[0] == 0
