@@ -353,10 +353,10 @@ def polytope_membership(kp: ClassicalProcess, vertices=None, tol: float = 1e-8, 
     minimal L1 distance to the hull. ``vertices`` defaults to the full
     enumeration for the node signature.
     """
-    from scipy.optimize import linprog  # imported on first use: scipy.optimize is slow to load
-
     if vertices is None:
         vertices = enumerate_deterministic_processes(kp.nodes, budget)
+    # Imported after the budget check: scipy.optimize is slow to load.
+    from scipy.optimize import linprog
     v = np.stack([vert.to_classical().table.reshape(-1) for vert in vertices], axis=1)
     target = kp.table.reshape(-1)
     nv = v.shape[1]

@@ -3,7 +3,7 @@ classical polytope tooling, and exemplar export.
 
 Every command prints a JSON report to stdout and uses the exit-code contract:
 0 = the checked property holds, 1 = it fails or is inconclusive, 2 = usage or
-input error.
+input error, 3 = internal failure (one JSON line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -371,9 +371,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProcessFileError, OSError, KeyError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:
+        # LinAlgError is a ValueError, but a numerical failure, not bad input.
+        usage = (ProcessFileError, OSError, KeyError, ValueError)
+        if isinstance(exc, usage) and not isinstance(exc, np.linalg.LinAlgError):
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        sys.stderr.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
+        return 3
 
 
 if __name__ == "__main__":

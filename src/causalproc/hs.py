@@ -48,8 +48,8 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
     return LabeledOperator(op.systems, out.reshape(op.dim, op.dim))
 
 
-def type_norms(op: LabeledOperator, min_norm: float = 0.0) -> dict[tuple, float]:
-    """Frobenius norm of each type component of op, above ``min_norm``.
+def type_norms(op: LabeledOperator) -> dict[tuple, float]:
+    """Frobenius norm of each nonzero type component of op.
 
     The key is the tuple of (name, dual) keys of the systems on which the
     component is nontrivial, in system order; () is the identity component.
@@ -59,26 +59,28 @@ def type_norms(op: LabeledOperator, min_norm: float = 0.0) -> dict[tuple, float]
     # Axes (batch, row_0, col_0, row_1, col_1, ...): each step splits the
     # leading factor off axes 1 and 2. The trivial branch traces it out (the
     # identity it leaves has norm √d, so the component's norm is the trace's
-    # over √d); the nontrivial branch keeps the traceless part and folds the
-    # factor's axes into the batch.
-    t = op.as_tensor().transpose([a for i in range(n) for a in (i, n + i)])[None]
+    # over √d) and is pushed; the nontrivial branch subtracts Tr(X)/d·1 in
+    # place and folds the factor's axes into the batch. Only the one copy made
+    # here is ever full-size.
+    t = np.array(
+        op.as_tensor().transpose([a for i in range(n) for a in (i, n + i)])[None],
+        dtype=np.result_type(op.matrix.dtype, np.float64),
+        order="C",
+    )
     stack = [(t, 0, (), 1.0)]
     out = {}
     while stack:
         t, i, key, weight = stack.pop()
-        if i == n:
-            norm = float(np.linalg.norm(t)) * weight
-            if norm > min_norm:
-                out[key] = norm
-            continue
-        s = op.systems[i]
-        if s.dim == 1:
-            stack.append((t[:, 0, 0], i + 1, key, weight))
-            continue
-        tr = np.trace(t, axis1=1, axis2=2)
-        stack.append((tr, i + 1, key, weight / math.sqrt(s.dim)))
-        rest = t.copy()
-        diag = np.arange(s.dim)
-        rest[:, diag, diag] -= tr[:, None] / s.dim
-        stack.append((rest.reshape((-1,) + rest.shape[3:]), i + 1, key + (s.key,), weight))
+        for s in op.systems[i:]:
+            if s.dim > 1:
+                tr = np.trace(t, axis1=1, axis2=2)
+                stack.append((tr, i + 1, key, weight / math.sqrt(s.dim)))
+                diag = np.einsum("bii...->bi...", t)
+                diag -= tr[:, None] / s.dim
+                key += (s.key,)
+            t = t.reshape((-1,) + t.shape[3:])
+            i += 1
+        norm = float(np.linalg.norm(t)) * weight
+        if norm > 0.0:
+            out[key] = norm
     return out

@@ -12,16 +12,16 @@ the same spaces as sigma's node factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import cj_from_kraus
-from .hs import project_trivial, type_norms
+from .hs import type_norms
 from .labeled import (
     LabeledOperator,
     SystemLabel,
-    distance,
     identity_operator,
     partial_trace,
     product,
@@ -77,17 +77,12 @@ class QuantumNode:
         return SystemLabel(f"{self.name}.out", self.d_out, dual=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessOperator:
-    """Operator on ⊗_i (X_i.in ⊗ X_i.out*), with a validation latch.
-
-    ``certified`` starts False and is set by validate_process (or by
-    constructions that provably preserve validity).
-    """
+    """Operator on ⊗_i (X_i.in ⊗ X_i.out*)."""
 
     nodes: tuple[QuantumNode, ...]
     op: LabeledOperator
-    certified: bool = False
 
     @property
     def node_names(self) -> tuple[str, ...]:
@@ -153,41 +148,23 @@ class ValidationVerdict:
     tol: float
 
 
-def _drop_out_witness(op: LabeledOperator, node: QuantumNode) -> LabeledOperator:
-    """Apply 1 - D_out + D_out,in at one node: remove the terms trivial on its
-    out-dual factor but not on its in factor."""
-    od, ik = node.out_dual.key, node.in_system.key
-    return op - project_trivial(op, [od]) + project_trivial(op, [od, ik])
+def _witnessed(key: tuple, nodes) -> bool:
+    """True iff some node is nontrivial on its in factor and trivial on its
+    out-dual factor in the type ``key`` (a key of hs.type_norms).
 
-
-def _forbidden_component(sigma: ProcessOperator) -> LabeledOperator:
-    """Component of sigma outside the span of allowed basis types.
-
-    A product-basis term is allowed iff it is the identity or some node is
-    trivial on its out-dual factor while nontrivial on its in factor. The
-    complement is removed by applying, per node, the projector onto types
-    that do NOT gain such a witness at that node, then subtracting the
-    identity component (which survives every factor but is allowed).
+    A type is allowed in a process iff it is the identity or witnessed.
     """
-    cur = sigma.op
-    for n in sigma.nodes:
-        cur = _drop_out_witness(cur, n)
-    all_refs = [s.key for s in sigma.op.systems]
-    ident_part = project_trivial(sigma.op, all_refs)
-    return cur - reorder(ident_part, [s.key for s in cur.systems])
+    return any(n.in_system.key in key and n.out_dual.key not in key for n in nodes)
 
 
-def validate_process(
-    sigma: ProcessOperator,
-    tol: float = 1e-9,
-    psd_method: str = "auto",
-    report_types: bool = True,
-) -> ValidationVerdict:
+def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVerdict:
     """Check positivity, total trace, and the allowed-type support condition.
 
-    Marks the process certified when every check passes. ``psd_method`` may be
-    "eigh", "cholesky", or "auto" (Cholesky certificate for large operators;
-    it proves the spectrum is above -tol without computing it).
+    Above 2048 dimensions positivity is certified by a Cholesky factorization
+    of the shifted operator, which proves the spectrum is above -tol without
+    computing it; the smallest eigenvalue is computed only if that fails.
+    The forbidden norm and the offending types come from one table of type
+    norms, whose components are mutually orthogonal.
     """
     m = sigma.op.matrix
     norm = float(np.linalg.norm(m))
@@ -198,43 +175,36 @@ def validate_process(
         h = h.real
 
     d = h.shape[0]
-    method = psd_method
-    if method == "auto":
-        method = "cholesky" if d > 2048 else "eigh"
+    method = "cholesky" if d > 2048 else "eigh"
+    psd_ok, min_eig = False, float("nan")
     if method == "cholesky":
         try:
             np.linalg.cholesky(h + tol * np.eye(d, dtype=h.dtype))
-            psd_ok, min_eig = True, float("nan")
+            psd_ok = True
         except np.linalg.LinAlgError:
-            eigs = np.linalg.eigvalsh(h)
-            min_eig = float(eigs[0])
-            psd_ok = min_eig >= -tol
-    else:
-        eigs = np.linalg.eigvalsh(h)
-        min_eig = float(eigs[0])
+            pass
+    if not psd_ok:
+        min_eig = float(np.linalg.eigvalsh(h)[0])
         psd_ok = min_eig >= -tol
 
     tr = float(np.trace(m).real)
     expected = sigma.expected_trace()
     trace_ok = abs(np.trace(m) - expected) <= tol * max(1.0, expected)
 
-    forb = _forbidden_component(sigma)
-    fnorm = float(np.linalg.norm(forb.matrix))
+    forbidden = {
+        key: val for key, val in type_norms(sigma.op).items() if key and not _witnessed(key, sigma.nodes)
+    }
+    fnorm = math.hypot(*forbidden.values())
     threshold = tol * max(1.0, norm)
     type_ok = fnorm <= threshold
-
-    offenders: tuple[str, ...] = ()
-    if report_types and not type_ok and sigma.dim <= 1024:
-        names = []
-        for key, val in type_norms(forb, min_norm=threshold).items():
-            label = "*".join(
-                name + ("'" if is_dual else "") for name, is_dual in key
-            )
-            names.append((val, label))
-        offenders = tuple(lbl for _, lbl in sorted(names, reverse=True)[:16])
+    names = [
+        (val, "*".join(name + ("'" if is_dual else "") for name, is_dual in key))
+        for key, val in forbidden.items()
+        if val > threshold
+    ]
+    offenders = tuple(label for _, label in sorted(names, reverse=True)[:16])
 
     valid = bool(herm_ok and psd_ok and trace_ok and type_ok)
-    sigma.certified = valid
     return ValidationVerdict(
         valid=valid,
         hermitian_residual=herm,
@@ -256,24 +226,21 @@ def validate_process(
 def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
     """Residual of 'the nodes in from_nodes cannot signal to the rest'.
 
-    Zero iff every basis type of sigma that is nontrivial somewhere on the
-    from-set's factors either stays inside the from-set's allowed pattern or
-    vanishes; concretely, applying per-node projectors Q_X = 1 - D_X^out(1 -
-    D_X^in) over the from-set must land on the fully-trivial-on-S component.
+    Zero iff every type of sigma that no node of the from-set witnesses is
+    trivial on all of the from-set's factors. The residual is the norm of the
+    other unwitnessed types, relative to max(1, norm of all unwitnessed types).
     """
     names = set(from_nodes)
     all_names = set(sigma.node_names)
     if not names or not names < all_names:
         raise ValueError("from_nodes must be a nonempty proper subset of the nodes")
-    lhs = sigma.op
-    refs = []
-    for n in sigma.nodes:
-        if n.name not in names:
-            continue
-        lhs = _drop_out_witness(lhs, n)
-        refs.extend([n.out_dual.key, n.in_system.key])
-    rhs = project_trivial(sigma.op, refs)
-    return distance(lhs, rhs)
+    nodes = [n for n in sigma.nodes if n.name in names]
+    factors = {k for n in nodes for k in (n.in_system.key, n.out_dual.key)}
+    unwitnessed = [
+        (val, factors.isdisjoint(key)) for key, val in type_norms(sigma.op).items() if not _witnessed(key, nodes)
+    ]
+    residual = math.hypot(*(val for val, trivial in unwitnessed if not trivial))
+    return residual / max(1.0, math.hypot(*(val for val, _ in unwitnessed)))
 
 
 def no_signalling(sigma: ProcessOperator, from_nodes, tol: float = 1e-9) -> bool:
@@ -421,10 +388,8 @@ def conditional_process(
 ) -> ProcessOperator:
     """Process on the remaining nodes, conditioned on one outcome at a node.
 
-    When the rest of the nodes cannot signal to the conditioned node, the
-    result is automatically a valid process (certified without re-checking,
-    provided sigma itself was certified). Otherwise the result is validated
-    explicitly and an error is raised if conditioning broke validity.
+    The result is validated, and an error is raised if conditioning broke
+    validity (possible when the other nodes can signal to the conditioned one).
     """
     if element.node_name != node_name:
         raise ValueError("element belongs to a different node")
@@ -440,11 +405,6 @@ def conditional_process(
     if lam <= tol:
         raise ValueError("conditioning on an outcome of (near-)zero weight")
     result = process_operator(rest, m * (1.0 / lam))
-
-    guaranteed = sigma.certified and no_signalling(sigma, set(sigma.node_names) - {node_name}, tol)
-    if guaranteed:
-        result.certified = True
-        return result
     verdict = validate_process(result, tol)
     if not verdict.valid:
         raise ValueError(

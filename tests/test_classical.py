@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +247,24 @@ def test_validate_deterministic_witnesses_are_the_first_bad_tuple():
     mixed = (ClassicalNode("A", 2, 3), ClassicalNode("B", 3, 2))
     o = np.indices((3, 2))
     assert _witness(mixed, np.stack([o[1], o[0]], axis=-1)) == (((0, 1), (0, 1, 0)), 2)
+
+
+BUDGET_REJECTED = """
+import sys
+sys.path.insert(0, {src!r})
+import causalproc as cp
+try:
+    cp.polytope_membership(cp.make_classical_switch(2).to_classical(), budget=1)
+except ValueError as exc:
+    assert "exceed the budget" in str(exc)
+else:
+    raise AssertionError("the budget did not reject the call")
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_budget_rejected_polytope_call_does_not_import_the_lp_solver():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = BUDGET_REJECTED.format(src=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from causalproc import LabeledOperator, embed, make_mix_example, process_operator, write_process_file
+from causalproc import LabeledOperator, cli, embed, make_mix_example, process_operator, write_process_file
 from causalproc.cli import EXEMPLAR_NAMES, main
 
 
@@ -190,3 +190,17 @@ def test_malformed_files_exit_two(tmp_path, capsys, bad_docs):
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (2, ""), name
         assert err.startswith("error: "), name
+
+
+def test_internal_failure_exits_three_with_one_json_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "mix.json"
+    assert run(capsys, "exemplar", "mix", "--out", str(path))[0] == 0
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "validate_process", broken)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "eigenvalues did not converge", "type": "LinAlgError"}

@@ -31,8 +31,25 @@ def test_type_norms_sum_to_squared_frobenius(rng):
 def test_type_norms_of_identity():
     a, b = SystemLabel("a", 2), SystemLabel("b", 3)
     one = identity_operator([a, b])
-    norms = type_norms(one, min_norm=1e-12)
+    norms = type_norms(one)
     assert list(norms.keys()) == [()]
+
+
+def test_type_norms_leaves_its_input_unchanged(rng):
+    a, b = SystemLabel("a", 3), SystemLabel("b", 2, True)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    cases = [
+        # one system: the interleaving transpose is the identity
+        LabeledOperator((a,), m),
+        LabeledOperator((a, b), np.kron(m, m[:2, :2])),
+        LabeledOperator((a, b), np.arange(36).reshape(6, 6)),
+    ]
+    for x in cases:
+        before = x.matrix.copy()
+        norms = type_norms(x)
+        assert x.matrix.dtype == before.dtype
+        assert np.array_equal(x.matrix, before)
+        assert abs(sum(v * v for v in norms.values()) - np.linalg.norm(before) ** 2) < 1e-9
 
 
 def test_project_trivial_idempotent(rng):
@@ -77,7 +94,7 @@ def test_type_norms_of_pauli_sum():
     py = np.array([[0, -1j], [1j, 0]])
     pz = np.diag([1.0, -1.0]).astype(complex)
     x = LabeledOperator((a, one, b), np.kron(px, np.eye(2)) + 2 * np.kron(pz, py))
-    norms = type_norms(x, min_norm=1e-12)
+    norms = type_norms(x)
     assert set(norms) == {(a.key,), (a.key, b.key)}
     # ‖X⊗1‖_F = 2 and ‖2·Z⊗Y‖_F = 4
     assert abs(norms[(a.key,)] - 2.0) < 1e-12

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,15 +14,18 @@ from causalproc import (
     channel_from_unitary,
     comb_from_circuit,
     conditional_process,
+    distance,
     identity_operator,
     joint_probabilities,
     measure_prepare_element,
     no_signalling,
     process_operator,
+    project_trivial,
     readout_instrument,
     preparation_instrument,
     signalling_residual,
     tensor,
+    type_norms,
     validate_process,
 )
 from causalproc.rand import haar_unitary, random_state
@@ -172,3 +178,103 @@ def test_process_operator_rejects_extra_systems(rng):
     )
     with pytest.raises(ValueError):
         process_operator([na], op)
+
+
+def test_conditional_process_raises_when_conditioning_breaks_validity(rng):
+    # B's output reaches A's input; post-selecting A's reading fixes what B
+    # emitted, which no single-node process allows.
+    w0 = SystemLabel("w0", 2)
+    wire = channel_from_unitary(
+        LinearMap(np.eye(2, dtype=complex), (SystemLabel("wB", 2),), (SystemLabel("w1", 2),))
+    )
+    na, nb = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
+    sigma = comb_from_circuit(LabeledOperator((w0,), random_state(2, rng)), [wire], [(nb, "w0", "wB"), (na, "w1", "wA")])
+    assert validate_process(sigma).valid
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    el = measure_prepare_element(sigma.node("A"), zero, random_state(2, rng))
+    with pytest.raises(ValueError, match="conditioning produced an invalid operator"):
+        conditional_process(sigma, "A", el)
+
+
+def test_process_operator_is_frozen(rng):
+    sigma = product_process(random_state(2, rng), random_state(2, rng))
+    assert validate_process(sigma).valid
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sigma.op = sigma.op
+
+
+def test_offending_types_listed_above_1024_dims():
+    # Each node's input is the other's output through an identity wire:
+    # valid except for the one term supported on all four spaces.
+    d = 6
+    na, nb = QuantumNode("A", d, d), QuantumNode("B", d, d)
+    v = np.eye(d).reshape(-1)
+    wire = np.outer(v, v)
+    sigma = process_operator((na, nb), LabeledOperator(
+        (na.in_system, nb.out_dual, nb.in_system, na.out_dual), np.kron(wire, wire)
+    ))
+    assert sigma.dim > 1024
+    verdict = validate_process(sigma)
+    assert verdict.psd_ok and verdict.trace_ok and not verdict.type_ok
+    assert verdict.offending_types == ("A.in*A.out'*B.in*B.out'",)
+
+
+# Reference formulas: the allowed-type condition as chains of projections.
+# 1 - D_out + D_out,in removes, at one node, the types trivial on its out-dual
+# factor but not on its in factor (the types that node witnesses).
+
+
+def _drop_out_witness(op, node):
+    od, ik = node.out_dual.key, node.in_system.key
+    return op - project_trivial(op, [od]) + project_trivial(op, [od, ik])
+
+
+def _reference_forbidden(sigma):
+    cur = sigma.op
+    for n in sigma.nodes:
+        cur = _drop_out_witness(cur, n)
+    return cur - project_trivial(sigma.op, [s.key for s in sigma.op.systems])
+
+
+def _reference_offenders(forbidden, threshold):
+    names = [
+        (val, "*".join(name + ("'" if is_dual else "") for name, is_dual in key))
+        for key, val in type_norms(forbidden).items()
+        if val > threshold
+    ]
+    return tuple(label for _, label in sorted(names, reverse=True)[:16])
+
+
+def _reference_signalling(sigma, from_nodes):
+    lhs, refs = sigma.op, []
+    for n in sigma.nodes:
+        if n.name in from_nodes:
+            lhs = _drop_out_witness(lhs, n)
+            refs += [n.out_dual.key, n.in_system.key]
+    return distance(lhs, project_trivial(sigma.op, refs))
+
+
+def _random_hermitian_process(rng):
+    dims = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
+    nodes = [QuantumNode(name, *dims[rng.integers(len(dims))]) for name in "ABC"[: rng.integers(2, 4)]]
+    systems = [s for n in nodes for s in (n.in_system, n.out_dual)]
+    d = int(np.prod([s.dim for s in systems]))
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = (m + m.conj().T) * rng.uniform(0.01, 1.0)
+    return process_operator(nodes, LabeledOperator(tuple(systems), m))
+
+
+def test_type_table_matches_projector_formulas():
+    for seed in range(40):
+        sigma = _random_hermitian_process(np.random.default_rng(seed))
+        if seed % 2:  # a valid type pattern, up to rounding
+            sigma = process_operator(sigma.nodes, sigma.op - _reference_forbidden(sigma))
+        verdict = validate_process(sigma)
+        forbidden = _reference_forbidden(sigma)
+        assert abs(verdict.forbidden_norm - np.linalg.norm(forbidden.matrix)) < 1e-12, seed
+        assert verdict.offending_types == _reference_offenders(forbidden, verdict.forbidden_threshold), seed
+        names = sigma.node_names
+        for k in range(1, len(names)):
+            for from_nodes in itertools.combinations(names, k):
+                want = _reference_signalling(sigma, from_nodes)
+                assert abs(signalling_residual(sigma, from_nodes) - want) < 1e-12, (seed, from_nodes)
