@@ -12,7 +12,8 @@ in one of two payloads:
 
 An entry is stored unless both of its parts are +0.0, so -0.0 survives. The
 writer picks the sparse payload iff ``4 * stored <= side**2``, a rule on the
-matrix alone, so export, import and re-export give the same bytes. An optional
+matrix alone (``labeled.sorted_coo``, which validation follows too), so
+export, import and re-export give the same bytes. An optional
 graph block carries a directed graph and a metadata block free-form data.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess
 from .graphs import DirectedGraph, UnitaryProcess, directed_graph
-from .labeled import LabeledOperator
+from .labeled import LabeledOperator, sorted_coo
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = [
@@ -58,13 +59,14 @@ class LoadedProcessFile:
 
 
 def _encode_matrix(m: np.ndarray):
-    """Sorted-COO payload if at most a quarter of the entries are stored, else dense."""
+    """Sorted-COO payload if ``labeled.sorted_coo`` finds the matrix sparse, else dense."""
+    entries = sorted_coo(m)
+    if entries is not None:
+        index, values = entries
+        pairs = np.asarray(values, dtype=complex).view(float).reshape(-1, 2)
+        return {"index": index.tolist(), "values": pairs.tolist()}
     side = m.shape[0]
-    pairs = np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2)
-    index = np.flatnonzero((pairs.view(np.uint64) != 0).any(axis=1))
-    if 4 * index.size <= side * side:
-        return {"index": index.tolist(), "values": pairs[index].tolist()}
-    return pairs.reshape(side, side, 2).tolist()
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(side, side, 2).tolist()
 
 
 def _finite_numbers(items, shape: tuple, what: str) -> np.ndarray:

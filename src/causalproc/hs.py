@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .labeled import LabeledOperator, _as_key
+from .labeled import LabeledOperator, SystemLabel, _as_key, _sum_duplicates, sorted_coo
 
 __all__ = [
     "project_trivial",
@@ -54,7 +54,12 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     The key is the tuple of (name, dual) keys of the systems on which the
     component is nontrivial, in system order; () is the identity component.
     Squared norms sum to ‖op‖_F². One-dimensional systems are always trivial.
+    An operator that is sparse by ``labeled.sorted_coo``'s rule is walked on
+    its stored entries.
     """
+    entries = sorted_coo(op.matrix)
+    if entries is not None:
+        return _sparse_type_norms(op.systems, *entries)
     n = len(op.systems)
     # Axes (batch, row_0, col_0, row_1, col_1, ...): each step splits the
     # leading factor off axes 1 and 2. The trivial branch traces it out (the
@@ -81,6 +86,49 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
             t = t.reshape((-1,) + t.shape[3:])
             i += 1
         norm = float(np.linalg.norm(t)) * weight
+        if norm > 0.0:
+            out[key] = norm
+    return out
+
+
+def _sparse_type_norms(systems: tuple[SystemLabel, ...], index: np.ndarray, values: np.ndarray) -> dict[tuple, float]:
+    """type_norms of the operator whose sorted-COO entries are given.
+
+    The same walk as the dense one, on flat indices into the axes (batch,
+    row_i, col_i, row_i+1, col_i+1, ...); folding a factor into the batch
+    leaves them unchanged. Tr(X)/d·1 is subtracted as explicit entries, and
+    a traced branch with no entries is not walked.
+    """
+    dims = [s.dim for s in systems]
+    d = math.prod(dims)
+    rows, cols = np.divmod(index, d)
+    flat = np.zeros_like(index)
+    for k in dims:
+        d //= k
+        flat = (flat * k + rows // d % k) * k + cols // d % k
+    stack = [(flat, values, 0, (), 1.0)]
+    out = {}
+    while stack:
+        flat, values, i, key, weight = stack.pop()
+        for s in systems[i:]:
+            i += 1
+            k = s.dim
+            if k > 1:
+                rest = math.prod(dims[i:]) ** 2
+                batch, digits = np.divmod(flat, k * k * rest)
+                pair, rem = np.divmod(digits, rest)
+                on = pair % (k + 1) == 0
+                tr_index, tr = _sum_duplicates(batch[on] * rest + rem[on], values[on])
+                if tr_index.size:
+                    stack.append((tr_index, tr, i, key, weight / math.sqrt(k)))
+                    b, r = np.divmod(tr_index, rest)
+                    diag = (b[:, None] * (k * k) + np.arange(k) * (k + 1)) * rest + r[:, None]
+                    flat, values = _sum_duplicates(
+                        np.concatenate([flat, diag.reshape(-1)]),
+                        np.concatenate([values, np.repeat(-(tr / k), k)]),
+                    )
+                key += (s.key,)
+        norm = float(np.linalg.norm(values)) * weight
         if norm > 0.0:
             out[key] = norm
     return out

@@ -138,6 +138,47 @@ class LabeledOperator:
         return LabeledOperator(self.systems, -self.matrix)
 
 
+def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stored entries of a square matrix as sorted COO, or None if it is dense.
+
+    An entry is stored unless its real and imaginary parts are both +0.0, so
+    -0.0 counts. The matrix is sparse iff ``4 * stored <= side**2``; this is
+    the one rule for process files and for validation. Returns the strictly
+    increasing flat row-major indices and the entries there, in the matrix's
+    float or complex dtype. A dense matrix costs one counting pass.
+    """
+    m = np.asarray(m)
+    limit = m.shape[0] ** 2 // 4
+    m = np.ascontiguousarray(m, dtype=np.result_type(m.dtype, np.float64)).reshape(-1)
+    words = m.view(np.uint64)
+    per = words.size // m.size  # one word per float entry, two per complex
+    # stored <= nonzero words <= per * stored: more than per * limit nonzero
+    # words means dense, decided by this one counting pass.
+    if np.count_nonzero(words) > per * limit:
+        return None
+    index = np.flatnonzero(words != 0) // per
+    if per > 1 and index.size:
+        index = index[np.r_[True, index[1:] != index[:-1]]]
+    if index.size > limit:
+        return None
+    return index, m[index]
+
+
+def _sum_duplicates(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """COO entries with equal indices summed, sorted by index, exact zeros dropped.
+
+    Entries of one index are added in their given order, so an entry followed
+    by ``-x`` rounds as the dense ``entry - x`` does.
+    """
+    order = np.argsort(index, kind="stable")
+    index, values = index[order], values[order]
+    if index.size:
+        starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
+        index, values = index[starts], np.add.reduceat(values, starts)
+    keep = values != 0
+    return index[keep], values[keep]
+
+
 def identity_operator(systems) -> LabeledOperator:
     systems = tuple(systems)
     d = math.prod(s.dim for s in systems)

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import cj_from_kraus
-from .hs import type_norms
+from .hs import _sparse_type_norms, type_norms
 from .labeled import (
     LabeledOperator,
     SystemLabel,
+    _sum_duplicates,
     identity_operator,
     partial_trace,
     product,
     reorder,
+    sorted_coo,
     split_system,
     tensor,
     transpose_systems,
@@ -164,36 +166,41 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     of the shifted operator, which proves the spectrum is above -tol without
     computing it; the smallest eigenvalue is computed only if that fails.
     The forbidden norm and the offending types come from one table of type
-    norms, whose components are mutually orthogonal.
+    norms, whose components are mutually orthogonal. An operator that is
+    sparse by ``labeled.sorted_coo``'s rule is checked on its stored entries,
+    and its positivity block by block.
     """
     m = sigma.op.matrix
-    norm = float(np.linalg.norm(m))
-    herm = float(np.linalg.norm(m - m.conj().T))
+    d = m.shape[0]
+    entries = sorted_coo(m)
+    if entries is None:
+        norm = float(np.linalg.norm(m))
+        herm = float(np.linalg.norm(m - m.conj().T))
+        h = (m + m.conj().T) / 2
+        trace = np.trace(m)
+        table = type_norms(sigma.op)
+    else:
+        index, values = entries
+        rows, cols = np.divmod(index, d)
+        norm = float(np.linalg.norm(values))
+        # m - m† and m + m† entry by entry, each sum rounding as the dense one.
+        both = np.concatenate([index, cols * d + rows])
+        adjoint = np.conj(values)
+        herm = float(np.linalg.norm(_sum_duplicates(both, np.concatenate([values, -adjoint]))[1]))
+        h_index, h = _sum_duplicates(both, np.concatenate([values, adjoint]))
+        h = h / 2
+        trace = values[rows == cols].sum()
+        table = _sparse_type_norms(sigma.op.systems, index, values)
     herm_ok = herm <= tol * max(1.0, norm)
-    h = (m + m.conj().T) / 2
     if np.linalg.norm(h.imag) == 0.0:
         h = h.real
-
-    d = h.shape[0]
     method = "cholesky" if d > 2048 else "eigh"
-    psd_ok, min_eig = False, float("nan")
-    if method == "cholesky":
-        try:
-            np.linalg.cholesky(h + tol * np.eye(d, dtype=h.dtype))
-            psd_ok = True
-        except np.linalg.LinAlgError:
-            pass
-    if not psd_ok:
-        min_eig = float(np.linalg.eigvalsh(h)[0])
-        psd_ok = min_eig >= -tol
+    psd_ok, min_eig = _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
 
-    tr = float(np.trace(m).real)
     expected = sigma.expected_trace()
-    trace_ok = abs(np.trace(m) - expected) <= tol * max(1.0, expected)
+    trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
 
-    forbidden = {
-        key: val for key, val in type_norms(sigma.op).items() if key and not _witnessed(key, sigma.nodes)
-    }
+    forbidden = {key: val for key, val in table.items() if key and not _witnessed(key, sigma.nodes)}
     fnorm = math.hypot(*forbidden.values())
     threshold = tol * max(1.0, norm)
     type_ok = fnorm <= threshold
@@ -202,7 +209,11 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         for key, val in forbidden.items()
         if val > threshold
     ]
-    offenders = tuple(label for _, label in sorted(names, reverse=True)[:16])
+    # Norms equal to 12 significant digits tie and are ordered by name, so that
+    # rounding in the last bits, which differs between the sparse and the
+    # dense walk, does not reorder equal sectors.
+    names.sort(key=lambda item: (float(f"{item[0]:.12g}"), item[1]), reverse=True)
+    offenders = tuple(label for _, label in names[:16])
 
     valid = bool(herm_ok and psd_ok and trace_ok and type_ok)
     return ValidationVerdict(
@@ -212,7 +223,7 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         psd_ok=bool(psd_ok),
         min_eigenvalue=min_eig,
         psd_method=method,
-        trace=tr,
+        trace=float(trace.real),
         expected_trace=expected,
         trace_ok=bool(trace_ok),
         forbidden_norm=fnorm,
@@ -221,6 +232,63 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         offending_types=offenders,
         tol=tol,
     )
+
+
+def _psd_test(blocks: list[np.ndarray], tol: float, method: str) -> tuple[bool, float]:
+    """(psd_ok, min_eigenvalue) of the Hermitian operator with these stacks
+    of diagonal blocks. With the "cholesky" method a factorization of each
+    block + tol·I certifies the spectrum above -tol and the eigenvalue stays
+    NaN; the eigenvalues are computed only if that fails."""
+    if method == "cholesky":
+        try:
+            for b in blocks:
+                np.linalg.cholesky(b + tol * np.eye(b.shape[1], dtype=b.dtype))
+            return True, float("nan")
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
+    return min_eig >= -tol, min_eig
+
+
+def _blocks(index: np.ndarray, h: np.ndarray, d: int) -> list[np.ndarray]:
+    """The diagonal blocks of a d×d Hermitian matrix given by sorted-COO
+    entries, one per connected component of its nonzero graph, stacked by
+    block size into arrays of shape (count, size, size). The matrix is block
+    diagonal over them, so its spectrum is the union of theirs; a row with no
+    entry is a block [0]."""
+    rows, cols = np.divmod(index, d)
+    # Label propagation: each row takes the least label among its neighbours'
+    # and then its label's label, until nothing changes. Labels only fall and
+    # stay inside a component, so at the fixed point each component carries
+    # one label (the pattern is symmetric).
+    label = np.arange(d)
+    if rows.size:
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        heads = rows[starts]
+        while True:
+            new = label.copy()
+            new[heads] = np.minimum(label[heads], np.minimum.reduceat(label[cols], starts))
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+    order = np.argsort(label, kind="stable")
+    _, first, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    comp = np.empty(d, dtype=np.int64)
+    comp[order] = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.empty(d, dtype=np.int64)
+    pos[order] = np.arange(d) - np.repeat(first, sizes)
+    size = sizes[comp[rows]]
+    blocks = []
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        slot = np.empty(sizes.size, dtype=np.int64)
+        slot[members] = np.arange(members.size)
+        sel = size == s
+        b = np.zeros((members.size, s, s), dtype=h.dtype)
+        b[slot[comp[rows[sel]]], pos[rows[sel]], pos[cols[sel]]] = h[sel]
+        blocks.append(b)
+    return blocks
 
 
 def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -204,3 +207,21 @@ def test_internal_failure_exits_three_with_one_json_line(tmp_path, capsys, monke
     assert (code, out) == (3, "")
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "eigenvalues did not converge", "type": "LinAlgError"}
+
+
+VALIDATE_IN_FRESH_PROCESS = """
+import sys
+sys.path.insert(0, {src!r})
+from causalproc import cli
+code = cli.main(["validate", {path!r}])
+print("scipy" in sys.modules, code)
+"""
+
+
+def test_validate_does_not_import_scipy(tmp_path, capsys):
+    path = tmp_path / "switch.json"
+    assert run(capsys, "exemplar", "switch", "--out", str(path))[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = VALIDATE_IN_FRESH_PROCESS.format(src=src, path=str(path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "False 0"

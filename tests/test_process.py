@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from causalproc import (
+    ClassicalNode,
     LabeledOperator,
     LinearMap,
     QuantumNode,
@@ -15,19 +16,26 @@ from causalproc import (
     comb_from_circuit,
     conditional_process,
     distance,
+    enumerate_deterministic_processes,
+    hs,
     identity_operator,
     joint_probabilities,
+    make_methods_counterexample,
+    make_mix_example,
     measure_prepare_element,
     no_signalling,
     process_operator,
     project_trivial,
     readout_instrument,
     preparation_instrument,
+    process,
+    quantize,
     signalling_residual,
     tensor,
     type_norms,
     validate_process,
 )
+from causalproc.labeled import sorted_coo
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -264,9 +272,29 @@ def _random_hermitian_process(rng):
     return process_operator(nodes, LabeledOperator(tuple(systems), m))
 
 
+def _random_sparse_hermitian_process(rng):
+    """Like _random_hermitian_process, with about a fifth of the entries
+    stored, so that validation and type_norms walk the stored entries."""
+    dims = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
+    while True:
+        nodes = [QuantumNode(name, *dims[rng.integers(len(dims))]) for name in "ABC"[: rng.integers(2, 4)]]
+        systems = [s for n in nodes for s in (n.in_system, n.out_dual)]
+        d = int(np.prod([s.dim for s in systems]))
+        if d >= 4:
+            break
+    m = np.zeros(d * d, dtype=complex)
+    picked = rng.choice(d * d, size=d * d // 10, replace=False)
+    m[picked] = rng.normal(size=picked.size) + 1j * rng.normal(size=picked.size)
+    m = m.reshape(d, d)
+    sigma = process_operator(nodes, LabeledOperator(tuple(systems), m + m.conj().T))
+    assert sorted_coo(sigma.op.matrix) is not None
+    return sigma
+
+
 def test_type_table_matches_projector_formulas():
-    for seed in range(40):
-        sigma = _random_hermitian_process(np.random.default_rng(seed))
+    cases = [(seed, make) for seed in range(40) for make in (_random_hermitian_process, _random_sparse_hermitian_process)]
+    for seed, make in cases:
+        sigma = make(np.random.default_rng(seed))
         if seed % 2:  # a valid type pattern, up to rounding
             sigma = process_operator(sigma.nodes, sigma.op - _reference_forbidden(sigma))
         verdict = validate_process(sigma)
@@ -278,3 +306,93 @@ def test_type_table_matches_projector_formulas():
             for from_nodes in itertools.combinations(names, k):
                 want = _reference_signalling(sigma, from_nodes)
                 assert abs(signalling_residual(sigma, from_nodes) - want) < 1e-12, (seed, from_nodes)
+
+
+def _scattered_blocks(rng, d, blocks, dtype):
+    """d×d matrix holding the given Hermitian blocks on disjoint, randomly
+    interleaved sets of rows; the rows left over are all zero."""
+    rows = rng.permutation(d)
+    m = np.zeros((d, d), dtype=dtype)
+    start = 0
+    for b in blocks:
+        at = rows[start : start + len(b)]
+        m[np.ix_(at, at)] = b
+        start += len(b)
+    return m
+
+
+def _gram(rng, size, dtype, shift):
+    a = rng.normal(size=(size, size))
+    if dtype == complex:
+        a = a + 1j * rng.normal(size=(size, size))
+    return a @ a.conj().T + shift * np.eye(size)
+
+
+def _path(rng, size, dtype, shift):
+    """Tridiagonal block: its nonzero graph is a path, the slowest shape
+    for label propagation."""
+    off = rng.uniform(0.5, 1.0, size - 1).astype(dtype)
+    return np.diag(np.full(size, 2.0 + shift)).astype(dtype) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("d, dtype, sizes, shifts", [
+    # PSD blocks, a diagonal-only row and zero rows
+    (40, complex, (5, 3, 1, 9), (0.1, 0.0, 0.7, 0.0)),
+    # one negative block
+    (40, complex, (5, 3, 1, 9), (0.1, -30.0, 0.7, 0.0)),
+    # a path block whose smallest eigenvalue is the operator's
+    (40, complex, (5, 3, 1, 9), (0.1, 0.0, 0.7, -3.0)),
+    # positive definite: no zero row contributes an eigenvalue 0
+    (12, complex, (2, 3, 2, 2, 3), (0.1, 0.2, 0.3, 0.4, 0.5)),
+    # Cholesky path, certified and refuted
+    (2100, float, (5, 3, 1, 9), (0.1, 0.0, 0.7, 0.0)),
+    (2100, float, (5, 3, 1, 9), (0.1, -30.0, -0.7, 0.0)),
+])
+def test_blockwise_psd_test_matches_full_matrix(d, dtype, sizes, shifts):
+    rng = np.random.default_rng(d + len(sizes) + int(shifts[1]) + int(shifts[-1]))
+    # The last block of four is a path; the others are dense Gram blocks.
+    makers = [_gram] * (len(sizes) - 1) + [_path if len(sizes) == 4 else _gram]
+    h = _scattered_blocks(rng, d, [f(rng, n, dtype, s) for f, n, s in zip(makers, sizes, shifts)], dtype)
+    assert sorted_coo(h) is not None
+    node = QuantumNode("A", d, 1)
+    verdict = validate_process(process_operator([node], LabeledOperator((node.in_system, node.out_dual), h)))
+    tol = verdict.tol
+    assert verdict.psd_method == ("cholesky" if d > 2048 else "eigh")
+    if verdict.psd_method == "cholesky":
+        try:
+            np.linalg.cholesky(h + tol * np.eye(d))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            assert verdict.psd_ok and np.isnan(verdict.min_eigenvalue)
+            return
+    want = np.linalg.eigvalsh(h)[0]
+    assert abs(verdict.min_eigenvalue - want) < 1e-12
+    assert verdict.psd_ok == (want >= -tol)
+    assert verdict.psd_ok == (min(shifts) >= 0)
+
+
+def _verdict_and_signalling(sigma):
+    names = sigma.node_names
+    from_sets = [c for k in range(1, len(names)) for c in itertools.combinations(names, k)]
+    return validate_process(sigma), [signalling_residual(sigma, f) for f in from_sets]
+
+
+def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af_process):
+    cx = make_methods_counterexample()
+    bits = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))
+    cases = [switch_up.process, reduced_switch, af_process, make_mix_example()]
+    # Equal-norm offending sectors: their order must not depend on the path.
+    cases += [quantize(cx.combined(np.array(dist))) for dist in ([1.0, 0.0], [0.5, 0.5], [0.9, 0.1])]
+    cases += [quantize(dp.to_classical()) for dp in enumerate_deterministic_processes(bits)]
+    assert all(sorted_coo(sigma.op.matrix) is not None for sigma in cases)
+    sparse = [_verdict_and_signalling(sigma) for sigma in cases]
+    monkeypatch.setattr(hs, "sorted_coo", lambda m: None)
+    monkeypatch.setattr(process, "sorted_coo", lambda m: None)
+    for sigma, (got, got_signalling) in zip(cases, sparse):
+        want, want_signalling = _verdict_and_signalling(sigma)
+        for field in ("valid", "hermitian_ok", "psd_ok", "trace_ok", "type_ok", "psd_method", "offending_types"):
+            assert getattr(got, field) == getattr(want, field), (sigma.node_names, field)
+        for field in ("hermitian_residual", "forbidden_norm", "min_eigenvalue"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, (sigma.node_names, field)
+        assert np.allclose(got_signalling, want_signalling, rtol=0, atol=1e-12)
