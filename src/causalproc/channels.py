@@ -60,8 +60,9 @@ class ChannelOperator:
 
     def cptp_residuals(self) -> dict[str, float]:
         """Residuals of complete positivity (min eigenvalue) and trace preservation."""
-        herm = float(np.linalg.norm(self.op.matrix - self.op.matrix.conj().T))
-        eigs = np.linalg.eigvalsh((self.op.matrix + self.op.matrix.conj().T) / 2)
+        m = self.op.matrix
+        herm = float(np.linalg.norm(m - m.conj().T))
+        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
         marg = partial_trace(self.op, self.outputs)
         ident = reorder(
             identity_operator([dual(s) for s in self.inputs]),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess
 from .graphs import DirectedGraph, UnitaryProcess, directed_graph
-from .labeled import LabeledOperator, sorted_coo
+from .labeled import LabeledOperator, _from_entries, sorted_coo
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = [
@@ -58,15 +58,15 @@ class LoadedProcessFile:
     metadata: dict = field(default_factory=dict)
 
 
-def _encode_matrix(m: np.ndarray):
+def _encode_matrix(op: LabeledOperator):
     """Sorted-COO payload if ``labeled.sorted_coo`` finds the matrix sparse, else dense."""
-    entries = sorted_coo(m)
+    entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
     if entries is not None:
         index, values = entries
         pairs = np.asarray(values, dtype=complex).view(float).reshape(-1, 2)
         return {"index": index.tolist(), "values": pairs.tolist()}
-    side = m.shape[0]
-    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(side, side, 2).tolist()
+    side = op.dim
+    return np.ascontiguousarray(op.matrix, dtype=complex).view(float).reshape(side, side, 2).tolist()
 
 
 def _finite_numbers(items, shape: tuple, what: str) -> np.ndarray:
@@ -94,7 +94,7 @@ def _decode_dense(rows, side: int) -> np.ndarray:
     return arr.view(complex).reshape(side, side)
 
 
-def _decode_sparse(payload: dict, side: int) -> np.ndarray:
+def _decode_sparse(payload: dict, side: int) -> tuple[np.ndarray, np.ndarray]:
     if set(payload) != {"index", "values"}:
         raise ProcessFileError("sparse payload must hold exactly 'index' and 'values'")
     index, values = payload["index"], payload["values"]
@@ -113,9 +113,7 @@ def _decode_sparse(payload: dict, side: int) -> np.ndarray:
     if np.any(idx[1:] <= idx[:-1]):
         raise ProcessFileError("sparse indices must be strictly increasing")
     pairs = _finite_numbers(values, (idx.size, 2), "sparse values")
-    m = np.zeros(side * side, dtype=complex)
-    m[idx] = pairs.view(complex)[:, 0]
-    return m.reshape(side, side)
+    return idx, pairs.view(complex)[:, 0]
 
 
 def _graph_block(graph: DirectedGraph):
@@ -151,7 +149,7 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
             {"name": n.name, "d_in": n.d_in, "d_out": n.d_out, "kind": "quantum"}
             for n in obj.nodes
         ]
-        doc["payload"] = _encode_matrix(obj.op.matrix)
+        doc["payload"] = _encode_matrix(obj.op)
     elif isinstance(obj, ClassicalProcess):
         doc["kind"] = "classical"
         doc["nodes"] = [
@@ -214,13 +212,13 @@ def dict_to_process(doc) -> LoadedProcessFile:
             raise ProcessFileError(
                 f"declared operator is {side}x{side}; its dense matrix would exceed {MAX_DENSE_BYTES} bytes"
             )
+        systems = tuple(canonical_systems(nodes))
         if not isinstance(payload, dict):
-            m = _decode_dense(payload, side)
+            op = LabeledOperator(systems, _decode_dense(payload, side))
         elif version >= 2:
-            m = _decode_sparse(payload, side)
+            op = _from_entries(systems, *_decode_sparse(payload, side))
         else:
             raise ProcessFileError("a sparse payload needs format_version 2")
-        op = LabeledOperator(tuple(canonical_systems(nodes)), m)
         sigma = process_operator(nodes, op)
         return LoadedProcessFile("quantum", sigma, graph, metadata)
 

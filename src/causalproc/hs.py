@@ -12,7 +12,17 @@ import math
 
 import numpy as np
 
-from .labeled import LabeledOperator, SystemLabel, _as_key, _sum_duplicates, sorted_coo
+from .labeled import (
+    LabeledOperator,
+    SystemLabel,
+    _as_key,
+    _digits,
+    _flat,
+    _from_entries,
+    _sum_duplicates,
+    _traced_entries,
+    sorted_coo,
+)
 
 __all__ = [
     "project_trivial",
@@ -24,7 +34,8 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
     """Orthogonal projection onto operators that act as identity on ``refs``.
 
     This is the conditional expectation  op ↦ (1/Πd) Tr_refs[op] ⊗ 1_refs,
-    returned in the original system order.
+    returned in the original system order. A sparse operator is projected on
+    its stored entries.
     """
     keys = {_as_key(r, op.systems) for r in refs}
     if not keys:
@@ -34,18 +45,39 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
     if len(traced) != len(keys):
         raise KeyError(f"no systems {keys} in {op.systems}")
     keep = [i for i in range(n) if op.systems[i].key not in keys]
+    scale = math.prod(op.systems[i].dim for i in traced)
+    if op._coo is not None:
+        return _sparse_projection(op, keys, keep, traced, scale)
     # Subscripts: rows 0..n-1, columns n..2n-1, a traced factor's column
     # sharing its row subscript. With one operand, einsum gives the partial
     # trace; on the zeroed output it gives a writable view of the diagonal.
     subs = list(range(n)) + [i if i in traced else n + i for i in range(n)]
     kept = keep + [n + i for i in keep]
-    scale = math.prod(op.systems[i].dim for i in traced)
     t = op.as_tensor()
     out = np.zeros(t.shape, dtype=np.result_type(t.dtype, np.float64))
     diag = np.einsum(out, subs, kept + traced)
     part = np.einsum(t, subs, kept)
     np.divide(part[(...,) + (None,) * len(traced)], scale, out=diag)
     return LabeledOperator(op.systems, out.reshape(op.dim, op.dim))
+
+
+def _sparse_projection(op: LabeledOperator, keys, keep, traced, scale) -> LabeledOperator:
+    """project_trivial of a sparse operator: each entry of the partial trace,
+    over ``scale``, is repeated at every diagonal position of the traced
+    factors."""
+    index, values = _traced_entries(op, keys)
+    n = len(op.systems)
+    dims = [s.dim for s in op.systems]
+    kept = _digits(index, [dims[i] for i in keep] * 2)
+    grid = np.indices([dims[i] for i in traced]).reshape(len(traced), -1)
+    digits = [None] * (2 * n)
+    for j, i in enumerate(keep):
+        digits[i], digits[n + i] = kept[j][:, None], kept[len(keep) + j][:, None]
+    for j, i in enumerate(traced):
+        digits[i] = digits[n + i] = grid[j]
+    flat = np.broadcast_to(_flat(digits, dims * 2, index.size), (index.size, scale)).reshape(-1)
+    order = np.argsort(flat)
+    return _from_entries(op.systems, flat[order], np.repeat(values / scale, scale)[order])
 
 
 def type_norms(op: LabeledOperator) -> dict[tuple, float]:
@@ -57,7 +89,7 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     An operator that is sparse by ``labeled.sorted_coo``'s rule is walked on
     its stored entries.
     """
-    entries = sorted_coo(op.matrix)
+    entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
     if entries is not None:
         return _sparse_type_norms(op.systems, *entries)
     n = len(op.systems)
@@ -100,12 +132,10 @@ def _sparse_type_norms(systems: tuple[SystemLabel, ...], index: np.ndarray, valu
     a traced branch with no entries is not walked.
     """
     dims = [s.dim for s in systems]
-    d = math.prod(dims)
-    rows, cols = np.divmod(index, d)
-    flat = np.zeros_like(index)
-    for k in dims:
-        d //= k
-        flat = (flat * k + rows // d % k) * k + cols // d % k
+    n = len(dims)
+    row_col = _digits(index, dims * 2)
+    interleaved = [a for i in range(n) for a in (i, n + i)]
+    flat = _flat([row_col[a] for a in interleaved], [dims[a % n] for a in interleaved], index.size)
     stack = [(flat, values, 0, (), 1.0)]
     out = {}
     while stack:

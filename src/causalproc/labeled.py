@@ -78,28 +78,46 @@ def _as_key(ref, systems: tuple[SystemLabel, ...]) -> tuple[str, bool]:
     raise TypeError(f"cannot interpret system reference {ref!r}")
 
 
-@dataclass(frozen=True)
 class LabeledOperator:
-    """A square operator on an ordered tensor product of labeled systems."""
+    """A square operator on an ordered tensor product of labeled systems.
 
-    systems: tuple[SystemLabel, ...]
-    matrix: np.ndarray
+    It is held either as a dense matrix or as sorted COO: the strictly
+    increasing flat row-major indices of its stored entries and the entries
+    there, under ``sorted_coo``'s rule. The constructor keeps the matrix it is
+    given. The kernels that work on entries (``cj_operator``, ``reorder``,
+    ``transpose_systems``, ``partial_trace``, ``hs.project_trivial`` and
+    scalar ``*``) return sorted COO when that rule finds their result
+    sparse. ``matrix`` builds the dense array of a sparse operator anew on
+    every access.
+    """
 
-    def __post_init__(self):
-        systems = tuple(self.systems)
-        object.__setattr__(self, "systems", systems)
-        keys = [s.key for s in systems]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate system labels: {keys}")
+    __slots__ = ("systems", "dim", "_dense", "_coo")
+
+    def __init__(self, systems, matrix):
+        systems = _checked_systems(systems)
         d = math.prod(s.dim for s in systems)
-        m = np.asarray(self.matrix)
+        m = np.asarray(matrix)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match systems (dim {d})")
-        object.__setattr__(self, "matrix", m)
+        _set_storage(self, systems, m, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LabeledOperator is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        if self._coo is None:
+            return (LabeledOperator, (self.systems, self._dense))
+        return (_from_entries, (self.systems, *self._coo))
+
+    def __repr__(self) -> str:
+        held = "dense" if self._coo is None else f"{self._coo[0].size} stored entries"
+        return f"LabeledOperator({self.systems!r}, {held})"
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        if self._coo is None:
+            return self._dense
+        return _densify(self.dim, *self._coo)
 
     def index(self, ref) -> int:
         key = _as_key(ref, self.systems)
@@ -130,12 +148,34 @@ class LabeledOperator:
         return LabeledOperator(self.systems, self.matrix - self._aligned(other))
 
     def __mul__(self, scalar) -> "LabeledOperator":
+        if self._coo is not None:
+            index, values = self._coo
+            # The dense product turns each +0.0 into +0.0 * scalar; while that
+            # is +0.0 again the stored entries carry the whole product.
+            if not _stored(np.zeros(1, values.dtype) * scalar).any():
+                return _from_entries(self.systems, index, values * scalar)
         return LabeledOperator(self.systems, self.matrix * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "LabeledOperator":
+        # -(+0.0) is -0.0, a stored entry, so the result is always dense.
         return LabeledOperator(self.systems, -self.matrix)
+
+
+def _checked_systems(systems) -> tuple[SystemLabel, ...]:
+    systems = tuple(systems)
+    keys = [s.key for s in systems]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"duplicate system labels: {keys}")
+    return systems
+
+
+def _set_storage(op: LabeledOperator, systems, dense, coo) -> None:
+    object.__setattr__(op, "systems", systems)
+    object.__setattr__(op, "dim", math.prod(s.dim for s in systems))
+    object.__setattr__(op, "_dense", dense)
+    object.__setattr__(op, "_coo", coo)
 
 
 def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -143,9 +183,10 @@ def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     An entry is stored unless its real and imaginary parts are both +0.0, so
     -0.0 counts. The matrix is sparse iff ``4 * stored <= side**2``; this is
-    the one rule for process files and for validation. Returns the strictly
-    increasing flat row-major indices and the entries there, in the matrix's
-    float or complex dtype. A dense matrix costs one counting pass.
+    the one rule for process files, for validation and for the operators
+    that kernels return. Returns the strictly increasing flat row-major
+    indices and the entries there, in the matrix's float or complex dtype. A
+    dense matrix costs one counting pass.
     """
     m = np.asarray(m)
     limit = m.shape[0] ** 2 // 4
@@ -162,6 +203,46 @@ def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if index.size > limit:
         return None
     return index, m[index]
+
+
+def _stored(values: np.ndarray) -> np.ndarray:
+    """Mask of the float64 or complex128 entries that ``sorted_coo`` stores."""
+    words = np.ascontiguousarray(values).view(np.uint64)
+    return words.reshape(values.size, words.size // max(values.size, 1)).any(axis=1)
+
+
+def _densify(side: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense side×side matrix with these sorted-COO entries."""
+    m = np.zeros(side * side, dtype=values.dtype)
+    m[index] = values
+    return m.reshape(side, side)
+
+
+def _from_entries(systems, index: np.ndarray, values: np.ndarray) -> LabeledOperator:
+    """Operator on ``systems`` with float or complex entries at strictly
+    increasing flat indices, zero elsewhere. Entries whose parts are both
+    +0.0 are dropped, and the result is held sparse iff ``sorted_coo``'s rule
+    finds it sparse."""
+    systems = _checked_systems(systems)
+    d = math.prod(s.dim for s in systems)
+    keep = _stored(values)
+    index, values = index[keep], values[keep]
+    if 4 * index.size > d * d:
+        return LabeledOperator(systems, _densify(d, index, values))
+    op = LabeledOperator.__new__(LabeledOperator)
+    _set_storage(op, systems, None, (index, values))
+    return op
+
+
+def _digits(index: np.ndarray, dims) -> tuple[np.ndarray, ...]:
+    """Row-major digits of flat indices over ``dims``, most significant first."""
+    return np.unravel_index(index, dims) if dims else ()
+
+
+def _flat(digits, dims, size: int) -> np.ndarray:
+    """Flat row-major indices of ``digits`` over ``dims`` (``size`` zeros
+    when there are no dims)."""
+    return np.ravel_multi_index(digits, dims) if dims else np.zeros(size, dtype=np.intp)
 
 
 def _sum_duplicates(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +276,27 @@ def tensor(*ops: LabeledOperator) -> LabeledOperator:
     return LabeledOperator(systems, matrix)
 
 
+def _permuted(op: LabeledOperator, axes, systems) -> LabeledOperator:
+    """The operator whose tensor is op's with its axes (rows, then columns)
+    permuted by ``axes``, on ``systems``."""
+    d = op.dim
+    if op._coo is None:
+        return LabeledOperator(systems, op.as_tensor().transpose(axes).reshape(d, d))
+    index, values = op._coo
+    dims = [s.dim for s in op.systems] * 2
+    digits = _digits(index, dims)
+    new = _flat([digits[a] for a in axes], [dims[a] for a in axes], index.size)
+    order = np.argsort(new)
+    return _from_entries(systems, new[order], values[order])
+
+
+def _relabeled(op: LabeledOperator, systems) -> LabeledOperator:
+    """The same matrix, held the same way, on systems of the same total dimension."""
+    if op._coo is None:
+        return LabeledOperator(systems, op._dense)
+    return _from_entries(systems, *op._coo)
+
+
 def reorder(op: LabeledOperator, new_order) -> LabeledOperator:
     """Permute the system order; the matrix is permuted to match."""
     keys = [_as_key(r, op.systems) for r in new_order]
@@ -202,24 +304,43 @@ def reorder(op: LabeledOperator, new_order) -> LabeledOperator:
         raise ValueError(f"{keys} is not a permutation of {[s.key for s in op.systems]}")
     perm = [op.index(k) for k in keys]
     n = len(op.systems)
-    t = op.as_tensor().transpose(perm + [n + p for p in perm])
-    d = op.dim
-    return LabeledOperator(tuple(op.systems[p] for p in perm), t.reshape(d, d))
+    if perm == list(range(n)):
+        return op
+    return _permuted(op, perm + [n + p for p in perm], tuple(op.systems[p] for p in perm))
 
 
 def partial_trace(op: LabeledOperator, refs) -> LabeledOperator:
     """Trace out the listed systems; the rest keep their relative order."""
     keys = {_as_key(r, op.systems) for r in refs}
     n = len(op.systems)
+    keep = [i for i in range(n) if op.systems[i].key not in keys]
+    systems = tuple(op.systems[i] for i in keep)
+    if op._coo is not None:
+        return _from_entries(systems, *_traced_entries(op, keys))
     in_subs = list(range(n)) + [
         i if op.systems[i].key in keys else n + i for i in range(n)
     ]
-    keep = [i for i in range(n) if op.systems[i].key not in keys]
     out_subs = keep + [n + i for i in keep]
     t = np.einsum(op.as_tensor(), in_subs, out_subs)
-    systems = tuple(op.systems[i] for i in keep)
     d = math.prod(s.dim for s in systems)
     return LabeledOperator(systems, t.reshape(d, d))
+
+
+def _traced_entries(op: LabeledOperator, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-COO entries of the partial trace of a sparse operator over the
+    systems with these keys, on the others in order; duplicates are summed."""
+    index, values = op._coo
+    n = len(op.systems)
+    dims = [s.dim for s in op.systems] * 2
+    digits = _digits(index, dims)
+    on = np.ones(index.size, dtype=bool)
+    for i, s in enumerate(op.systems):
+        if s.key in keys:
+            on &= digits[i] == digits[n + i]
+    keep = [i for i in range(n) if op.systems[i].key not in keys]
+    axes = keep + [n + i for i in keep]
+    new = _flat([digits[a][on] for a in axes], [dims[a] for a in axes], np.count_nonzero(on))
+    return _sum_duplicates(new, values[on])
 
 
 def transpose_systems(op: LabeledOperator, refs) -> LabeledOperator:
@@ -231,11 +352,10 @@ def transpose_systems(op: LabeledOperator, refs) -> LabeledOperator:
         axes.append(n + i if op.systems[i].key in keys else i)
     for i in range(n):
         axes.append(i if op.systems[i].key in keys else n + i)
-    t = op.as_tensor().transpose(axes)
     systems = tuple(
         dual(s) if s.key in keys else s for s in op.systems
     )
-    return LabeledOperator(systems, t.reshape(op.dim, op.dim))
+    return _permuted(op, axes, systems)
 
 
 def fuse(op: LabeledOperator, refs, name: str, dual_flag: bool | None = None) -> LabeledOperator:
@@ -253,7 +373,7 @@ def fuse(op: LabeledOperator, refs, name: str, dual_flag: bool | None = None) ->
         dual_flag = flags.pop()
     moved = reorder(op, keys + [s.key for s in rest])
     fused = SystemLabel(name, math.prod(s.dim for s in group), dual_flag)
-    return LabeledOperator((fused,) + tuple(rest), moved.matrix)
+    return _relabeled(moved, (fused,) + tuple(rest))
 
 
 def split_system(op: LabeledOperator, ref, parts) -> LabeledOperator:
@@ -266,8 +386,7 @@ def split_system(op: LabeledOperator, ref, parts) -> LabeledOperator:
     parts = tuple(parts)
     if math.prod(p.dim for p in parts) != op.systems[i].dim:
         raise ValueError("part dimensions do not multiply to the split system's")
-    systems = op.systems[:i] + parts + op.systems[i + 1 :]
-    return LabeledOperator(systems, op.matrix)
+    return _relabeled(op, op.systems[:i] + parts + op.systems[i + 1 :])
 
 
 def embed(op: LabeledOperator, systems) -> LabeledOperator:
@@ -331,9 +450,15 @@ def distance(a: LabeledOperator, b: LabeledOperator) -> float:
     ``b`` is reordered to ``a``'s system order first; the system sets must match.
     """
     b = reorder(b, [s.key for s in a.systems])
-    na = np.linalg.norm(a.matrix)
-    nb = np.linalg.norm(b.matrix)
-    return float(np.linalg.norm(a.matrix - b.matrix) / max(1.0, na, nb))
+    if a._coo is None or b._coo is None:
+        ma, mb = a.matrix, b.matrix
+        na = np.linalg.norm(ma)
+        nb = np.linalg.norm(mb)
+        return float(np.linalg.norm(ma - mb) / max(1.0, na, nb))
+    (ia, va), (ib, vb) = a._coo, b._coo
+    # a - b entry by entry: each shared entry rounds as the dense difference.
+    diff = _sum_duplicates(np.concatenate([ia, ib]), np.concatenate([va, -vb]))[1]
+    return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(va), np.linalg.norm(vb)))
 
 
 def close(a: LabeledOperator, b: LabeledOperator, tol: float = 1e-9) -> bool:
@@ -435,7 +560,44 @@ def cj_operator(m: LinearMap) -> LabeledOperator:
 
     For an isometry V this is the rank-one operator |v><v| with
     v[(out, in)] = V[out, in]; general channels sum this over Kraus terms.
+    A float or complex map whose operator is sparse by ``sorted_coo``'s rule
+    gives it as sorted COO, built from the map's stored entries alone, with
+    the entries ``np.outer`` would give.
     """
     v = m.matrix.reshape(-1)
     systems = m.codomain + tuple(dual(s) for s in m.domain)
-    return LabeledOperator(systems, np.outer(v, v.conj()))
+    entries = _outer_entries(v) if v.dtype in (np.float64, np.complex128) else None
+    if entries is None:
+        return LabeledOperator(systems, np.outer(v, v.conj()))
+    return _from_entries(systems, *entries)
+
+
+def _outer_entries(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``sorted_coo(np.outer(v, v.conj()))`` without forming the outer product.
+
+    Let S be the entries of v that ``sorted_coo`` stores. Outside the rows and
+    columns in S every product is +0.0·+0.0 = +0.0. A product of an entry in
+    S with +0.0 can still be a stored -0.0 (e.g. (+0.0)·(-1.0)); it is the
+    same along that entry's row or column, so one product decides the line.
+    """
+    side = v.size
+    mask = _stored(v)
+    s, rest = np.flatnonzero(mask), np.flatnonzero(~mask)
+    if 4 * s.size**2 > side * side:  # the products within S alone make it dense
+        return None
+    zero = np.zeros(1, dtype=v.dtype)
+    block = np.outer(v[s], v[s].conj()).reshape(-1)
+    on = _stored(block)
+    row = np.outer(v[s], zero.conj())[:, 0]  # v[i]·conj(0), i in S
+    col = np.outer(zero, v[s].conj())[0]  # 0·conj(v[j]), j in S
+    rows, cols = _stored(row), _stored(col)
+    if 4 * (np.count_nonzero(on) + (np.count_nonzero(rows) + np.count_nonzero(cols)) * rest.size) > side * side:
+        return None
+    index = np.concatenate([
+        (s[:, None] * side + s).reshape(-1)[on],
+        (s[rows, None] * side + rest).reshape(-1),
+        (rest[:, None] * side + s[cols]).reshape(-1),
+    ])
+    values = np.concatenate([block[on], np.repeat(row[rows], rest.size), np.tile(col[cols], rest.size)])
+    order = np.argsort(index)
+    return index[order], values[order]

@@ -98,7 +98,7 @@ class ProcessOperator:
 
     @property
     def dim(self) -> int:
-        return self.op.matrix.shape[0]
+        return self.op.dim
 
     def expected_trace(self) -> float:
         return float(np.prod([n.d_out for n in self.nodes]))
@@ -170,10 +170,10 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     sparse by ``labeled.sorted_coo``'s rule is checked on its stored entries,
     and its positivity block by block.
     """
-    m = sigma.op.matrix
-    d = m.shape[0]
-    entries = sorted_coo(m)
+    d = sigma.op.dim
+    entries = sigma.op._coo if sigma.op._coo is not None else sorted_coo(sigma.op.matrix)
     if entries is None:
+        m = sigma.op.matrix
         norm = float(np.linalg.norm(m))
         herm = float(np.linalg.norm(m - m.conj().T))
         h = (m + m.conj().T) / 2

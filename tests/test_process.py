@@ -390,7 +390,9 @@ def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af
     monkeypatch.setattr(hs, "sorted_coo", lambda m: None)
     monkeypatch.setattr(process, "sorted_coo", lambda m: None)
     for sigma, (got, got_signalling) in zip(cases, sparse):
-        want, want_signalling = _verdict_and_signalling(sigma)
+        # A copy held dense: an operator held as sorted COO is always checked on its entries.
+        dense = process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix))
+        want, want_signalling = _verdict_and_signalling(dense)
         for field in ("valid", "hermitian_ok", "psd_ok", "trace_ok", "type_ok", "psd_method", "offending_types"):
             assert getattr(got, field) == getattr(want, field), (sigma.node_names, field)
         for field in ("hermitian_residual", "forbidden_norm", "min_eigenvalue"):

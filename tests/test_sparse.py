@@ -1,0 +1,260 @@
+"""Operators held as sorted COO: each kernel that works on entries against the
+dense path it replaces, and the permutation processes run end to end without
+a dense copy.
+
+Permutations of entries (``reorder``, ``transpose_systems``) and products
+(``cj_operator``, scalar ``*`` and unary ``-``) must give bitwise the dense
+matrix; sums (partial traces, projections, distances, comb residuals) agree
+within 1e-12 with equal verdicts.
+"""
+
+from __future__ import annotations
+
+import copy
+import itertools
+import math
+import pickle
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from causalproc import (
+    LabeledOperator,
+    LinearMap,
+    QuantumNode,
+    SystemLabel,
+    causal_structure_unitary,
+    cj_operator,
+    comb_check,
+    comb_search,
+    distance,
+    identity_map,
+    is_isometric,
+    labeled,
+    make_bw_extension,
+    make_switch,
+    make_unitary_process,
+    partial_trace,
+    process_operator,
+    project_trivial,
+    read_process_file,
+    reorder,
+    tensor_maps,
+    transpose_systems,
+    validate_process,
+    write_process_file,
+)
+from causalproc.labeled import apply_stage, sorted_coo
+
+
+def _bits(m: np.ndarray) -> tuple:
+    return m.dtype, m.shape, m.tobytes()
+
+
+def _random_systems(rng, count=None):
+    dims = rng.choice([1, 2, 3], size=count or int(rng.integers(2, 5)))
+    return tuple(SystemLabel(f"s{i}", int(k), bool(rng.integers(2))) for i, k in enumerate(dims))
+
+
+def _signed_zeros(rng, values):
+    """Some parts set to -0.0 or +0.0, a few entries to -0.0-0.0j."""
+    values = values.copy()
+    for part in (values.real, values.imag) if values.dtype == complex else (values,):
+        part[rng.random(values.size) < 0.15] = -0.0
+        part[rng.random(values.size) < 0.1] = 0.0
+    return values
+
+
+def _random_sparse(rng, systems, real=False):
+    """Random operator held as sorted COO, with signed zeros."""
+    d = math.prod(s.dim for s in systems)
+    count = int(rng.integers(0, d * d // 4 + 1))
+    index = np.sort(rng.choice(d * d, size=count, replace=False))
+    values = rng.normal(size=count) if real else rng.normal(size=count) + 1j * rng.normal(size=count)
+    op = labeled._from_entries(systems, index, _signed_zeros(rng, values))
+    assert op._coo is not None
+    return op
+
+
+def _dense(op: LabeledOperator) -> LabeledOperator:
+    return LabeledOperator(op.systems, op.matrix)
+
+
+def _operators(seeds=range(30)):
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        yield rng, _random_sparse(rng, _random_systems(rng), real=seed % 3 == 0)
+
+
+def test_dense_inputs_stay_dense_and_matrix_is_not_cached():
+    a = SystemLabel("a", 4)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = 1.0
+    op = LabeledOperator((a,), m)
+    assert op._coo is None and op.matrix is m
+    assert reorder(op, [a])._coo is None and (op * 2.0)._coo is None
+    sparse = labeled._from_entries((a,), *sorted_coo(m))
+    first = sparse.matrix
+    first[1, 1] = 5.0
+    assert sparse.matrix is not first and _bits(sparse.matrix) == _bits(m)
+
+
+def test_operators_copy_and_pickle_in_either_form():
+    sigma = make_switch(2).process
+    for op in (sigma.op, _dense(sigma.op)):
+        for back in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+            assert back.systems == op.systems and (back._coo is None) == (op._coo is None)
+            assert _bits(back.matrix) == _bits(op.matrix)
+    with pytest.raises(AttributeError):
+        sigma.op.systems = ()
+
+
+def test_cj_operator_entries_are_those_of_the_outer_product():
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        dom, cod = _random_systems(rng, 3), (SystemLabel("x", int(rng.integers(1, 4))),)
+        shape = (math.prod(s.dim for s in cod), math.prod(s.dim for s in dom))
+        real = seed % 2 == 0
+        u = rng.normal(size=shape) if real else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # a scattered pattern (dense for some seeds), negative parts and -0.0
+        u = _signed_zeros(rng, u.reshape(-1)).reshape(shape)
+        u[rng.random(shape) < rng.choice([0.5, 0.8, 0.95])] = 0.0
+        v = u.reshape(-1)
+        want = np.outer(v, v.conj())
+        got = cj_operator(LinearMap(u, dom, cod))
+        assert _bits(got.matrix) == _bits(want), seed
+        entries = sorted_coo(want)
+        assert (got._coo is None) == (entries is None), seed
+        if entries is not None:
+            assert all(_bits(x) == _bits(y) for x, y in zip(got._coo, entries)), seed
+
+
+def test_permutations_and_scalar_products_are_bitwise_dense():
+    for rng, op in _operators():
+        dense = _dense(op)
+        order = [op.systems[i].key for i in rng.permutation(len(op.systems))]
+        flipped = [s.key for s in op.systems if rng.integers(2)]
+        pairs = [
+            (reorder(op, order), reorder(dense, order)),
+            (transpose_systems(op, flipped), transpose_systems(dense, flipped)),
+            (-op, -dense),
+        ]
+        for scalar in (0.0, -1.0, 2.5, 1j - 0.5):
+            pairs += [(op * scalar, dense * scalar), (scalar * op, scalar * dense)]
+        for got, want in pairs:
+            assert got.systems == want.systems
+            assert _bits(got.matrix) == _bits(want.matrix)
+            entries = sorted_coo(want.matrix)
+            assert (got._coo is None) == (entries is None)
+            if entries is not None:
+                assert all(_bits(x) == _bits(y) for x, y in zip(got._coo, entries))
+
+
+def test_traces_projections_and_distances_match_dense():
+    for rng, op in _operators():
+        dense = _dense(op)
+        for k in range(len(op.systems) + 1):
+            for refs in itertools.combinations([s.key for s in op.systems], k):
+                got, want = partial_trace(op, refs), partial_trace(dense, refs)
+                assert got.systems == want.systems
+                assert np.abs(got.matrix - want.matrix).max(initial=0.0) <= 1e-12
+                if got._coo is not None:
+                    assert 4 * got._coo[0].size <= got.dim**2
+                if k:
+                    got, want = project_trivial(op, refs), project_trivial(dense, refs)
+                    assert np.abs(got.matrix - want.matrix).max(initial=0.0) <= 1e-12
+                    assert abs(distance(op, got) - distance(dense, want)) <= 1e-12
+        other = _random_sparse(rng, op.systems)
+        order = [s.key for s in reversed(op.systems)]
+        assert abs(distance(op, reorder(other, order)) - distance(dense, _dense(other))) <= 1e-12
+
+
+def _permutation_chain(rng, slots):
+    """Chain comb P -> A -> B ... -> F whose stages are seeded permutations of
+    (slot wire, qubit memory), with a seeded phase sign per stage."""
+    nodes = [QuantumNode(chr(ord("A") + i), 2, 2) for i in range(slots)]
+    root, leaf = QuantumNode("P", 1, 4), QuantumNode("F", 4, 1)
+    mem = SystemLabel("mem", 2)
+
+    def perm():
+        return np.eye(4, dtype=complex)[:, rng.permutation(4)] * rng.choice([1.0, -1.0, 1j])
+
+    u = LinearMap(perm(), (root.out_system,), (nodes[0].in_system, mem))
+    for i, node in enumerate(nodes):
+        cod = (nodes[i + 1].in_system, mem) if i + 1 < slots else (leaf.in_system,)
+        u = apply_stage(tensor_maps(u, identity_map([node.out_system])), LinearMap(perm(), (node.out_system, mem), cod))
+    return make_unitary_process(nodes + [root, leaf], u)
+
+
+def _processes():
+    """Sparse processes: permutation chains (combs), switch(2) (cyclic), and
+    random operators on two or three nodes with dim-1 factors."""
+    yield make_switch(2).process
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        yield _permutation_chain(rng, 1 + seed % 2).process
+        dims = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
+        nodes = [QuantumNode(n, *dims[rng.integers(len(dims))]) for n in "ABC"[: 2 + seed % 2]]
+        systems = tuple(s for n in nodes for s in (n.in_system, n.out_dual))
+        if math.prod(s.dim for s in systems) > 1:
+            yield process_operator(nodes, _random_sparse(rng, systems))
+
+
+def test_comb_residuals_search_and_isometry_match_dense():
+    verdicts = set()
+    for sigma in _processes():
+        assert sigma.op._coo is not None
+        dense = process_operator(sigma.nodes, _dense(sigma.op))
+        for order in itertools.permutations(sigma.node_names):
+            got, want = comb_check(sigma, order), comb_check(dense, order)
+            assert got.accepted == want.accepted
+            assert np.allclose(got.residuals, want.residuals, rtol=0, atol=1e-12)
+        found = comb_search(sigma)
+        assert found == comb_search(dense)
+        isometric = is_isometric(sigma)
+        assert isometric == is_isometric(dense)
+        scaled = process_operator(sigma.nodes, sigma.op * 2.0)
+        assert is_isometric(scaled) == is_isometric(process_operator(sigma.nodes, _dense(scaled.op)))
+        verdicts.add((found is not None, isometric))
+    # the corpus holds isometric combs (the chains), an isometric non-comb
+    # (switch(2)) and non-isometric operators
+    assert {(True, True), (False, True)} <= verdicts and any(not iso for _, iso in verdicts)
+
+
+@pytest.fixture()
+def no_densify(monkeypatch):
+    def refuse(side, index, values):
+        raise AssertionError(f"a {side}x{side} operator was made dense")
+
+    monkeypatch.setattr(labeled, "_densify", refuse)
+
+
+def _end_to_end(up, path):
+    sigma = up.process
+    verdict = validate_process(sigma)
+    assert verdict.valid and verdict.psd_method == "cholesky"
+    assert comb_search(sigma) is None
+    assert causal_structure_unitary(up).is_cyclic
+    assert is_isometric(sigma)
+    write_process_file(path, up)
+    back = read_process_file(path).process.op
+    assert back.systems == sigma.op.systems
+    assert all(_bits(x) == _bits(y) for x, y in zip(back._coo, sigma.op._coo))
+
+
+@pytest.mark.parametrize("make", [make_bw_extension, lambda: make_switch(4)], ids=["bw", "switch(4)"])
+def test_permutation_processes_never_densify(make, no_densify, tmp_path):
+    up = make()
+    assert up.process.op._coo[0].size == up.process.dim
+    _end_to_end(up, tmp_path / "process.json")
+
+
+def test_bw_end_to_end_memory_bound(no_densify, tmp_path):
+    tracemalloc.start()
+    try:
+        _end_to_end(make_bw_extension(), tmp_path / "bw.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak
