@@ -317,6 +317,15 @@ def cmd_exemplar(args) -> int:
     return 0
 
 
+def _at_least(low, kind):
+    """An argparse type: a finite ``kind`` (float or int) no smaller than ``low``."""
+    def number(text: str):
+        if not low <= (value := kind(text)) < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        return value
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalproc",
@@ -326,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check process validity")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("discover", help="recover the causal graph and Markov factorization")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     p.add_argument("--dot", help="write the graph in DOT format to this path")
     p.set_defaults(func=cmd_discover)
 
@@ -340,20 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", help="comma-separated node names to test")
     group.add_argument("--search", action="store_true", help="search all orders")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     p.add_argument("--budget", type=int, default=8, help="maximum node count for --search")
     p.set_defaults(func=cmd_comb)
 
     p = sub.add_parser("separability", help="two-node convex split into one-way combs")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-6)
+    p.add_argument("--max-iter", type=_at_least(1, int), default=5000)
     p.set_defaults(func=cmd_separability)
 
     p = sub.add_parser("classical", help="classical process tooling")
     p.add_argument("subcommand", choices=["validate", "polytope", "extend", "quantize"])
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     p.add_argument("--budget", type=int, default=2**24)
     p.add_argument("--out", help="output path for extend/quantize results")
     p.set_defaults(func=cmd_classical)

@@ -11,10 +11,11 @@ matches the graph.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter, deque
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .channels import (
@@ -74,11 +75,20 @@ class DirectedGraph:
             if a not in vs or b not in vs:
                 raise ValueError(f"edge ({a!r}, {b!r}) leaves the vertex set")
 
-    def _nx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(sorted(self.edges))
-        return g
+    def _successors(self) -> dict:
+        return {v: self.children(v) for v in sorted(self.vertices)}
+
+    def _kahn_order(self) -> list:
+        """Kahn's algorithm with a min-heap: the lexicographic topological order, cut short by a cycle."""
+        succ, indegree = self._successors(), Counter(b for _, b in self.edges)
+        heap, order = [v for v in succ if not indegree[v]], []
+        while heap:
+            order.append(heapq.heappop(heap))
+            for w in succ[order[-1]]:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    heapq.heappush(heap, w)
+        return order
 
     def parents(self, v: str) -> tuple[str, ...]:
         return tuple(sorted(a for a, b in self.edges if b == v))
@@ -91,24 +101,30 @@ class DirectedGraph:
 
     @property
     def is_cyclic(self) -> bool:
-        return not nx.is_directed_acyclic_graph(self._nx())
+        return len(self._kahn_order()) < len(self.vertices)
 
     def cycle(self) -> tuple[str, ...] | None:
         """Some cycle as a vertex tuple, smallest-then-lexicographic; None if acyclic."""
-        g = self._nx()
-        if nx.is_directed_acyclic_graph(g):
-            return None
-
-        def canonical(c):
-            k = c.index(min(c))
-            return tuple(c[k:] + c[:k])
-
-        cycles = [canonical(list(c)) for c in nx.simple_cycles(g)]
-        return min(cycles, key=lambda c: (len(c), c))
+        # BFS from s over vertices above s, successors sorted: first arrival is the least shortest path.
+        succ, best = self._successors(), None
+        for s in succ:
+            paths, queue = {s: (s,)}, deque([s])
+            while queue and (best is None or len(paths[queue[0]]) < len(best)):
+                u = queue.popleft()
+                if s in succ[u]:
+                    best = paths[u]
+                    break
+                for w in succ[u]:
+                    if w > s and w not in paths:
+                        paths[w] = paths[u] + (w,)
+                        queue.append(w)
+        return best
 
     def topological_order(self) -> tuple[str, ...]:
-        """Deterministic (lexicographic tie-break) topological order; raises if cyclic."""
-        return tuple(nx.lexicographical_topological_sort(self._nx()))
+        """Deterministic (lexicographic tie-break) topological order; ValueError if cyclic."""
+        if len(order := self._kahn_order()) < len(self.vertices):
+            raise ValueError(f"graph has no topological order: it has the cycle {self.cycle()}")
+        return tuple(order)
 
     def is_subgraph_of(self, other: "DirectedGraph") -> bool:
         return set(self.vertices) <= set(other.vertices) and self.edges <= other.edges

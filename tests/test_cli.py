@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from causalproc import LabeledOperator, cli, embed, make_mix_example, process_operator, write_process_file
 from causalproc.cli import EXEMPLAR_NAMES, main
@@ -225,3 +226,55 @@ def test_validate_does_not_import_scipy(tmp_path, capsys):
     code = VALIDATE_IN_FRESH_PROCESS.format(src=src, path=str(path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "False 0"
+
+
+DISCOVER_IN_FRESH_PROCESS = """
+import sys
+sys.path.insert(0, {src!r})
+from causalproc import cli
+code = cli.main(["discover", {path!r}])
+print("networkx" in sys.modules, code)
+"""
+
+
+def test_discover_does_not_import_networkx(tmp_path, capsys):
+    path = tmp_path / "switch.json"
+    assert run(capsys, "exemplar", "switch", "--out", str(path))[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = DISCOVER_IN_FRESH_PROCESS.format(src=src, path=str(path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "False 0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--tol", "nan"),
+        ("validate", "--tol=-1e-9"),
+        ("validate", "--tol", "inf"),
+        ("discover", "--tol", "nan"),
+        ("comb", "--search", "--tol", "-1"),
+        ("classical", "validate", "--tol", "nan"),
+        ("separability", "--tol", "-0.5"),
+        ("separability", "--max-iter", "0"),
+        ("separability", "--max-iter", "-3"),
+    ],
+)
+def test_unusable_tolerance_or_iteration_count_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "mix.json"
+    assert run(capsys, "exemplar", "mix", "--out", str(path))[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err
+
+
+def test_zero_tolerance_and_one_iteration_are_accepted(tmp_path, capsys):
+    path = tmp_path / "mix.json"
+    assert run(capsys, "exemplar", "mix", "--out", str(path))[0] == 0
+    _, out, _ = run(capsys, "validate", "--tol", "0", str(path))
+    assert json.loads(out)["tol"] == 0.0
+    _, out, _ = run(capsys, "separability", "--max-iter", "1", str(path))
+    assert json.loads(out)["max_iter"] == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,59 @@ def test_directed_graph_cycle_detection():
     g = directed_graph(["A", "B"], [("A", "B"), ("B", "A")])
     assert g.is_cyclic
     assert g.cycle() == ("A", "B")
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match=r"\('A', 'B'\)"):
         g.topological_order()
+
+
+def oracle(g):
+    """Brute force over vertex sequences: (canonical cycle or None, topological order or None).
+
+    The canonical cycle is the shortest one, written from its smallest vertex,
+    and the lexicographically smallest among those. The topological order is
+    the lexicographically smallest sequence with every edge pointing forward.
+    """
+    vs = sorted(g.vertices)
+    for k in range(1, len(vs) + 1):
+        for seq in itertools.permutations(vs, k):
+            if seq[0] == min(seq) and all((seq[i], seq[(i + 1) % k]) in g.edges for i in range(k)):
+                return seq, None
+    for seq in itertools.permutations(vs):
+        pos = {v: i for i, v in enumerate(seq)}
+        if all(pos[a] < pos[b] for a, b in g.edges):
+            return None, seq
+    raise AssertionError("an acyclic graph has a topological order")
+
+
+def check_against_oracle(g):
+    cycle, order = oracle(g)
+    assert g.is_cyclic == (cycle is not None)
+    assert g.cycle() == cycle
+    if order is not None:
+        assert g.topological_order() == order
+
+
+def test_graph_questions_match_oracle_on_every_small_graph():
+    # Vertices listed out of name order, so insertion order cannot pass for name order.
+    names = ("c", "a", "d", "b")
+    count = 0
+    for n in range(1, 5):
+        vs = names[:n]
+        pairs = list(itertools.product(vs, vs))
+        for mask in range(2 ** len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            check_against_oracle(directed_graph(vs, edges, allow_self_loops=True))
+            count += 1
+    assert count == 2 + 2**4 + 2**9 + 2**16
+
+
+def test_graph_questions_match_oracle_on_random_graphs():
+    rng = np.random.default_rng(20201)
+    for _ in range(300):
+        n = int(rng.integers(5, 8))
+        vs = [f"v{i}" for i in rng.permutation(12)[:n]]
+        density = rng.uniform(0.05, 0.4)
+        edges = [(a, b) for a in vs for b in vs if rng.random() < (density / 4 if a == b else density)]
+        check_against_oracle(directed_graph(vs, edges, allow_self_loops=True))
 
 
 def test_directed_graph_rejects_bad_edges():
