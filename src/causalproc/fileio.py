@@ -42,8 +42,12 @@ __all__ = [
 
 FORMAT_VERSION = 2
 READ_VERSIONS = (1, 2)
-# Largest dense quantum operator a file may declare: side 16384 at 16 B an entry.
+# Bytes a declared quantum operator may need: a dense one up to side 16384 at 16 B an entry.
 MAX_DENSE_BYTES = 2**32
+# A sparse payload allocates no side x side array; validating it (process._blocks)
+# peaks at about a dozen int64 arrays of one entry per row, bounded here by 16.
+# So side <= 2**25, and every flat index (below side**2) fits in an int64.
+SPARSE_BYTES_PER_ROW = 16 * 8
 
 
 class ProcessFileError(ValueError):
@@ -208,12 +212,14 @@ def dict_to_process(doc) -> LoadedProcessFile:
     if kind == "quantum":
         nodes = tuple(QuantumNode(nm, di, do) for nm, di, do in parsed)
         side = math.prod(di * do for _, di, do in parsed)
-        if 16 * side * side > MAX_DENSE_BYTES:
+        dense = not isinstance(payload, dict)
+        if (16 * side * side if dense else SPARSE_BYTES_PER_ROW * side) > MAX_DENSE_BYTES:
             raise ProcessFileError(
-                f"declared operator is {side}x{side}; its dense matrix would exceed {MAX_DENSE_BYTES} bytes"
+                f"declared operator is {side}x{side}; its {'dense matrix' if dense else 'sparse validation'}"
+                f" would need more than {MAX_DENSE_BYTES} bytes"
             )
         systems = tuple(canonical_systems(nodes))
-        if not isinstance(payload, dict):
+        if dense:
             op = LabeledOperator(systems, _decode_dense(payload, side))
         elif version >= 2:
             op = _from_entries(systems, *_decode_sparse(payload, side))

@@ -134,6 +134,11 @@ def process_operator(nodes, op: LabeledOperator) -> ProcessOperator:
 
 @dataclass(frozen=True)
 class ValidationVerdict:
+    """Per-condition numbers of ``validate_process`` and their verdicts.
+    ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part; for a
+    dense operator of low rank it is -δ, the lower bound certified by a pivoted
+    Cholesky factor, and it is NaN where the "cholesky" method certifies."""
+
     valid: bool
     hermitian_residual: float
     hermitian_ok: bool
@@ -162,13 +167,17 @@ def _witnessed(key: tuple, nodes) -> bool:
 def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVerdict:
     """Check positivity, total trace, and the allowed-type support condition.
 
-    Above 2048 dimensions positivity is certified by a Cholesky factorization
-    of the shifted operator, which proves the spectrum is above -tol without
-    computing it; the smallest eigenvalue is computed only if that fails.
-    The forbidden norm and the offending types come from one table of type
-    norms, whose components are mutually orthogonal. An operator that is
-    sparse by ``labeled.sorted_coo``'s rule is checked on its stored entries,
-    and its positivity block by block.
+    A dense operator of low rank and at most 2048 dimensions is proved
+    positive semidefinite by a pivoted Cholesky factor in O(d²·rank), and the
+    certified lower bound -δ on its spectrum is reported as
+    ``min_eigenvalue``; the eigenvalues are computed only if the certificate
+    fails. Above 2048 dimensions positivity is certified by a Cholesky
+    factorization of the shifted operator, which proves the spectrum is above
+    -tol without computing it; the smallest eigenvalue is computed only if
+    that fails. The forbidden norm and the offending types come from one
+    table of type norms, whose components are mutually orthogonal. An
+    operator that is sparse by ``labeled.sorted_coo``'s rule is checked on its
+    stored entries, and its positivity block by block.
     """
     d = sigma.op.dim
     entries = sigma.op._coo if sigma.op._coo is not None else sorted_coo(sigma.op.matrix)
@@ -195,7 +204,8 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     if np.linalg.norm(h.imag) == 0.0:
         h = h.real
     method = "cholesky" if d > 2048 else "eigh"
-    psd_ok, min_eig = _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
+    certified = _low_rank_psd(h, tol) if entries is None and method == "eigh" else None
+    psd_ok, min_eig = certified or _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
 
     expected = sigma.expected_trace()
     trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
@@ -248,6 +258,32 @@ def _psd_test(blocks: list[np.ndarray], tol: float, method: str) -> tuple[bool, 
             pass
     min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
     return min_eig >= -tol, min_eig
+
+
+def _low_rank_psd(h: np.ndarray, tol: float) -> tuple[bool, float] | None:
+    """(True, -δ) if a pivoted Cholesky factor l of rank k < d proves the dense
+    Hermitian h positive semidefinite, else None. δ bounds ‖h - l·lᴴ‖ and the
+    rounding in forming it; l·lᴴ ⪰ 0 has a zero eigenvalue, so by Weyl's
+    inequality λ_min(h) ∈ [-δ, δ]. Taken only if δ ≤ tol and δ is within the
+    d·ε·‖h‖ accuracy of eigvalsh; at most √d steps keep a full-rank h O(d²)."""
+    d = h.shape[0]
+    eps = float(np.finfo(float).eps)
+    norm = float(np.linalg.norm(h))
+    diag = h.diagonal().real.copy()
+    l = np.zeros((d, min(math.isqrt(d), d - 1)), dtype=h.dtype)
+    k = 0
+    while diag.max() > eps * norm:
+        if k == l.shape[1]:
+            return None
+        p = int(np.argmax(diag))
+        l[:, k] = (h[:, p] - l[:, :k] @ l[p, :k].conj()) / math.sqrt(diag[p])
+        diag -= np.abs(l[:, k]) ** 2
+        k += 1
+    l = l[:, :k]
+    delta = float(np.linalg.norm(h - l @ l.conj().T)) + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
+    if delta <= tol and delta <= d * eps * norm:
+        return True, 0.0 - delta  # +0.0, never -0.0, when δ is 0
+    return None
 
 
 def _blocks(index: np.ndarray, h: np.ndarray, d: int) -> list[np.ndarray]:

@@ -51,7 +51,7 @@ def rng():
 def bad_docs():
     """Process-file documents that each break one header, sparse-payload or
     graph rule, by name; all are the mix exemplar's sparse document with one
-    entry replaced."""
+    entry replaced, or two for the oversized dense payload."""
     good = process_to_dict(make_mix_example())
     index, values = good["payload"]["index"], good["payload"]["values"]
     side = 16
@@ -85,7 +85,12 @@ def bad_docs():
         "float format_version": setting("format_version", value=1.0),
         "unhashable graph vertex": setting("graph", value={"vertices": [["A"]], "edges": []}),
         # 16385 x 16385 complex entries would need more than 2**32 bytes
-        "oversized declared side": setting(
-            "nodes", value=[{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}]
+        "oversized declared side, dense payload": {
+            **setting("nodes", value=[{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}]),
+            "payload": [],
+        },
+        # validating a sparse payload takes about a dozen int64 arrays per row
+        "oversized declared side, sparse payload": setting(
+            "nodes", value=[{"name": "A", "d_in": 2**25 + 1, "d_out": 1, "kind": "quantum"}]
         ),
     }

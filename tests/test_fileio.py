@@ -25,6 +25,7 @@ from causalproc import (
     process_to_dict,
     random_unitary_chain,
     read_process_file,
+    validate_process,
     write_process_file,
 )
 from causalproc.process import canonical_systems
@@ -285,3 +286,26 @@ def test_round_trip_is_byte_identical_in_both_layouts(sigma, tmp_path_factory):
     assert np.array_equal(bits(loaded.op.matrix), bits(sigma.op.matrix))
     write_process_file(second, loaded)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_sparse_file_above_the_dense_bound_round_trips(tmp_path):
+    up = make_switch(5)
+    assert up.process.dim == 62500 and 16 * 62500**2 > 2**32
+    path = tmp_path / "switch5.json"
+    write_process_file(path, up)
+    back = read_process_file(path).process
+    assert back.op.systems == up.process.op.systems
+    assert all(np.array_equal(bits(x), bits(y)) for x, y in zip(back.op._coo, up.process.op._coo))
+    assert validate_process(back).valid
+
+
+def test_declared_side_is_bounded_by_what_the_payload_allocates():
+    sparse = process_to_dict(make_mix_example())
+    assert isinstance(sparse["payload"], dict)
+    for side, accepted in ((2**25, True), (2**25 + 1, False)):
+        doc = {**sparse, "nodes": [{"name": "A", "d_in": side, "d_out": 1, "kind": "quantum"}]}
+        if accepted:
+            assert dict_to_process(doc).process.dim == side
+        else:
+            with pytest.raises(ProcessFileError, match="sparse validation"):
+                dict_to_process(doc)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from causalproc import (
     preparation_instrument,
     process,
     quantize,
+    random_unitary_chain,
     signalling_residual,
     tensor,
     type_norms,
@@ -398,3 +400,63 @@ def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af
         for field in ("hermitian_residual", "forbidden_norm", "min_eigenvalue"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, (sigma.node_names, field)
         assert np.allclose(got_signalling, want_signalling, rtol=0, atol=1e-12)
+
+
+def _spectral(rng, d, dtype, eigenvalues):
+    """Exactly Hermitian d×d matrix with these nonzero eigenvalues, on random
+    orthonormal vectors; every other eigenvalue is 0."""
+    a = rng.normal(size=(d, len(eigenvalues)))
+    if dtype == complex:
+        a = a + 1j * rng.normal(size=a.shape)
+    q = np.linalg.qr(a)[0]
+    m = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+def _dense_verdict(monkeypatch, m, tol=1e-9):
+    """validate_process of m on one node, held and checked dense."""
+    monkeypatch.setattr(process, "sorted_coo", lambda _: None)
+    node = QuantumNode("A", len(m), 1)
+    return validate_process(process_operator([node], LabeledOperator((node.in_system, node.out_dual), m)), tol)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", [16, 64, 256, 1024])
+def test_low_rank_certificate_matches_eigvalsh(monkeypatch, d, dtype):
+    rng = np.random.default_rng(d + (dtype == complex))
+    top = math.isqrt(d)
+    eps = np.finfo(float).eps
+    for rank in sorted({1, 2, top // 2, top}):
+        m = _spectral(rng, d, dtype, rng.uniform(0.1, 2.0, rank))
+        verdict = _dense_verdict(monkeypatch, m)
+        want = np.linalg.eigvalsh(m)[0]
+        assert verdict.psd_ok == (want >= -verdict.tol) and verdict.psd_method == "eigh"
+        assert abs(verdict.min_eigenvalue - want) <= 2 * d * eps * np.linalg.norm(m), rank
+    # Where the factor cannot certify, the eigenvalue is computed as before.
+    fallbacks = [
+        (_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, top + 1)), 1e-9),
+        (_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, d)), 1e-9),
+        (_spectral(rng, d, dtype, [*rng.uniform(0.1, 2.0, 2), -1e-3]), 1e-9),
+        (_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, 2)), 0.0),
+    ]
+    for m, tol in fallbacks:
+        verdict = _dense_verdict(monkeypatch, m, tol)
+        want = float(np.linalg.eigvalsh(m[None]).min())
+        assert verdict.min_eigenvalue == want and verdict.psd_ok == (want >= -tol)
+    zero = _dense_verdict(monkeypatch, np.zeros((d, d), dtype=dtype))
+    assert zero.psd_ok and zero.min_eigenvalue == 0.0 and not np.signbit(zero.min_eigenvalue)
+
+
+def test_low_rank_dense_processes_skip_the_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(3)
+    c1, c2 = (random_unitary_chain(3, rng).process for _ in range(2))
+    mixture = process_operator(c1.nodes, LabeledOperator(c1.op.systems, 0.3 * c1.op.matrix + 0.7 * c2.op.matrix))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for sigma in (c1, mixture):
+        assert sigma.dim == 1024 and sigma.op._coo is None
+        verdict = validate_process(sigma)
+        assert verdict.valid and verdict.psd_method == "eigh" and -1e-12 < verdict.min_eigenvalue <= 0.0
