@@ -34,6 +34,7 @@ __all__ = [
     "apply_channel",
     "channel_no_influence",
     "channel_influence_residual",
+    "influence_residuals",
     "input_signals",
 ]
 
@@ -73,10 +74,6 @@ class ChannelOperator:
             "min_eigenvalue": float(eigs[0]) if eigs.size else 0.0,
             "trace_preserving": float(np.linalg.norm(marg.matrix - ident.matrix)),
         }
-
-    def is_cptp(self, tol: float = 1e-9) -> bool:
-        r = self.cptp_residuals()
-        return r["hermitian"] <= tol and r["min_eigenvalue"] >= -tol and r["trace_preserving"] <= tol
 
 
 def cj_from_kraus(kraus, in_systems, out_systems) -> ChannelOperator:
@@ -130,6 +127,21 @@ def channel_influence_residual(ch: ChannelOperator, in_ref, out_ref) -> float:
     others = [s for s in ch.outputs if s.key != out_key]
     marg = partial_trace(ch.op, [s.key for s in others])
     return distance(marg, project_trivial(marg, [(in_key[0], True)]))
+
+
+def influence_residuals(ch: ChannelOperator) -> dict[tuple[str, str], float]:
+    """``channel_influence_residual`` for every input and output of dimension
+    above one, keyed by (input name, output name): one partial trace per output.
+    """
+    residuals = {}
+    for out in ch.outputs:
+        if out.dim == 1:
+            continue
+        marg = partial_trace(ch.op, [s.key for s in ch.outputs if s.key != out.key])
+        for inp in ch.inputs:
+            if inp.dim > 1:
+                residuals[(inp.name, out.name)] = distance(marg, project_trivial(marg, [(inp.name, True)]))
+    return residuals
 
 
 def channel_no_influence(ch: ChannelOperator, in_ref, out_ref, tol: float = 1e-9) -> bool:

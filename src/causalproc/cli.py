@@ -2,8 +2,10 @@
 classical polytope tooling, and exemplar export.
 
 Every command prints a JSON report to stdout and uses the exit-code contract:
-0 = the checked property holds, 1 = it fails or is inconclusive, 2 = usage or
-input error, 3 = internal failure (one JSON line on stderr, no traceback).
+0 = the checked property holds, 1 = it fails, 2 = usage or input error,
+3 = internal failure (one JSON line on stderr, no traceback), 4 = no verdict
+within the budget (``separability`` found no split in ``--max-iter``
+iterations; the report is still printed).
 """
 
 from __future__ import annotations
@@ -58,18 +60,8 @@ def _sha256(path: str) -> str:
 
 def _emit(report: dict, started: float) -> None:
     report["runtime_s"] = round(time.time() - started, 3)
-    json.dump(report, sys.stdout, indent=1, default=_json_default)
+    json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (tuple, frozenset)):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _as_quantum(loaded) -> ProcessOperator:
@@ -218,7 +210,7 @@ def cmd_separability(args) -> int:
     if sv.separable:
         report["weight_second_order"] = sv.weight
     _emit(report, started)
-    return 0 if sv.separable else 1
+    return 0 if sv.separable else 4
 
 
 def _require_classical(loaded) -> ClassicalProcess:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import channel_from_unitary, channel_influence_residual
+from .channels import channel_from_unitary, channel_influence_residual, influence_residuals
 from .classical import (
     ClassicalNode,
     ClassicalProcess,
@@ -186,17 +186,13 @@ def make_methods_counterexample() -> MethodsCounterexample:
     return MethodsCounterexample(p_a, p_b)
 
 
-def make_mix_example(rho_a_in=None) -> ProcessOperator:
-    """Two-node process with a fixed input state at A, a maximally mixed
-    input at B, and no signalling in either direction."""
-    if rho_a_in is None:
-        rho_a_in = np.eye(2, dtype=complex) / 2
-    rho_a_in = np.asarray(rho_a_in, dtype=complex)
-    d = rho_a_in.shape[0]
-    na = QuantumNode("A", d, d)
+def make_mix_example() -> ProcessOperator:
+    """Two-node qubit process with maximally mixed inputs at A and B and no
+    signalling in either direction."""
+    na = QuantumNode("A", 2, 2)
     nb = QuantumNode("B", 2, 2)
     op = tensor(
-        LabeledOperator((na.in_system,), rho_a_in),
+        LabeledOperator((na.in_system,), np.eye(2, dtype=complex) / 2),
         identity_operator([na.out_dual]),
         LabeledOperator((nb.in_system,), np.eye(2, dtype=complex) / 2),
         identity_operator([nb.out_dual]),
@@ -204,19 +200,14 @@ def make_mix_example(rho_a_in=None) -> ProcessOperator:
     return process_operator((na, nb), op)
 
 
-def make_mix_components(rho_a_in=None):
+def make_mix_components():
     """The two coin-value circuits averaging to the mixed example.
 
-    Each circuit prepares A's input and an ancilla bit (value 0 or 1), routes
-    A's output through a controlled-NOT with the ancilla as target, discards
-    the control wire, and feeds the target wire to B. Returns (sigma0, sigma1).
+    Each circuit prepares A's maximally mixed input and an ancilla bit (value
+    0 or 1), routes A's output through a controlled-NOT with the ancilla as
+    target, discards the control wire, and feeds the target wire to B.
+    Returns (sigma0, sigma1).
     """
-    if rho_a_in is None:
-        rho_a_in = np.eye(2, dtype=complex) / 2
-    rho_a_in = np.asarray(rho_a_in, dtype=complex)
-    d = rho_a_in.shape[0]
-    if d != 2:
-        raise ValueError("the controlled-NOT construction needs qubit wires")
     cnot = np.eye(4)[[0, 1, 3, 2]]  # |x, y> -> |x, y XOR x>
 
     out = []
@@ -229,7 +220,7 @@ def make_mix_components(rho_a_in=None):
         anc = np.zeros((2, 2), dtype=complex)
         anc[coin, coin] = 1.0
         init = tensor(
-            LabeledOperator((w_a,), rho_a_in),
+            LabeledOperator((w_a,), np.eye(2, dtype=complex) / 2),
             LabeledOperator((w_anc,), anc),
         )
         gate = channel_from_unitary(LinearMap(cnot.astype(complex), (w_ao, w_anc), (w_ctrl, w_tgt)))
@@ -416,23 +407,17 @@ def _bw_report(u: LinearMap, parts: BWParts, tol: float) -> DecompositionReport:
     resid = float(np.abs(u_rec - u_target).max())
 
     block_sig = {}
-    one_way = True
     lam = tuple(SystemLabel(f"anc.{nm}", 2) for nm in "CBA")
     ins = tuple(SystemLabel(f"{nm}.in", 2) for nm in "CBA")
     for i, j, k in np.ndindex(2, 2, 2):
         block = np.kron(np.kron(parts.p[i][j], parts.q[i][k]), parts.r[j][k])
         ch = channel_from_unitary(LinearMap(block.astype(complex), lam, ins))
-        cross = {}
-        for src in "ABC":
-            for dst in "ABC":
-                if src == dst:
-                    continue
-                cross[f"anc.{src}->{dst}.in"] = channel_influence_residual(
-                    ch, f"anc.{src}", f"{dst}.in"
-                )
-        block_sig[(i, j, k)] = cross
-        if any(vv > tol for vv in cross.values()):
-            one_way = False
+        block_sig[(i, j, k)] = {
+            f"{src}->{dst}": r
+            for (src, dst), r in sorted(influence_residuals(ch).items())
+            if src != f"anc.{dst.removesuffix('.in')}"
+        }
+    one_way = not any(r > tol for cross in block_sig.values() for r in cross.values())
     passed = resid <= max(tol, 1e-12) and one_way
     return DecompositionReport(bool(passed), resid, block_sig, bool(one_way), tol)
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChannelOperator,
-    channel_influence_residual,
-    channel_no_influence,
-    input_signals,
-)
-from .hs import project_trivial
+from .channels import ChannelOperator, influence_residuals, input_signals
 from .labeled import (
     LabeledOperator,
     LinearMap,
@@ -54,7 +48,6 @@ __all__ = [
     "CompatibilityVerdict",
     "compatibility_check",
     "discover",
-    "channel_no_influence",
 ]
 
 
@@ -126,9 +119,6 @@ class DirectedGraph:
             raise ValueError(f"graph has no topological order: it has the cycle {self.cycle()}")
         return tuple(order)
 
-    def is_subgraph_of(self, other: "DirectedGraph") -> bool:
-        return set(self.vertices) <= set(other.vertices) and self.edges <= other.edges
-
     def to_dot(self) -> str:
         lines = ["digraph causal {"]
         for v in sorted(self.vertices):
@@ -171,9 +161,23 @@ class UnitaryProcess:
     @property
     def channel(self) -> ChannelOperator:
         """The process operator read as the CJ operator of the unitary channel."""
-        outs = tuple(n.in_system for n in self.nodes)
-        ins = tuple(n.out_system for n in self.nodes)
-        return ChannelOperator(self.process.op, outs, ins)
+        return _as_channel(self.process)
+
+
+def _as_channel(sigma: ProcessOperator) -> ChannelOperator:
+    """The process operator read as a channel from the out-spaces to the in-spaces."""
+    return ChannelOperator(sigma.op, tuple(n.in_system for n in sigma.nodes), tuple(n.out_system for n in sigma.nodes))
+
+
+def _influence_graph(sigma: ProcessOperator, tol: float) -> DirectedGraph:
+    """Edge j -> i (j != i) iff the residual of A_j.out on A_i.in exceeds tol."""
+    node_of = {s.name: n.name for n in sigma.nodes for s in (n.in_system, n.out_system)}
+    edges = {
+        (node_of[j], node_of[i])
+        for (j, i), r in influence_residuals(_as_channel(sigma)).items()
+        if r > tol and node_of[j] != node_of[i]
+    }
+    return DirectedGraph(tuple(sigma.node_names), frozenset(edges))
 
 
 def make_unitary_process(nodes, u: LinearMap, tol: float = 1e-9) -> UnitaryProcess:
@@ -208,17 +212,7 @@ def make_unitary_process(nodes, u: LinearMap, tol: float = 1e-9) -> UnitaryProce
 
 def causal_structure_unitary(up: UnitaryProcess, tol: float = 1e-9) -> DirectedGraph:
     """Influence graph of a unitary process: j -> i iff A_j.out can influence A_i.in."""
-    ch = up.channel
-    edges = set()
-    for nj in up.nodes:
-        if nj.d_out == 1:
-            continue
-        for ni in up.nodes:
-            if ni.d_in == 1 or ni.name == nj.name:
-                continue
-            if not channel_no_influence(ch, f"{nj.name}.out", f"{ni.name}.in", tol):
-                edges.add((nj.name, ni.name))
-    return DirectedGraph(tuple(n.name for n in up.nodes), frozenset(edges))
+    return _influence_graph(up.process, tol)
 
 
 def marginal_factor(sigma: ProcessOperator, node_name: str, parents) -> ChannelOperator:
@@ -303,18 +297,14 @@ class FaithfulnessReport:
     tol: float
 
 
-def faithfulness_check(mf: MarkovFactorization, tol: float | None = None) -> FaithfulnessReport:
-    """Is every edge of an accepted factorization load-bearing?
+def faithfulness_check(mf: MarkovFactorization) -> FaithfulnessReport:
+    """Is every edge of an accepted factorization load-bearing, at ``mf.tol``?
 
     An edge p -> c is confirmed when the factor at c actually depends on
     p's out-space; a faithful graph has no removable edges.
     """
-    t = mf.tol if tol is None else tol
-    report = {}
-    for a, b in sorted(mf.graph.edges):
-        ch = mf.factors[b]
-        report[(a, b)] = bool(input_signals(ch, f"{a}.out", t))
-    return FaithfulnessReport(report, all(report.values()) if report else True, t)
+    report = {(a, b): bool(input_signals(mf.factors[b], f"{a}.out", mf.tol)) for a, b in sorted(mf.graph.edges)}
+    return FaithfulnessReport(report, all(report.values()), mf.tol)
 
 
 @dataclass(frozen=True)
@@ -332,7 +322,6 @@ def compatibility_check(
     extension: UnitaryProcess,
     lambda_states,
     tol: float = 1e-9,
-    validate_extension: bool = True,
 ) -> CompatibilityVerdict:
     """Confirm a causal structure for sigma via a unitary extension.
 
@@ -366,9 +355,7 @@ def compatibility_check(
     if int(np.prod(dims)) != root.d_out:
         raise ValueError("memory dimensions do not multiply to the root out-space")
 
-    ext_valid = True
-    if validate_extension:
-        ext_valid = validate_process(extension.process, tol).valid
+    ext_valid = validate_process(extension.process, tol).valid
 
     # Marginal reproduction: prepare the memory product at the root, discard the leaf.
     prep = lams[0]
@@ -399,24 +386,19 @@ def compatibility_check(
             new_inputs.append(s)
     ch2 = ChannelOperator(chop, ch.outputs, tuple(new_inputs))
 
-    influence = {}
-    ok = True
-    for j in sig_names:
-        nj = sigma.node(j)
-        for i in sig_names:
-            ni = sigma.node(i)
-            if ni.d_in == 1:
-                continue
-            if nj.d_out > 1 and not graph.has_edge(j, i):
-                r = channel_influence_residual(ch2, f"{j}.out", f"{i}.in")
-                influence[f"{j}.out -/-> {i}.in"] = r
-                ok = ok and r <= tol
-            if j != i:
-                lam = lam_labels[sig_names.index(j)]
-                if lam.dim > 1:
-                    r = channel_influence_residual(ch2, lam.name, f"{i}.in")
-                    influence[f"{lam.name} -/-> {i}.in"] = r
-                    ok = ok and r <= tol
+    slot_in = {sigma.node(nm).in_system.name: nm for nm in sig_names}
+    slot_out = {sigma.node(nm).out_system.name: nm for nm in sig_names}
+    memory = {lam.name: nm for nm, lam in zip(sig_names, lam_labels)}
+    influence = {
+        f"{src} -/-> {dst}": r
+        for (src, dst), r in influence_residuals(ch2).items()
+        if dst in slot_in
+        and (
+            (src in slot_out and not graph.has_edge(slot_out[src], slot_in[dst]))
+            or (src in memory and memory[src] != slot_in[dst])
+        )
+    }
+    ok = all(r <= tol for r in influence.values())
     compatible = bool(ok and ext_valid and marginal_residual <= tol)
     return CompatibilityVerdict(compatible, bool(ext_valid), float(marginal_residual), influence, tol)
 
@@ -425,21 +407,10 @@ def discover(sigma: ProcessOperator, tol: float = 1e-9) -> tuple[DirectedGraph, 
     """Read a candidate causal structure off the process and try to confirm it.
 
     Edge j -> i is proposed iff the marginal on A_i.in (with all other
-    in-spaces traced) depends on A_j's out-dual factor. The returned
+    in-spaces traced) depends on A_j's out-dual factor: the influence graph
+    of the process read as a channel, as for a unitary process. The returned
     factorization's ``accepted`` flag says whether the graph is confirmed
     intrinsically.
     """
-    edges = set()
-    for ni in sigma.nodes:
-        if ni.d_in == 1:
-            continue
-        traced = [n.in_system.key for n in sigma.nodes if n.name != ni.name]
-        marg = partial_trace(sigma.op, traced)
-        for nj in sigma.nodes:
-            if nj.name == ni.name or nj.d_out == 1:
-                continue
-            res = distance(marg, project_trivial(marg, [nj.out_dual.key]))
-            if res > tol:
-                edges.add((nj.name, ni.name))
-    graph = DirectedGraph(tuple(sigma.node_names), frozenset(edges))
+    graph = _influence_graph(sigma, tol)
     return graph, markov_check(sigma, graph, tol)

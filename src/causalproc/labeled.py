@@ -28,7 +28,6 @@ __all__ = [
     "embed",
     "product",
     "distance",
-    "close",
     "identity_map",
     "tensor_maps",
     "compose_maps",
@@ -459,10 +458,6 @@ def distance(a: LabeledOperator, b: LabeledOperator) -> float:
     # a - b entry by entry: each shared entry rounds as the dense difference.
     diff = _sum_duplicates(np.concatenate([ia, ib]), np.concatenate([va, -vb]))[1]
     return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(va), np.linalg.norm(vb)))
-
-
-def close(a: LabeledOperator, b: LabeledOperator, tol: float = 1e-9) -> bool:
-    return distance(a, b) <= tol
 
 
 @dataclass(frozen=True)

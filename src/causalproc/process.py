@@ -375,24 +375,6 @@ class Instrument:
             if e.node_name != self.node.name:
                 raise ValueError("instrument element belongs to a different node")
 
-    def residuals(self) -> dict[str, float]:
-        """Complete positivity per element and trace preservation of the sum."""
-        cp = 0.0
-        total = None
-        for e in self.elements:
-            m = e.tau.matrix
-            cp = max(cp, float(np.linalg.norm(m - m.conj().T)))
-            eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-            cp = max(cp, max(0.0, -float(eigs[0])) if eigs.size else 0.0)
-            total = e.tau if total is None else total + e.tau
-        marg = partial_trace(total, [self.node.out_dual.key])
-        ident = reorder(identity_operator([self.node.in_system]), [s.key for s in marg.systems])
-        return {"cp": cp, "tp": float(np.linalg.norm(marg.matrix - ident.matrix))}
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        r = self.residuals()
-        return r["cp"] <= tol and r["tp"] <= tol
-
 
 def element_from_kraus(node: QuantumNode, kraus) -> InstrumentElement:
     """Instrument element from Kraus matrices mapping the in- to the out-space."""
@@ -419,14 +401,12 @@ def instrument_from_kraus(node: QuantumNode, kraus_lists) -> Instrument:
     return Instrument(node, tuple(element_from_kraus(node, kl) for kl in kraus_lists))
 
 
-def readout_instrument(node: QuantumNode, prep: np.ndarray | None = None) -> Instrument:
-    """Computational-basis measurement of the in-space, repreparing ``prep``.
-
-    Default preparation is the maximally mixed state of the out-space; for a
-    node with a one-dimensional out-space this is the plain readout.
+def readout_instrument(node: QuantumNode) -> Instrument:
+    """Computational-basis measurement of the in-space, repreparing the
+    maximally mixed state of the out-space; for a node with a one-dimensional
+    out-space this is the plain readout.
     """
-    if prep is None:
-        prep = np.eye(node.d_out) / node.d_out
+    prep = np.eye(node.d_out) / node.d_out
     els = []
     for k in range(node.d_in):
         eff = np.zeros((node.d_in, node.d_in))
@@ -518,14 +498,6 @@ def conditional_process(
     return result
 
 
-def _identity_cj(out_label: SystemLabel, in_dual: SystemLabel) -> LabeledOperator:
-    d = out_label.dim
-    if in_dual.dim != d:
-        raise ValueError("identity wire needs equal dimensions")
-    v = np.eye(d, dtype=complex).reshape(-1)
-    return LabeledOperator((out_label, in_dual), np.outer(v, v.conj()))
-
-
 def comb_from_circuit(initial_state: LabeledOperator, channels, node_slots) -> ProcessOperator:
     """Process operator of a fixed circuit with open slots.
 
@@ -533,9 +505,10 @@ def comb_from_circuit(initial_state: LabeledOperator, channels, node_slots) -> P
     ChannelOperator whose input labels name the wires they consume and whose
     output labels name fresh wires. ``node_slots``: (node, in_wire, out_wire)
     triples; the slot's in-wire is rerouted into the node and the out-wire is
-    a fresh wire carrying whatever the node emits. Steps are applied in any
-    data-available order; unread wires are traced out at the end, and unread
-    node out-wires become identity (discarded) legs.
+    a fresh wire carrying whatever the node emits, which only a channel may
+    read: a slot whose in-wire is another node's out-wire raises ValueError.
+    Steps are applied in any data-available order; unread wires are traced out
+    at the end, and unread node out-wires become identity (discarded) legs.
     """
     current = initial_state
     open_primal: dict[str, SystemLabel] = {s.name: s for s in initial_state.systems}
@@ -560,19 +533,15 @@ def comb_from_circuit(initial_state: LabeledOperator, channels, node_slots) -> P
         for kind, item in pending:
             if kind == "slot":
                 node, in_wire, out_wire = item
-                if in_wire in open_primal:
-                    w = open_primal.pop(in_wire)
-                    if w.dim != node.d_in:
-                        raise ValueError(f"wire {in_wire!r} has dim {w.dim}, node needs {node.d_in}")
-                    current = split_system(current, (in_wire, False), [node.in_system])
-                elif in_wire in virtual:
-                    src = virtual.pop(in_wire)
-                    if src.d_out != node.d_in:
-                        raise ValueError("direct wiring needs matching dimensions")
-                    current = tensor(current, _identity_cj(node.in_system, src.out_dual))
-                else:
+                if in_wire in virtual:
+                    raise ValueError(f"slot {node.name!r} reads {in_wire!r}, a node out-wire that only a channel may read")
+                if in_wire not in open_primal:
                     remaining.append((kind, item))
                     continue
+                w = open_primal.pop(in_wire)
+                if w.dim != node.d_in:
+                    raise ValueError(f"wire {in_wire!r} has dim {w.dim}, node needs {node.d_in}")
+                current = split_system(current, (in_wire, False), [node.in_system])
                 fresh(out_wire)
                 virtual[out_wire] = node
                 progress = True

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from causalproc import (
+    ChannelOperator,
     LabeledOperator,
     LinearMap,
     QuantumNode,
@@ -12,9 +13,13 @@ from causalproc import (
     channel_influence_residual,
     channel_no_influence,
     cj_from_kraus,
+    influence_residuals,
     input_signals,
     instrument_from_kraus,
+    make_bw_extension,
+    make_switch,
     preparation_instrument,
+    random_unitary_chain,
     readout_instrument,
     tensor,
 )
@@ -95,6 +100,22 @@ def test_influence_pattern_of_swap():
     assert channel_influence_residual(ch, "a", "d") > 0.1
     assert channel_influence_residual(ch, "b", "c") > 0.1
     assert channel_no_influence(ch, "a", "c")
+
+
+def test_influence_residuals_match_the_per_pair_residual_bitwise(switch_up, bw_up, rng):
+    a, b, c, d = (SystemLabel(s, 2) for s in ("a", "b", "c", "d"))
+    cnot = channel_from_unitary(LinearMap(CNOT, (a, b), (c, d)))
+    dense_cnot = ChannelOperator(LabeledOperator(cnot.op.systems, cnot.op.matrix), cnot.outputs, cnot.inputs)
+    chain = random_unitary_chain(2, rng)
+    channels = [switch_up.channel, bw_up.channel, chain.channel, cnot, dense_cnot]
+    assert {ch.op._coo is None for ch in channels} == {True, False}
+    for ch in channels:
+        matrix = influence_residuals(ch)
+        # the process channels have one-dimensional legs (P.in, F.out) to skip
+        pairs = {(i.name, o.name) for o in ch.outputs for i in ch.inputs if i.dim > 1 and o.dim > 1}
+        assert set(matrix) == pairs
+        for i, o in pairs:
+            assert matrix[(i, o)].hex() == channel_influence_residual(ch, i, o).hex(), (i, o)
 
 
 def test_input_signals_identity_vs_constant(rng):

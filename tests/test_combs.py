@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from causalproc import (
     conditional_process,
     distance,
     is_isometric,
+    make_mix_example,
     measure_prepare_element,
     process_operator,
     reorder,
@@ -23,7 +26,9 @@ from causalproc import (
     unitary_causal_separability,
     validate_process,
     verify_decomposition,
+    write_process_file,
 )
+from causalproc.cli import main
 from causalproc.exemplars import random_unitary_chain
 from causalproc.rand import haar_unitary, random_state
 
@@ -36,6 +41,15 @@ def one_way_comb(rng, first="A", second="B"):
     )
     n1, n2 = QuantumNode(first, 2, 2), QuantumNode(second, 2, 2)
     return comb_from_circuit(init, [ch], [(n1, "w0", "wX"), (n2, "w1", "wY")])
+
+
+def order_mixture(rng):
+    """0.37 times an A-before-B comb plus 0.63 times a B-before-A comb."""
+    ab = one_way_comb(rng, "A", "B")
+    ba = one_way_comb(rng, "B", "A")
+    w = 0.37
+    mixed = w * ab.op.matrix + (1 - w) * reorder(ba.op, ab.op.systems).matrix
+    return process_operator(ab.nodes, LabeledOperator(ab.op.systems, mixed))
 
 
 def test_comb_check_chain_orders(rng):
@@ -102,11 +116,7 @@ def test_bipartite_separability_fast_path(rng):
 
 
 def test_bipartite_separability_of_mixture(rng):
-    ab = one_way_comb(rng, "A", "B")
-    ba = one_way_comb(rng, "B", "A")
-    w = 0.37
-    mixed = w * ab.op.matrix + (1 - w) * reorder(ba.op, ab.op.systems).matrix
-    sigma = process_operator(ab.nodes, LabeledOperator(ab.op.systems, mixed))
+    sigma = order_mixture(rng)
     assert validate_process(sigma).valid
     sv = bipartite_separability(sigma, tol=1e-6, max_iter=5000)
     assert sv.separable
@@ -122,6 +132,27 @@ def test_bipartite_separability_of_mixture(rng):
             continue
         part = process_operator(sigma.nodes, LabeledOperator(comp.systems, comp.matrix * (4.0 / tr)))
         assert comb_check(part, order, tol=1e-4).accepted
+
+
+def test_separability_cli_exits_four_without_a_verdict(rng, tmp_path, capsys):
+    """An inconclusive search is no verdict (exit 4), not a negative one (exit 1)."""
+    path = tmp_path / "orders.json"
+    write_process_file(path, order_mixture(rng))
+    assert main(["separability", "--max-iter", "1", str(path)]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["iterations"]) == ("inconclusive", 1)
+    assert main(["separability", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "separable"
+    mix = tmp_path / "mix.json"
+    write_process_file(mix, make_mix_example())
+    assert main(["separability", "--max-iter", "1", str(mix)]) == 0
+
+
+def test_comb_from_circuit_rejects_a_slot_fed_by_a_slot(rng):
+    init = LabeledOperator((SystemLabel("w0", 2),), random_state(2, rng))
+    slots = [(QuantumNode("A", 2, 2), "w0", "w1"), (QuantumNode("B", 2, 2), "w1", "w2")]
+    with pytest.raises(ValueError, match="only a channel may read"):
+        comb_from_circuit(init, [], slots)
 
 
 def test_bipartite_separability_of_conditioned_reduced_switch(reduced_switch, rng):

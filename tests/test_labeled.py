@@ -8,7 +8,6 @@ from causalproc import (
     LinearMap,
     SystemLabel,
     cj_operator,
-    close,
     compose_maps,
     distance,
     dual,
