@@ -16,12 +16,9 @@ from causalproc import (
     influence_residuals,
     input_signals,
     instrument_from_kraus,
-    make_bw_extension,
-    make_switch,
     preparation_instrument,
     random_unitary_chain,
     readout_instrument,
-    tensor,
 )
 from causalproc.rand import (
     haar_unitary,

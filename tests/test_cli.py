@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalproc import LabeledOperator, cli, embed, make_mix_example, process_operator, write_process_file
+from causalproc import (
+    ClassicalNode,
+    DeterministicProcess,
+    LabeledOperator,
+    cli,
+    embed,
+    make_mix_example,
+    process_operator,
+    write_process_file,
+)
 from causalproc.cli import EXEMPLAR_NAMES, main
 
 
@@ -278,3 +287,126 @@ def test_zero_tolerance_and_one_iteration_are_accepted(tmp_path, capsys):
     assert json.loads(out)["tol"] == 0.0
     _, out, _ = run(capsys, "separability", "--max-iter", "1", str(path))
     assert json.loads(out)["max_iter"] == 1
+
+
+def exemplar_file(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    assert run(capsys, "exemplar", name, "--out", str(path))[0] == 0
+    return str(path)
+
+
+def test_comb_search_prints_the_order_found_and_its_residuals(tmp_path, capsys):
+    code, out, _ = run(capsys, "comb", "--search", exemplar_file(capsys, tmp_path, "mix"))
+    assert code == 0
+    report = json.loads(out)
+    assert report["found"] == ["B", "A"]
+    assert len(report["residuals"]) == 2
+    assert max(report["residuals"]) < 1e-9
+
+
+def test_validate_lists_psd_and_type_failures(tmp_path, capsys):
+    # A large Z on A's output alone: a forbidden type that also breaks positivity.
+    sigma = make_mix_example()
+    z = LabeledOperator((sigma.op.system("A.out"),), np.diag([3.0, -3.0]).astype(complex))
+    bad = process_operator(sigma.nodes, sigma.op + embed(z, sigma.op.systems))
+    path = tmp_path / "forbidden.json"
+    write_process_file(path, bad)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["failed_conditions"] == ["positive-semidefinite", "allowed-types"]
+    assert report["psd_ok"] is False
+    assert report["offending_types"]
+
+
+def test_validate_reports_a_classical_table(tmp_path, capsys):
+    code, out, _ = run(capsys, "validate", exemplar_file(capsys, tmp_path, "af-classical"))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["kind"], report["valid"]) == ("classical", True)
+    assert report["tuples_checked"] > 0
+
+
+def test_quantum_commands_quantize_a_classical_table(tmp_path, capsys):
+    path = exemplar_file(capsys, tmp_path, "af-classical")
+    code, out, _ = run(capsys, "discover", path)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["vertices"], report["cyclic"]) == (["A", "B", "C"], True)
+    code, out, _ = run(capsys, "comb", "--search", path)
+    assert code == 1
+    assert json.loads(out)["found"] is None
+    nodes = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))
+    a, _ = np.indices((2, 2), dtype=np.int64)
+    chain = tmp_path / "chain.json"
+    write_process_file(chain, DeterministicProcess(nodes, np.stack([np.zeros_like(a), a], axis=-1)).to_classical())
+    code, out, _ = run(capsys, "separability", str(chain))
+    assert code == 0
+    assert json.loads(out)["status"] == "separable"
+
+
+def test_classical_command_on_a_quantum_file_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "classical", "polytope", exemplar_file(capsys, tmp_path, "mix"))
+    assert (code, out) == (2, "")
+    assert err == "error: this command needs a classical process file\n"
+
+
+def test_classical_extend_outside_the_hull_exits_one(tmp_path, capsys):
+    code, out, _ = run(capsys, "classical", "extend", exemplar_file(capsys, tmp_path, "counterexample"))
+    assert code == 1
+    report = json.loads(out)
+    assert report["inside"] is False
+    assert report["message"] == "process lies outside the deterministic hull; no reversible extension"
+    assert "out" not in report
+
+
+ENVELOPE = ("command", "input", "sha256", "tol")
+
+
+def test_every_command_reports_deterministically(tmp_path, capsys, bad_docs, monkeypatch):
+    """Each command, run twice, prints the same report once ``runtime_s`` is
+    dropped; file-reading reports open with the envelope keys in order; usage
+    and internal failures print nothing on stdout."""
+    files = {name: exemplar_file(capsys, tmp_path, name) for name in EXEMPLAR_NAMES}
+    exports = [("exemplar", name, "--out", str(tmp_path / f"again-{name}.json")) for name in EXEMPLAR_NAMES]
+    reading = [("validate", f) for f in files.values()]
+    reading += [("discover", files[n], "--dot", str(tmp_path / f"{n}.dot")) for n in ("switch", "af", "mix")]
+    reading += [("comb", "--order", order, files["mix"]) for order in ("A,B", "B,A")]
+    reading += [("comb", "--search", files[n]) for n in ("switch", "af", "mix", "af-classical")]
+    reading += [("separability", files["mix"])]
+    reading += [("classical", sub, files[n]) for sub in ("validate", "quantize")
+                for n in ("af-classical", "classical-switch", "counterexample")]
+    # classical-switch has 2^64 candidate functions, beyond the enumeration budget
+    reading += [("classical", "polytope", files[n]) for n in ("af-classical", "counterexample")]
+    reading += [("classical", "extend", files[n], "--out", str(tmp_path / f"ext-{n}.json"))
+                for n in ("af-classical", "counterexample")]
+    for argv in exports + reading:
+        reports = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code in (0, 1), argv
+            report = json.loads(out)
+            assert isinstance(report.pop("runtime_s"), float), argv
+            reports.append((code, report))
+        assert reports[0] == reports[1], argv
+        keys = list(reports[0][1])
+        if argv in reading:
+            assert keys[:4] == list(ENVELOPE), argv
+        else:
+            assert keys == ["command", "name", "out", "sha256"], argv
+
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(next(iter(bad_docs.values()))))
+    for argv in [("validate", str(broken)), ("classical", "validate", files["mix"]),
+                 ("exemplar", "quux"), ("discover", files["mix"], "--dot", str(tmp_path))]:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+    with pytest.raises(SystemExit):
+        main(["comb", files["mix"]])
+    assert capsys.readouterr().out == ""
+
+    def broken_search(*args, **kwargs):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(cli, "comb_search", broken_search)
+    assert run(capsys, "comb", "--search", files["mix"])[:2] == (3, "")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from causalproc import (
-    LabeledOperator,
     af_causal_graph,
     bw_decomposition,
     causal_structure_deterministic,

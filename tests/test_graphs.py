@@ -18,7 +18,6 @@ from causalproc import (
     discover,
     faithfulness_check,
     identity_operator,
-    input_signals,
     make_unitary_process,
     markov_check,
     process_operator,
