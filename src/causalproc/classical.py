@@ -118,10 +118,15 @@ class DeterministicProcess:
 
     def to_classical(self) -> ClassicalProcess:
         """The 0/1 table kappa(ins, outs) = [ins == f(outs)]."""
-        table = np.zeros(_interleaved_shape(self.nodes))
-        outs = np.indices(self.function.shape[:-1])
-        table[_interleaved_index(self.function, outs)] = 1.0
-        return ClassicalProcess(self.nodes, table)
+        return ClassicalProcess(self.nodes, _deterministic_tables(self.nodes, self.function[None])[0])
+
+
+def _deterministic_tables(nodes, funcs: np.ndarray) -> np.ndarray:
+    """The 0/1 tables [ins == f(outs)] of a batch ``funcs`` of functions, stacked on axis 0."""
+    grids = np.indices(funcs.shape[:-1])
+    tables = np.zeros((len(funcs),) + _interleaved_shape(nodes))
+    tables[(grids[0],) + _interleaved_index(funcs, grids[1:])] = 1.0
+    return tables
 
 
 def _product_rows(card: int, length: int) -> np.ndarray:
@@ -339,48 +344,141 @@ def enumerate_deterministic_processes(nodes, budget: int = 2**24) -> list[Determ
     return [DeterministicProcess(nodes, f.reshape(out_cards + (n,))) for f in funcs]
 
 
+_LP_TOL = 1e-9
+_LP_MAX_PIVOTS = 20_000
+
+
+def _simplex(c, a, b, basis=None):
+    """Minimize c @ x subject to a @ x = b and x >= 0 with a dense revised simplex.
+
+    ``basis`` names one column per row, giving a nonsingular square block
+    whose basic solution is nonnegative. Without one, a phase I from one
+    artificial column per row finds a basis, and rows whose artificial cannot
+    leave it are redundant and dropped. Pricing is Devex. The ratio test
+    breaks ties lexicographically against the starting basis, which is the
+    simplex method on b perturbed by that basis times (eps, eps**2, ...), so
+    no basis repeats and the method ends; more than ``_LP_MAX_PIVOTS``
+    pivots raise RuntimeError. Returns (status, x), status being "optimal",
+    "infeasible" or "unbounded" and x None unless optimal; an optimal x is
+    solved again from the rows of ``a`` and ``b`` that were kept.
+    """
+    c, a, b = (np.asarray(z, dtype=float) for z in (c, a, b))
+    m, n = a.shape
+    used = 0
+    if basis is None:
+        sign = np.where(b < 0, -1.0, 1.0)
+        a1 = np.hstack([a * sign[:, None], np.eye(m)])
+        basis = np.arange(n, n + m)
+        _, used = _simplex_run(np.concatenate([np.zeros(n), np.ones(m)]), a1, b * sign, basis, _LP_MAX_PIVOTS)
+        binv = np.linalg.inv(a1[:, basis])
+        if (binv @ (b * sign))[basis >= n].sum() > _LP_TOL * max(1.0, float(np.abs(b).max())):
+            return "infeasible", None
+        keep = np.ones(m, dtype=bool)
+        for r in np.flatnonzero(basis >= n):
+            row = np.abs(binv[r] @ a1[:, :n])
+            if row.max() > _LP_TOL:
+                basis[r] = int(row.argmax())
+                binv = np.linalg.inv(a1[:, basis])
+            else:
+                keep[r] = False
+        a, b, basis = a[keep], b[keep], basis[keep]
+    basis = np.array(basis)
+    status, _ = _simplex_run(c, a, b, basis, _LP_MAX_PIVOTS - used)
+    if status != "optimal":
+        return status, None
+    x = np.zeros(n)
+    x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)
+    return status, x
+
+
+def _simplex_run(c, a, b, basis, max_pivots: int) -> tuple[str, int]:
+    """Pivot ``basis`` in place to an optimal one, or stop at an unbounded
+    ray; returns "optimal" or "unbounded" and the number of pivots made.
+
+    The inverse of the basis is updated by one elimination per pivot and
+    computed afresh every 64 pivots and before optimality is declared.
+    """
+    start = a[:, basis]
+    weights = np.ones(a.shape[1])
+    pivots = updates = 0
+    binv = None
+    while True:
+        if binv is None or updates == 64:
+            binv = np.linalg.inv(a[:, basis])
+            lex = binv @ start
+            xb = binv @ b
+            updates = 0
+        d = c - (c[basis] @ binv) @ a
+        improving = d < -_LP_TOL
+        if not improving.any():
+            if updates:
+                binv = None
+                continue
+            return "optimal", pivots
+        j = int(np.where(improving, d * d / weights, -1.0).argmax())
+        alpha = binv @ a[:, j]
+        rows = np.flatnonzero(alpha > _LP_TOL)
+        if rows.size == 0:
+            return "unbounded", pivots
+        ratio = xb[rows] / alpha[rows]
+        tied = rows[ratio <= ratio.min() + _LP_TOL]
+        # lexicographic tie-break on the rows of binv @ start, in units of the tolerance
+        keys = np.round(lex[tied] / (alpha[tied, None] * _LP_TOL))
+        r = int(tied[np.lexsort(keys.T[::-1])[0]])
+        if pivots == max_pivots:
+            raise RuntimeError(f"simplex pivot limit {max_pivots} reached")
+        pivots += 1
+        # Devex reference weights
+        ratio_row = (binv[r] @ a) / alpha[r]
+        weights = np.maximum(weights, ratio_row**2 * weights[j])
+        weights[basis[r]] = max(weights[j] / alpha[r] ** 2, 1.0)
+        eta = alpha / alpha[r]
+        eta[r] = 1.0 - 1.0 / alpha[r]
+        binv -= np.outer(eta, binv[r])
+        lex -= np.outer(eta, lex[r])
+        xb -= eta * xb[r]
+        basis[r] = j
+        updates += 1
+
+
 @dataclass(frozen=True)
 class PolytopeVerdict:
     inside: bool
-    weights: np.ndarray | None
+    weights: np.ndarray
     residual: float
 
 
 def polytope_membership(kp: ClassicalProcess, vertices=None, tol: float = 1e-8, budget: int = 2**24) -> PolytopeVerdict:
     """Is the table a convex combination of deterministic processes?
 
-    Solves an exact feasibility LP; on failure, a second LP reports the
-    minimal L1 distance to the hull. ``vertices`` defaults to the full
-    enumeration for the node signature.
+    Solves one LP for the L1 distance from the table p to the hull of the
+    vertex tables V: minimize sum(u + w) subject to V q - u + w = p,
+    sum(q) = 1 and q, u, w >= 0. The simplex starts at the vertex nearest p
+    in L1, with u or w basic in each row by the sign of that vertex's
+    residual, so a vertex table is optimal at once. The table is ``inside``
+    iff the optimum is at most max(tol, 1e-7); ``residual`` is then
+    max|V q - p|, and otherwise the optimum. ``weights`` is q.
+    ``vertices`` defaults to the full enumeration for the node signature.
     """
     if vertices is None:
         vertices = enumerate_deterministic_processes(kp.nodes, budget)
-    # Imported after the budget check: scipy.optimize is slow to load.
-    from scipy.optimize import linprog
-    v = np.stack([vert.to_classical().table.reshape(-1) for vert in vertices], axis=1)
+    v = _deterministic_tables(kp.nodes, np.stack([vert.function for vert in vertices]))
+    v = v.reshape(len(vertices), -1).T
     target = kp.table.reshape(-1)
-    nv = v.shape[1]
-
-    a_eq = np.vstack([v, np.ones((1, nv))])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(np.zeros(nv), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status == 0:
-        w = res.x
-        resid = float(np.abs(v @ w - target).max())
-        if resid <= max(tol, 1e-7):
-            return PolytopeVerdict(True, w, resid)
-
-    # L1 projection: min sum(t) s.t. -t <= Vq - target <= t, sum q = 1, q,t >= 0
-    m = v.shape[0]
-    c = np.concatenate([np.zeros(nv), np.ones(m)])
-    a_ub = np.block([[v, -np.eye(m)], [-v, -np.eye(m)]])
-    b_ub = np.concatenate([target, -target])
-    a_eq2 = np.concatenate([np.ones(nv), np.zeros(m)])[None, :]
-    res2 = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq2, b_eq=[1.0], bounds=(0, None), method="highs")
-    if res2.status != 0:
-        raise RuntimeError(f"distance LP failed: {res2.message}")
-    w = res2.x[:nv]
-    return PolytopeVerdict(False, w, float(res2.fun))
+    m, nv = v.shape
+    eye = np.eye(m)
+    a = np.block([[v, -eye, eye], [np.ones((1, nv)), np.zeros((1, 2 * m))]])
+    c = np.concatenate([np.zeros(nv), np.ones(2 * m)])
+    nearest = int(np.abs(v - target[:, None]).sum(axis=0).argmin())
+    slacks = np.where(target >= v[:, nearest], nv + m, nv) + np.arange(m)
+    status, x = _simplex(c, a, np.append(target, 1.0), np.append(slacks, nearest))
+    if x is None:
+        raise RuntimeError(f"distance LP ended {status}")
+    w = x[:nv]
+    distance = float(c @ x)
+    if distance <= max(tol, 1e-7):
+        return PolytopeVerdict(True, w, float(np.abs(v @ w - target).max()))
+    return PolytopeVerdict(False, w, distance)
 
 
 @dataclass(frozen=True)
@@ -459,6 +557,17 @@ def reversible_extension(mixture) -> ReversibleExtension:
     return ReversibleExtension(ext, dist, base)
 
 
+def _normalization_rows(nodes, budget: int) -> np.ndarray:
+    """The validity constraints as rows over the flat table: one per tuple of
+    local maps, the outer product of the instruments, each row summing to one."""
+    instruments = _local_instruments(nodes, budget)
+    n = len(nodes)
+    operands = []
+    for i, inst in enumerate(instruments):
+        operands += [inst, [i, n + 2 * i + 1, n + 2 * i]]
+    return np.einsum(*operands, list(range(3 * n))).reshape(-1, int(np.prod(_interleaved_shape(nodes))))
+
+
 def find_process_outside_hull(nodes, budget: int = 2**24, seed: int = 0, attempts: int = 64):
     """A valid classical process outside the deterministic hull, found by LP.
 
@@ -468,18 +577,11 @@ def find_process_outside_hull(nodes, budget: int = 2**24, seed: int = 0, attempt
     attempted vertex is deterministic-decomposable (possible when the two
     sets coincide).
     """
-    from scipy.optimize import linprog  # imported on first use: scipy.optimize is slow to load
-
     nodes = tuple(nodes)
+    n = len(nodes)
     shape = _interleaved_shape(nodes)
     size = int(np.prod(shape))
-    # one normalization row per tuple of local maps: the outer product of the instruments
-    instruments = _local_instruments(nodes, budget)
-    n = len(nodes)
-    operands = []
-    for i, inst in enumerate(instruments):
-        operands += [inst, [i, n + 2 * i + 1, n + 2 * i]]
-    a_eq = np.einsum(*operands, list(range(3 * n))).reshape(-1, size)
+    a_eq = _normalization_rows(nodes, budget)
     b_eq = np.ones(len(a_eq))
 
     vertices = enumerate_deterministic_processes(nodes, budget)
@@ -502,10 +604,9 @@ def find_process_outside_hull(nodes, budget: int = 2**24, seed: int = 0, attempt
         directions.append(rng.normal(size=size))
 
     for c in directions:
-        res = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        if res.status != 0:
+        _, x = _simplex(-c, a_eq, b_eq)
+        if x is None:
             continue
-        x = np.clip(res.x, 0.0, None)
         kp = ClassicalProcess(nodes, x.reshape(shape))
         verdict = polytope_membership(kp, vertices)
         if not verdict.inside and verdict.residual > 1e-7:

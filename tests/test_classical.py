@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from causalproc import cli
 from causalproc import (
     ClassicalNode,
     ClassicalProcess,
@@ -268,3 +269,23 @@ def test_budget_rejected_polytope_call_does_not_import_the_lp_solver():
     code = BUDGET_REJECTED.format(src=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+HULL_COMMANDS_IN_FRESH_PROCESS = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from causalproc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["classical", "polytope", {cx!r}]), cli.main(["classical", "extend", {af!r}])]
+print("scipy" in sys.modules, *codes)
+"""
+
+
+def test_polytope_and_extend_do_not_import_scipy(tmp_path, capsys):
+    cx, af = str(tmp_path / "counterexample.json"), str(tmp_path / "af-classical.json")
+    assert cli.main(["exemplar", "counterexample", "--out", cx]) == 0
+    assert cli.main(["exemplar", "af-classical", "--out", af]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = HULL_COMMANDS_IN_FRESH_PROCESS.format(src=src, cx=cx, af=af)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "1", "0"]
