@@ -204,7 +204,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
         raise ProcessFileError(f"duplicate node names: {names}")
 
     graph = _parse_graph(doc["graph"]) if "graph" in doc else None
-    metadata = doc.get("metadata") or {}
+    metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ProcessFileError("metadata must be an object")
 

@@ -5,6 +5,8 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channels import ChannelOperator, cj_from_kraus, input_signals
@@ -20,12 +22,20 @@ __all__ = [
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary matrix."""
+    """Haar-distributed d x d unitary matrix.
+
+    QR of a complex Ginibre matrix with the phases of R's diagonal moved into
+    Q (Mezzadri, math-ph/0609050). For d > 1 the draw is bitwise what SciPy's
+    ``stats.unitary_group.rvs(d, random_state=rng)`` returns, and it leaves
+    ``rng`` in the same state.
+    """
     if d == 1:
         return np.exp(2j * np.pi * rng.random()) * np.ones((1, 1))
-    from scipy.stats import unitary_group  # imported on first use: scipy.stats is slow to load
-
-    return unitary_group.rvs(d, random_state=rng)
+    z = 1 / math.sqrt(2) * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    q, r = np.linalg.qr(z)
+    ph = r.diagonal()
+    q *= (ph / abs(ph))[np.newaxis, :]
+    return q
 
 
 def random_state(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

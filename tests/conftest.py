@@ -49,9 +49,9 @@ def rng():
 
 @pytest.fixture(scope="session")
 def bad_docs():
-    """Process-file documents that each break one header, sparse-payload or
-    graph rule, by name; all are the mix exemplar's sparse document with one
-    entry replaced, or two for the oversized dense payload."""
+    """Process-file documents that each break one header, sparse-payload,
+    graph or metadata rule, by name; all are the mix exemplar's sparse
+    document with one entry replaced, or two for the oversized dense payload."""
     good = process_to_dict(make_mix_example())
     index, values = good["payload"]["index"], good["payload"]["values"]
     side = 16
@@ -84,6 +84,7 @@ def bad_docs():
         "bool format_version": setting("format_version", value=True),
         "float format_version": setting("format_version", value=1.0),
         "unhashable graph vertex": setting("graph", value={"vertices": [["A"]], "edges": []}),
+        **{f"metadata {value!r}": setting("metadata", value=value) for value in (0, False, "", [], None, "x", [1])},
         # 16385 x 16385 complex entries would need more than 2**32 bytes
         "oversized declared side, dense payload": {
             **setting("nodes", value=[{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}]),

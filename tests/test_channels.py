@@ -51,6 +51,19 @@ def test_cj_from_kraus_agrees_with_unitary(rng):
     assert np.abs(ch1.op.matrix - ch2.op.matrix).max() < 1e-12
 
 
+def test_haar_unitary_draws_bitwise_what_scipy_draws():
+    from scipy.stats import unitary_group  # the oracle; slow to import, so only here
+
+    for d in (2, 3, 4, 8, 16, 32):
+        for seed in range(10):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = haar_unitary(d, ours)
+            v = unitary_group.rvs(d, random_state=theirs)
+            assert u.shape == v.shape == (d, d)
+            assert np.array_equal(u.view(float).view(np.uint64), v.view(float).view(np.uint64)), (d, seed)
+            assert ours.random() == theirs.random(), (d, seed)
+
+
 def test_random_cptp_trace_preserving(rng):
     kraus = random_cptp(2, 3, rng)
     acc = sum(k.conj().T @ k for k in kraus)

@@ -219,40 +219,53 @@ def test_internal_failure_exits_three_with_one_json_line(tmp_path, capsys, monke
     assert json.loads(err) == {"error": "eigenvalues did not converge", "type": "LinAlgError"}
 
 
-VALIDATE_IN_FRESH_PROCESS = """
-import sys
+WITHOUT_SCIPY_OR_NETWORKX = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = sys.modules["networkx"] = None  # importing either now raises ImportError
 sys.path.insert(0, {src!r})
+import numpy as np
+import causalproc as cp
 from causalproc import cli
-code = cli.main(["validate", {path!r}])
-print("scipy" in sys.modules, code)
+
+rng = np.random.default_rng(0)
+assert cp.haar_unitary(4, rng).shape == (4, 4)
+assert cp.random_unitary_chain(3, rng).nodes
+assert len(cp.random_cptp(2, 3, rng)) == 2
+try:
+    cp.polytope_membership(cp.make_classical_switch(2).to_classical(), budget=1)
+except ValueError as exc:
+    assert "exceed the budget" in str(exc)
+else:
+    raise AssertionError("the budget did not reject the call")
+codes = []
+for command in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(command.split()))
+print(json.dumps(codes))
 """
 
 
-def test_validate_does_not_import_scipy(tmp_path, capsys):
-    path = tmp_path / "switch.json"
-    assert run(capsys, "exemplar", "switch", "--out", str(path))[0] == 0
+def test_runs_without_scipy_or_networkx(tmp_path):
+    # discover on bw-extension is left out: it alone takes seconds
+    expected = {
+        **{f"exemplar {n}": 0 for n in EXEMPLAR_NAMES},
+        **{f"validate {n}.json": 1 if n == "counterexample" else 0 for n in EXEMPLAR_NAMES},
+        **{f"comb --search {n}.json": 0 if n == "mix" else 1 for n in EXEMPLAR_NAMES},
+        "comb --order A,B mix.json": 0,
+        **{f"discover {n}.json": 0 for n in EXEMPLAR_NAMES if n != "bw-extension"},
+        "separability mix.json": 0,
+        **{
+            f"classical {sub} {n}.json": 1 if n == "counterexample" else 0
+            for sub in ("validate", "polytope", "extend", "quantize")
+            for n in ("af-classical", "counterexample")
+        },
+    }
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = VALIDATE_IN_FRESH_PROCESS.format(src=src, path=str(path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.splitlines()[-1] == "False 0"
-
-
-DISCOVER_IN_FRESH_PROCESS = """
-import sys
-sys.path.insert(0, {src!r})
-from causalproc import cli
-code = cli.main(["discover", {path!r}])
-print("networkx" in sys.modules, code)
-"""
-
-
-def test_discover_does_not_import_networkx(tmp_path, capsys):
-    path = tmp_path / "switch.json"
-    assert run(capsys, "exemplar", "switch", "--out", str(path))[0] == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = DISCOVER_IN_FRESH_PROCESS.format(src=src, path=str(path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.splitlines()[-1] == "False 0"
+    code = WITHOUT_SCIPY_OR_NETWORKX.format(src=src, commands=list(expected))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert dict(zip(expected, json.loads(out.stdout.splitlines()[-1]))) == expected
 
 
 @pytest.mark.parametrize(
