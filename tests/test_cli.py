@@ -268,6 +268,42 @@ def test_runs_without_scipy_or_networkx(tmp_path):
     assert dict(zip(expected, json.loads(out.stdout.splitlines()[-1]))) == expected
 
 
+VALIDATE_IN_FRESH_PROCESS = """
+import sys
+sys.path.insert(0, {src!r})
+from causalproc import cli
+code = cli.main(["validate", {path!r}])
+print("scipy" in sys.modules, code)
+"""
+
+
+def test_validate_does_not_import_scipy(tmp_path, capsys):
+    path = tmp_path / "switch.json"
+    assert run(capsys, "exemplar", "switch", "--out", str(path))[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = VALIDATE_IN_FRESH_PROCESS.format(src=src, path=str(path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "False 0"
+
+
+DISCOVER_IN_FRESH_PROCESS = """
+import sys
+sys.path.insert(0, {src!r})
+from causalproc import cli
+code = cli.main(["discover", {path!r}])
+print("networkx" in sys.modules, code)
+"""
+
+
+def test_discover_does_not_import_networkx(tmp_path, capsys):
+    path = tmp_path / "switch.json"
+    assert run(capsys, "exemplar", "switch", "--out", str(path))[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = DISCOVER_IN_FRESH_PROCESS.format(src=src, path=str(path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "False 0"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
