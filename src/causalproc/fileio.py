@@ -27,7 +27,7 @@ import numpy as np
 
 from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess
 from .graphs import DirectedGraph, UnitaryProcess, directed_graph
-from .labeled import LabeledOperator, _from_entries, sorted_coo
+from .labeled import MAX_DENSE_BYTES, LabeledOperator, _from_entries, sorted_coo
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
 
 FORMAT_VERSION = 2
 READ_VERSIONS = (1, 2)
-# Bytes a declared quantum operator may need: a dense one up to side 16384 at 16 B an entry.
-MAX_DENSE_BYTES = 2**32
 # A sparse payload allocates no side x side array; validating it (process._blocks)
 # peaks at about a dozen int64 arrays of one entry per row, bounded here by 16.
 # So side <= 2**25, and every flat index (below side**2) fits in an int64.

@@ -272,12 +272,13 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
             ok = False
 
     ops = {name: factors[name].op for name in factors}
+    norms = {name: float(np.linalg.norm(op.matrix)) for name, op in ops.items()}
     comm = {}
     names = [n.name for n in sigma.nodes]
     for a, b in itertools.combinations(names, 2):
         x = product([ops[a], ops[b]])
         y = product([ops[b], ops[a]])
-        scale = max(1.0, float(np.linalg.norm(ops[a].matrix)) * float(np.linalg.norm(ops[b].matrix)))
+        scale = max(1.0, norms[a] * norms[b])
         res = float(np.linalg.norm(x.matrix - x._aligned(y))) / scale
         comm[(a, b)] = res
         if res > tol:

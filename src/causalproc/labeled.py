@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Bytes one dense kernel or a declared operator may need: side 16384 at 16 B an entry.
+MAX_DENSE_BYTES = 2**32
+
 __all__ = [
     "SystemLabel",
     "LabeledOperator",
@@ -395,16 +398,22 @@ def embed(op: LabeledOperator, systems) -> LabeledOperator:
     missing = [s for s in systems if s.key not in have]
     if len(have - {s.key for s in systems}) > 0:
         raise ValueError("target systems must contain the operator's systems")
-    padded = tensor(op, identity_operator(missing)) if missing else op
+    # The identity on dimension-1 systems is [[1]]: they only relabel the matrix.
+    trivial = math.prod(s.dim for s in missing) == 1
+    padded = _relabeled(op, op.systems + tuple(missing)) if trivial else tensor(op, identity_operator(missing))
     return reorder(padded, systems)
 
 
 def product(ops, systems=None) -> LabeledOperator:
     """Matrix product of operators embedded in a common system set.
 
-    ``systems`` fixes the output order; by default the union in first-seen order.
-    Each factor after the first is contracted on its own axes of the running
-    product; no factor is embedded into the full space except the first.
+    ``systems`` fixes the output order; by default the union in first-seen
+    order. The factors are multiplied left to right, each step only on the
+    union of the two operands' systems: with U the running product's own
+    systems, O the shared ones and V the factor's own, one contraction over
+    O gives ``R[u o v, u' o'' v'] = sum_p x[u o, u' p] y[p v, o'' v']`` at
+    |U O V|**2 * |O| flops. Only the final result is padded with identities
+    on the systems no factor touches and put in the order of ``systems``.
     """
     ops = list(ops)
     if systems is None:
@@ -413,34 +422,36 @@ def product(ops, systems=None) -> LabeledOperator:
             for s in op.systems:
                 seen.setdefault(s.key, s)
         systems = tuple(seen.values())
-    systems = tuple(systems)
-    m = None
-    for op in ops:
-        m = _right_multiply_embedded(m, op, systems)
-    if m is None:
+    if not ops:
         return identity_operator(systems)
-    return LabeledOperator(systems, m)
+    m = ops[0]
+    for op in ops[1:]:
+        m = _multiply(m, op)
+    return embed(m, systems)
 
 
-def _right_multiply_embedded(m, op: LabeledOperator, systems) -> np.ndarray:
-    """``m @ embed(op, systems).matrix`` without forming the embedding.
-
-    ``m`` may be None, standing for the identity on ``systems``.
+def _multiply(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
+    """``x @ y`` on the union of their systems, ordered U + O + V as in
+    ``product``; sparse operands are made dense. Raises ValueError when a
+    shared system has two dimensions, or before allocating when the dense
+    operands, the contraction and its transposed copy exceed ``MAX_DENSE_BYTES``.
     """
-    have = {s.key for s in systems}
-    if any(s.key not in have for s in op.systems):
-        raise ValueError("target systems must contain the operator's systems")
-    if m is None:
-        return embed(op, systems).matrix
-    keys = {s.key for s in op.systems}
-    pos = [i for i, s in enumerate(systems) if s.key in keys]
-    a = reorder(op, [systems[i] for i in pos]).as_tensor()
-    d = m.shape[0]
-    t = m.reshape([d] + [s.dim for s in systems])
-    k = len(pos)
-    out = np.tensordot(t, a, axes=([1 + p for p in pos], list(range(k))))
-    out = np.moveaxis(out, range(out.ndim - k, out.ndim), [1 + p for p in pos])
-    return out.reshape(d, d)
+    in_y = {s.key: s for s in y.systems}
+    in_x = {s.key for s in x.systems}
+    own_x = tuple(s for s in x.systems if s.key not in in_y)
+    shared = tuple(s for s in x.systems if s.key in in_y)
+    own_y = tuple(s for s in y.systems if s.key not in in_x)
+    if any(in_y[s.key].dim != s.dim for s in shared):
+        raise ValueError(f"shared systems differ in dimension: {x.systems} and {y.systems}")
+    du, do, dv = (math.prod(s.dim for s in group) for group in (own_x, shared, own_y))
+    d = du * do * dv
+    need = 16 * ((du * do) ** 2 + (do * dv) ** 2 + 2 * d * d)
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(f"a product on {d} dims would need {need} bytes, more than {MAX_DENSE_BYTES}")
+    a = reorder(x, own_x + shared).matrix.reshape(du * do, du, do)
+    b = reorder(y, shared + own_y).matrix.reshape(do, dv, do, dv)
+    t = np.tensordot(a, b, 1).transpose(0, 2, 1, 3, 4)
+    return LabeledOperator(own_x + shared + own_y, t.reshape(d, d))
 
 
 def distance(a: LabeledOperator, b: LabeledOperator) -> float:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import norm as sparse_norm
 
 from causalproc import (
     LabeledOperator,
@@ -16,14 +19,26 @@ from causalproc import (
     causal_structure_unitary,
     directed_graph,
     discover,
+    distance,
+    embed,
     faithfulness_check,
+    identity_map,
     identity_operator,
+    make_af,
+    make_bw_extension,
+    make_mix_example,
+    make_switch,
     make_unitary_process,
     markov_check,
+    partial_trace,
     process_operator,
+    random_unitary_chain,
     tensor,
+    tensor_maps,
     validate_process,
 )
+from causalproc.graphs import marginal_factor
+from causalproc.labeled import apply_stage
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -201,3 +216,116 @@ def test_discover_chain(rng):
     g, mf = discover(sigma)
     assert set(g.edges) == {("A", "B")}
     assert mf.accepted
+
+
+def _embedded(op, systems):
+    """``embed(op, systems).matrix`` as a CSR matrix: op ⊗ 1 on the missing
+    systems, rows and columns permuted into the order of ``systems``."""
+    have = {s.key for s in op.systems}
+    padded = op.systems + tuple(s for s in systems if s.key not in have)
+    pad = math.prod(s.dim for s in padded[len(op.systems) :])
+    m = sparse.kron(sparse.csr_matrix(op.matrix), sparse.identity(pad), format="csr")
+    axis = {s.key: i for i, s in enumerate(padded)}
+    index = np.arange(m.shape[0]).reshape([s.dim for s in padded])
+    index = index.transpose([axis[s.key] for s in systems]).reshape(-1)
+    return m[index][:, index]
+
+
+def _matmul_chain(ops, systems):
+    out = sparse.identity(math.prod(s.dim for s in systems), dtype=complex, format="csr")
+    for op in ops:
+        out = out @ _embedded(op, systems)
+    return out
+
+
+def _reference_markov(sigma, graph, tol=1e-9):
+    """``markov_check`` with every product a matmul chain of full embeddings."""
+    factors = {n.name: marginal_factor(sigma, n.name, graph.parents(n.name)) for n in sigma.nodes}
+    channels = {name: f.cptp_residuals() for name, f in factors.items()}
+    ok = all(
+        r["hermitian"] <= tol and not r["min_eigenvalue"] < -tol and r["trace_preserving"] <= tol
+        for r in channels.values()
+    )
+    ops = {name: f.op for name, f in factors.items()}
+    commutators = {}
+    for a, b in itertools.combinations(ops, 2):
+        union = tuple({s.key: s for s in ops[a].systems + ops[b].systems}.values())
+        diff = _matmul_chain([ops[a], ops[b]], union) - _matmul_chain([ops[b], ops[a]], union)
+        scale = max(1.0, np.linalg.norm(ops[a].matrix) * np.linalg.norm(ops[b].matrix))
+        commutators[(a, b)] = sparse_norm(diff) / scale
+    prod = _matmul_chain(list(ops.values()), sigma.op.systems)
+    if sigma.op._coo is None:
+        target = sparse.csr_matrix(sigma.op.matrix)
+    else:
+        index, values = sigma.op._coo
+        target = sparse.csr_matrix((values, np.divmod(index, sigma.dim)), shape=(sigma.dim,) * 2)
+    residual = sparse_norm(prod - target) / max(1.0, sparse_norm(prod), sparse_norm(target))
+    ok = ok and max(commutators.values(), default=0.0) <= tol and residual <= tol
+    return ok, channels, commutators, residual
+
+
+def _permutation_chain(rng, slots=2):
+    """Chain comb P -> A -> B ... -> F whose root and stages are seeded
+    permutations of (slot wire, qubit memory)."""
+    nodes = [QuantumNode(chr(ord("A") + i), 2, 2) for i in range(slots)]
+    root, leaf = QuantumNode("P", 1, 4), QuantumNode("F", 4, 1)
+    mem = SystemLabel("mem", 2)
+
+    def perm():
+        return np.eye(4, dtype=complex)[:, rng.permutation(4)]
+
+    u = LinearMap(perm(), (root.out_system,), (nodes[0].in_system, mem))
+    for i, node in enumerate(nodes):
+        cod = (nodes[i + 1].in_system, mem) if i + 1 < slots else (leaf.in_system,)
+        u = apply_stage(tensor_maps(u, identity_map([node.out_system])), LinearMap(perm(), (node.out_system, mem), cod))
+    return make_unitary_process(nodes + [root, leaf], u).process
+
+
+def _rank_two_mixture(rng):
+    c1, c2 = (random_unitary_chain(3, rng).process for _ in range(2))
+    w = float(rng.uniform(0.2, 0.8))
+    return process_operator(c1.nodes, LabeledOperator(c1.op.systems, w * c1.op.matrix + (1 - w) * c2.op.matrix))
+
+
+def _signalling_edges(sigma, tol=1e-9):
+    """j -> i iff the marginal on A_i.in (other in-spaces traced) changes when
+    A_j's out-dual is replaced by the maximally mixed input."""
+    edges = set()
+    for i in sigma.nodes:
+        marginal = partial_trace(sigma.op, [n.in_system.key for n in sigma.nodes if n is not i])
+        for j in sigma.nodes:
+            if j is not i:
+                mixed = embed(partial_trace(marginal, [j.out_dual.key]) * (1 / j.d_out), marginal.systems)
+                if distance(marginal, mixed) > tol:
+                    edges.add((j.name, i.name))
+    return edges
+
+
+def test_markov_check_matches_matmul_of_embeddings():
+    rng = np.random.default_rng(2002)
+    cases = {
+        "switch": make_switch(2).process,
+        "af": make_af(),
+        "mix": make_mix_example(),
+        "bw-extension": make_bw_extension().process,
+        "permutation chain": _permutation_chain(rng),
+        "rank-two mixture": _rank_two_mixture(rng),
+    }
+    verdicts = set()
+    for name, sigma in cases.items():
+        graph, mf = discover(sigma)
+        assert graph.edges == _signalling_edges(sigma), name
+        for g in (graph, directed_graph(graph.vertices, [])):
+            got = mf if g is graph else markov_check(sigma, g)
+            accepted, channels, commutators, residual = _reference_markov(sigma, g)
+            assert got.accepted == accepted, name
+            verdicts.add(accepted)
+            assert got.channel_residuals.keys() == channels.keys()
+            for node, r in channels.items():
+                for key, value in r.items():
+                    np.testing.assert_allclose(got.channel_residuals[node][key], value, rtol=0, atol=1e-12)
+            assert got.commutator_residuals.keys() == commutators.keys()
+            for pair, value in commutators.items():
+                assert abs(got.commutator_residuals[pair] - value) <= 1e-12, (name, pair)
+            assert abs(got.product_residual - residual) <= 1e-12, name
+    assert verdicts == {True, False}

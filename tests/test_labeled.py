@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from causalproc import (
     identity_map,
     identity_operator,
     is_unitary,
+    labeled,
     partial_trace,
     permute_map,
     product,
@@ -25,6 +29,7 @@ from causalproc import (
     tensor_maps,
     transpose_systems,
 )
+from causalproc.labeled import MAX_DENSE_BYTES
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -120,6 +125,71 @@ def test_product_matches_dense_embedding(rng):
         y = LabeledOperator(sub, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         got = product([x, y], systems)
         assert np.abs(got.matrix - m @ embed(y, systems).matrix).max() < 1e-12
+
+
+def _random_factor(rng, pool):
+    """Dense or sorted-COO operator on a random subset of ``pool``, in random order."""
+    sub = tuple(pool[i] for i in rng.permutation(len(pool))[: rng.integers(0, len(pool) + 1)])
+    d = math.prod(s.dim for s in sub)
+    if rng.random() < 0.5:
+        return LabeledOperator(sub, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    index = np.sort(rng.choice(d * d, size=int(rng.integers(0, d * d // 4 + 1)), replace=False))
+    op = labeled._from_entries(sub, index, rng.normal(size=index.size) + 1j * rng.normal(size=index.size))
+    assert op._coo is not None
+    return op
+
+
+def test_product_matches_matmul_of_embeddings():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        dims = rng.integers(1, 4, size=4)
+        flags = rng.integers(0, 2, size=3).astype(bool)
+        # "a" appears with both dual flags, so keys and not names tell systems apart
+        pool = (
+            SystemLabel("a", int(dims[0])),
+            SystemLabel("a", int(dims[0]), True),
+            SystemLabel("b", int(dims[1]), flags[0]),
+            SystemLabel("c", int(dims[2]), flags[1]),
+            SystemLabel("e", int(dims[3]), flags[2]),
+        )
+        ops = [_random_factor(rng, pool) for _ in range(rng.integers(0, 5))]
+        seen = tuple({s.key: s for op in ops for s in op.systems}.values())
+        for systems in (None, tuple(pool[i] for i in rng.permutation(len(pool)))):
+            got = product(ops, systems)
+            want_systems = seen if systems is None else systems
+            assert got.systems == want_systems
+            want = np.eye(got.dim, dtype=complex)
+            scale = 1.0
+            for op in ops:
+                e = embed(op, want_systems).matrix
+                want = want @ e
+                scale *= max(1.0, np.linalg.norm(e))
+            assert np.linalg.norm(got.matrix - want) <= 1e-12 * scale
+        used = [s for s in seen if rng.random() < 0.5]
+        if used:
+            with pytest.raises(ValueError, match="must contain"):
+                product(ops, [s for s in pool if s not in used])
+
+
+def test_product_refuses_mismatched_dims_and_oversized_unions():
+    o2, o3 = SystemLabel("o", 2), SystemLabel("o", 3)
+    with pytest.raises(ValueError, match="dimension"):
+        product([identity_operator([o2]), identity_operator([o3])])
+    # Two sparse 512-dim operators sharing one qubit: the union has 2**17 dims,
+    # so the dense product would need 2**39 bytes.
+    a, b = SystemLabel("a", 256), SystemLabel("b", 256)
+    eye = np.arange(512) * 513
+    x = labeled._from_entries((a, o2), eye, np.ones(512))
+    y = labeled._from_entries((o2, b), eye, np.ones(512))
+    assert x._coo is not None and y._coo is not None
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_DENSE_BYTES)):
+            product([x, y])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
 
 
 def test_permute_map_matches_permutation_matrix(rng):
