@@ -115,7 +115,9 @@ def cmd_validate(args, loaded, report) -> int:
 
 
 def _classical_validity(args, kp: ClassicalProcess, report) -> int:
-    verdict = validate_classical(kp, args.tol)
+    # the top-level validate has no --budget and keeps the library default
+    budget = {"budget": args.budget} if "budget" in args else {}
+    verdict = validate_classical(kp, args.tol, **budget)
     report.update(
         valid=verdict.valid,
         min_entry=verdict.min_entry,

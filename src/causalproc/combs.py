@@ -15,7 +15,7 @@ import numpy as np
 
 from .graphs import DirectedGraph, UnitaryProcess, causal_structure_unitary
 from .hs import project_trivial
-from .labeled import LabeledOperator, _sum_duplicates, distance, partial_trace
+from .labeled import LabeledOperator, _from_entries, _sum_duplicates, distance, partial_trace
 from .process import ProcessOperator, process_operator, validate_process
 
 __all__ = [
@@ -178,20 +178,6 @@ class SeparabilityVerdict:
         return self.status == "separable"
 
 
-def _order_projector(sigma: ProcessOperator, first: str, second: str):
-    """Superoperator projecting onto the type span of (first before second) combs."""
-    n1 = sigma.node(first)
-    n2 = sigma.node(second)
-
-    def proj(x: LabeledOperator) -> LabeledOperator:
-        a = project_trivial(x, [n2.out_dual.key])
-        b = project_trivial(a, [n2.in_system.key])
-        c = project_trivial(b, [n1.out_dual.key])
-        return a - b + c
-
-    return proj
-
-
 def _psd_part(m: np.ndarray) -> np.ndarray:
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
@@ -213,66 +199,70 @@ def bipartite_separability(
 
     Writes sigma = X + Y with X of (A before B) type, Y of (B before A) type,
     and both positive semidefinite, where (A, B) are the process's two nodes
-    in listed order. The affine constraints have a closed-form projection;
-    Dykstra corrections are kept only for the two positivity cones. A found
-    split is re-validated (normalized components must be valid processes)
-    before "separable" is reported; otherwise the verdict is "inconclusive".
+    in listed order. Dykstra's method alternates between the two positivity
+    cones and the affine set of such Y, with corrections kept only for the
+    cones. With P_S the ``project_trivial`` over systems S, the projector
+    onto (1 before 2) types is L = P_{2o} - P_{2o,2i} + P_{2o,2i,1o}, and
+    since P_S P_T = P_{S∪T} the two order projectors commute with product
+    P_{Ao,Bo}. The affine projection is therefore one ``project_trivial``
+    over both out-spaces plus the offset L_{B≺A}(sigma) - P_{Ao,Bo}(sigma).
+    A found split is re-validated (normalized components must be valid
+    processes) before "separable" is reported; otherwise the verdict is
+    "inconclusive".
     """
     if len(sigma.nodes) != 2:
         raise ValueError("bipartite separability needs exactly two nodes")
     a, b = sigma.node_names
-    proj_ab = _order_projector(sigma, a, b)
-    proj_ba = _order_projector(sigma, b, a)
 
     # Fast path: a pure one-way comb needs no iteration.
     for reverse_first, order in ((False, (a, b)), (True, (b, a))):
         cv = comb_check(sigma, order, min(tol, 1e-9))
         if cv.accepted:
-            zero = LabeledOperator(sigma.op.systems, np.zeros_like(sigma.op.matrix))
+            zero = _from_entries(sigma.op.systems, np.empty(0, np.intp), np.empty(0))
             x, y = (zero, sigma.op) if reverse_first else (sigma.op, zero)
             return SeparabilityVerdict(
                 "separable", float(reverse_first), x, y, max(cv.residuals), 0, tol
             )
 
     sig = sigma.op
-    pab_sig = proj_ab(sig)
-    offset = proj_ba(sig) - proj_ba(pab_sig)
+    s = sig.matrix
+    na, nb = sigma.nodes
+    outs = [na.out_dual.key, nb.out_dual.key]
+    a_out = project_trivial(sig, [na.out_dual.key])
+    a_both = project_trivial(a_out, [na.in_system.key])
+    ba_sig = a_out - a_both + project_trivial(a_both, [nb.out_dual.key])
+    offset = (ba_sig - project_trivial(sig, outs)).matrix
 
-    def p_aff(y: LabeledOperator) -> LabeledOperator:
-        return proj_ab(proj_ba(y)) + offset
+    def p_aff(m: np.ndarray) -> np.ndarray:
+        return project_trivial(LabeledOperator(sig.systems, m), outs).matrix + offset
 
-    systems = sig.systems
-
-    def as_op(m: np.ndarray) -> LabeledOperator:
-        return LabeledOperator(systems, m)
-
-    x = p_aff(0.5 * sig)
-    p1 = np.zeros_like(sig.matrix)
-    p2 = np.zeros_like(sig.matrix)
+    x = p_aff(0.5 * s)
+    p1 = np.zeros_like(s)
+    p2 = np.zeros_like(s)
     iterations = 0
     residual = float("inf")
     for it in range(1, max_iter + 1):
         iterations = it
-        y1 = x.matrix + p1
+        y1 = x + p1
         z1 = _psd_part(y1)
         p1 = y1 - z1
         y2 = z1 + p2
-        z2 = sig.matrix - _psd_part(sig.matrix - y2)
+        z2 = s - _psd_part(s - y2)
         p2 = y2 - z2
-        x = p_aff(as_op(z2))
-        neg_y = -min(0.0, _min_eig(x.matrix))
-        neg_x = -min(0.0, _min_eig(sig.matrix - x.matrix))
+        x = p_aff(z2)
+        neg_y = -min(0.0, _min_eig(x))
+        neg_x = -min(0.0, _min_eig(s - x))
         residual = max(neg_y, neg_x)
         if residual <= 0.25 * tol:
             break
 
-    y_comp = x
-    x_comp = sig - y_comp
     if residual > tol:
         return SeparabilityVerdict("inconclusive", float("nan"), None, None, residual, iterations, tol)
 
-    total = float(np.trace(sig.matrix).real)
-    weight = float(np.trace(y_comp.matrix).real) / total
+    y_comp = LabeledOperator(sig.systems, x)
+    x_comp = LabeledOperator(sig.systems, s - x)
+    total = float(np.trace(s).real)
+    weight = float(np.trace(x).real) / total
 
     # Soundness: each component, normalized, must itself be a valid process
     # and a comb for its claimed order. The positivity slack scales with the

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import channel_from_unitary, channel_influence_residual, influence_residuals
+from .channels import channel_from_unitary, influence_residuals
 from .classical import (
     ClassicalNode,
     ClassicalProcess,
@@ -371,8 +371,8 @@ def _switch_report(u: LinearMap, parts: SwitchParts, tol: float) -> Decompositio
         fr = SystemLabel("F.R", frd)
         ch_v = channel_from_unitary(LinearMap(parts.v[i].astype(complex), (aout, pl), (bin_, fl)))
         ch_w = channel_from_unitary(LinearMap(parts.w[i].astype(complex), (pr, bout), (fr, ain)))
-        r_ab = channel_influence_residual(ch_v, "A.out", "B.in")
-        r_ba = channel_influence_residual(ch_w, "B.out", "A.in")
+        r_ab = influence_residuals(ch_v)[("A.out", "B.in")]
+        r_ba = influence_residuals(ch_w)[("B.out", "A.in")]
         block_sig[i] = {"A->B": r_ab, "B->A": r_ba}
         if r_ab > tol and r_ba > tol:
             one_way = False

@@ -159,6 +159,17 @@ def test_classical_validate_counterexample_exits_one(tmp_path, capsys):
     assert report["valid"] is False
 
 
+def test_classical_validate_honours_the_budget(tmp_path, capsys):
+    path = tmp_path / "afc.json"
+    assert run(capsys, "exemplar", "af-classical", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "classical", "validate", str(path), "--budget", "1")
+    assert (code, out) == (2, "")
+    assert "exceed the budget" in err
+    code, out, _ = run(capsys, "classical", "validate", str(path))
+    assert code == 0
+    assert json.loads(out)["tuples_checked"] == 64
+
+
 def test_classical_polytope_and_extend(tmp_path, capsys):
     path = tmp_path / "afc.json"
     assert run(capsys, "exemplar", "af-classical", "--out", str(path))[0] == 0

@@ -21,6 +21,7 @@ from causalproc import (
     make_mix_example,
     measure_prepare_element,
     process_operator,
+    project_trivial,
     reorder,
     switch_decomposition,
     unitary_causal_separability,
@@ -132,6 +133,29 @@ def test_bipartite_separability_of_mixture(rng):
             continue
         part = process_operator(sigma.nodes, LabeledOperator(comp.systems, comp.matrix * (4.0 / tr)))
         assert comb_check(part, order, tol=1e-4).accepted
+
+
+def test_order_projectors_compose_to_one_projection(rng):
+    """The (A before B) and (B before A) type projectors commute, and their
+    product is the one projection over both out-spaces that the split search
+    uses as its affine step; one-dimensional spaces included."""
+
+    def order_projector(x, first, second):
+        a = project_trivial(x, [second.out_dual.key])
+        b = project_trivial(x, [second.out_dual.key, second.in_system.key])
+        c = project_trivial(x, [second.out_dual.key, second.in_system.key, first.out_dual.key])
+        return a - b + c
+
+    for _ in range(20):
+        na, nb = (QuantumNode(name, *(int(k) for k in rng.choice([1, 2, 3], size=2))) for name in "AB")
+        systems = (na.in_system, na.out_dual, nb.in_system, nb.out_dual)
+        d = int(np.prod([s.dim for s in systems]))
+        x = LabeledOperator(systems, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        both = project_trivial(x, [na.out_dual.key, nb.out_dual.key])
+        ab_ba = order_projector(order_projector(x, nb, na), na, nb)
+        ba_ab = order_projector(order_projector(x, na, nb), nb, na)
+        assert np.abs(ab_ba.matrix - both.matrix).max() < 1e-12
+        assert np.abs(ba_ab.matrix - both.matrix).max() < 1e-12
 
 
 def test_separability_cli_exits_four_without_a_verdict(rng, tmp_path, capsys):

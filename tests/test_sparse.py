@@ -24,6 +24,7 @@ from causalproc import (
     LinearMap,
     QuantumNode,
     SystemLabel,
+    bipartite_separability,
     causal_structure_unitary,
     cj_operator,
     comb_check,
@@ -33,6 +34,7 @@ from causalproc import (
     is_isometric,
     labeled,
     make_bw_extension,
+    make_mix_example,
     make_switch,
     make_unitary_process,
     partial_trace,
@@ -258,3 +260,23 @@ def test_bw_end_to_end_memory_bound(no_densify, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20, peak
+
+
+def test_separability_fast_path_keeps_a_sparse_process_sparse(monkeypatch, tmp_path):
+    """A one-way comb read from its file is split without a dense copy of it.
+    The comb check's last marginal is a 1x1 operator, dense by the sparsity
+    rule, so only a full-size dense copy is refused here."""
+    path = tmp_path / "mix.json"
+    write_process_file(path, make_mix_example())
+    sigma = read_process_file(path).process
+    assert sigma.op._coo is not None
+    densify = labeled._densify
+
+    def refuse_full_size(side, index, values):
+        assert side < sigma.dim, f"the {side}x{side} process was made dense"
+        return densify(side, index, values)
+
+    monkeypatch.setattr(labeled, "_densify", refuse_full_size)
+    sv = bipartite_separability(sigma)
+    assert (sv.status, sv.iterations) == ("separable", 0)
+    assert sv.second_component._coo is not None
