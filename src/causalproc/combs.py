@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedGraph, UnitaryProcess, causal_structure_unitary
+from .graphs import DirectedGraph, causal_structure_unitary
 from .hs import project_trivial
 from .labeled import LabeledOperator, _from_entries, _sum_duplicates, distance, partial_trace
 from .process import ProcessOperator, process_operator, validate_process
@@ -135,18 +135,18 @@ class UnitarySeparabilityVerdict:
     comb: CombVerdict | None
 
 
-def unitary_causal_separability(up: UnitaryProcess, tol: float = 1e-9) -> UnitarySeparabilityVerdict:
+def unitary_causal_separability(sigma: ProcessOperator, tol: float = 1e-9) -> UnitarySeparabilityVerdict:
     """Decide fixed-order realizability of a unitary process via its influence graph.
 
     An acyclic influence graph yields a total order (any topological order
     works); the claim is cross-checked with comb_check. A cyclic graph rules
     out every fixed order and a shortest cycle is returned as the witness.
     """
-    g = causal_structure_unitary(up, tol)
+    g = causal_structure_unitary(sigma, tol)
     if g.is_cyclic:
         return UnitarySeparabilityVerdict(False, None, g.cycle(), g, None)
     order = g.topological_order()
-    cv = comb_check(up.process, order, tol)
+    cv = comb_check(sigma, order, tol)
     if not cv.accepted:
         raise RuntimeError(
             f"influence graph is acyclic but order {order} fails the comb test "

@@ -25,12 +25,10 @@ from .labeled import (
     LinearMap,
     SystemLabel,
     apply_stage,
-    identity_map,
     identity_operator,
     partial_trace,
     permute_map,
     tensor,
-    tensor_maps,
 )
 from .process import ProcessOperator, QuantumNode, comb_from_circuit, process_operator
 from .rand import haar_unitary
@@ -100,8 +98,7 @@ def make_switch(d: int = 2) -> UnitaryProcess:
 
 def make_reduced_switch(d: int = 2) -> ProcessOperator:
     """The control-of-order process with the leaf node traced out."""
-    up = make_switch(d)
-    sigma = up.process
+    sigma = make_switch(d)
     nf = sigma.node("F")
     reduced = partial_trace(sigma.op, [nf.in_system.key, nf.out_dual.key])
     return process_operator(sigma.nodes[:3], reduced)
@@ -467,16 +464,8 @@ def random_unitary_chain(n_slots: int, rng: np.random.Generator) -> UnitaryProce
         else:
             cod = (nf.in_system,)
         stage = LinearMap(haar_unitary(4, rng), (nodes[i].out_system, mem), cod)
-        u = _chain_stage(u, stage)
+        u = apply_stage(u, stage)
     return make_unitary_process(nodes + [np_, nf], u)
-
-
-def _chain_stage(u: LinearMap, stage: LinearMap) -> LinearMap:
-    """Compose a stage that consumes some of u's codomain plus fresh inputs."""
-    fresh = [s for s in stage.domain if s.key not in {c.key for c in u.codomain}]
-    if fresh:
-        u = tensor_maps(u, identity_map(fresh))
-    return apply_stage(u, stage)
 
 
 def switch_causal_graph() -> DirectedGraph:

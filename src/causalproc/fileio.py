@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess
-from .graphs import DirectedGraph, UnitaryProcess, directed_graph
+from .graphs import DirectedGraph, directed_graph
 from .labeled import MAX_DENSE_BYTES, LabeledOperator, _from_entries, sorted_coo
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
@@ -137,11 +137,9 @@ def _parse_graph(block) -> DirectedGraph:
 def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | None = None) -> dict:
     """Serialize a process to the file schema.
 
-    Accepts ProcessOperator, UnitaryProcess (its process is stored),
-    ClassicalProcess, or DeterministicProcess (stored as its table).
+    Accepts ProcessOperator (a UnitaryProcess among them), ClassicalProcess,
+    or DeterministicProcess (stored as its table).
     """
-    if isinstance(obj, UnitaryProcess):
-        obj = obj.process
     if isinstance(obj, DeterministicProcess):
         obj = obj.to_classical()
     doc: dict = {"format_version": FORMAT_VERSION}

@@ -20,7 +20,6 @@ import numpy as np
 
 from .channels import ChannelOperator, influence_residuals, input_signals
 from .labeled import (
-    LabeledOperator,
     LinearMap,
     SystemLabel,
     cj_operator,
@@ -29,9 +28,8 @@ from .labeled import (
     partial_trace,
     product,
     split_system,
-    tensor,
 )
-from .process import ProcessOperator, QuantumNode, process_operator, validate_process
+from .process import ProcessOperator, measure_prepare_element, process_operator, validate_process
 
 __all__ = [
     "DirectedGraph",
@@ -144,40 +142,19 @@ def complete_graph(vertices) -> DirectedGraph:
 
 
 @dataclass(frozen=True)
-class UnitaryProcess:
-    """A process together with the unitary whose CJ operator it is.
+class UnitaryProcess(ProcessOperator):
+    """A process operator that is the CJ operator of ``unitary``.
 
     The unitary maps the tensor of all node out-spaces to the tensor of all
     node in-spaces.
     """
 
-    process: ProcessOperator
     unitary: LinearMap
 
     @property
-    def nodes(self) -> tuple[QuantumNode, ...]:
-        return self.process.nodes
-
-    @property
-    def channel(self) -> ChannelOperator:
-        """The process operator read as the CJ operator of the unitary channel."""
-        return _as_channel(self.process)
-
-
-def _as_channel(sigma: ProcessOperator) -> ChannelOperator:
-    """The process operator read as a channel from the out-spaces to the in-spaces."""
-    return ChannelOperator(sigma.op, tuple(n.in_system for n in sigma.nodes), tuple(n.out_system for n in sigma.nodes))
-
-
-def _influence_graph(sigma: ProcessOperator, tol: float) -> DirectedGraph:
-    """Edge j -> i (j != i) iff the residual of A_j.out on A_i.in exceeds tol."""
-    node_of = {s.name: n.name for n in sigma.nodes for s in (n.in_system, n.out_system)}
-    edges = {
-        (node_of[j], node_of[i])
-        for (j, i), r in influence_residuals(_as_channel(sigma)).items()
-        if r > tol and node_of[j] != node_of[i]
-    }
-    return DirectedGraph(tuple(sigma.node_names), frozenset(edges))
+    def process(self) -> UnitaryProcess:
+        """The process itself, for code that reads ``up.process``."""
+        return self
 
 
 def make_unitary_process(nodes, u: LinearMap, tol: float = 1e-9) -> UnitaryProcess:
@@ -207,12 +184,20 @@ def make_unitary_process(nodes, u: LinearMap, tol: float = 1e-9) -> UnitaryProce
     if not is_unitary(u, tol):
         raise ValueError("map is not unitary within tolerance")
     sigma = process_operator(nodes, cj_operator(u))
-    return UnitaryProcess(sigma, u)
+    return UnitaryProcess(sigma.nodes, sigma.op, u)
 
 
-def causal_structure_unitary(up: UnitaryProcess, tol: float = 1e-9) -> DirectedGraph:
-    """Influence graph of a unitary process: j -> i iff A_j.out can influence A_i.in."""
-    return _influence_graph(up.process, tol)
+def causal_structure_unitary(sigma: ProcessOperator, tol: float = 1e-9) -> DirectedGraph:
+    """Influence graph of the process read as a channel: edge j -> i (j != i)
+    iff the residual of A_j.out on A_i.in exceeds tol. For a unitary process
+    this is its causal structure."""
+    node_of = {s.name: n.name for n in sigma.nodes for s in (n.in_system, n.out_system)}
+    edges = {
+        (node_of[j], node_of[i])
+        for (j, i), r in influence_residuals(sigma.channel).items()
+        if r > tol and node_of[j] != node_of[i]
+    }
+    return DirectedGraph(tuple(sigma.node_names), frozenset(edges))
 
 
 def marginal_factor(sigma: ProcessOperator, node_name: str, parents) -> ChannelOperator:
@@ -320,11 +305,12 @@ class CompatibilityVerdict:
 def compatibility_check(
     sigma: ProcessOperator,
     graph: DirectedGraph,
-    extension: UnitaryProcess,
+    extension: ProcessOperator,
     lambda_states,
     tol: float = 1e-9,
 ) -> CompatibilityVerdict:
-    """Confirm a causal structure for sigma via a unitary extension.
+    """Confirm a causal structure for sigma via a unitary extension: any
+    process that is the CJ operator of a unitary, one read from a file too.
 
     The extension must add exactly one root node (trivial in-space, out-space
     split into one memory system per node of sigma) and one leaf node
@@ -345,7 +331,7 @@ def compatibility_check(
         raise ValueError("could not identify root and leaf among the extra nodes")
     root, leaf = roots[0], leaves[0]
     for name in sig_names:
-        a, b = sigma.node(name), extension.process.node(name)
+        a, b = sigma.node(name), extension.node(name)
         if (a.d_in, a.d_out) != (b.d_in, b.d_out):
             raise ValueError(f"node {name!r} has different dimensions in the extension")
 
@@ -356,17 +342,14 @@ def compatibility_check(
     if int(np.prod(dims)) != root.d_out:
         raise ValueError("memory dimensions do not multiply to the root out-space")
 
-    ext_valid = validate_process(extension.process, tol).valid
+    ext_valid = validate_process(extension, tol).valid
 
     # Marginal reproduction: prepare the memory product at the root, discard the leaf.
     prep = lams[0]
     for l in lams[1:]:
         prep = np.kron(prep, l)
-    tau_root = tensor(
-        LabeledOperator((root.in_system,), np.eye(1, dtype=complex)),
-        LabeledOperator((root.out_dual,), prep.T),
-    )
-    contracted = product([extension.process.op, tau_root])
+    tau_root = measure_prepare_element(root, np.eye(1), prep).tau
+    contracted = product([extension.op, tau_root])
     marg = partial_trace(
         contracted,
         [root.in_system.key, root.out_dual.key, leaf.in_system.key, leaf.out_dual.key],
@@ -413,5 +396,5 @@ def discover(sigma: ProcessOperator, tol: float = 1e-9) -> tuple[DirectedGraph, 
     factorization's ``accepted`` flag says whether the graph is confirmed
     intrinsically.
     """
-    graph = _influence_graph(sigma, tol)
+    graph = causal_structure_unitary(sigma, tol)
     return graph, markov_check(sigma, graph, tol)

@@ -269,13 +269,15 @@ def identity_operator(systems) -> LabeledOperator:
 
 
 def tensor(*ops: LabeledOperator) -> LabeledOperator:
-    """Tensor product; system order is the concatenation of the factors'."""
-    systems: tuple[SystemLabel, ...] = ()
-    matrix = np.array([[1.0 + 0.0j]])
+    """Tensor product; system order is the concatenation of the factors'.
+    Operators on disjoint systems multiply to their tensor product, so the
+    factors are folded with ``_multiply``, under its byte budget, from the
+    complex 1×1 identity on no systems (by which the first is only scaled)."""
+    _checked_systems(s for op in ops for s in op.systems)
+    m = LabeledOperator((), np.ones((1, 1), dtype=complex))
     for op in ops:
-        systems = systems + op.systems
-        matrix = np.kron(matrix, op.matrix)
-    return LabeledOperator(systems, matrix)
+        m = _multiply(m, op) if m.systems else op * m.matrix[0, 0]
+    return m
 
 
 def _permuted(op: LabeledOperator, axes, systems) -> LabeledOperator:
@@ -398,10 +400,12 @@ def embed(op: LabeledOperator, systems) -> LabeledOperator:
     missing = [s for s in systems if s.key not in have]
     if len(have - {s.key for s in systems}) > 0:
         raise ValueError("target systems must contain the operator's systems")
-    # The identity on dimension-1 systems is [[1]]: they only relabel the matrix.
-    trivial = math.prod(s.dim for s in missing) == 1
-    padded = _relabeled(op, op.systems + tuple(missing)) if trivial else tensor(op, identity_operator(missing))
-    return reorder(padded, systems)
+    d = math.prod(s.dim for s in missing)
+    if d == 1:  # the identity on dimension-1 systems is [[1]]: they only relabel the matrix
+        return reorder(_relabeled(op, op.systems + tuple(missing)), systems)
+    # The identity is held by its diagonal, so that ``tensor`` checks its budget first.
+    eye = _from_entries(missing, np.arange(d) * (d + 1), np.ones(d, dtype=complex))
+    return reorder(tensor(op, eye), systems)
 
 
 def product(ops, systems=None) -> LabeledOperator:
@@ -545,9 +549,15 @@ def compose_maps(f: LinearMap, g: LinearMap) -> LinearMap:
 def apply_stage(current: LinearMap, stage: LinearMap) -> LinearMap:
     """Compose ``stage`` onto the part of ``current``'s codomain it consumes.
 
+    Inputs of the stage that ``current`` does not output are fresh: they join
+    ``current`` through an identity, listed after its own domain and codomain.
     Systems of the codomain not in the stage's domain pass through unchanged and
     are listed after the stage's codomain in the result.
     """
+    outputs = {s.key for s in current.codomain}
+    fresh = [s for s in stage.domain if s.key not in outputs]
+    if fresh:
+        current = tensor_maps(current, identity_map(fresh))
     stage_keys = {s.key for s in stage.domain}
     rest = [s for s in current.codomain if s.key not in stage_keys]
     full_stage = tensor_maps(stage, identity_map(rest))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import cj_from_kraus
+from .channels import ChannelOperator, cj_from_kraus
 from .hs import _sparse_type_norms, type_norms
 from .labeled import (
     LabeledOperator,
@@ -102,6 +102,11 @@ class ProcessOperator:
 
     def expected_trace(self) -> float:
         return float(np.prod([n.d_out for n in self.nodes]))
+
+    @property
+    def channel(self) -> ChannelOperator:
+        """The operator read as a channel from the node out-spaces to the node in-spaces."""
+        return ChannelOperator(self.op, tuple(n.in_system for n in self.nodes), tuple(n.out_system for n in self.nodes))
 
 
 def canonical_systems(nodes) -> list[SystemLabel]:

@@ -315,6 +315,33 @@ def test_discover_does_not_import_networkx(tmp_path, capsys):
     assert out.stdout.splitlines()[-1] == "False 0"
 
 
+
+def test_discover_refuses_padding_a_large_product_as_a_usage_error(tmp_path, capsys):
+    # A no-signalling product of 8 qubit nodes, 1/2 on each in-space and 1 on
+    # each out-space: a diagonal 65536-dim operator. No Markov factor touches
+    # an out-space, so discover would pad all eight with a 64 GiB identity.
+    n, d = 8, 4**8
+    doc = {
+        "format_version": 2,
+        "kind": "quantum",
+        "nodes": [{"name": f"N{i}", "d_in": 2, "d_out": 2, "kind": "quantum"} for i in range(n)],
+        "payload": {"index": [k * (d + 1) for k in range(d)], "values": [[2.0**-n, 0.0]] * d},
+    }
+    path = tmp_path / "prod8.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path))[0] == 0
+    # The address-space cap turns an attempt at the dense identity into a
+    # prompt MemoryError (exit 3) instead of an allocation of 64 GiB.
+    resource = pytest.importorskip("resource")
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); from causalproc import cli; sys.exit(cli.main(['discover', {str(path)!r}]))"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap,
+    )
+    assert out.returncode == 2, out.stderr
+    assert f"more than {2**32}" in out.stderr
+
 @pytest.mark.parametrize(
     "argv",
     [

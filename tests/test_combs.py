@@ -18,10 +18,13 @@ from causalproc import (
     conditional_process,
     distance,
     is_isometric,
+    causal_structure_unitary,
     make_mix_example,
+    make_switch,
     measure_prepare_element,
     process_operator,
     project_trivial,
+    read_process_file,
     reorder,
     switch_decomposition,
     unitary_causal_separability,
@@ -74,21 +77,21 @@ def test_comb_check_validates_order(rng):
 def test_comb_search_finds_chain_order(rng):
     for n in (1, 2, 3):
         up = random_unitary_chain(n, rng)
-        order = comb_search(up.process)
+        order = comb_search(up)
         assert order is not None
-        assert comb_check(up.process, order).accepted
+        assert comb_check(up, order).accepted
         expected = ("P",) + tuple(chr(ord("A") + i) for i in range(n)) + ("F",)
-        assert comb_check(up.process, expected).accepted
+        assert comb_check(up, expected).accepted
 
 
 def test_comb_search_respects_budget(rng):
     up = random_unitary_chain(2, rng)
     with pytest.raises(ValueError):
-        comb_search(up.process, budget=2)
+        comb_search(up, budget=2)
 
 
 def test_is_isometric(switch_up, reduced_switch):
-    assert is_isometric(switch_up.process)
+    assert is_isometric(switch_up)
     assert not is_isometric(reduced_switch)
 
 
@@ -106,6 +109,14 @@ def test_unitary_separability_of_switch(switch_up):
     assert not ver.separable
     assert ver.cycle == ("A", "B")
     assert ver.order is None and ver.comb is None
+
+
+def test_unitary_verdicts_of_a_switch_read_from_its_file(tmp_path):
+    up = make_switch(2)
+    write_process_file(tmp_path / "switch.json", up)
+    back = read_process_file(tmp_path / "switch.json").process
+    assert causal_structure_unitary(back) == causal_structure_unitary(up)
+    assert unitary_causal_separability(back) == unitary_causal_separability(up)
 
 
 def test_bipartite_separability_fast_path(rng):

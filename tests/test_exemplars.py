@@ -38,10 +38,10 @@ from causalproc.cli import main
 
 
 def test_switch_process_is_rank_one_with_right_trace(switch_up):
-    v = validate_process(switch_up.process)
+    v = validate_process(switch_up)
     assert v.valid
     assert abs(v.trace - 16) < 1e-12
-    evals = np.linalg.eigvalsh(switch_up.process.op.matrix)
+    evals = np.linalg.eigvalsh(switch_up.op.matrix)
     assert int((evals > 1e-9).sum()) == 1
 
 
@@ -97,18 +97,18 @@ def test_af_causal_structure_is_full_triangle(af_dp):
 
 
 def test_bw_extension_is_valid_process(bw_up):
-    v = validate_process(bw_up.process)
+    v = validate_process(bw_up)
     assert v.valid
     assert v.psd_method == "cholesky"
     assert abs(v.trace - 64) < 1e-9
 
 
 def test_bw_nodes_and_dimensions(bw_up):
-    names = [n.name for n in bw_up.process.nodes]
+    names = [n.name for n in bw_up.nodes]
     assert names == ["A", "B", "C", "P", "F"]
-    assert bw_up.process.node("P").d_out == 8
-    assert bw_up.process.node("F").d_in == 8
-    assert bw_up.process.dim == 4096
+    assert bw_up.node("P").d_out == 8
+    assert bw_up.node("F").d_in == 8
+    assert bw_up.dim == 4096
 
 
 def test_switch_decomposition_reconstructs_exactly(switch_up):
@@ -183,8 +183,8 @@ def test_bw_marginal_equals_af(bw_up, af_process):
 
     prep = np.zeros((8, 8), dtype=complex)
     prep[0, 0] = 1.0
-    el = measure_prepare_element(bw_up.process.node("P"), np.eye(1, dtype=complex), prep)
-    cond = conditional_process(bw_up.process, "P", el)
+    el = measure_prepare_element(bw_up.node("P"), np.eye(1, dtype=complex), prep)
+    cond = conditional_process(bw_up, "P", el)
     nf = cond.node("F")
     marg = partial_trace(cond.op, [nf.in_system.key, nf.out_dual.key])
     sig = process_operator([n for n in cond.nodes if n.name in "ABC"], marg)
@@ -210,7 +210,7 @@ EXEMPLAR_DIGESTS = {
 @pytest.mark.parametrize("name", list(EXEMPLAR_DIGESTS))
 def test_exemplar_content_is_pinned(name, tmp_path, capsys):
     if name == "switch(3) matrix":
-        data = make_switch(3).process.op.matrix.tobytes()
+        data = make_switch(3).op.matrix.tobytes()
     else:
         out = tmp_path / "exemplar.json"
         assert main(["exemplar", name, "--out", str(out)]) == 0

@@ -35,7 +35,7 @@ DATA = Path(__file__).parent / "data"
 
 def dense_chain():
     """A process whose every entry is nonzero, so files store it dense."""
-    return random_unitary_chain(1, np.random.default_rng(5)).process
+    return random_unitary_chain(1, np.random.default_rng(5))
 
 
 def bits(m: np.ndarray) -> np.ndarray:
@@ -180,7 +180,7 @@ def test_bad_node_entries_rejected():
     with pytest.raises(ProcessFileError):
         dict_to_process(bad2)
     # A JSON boolean is not a dimension, even where true would mean 1.
-    sw = json.loads(json.dumps(process_to_dict(make_switch(2).process)))
+    sw = json.loads(json.dumps(process_to_dict(make_switch(2))))
     p = next(nd for nd in sw["nodes"] if nd["name"] == "P")
     assert p["d_in"] == 1
     p["d_in"] = True
@@ -220,7 +220,7 @@ def test_exemplars_reexport_identically_from_either_layout(tmp_path):
     for name, sigma in (
         ("mix", make_mix_example()),
         ("af", make_af()),
-        ("switch", make_switch(2).process),
+        ("switch", make_switch(2)),
         ("reduced-switch", make_reduced_switch(2)),
         ("dense-chain", dense_chain()),
     ):
@@ -290,12 +290,12 @@ def test_round_trip_is_byte_identical_in_both_layouts(sigma, tmp_path_factory):
 
 def test_sparse_file_above_the_dense_bound_round_trips(tmp_path):
     up = make_switch(5)
-    assert up.process.dim == 62500 and 16 * 62500**2 > 2**32
+    assert up.dim == 62500 and 16 * 62500**2 > 2**32
     path = tmp_path / "switch5.json"
     write_process_file(path, up)
     back = read_process_file(path).process
-    assert back.op.systems == up.process.op.systems
-    assert all(np.array_equal(bits(x), bits(y)) for x, y in zip(back.op._coo, up.process.op._coo))
+    assert back.op.systems == up.op.systems
+    assert all(np.array_equal(bits(x), bits(y)) for x, y in zip(back.op._coo, up.op._coo))
     assert validate_process(back).valid
 
 

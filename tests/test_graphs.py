@@ -11,10 +11,13 @@ from scipy.sparse.linalg import norm as sparse_norm
 from causalproc import (
     LabeledOperator,
     LinearMap,
+    ProcessOperator,
     QuantumNode,
     SystemLabel,
+    af_causal_graph,
     channel_from_unitary,
     comb_from_circuit,
+    compatibility_check,
     complete_graph,
     causal_structure_unitary,
     directed_graph,
@@ -33,9 +36,11 @@ from causalproc import (
     partial_trace,
     process_operator,
     random_unitary_chain,
+    read_process_file,
     tensor,
     tensor_maps,
     validate_process,
+    write_process_file,
 )
 from causalproc.graphs import marginal_factor
 from causalproc.labeled import apply_stage
@@ -149,10 +154,29 @@ def test_unitary_process_routing_structure():
     um = LinearMap(np.eye(4, dtype=complex), (np_.out_system, na.out_system),
                    (na.in_system, nf.in_system))
     up = make_unitary_process([np_, na, nf], um)
-    assert validate_process(up.process).valid
+    assert validate_process(up).valid
     g = causal_structure_unitary(up)
     assert set(g.edges) == {("P", "A"), ("A", "F")}
 
+
+
+def test_a_unitary_process_is_its_own_process():
+    up = make_switch(2)
+    assert isinstance(up, ProcessOperator) and up.process is up
+    assert up.channel.op is up.op
+    assert up.channel.inputs == tuple(n.out_system for n in up.nodes)
+    assert up.channel.outputs == tuple(n.in_system for n in up.nodes)
+
+
+def test_compatibility_check_takes_an_extension_read_from_its_file(tmp_path):
+    bw = make_bw_extension()
+    write_process_file(tmp_path / "bw.json", bw)
+    back = read_process_file(tmp_path / "bw.json").process
+    assert type(back) is ProcessOperator
+    ground = np.array([[1, 0], [0, 0]], dtype=complex)
+    want = compatibility_check(make_af(), af_causal_graph(), bw, [ground] * 3)
+    assert want.compatible
+    assert compatibility_check(make_af(), af_causal_graph(), back, [ground] * 3) == want
 
 def test_make_unitary_process_rejects_nonunitary():
     np_, na, nf = QuantumNode("P", 1, 2), QuantumNode("A", 2, 2), QuantumNode("F", 2, 1)
@@ -170,7 +194,7 @@ def test_exchange_unitary_is_not_a_process():
             swap[j * 2 + i, i * 2 + j] = 1.0
     um = LinearMap(swap, (na.out_system, nb.out_system), (na.in_system, nb.in_system))
     up = make_unitary_process([na, nb], um)
-    v = validate_process(up.process)
+    v = validate_process(up)
     assert not v.valid
     assert v.offending_types == ("A.in*A.out'*B.in*B.out'",)
 
@@ -278,11 +302,11 @@ def _permutation_chain(rng, slots=2):
     for i, node in enumerate(nodes):
         cod = (nodes[i + 1].in_system, mem) if i + 1 < slots else (leaf.in_system,)
         u = apply_stage(tensor_maps(u, identity_map([node.out_system])), LinearMap(perm(), (node.out_system, mem), cod))
-    return make_unitary_process(nodes + [root, leaf], u).process
+    return make_unitary_process(nodes + [root, leaf], u)
 
 
 def _rank_two_mixture(rng):
-    c1, c2 = (random_unitary_chain(3, rng).process for _ in range(2))
+    c1, c2 = (random_unitary_chain(3, rng) for _ in range(2))
     w = float(rng.uniform(0.2, 0.8))
     return process_operator(c1.nodes, LabeledOperator(c1.op.systems, w * c1.op.matrix + (1 - w) * c2.op.matrix))
 
@@ -304,10 +328,10 @@ def _signalling_edges(sigma, tol=1e-9):
 def test_markov_check_matches_matmul_of_embeddings():
     rng = np.random.default_rng(2002)
     cases = {
-        "switch": make_switch(2).process,
+        "switch": make_switch(2),
         "af": make_af(),
         "mix": make_mix_example(),
-        "bw-extension": make_bw_extension().process,
+        "bw-extension": make_bw_extension(),
         "permutation chain": _permutation_chain(rng),
         "rank-two mixture": _rank_two_mixture(rng),
     }

@@ -29,7 +29,7 @@ from causalproc import (
     tensor_maps,
     transpose_systems,
 )
-from causalproc.labeled import MAX_DENSE_BYTES
+from causalproc.labeled import MAX_DENSE_BYTES, apply_stage
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -192,6 +192,24 @@ def test_product_refuses_mismatched_dims_and_oversized_unions():
     assert peak <= 2**20, peak
 
 
+
+def test_tensor_refuses_an_oversized_product_before_allocating():
+    # Two sparse 512-dim operators on disjoint systems: the tensor product has
+    # 2**18 dims, so the dense result alone would need 2**40 bytes.
+    a, b, c, e = SystemLabel("a", 256), SystemLabel("b", 2), SystemLabel("c", 256), SystemLabel("e", 2)
+    eye = np.arange(512) * 513
+    x = labeled._from_entries((a, b), eye, np.ones(512))
+    y = labeled._from_entries((c, e), eye, np.ones(512))
+    assert x._coo is not None and y._coo is not None
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_DENSE_BYTES)):
+            tensor(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+
 def test_permute_map_matches_permutation_matrix(rng):
     a, b, c = SystemLabel("a", 2), SystemLabel("b", 3), SystemLabel("c", 2)
     x, y = SystemLabel("x", 3), SystemLabel("y", 4)
@@ -274,6 +292,16 @@ def test_tensor_maps_kron(rng):
     ident = identity_map([a, b])
     assert np.abs(ident.matrix - np.eye(4)).max() < 1e-14
 
+
+
+def test_apply_stage_pads_fresh_inputs(rng):
+    a, b, c, m, x = (SystemLabel(s, 2) for s in "abcmx")
+    current = LinearMap(haar_unitary(4, rng), (a, b), (c, m))
+    stage = LinearMap(haar_unitary(4, rng), (c, x), (a, b))
+    got = apply_stage(current, stage)
+    want = apply_stage(tensor_maps(current, identity_map([x])), stage)
+    assert got.domain == want.domain == (a, b, x) and got.codomain == want.codomain == (a, b, m)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
 
 def test_is_unitary(rng):
     a, b = SystemLabel("a", 3), SystemLabel("b", 3)

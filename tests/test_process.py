@@ -383,7 +383,7 @@ def _verdict_and_signalling(sigma):
 def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af_process):
     cx = make_methods_counterexample()
     bits = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))
-    cases = [switch_up.process, reduced_switch, af_process, make_mix_example()]
+    cases = [switch_up, reduced_switch, af_process, make_mix_example()]
     # Equal-norm offending sectors: their order must not depend on the path.
     cases += [quantize(cx.combined(np.array(dist))) for dist in ([1.0, 0.0], [0.5, 0.5], [0.9, 0.1])]
     cases += [quantize(dp.to_classical()) for dp in enumerate_deterministic_processes(bits)]
@@ -449,7 +449,7 @@ def test_low_rank_certificate_matches_eigvalsh(monkeypatch, d, dtype):
 
 def test_low_rank_dense_processes_skip_the_eigendecomposition(monkeypatch):
     rng = np.random.default_rng(3)
-    c1, c2 = (random_unitary_chain(3, rng).process for _ in range(2))
+    c1, c2 = (random_unitary_chain(3, rng) for _ in range(2))
     mixture = process_operator(c1.nodes, LabeledOperator(c1.op.systems, 0.3 * c1.op.matrix + 0.7 * c2.op.matrix))
 
     def refuse(*args, **kwargs):

@@ -50,11 +50,11 @@ def _self_wired():
     nodes = [QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)]
     dom = tuple(n.out_system for n in nodes)
     cod = tuple(n.in_system for n in nodes)
-    return make_unitary_process(nodes, LinearMap(np.eye(4, dtype=complex), dom, cod)).process
+    return make_unitary_process(nodes, LinearMap(np.eye(4, dtype=complex), dom, cod))
 
 
 BASES = {
-    "switch": make_switch(2).process,
+    "switch": make_switch(2),
     "reduced-switch": make_reduced_switch(2),
     "af": make_af(),
     "mix": make_mix_example(),
@@ -116,7 +116,7 @@ def _dressed_switch(rng):
         return tensor_maps(*maps)
 
     u = compose_maps(local(sw.unitary.codomain), compose_maps(sw.unitary, local(sw.unitary.domain)))
-    return make_unitary_process(sw.process.nodes, u)
+    return make_unitary_process(sw.nodes, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,7 +124,7 @@ def _dressed_switch(rng):
 def test_comb_order_exists_iff_unitary_influence_is_acyclic(seed, switch):
     rng = np.random.default_rng(seed)
     up = _dressed_switch(rng) if switch else _permutation_chain(rng)
-    assert validate_process(up.process).valid
+    assert validate_process(up).valid
     cyclic = causal_structure_unitary(up).is_cyclic
     assert cyclic == switch
-    assert (comb_search(up.process) is None) == cyclic
+    assert (comb_search(up) is None) == cyclic

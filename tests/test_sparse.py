@@ -103,7 +103,7 @@ def test_dense_inputs_stay_dense_and_matrix_is_not_cached():
 
 
 def test_operators_copy_and_pickle_in_either_form():
-    sigma = make_switch(2).process
+    sigma = make_switch(2)
     for op in (sigma.op, _dense(sigma.op)):
         for back in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
             assert back.systems == op.systems and (back._coo is None) == (op._coo is None)
@@ -192,10 +192,10 @@ def _permutation_chain(rng, slots):
 def _processes():
     """Sparse processes: permutation chains (combs), switch(2) (cyclic), and
     random operators on two or three nodes with dim-1 factors."""
-    yield make_switch(2).process
+    yield make_switch(2)
     for seed in range(6):
         rng = np.random.default_rng(100 + seed)
-        yield _permutation_chain(rng, 1 + seed % 2).process
+        yield _permutation_chain(rng, 1 + seed % 2)
         dims = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
         nodes = [QuantumNode(n, *dims[rng.integers(len(dims))]) for n in "ABC"[: 2 + seed % 2]]
         systems = tuple(s for n in nodes for s in (n.in_system, n.out_dual))
@@ -233,7 +233,7 @@ def no_densify(monkeypatch):
 
 
 def _end_to_end(up, path):
-    sigma = up.process
+    sigma = up
     verdict = validate_process(sigma)
     assert verdict.valid and verdict.psd_method == "cholesky"
     assert comb_search(sigma) is None
@@ -248,7 +248,7 @@ def _end_to_end(up, path):
 @pytest.mark.parametrize("make", [make_bw_extension, lambda: make_switch(4)], ids=["bw", "switch(4)"])
 def test_permutation_processes_never_densify(make, no_densify, tmp_path):
     up = make()
-    assert up.process.op._coo[0].size == up.process.dim
+    assert up.op._coo[0].size == up.dim
     _end_to_end(up, tmp_path / "process.json")
 
 
