@@ -15,14 +15,13 @@ import numpy as np
 
 from .graphs import DirectedGraph, causal_structure_unitary
 from .hs import project_trivial
-from .labeled import LabeledOperator, _from_entries, _sum_duplicates, distance, partial_trace
-from .process import ProcessOperator, process_operator, validate_process
+from .labeled import LabeledOperator, _from_entries, distance, partial_trace
+from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
 __all__ = [
     "CombVerdict",
     "comb_check",
     "comb_search",
-    "is_isometric",
     "UnitarySeparabilityVerdict",
     "unitary_causal_separability",
     "SeparabilityVerdict",
@@ -93,37 +92,6 @@ def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
     return dfs(frozenset(nodes), sigma.op)
 
 
-def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
-    """True iff sigma is (Tr sigma) times a rank-one projector.
-
-    Process operators of isometries and unitaries have exactly this form, so
-    the test is sigma @ sigma == Tr(sigma) * sigma up to the tolerance. A
-    sparse operator is squared on its stored entries.
-    """
-    if sigma.op._coo is None:
-        m = sigma.op.matrix
-        c = float(np.trace(m).real)
-        scale = max(1.0, abs(c) * float(np.linalg.norm(m)))
-        return bool(np.linalg.norm(m @ m - c * m) <= tol * scale)
-    index, values = sigma.op._coo
-    d = sigma.op.dim
-    rows, cols = np.divmod(index, d)
-    c = float(values[rows == cols].sum().real)
-    scale = max(1.0, abs(c) * float(np.linalg.norm(values)))
-    # (sigma @ sigma)[i, k] sums sigma[i, j] * sigma[j, k]: entry a = (i, j)
-    # meets each entry b of row j. Entries are sorted by row, so row j's
-    # entries are the run starting at starts[j].
-    starts = np.searchsorted(rows, np.arange(d + 1))
-    meets = np.diff(starts)[cols]
-    a = np.repeat(np.arange(index.size), meets)
-    b = np.repeat(starts[cols] - np.cumsum(meets) + meets, meets) + np.arange(a.size)
-    residual = _sum_duplicates(
-        np.concatenate([rows[a] * d + cols[b], index]),
-        np.concatenate([values[a] * values[b], -c * values]),
-    )[1]
-    return bool(np.linalg.norm(residual) <= tol * scale)
-
-
 @dataclass(frozen=True)
 class UnitarySeparabilityVerdict:
     """Order witness (acyclic case) or cycle witness (cyclic case)."""
@@ -141,7 +109,11 @@ def unitary_causal_separability(sigma: ProcessOperator, tol: float = 1e-9) -> Un
     An acyclic influence graph yields a total order (any topological order
     works); the claim is cross-checked with comb_check. A cyclic graph rules
     out every fixed order and a shortest cycle is returned as the witness.
+    That holds for a unitary only: sigma failing ``is_isometric`` (a mixture of
+    two orders, say, signals both ways) raises ValueError.
     """
+    if not is_isometric(sigma, tol):
+        raise ValueError("not the process of a unitary: sigma is not (Tr sigma) times a rank-one projector")
     g = causal_structure_unitary(sigma, tol)
     if g.is_cyclic:
         return UnitarySeparabilityVerdict(False, None, g.cycle(), g, None)

@@ -29,7 +29,7 @@ from .labeled import (
     product,
     split_system,
 )
-from .process import ProcessOperator, measure_prepare_element, process_operator, validate_process
+from .process import ProcessOperator, is_isometric, measure_prepare_element, process_operator, validate_process
 
 __all__ = [
     "DirectedGraph",
@@ -189,8 +189,9 @@ def make_unitary_process(nodes, u: LinearMap, tol: float = 1e-9) -> UnitaryProce
 
 def causal_structure_unitary(sigma: ProcessOperator, tol: float = 1e-9) -> DirectedGraph:
     """Influence graph of the process read as a channel: edge j -> i (j != i)
-    iff the residual of A_j.out on A_i.in exceeds tol. For a unitary process
-    this is its causal structure."""
+    iff the residual of A_j.out on A_i.in exceeds tol. It is the causal
+    structure only of a process that passes ``is_isometric``: a mixture of
+    unitary processes can signal along edges that none of them has."""
     node_of = {s.name: n.name for n in sigma.nodes for s in (n.in_system, n.out_system)}
     edges = {
         (node_of[j], node_of[i])
@@ -311,6 +312,7 @@ def compatibility_check(
 ) -> CompatibilityVerdict:
     """Confirm a causal structure for sigma via a unitary extension: any
     process that is the CJ operator of a unitary, one read from a file too.
+    One that fails ``is_isometric`` (a mixture can hide correlated memory) raises ValueError.
 
     The extension must add exactly one root node (trivial in-space, out-space
     split into one memory system per node of sigma) and one leaf node
@@ -330,6 +332,8 @@ def compatibility_check(
     if len(roots) != 1 or len(leaves) != 1 or roots[0].name == leaves[0].name:
         raise ValueError("could not identify root and leaf among the extra nodes")
     root, leaf = roots[0], leaves[0]
+    if not is_isometric(extension, tol):
+        raise ValueError("extension is not the process of a unitary: it is not (Tr) times a rank-one projector")
     for name in sig_names:
         a, b = sigma.node(name), extension.node(name)
         if (a.d_in, a.d_out) != (b.d_in, b.d_out):

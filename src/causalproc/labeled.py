@@ -270,14 +270,17 @@ def identity_operator(systems) -> LabeledOperator:
 
 def tensor(*ops: LabeledOperator) -> LabeledOperator:
     """Tensor product; system order is the concatenation of the factors'.
-    Operators on disjoint systems multiply to their tensor product, so the
-    factors are folded with ``_multiply``, under its byte budget, from the
-    complex 1×1 identity on no systems (by which the first is only scaled)."""
-    _checked_systems(s for op in ops for s in op.systems)
-    m = LabeledOperator((), np.ones((1, 1), dtype=complex))
+    Raises ValueError before allocating when the dense result exceeds
+    ``MAX_DENSE_BYTES``; each factor is smaller, so none is made dense first."""
+    d = math.prod(op.dim for op in ops)
+    if 16 * d * d > MAX_DENSE_BYTES:
+        raise ValueError(f"a product on {d} dims would need {16 * d * d} bytes, more than {MAX_DENSE_BYTES}")
+    systems: tuple[SystemLabel, ...] = ()
+    matrix = np.array([[1.0 + 0.0j]])
     for op in ops:
-        m = _multiply(m, op) if m.systems else op * m.matrix[0, 0]
-    return m
+        systems = systems + op.systems
+        matrix = np.kron(matrix, op.matrix)
+    return LabeledOperator(systems, matrix)
 
 
 def _permuted(op: LabeledOperator, axes, systems) -> LabeledOperator:

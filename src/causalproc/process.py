@@ -41,6 +41,7 @@ __all__ = [
     "validate_process",
     "signalling_residual",
     "no_signalling",
+    "is_isometric",
     "InstrumentElement",
     "Instrument",
     "element_from_kraus",
@@ -355,6 +356,37 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
 def no_signalling(sigma: ProcessOperator, from_nodes, tol: float = 1e-9) -> bool:
     """True iff no choice of interventions at from_nodes is detectable outside."""
     return signalling_residual(sigma, from_nodes) <= tol
+
+
+def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
+    """True iff sigma is (Tr sigma) times a rank-one projector.
+
+    Process operators of isometries and unitaries have exactly this form, so
+    the test is sigma @ sigma == Tr(sigma) * sigma up to the tolerance. A
+    sparse operator is squared on its stored entries.
+    """
+    if sigma.op._coo is None:
+        m = sigma.op.matrix
+        c = float(np.trace(m).real)
+        scale = max(1.0, abs(c) * float(np.linalg.norm(m)))
+        return bool(np.linalg.norm(m @ m - c * m) <= tol * scale)
+    index, values = sigma.op._coo
+    d = sigma.op.dim
+    rows, cols = np.divmod(index, d)
+    c = float(values[rows == cols].sum().real)
+    scale = max(1.0, abs(c) * float(np.linalg.norm(values)))
+    # (sigma @ sigma)[i, k] sums sigma[i, j] * sigma[j, k]: entry a = (i, j)
+    # meets each entry b of row j. Entries are sorted by row, so row j's
+    # entries are the run starting at starts[j].
+    starts = np.searchsorted(rows, np.arange(d + 1))
+    meets = np.diff(starts)[cols]
+    a = np.repeat(np.arange(index.size), meets)
+    b = np.repeat(starts[cols] - np.cumsum(meets) + meets, meets) + np.arange(a.size)
+    residual = _sum_duplicates(
+        np.concatenate([rows[a] * d + cols[b], index]),
+        np.concatenate([values[a] * values[b], -c * values]),
+    )[1]
+    return bool(np.linalg.norm(residual) <= tol * scale)
 
 
 @dataclass(frozen=True)

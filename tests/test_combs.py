@@ -119,6 +119,17 @@ def test_unitary_verdicts_of_a_switch_read_from_its_file(tmp_path):
     assert unitary_causal_separability(back) == unitary_causal_separability(up)
 
 
+def test_unitary_separability_refuses_a_mixture_of_orders(rng):
+    # A mixture of an A-before-B and a B-before-A comb signals both ways, so
+    # its influence graph is cyclic, yet it is separable: a cycle certifies
+    # nonseparability only for the process of a unitary.
+    sigma = order_mixture(rng)
+    assert causal_structure_unitary(sigma).is_cyclic
+    assert bipartite_separability(sigma).separable
+    with pytest.raises(ValueError, match="not the process of a unitary"):
+        unitary_causal_separability(sigma)
+
+
 def test_bipartite_separability_fast_path(rng):
     sigma = one_way_comb(rng)
     sv = bipartite_separability(sigma)

@@ -37,6 +37,7 @@ from causalproc import (
     process_operator,
     random_unitary_chain,
     read_process_file,
+    reorder,
     tensor,
     tensor_maps,
     validate_process,
@@ -177,6 +178,32 @@ def test_compatibility_check_takes_an_extension_read_from_its_file(tmp_path):
     want = compatibility_check(make_af(), af_causal_graph(), bw, [ground] * 3)
     assert want.compatible
     assert compatibility_check(make_af(), af_causal_graph(), back, [ground] * 3) == want
+
+
+def test_compatibility_check_refuses_a_mixture_of_unitary_extensions():
+    # Two extensions send memory lambda_A to A.in and lambda_B to B.in, one of
+    # them flipping both bits. Their equal mixture is a valid process that
+    # reproduces the correlated inputs (|00><00| + |11><11|)/2 from ground
+    # memories and shows no memory-to-other-node influence, though the empty
+    # graph cannot produce the correlation.
+    a, b = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
+    root, leaf = QuantumNode("L", 1, 4), QuantumNode("F", 4, 1)
+    dom = (root.out_system, a.out_system, b.out_system)
+    cod = (a.in_system, b.in_system, leaf.in_system)
+    flip = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+    ups = [make_unitary_process([a, b, root, leaf], LinearMap(np.kron(m, np.eye(4)).astype(complex), dom, cod)) for m in (np.eye(4), flip)]
+    mixed = LabeledOperator(ups[0].op.systems, (ups[0].op.matrix + reorder(ups[1].op, ups[0].op.systems).matrix) / 2)
+    extension = process_operator(ups[0].nodes, mixed)
+    assert validate_process(extension).valid
+    sigma = process_operator(
+        (a, b),
+        tensor(LabeledOperator((a.in_system, b.in_system), np.diag([0.5, 0, 0, 0.5]).astype(complex)), identity_operator([a.out_dual, b.out_dual])),
+    )
+    ground = np.array([[1, 0], [0, 0]], dtype=complex)
+    empty = directed_graph(["A", "B"], [])
+    assert not compatibility_check(sigma, empty, ups[0], [ground] * 2).compatible
+    with pytest.raises(ValueError, match="not the process of a unitary"):
+        compatibility_check(sigma, empty, extension, [ground] * 2)
 
 def test_make_unitary_process_rejects_nonunitary():
     np_, na, nf = QuantumNode("P", 1, 2), QuantumNode("A", 2, 2), QuantumNode("F", 2, 1)
