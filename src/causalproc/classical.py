@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import DirectedGraph
 from .labeled import LabeledOperator
-from .process import ProcessOperator, QuantumNode, process_operator
+from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = [
     "ClassicalNode",
@@ -55,10 +55,7 @@ class ClassicalNode:
 
 
 def _interleaved_shape(nodes) -> tuple[int, ...]:
-    shape = []
-    for n in nodes:
-        shape.extend([n.in_card, n.out_card])
-    return tuple(shape)
+    return tuple(c for n in nodes for c in (n.in_card, n.out_card))
 
 
 def _interleaved_index(ins: np.ndarray, outs) -> tuple:
@@ -214,10 +211,7 @@ def classical_joint_probabilities(kp: ClassicalProcess, channels) -> np.ndarray:
     if len(channels) != len(kp.nodes):
         raise ValueError("need one channel per node")
     n = len(kp.nodes)
-    subs = []
-    for i in range(n):
-        subs.extend([2 * i, 2 * i + 1])
-    operands = [kp.table, subs]
+    operands = [kp.table, list(range(2 * n))]
     for i, ch in enumerate(channels):
         ch = np.asarray(ch, dtype=float)
         node = kp.nodes[i]
@@ -594,10 +588,7 @@ def find_process_outside_hull(nodes, budget: int = 2**24, seed: int = 0, attempt
         for outs in np.ndindex(*[nd.out_card for nd in nodes]):
             ins = tuple(outs[(i + shift) % n] for i in range(n))
             if all(ins[i] < nodes[i].in_card for i in range(n)):
-                idx = []
-                for i in range(n):
-                    idx.extend([ins[i], outs[i]])
-                d[tuple(idx)] = 1.0
+                d[tuple(v for i in range(n) for v in (ins[i], outs[i]))] = 1.0
         directions.append(d.reshape(-1))
         directions.append(-d.reshape(-1))
     for _ in range(attempts):
@@ -682,8 +673,5 @@ def quantize(kp: ClassicalProcess) -> ProcessOperator:
     validate it like any other operator.
     """
     qnodes = [QuantumNode(n.name, n.in_card, n.out_card) for n in kp.nodes]
-    systems = []
-    for n in qnodes:
-        systems.extend([n.in_system, n.out_dual])
     mat = np.diag(kp.table.reshape(-1)).astype(complex)
-    return process_operator(qnodes, LabeledOperator(tuple(systems), mat))
+    return process_operator(qnodes, LabeledOperator(tuple(canonical_systems(qnodes)), mat))

@@ -229,9 +229,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
         raise ProcessFileError("classical payload must carry 'shape' and 'values'")
     shape = payload["shape"]
     values = payload["values"]
-    expect = []
-    for nd in nodes_c:
-        expect.extend([nd.in_card, nd.out_card])
+    expect = [c for nd in nodes_c for c in (nd.in_card, nd.out_card)]
     if shape != expect:
         raise ProcessFileError(f"payload shape {shape} does not match nodes (expected {expect})")
     size = math.prod(expect)
@@ -255,6 +253,8 @@ def read_process_file(path) -> LoadedProcessFile:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ProcessFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProcessFileError(f"file is not UTF-8 text: {exc.reason}") from exc
     except RecursionError as exc:
         raise ProcessFileError("JSON nested too deeply") from exc
     except OSError as exc:

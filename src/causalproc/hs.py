@@ -2,12 +2,15 @@
 
 The "type" of a component of an operator is the set of tensor factors on which
 it acts as something other than a multiple of the identity. Both functions
-here work directly on the operator's (row_i, col_i) axes: a trivial factor is
-traced out, a nontrivial one keeps its traceless part X − Tr(X)/d·1.
+work directly on the operator's (row_i, col_i) axes. Projections, and the type
+table of a sparse operator, trace out a trivial factor and keep the traceless
+part X − Tr(X)/d·1 of a nontrivial one; the table of a dense operator changes
+each factor's basis once, to an orthogonal one that starts with the identity.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -86,50 +89,60 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     The key is the tuple of (name, dual) keys of the systems on which the
     component is nontrivial, in system order; () is the identity component.
     Squared norms sum to ‖op‖_F². One-dimensional systems are always trivial.
-    An operator that is sparse by ``labeled.sorted_coo``'s rule is walked on
-    its stored entries.
+    A dense operator is written in an orthogonal basis of each factor whose
+    first element is the identity, and the table is summed from the squared
+    coefficients. An operator that is sparse by ``labeled.sorted_coo``'s rule
+    is walked on its stored entries.
     """
     entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
     if entries is not None:
         return _sparse_type_norms(op.systems, *entries)
-    n = len(op.systems)
-    # Axes (batch, row_0, col_0, row_1, col_1, ...): each step splits the
-    # leading factor off axes 1 and 2. The trivial branch traces it out (the
-    # identity it leaves has norm √d, so the component's norm is the trace's
-    # over √d) and is pushed; the nontrivial branch subtracts Tr(X)/d·1 in
-    # place and folds the factor's axes into the batch. Only the one copy made
-    # here is ever full-size.
-    t = np.array(
-        op.as_tensor().transpose([a for i in range(n) for a in (i, n + i)])[None],
-        dtype=np.result_type(op.matrix.dtype, np.float64),
-        order="C",
-    )
-    stack = [(t, 0, (), 1.0)]
+    dims = [s.dim for s in op.systems]
+    n = len(dims)
+    # One copy, with axes (row_0, col_0, row_1, col_1, ...), in which each
+    # factor's diagonal units x_0, ..., x_{d-1} become integer Helmert rows in
+    # place: row 0 is their sum and row k is x_0 + ... + x_{k-1} - k·x_k,
+    # formed as (x_0 + ... + x_k) - (k+1)·x_k so that equal entries give exact
+    # zeros for d <= 4. Off-diagonal units are left as they are.
+    interleaved = [ax for i in range(n) for ax in (i, n + i)]
+    m = np.array(op.as_tensor().transpose(interleaved), dtype=np.result_type(op.matrix.dtype, np.float64), order="C")
+    for i, d in enumerate(dims):
+        pairs = m.reshape(math.prod(dims[:i]) ** 2, d * d, -1)
+        for k in range(1, d):
+            pairs[:, 0] += pairs[:, k * (d + 1)]
+            pairs[:, k * (d + 1)] *= -(k + 1)
+            pairs[:, k * (d + 1)] += pairs[:, 0]
+    parts = m.reshape(-1).view(np.float64)  # |·|², in one real array
+    np.square(parts, out=parts)
+    a = np.add(parts[0::2], parts[1::2]) if np.iscomplexobj(m) else parts
+    del m, parts
+    # Each nontrivial factor's d² squared coefficients become two classes, as
+    # weighted sums of nonnegative terms, never as differences: the identity
+    # 1/√d·1, whose squared coefficient is |row 0|²/d, and all the others, with
+    # Helmert row k normalized by k(k+1) and off-diagonal units by 1.
+    keys = []
+    for i, d in enumerate(dims):
+        if d > 1:
+            w = np.zeros((2, d * d))
+            w[0, 0], w[1] = 1.0 / d, 1.0
+            w[1, :: d + 1] = [0.0] + [1.0 / (k * (k + 1)) for k in range(1, d)]
+            a = np.matmul(w, a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2))
+            keys.append(op.systems[i].key)
     out = {}
-    while stack:
-        t, i, key, weight = stack.pop()
-        for s in op.systems[i:]:
-            if s.dim > 1:
-                tr = np.trace(t, axis1=1, axis2=2)
-                stack.append((tr, i + 1, key, weight / math.sqrt(s.dim)))
-                diag = np.einsum("bii...->bi...", t)
-                diag -= tr[:, None] / s.dim
-                key += (s.key,)
-            t = t.reshape((-1,) + t.shape[3:])
-            i += 1
-        norm = float(np.linalg.norm(t)) * weight
-        if norm > 0.0:
-            out[key] = norm
+    for bits, val in zip(itertools.product((0, 1), repeat=len(keys)), a.reshape(-1).tolist()):
+        if val > 0.0:
+            out[tuple(key for key, bit in zip(keys, bits) if bit)] = math.sqrt(val)
     return out
 
 
 def _sparse_type_norms(systems: tuple[SystemLabel, ...], index: np.ndarray, values: np.ndarray) -> dict[tuple, float]:
     """type_norms of the operator whose sorted-COO entries are given.
 
-    The same walk as the dense one, on flat indices into the axes (batch,
-    row_i, col_i, row_i+1, col_i+1, ...); folding a factor into the batch
-    leaves them unchanged. Tr(X)/d·1 is subtracted as explicit entries, and
-    a traced branch with no entries is not walked.
+    A walk over the 2^k types, on flat indices into the axes (batch, row_i,
+    col_i, row_i+1, col_i+1, ...): each nontrivial factor branches into its
+    trace, over √d, and its traceless part, and is then folded into the
+    batch, which leaves the indices unchanged. Tr(X)/d·1 is subtracted as
+    explicit entries, and a traced branch with no entries is not walked.
     """
     dims = [s.dim for s in systems]
     n = len(dims)

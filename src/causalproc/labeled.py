@@ -354,14 +354,9 @@ def transpose_systems(op: LabeledOperator, refs) -> LabeledOperator:
     """Partial transpose over the listed systems; their dual flags flip."""
     keys = {_as_key(r, op.systems) for r in refs}
     n = len(op.systems)
-    axes = []
-    for i in range(n):
-        axes.append(n + i if op.systems[i].key in keys else i)
-    for i in range(n):
-        axes.append(i if op.systems[i].key in keys else n + i)
-    systems = tuple(
-        dual(s) if s.key in keys else s for s in op.systems
-    )
+    axes = [n + i if s.key in keys else i for i, s in enumerate(op.systems)]
+    axes += [i if s.key in keys else n + i for i, s in enumerate(op.systems)]
+    systems = tuple(dual(s) if s.key in keys else s for s in op.systems)
     return _permuted(op, axes, systems)
 
 
@@ -467,15 +462,19 @@ def distance(a: LabeledOperator, b: LabeledOperator) -> float:
     ``b`` is reordered to ``a``'s system order first; the system sets must match.
     """
     b = reorder(b, [s.key for s in a.systems])
-    if a._coo is None or b._coo is None:
-        ma, mb = a.matrix, b.matrix
-        na = np.linalg.norm(ma)
-        nb = np.linalg.norm(mb)
-        return float(np.linalg.norm(ma - mb) / max(1.0, na, nb))
-    (ia, va), (ib, vb) = a._coo, b._coo
-    # a - b entry by entry: each shared entry rounds as the dense difference.
-    diff = _sum_duplicates(np.concatenate([ia, ib]), np.concatenate([va, -vb]))[1]
-    return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(va), np.linalg.norm(vb)))
+    held = [x._dense if x._coo is None else x._coo[1] for x in (a, b)]
+    if a._coo is not None and b._coo is not None:
+        (ia, va), (ib, vb) = a._coo, b._coo
+        # a - b entry by entry: each shared entry rounds as the dense difference.
+        diff = _sum_duplicates(np.concatenate([ia, ib]), np.concatenate([va, -vb]))[1]
+    else:
+        # The dense operands' difference, a sparse one read as 0, with its
+        # stored entries then added in place: each rounds as in the dense a - b.
+        diff = np.subtract(*(0.0 if x._coo is not None else x._dense for x in (a, b)), dtype=np.result_type(*held))
+        for x, sign in ((a, 1), (b, -1)):
+            if x._coo is not None:
+                diff.reshape(-1)[x._coo[0]] += sign * x._coo[1]
+    return float(np.linalg.norm(diff) / max(1.0, *map(np.linalg.norm, held)))
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,7 @@ class ProcessOperator:
 
 
 def canonical_systems(nodes) -> list[SystemLabel]:
-    out = []
-    for n in nodes:
-        out.append(n.in_system)
-        out.append(n.out_dual)
-    return out
+    return [s for n in nodes for s in (n.in_system, n.out_dual)]
 
 
 def process_operator(nodes, op: LabeledOperator) -> ProcessOperator:
@@ -190,8 +186,10 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     if entries is None:
         m = sigma.op.matrix
         norm = float(np.linalg.norm(m))
-        herm = float(np.linalg.norm(m - m.conj().T))
-        h = (m + m.conj().T) / 2
+        adjoint = m.conj().T
+        herm = float(np.linalg.norm(m - adjoint))
+        h = (m + adjoint) / 2
+        del adjoint
         trace = np.trace(m)
         table = type_norms(sigma.op)
     else:
@@ -444,12 +442,7 @@ def readout_instrument(node: QuantumNode) -> Instrument:
     out-space this is the plain readout.
     """
     prep = np.eye(node.d_out) / node.d_out
-    els = []
-    for k in range(node.d_in):
-        eff = np.zeros((node.d_in, node.d_in))
-        eff[k, k] = 1.0
-        els.append(measure_prepare_element(node, eff, prep))
-    return Instrument(node, tuple(els))
+    return Instrument(node, tuple(measure_prepare_element(node, np.diag(row), prep) for row in np.eye(node.d_in)))
 
 
 def preparation_instrument(node: QuantumNode, preps) -> Instrument:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import functools
 import json
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from causalproc import (
     ProcessFileError,
     QuantumNode,
     af_causal_graph,
+    causal_structure_deterministic,
     dict_to_process,
     make_af,
     make_af_deterministic,
@@ -309,3 +312,71 @@ def test_declared_side_is_bounded_by_what_the_payload_allocates():
         else:
             with pytest.raises(ProcessFileError, match="sparse validation"):
                 dict_to_process(doc)
+
+
+@functools.cache
+def fuzz_documents() -> dict:
+    """Valid documents of every payload kind, each with a graph or metadata block."""
+    dense = LabeledOperator(tuple(canonical_systems([QuantumNode("N", 2, 2)])), np.arange(16).reshape(4, 4) + 0.5j)
+    dp = make_af_deterministic()
+    return {
+        "sparse": process_to_dict(make_af(), af_causal_graph(), {"source": "af", "tags": [1, 2]}),
+        "dense": process_to_dict(process_operator([QuantumNode("N", 2, 2)], dense), metadata={"n": 1}),
+        "classical": process_to_dict(dp, causal_structure_deterministic(dp)),
+    }
+
+
+def _places(doc, prefix=()):
+    """Every path of keys and list positions in a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _places(value, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_raise_only_process_file_errors(data, tmp_path_factory):
+    """A valid document with one to three values replaced, deleted or inserted,
+    and its text with one byte replaced or cut short, is read or refused with
+    ProcessFileError (exit 2 in the CLI), never with another exception."""
+    doc = copy.deepcopy(fuzz_documents()[data.draw(st.sampled_from(["sparse", "dense", "classical"]))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        place = data.draw(st.sampled_from(list(_places(doc))))
+        action, value = data.draw(st.sampled_from(["replace", "delete", "insert"])), data.draw(json_values)
+        parent = functools.reduce(lambda node, key: node[key], place[:-1], doc)
+        target = functools.reduce(lambda node, key: node[key], place, doc)
+        if action == "insert" and isinstance(target, list):
+            target.insert(data.draw(st.integers(0, len(target))), value)
+        elif action == "insert" and isinstance(target, dict):
+            target[data.draw(st.text(max_size=4))] = value
+        elif not place:
+            doc = value
+        elif action == "delete":
+            del parent[place[-1]]
+        else:
+            parent[place[-1]] = value
+    try:
+        dict_to_process(doc)
+    except ProcessFileError:
+        pass
+    raw = bytearray(json.dumps(doc).encode())
+    where = data.draw(st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        raw[where] = data.draw(st.integers(0, 255))
+    else:
+        del raw[where:]
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    for payload in (json.dumps(doc).encode(), bytes(raw)):
+        path.write_bytes(payload)
+        try:
+            read_process_file(path)
+        except ProcessFileError:
+            pass

@@ -1,20 +1,33 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 
 from causalproc import (
     LabeledOperator,
+    LinearMap,
+    QuantumNode,
     SystemLabel,
+    haar_unitary,
     identity_operator,
+    make_af_deterministic,
+    make_classical_switch,
     make_methods_counterexample,
+    make_unitary_process,
     partial_trace,
     project_trivial,
     quantize,
+    random_unitary_chain,
     reorder,
     tensor,
     type_norms,
     validate_process,
 )
+from causalproc import hs
+from causalproc.hs import _sparse_type_norms
+from causalproc.labeled import sorted_coo
 from causalproc.rand import random_state
 
 
@@ -106,3 +119,112 @@ def test_counterexample_offending_types_order():
     verdict = validate_process(quantize(cx.combined([0.5, 0.5])))
     # The two sectors have equal norm; the report keeps this order.
     assert verdict.offending_types == ("A.in*A.out'*B.in*B.out'*C.out'", "A.in*A.out'*B.in*B.out'")
+
+
+def _projector_norms(x: LabeledOperator, todo, key=(), weight=1.0) -> dict:
+    """Type norms by the projector formula: the component of type T is
+    Π_{i∈T}(1 − P_i) Π_{i∉T} P_i x, with P_i = project_trivial(·, [i]). As
+    P_i y = Tr_i(y)/d_i ⊗ 1 has the norm of Tr_i(y)/√d_i, and the other P_j
+    act on Tr_i(y) alone, a trivial branch goes on with the partial trace."""
+    if not todo:
+        norm = weight * float(np.linalg.norm(x.matrix))
+        return {key: norm} if norm > 0.0 else {}
+    s, rest = todo[0], todo[1:]
+    trivial = _projector_norms(partial_trace(x, [s]), rest, key, weight / np.sqrt(s.dim))
+    return trivial | _projector_norms(x - project_trivial(x, [s]), rest, key + (s.key,), weight)
+
+
+def _assert_matches_projector_formula(x: LabeledOperator, got: dict):
+    want = _projector_norms(x, [s for s in x.systems if s.dim > 1])
+    bound = 1e-12 * max(1.0, float(np.linalg.norm(x.matrix)))
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= bound, key
+
+
+def _dense_table(x: LabeledOperator) -> dict:
+    """type_norms of x read by the dense kernel, whatever its stored count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hs, "sorted_coo", lambda m: None)
+        return type_norms(LabeledOperator(x.systems, x.matrix))
+
+
+@pytest.mark.parametrize("dtype", ["real", "complex", "integer"])
+def test_dense_type_norms_match_the_projector_formula(dtype, rng):
+    for _ in range(15):
+        dims = rng.integers(1, 5, size=rng.integers(1, 5))
+        systems = tuple(SystemLabel(f"s{i}", int(d), bool(rng.integers(2))) for i, d in enumerate(dims))
+        side = int(np.prod(dims))
+        m = {
+            "real": lambda: rng.normal(size=(side, side)),
+            "complex": lambda: rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)),
+            "integer": lambda: rng.choice([-3, -2, -1, 1, 2, 3], size=(side, side)),
+        }[dtype]()
+        assert sorted_coo(m) is None
+        x = LabeledOperator(systems, m)
+        before = m.copy()
+        got = type_norms(x)
+        assert x.matrix.dtype == before.dtype and np.array_equal(x.matrix, before)
+        _assert_matches_projector_formula(x, got)
+
+
+def test_dense_type_norms_with_at_most_one_nontrivial_factor(rng):
+    one, two, b = SystemLabel("one", 1), SystemLabel("two", 1, True), SystemLabel("b", 3)
+    for systems in [(), (one,), (one, two), (b,), (one, b, two), (two, SystemLabel("c", 4))]:
+        side = int(np.prod([s.dim for s in systems]))
+        x = LabeledOperator(systems, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+        got = type_norms(x)
+        assert set(got) <= {()} | {(s.key,) for s in systems if s.dim > 1}
+        _assert_matches_projector_formula(x, got)
+
+
+def test_dense_type_norms_of_1024_dim_processes(rng):
+    """The dense 1024-dim processes of the benchmark's analysis pass: a rank-two
+    mixture of chain combs (valid) and a Haar unitary process (invalid)."""
+    c1, c2 = random_unitary_chain(3, rng), random_unitary_chain(3, rng)
+    mixture = LabeledOperator(c1.op.systems, 0.3 * c1.op.matrix + 0.7 * c2.op.matrix)
+    nodes = [QuantumNode(name, 2, 2) for name in "ABC"] + [QuantumNode("P", 1, 4), QuantumNode("F", 4, 1)]
+    dom = tuple(n.out_system for n in nodes if n.d_out > 1)
+    cod = tuple(n.in_system for n in nodes if n.d_in > 1)
+    haar = make_unitary_process(nodes, LinearMap(haar_unitary(32, rng), dom, cod))
+    for x in (mixture, haar.op):
+        assert x.dim == 1024 and x._coo is None
+        got = type_norms(x)
+        assert len(got) == 2**8
+        _assert_matches_projector_formula(x, got)
+
+
+def test_dense_type_norms_give_exact_zeros():
+    """Equal diagonal entries give an exactly zero traceless part for d <= 4,
+    so identities, Pauli sums and quantized classical tables get exact key
+    sets from the dense kernel too."""
+    systems = (SystemLabel("a", 2), SystemLabel("b", 3, True), SystemLabel("c", 4))
+    for scale in (1.0, 1 / 3, 0.1, 0.7, np.pi):
+        assert list(_dense_table(scale * identity_operator(systems))) == [()]
+
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    qubits = (SystemLabel("q0", 2), SystemLabel("one", 1), SystemLabel("q1", 2, True), SystemLabel("q2", 2))
+    strings = list(itertools.product(range(4), repeat=3))
+    for seed in range(5):
+        pick = np.random.default_rng(seed)
+        terms = {strings[k]: int(pick.integers(1, 4)) for k in pick.choice(len(strings), 6, replace=False)}
+        m = sum(c * np.kron(np.kron(paulis[p[0]], paulis[p[1]]), paulis[p[2]]) for p, c in terms.items())
+        want = {}
+        for p, c in terms.items():
+            key = tuple(s.key for s, i in zip((qubits[0], qubits[2], qubits[3]), p) if i)
+            want[key] = want.get(key, 0.0) + 8.0 * c * c
+        got = _dense_table(LabeledOperator(qubits, m))
+        assert set(got) == set(want)
+        for key, val in want.items():
+            assert abs(got[key] - np.sqrt(val)) <= 1e-12 * np.sqrt(val)
+
+    tables = [
+        make_af_deterministic().to_classical(),
+        make_classical_switch(2).to_classical(),
+        make_methods_counterexample().combined([0.5, 0.5]),
+    ]
+    for table in tables:
+        x = quantize(table).op
+        walked = _sparse_type_norms(x.systems, *sorted_coo(x.matrix))
+        got = _dense_table(x)
+        assert set(got) == set(walked)
+        _assert_matches_projector_formula(x, got)

@@ -172,6 +172,30 @@ def test_traces_projections_and_distances_match_dense():
         assert abs(distance(op, reorder(other, order)) - distance(dense, _dense(other))) <= 1e-12
 
 
+def test_distance_of_a_sparse_and_a_dense_operand_never_densifies(monkeypatch):
+    """The dense operand, or 0 minus it, with the stored entries added in place
+    is bitwise the dense a - b; at operand norms below 1 the normalization is
+    1, so the distances are equal bit for bit."""
+    cases = []
+    for rng, op in _operators():
+        op = op * (0.9 / max(1.0, float(np.linalg.norm(op._coo[1]))))
+        d = op.dim
+        m = rng.normal(size=d * d) + (1j * rng.normal(size=d * d) if rng.integers(2) else 0.0)
+        m[rng.random(d * d) < 0.3] = 0.0
+        m = _signed_zeros(rng, m) * (0.9 / max(1.0, float(np.linalg.norm(m))))
+        other = LabeledOperator(tuple(reversed(op.systems)), m.reshape(d, d))
+        assert op._coo is not None and other._coo is None
+        cases.append((op, other, distance(_dense(op), other), distance(other, _dense(op))))
+
+    def refuse(side, index, values):
+        raise AssertionError(f"a {side}x{side} operator was made dense")
+
+    monkeypatch.setattr(labeled, "_densify", refuse)
+    for op, other, forward, backward in cases:
+        assert distance(op, other) == forward
+        assert distance(other, op) == backward
+
+
 def _permutation_chain(rng, slots):
     """Chain comb P -> A -> B ... -> F whose stages are seeded permutations of
     (slot wire, qubit memory), with a seeded phase sign per stage."""
