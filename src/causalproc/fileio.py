@@ -2,23 +2,30 @@
 
 A file stores either a quantum process operator or a classical process table
 (shape plus flat row-major values). The operator is a complex matrix, row-major
-over the canonical interleaved system order, with entries as [re, im] pairs,
-in one of two payloads:
+over the canonical interleaved system order, in one of three payloads:
 
-- dense: the nested ``[side, side, 2]`` list (format versions 1 and 2);
-- sparse (version 2 only): sorted COO, ``{"index": [...], "values": [...]}``,
+- nested (format versions 1 to 3): the ``[side, side, 2]`` list of [re, im]
+  pairs;
+- sparse (format 2 on): sorted COO, ``{"index": [...], "values": [...]}``,
   the strictly increasing flat row-major indices of the stored entries and
-  their [re, im] pairs.
+  their [re, im] pairs;
+- base64 (format 3 on): one string, the standard base64 (with padding, no line
+  breaks) of the matrix's row-major little-endian complex128 bytes, real part
+  first, so exactly ``4 * ceil(16 * side**2 / 3)`` characters.
 
-An entry is stored unless both of its parts are +0.0, so -0.0 survives. The
-writer picks the sparse payload iff ``4 * stored <= side**2``, a rule on the
-matrix alone (``labeled.sorted_coo``, which validation follows too), so
-export, import and re-export give the same bytes. An optional
-graph block carries a directed graph and a metadata block free-form data.
+A version admits the payloads of every earlier one. An entry is stored unless
+both of its parts are +0.0, so -0.0 survives. The writer picks the sparse
+payload iff ``4 * stored <= side**2``, a rule on the matrix alone
+(``labeled.sorted_coo``, which validation follows too), and the base64 one
+otherwise; it stamps a dense quantum file 3 and a sparse or classical one 2.
+So export, import and re-export give the same bytes, and every bit of the
+matrix survives. An optional graph block carries a directed graph and a
+metadata block free-form data.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,8 +47,10 @@ __all__ = [
     "read_process_file",
 ]
 
-FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)
+# The newest format, which a dense quantum file is stamped with; a sparse or
+# classical file is stamped 2, so its bytes are those of the format-2 writer.
+FORMAT_VERSION = 3
+READ_VERSIONS = (1, 2, 3)
 # A sparse payload allocates no side x side array; validating it (process._blocks)
 # peaks at about a dozen int64 arrays of one entry per row, bounded here by 16.
 # So side <= 2**25, and every flat index (below side**2) fits in an int64.
@@ -60,15 +69,16 @@ class LoadedProcessFile:
     metadata: dict = field(default_factory=dict)
 
 
-def _encode_matrix(op: LabeledOperator):
-    """Sorted-COO payload if ``labeled.sorted_coo`` finds the matrix sparse, else dense."""
+def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
+    """The format version and payload of an operator: sorted COO (format 2) if
+    ``labeled.sorted_coo`` finds the matrix sparse, else base64 (format 3)."""
     entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
     if entries is not None:
         index, values = entries
         pairs = np.asarray(values, dtype=complex).view(float).reshape(-1, 2)
-        return {"index": index.tolist(), "values": pairs.tolist()}
-    side = op.dim
-    return np.ascontiguousarray(op.matrix, dtype=complex).view(float).reshape(side, side, 2).tolist()
+        return 2, {"index": index.tolist(), "values": pairs.tolist()}
+    raw = np.ascontiguousarray(op.matrix, dtype="<c16").tobytes()
+    return 3, base64.b64encode(raw).decode("ascii")
 
 
 def _finite_numbers(items, shape: tuple, what: str) -> np.ndarray:
@@ -94,6 +104,26 @@ def _decode_dense(rows, side: int) -> np.ndarray:
         raise ProcessFileError(f"payload must be a {side}x{side} matrix")
     arr = _finite_numbers(rows, (side, side, 2), "payload of [re, im] pairs")
     return arr.view(complex).reshape(side, side)
+
+
+def _decode_base64(text: str, side: int) -> np.ndarray:
+    nbytes = 16 * side * side
+    length = 4 * -(-nbytes // 3)
+    if len(text) != length:
+        raise ProcessFileError(f"base64 payload of a {side}x{side} matrix must be {length} characters, got {len(text)}")
+    try:
+        # validate=True raises binascii.Error, a ValueError, on a character
+        # outside the alphabet (a line break included) or padding before the
+        # end; a non-ASCII character raises a ValueError itself.
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ProcessFileError(f"base64 payload is malformed: {exc}") from exc
+    if len(raw) != nbytes:
+        raise ProcessFileError(f"base64 payload decodes to {len(raw)} bytes, not {nbytes}")
+    m = np.frombuffer(raw, dtype="<c16").astype(complex)
+    if not np.all(np.isfinite(m.view(float))):
+        raise ProcessFileError("base64 payload contains non-finite numbers")
+    return m.reshape(side, side)
 
 
 def _decode_sparse(payload: dict, side: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,14 +172,14 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
     """
     if isinstance(obj, DeterministicProcess):
         obj = obj.to_classical()
-    doc: dict = {"format_version": FORMAT_VERSION}
+    doc: dict = {"format_version": 2}
     if isinstance(obj, ProcessOperator):
         doc["kind"] = "quantum"
         doc["nodes"] = [
             {"name": n.name, "d_in": n.d_in, "d_out": n.d_out, "kind": "quantum"}
             for n in obj.nodes
         ]
-        doc["payload"] = _encode_matrix(obj.op)
+        doc["format_version"], doc["payload"] = _encode_matrix(obj.op)
     elif isinstance(obj, ClassicalProcess):
         doc["kind"] = "classical"
         doc["nodes"] = [
@@ -215,7 +245,11 @@ def dict_to_process(doc) -> LoadedProcessFile:
                 f" would need more than {MAX_DENSE_BYTES} bytes"
             )
         systems = tuple(canonical_systems(nodes))
-        if dense:
+        if isinstance(payload, str):
+            if version < 3:
+                raise ProcessFileError("a base64 payload needs format_version 3")
+            op = LabeledOperator(systems, _decode_base64(payload, side))
+        elif dense:
             op = LabeledOperator(systems, _decode_dense(payload, side))
         elif version >= 2:
             op = _from_entries(systems, *_decode_sparse(payload, side))

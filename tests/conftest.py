@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import base64
 import copy
 
 import numpy as np
 import pytest
 
 from causalproc import (
+    LabeledOperator,
     make_af,
     make_af_deterministic,
     make_bw_extension,
     make_mix_example,
     make_reduced_switch,
     make_switch,
+    process_operator,
     process_to_dict,
 )
 
@@ -50,12 +53,28 @@ def rng():
 @pytest.fixture(scope="session")
 def bad_docs():
     """Process-file documents that each break one header, sparse-payload,
-    graph or metadata rule, by name; all are the mix exemplar's sparse
-    document with one entry replaced, or two for the oversized dense payload."""
-    good = process_to_dict(make_mix_example())
+    base64-payload, graph or metadata rule, by name; all are the mix
+    exemplar's sparse document, or its nodes with a full matrix in a format-3
+    base64 document, with one entry replaced, or two for the oversized dense
+    payload."""
+    mix = make_mix_example()
+    good = process_to_dict(mix)
     index, values = good["payload"]["index"], good["payload"]["values"]
     side = 16
     assert len(index) == side
+    full = (np.arange(side * side) + 1.5j).reshape(side, side) / side
+    dense = process_to_dict(process_operator(mix.nodes, LabeledOperator(mix.op.systems, full)))
+    text = dense["payload"]
+    # 16 * 256 bytes: 1366 groups of four characters, the last one padded "=="
+    assert dense["format_version"] == 3 and len(text) == 5464 and text.endswith("==")
+
+    def with_word(at, value):
+        words = np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+        words[at] = value
+        return {**dense, "payload": base64.b64encode(words.tobytes()).decode()}
+
+    def spliced(at, chars):
+        return {**dense, "payload": text[:at] + chars + text[at + len(chars):]}
 
     def setting(*path, value):
         doc = copy.deepcopy(good)
@@ -86,6 +105,22 @@ def bad_docs():
         "unhashable graph vertex": setting("graph", value={"vertices": [["A"]], "edges": []}),
         **{f"metadata {value!r}": setting("metadata", value=value) for value in (0, False, "", [], None, "x", [1])},
         # 16385 x 16385 complex entries would need more than 2**32 bytes
+        "base64 payload in a v2 file": {**dense, "format_version": 2},
+        "base64 payload in a v1 file": {**dense, "format_version": 1},
+        "base64 one character short": {**dense, "payload": text[:-1]},
+        "base64 one character long": {**dense, "payload": text + "A"},
+        "base64 without its padding": {**dense, "payload": text[:-2] + "AA"},
+        "base64 non-alphabet character": spliced(100, "-"),
+        "base64 non-ASCII character": spliced(100, "\u00e9"),
+        "base64 embedded newline": spliced(76, "\n"),
+        "base64 padding in the middle": spliced(100, "=="),
+        "base64 infinite word": with_word(5, float("inf")),
+        "base64 nan word": with_word(6, float("nan")),
+        "base64 empty string": {**dense, "payload": ""},
+        "oversized declared side, base64 payload": {
+            **dense,
+            "nodes": [{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}],
+        },
         "oversized declared side, dense payload": {
             **setting("nodes", value=[{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}]),
             "payload": [],

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import base64
 import copy
 import functools
+import hashlib
 import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +54,17 @@ def with_matrix(sigma, m: np.ndarray):
     return process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, m))
 
 
+def nested(doc: dict, m: np.ndarray, version: int = 2) -> dict:
+    """``doc`` with ``m`` in the nested [side, side, 2] payload of formats 1 and 2."""
+    side = m.shape[0]
+    return {**doc, "format_version": version, "payload": bits(m).view(float).reshape(side, side, 2).tolist()}
+
+
+def base64_words(text: str) -> np.ndarray:
+    """The float64 words of a format-3 base64 payload, in file order."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<u8")
+
+
 def test_quantum_round_trip_bit_exact(tmp_path):
     sigma = make_mix_example()
     path = tmp_path / "mix.json"
@@ -90,18 +105,27 @@ def test_deterministic_process_saves_as_classical(tmp_path):
     dp = make_af_deterministic()
     doc = process_to_dict(dp)
     assert doc["kind"] == "classical"
-    assert doc["format_version"] == FORMAT_VERSION
+    # a classical file keeps the stamp of the format-2 writer
+    assert doc["format_version"] == 2 < FORMAT_VERSION == 3
     back = dict_to_process(doc)
     assert np.array_equal(back.process.table, dp.to_classical().table)
 
 
 def test_complex_payload_encoding(tmp_path):
     sigma = dense_chain()
+    m = sigma.op.matrix
+    side = m.shape[0]
+    # format 3: one base64 string of the row-major little-endian complex128 bytes
     doc = process_to_dict(sigma)
-    side = sigma.op.matrix.shape[0]
-    payload = np.asarray(doc["payload"])
+    assert doc["format_version"] == 3 and isinstance(doc["payload"], str)
+    assert len(doc["payload"]) == 4 * math.ceil(16 * side * side / 3)
+    assert np.array_equal(base64_words(doc["payload"]), bits(m).reshape(-1))
+    # format 2: the nested [side, side, 2] list of [re, im] pairs, still read bit-exact
+    v2 = nested(doc, m)
+    payload = np.asarray(v2["payload"])
     assert payload.shape == (side, side, 2)
-    assert np.array_equal(payload[..., 0] + 1j * payload[..., 1], sigma.op.matrix)
+    assert np.array_equal(payload[..., 0] + 1j * payload[..., 1], m)
+    assert np.array_equal(bits(dict_to_process(v2).process.op.matrix), bits(m))
     # the mix exemplar is diagonal: sorted COO over flat row-major indices
     mix = make_mix_example()
     sparse = process_to_dict(mix)["payload"]
@@ -148,9 +172,15 @@ def test_wrong_payload_shape_rejected(tmp_path):
 def test_nonfinite_payload_rejected():
     sigma = dense_chain()
     doc = process_to_dict(sigma)
-    doc["payload"][0][0][0] = float("inf")
+    v2 = nested(doc, sigma.op.matrix)
+    v2["payload"][0][0][0] = float("inf")
     with pytest.raises(ProcessFileError):
-        dict_to_process(doc)
+        dict_to_process(v2)
+    # an inf written into the bytes of the base64 payload
+    raw = bytearray(base64.b64decode(doc["payload"]))
+    raw[:8] = struct.pack("<d", float("inf"))
+    with pytest.raises(ProcessFileError, match="non-finite"):
+        dict_to_process({**doc, "payload": base64.b64encode(raw).decode()})
     sparse = process_to_dict(make_mix_example())
     sparse["payload"]["values"][0][0] = float("inf")
     with pytest.raises(ProcessFileError):
@@ -195,12 +225,16 @@ def test_writer_picks_layout_by_stored_count():
     # sparse iff 4 * stored <= side**2, whatever the values
     mix = make_mix_example()
     side = mix.op.matrix.shape[0]
-    for stored, layout in ((side * side // 4, dict), (side * side // 4 + 1, list)):
+    for stored, layout, version in ((side * side // 4, dict, 2), (side * side // 4 + 1, str, 3)):
         m = np.zeros(side * side, dtype=complex)
         m[:stored] = 1e-300j
-        doc = process_to_dict(with_matrix(mix, m.reshape(side, side)))
+        m = m.reshape(side, side)
+        doc = process_to_dict(with_matrix(mix, m))
         assert isinstance(doc["payload"], layout)
-    assert isinstance(process_to_dict(dense_chain())["payload"], list)
+        assert doc["format_version"] == version
+        # the same matrix in the nested format-2 layout is read and written back the same way
+        assert process_to_dict(dict_to_process(nested(doc, m)).process) == doc
+    assert isinstance(process_to_dict(dense_chain())["payload"], str)
 
 
 def test_golden_v1_file_reads_bit_exact():
@@ -213,10 +247,48 @@ def test_golden_v1_file_reads_bit_exact():
     assert [(n.name, n.d_in, n.d_out) for n in loaded.process.nodes] == [("A", 2, 2), ("B", 2, 2)]
     assert np.array_equal(bits(loaded.process.op.matrix), bits(mix.op.matrix))
     assert loaded.metadata == {"description": "two-node no-signalling process with mixed inputs"}
-    # a re-export is format 2 and reads back to the same bits
+    # the mix exemplar is sparse: a re-export is format 2 and reads back to the same bits
     doc = process_to_dict(loaded.process)
-    assert doc["format_version"] == FORMAT_VERSION == 2
+    assert doc["format_version"] == 2 and isinstance(doc["payload"], dict)
     assert np.array_equal(bits(dict_to_process(doc).process.op.matrix), bits(mix.op.matrix))
+
+
+# sha256 of the float64 words of the matrix in tests/data/chain-v2.json
+CHAIN_V2_BITS = "e22ced64f6b0165bcd9975c32e2cded69e9ea134038ba1c16fdedd75c97129ff"
+
+
+def test_golden_v2_dense_file_reads_bit_exact(tmp_path):
+    # written by the format-2 writer: nested dense payload, "format_version": 2
+    path = DATA / "chain-v2.json"
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2 and isinstance(doc["payload"], list)
+    loaded = read_process_file(path)
+    assert [(n.name, n.d_in, n.d_out) for n in loaded.process.nodes] == [("A", 2, 2), ("P", 1, 4), ("F", 4, 1)]
+    m = loaded.process.op.matrix
+    assert m.shape == (64, 64)
+    assert hashlib.sha256(bits(m).tobytes()).hexdigest() == CHAIN_V2_BITS
+    # a re-export is format 3 and reads back to the same bits
+    again = tmp_path / "chain.json"
+    write_process_file(again, loaded.process, metadata=loaded.metadata)
+    redoc = json.loads(again.read_text())
+    assert redoc["format_version"] == 3 and isinstance(redoc["payload"], str)
+    assert redoc["metadata"] == doc["metadata"]
+    assert np.array_equal(bits(read_process_file(again).process.op.matrix), bits(m))
+
+
+def test_base64_payload_is_bounded_before_it_is_decoded(monkeypatch):
+    sigma = dense_chain()
+    doc, side = process_to_dict(sigma), sigma.dim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(base64, "b64decode", refuse)
+    oversized = {**doc, "nodes": [{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}]}
+    with pytest.raises(ProcessFileError, match="dense matrix"):
+        dict_to_process(oversized)
+    with pytest.raises(ProcessFileError, match=f"must be {4 * math.ceil(16 * side * side / 3)} characters"):
+        dict_to_process({**doc, "payload": doc["payload"] + "AAAA"})
 
 
 def test_exemplars_reexport_identically_from_either_layout(tmp_path):
@@ -230,10 +302,7 @@ def test_exemplars_reexport_identically_from_either_layout(tmp_path):
         path = tmp_path / f"{name}.json"
         write_process_file(path, sigma)
         # the same matrix in the v1 dense layout
-        doc = json.loads(path.read_text())
-        side = sigma.op.matrix.shape[0]
-        doc["format_version"] = 1
-        doc["payload"] = bits(sigma.op.matrix).view(float).reshape(side, side, 2).tolist()
+        doc = nested(json.loads(path.read_text()), sigma.op.matrix, version=1)
         for loaded in (read_process_file(path), dict_to_process(doc)):
             assert np.array_equal(bits(loaded.process.op.matrix), bits(sigma.op.matrix))
             again = tmp_path / f"{name}-again.json"
@@ -291,6 +360,53 @@ def test_round_trip_is_byte_identical_in_both_layouts(sigma, tmp_path_factory):
     assert second.read_bytes() == first.read_bytes()
 
 
+# the signed zeros, the smallest subnormal, the smallest normal and the largest finite value
+extreme_words = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+finite_words = st.one_of(
+    st.sampled_from(extreme_words),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda word: struct.unpack("<d", struct.pack("<Q", word))[0]).filter(math.isfinite),
+)
+
+
+@st.composite
+def dense_processes(draw):
+    """Operators on one or two nodes (side 1 to 12) of arbitrary finite float64
+    words, with one stored entry more than the sparse rule allows."""
+    dims = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=2).filter(
+            lambda dims: math.prod(d_in * d_out for d_in, d_out in dims) <= 12
+        )
+    )
+    nodes = tuple(QuantumNode(f"N{i}", d_in, d_out) for i, (d_in, d_out) in enumerate(dims))
+    side = math.prod(d_in * d_out for d_in, d_out in dims)
+    pairs = np.array(draw(st.lists(finite_words, min_size=2 * side * side, max_size=2 * side * side))).reshape(-1, 2)
+    head = pairs[: side * side // 4 + 1]
+    head[~head.view(np.uint64).any(axis=1), 0] = -0.0
+    m = pairs.view(complex).reshape(side, side)
+    return process_operator(nodes, LabeledOperator(tuple(canonical_systems(nodes)), m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma=dense_processes(), data=st.data())
+def test_dense_bit_patterns_round_trip_and_nonfinite_words_are_refused(sigma, data, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("hypothesis")
+    first, second = folder / "first.json", folder / "second.json"
+    write_process_file(first, sigma)
+    doc = json.loads(first.read_text())
+    assert doc["format_version"] == 3 and isinstance(doc["payload"], str)
+    loaded = read_process_file(first).process
+    assert np.array_equal(bits(loaded.op.matrix), bits(sigma.op.matrix))
+    write_process_file(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+    # any word with all exponent bits set (an inf or a NaN) is refused
+    words = base64_words(doc["payload"]).copy()
+    where = data.draw(st.integers(0, words.size - 1))
+    words[where] = data.draw(st.integers(0, 1)) << 63 | 0x7FF << 52 | data.draw(st.integers(0, 2**52 - 1))
+    with pytest.raises(ProcessFileError, match="non-finite"):
+        dict_to_process({**doc, "payload": base64.b64encode(words.tobytes()).decode()})
+
+
 def test_sparse_file_above_the_dense_bound_round_trips(tmp_path):
     up = make_switch(5)
     assert up.dim == 62500 and 16 * 62500**2 > 2**32
@@ -316,12 +432,15 @@ def test_declared_side_is_bounded_by_what_the_payload_allocates():
 
 @functools.cache
 def fuzz_documents() -> dict:
-    """Valid documents of every payload kind, each with a graph or metadata block."""
+    """Valid documents of every payload kind, each with a graph or metadata block:
+    the writer's sparse, base64 and classical ones and a nested format-2 one."""
     dense = LabeledOperator(tuple(canonical_systems([QuantumNode("N", 2, 2)])), np.arange(16).reshape(4, 4) + 0.5j)
+    dense_doc = process_to_dict(process_operator([QuantumNode("N", 2, 2)], dense), metadata={"n": 1})
     dp = make_af_deterministic()
     return {
         "sparse": process_to_dict(make_af(), af_causal_graph(), {"source": "af", "tags": [1, 2]}),
-        "dense": process_to_dict(process_operator([QuantumNode("N", 2, 2)], dense), metadata={"n": 1}),
+        "dense": dense_doc,
+        "dense-v2": nested(dense_doc, dense.matrix),
         "classical": process_to_dict(dp, causal_structure_deterministic(dp)),
     }
 
@@ -347,7 +466,7 @@ def test_mutated_documents_raise_only_process_file_errors(data, tmp_path_factory
     """A valid document with one to three values replaced, deleted or inserted,
     and its text with one byte replaced or cut short, is read or refused with
     ProcessFileError (exit 2 in the CLI), never with another exception."""
-    doc = copy.deepcopy(fuzz_documents()[data.draw(st.sampled_from(["sparse", "dense", "classical"]))])
+    doc = copy.deepcopy(fuzz_documents()[data.draw(st.sampled_from(list(fuzz_documents())))])
     for _ in range(data.draw(st.integers(1, 3))):
         place = data.draw(st.sampled_from(list(_places(doc))))
         action, value = data.draw(st.sampled_from(["replace", "delete", "insert"])), data.draw(json_values)
