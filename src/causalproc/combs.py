@@ -113,7 +113,7 @@ def unitary_causal_separability(sigma: ProcessOperator, tol: float = 1e-9) -> Un
     two orders, say, signals both ways) raises ValueError.
     """
     if not is_isometric(sigma, tol):
-        raise ValueError("not the process of a unitary: sigma is not (Tr sigma) times a rank-one projector")
+        raise ValueError("not the process of a unitary: sigma is not v v† for one vector v")
     g = causal_structure_unitary(sigma, tol)
     if g.is_cyclic:
         return UnitarySeparabilityVerdict(False, None, g.cycle(), g, None)

@@ -333,7 +333,7 @@ def compatibility_check(
         raise ValueError("could not identify root and leaf among the extra nodes")
     root, leaf = roots[0], leaves[0]
     if not is_isometric(extension, tol):
-        raise ValueError("extension is not the process of a unitary: it is not (Tr) times a rank-one projector")
+        raise ValueError("extension is not the process of a unitary: it is not v v† for one vector v")
     for name in sig_names:
         a, b = sigma.node(name), extension.node(name)
         if (a.d_in, a.d_out) != (b.d_in, b.d_out):

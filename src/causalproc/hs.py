@@ -24,6 +24,7 @@ from .labeled import (
     _from_entries,
     _sum_duplicates,
     _traced_entries,
+    partial_trace,
     sorted_coo,
 )
 
@@ -52,14 +53,14 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
     if op._coo is not None:
         return _sparse_projection(op, keys, keep, traced, scale)
     # Subscripts: rows 0..n-1, columns n..2n-1, a traced factor's column
-    # sharing its row subscript. With one operand, einsum gives the partial
-    # trace; on the zeroed output it gives a writable view of the diagonal.
+    # sharing its row subscript. On the zeroed output einsum gives a writable
+    # view of the traced factors' diagonal, into which the partial trace goes.
     subs = list(range(n)) + [i if i in traced else n + i for i in range(n)]
     kept = keep + [n + i for i in keep]
     t = op.as_tensor()
     out = np.zeros(t.shape, dtype=np.result_type(t.dtype, np.float64))
     diag = np.einsum(out, subs, kept + traced)
-    part = np.einsum(t, subs, kept)
+    part = partial_trace(op, keys).as_tensor()
     np.divide(part[(...,) + (None,) * len(traced)], scale, out=diag)
     return LabeledOperator(op.systems, out.reshape(op.dim, op.dim))
 

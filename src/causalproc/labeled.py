@@ -263,9 +263,10 @@ def _sum_duplicates(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
 
 
 def identity_operator(systems) -> LabeledOperator:
+    """The identity on ``systems``, held sparse from 4 dimensions up by ``sorted_coo``'s rule."""
     systems = tuple(systems)
     d = math.prod(s.dim for s in systems)
-    return LabeledOperator(systems, np.eye(d, dtype=complex))
+    return _from_entries(systems, np.arange(d) * (d + 1), np.ones(d, dtype=complex))
 
 
 def tensor(*ops: LabeledOperator) -> LabeledOperator:
@@ -401,9 +402,8 @@ def embed(op: LabeledOperator, systems) -> LabeledOperator:
     d = math.prod(s.dim for s in missing)
     if d == 1:  # the identity on dimension-1 systems is [[1]]: they only relabel the matrix
         return reorder(_relabeled(op, op.systems + tuple(missing)), systems)
-    # The identity is held by its diagonal, so that ``tensor`` checks its budget first.
-    eye = _from_entries(missing, np.arange(d) * (d + 1), np.ones(d, dtype=complex))
-    return reorder(tensor(op, eye), systems)
+    # A large identity is held sparse, so that ``tensor`` checks its budget first.
+    return reorder(tensor(op, identity_operator(missing)), systems)
 
 
 def product(ops, systems=None) -> LabeledOperator:

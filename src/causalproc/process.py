@@ -21,8 +21,11 @@ from .channels import ChannelOperator, cj_from_kraus
 from .hs import _sparse_type_norms, type_norms
 from .labeled import (
     LabeledOperator,
+    LinearMap,
     SystemLabel,
     _sum_duplicates,
+    cj_operator,
+    distance,
     identity_operator,
     partial_trace,
     product,
@@ -357,34 +360,29 @@ def no_signalling(sigma: ProcessOperator, from_nodes, tol: float = 1e-9) -> bool
 
 
 def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
-    """True iff sigma is (Tr sigma) times a rank-one projector.
+    """True iff sigma is v v† for one vector v, within ``tol``.
 
-    Process operators of isometries and unitaries have exactly this form, so
-    the test is sigma @ sigma == Tr(sigma) * sigma up to the tolerance. A
-    sparse operator is squared on its stored entries.
+    Process operators of isometries and unitaries have exactly this form. With
+    k the index of sigma's largest diagonal entry, v is column k over that
+    entry's square root (0 if the entry is not positive), and sigma is
+    compared with v v† by ``distance``, a sparse one on its stored entries.
     """
-    if sigma.op._coo is None:
-        m = sigma.op.matrix
-        c = float(np.trace(m).real)
-        scale = max(1.0, abs(c) * float(np.linalg.norm(m)))
-        return bool(np.linalg.norm(m @ m - c * m) <= tol * scale)
-    index, values = sigma.op._coo
-    d = sigma.op.dim
-    rows, cols = np.divmod(index, d)
-    c = float(values[rows == cols].sum().real)
-    scale = max(1.0, abs(c) * float(np.linalg.norm(values)))
-    # (sigma @ sigma)[i, k] sums sigma[i, j] * sigma[j, k]: entry a = (i, j)
-    # meets each entry b of row j. Entries are sorted by row, so row j's
-    # entries are the run starting at starts[j].
-    starts = np.searchsorted(rows, np.arange(d + 1))
-    meets = np.diff(starts)[cols]
-    a = np.repeat(np.arange(index.size), meets)
-    b = np.repeat(starts[cols] - np.cumsum(meets) + meets, meets) + np.arange(a.size)
-    residual = _sum_duplicates(
-        np.concatenate([rows[a] * d + cols[b], index]),
-        np.concatenate([values[a] * values[b], -c * values]),
-    )[1]
-    return bool(np.linalg.norm(residual) <= tol * scale)
+    op, d = sigma.op, sigma.op.dim
+    if op._coo is None:
+        diagonal = op.matrix.diagonal().real
+        k = int(np.argmax(diagonal))
+        column = op.matrix[:, k]
+    else:
+        index, values = op._coo
+        rows, cols = np.divmod(index, d)
+        on = rows == cols
+        diagonal = np.zeros(d)
+        diagonal[rows[on]] = values[on].real
+        k = int(np.argmax(diagonal))
+        column = np.zeros(d, dtype=values.dtype)
+        column[rows[cols == k]] = values[cols == k]
+    v = column / math.sqrt(diagonal[k]) if diagonal[k] > 0 else np.zeros(d)
+    return distance(op, cj_operator(LinearMap(v.reshape(d, 1), (), op.systems))) <= tol
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from causalproc import (
     conditional_process,
     distance,
     is_isometric,
+    labeled,
     causal_structure_unitary,
     make_mix_example,
     make_switch,
@@ -93,6 +94,29 @@ def test_comb_search_respects_budget(rng):
 def test_is_isometric(switch_up, reduced_switch):
     assert is_isometric(switch_up)
     assert not is_isometric(reduced_switch)
+
+
+def test_is_isometric_means_v_v_dagger_on_either_storage():
+    # -2|ψ⟩⟨ψ|, the idempotent x yᵀ (yᵀx = 1) and the nilpotent (x - y) yᵀ
+    # all square to their trace times themselves, yet none is v v†, the
+    # process of an isometry.
+    node = QuantumNode("A", 2, 2)
+    systems = (node.in_system, node.out_dual)
+    psi = np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2)
+    x, y = np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])
+    cases = {
+        "zero": (np.zeros((4, 4), dtype=complex), True),
+        "2 psi psi": (2 * np.outer(psi, psi.conj()), True),
+        "-2 psi psi": (-2 * np.outer(psi, psi.conj()), False),
+        "x y^T": (np.outer(x, y).astype(complex), False),
+        "nilpotent": (np.outer(x - y, y).astype(complex), False),
+    }
+    for name, (m, want) in cases.items():
+        m = m + 0.0  # -0.0 becomes +0.0, which the sparse storage does not keep
+        dense = process_operator((node,), LabeledOperator(systems, m))
+        sparse = process_operator((node,), labeled._from_entries(systems, np.arange(16), m.reshape(-1)))
+        assert dense.op._coo is None and sparse.op._coo is not None
+        assert is_isometric(dense) == is_isometric(sparse) == want, name
 
 
 def test_unitary_separability_of_chain(rng):

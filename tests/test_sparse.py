@@ -44,6 +44,7 @@ from causalproc import (
     reorder,
     tensor_maps,
     transpose_systems,
+    unitary_causal_separability,
     validate_process,
     write_process_file,
 )
@@ -283,6 +284,20 @@ def test_bw_end_to_end_memory_bound(no_densify, tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak
+
+
+def test_switch5_unitary_separability_memory_bound(no_densify):
+    # The isometry guard reads one column of the 62500-dim operator, so the
+    # theorem decides it in a few MiB with no dense copy.
+    up = make_switch(5)
+    tracemalloc.start()
+    try:
+        verdict = unitary_causal_separability(up)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not verdict.separable and verdict.cycle == ("A", "B")
     assert peak <= 64 * 2**20, peak
 
 
