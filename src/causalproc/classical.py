@@ -15,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedGraph
-from .labeled import LabeledOperator
+from .labeled import _from_entries
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
+
+# Default bound on the tuples of local maps and the candidate functions that
+# validation and enumeration may scan.
+ENUMERATION_BUDGET = 2**24
 
 __all__ = [
     "ClassicalNode",
@@ -176,7 +180,9 @@ class ClassicalValidationVerdict:
     tol: float
 
 
-def validate_classical(kp: ClassicalProcess, tol: float = 1e-9, budget: int = 10**7) -> ClassicalValidationVerdict:
+def validate_classical(
+    kp: ClassicalProcess, tol: float = 1e-9, budget: int = ENUMERATION_BUDGET
+) -> ClassicalValidationVerdict:
     """Nonnegativity plus unit total weight against every deterministic tuple."""
     min_entry = float(kp.table.min())
     totals = classical_joint_probabilities(kp, _local_instruments(kp.nodes, budget))
@@ -185,7 +191,7 @@ def validate_classical(kp: ClassicalProcess, tol: float = 1e-9, budget: int = 10
     return ClassicalValidationVerdict(bool(valid), min_entry, worst, totals.size, tol)
 
 
-def validate_deterministic(dp: DeterministicProcess, budget: int = 10**7):
+def validate_deterministic(dp: DeterministicProcess, budget: int = ENUMERATION_BUDGET):
     """True iff every local tuple admits exactly one consistent assignment.
 
     Returns (valid, witness): the witness is the first offending tuple of local
@@ -304,7 +310,7 @@ def classical_markov_check(kp: ClassicalProcess, graph, tol: float = 1e-9) -> Cl
     return ClassicalMarkov(graph, factors, stoch, prod_res, bool(accepted), tol)
 
 
-def enumerate_deterministic_processes(nodes, budget: int = 2**24) -> list[DeterministicProcess]:
+def enumerate_deterministic_processes(nodes, budget: int = ENUMERATION_BUDGET) -> list[DeterministicProcess]:
     """All valid deterministic processes over the nodes, ordered by function table.
 
     ``budget`` bounds both the number of functions from out-values to
@@ -442,7 +448,9 @@ class PolytopeVerdict:
     residual: float
 
 
-def polytope_membership(kp: ClassicalProcess, vertices=None, tol: float = 1e-8, budget: int = 2**24) -> PolytopeVerdict:
+def polytope_membership(
+    kp: ClassicalProcess, vertices=None, tol: float = 1e-8, budget: int = ENUMERATION_BUDGET
+) -> PolytopeVerdict:
     """Is the table a convex combination of deterministic processes?
 
     Solves one LP for the L1 distance from the table p to the hull of the
@@ -562,7 +570,7 @@ def _normalization_rows(nodes, budget: int) -> np.ndarray:
     return np.einsum(*operands, list(range(3 * n))).reshape(-1, int(np.prod(_interleaved_shape(nodes))))
 
 
-def find_process_outside_hull(nodes, budget: int = 2**24, seed: int = 0, attempts: int = 64):
+def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET, seed: int = 0, attempts: int = 64):
     """A valid classical process outside the deterministic hull, found by LP.
 
     Maximizes linear functionals over the validity polytope; each optimizer is
@@ -669,9 +677,11 @@ def quantize(kp: ClassicalProcess) -> ProcessOperator:
     """Diagonal process operator with the table on the computational basis.
 
     The interleaved table axes line up with the canonical system order, so
-    the diagonal is just the flattened table. The result is not certified;
-    validate it like any other operator.
+    the diagonal is just the flattened table, held by its entries at flat
+    indices i·(side + 1). The result is not certified; validate it like any
+    other operator.
     """
     qnodes = [QuantumNode(n.name, n.in_card, n.out_card) for n in kp.nodes]
-    mat = np.diag(kp.table.reshape(-1)).astype(complex)
-    return process_operator(qnodes, LabeledOperator(tuple(canonical_systems(qnodes)), mat))
+    diag = kp.table.reshape(-1).astype(complex)
+    op = _from_entries(tuple(canonical_systems(qnodes)), np.arange(diag.size) * (diag.size + 1), diag)
+    return process_operator(qnodes, op)

@@ -24,8 +24,9 @@ import time
 import numpy as np
 
 from . import exemplars as ex
-from .classical import (ClassicalProcess, causal_structure_deterministic, enumerate_deterministic_processes,
-                        polytope_membership, quantize, reversible_extension, validate_classical)
+from .classical import (ENUMERATION_BUDGET, ClassicalProcess, causal_structure_deterministic,
+                        enumerate_deterministic_processes, polytope_membership, quantize, reversible_extension,
+                        validate_classical)
 from .combs import bipartite_separability, comb_check, comb_search
 from .fileio import ProcessFileError, read_process_file, write_process_file
 from .graphs import discover
@@ -115,9 +116,7 @@ def cmd_validate(args, loaded, report) -> int:
 
 
 def _classical_validity(args, kp: ClassicalProcess, report) -> int:
-    # the top-level validate has no --budget and keeps the library default
-    budget = {"budget": args.budget} if "budget" in args else {}
-    verdict = validate_classical(kp, args.tol, **budget)
+    verdict = validate_classical(kp, args.tol, args.budget)
     report.update(
         valid=verdict.valid,
         min_entry=verdict.min_entry,
@@ -256,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _reads_file(sub.add_parser("validate", help="check process validity"), cmd_validate)
+    p = sub.add_parser("validate", help="check process validity")
+    _reads_file(p, cmd_validate)
+    # a classical file is validated with the default enumeration budget
+    p.set_defaults(budget=ENUMERATION_BUDGET)
 
     p = sub.add_parser("discover", help="recover the causal graph and Markov factorization")
     _reads_file(p, cmd_discover)
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="classical process tooling")
     p.add_argument("subcommand", choices=list(CLASSICAL_COMMANDS))
     _reads_file(p, cmd_classical)
-    p.add_argument("--budget", type=int, default=2**24)
+    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
     p.add_argument("--out", help="output path for extend/quantize results")
 
     p = sub.add_parser("exemplar", help="write a built-in example process to a file")

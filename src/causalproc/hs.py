@@ -2,15 +2,14 @@
 
 The "type" of a component of an operator is the set of tensor factors on which
 it acts as something other than a multiple of the identity. Both functions
-work directly on the operator's (row_i, col_i) axes. Projections, and the type
-table of a sparse operator, trace out a trivial factor and keep the traceless
-part X − Tr(X)/d·1 of a nontrivial one; the table of a dense operator changes
-each factor's basis once, to an orthogonal one that starts with the identity.
+work directly on the operator's (row_i, col_i) axes. Projections trace out a
+trivial factor and keep the traceless part X − Tr(X)/d·1 of a nontrivial one;
+the type table changes each factor's basis once, to an orthogonal one that
+starts with the identity, on a dense copy or on the stored entries.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from .labeled import (
     _digits,
     _flat,
     _from_entries,
-    _sum_duplicates,
     _traced_entries,
     partial_trace,
     sorted_coo,
@@ -90,10 +88,10 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     The key is the tuple of (name, dual) keys of the systems on which the
     component is nontrivial, in system order; () is the identity component.
     Squared norms sum to ‖op‖_F². One-dimensional systems are always trivial.
-    A dense operator is written in an orthogonal basis of each factor whose
-    first element is the identity, and the table is summed from the squared
-    coefficients. An operator that is sparse by ``labeled.sorted_coo``'s rule
-    is walked on its stored entries.
+    Each factor is written in an orthogonal basis whose first element is the
+    identity, and the table is summed from the squared coefficients: on a
+    dense copy, or on the stored entries of an operator that is sparse by
+    ``labeled.sorted_coo``'s rule.
     """
     entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
     if entries is not None:
@@ -101,78 +99,80 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     dims = [s.dim for s in op.systems]
     n = len(dims)
     # One copy, with axes (row_0, col_0, row_1, col_1, ...), in which each
-    # factor's diagonal units x_0, ..., x_{d-1} become integer Helmert rows in
-    # place: row 0 is their sum and row k is x_0 + ... + x_{k-1} - k·x_k,
-    # formed as (x_0 + ... + x_k) - (k+1)·x_k so that equal entries give exact
-    # zeros for d <= 4. Off-diagonal units are left as they are.
+    # factor's diagonal units become Helmert rows in place.
     interleaved = [ax for i in range(n) for ax in (i, n + i)]
     m = np.array(op.as_tensor().transpose(interleaved), dtype=np.result_type(op.matrix.dtype, np.float64), order="C")
     for i, d in enumerate(dims):
-        pairs = m.reshape(math.prod(dims[:i]) ** 2, d * d, -1)
-        for k in range(1, d):
-            pairs[:, 0] += pairs[:, k * (d + 1)]
-            pairs[:, k * (d + 1)] *= -(k + 1)
-            pairs[:, k * (d + 1)] += pairs[:, 0]
+        _helmert(np.moveaxis(m.reshape(math.prod(dims[:i]) ** 2, d * d, -1)[:, :: d + 1], 1, 0))
     parts = m.reshape(-1).view(np.float64)  # |·|², in one real array
     np.square(parts, out=parts)
     a = np.add(parts[0::2], parts[1::2]) if np.iscomplexobj(m) else parts
     del m, parts
-    # Each nontrivial factor's d² squared coefficients become two classes, as
-    # weighted sums of nonnegative terms, never as differences: the identity
-    # 1/√d·1, whose squared coefficient is |row 0|²/d, and all the others, with
-    # Helmert row k normalized by k(k+1) and off-diagonal units by 1.
     keys = []
     for i, d in enumerate(dims):
         if d > 1:
-            w = np.zeros((2, d * d))
-            w[0, 0], w[1] = 1.0 / d, 1.0
-            w[1, :: d + 1] = [0.0] + [1.0 / (k * (k + 1)) for k in range(1, d)]
-            a = np.matmul(w, a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2))
+            a = np.matmul(_class_weights(d), a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2))
             keys.append(op.systems[i].key)
-    out = {}
-    for bits, val in zip(itertools.product((0, 1), repeat=len(keys)), a.reshape(-1).tolist()):
-        if val > 0.0:
-            out[tuple(key for key, bit in zip(keys, bits) if bit)] = math.sqrt(val)
-    return out
+    return _table(keys, a.reshape(-1))
 
 
 def _sparse_type_norms(systems: tuple[SystemLabel, ...], index: np.ndarray, values: np.ndarray) -> dict[tuple, float]:
     """type_norms of the operator whose sorted-COO entries are given.
 
-    A walk over the 2^k types, on flat indices into the axes (batch, row_i,
-    col_i, row_i+1, col_i+1, ...): each nontrivial factor branches into its
-    trace, over √d, and its traceless part, and is then folded into the
-    batch, which leaves the indices unchanged. Tr(X)/d·1 is subtracted as
-    explicit entries, and a traced branch with no entries is not walked.
+    The dense change of basis on flat indices into the axes (row_0, col_0,
+    row_1, col_1, ...): each factor's stored diagonal units, gathered by the
+    other digits into a d × groups array, become Helmert rows, and the nonzero
+    ones are stored back. The weighted squares are then binned by type.
     """
     dims = [s.dim for s in systems]
-    n = len(dims)
-    row_col = _digits(index, dims * 2)
-    interleaved = [a for i in range(n) for a in (i, n + i)]
-    flat = _flat([row_col[a] for a in interleaved], [dims[a % n] for a in interleaved], index.size)
-    stack = [(flat, values, 0, (), 1.0)]
+    row_col, pairs = _digits(index, dims * 2), [d * d for d in dims]
+    flat = _flat([row_col[i] * d + row_col[len(dims) + i] for i, d in enumerate(dims)], pairs, index.size)
+    for i, d in enumerate(dims):
+        if d > 1:
+            rest = math.prod(dims[i + 1 :]) ** 2
+            pair = flat // rest % (d * d)
+            on = pair % (d + 1) == 0
+            base, group = np.unique(flat[on] - pair[on] * rest, return_inverse=True)
+            units = np.zeros((d, base.size), dtype=values.dtype)
+            units[pair[on] // (d + 1), group] = values[on]
+            _helmert(units)
+            row, col = np.nonzero(units)
+            flat = np.concatenate([flat[~on], base[col] + row * (d + 1) * rest])
+            values = np.concatenate([values[~on], units[row, col]])
+    squares = np.square(values.real) + np.square(values.imag)
+    nontrivial = [(s, pair) for s, pair in zip(systems, _digits(flat, pairs)) if s.dim > 1]
+    for s, pair in nontrivial:
+        squares *= _class_weights(s.dim).sum(axis=0)[pair]
+    masks = _flat([np.minimum(pair, 1) for _, pair in nontrivial], [2] * len(nontrivial), flat.size)
+    return _table([s.key for s, _ in nontrivial], np.bincount(masks, squares))
+
+
+def _helmert(units) -> None:
+    """Integer Helmert rows, in place, of a factor's diagonal units x_0, ...,
+    x_{d-1} (``units[k]``): row 0 is their sum and row k is x_0 + ... +
+    x_{k-1} - k·x_k, formed as (x_0 + ... + x_k) - (k+1)·x_k so that equal
+    entries give exact zeros for d <= 4."""
+    for k in range(1, len(units)):
+        units[0] += units[k]
+        units[k] *= -(k + 1)
+        units[k] += units[0]
+
+
+def _class_weights(d: int) -> np.ndarray:
+    """Weights of a factor's d² squared coefficients in its two classes, as
+    sums of nonnegative terms, never as differences: the identity 1/√d·1,
+    whose squared coefficient is |row 0|²/d, and all the others, with Helmert
+    row k normalized by k(k+1) and off-diagonal units by 1."""
+    w = np.zeros((2, d * d))
+    w[0, 0], w[1] = 1.0 / d, 1.0
+    w[1, :: d + 1] = [0.0] + [1.0 / (k * (k + 1)) for k in range(1, d)]
+    return w
+
+
+def _table(keys, squares: np.ndarray) -> dict[tuple, float]:
+    """The positive squared norms, indexed by type bit mask, as norms keyed by
+    type: bit len(keys)-1-j of a mask is set iff the type contains keys[j]."""
     out = {}
-    while stack:
-        flat, values, i, key, weight = stack.pop()
-        for s in systems[i:]:
-            i += 1
-            k = s.dim
-            if k > 1:
-                rest = math.prod(dims[i:]) ** 2
-                batch, digits = np.divmod(flat, k * k * rest)
-                pair, rem = np.divmod(digits, rest)
-                on = pair % (k + 1) == 0
-                tr_index, tr = _sum_duplicates(batch[on] * rest + rem[on], values[on])
-                if tr_index.size:
-                    stack.append((tr_index, tr, i, key, weight / math.sqrt(k)))
-                    b, r = np.divmod(tr_index, rest)
-                    diag = (b[:, None] * (k * k) + np.arange(k) * (k + 1)) * rest + r[:, None]
-                    flat, values = _sum_duplicates(
-                        np.concatenate([flat, diag.reshape(-1)]),
-                        np.concatenate([values, np.repeat(-(tr / k), k)]),
-                    )
-                key += (s.key,)
-        norm = float(np.linalg.norm(values)) * weight
-        if norm > 0.0:
-            out[key] = norm
+    for mask in np.flatnonzero(squares > 0.0).tolist():
+        out[tuple(key for j, key in enumerate(keys) if mask >> (len(keys) - 1 - j) & 1)] = math.sqrt(squares[mask])
     return out

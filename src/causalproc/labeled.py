@@ -214,7 +214,11 @@ def _stored(values: np.ndarray) -> np.ndarray:
 
 
 def _densify(side: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The dense side×side matrix with these sorted-COO entries."""
+    """The dense side×side matrix with these sorted-COO entries; a ValueError
+    if it would need more than ``MAX_DENSE_BYTES``."""
+    need = side * side * values.itemsize
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(f"a dense {side}-dim operator would need {need} bytes, more than {MAX_DENSE_BYTES}")
     m = np.zeros(side * side, dtype=values.dtype)
     m[index] = values
     return m.reshape(side, side)

@@ -228,7 +228,7 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     ]
     # Norms equal to 12 significant digits tie and are ordered by name, so that
     # rounding in the last bits, which differs between the sparse and the
-    # dense walk, does not reorder equal sectors.
+    # dense table, does not reorder equal sectors.
     names.sort(key=lambda item: (float(f"{item[0]:.12g}"), item[1]), reverse=True)
     offenders = tuple(label for _, label in names[:16])
 

@@ -11,6 +11,7 @@ import pytest
 
 from causalproc import (
     ClassicalNode,
+    ClassicalProcess,
     DeterministicProcess,
     LabeledOperator,
     cli,
@@ -330,17 +331,62 @@ def test_discover_refuses_padding_a_large_product_as_a_usage_error(tmp_path, cap
     path = tmp_path / "prod8.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, "validate", str(path))[0] == 0
-    # The address-space cap turns an attempt at the dense identity into a
-    # prompt MemoryError (exit 3) instead of an allocation of 64 GiB.
+    out = run_capped("discover", str(path))
+    assert out.returncode == 2, out.stderr
+    assert f"more than {2**32}" in out.stderr
+
+
+def run_capped(*argv):
+    """The CLI in a child process under a 4 GiB address-space cap, which turns
+    an attempt at a dense side² allocation into a prompt MemoryError (exit 3)
+    instead of an allocation of many GiB."""
     resource = pytest.importorskip("resource")
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); from causalproc import cli; sys.exit(cli.main(['discover', {str(path)!r}]))"],
-        capture_output=True, text=True, timeout=120, preexec_fn=cap,
-    )
-    assert out.returncode == 2, out.stderr
-    assert f"more than {2**32}" in out.stderr
+    code = f"import sys; sys.path.insert(0, {src!r}); from causalproc import cli; sys.exit(cli.main({list(argv)!r}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, preexec_fn=cap)
+
+
+def classical_chain(names, card):
+    """The classical process in which the first node reads 0 and each other
+    node reads the previous one's output."""
+    outs = np.indices((card,) * len(names), dtype=np.int64)
+    nodes = tuple(ClassicalNode(name, card, card) for name in names)
+    return DeterministicProcess(nodes, np.stack([np.zeros_like(outs[0]), *outs[:-1]], axis=-1)).to_classical()
+
+
+def test_classical_chain_of_16384_dims_is_quantized_on_its_diagonal(tmp_path):
+    path = tmp_path / "chain7.json"
+    write_process_file(path, classical_chain("ABCDEFG", 2))
+    checks = {("comb", "--search"): ("found", list("ABCDEFG")), ("comb", "--order", "A,B,C,D,E,F,G"): ("accepted", True),
+              ("classical", "quantize"): ("valid", True)}
+    for argv, (field, value) in checks.items():
+        out = run_capped(*argv, str(path))
+        assert out.returncode == 0, (argv, out.stderr)
+        assert json.loads(out.stdout)[field] == value, argv
+
+
+def test_densifying_beyond_the_byte_budget_is_a_usage_error(tmp_path):
+    # A mixture of the two one-way orders of two 12-card nodes: its quantized
+    # diagonal has 20736 dims, whose dense matrix would need 6.4 GiB.
+    nodes = (ClassicalNode("A", 12, 12), ClassicalNode("B", 12, 12))
+    a, b = np.indices((12, 12), dtype=np.int64)
+    tables = [DeterministicProcess(nodes, np.stack(f, axis=-1)).to_classical().table for f in ([0 * a, a], [b, 0 * b])]
+    path = tmp_path / "mix12.json"
+    write_process_file(path, ClassicalProcess(nodes, (tables[0] + tables[1]) / 2))
+    out = run_capped("separability", str(path))
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    assert f"would need {16 * 20736**2} bytes" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_both_validate_routes_share_the_enumeration_budget(tmp_path, capsys):
+    # 27**5 = 14348907 tuples of local maps on five ternary nodes
+    path = tmp_path / "tern5.json"
+    write_process_file(path, classical_chain("ABCDE", 3))
+    codes = [run(capsys, *route, str(path))[0] for route in (["validate"], ["classical", "validate"])]
+    assert codes == [0, 0]
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalproc import (
     LabeledOperator,
@@ -224,7 +226,39 @@ def test_dense_type_norms_give_exact_zeros():
     ]
     for table in tables:
         x = quantize(table).op
-        walked = _sparse_type_norms(x.systems, *sorted_coo(x.matrix))
+        sparse = _sparse_type_norms(x.systems, *sorted_coo(x.matrix))
         got = _dense_table(x)
-        assert set(got) == set(walked)
+        assert set(got) == set(sparse)
         _assert_matches_projector_formula(x, got)
+
+
+# Parts of entries: signed zeros and values equal often enough to cancel exactly.
+parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1 / 3, 0.1]),
+    st.floats(-4.0, 4.0, allow_subnormal=False).filter(lambda x: x == 0.0 or abs(x) > 1e-100),
+)
+
+
+@st.composite
+def sorted_coo_operators(draw):
+    """Operators on 1 to 3 factors of dims 1 to 5 with at most a quarter of
+    their entries stored, complex or real."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    systems = tuple(SystemLabel(f"s{i}", d, draw(st.booleans())) for i, d in enumerate(dims))
+    size = int(np.prod(dims)) ** 2
+    where = draw(st.lists(st.integers(0, size - 1), max_size=size // 4, unique=True))
+    m = np.zeros(size, dtype=complex)
+    m[where] = [complex(draw(parts), draw(parts)) for _ in where]
+    m = m.reshape(int(np.prod(dims)), -1)
+    return LabeledOperator(systems, m.real.copy() if draw(st.booleans()) else m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=sorted_coo_operators())
+def test_sparse_and_dense_type_norms_have_the_same_types(x):
+    entries = sorted_coo(x.matrix)
+    assert entries is not None
+    got, want = _sparse_type_norms(x.systems, *entries), _dense_table(x)
+    assert set(got) == set(want)
+    bound = 1e-12 * float(np.linalg.norm(x.matrix))
+    assert all(abs(got[key] - want[key]) <= bound for key in want)

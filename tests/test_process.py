@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -15,14 +16,19 @@ from causalproc import (
     SystemLabel,
     channel_from_unitary,
     comb_from_circuit,
+    compose_maps,
     conditional_process,
     distance,
     enumerate_deterministic_processes,
     hs,
     identity_operator,
     joint_probabilities,
+    make_af_deterministic,
+    make_classical_switch,
     make_methods_counterexample,
     make_mix_example,
+    make_switch,
+    make_unitary_process,
     measure_prepare_element,
     no_signalling,
     process_operator,
@@ -276,7 +282,7 @@ def _random_hermitian_process(rng):
 
 def _random_sparse_hermitian_process(rng):
     """Like _random_hermitian_process, with about a fifth of the entries
-    stored, so that validation and type_norms walk the stored entries."""
+    stored, so that validation and type_norms read the stored entries."""
     dims = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
     while True:
         nodes = [QuantumNode(name, *dims[rng.integers(len(dims))]) for name in "ABC"[: rng.integers(2, 4)]]
@@ -380,7 +386,20 @@ def _verdict_and_signalling(sigma):
     return validate_process(sigma), [signalling_residual(sigma, f) for f in from_sets]
 
 
-def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af_process):
+def _permuted_switch3(seed):
+    """make_switch(3) with seeded permutations of the root's output and the
+    leaf's input: a sparse, real, valid 2916-dim process."""
+    rng = np.random.default_rng(seed)
+    sw = make_switch(3)
+    u = sw.unitary
+    dressed = []
+    for systems in (u.domain, u.codomain):
+        perm = [np.eye(s.dim)[:, rng.permutation(s.dim)] if s.name in ("P.out", "F.in") else np.eye(s.dim) for s in systems]
+        dressed.append(LinearMap(functools.reduce(np.kron, perm).astype(complex), systems, systems))
+    return make_unitary_process(sw.nodes, compose_maps(dressed[1], compose_maps(u, dressed[0])))
+
+
+def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af_process, bw_up):
     cx = make_methods_counterexample()
     bits = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))
     cases = [switch_up, reduced_switch, af_process, make_mix_example()]
@@ -389,8 +408,17 @@ def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af
     cases += [quantize(dp.to_classical()) for dp in enumerate_deterministic_processes(bits)]
     assert all(sorted_coo(sigma.op.matrix) is not None for sigma in cases)
     sparse = [_verdict_and_signalling(sigma) for sigma in cases]
+    # The type-norm table alone on larger operators and more quantized tables.
+    tabled = cases + [make_switch(3), _permuted_switch3(7), bw_up]
+    tabled += [quantize(table) for table in (make_af_deterministic().to_classical(), make_classical_switch(2).to_classical())]
+    tables = [hs._sparse_type_norms(sigma.op.systems, *sorted_coo(sigma.op.matrix)) for sigma in tabled]
     monkeypatch.setattr(hs, "sorted_coo", lambda m: None)
     monkeypatch.setattr(process, "sorted_coo", lambda m: None)
+    for sigma, got in zip(tabled, tables):
+        want = type_norms(LabeledOperator(sigma.op.systems, sigma.op.matrix))
+        assert set(got) == set(want), (sigma.node_names, len(got), len(want))
+        bound = 1e-12 * float(np.linalg.norm(sigma.op.matrix))
+        assert all(abs(got[key] - want[key]) <= bound for key in want), sigma.node_names
     for sigma, (got, got_signalling) in zip(cases, sparse):
         # A copy held dense: an operator held as sorted COO is always checked on its entries.
         dense = process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix))

@@ -319,3 +319,11 @@ def test_separability_fast_path_keeps_a_sparse_process_sparse(monkeypatch, tmp_p
     sv = bipartite_separability(sigma)
     assert (sv.status, sv.iterations) == ("separable", 0)
     assert sv.second_component._coo is not None
+
+
+def test_matrix_beyond_the_byte_budget_is_refused_before_allocating():
+    # one stored entry on 32768 dims: the dense matrix would need 16 GiB
+    op = labeled._from_entries((SystemLabel("a", 2**15),), np.array([0]), np.array([1.0 + 0j]))
+    assert op._coo is not None
+    with pytest.raises(ValueError, match=f"would need {16 * 4**15} bytes, more than {labeled.MAX_DENSE_BYTES}"):
+        op.matrix
