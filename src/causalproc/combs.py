@@ -5,16 +5,26 @@ tracing out the later nodes leaves an operator independent of the last
 remaining node's output. Bipartite separability asks for a convex split into
 the two one-way comb types; the solver certifies splits (or reports that it
 could not find one) but never claims impossibility.
+
+``comb_check`` and ``comb_search`` read their residuals from one function
+built per process. For a dense operator it sums one ``hs`` type-norm table,
+with no operator and no partial trace: ``comb_search`` on a 1024-dim chain
+takes 0.03 s instead of the walk's 0.07-0.08 s. A sparse operator walks its
+marginals on the stored entries, since there the table alone costs about as
+much as the walk's whole search or more: 0.018-0.022 s against 0.011-0.012 s
+on ``make_bw_extension``, 0.025-0.030 s against 0.024-0.027 s on
+``make_switch(4)`` (best of 5 to 7 on 2 cores).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import DirectedGraph, causal_structure_unitary
-from .hs import project_trivial
+from .hs import _type_squares, project_trivial
 from .labeled import LabeledOperator, _from_entries, distance, partial_trace
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
@@ -49,13 +59,11 @@ def comb_check(sigma: ProcessOperator, order, tol: float = 1e-9) -> CombVerdict:
     order = tuple(order)
     if sorted(order) != sorted(sigma.node_names):
         raise ValueError(f"order {order} is not a permutation of {sigma.node_names}")
-    cur = sigma.op
-    residuals = []
+    residual = _comb_residuals(sigma)
+    residuals, traced = [], ()
     for name in reversed(order):
-        node = sigma.node(name)
-        proj = project_trivial(cur, [node.out_dual.key])
-        residuals.append(distance(cur, proj))
-        cur = partial_trace(cur, [node.in_system.key, node.out_dual.key])
+        residuals.append(residual(traced, name))
+        traced += (name,)
     residuals = tuple(reversed(residuals))
     return CombVerdict(order, residuals, bool(max(residuals) <= tol), tol)
 
@@ -63,33 +71,83 @@ def comb_check(sigma: ProcessOperator, order, tol: float = 1e-9) -> CombVerdict:
 def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
     """Find a node order for which sigma is a comb, or None if there is none.
 
-    Depth-first over choices of the last node, reusing suffix marginals and
-    pruning node subsets that cannot be completed. Returns the first order
-    found (deterministic: candidates are tried in sorted name order).
+    Depth-first over choices of the last node, pruning node subsets that
+    cannot be completed. Returns the first order found (deterministic:
+    candidates are tried in sorted name order). Every residual comes from the
+    one function ``comb_check`` uses, so the order found passes it: read off
+    the type-norm table for a dense operator, by the marginal walk for a
+    sparse one, where the table is slower (see the module docstring).
     """
-    nodes = {n.name: n for n in sigma.nodes}
+    nodes = sigma.node_names
     if len(nodes) > budget:
         raise ValueError(f"{len(nodes)} nodes exceeds the search budget ({budget})")
+    residual = _comb_residuals(sigma)
     dead: set = set()
 
-    def dfs(remaining: frozenset, op: LabeledOperator):
+    def dfs(remaining: frozenset, traced: tuple):
         if not remaining:
             return ()
         if remaining in dead:
             return None
         for name in sorted(remaining):
-            node = nodes[name]
-            proj = project_trivial(op, [node.out_dual.key])
-            if distance(op, proj) > tol:
+            if residual(traced, name) > tol:
                 continue
-            child = partial_trace(op, [node.in_system.key, node.out_dual.key])
-            sub = dfs(remaining - {name}, child)
+            sub = dfs(remaining - {name}, traced + (name,))
             if sub is not None:
                 return sub + (name,)
         dead.add(remaining)
         return None
 
-    return dfs(frozenset(nodes), sigma.op)
+    return dfs(frozenset(nodes), ())
+
+
+def _comb_residuals(sigma: ProcessOperator):
+    """The comb residual function of sigma: ``residual(traced, name)`` is the
+    normalized distance of the marginal after tracing out the nodes
+    ``traced`` (in that order) from its projection trivial on node ``name``'s
+    output.
+
+    A dense operator is read off one type-norm table. Tracing out a set S
+    keeps exactly the type components that avoid S, each scaled by
+    √(∏ dims of S), and components of different types are orthogonal; so with
+    n_T the norm of type T the residual is √(∏_S d · Σ n_T²) over the T that
+    avoid S and contain the output, over max(1, √(∏_S d · Σ n_T²)) over all T
+    that avoid S, which is ``distance``'s value. A sparse operator walks its
+    marginals instead, one partial trace per traced node, keeping those of
+    the current prefix.
+    """
+    nodes = {n.name: n for n in sigma.nodes}
+    if sigma.op._coo is not None:
+        marginals = {(): sigma.op}
+
+        def marginal(traced: tuple) -> LabeledOperator:
+            if traced not in marginals:
+                node = nodes[traced[-1]]
+                op = partial_trace(marginal(traced[:-1]), [node.in_system.key, node.out_dual.key])
+                for key in [k for k in marginals if traced[: len(k)] != k]:
+                    del marginals[key]
+                marginals[traced] = op
+            return marginals[traced]
+
+        def walk(traced: tuple, name: str) -> float:
+            op = marginal(traced)
+            return distance(op, project_trivial(op, [nodes[name].out_dual.key]))
+
+        return walk
+
+    keys, squares = _type_squares(sigma.op)
+    bit = {key: 1 << (len(keys) - 1 - j) for j, key in enumerate(keys)}
+    types = np.arange(squares.size)
+
+    def read(traced: tuple, name: str) -> float:
+        gone = sum(bit.get(s.key, 0) for t in traced for s in (nodes[t].in_system, nodes[t].out_dual))
+        scale = math.prod(nodes[t].in_system.dim * nodes[t].out_dual.dim for t in traced)
+        kept = (types & gone) == 0
+        total = scale * squares[kept].sum()
+        dependent = scale * squares[kept & ((types & bit.get(nodes[name].out_dual.key, 0)) != 0)].sum()
+        return math.sqrt(dependent) / max(1.0, math.sqrt(total))
+
+    return read
 
 
 @dataclass(frozen=True)

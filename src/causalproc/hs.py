@@ -93,9 +93,16 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     dense copy, or on the stored entries of an operator that is sparse by
     ``labeled.sorted_coo``'s rule.
     """
+    return _table(*_type_squares(op))
+
+
+def _type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
+    """The keys of op's nontrivial systems, in system order, and the squared
+    norm of every type as an array indexed by type bit mask, as ``_table``
+    reads them."""
     entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
     if entries is not None:
-        return _sparse_type_norms(op.systems, *entries)
+        return _sparse_type_squares(op.systems, *entries)
     dims = [s.dim for s in op.systems]
     n = len(dims)
     # One copy, with axes (row_0, col_0, row_1, col_1, ...), in which each
@@ -113,11 +120,11 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
         if d > 1:
             a = np.matmul(_class_weights(d), a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2))
             keys.append(op.systems[i].key)
-    return _table(keys, a.reshape(-1))
+    return keys, a.reshape(-1)
 
 
-def _sparse_type_norms(systems: tuple[SystemLabel, ...], index: np.ndarray, values: np.ndarray) -> dict[tuple, float]:
-    """type_norms of the operator whose sorted-COO entries are given.
+def _sparse_type_squares(systems: tuple[SystemLabel, ...], index: np.ndarray, values: np.ndarray) -> tuple[list, np.ndarray]:
+    """_type_squares of the operator whose sorted-COO entries are given.
 
     The dense change of basis on flat indices into the axes (row_0, col_0,
     row_1, col_1, ...): each factor's stored diagonal units, gathered by the
@@ -144,7 +151,7 @@ def _sparse_type_norms(systems: tuple[SystemLabel, ...], index: np.ndarray, valu
     for s, pair in nontrivial:
         squares *= _class_weights(s.dim).sum(axis=0)[pair]
     masks = _flat([np.minimum(pair, 1) for _, pair in nontrivial], [2] * len(nontrivial), flat.size)
-    return _table([s.key for s, _ in nontrivial], np.bincount(masks, squares))
+    return [s.key for s, _ in nontrivial], np.bincount(masks, squares, minlength=2 ** len(nontrivial))
 
 
 def _helmert(units) -> None:

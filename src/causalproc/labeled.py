@@ -233,6 +233,8 @@ def _from_entries(systems, index: np.ndarray, values: np.ndarray) -> LabeledOper
     d = math.prod(s.dim for s in systems)
     keep = _stored(values)
     index, values = index[keep], values[keep]
+    if d == 1 and index.size:  # a 1x1 is within any budget
+        return LabeledOperator(systems, values.reshape(1, 1))
     if 4 * index.size > d * d:
         return LabeledOperator(systems, _densify(d, index, values))
     op = LabeledOperator.__new__(LabeledOperator)
@@ -404,9 +406,14 @@ def embed(op: LabeledOperator, systems) -> LabeledOperator:
     if len(have - {s.key for s in systems}) > 0:
         raise ValueError("target systems must contain the operator's systems")
     d = math.prod(s.dim for s in missing)
+    padded = op.systems + tuple(missing)
     if d == 1:  # the identity on dimension-1 systems is [[1]]: they only relabel the matrix
-        return reorder(_relabeled(op, op.systems + tuple(missing)), systems)
-    # A large identity is held sparse, so that ``tensor`` checks its budget first.
+        return reorder(_relabeled(op, padded), systems)
+    # The dense operand, the dense identity, their np.kron product and, unless
+    # the padding already comes last, its reordered copy are held at once.
+    need = 16 * (op.dim**2 + d**2 + (1 if padded == systems else 2) * (op.dim * d) ** 2)
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(f"padding to {op.dim * d} dims would need {need} bytes, more than {MAX_DENSE_BYTES}")
     return reorder(tensor(op, identity_operator(missing)), systems)
 
 

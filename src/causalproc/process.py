@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelOperator, cj_from_kraus
-from .hs import _sparse_type_norms, type_norms
+from .hs import _sparse_type_squares, _table, type_norms
 from .labeled import (
     LabeledOperator,
     LinearMap,
@@ -206,7 +206,7 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         h_index, h = _sum_duplicates(both, np.concatenate([values, adjoint]))
         h = h / 2
         trace = values[rows == cols].sum()
-        table = _sparse_type_norms(sigma.op.systems, index, values)
+        table = _table(*_sparse_type_squares(sigma.op.systems, index, values))
     herm_ok = herm <= tol * max(1.0, norm)
     if np.linalg.norm(h.imag) == 0.0:
         h = h.real

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalproc import (
     LabeledOperator,
@@ -20,9 +23,12 @@ from causalproc import (
     is_isometric,
     labeled,
     causal_structure_unitary,
+    make_af,
     make_mix_example,
     make_switch,
+    make_unitary_process,
     measure_prepare_element,
+    partial_trace,
     process_operator,
     project_trivial,
     read_process_file,
@@ -243,3 +249,134 @@ def test_switch_type_decomposition_check(switch_up):
 
     bad = dataclasses.replace(bad, v=(np.eye(2, dtype=complex), np.eye(4, dtype=complex)))
     assert not verify_decomposition(switch_up.unitary, bad)
+
+
+def reference_residual(sigma):
+    """Comb residuals by the operator walk, with the marginal of each traced
+    prefix kept: residual(traced, name) projects the marginal after tracing
+    out ``traced`` (in that order) onto operators trivial on name's output."""
+    nodes = {n.name: n for n in sigma.nodes}
+    marginals = {(): sigma.op}
+
+    def marginal(traced):
+        if traced not in marginals:
+            node = nodes[traced[-1]]
+            marginals[traced] = partial_trace(marginal(traced[:-1]), [node.in_system.key, node.out_dual.key])
+        return marginals[traced]
+
+    def residual(traced, name):
+        op = marginal(traced)
+        return distance(op, project_trivial(op, [nodes[name].out_dual.key]))
+
+    return residual
+
+
+def reference_search(sigma, residual, tol=1e-9):
+    """comb_search's depth-first search over choices of the last node."""
+    dead = set()
+
+    def dfs(remaining, traced):
+        if not remaining:
+            return ()
+        if remaining in dead:
+            return None
+        for name in sorted(remaining):
+            if residual(traced, name) <= tol:
+                sub = dfs(remaining - {name}, traced + (name,))
+                if sub is not None:
+                    return sub + (name,)
+        dead.add(remaining)
+        return None
+
+    return dfs(frozenset(sigma.node_names), ())
+
+
+def assert_table_matches_walk(sigma, orders=None, atol=1e-14):
+    """The residuals of every order (or of ``orders``) within atol of the
+    walk, equal verdicts, and the walk's search order; returns the set of
+    verdicts seen."""
+    assert sigma.op._coo is None
+    residual = reference_residual(sigma)
+    verdicts = set()
+    for order in orders or itertools.permutations(sigma.node_names):
+        got = comb_check(sigma, order)
+        want = [residual(order[k + 1 :][::-1], name) for k, name in enumerate(order)]
+        assert np.allclose(got.residuals, want, rtol=0, atol=atol), (order, got.residuals, want)
+        assert got.accepted == (max(want) <= got.tol)
+        verdicts.add(got.accepted)
+    assert comb_search(sigma) == reference_search(sigma, residual)
+    return verdicts
+
+
+def dense_copy(sigma):
+    return process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix.copy()))
+
+
+def haar_all_to_all(rng, slots=2):
+    """A Haar unitary from every output of a chain's nodes to every input:
+    rank one and invalid, since each node signals to itself."""
+    nodes = [QuantumNode(chr(ord("A") + i), 2, 2) for i in range(slots)]
+    nodes += [QuantumNode("P", 1, 4), QuantumNode("F", 4, 1)]
+    dom = tuple(n.out_system for n in nodes if n.d_out > 1)
+    cod = tuple(n.in_system for n in nodes if n.d_in > 1)
+    d = int(np.prod([s.dim for s in dom]))
+    return make_unitary_process(nodes, LinearMap(haar_unitary(d, rng), dom, cod)).process
+
+
+def test_dense_comb_residuals_and_search_match_the_operator_walk(rng):
+    # on a 1024-dim chain, the chain's order and its reverse
+    assert assert_table_matches_walk(random_unitary_chain(3, rng).process, [tuple("PABCF"), tuple("FCBAP")]) == {True, False}
+    chains = [random_unitary_chain(2, rng).process for _ in range(2)]
+    mixtures = []
+    for _ in range(2):
+        c1, c2 = (random_unitary_chain(2, rng).process for _ in range(2))
+        w = float(rng.uniform(0.2, 0.8))
+        mixtures.append(process_operator(c1.nodes, LabeledOperator(c1.op.systems, w * c1.op.matrix + (1 - w) * c2.op.matrix)))
+    haars = [haar_all_to_all(rng) for _ in range(2)]
+    exemplars = [dense_copy(make_switch(2).process), dense_copy(make_af()), dense_copy(make_mix_example())]
+    for sigma in chains + mixtures:
+        assert assert_table_matches_walk(sigma) == {True, False}
+    for sigma in haars:
+        assert assert_table_matches_walk(sigma) == {False}
+    for sigma in exemplars:
+        assert_table_matches_walk(sigma)
+
+
+def comb_projection(x, nodes):
+    """The projection of x onto operators that are combs for ``nodes`` in
+    order: with P_S project_trivial over the systems S, the last node
+    contributes P_o - P_{o,i} and the rest recurse on P_{o,i} x."""
+    if not nodes:
+        return x
+    last = nodes[-1]
+    out = project_trivial(x, [last.out_dual.key])
+    both = project_trivial(out, [last.in_system.key])
+    return out - both + comb_projection(both, nodes[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    valid=st.booleans(),
+)
+def test_dense_comb_residuals_match_the_walk_on_random_operators(dims, seed, valid):
+    """Random dense operators on 2-3 nodes with dims 1 to 3: Hermitian ones,
+    generically no comb and no process, or valid processes that are combs for
+    a random order (the comb projection of a random matrix, shifted by a
+    multiple of the identity to be positive and scaled to the process trace)."""
+    rng = np.random.default_rng(seed)
+    nodes = [QuantumNode(name, d_in, d_out) for name, (d_in, d_out) in zip("ABC", dims)]
+    systems = tuple(s for n in nodes for s in (n.in_system, n.out_dual))
+    d = int(np.prod([s.dim for s in systems]))
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = LabeledOperator(systems, m + m.conj().T)
+    if valid:
+        x = comb_projection(x, [nodes[k] for k in rng.permutation(len(nodes))])
+        h = (x.matrix + x.matrix.conj().T) / 2
+        h = h - min(0.0, np.linalg.eigvalsh(h)[0]) * np.eye(d)
+        x = LabeledOperator(systems, h * (np.prod([n.d_out for n in nodes]) / np.trace(h).real))
+    sigma = process_operator(nodes, x)
+    if valid:
+        assert validate_process(sigma).valid
+    assert_table_matches_walk(sigma)

@@ -28,7 +28,7 @@ from causalproc import (
     validate_process,
 )
 from causalproc import hs
-from causalproc.hs import _sparse_type_norms
+from causalproc.hs import _sparse_type_squares, _table
 from causalproc.labeled import sorted_coo
 from causalproc.rand import random_state
 
@@ -226,7 +226,7 @@ def test_dense_type_norms_give_exact_zeros():
     ]
     for table in tables:
         x = quantize(table).op
-        sparse = _sparse_type_norms(x.systems, *sorted_coo(x.matrix))
+        sparse = _table(*_sparse_type_squares(x.systems, *sorted_coo(x.matrix)))
         got = _dense_table(x)
         assert set(got) == set(sparse)
         _assert_matches_projector_formula(x, got)
@@ -258,7 +258,7 @@ def sorted_coo_operators(draw):
 def test_sparse_and_dense_type_norms_have_the_same_types(x):
     entries = sorted_coo(x.matrix)
     assert entries is not None
-    got, want = _sparse_type_norms(x.systems, *entries), _dense_table(x)
+    got, want = _table(*_sparse_type_squares(x.systems, *entries)), _dense_table(x)
     assert set(got) == set(want)
     bound = 1e-12 * float(np.linalg.norm(x.matrix))
     assert all(abs(got[key] - want[key]) <= bound for key in want)

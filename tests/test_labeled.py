@@ -210,6 +210,24 @@ def test_tensor_refuses_an_oversized_product_before_allocating():
         tracemalloc.stop()
     assert peak <= 2**20, peak
 
+
+def test_embed_refuses_its_product_and_reordered_copy_before_allocating(monkeypatch, rng):
+    # Padding a qubit to 512 dims in front of it: the np.kron product alone
+    # fits the budget exactly, but it and its reordered copy are held at once.
+    monkeypatch.setattr(labeled, "MAX_DENSE_BYTES", 16 * 512**2)
+    a, b = SystemLabel("a", 2), SystemLabel("b", 256)
+    op = LabeledOperator((a,), random_state(2, rng))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(labeled.MAX_DENSE_BYTES)):
+            embed(op, (b, a))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+    assert embed(op, (a, SystemLabel("c", 128))).dim == 256
+
+
 def test_permute_map_matches_permutation_matrix(rng):
     a, b, c = SystemLabel("a", 2), SystemLabel("b", 3), SystemLabel("c", 2)
     x, y = SystemLabel("x", 3), SystemLabel("y", 4)

@@ -411,7 +411,7 @@ def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af
     # The type-norm table alone on larger operators and more quantized tables.
     tabled = cases + [make_switch(3), _permuted_switch3(7), bw_up]
     tabled += [quantize(table) for table in (make_af_deterministic().to_classical(), make_classical_switch(2).to_classical())]
-    tables = [hs._sparse_type_norms(sigma.op.systems, *sorted_coo(sigma.op.matrix)) for sigma in tabled]
+    tables = [hs._table(*hs._sparse_type_squares(sigma.op.systems, *sorted_coo(sigma.op.matrix))) for sigma in tabled]
     monkeypatch.setattr(hs, "sorted_coo", lambda m: None)
     monkeypatch.setattr(process, "sorted_coo", lambda m: None)
     for sigma, got in zip(tabled, tables):

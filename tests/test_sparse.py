@@ -277,6 +277,31 @@ def test_permutation_processes_never_densify(make, no_densify, tmp_path):
     _end_to_end(up, tmp_path / "process.json")
 
 
+def _held_dense(op: LabeledOperator) -> LabeledOperator:
+    """A dense copy of a sparse operator, made without ``labeled._densify``."""
+    index, values = op._coo
+    m = np.zeros(op.dim * op.dim, dtype=values.dtype)
+    m[index] = values
+    return LabeledOperator(op.systems, m.reshape(op.dim, op.dim))
+
+
+def test_sparse_comb_verdicts_never_densify_and_match_dense(no_densify):
+    # The last marginal of a comb check is a 1x1 operator, built inline.
+    chain = _permutation_chain(np.random.default_rng(7), 2)
+    for sigma in (make_switch(3), chain):
+        assert sigma.op._coo is not None
+        dense = process_operator(sigma.nodes, _held_dense(sigma.op))
+        for order in itertools.permutations(sigma.node_names):
+            got, want = comb_check(sigma, order), comb_check(dense, order)
+            assert got.accepted == want.accepted
+            assert np.allclose(got.residuals, want.residuals, rtol=0, atol=1e-12)
+        assert comb_search(sigma) == comb_search(dense)
+    got = unitary_causal_separability(chain)
+    want = unitary_causal_separability(process_operator(chain.nodes, _held_dense(chain.op)))
+    assert got.separable and (got.order, got.cycle, got.graph) == (want.order, want.cycle, want.graph)
+    assert got.comb.accepted and np.allclose(got.comb.residuals, want.comb.residuals, rtol=0, atol=1e-12)
+
+
 def test_bw_end_to_end_memory_bound(no_densify, tmp_path):
     tracemalloc.start()
     try:
