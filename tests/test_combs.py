@@ -364,7 +364,8 @@ def test_dense_comb_residuals_match_the_walk_on_random_operators(dims, seed, val
     """Random dense operators on 2-3 nodes with dims 1 to 3: Hermitian ones,
     generically no comb and no process, or valid processes that are combs for
     a random order (the comb projection of a random matrix, shifted by a
-    multiple of the identity to be positive and scaled to the process trace)."""
+    multiple of the identity to be positive, or the identity itself where that
+    shift leaves zero, and scaled to the process trace)."""
     rng = np.random.default_rng(seed)
     nodes = [QuantumNode(name, d_in, d_out) for name, (d_in, d_out) in zip("ABC", dims)]
     systems = tuple(s for n in nodes for s in (n.in_system, n.out_dual))
@@ -375,6 +376,10 @@ def test_dense_comb_residuals_match_the_walk_on_random_operators(dims, seed, val
         x = comb_projection(x, [nodes[k] for k in rng.permutation(len(nodes))])
         h = (x.matrix + x.matrix.conj().T) / 2
         h = h - min(0.0, np.linalg.eigvalsh(h)[0]) * np.eye(d)
+        if np.trace(h).real <= 1e-9 * np.linalg.norm(x.matrix):
+            # h was a non-positive multiple of the identity, so the shift
+            # zeroed it: dims like [(1, 1), (1, 3)] admit no other comb.
+            h = np.eye(d)
         x = LabeledOperator(systems, h * (np.prod([n.d_out for n in nodes]) / np.trace(h).real))
     sigma = process_operator(nodes, x)
     if valid:
