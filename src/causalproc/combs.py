@@ -7,13 +7,13 @@ the two one-way comb types; the solver certifies splits (or reports that it
 could not find one) but never claims impossibility.
 
 ``comb_check`` and ``comb_search`` read their residuals from one function
-built per process. For a dense operator it sums one ``hs`` type-norm table,
-with no operator and no partial trace: ``comb_search`` on a 1024-dim chain
-takes 0.03 s instead of the walk's 0.07-0.08 s. A sparse operator walks its
-marginals on the stored entries, since there the table alone costs about as
-much as the walk's whole search or more: 0.018-0.022 s against 0.011-0.012 s
-on ``make_bw_extension``, 0.025-0.030 s against 0.024-0.027 s on
-``make_switch(4)`` (best of 5 to 7 on 2 cores).
+built per process. For a dense operator it sums the ``hs`` type-norm table the
+operator keeps: ``comb_search`` on a 1024-dim chain takes 0.03 s (the walk's:
+0.07-0.08 s) if it builds the table, 0.0002-0.0003 s if validation built it. A
+sparse operator walks its marginals on the stored entries, since there the
+table alone costs about as much as the walk's whole search or more:
+0.018-0.022 s against 0.011-0.012 s on ``make_bw_extension``, 0.025-0.030 s
+against 0.024-0.027 s on ``make_switch(4)`` (best of 5 to 7 on 2 cores).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedGraph, causal_structure_unitary
-from .hs import _type_squares, project_trivial
+from .hs import _type_bits, _type_squares, project_trivial
 from .labeled import LabeledOperator, _from_entries, distance, partial_trace
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
@@ -136,8 +136,7 @@ def _comb_residuals(sigma: ProcessOperator):
         return walk
 
     keys, squares = _type_squares(sigma.op)
-    bit = {key: 1 << (len(keys) - 1 - j) for j, key in enumerate(keys)}
-    types = np.arange(squares.size)
+    bit, types = _type_bits(keys), np.arange(squares.size)
 
     def read(traced: tuple, name: str) -> float:
         gone = sum(bit.get(s.key, 0) for t in traced for s in (nodes[t].in_system, nodes[t].out_dual))

@@ -91,18 +91,27 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     Each factor is written in an orthogonal basis whose first element is the
     identity, and the table is summed from the squared coefficients: on a
     dense copy, or on the stored entries of an operator that is sparse by
-    ``labeled.sorted_coo``'s rule.
+    ``labeled.sorted_coo``'s rule, once per operator, which keeps it.
     """
     return _table(*_type_squares(op))
 
 
-def _type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
+def _type_squares(op: LabeledOperator, entries=...) -> tuple[tuple, np.ndarray]:
     """The keys of op's nontrivial systems, in system order, and the squared
-    norm of every type as an array indexed by type bit mask, as ``_table``
-    reads them."""
-    entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
-    if entries is not None:
-        return _sparse_type_squares(op.systems, *entries)
+    norm of every type as a read-only array indexed by type bit mask. Built
+    once per operator, whose storage is read-only, and kept on it; a caller
+    that has counted op's storage passes the ``sorted_coo`` result."""
+    if op._squares is None:
+        if entries is ...:
+            entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
+        keys, squares = _dense_type_squares(op) if entries is None else _sparse_type_squares(op.systems, *entries)
+        squares.flags.writeable = False
+        object.__setattr__(op, "_squares", (tuple(keys), squares))
+    return op._squares
+
+
+def _dense_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
+    """_type_squares of op by the dense change of basis."""
     dims = [s.dim for s in op.systems]
     n = len(dims)
     # One copy, with axes (row_0, col_0, row_1, col_1, ...), in which each
@@ -176,10 +185,14 @@ def _class_weights(d: int) -> np.ndarray:
     return w
 
 
+def _type_bits(keys) -> dict[tuple, int]:
+    """Bit len(keys)-1-j of a type bit mask is set iff the type contains keys[j]."""
+    return {key: 1 << (len(keys) - 1 - j) for j, key in enumerate(keys)}
+
+
 def _table(keys, squares: np.ndarray) -> dict[tuple, float]:
-    """The positive squared norms, indexed by type bit mask, as norms keyed by
-    type: bit len(keys)-1-j of a mask is set iff the type contains keys[j]."""
-    out = {}
+    """The positive squared norms, indexed by type bit mask, as norms keyed by type."""
+    bit, out = _type_bits(keys), {}
     for mask in np.flatnonzero(squares > 0.0).tolist():
-        out[tuple(key for j, key in enumerate(keys) if mask >> (len(keys) - 1 - j) & 1)] = math.sqrt(squares[mask])
+        out[tuple(key for key, b in bit.items() if mask & b)] = math.sqrt(squares[mask])
     return out

@@ -86,14 +86,16 @@ class LabeledOperator:
     It is held either as a dense matrix or as sorted COO: the strictly
     increasing flat row-major indices of its stored entries and the entries
     there, under ``sorted_coo``'s rule. The constructor keeps the matrix it is
-    given. The kernels that work on entries (``cj_operator``, ``reorder``,
-    ``transpose_systems``, ``partial_trace``, ``hs.project_trivial`` and
-    scalar ``*``) return sorted COO when that rule finds their result
-    sparse. ``matrix`` builds the dense array of a sparse operator anew on
-    every access.
+    given and marks it, like the sorted-COO arrays, read-only (views made
+    before stay writable), so ``hs`` builds the type-norm table once per
+    operator and keeps it. Kernels that work on entries (``cj_operator``,
+    ``reorder``, ``transpose_systems``, ``partial_trace``,
+    ``hs.project_trivial`` and scalar ``*``) return sorted COO when that rule
+    finds their result sparse. ``matrix`` builds the dense array of a sparse
+    operator anew on every access.
     """
 
-    __slots__ = ("systems", "dim", "_dense", "_coo")
+    __slots__ = ("systems", "dim", "_dense", "_coo", "_squares")
 
     def __init__(self, systems, matrix):
         systems = _checked_systems(systems)
@@ -178,6 +180,9 @@ def _set_storage(op: LabeledOperator, systems, dense, coo) -> None:
     object.__setattr__(op, "dim", math.prod(s.dim for s in systems))
     object.__setattr__(op, "_dense", dense)
     object.__setattr__(op, "_coo", coo)
+    object.__setattr__(op, "_squares", None)  # hs._type_squares fills it
+    for a in (dense,) if coo is None else coo:
+        a.flags.writeable = False
 
 
 def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelOperator, cj_from_kraus
-from .hs import _sparse_type_squares, _table, type_norms
+from .hs import _type_bits, _type_squares
 from .labeled import (
     LabeledOperator,
     LinearMap,
@@ -160,13 +160,14 @@ class ValidationVerdict:
     tol: float
 
 
-def _witnessed(key: tuple, nodes) -> bool:
-    """True iff some node is nontrivial on its in factor and trivial on its
-    out-dual factor in the type ``key`` (a key of hs.type_norms).
-
-    A type is allowed in a process iff it is the identity or witnessed.
-    """
-    return any(n.in_system.key in key and n.out_dual.key not in key for n in nodes)
+def _witnessed(types: np.ndarray, bit: dict, nodes) -> np.ndarray:
+    """Mask of the type bit masks ``types`` (over ``bit``) in which some node
+    is nontrivial on its in factor and trivial on its out-dual factor: a type
+    is allowed in a process iff it is the identity or witnessed."""
+    out = np.zeros(types.size, dtype=bool)
+    for n in nodes:
+        out |= (types & bit.get(n.in_system.key, 0) != 0) & (types & bit.get(n.out_dual.key, 0) == 0)
+    return out
 
 
 def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVerdict:
@@ -194,7 +195,6 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         h = (m + adjoint) / 2
         del adjoint
         trace = np.trace(m)
-        table = type_norms(sigma.op)
     else:
         index, values = entries
         rows, cols = np.divmod(index, d)
@@ -206,7 +206,6 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         h_index, h = _sum_duplicates(both, np.concatenate([values, adjoint]))
         h = h / 2
         trace = values[rows == cols].sum()
-        table = _table(*_sparse_type_squares(sigma.op.systems, index, values))
     herm_ok = herm <= tol * max(1.0, norm)
     if np.linalg.norm(h.imag) == 0.0:
         h = h.real
@@ -217,13 +216,16 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     expected = sigma.expected_trace()
     trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
 
-    forbidden = {key: val for key, val in table.items() if key and not _witnessed(key, sigma.nodes)}
-    fnorm = math.hypot(*forbidden.values())
+    keys, squares = _type_squares(sigma.op, entries)
+    bit, types = _type_bits(keys), np.arange(squares.size)
+    forbidden = np.flatnonzero((types != 0) & ~_witnessed(types, bit, sigma.nodes) & (squares > 0.0))
+    norms = np.sqrt(squares[forbidden]).tolist()
+    fnorm = math.hypot(*norms)
     threshold = tol * max(1.0, norm)
     type_ok = fnorm <= threshold
     names = [
-        (val, "*".join(name + ("'" if is_dual else "") for name, is_dual in key))
-        for key, val in forbidden.items()
+        (val, "*".join(name + ("'" if is_dual else "") for (name, is_dual), b in bit.items() if mask & b))
+        for mask, val in zip(forbidden.tolist(), norms)
         if val > threshold
     ]
     # Norms equal to 12 significant digits tie and are ordered by name, so that
@@ -346,12 +348,13 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
     if not names or not names < all_names:
         raise ValueError("from_nodes must be a nonempty proper subset of the nodes")
     nodes = [n for n in sigma.nodes if n.name in names]
-    factors = {k for n in nodes for k in (n.in_system.key, n.out_dual.key)}
-    unwitnessed = [
-        (val, factors.isdisjoint(key)) for key, val in type_norms(sigma.op).items() if not _witnessed(key, nodes)
-    ]
-    residual = math.hypot(*(val for val, trivial in unwitnessed if not trivial))
-    return residual / max(1.0, math.hypot(*(val for val, _ in unwitnessed)))
+    keys, squares = _type_squares(sigma.op)
+    bit, types = _type_bits(keys), np.arange(squares.size)
+    unwitnessed = np.flatnonzero(~_witnessed(types, bit, nodes) & (squares > 0.0))
+    factors = sum(bit.get(k, 0) for n in nodes for k in (n.in_system.key, n.out_dual.key))
+    norms = np.sqrt(squares[unwitnessed])
+    residual = math.hypot(*norms[unwitnessed & factors != 0].tolist())
+    return residual / max(1.0, math.hypot(*norms.tolist()))
 
 
 def no_signalling(sigma: ProcessOperator, from_nodes, tol: float = 1e-9) -> bool:
