@@ -17,6 +17,7 @@ from .labeled import (
     LinearMap,
     SystemLabel,
     _as_key,
+    _hermitian_part,
     cj_operator,
     distance,
     dual,
@@ -61,9 +62,8 @@ class ChannelOperator:
 
     def cptp_residuals(self) -> dict[str, float]:
         """Residuals of complete positivity (min eigenvalue) and trace preservation."""
-        m = self.op.matrix
-        herm = float(np.linalg.norm(m - m.conj().T))
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        herm, h = _hermitian_part(self.op.matrix)
+        eigs = np.linalg.eigvalsh(h)
         marg = partial_trace(self.op, self.outputs)
         ident = reorder(
             identity_operator([dual(s) for s in self.inputs]),

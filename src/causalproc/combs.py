@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import DirectedGraph, causal_structure_unitary
 from .hs import _type_bits, _type_squares, project_trivial
-from .labeled import LabeledOperator, _from_entries, distance, partial_trace
+from .labeled import LabeledOperator, _from_entries, _hermitian_part, distance, partial_trace
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
 __all__ = [
@@ -208,15 +208,13 @@ class SeparabilityVerdict:
 
 
 def _psd_part(m: np.ndarray) -> np.ndarray:
-    h = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_hermitian_part(m)[1])
     w = np.clip(w, 0.0, None)
     return (v * w) @ v.conj().T
 
 
 def _min_eig(m: np.ndarray) -> float:
-    h = (m + m.conj().T) / 2
-    return float(np.linalg.eigvalsh(h)[0])
+    return float(np.linalg.eigvalsh(_hermitian_part(m)[1])[0])
 
 
 def bipartite_separability(

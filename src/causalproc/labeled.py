@@ -15,6 +15,7 @@ import numpy as np
 
 # Bytes one dense kernel or a declared operator may need: side 16384 at 16 B an entry.
 MAX_DENSE_BYTES = 2**32
+_TILE = 128  # side of the square tiles that _hermitian_part walks
 
 __all__ = [
     "SystemLabel",
@@ -86,9 +87,11 @@ class LabeledOperator:
     It is held either as a dense matrix or as sorted COO: the strictly
     increasing flat row-major indices of its stored entries and the entries
     there, under ``sorted_coo``'s rule. The constructor keeps the matrix it is
-    given and marks it, like the sorted-COO arrays, read-only (views made
-    before stay writable), so ``hs`` builds the type-norm table once per
-    operator and keeps it. Kernels that work on entries (``cj_operator``,
+    given and marks it, like the sorted-COO arrays, read-only, so ``hs`` builds
+    the type-norm table once per operator and keeps it. Only that array is
+    frozen: a writable base or sibling view can still change the matrix and
+    leave the kept table stale, so pass one you will not write through again.
+    Kernels that work on entries (``cj_operator``,
     ``reorder``, ``transpose_systems``, ``partial_trace``,
     ``hs.project_trivial`` and scalar ``*``) return sorted COO when that rule
     finds their result sparse. ``matrix`` builds the dense array of a sparse
@@ -271,6 +274,24 @@ def _sum_duplicates(index: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
         index, values = index[starts], np.add.reduceat(values, starts)
     keep = values != 0
     return index[keep], values[keep]
+
+
+def _hermitian_part(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """‖m − m†‖_F and h = (m + m†)/2 in float64 or complex128, tile by tile with
+    no full-size temporary but h. h_IJ is formed from m_IJ and m_JI as ``(m +
+    m.conj().T) / 2`` forms it, bit for bit; for I ≤ J, ‖m_IJ − (m_JI)†‖ is the
+    norm of both blocks IJ and JI of m − m†."""
+    m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
+    h, work, squares = np.empty(m.shape, m.dtype), np.empty((2, _TILE * _TILE), m.dtype), 0.0
+    for i in range(0, len(m), _TILE):
+        for j in range(0, len(m), _TILE):
+            a, out = m[i : i + _TILE, j : j + _TILE], h[i : i + _TILE, j : j + _TILE]
+            b_adj = np.conjugate(m[j : j + _TILE, i : i + _TILE].T, out=work[0, : a.size].reshape(a.shape))
+            np.divide(np.add(a, b_adj, out=out), 2, out=out)
+            if i <= j:
+                diff = np.subtract(a, b_adj, out=work[1, : a.size].reshape(a.shape))
+                squares += (1.0 if i == j else 2.0) * float(np.vdot(diff, diff).real)
+    return math.sqrt(squares), h
 
 
 def identity_operator(systems) -> LabeledOperator:

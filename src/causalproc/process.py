@@ -23,6 +23,8 @@ from .labeled import (
     LabeledOperator,
     LinearMap,
     SystemLabel,
+    _TILE,
+    _hermitian_part,
     _sum_duplicates,
     cj_operator,
     distance,
@@ -183,18 +185,14 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     that fails. The forbidden norm and the offending types come from one
     table of type norms, whose components are mutually orthogonal. An
     operator that is sparse by ``labeled.sorted_coo``'s rule is checked on its
-    stored entries, and its positivity block by block.
-    """
+    stored entries and its positivity block by block; a dense one's Hermitian
+    part comes from one tiled pass and is freed before the table is built."""
     d = sigma.op.dim
     entries = sigma.op._coo if sigma.op._coo is not None else sorted_coo(sigma.op.matrix)
     if entries is None:
         m = sigma.op.matrix
-        norm = float(np.linalg.norm(m))
-        adjoint = m.conj().T
-        herm = float(np.linalg.norm(m - adjoint))
-        h = (m + adjoint) / 2
-        del adjoint
-        trace = np.trace(m)
+        herm, h = _hermitian_part(m)
+        norm, trace = math.sqrt(np.vdot(m, m).real), np.trace(m)
     else:
         index, values = entries
         rows, cols = np.divmod(index, d)
@@ -207,11 +205,12 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         h = h / 2
         trace = values[rows == cols].sum()
     herm_ok = herm <= tol * max(1.0, norm)
-    if np.linalg.norm(h.imag) == 0.0:
+    if np.iscomplexobj(h) and not h.imag.any():  # -0.0 is zero, NaN is not
         h = h.real
     method = "cholesky" if d > 2048 else "eigh"
     certified = _low_rank_psd(h, tol) if entries is None and method == "eigh" else None
     psd_ok, min_eig = certified or _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
+    del h  # before _type_squares copies a dense m
 
     expected = sigma.expected_trace()
     trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
@@ -274,10 +273,11 @@ def _low_rank_psd(h: np.ndarray, tol: float) -> tuple[bool, float] | None:
     Hermitian h positive semidefinite, else None. δ bounds ‖h - l·lᴴ‖ and the
     rounding in forming it; l·lᴴ ⪰ 0 has a zero eigenvalue, so by Weyl's
     inequality λ_min(h) ∈ [-δ, δ]. Taken only if δ ≤ tol and δ is within the
-    d·ε·‖h‖ accuracy of eigvalsh; at most √d steps keep a full-rank h O(d²)."""
+    d·ε·‖h‖ accuracy of eigvalsh; at most √d steps keep a full-rank h O(d²).
+    ‖h - l·lᴴ‖ is summed over row blocks of one tile's size, with no d×d l·lᴴ."""
     d = h.shape[0]
     eps = float(np.finfo(float).eps)
-    norm = float(np.linalg.norm(h))
+    norm = math.sqrt(np.vdot(h, h).real)
     diag = h.diagonal().real.copy()
     l = np.zeros((d, min(math.isqrt(d), d - 1)), dtype=h.dtype)
     k = 0
@@ -288,8 +288,12 @@ def _low_rank_psd(h: np.ndarray, tol: float) -> tuple[bool, float] | None:
         l[:, k] = (h[:, p] - l[:, :k] @ l[p, :k].conj()) / math.sqrt(diag[p])
         diag -= np.abs(l[:, k]) ** 2
         k += 1
-    l = l[:, :k]
-    delta = float(np.linalg.norm(h - l @ l.conj().T)) + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
+    l, step, squares = l[:, :k], max(1, _TILE * _TILE // d), 0.0
+    adjoint = l.conj().T
+    for r in range(0, d, step):
+        rows = h[r : r + step] - l[r : r + step] @ adjoint
+        squares += float(np.vdot(rows, rows).real)
+    delta = math.sqrt(squares) + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
     if delta <= tol and delta <= d * eps * norm:
         return True, 0.0 - delta  # +0.0, never -0.0, when δ is 0
     return None

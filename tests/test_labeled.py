@@ -350,3 +350,52 @@ def test_labeled_operator_rejects_mismatched_shape():
     a = SystemLabel("a", 2)
     with pytest.raises(ValueError):
         LabeledOperator((a,), np.zeros((3, 3)))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _exact_norm(x: np.ndarray) -> float:
+    """‖x‖_F from an exactly rounded sum of the squared parts; np.linalg.norm's
+    strided dot products drift by a few ulps at 1024 dims."""
+    parts = np.ascontiguousarray(x).reshape(-1).view(np.float64)
+    return math.sqrt(math.fsum((parts * parts).tolist()))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("side", [1, 3, 127, 128, 129, 300, 1024])
+def test_hermitian_part_matches_the_dense_formulas(side, dtype):
+    rng = np.random.default_rng(side + (dtype is complex))
+    x = rng.normal(size=(side, side)).astype(dtype)
+    if dtype is complex:
+        x += 1j * rng.normal(size=x.shape)
+    # a real matrix held complex: the signs of h's zero imaginary parts must match too
+    cases = [x, (x + x.conj().T) / 2] + ([x.real.astype(complex)] if dtype is complex else [])
+    for m in cases:
+        m.flags.writeable = False
+        kept = m.copy()
+        residual, h = labeled._hermitian_part(m)
+        want = (m + m.conj().T) / 2
+        assert np.array_equal(h, want) and np.array_equal(_bits(h), _bits(want))
+        assert abs(residual - _exact_norm(m - m.conj().T)) <= 1e-15 * max(1.0, np.linalg.norm(m))
+        assert np.array_equal(_bits(m), _bits(kept)) and not m.flags.writeable
+    # exactly Hermitian: the residual is exactly zero
+    assert labeled._hermitian_part(cases[1])[0] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hermitian_part_of_nan_and_inf_entries(value, dtype):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(300, 300)).astype(dtype)
+    x = (x + x.conj().T) / 2
+    for i, j in [(0, 0), (7, 200), (299, 150)]:
+        m = x.copy()
+        m[i, j] = value
+        with np.errstate(invalid="ignore"):
+            residual, h = labeled._hermitian_part(m)
+            want = (m + m.conj().T) / 2
+        assert np.array_equal(_bits(h), _bits(want))
+        # the residual is NaN or inf, so no tolerance accepts it
+        assert not residual <= 1e300, (i, j, residual)

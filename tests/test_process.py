@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,3 +489,27 @@ def test_low_rank_dense_processes_skip_the_eigendecomposition(monkeypatch):
         assert sigma.dim == 1024 and sigma.op._coo is None
         verdict = validate_process(sigma)
         assert verdict.valid and verdict.psd_method == "eigh" and -1e-12 < verdict.min_eigenvalue <= 0.0
+
+
+def test_dense_validation_peaks_below_two_operators():
+    """A fresh dense 1024-dim Haar process and a rank-two mixture validate with
+    at most two operators' bytes traced at once: the Hermitian part, and the
+    type-norm table's copy once the part is freed."""
+    rng = np.random.default_rng(24)
+    nodes = [QuantumNode(x, 2, 2) for x in "ABC"] + [QuantumNode("P", 1, 4), QuantumNode("F", 4, 1)]
+    dom = tuple(n.out_system for n in nodes if n.d_out > 1)
+    cod = tuple(n.in_system for n in nodes if n.d_in > 1)
+    haar = make_unitary_process(nodes, LinearMap(haar_unitary(32, rng), dom, cod)).process
+    c1, c2 = (random_unitary_chain(3, rng).process for _ in range(2))
+    mixture = process_operator(c1.nodes, LabeledOperator(c1.op.systems, 0.4 * c1.op.matrix + 0.6 * c2.op.matrix))
+    for sigma in (haar, mixture):
+        size = sigma.op.matrix.nbytes
+        assert sigma.op._coo is None and size == 16 * 2**20
+        tracemalloc.start()
+        try:
+            verdict = validate_process(sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.psd_ok and verdict.psd_method == "eigh" and verdict.type_ok == (sigma is mixture)
+        assert peak <= 2 * size, peak
