@@ -30,6 +30,7 @@ from .classical import (ENUMERATION_BUDGET, ClassicalProcess, causal_structure_d
 from .combs import bipartite_separability, comb_check, comb_search
 from .fileio import ProcessFileError, read_process_file, write_process_file
 from .graphs import discover
+from .labeled import partial_trace
 from .process import ProcessOperator, validate_process
 
 
@@ -136,7 +137,9 @@ def cmd_discover(args, loaded, report) -> int:
         product_residual=mf.product_residual,
     )
     if mf.accepted:
-        report["factor_traces"] = {name: float(np.trace(ch.op.matrix).real) for name, ch in sorted(mf.factors.items())}
+        # each trace is a 1x1 partial trace, taken on a sparse factor's stored entries
+        traces = {name: partial_trace(ch.op, ch.op.systems).matrix for name, ch in sorted(mf.factors.items())}
+        report["factor_traces"] = {name: float(t[0, 0].real) for name, t in traces.items()}
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph.to_dot())

@@ -51,7 +51,7 @@ __all__ = [
 # classical file is stamped 2, so its bytes are those of the format-2 writer.
 FORMAT_VERSION = 3
 READ_VERSIONS = (1, 2, 3)
-# A sparse payload allocates no side x side array; validating it (process._blocks)
+# A sparse payload allocates no side x side array; validating it (labeled._blocks)
 # peaks at about a dozen int64 arrays of one entry per row, bounded here by 16.
 # So side <= 2**25, and every flat index (below side**2) fits in an int64.
 SPARSE_BYTES_PER_ROW = 16 * 8

@@ -22,6 +22,9 @@ from .channels import ChannelOperator, influence_residuals, input_signals
 from .labeled import (
     LinearMap,
     SystemLabel,
+    _multiply,
+    _norms,
+    _product_distance,
     cj_operator,
     distance,
     is_unitary,
@@ -243,7 +246,10 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
 
     Each node's factor conditions on its graph parents. Accepted iff every
     factor is a channel (PSD, trace-preserving), all factors commute, and the
-    ordered product reproduces sigma.
+    ordered product reproduces sigma. Factors held sparse are multiplied,
+    compared and normed on their stored entries. Each commutator's two
+    products are formed in one system order, and the ordered product is
+    compared with sigma without being put in sigma's order.
     """
     if set(graph.vertices) != set(sigma.node_names):
         raise ValueError("graph vertices must match the process nodes")
@@ -258,20 +264,17 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
             ok = False
 
     ops = {name: factors[name].op for name in factors}
-    norms = {name: float(np.linalg.norm(op.matrix)) for name, op in ops.items()}
+    norms = {name: float(np.linalg.norm(op._dense if op._coo is None else op._coo[1])) for name, op in ops.items()}
     comm = {}
     names = [n.name for n in sigma.nodes]
     for a, b in itertools.combinations(names, 2):
-        x = product([ops[a], ops[b]])
-        y = product([ops[b], ops[a]])
-        scale = max(1.0, norms[a] * norms[b])
-        res = float(np.linalg.norm(x.matrix - x._aligned(y))) / scale
+        x = _multiply(ops[a], ops[b])
+        res = _norms(x, _multiply(ops[b], ops[a], x.systems))[0] / max(1.0, norms[a] * norms[b])
         comm[(a, b)] = res
         if res > tol:
             ok = False
 
-    prod = product([ops[nm] for nm in names], systems=sigma.op.systems)
-    pres = distance(prod, sigma.op)
+    pres = _product_distance([ops[nm] for nm in names], sigma.op)
     if pres > tol:
         ok = False
     return MarkovFactorization(graph, factors, chres, comm, pres, bool(ok), tol)

@@ -94,8 +94,10 @@ class LabeledOperator:
     Kernels that work on entries (``cj_operator``,
     ``reorder``, ``transpose_systems``, ``partial_trace``,
     ``hs.project_trivial`` and scalar ``*``) return sorted COO when that rule
-    finds their result sparse. ``matrix`` builds the dense array of a sparse
-    operator anew on every access.
+    finds their result sparse, and so do ``product``, ``embed``, ``tensor``
+    and ``+``/``-`` when their operands are held sparse (a 1×1 operand counts
+    as sparse). ``matrix`` builds the dense array of a sparse operator anew on
+    every access.
     """
 
     __slots__ = ("systems", "dim", "_dense", "_coo", "_squares")
@@ -141,18 +143,11 @@ class LabeledOperator:
         dims = tuple(s.dim for s in self.systems)
         return self.matrix.reshape(dims + dims)
 
-    def _aligned(self, other: "LabeledOperator") -> np.ndarray:
-        if not isinstance(other, LabeledOperator):
-            raise TypeError("expected a LabeledOperator")
-        if other.systems == self.systems:
-            return other.matrix
-        return reorder(other, [s.key for s in self.systems]).matrix
-
     def __add__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.systems, self.matrix + self._aligned(other))
+        return _combined(self, other, np.add)
 
     def __sub__(self, other: "LabeledOperator") -> "LabeledOperator":
-        return LabeledOperator(self.systems, self.matrix - self._aligned(other))
+        return _combined(self, other, np.subtract)
 
     def __mul__(self, scalar) -> "LabeledOperator":
         if self._coo is not None:
@@ -221,12 +216,16 @@ def _stored(values: np.ndarray) -> np.ndarray:
     return words.reshape(values.size, words.size // max(values.size, 1)).any(axis=1)
 
 
+def _budget(need: int, what: str) -> None:
+    """A ValueError naming ``what`` if it would need more than ``MAX_DENSE_BYTES``."""
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(f"{what} would need {need} bytes, more than {MAX_DENSE_BYTES}")
+
+
 def _densify(side: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The dense side×side matrix with these sorted-COO entries; a ValueError
     if it would need more than ``MAX_DENSE_BYTES``."""
-    need = side * side * values.itemsize
-    if need > MAX_DENSE_BYTES:
-        raise ValueError(f"a dense {side}-dim operator would need {need} bytes, more than {MAX_DENSE_BYTES}")
+    _budget(side * side * values.itemsize, f"a dense {side}-dim operator")
     m = np.zeros(side * side, dtype=values.dtype)
     m[index] = values
     return m.reshape(side, side)
@@ -248,6 +247,28 @@ def _from_entries(systems, index: np.ndarray, values: np.ndarray) -> LabeledOper
     op = LabeledOperator.__new__(LabeledOperator)
     _set_storage(op, systems, None, (index, values))
     return op
+
+
+def _entries(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted-COO entries of an operator held sparse or of side 1, else None."""
+    if op._coo is not None:
+        return op._coo
+    if op.dim == 1:
+        return np.zeros(1, dtype=np.intp), op._dense.reshape(1).astype(np.result_type(op._dense, np.float64))
+    return None
+
+
+def _combined(x: LabeledOperator, y: LabeledOperator, ufunc) -> LabeledOperator:
+    """``ufunc(x, y)`` for np.add or np.subtract, on x's systems. Two operators
+    held sparse are combined on their stored entries, each shared entry
+    rounding as the dense one; otherwise both are dense."""
+    if not isinstance(y, LabeledOperator):
+        raise TypeError("expected a LabeledOperator")
+    y = reorder(y, [s.key for s in x.systems])
+    if x._coo is None or y._coo is None:
+        return LabeledOperator(x.systems, ufunc(x.matrix, y.matrix))
+    (ix, vx), (iy, vy) = x._coo, y._coo
+    return _from_entries(x.systems, *_sum_duplicates(np.concatenate([ix, iy]), np.concatenate([vx, ufunc(0.0, vy)])))
 
 
 def _digits(index: np.ndarray, dims) -> tuple[np.ndarray, ...]:
@@ -294,6 +315,59 @@ def _hermitian_part(m: np.ndarray) -> tuple[float, np.ndarray]:
     return math.sqrt(squares), h
 
 
+def _hermitian_entries(index: np.ndarray, values: np.ndarray, side: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """‖m − m†‖_F and the sorted-COO entries of h = (m + m†)/2 for the
+    side×side matrix m with these stored entries; both sums are taken entry
+    by entry, each rounding as the dense one."""
+    rows, cols = np.divmod(index, side)
+    both = np.concatenate([index, cols * side + rows])
+    adjoint = np.conj(values)
+    herm = float(np.linalg.norm(_sum_duplicates(both, np.concatenate([values, -adjoint]))[1]))
+    h_index, h = _sum_duplicates(both, np.concatenate([values, adjoint]))
+    return herm, h_index, h / 2
+
+
+def _blocks(index: np.ndarray, h: np.ndarray, d: int) -> list[np.ndarray]:
+    """The diagonal blocks of a d×d Hermitian matrix given by sorted-COO
+    entries, one per connected component of its nonzero graph, stacked by
+    block size into arrays of shape (count, size, size). The matrix is block
+    diagonal over them, so its spectrum is the union of theirs; a row with no
+    entry is a block [0]."""
+    rows, cols = np.divmod(index, d)
+    # Label propagation: each row takes the least label among its neighbours'
+    # and then its label's label, until nothing changes. Labels only fall and
+    # stay inside a component, so at the fixed point each component carries
+    # one label (the pattern is symmetric).
+    label = np.arange(d)
+    if rows.size:
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        heads = rows[starts]
+        while True:
+            new = label.copy()
+            new[heads] = np.minimum(label[heads], np.minimum.reduceat(label[cols], starts))
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+    order = np.argsort(label, kind="stable")
+    _, first, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    comp = np.empty(d, dtype=np.int64)
+    comp[order] = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.empty(d, dtype=np.int64)
+    pos[order] = np.arange(d) - np.repeat(first, sizes)
+    size = sizes[comp[rows]]
+    blocks = []
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        slot = np.empty(sizes.size, dtype=np.int64)
+        slot[members] = np.arange(members.size)
+        sel = size == s
+        b = np.zeros((members.size, s, s), dtype=h.dtype)
+        b[slot[comp[rows[sel]]], pos[rows[sel]], pos[cols[sel]]] = h[sel]
+        blocks.append(b)
+    return blocks
+
+
 def identity_operator(systems) -> LabeledOperator:
     """The identity on ``systems``, held sparse from 4 dimensions up by ``sorted_coo``'s rule."""
     systems = tuple(systems)
@@ -303,15 +377,29 @@ def identity_operator(systems) -> LabeledOperator:
 
 def tensor(*ops: LabeledOperator) -> LabeledOperator:
     """Tensor product; system order is the concatenation of the factors'.
-    Raises ValueError before allocating when the dense result exceeds
+
+    When every factor is held sparse or is 1×1, the result is built from the
+    products of their stored entries and held as ``sorted_coo``'s rule finds
+    it; otherwise it is ``np.kron`` of the dense factors. Raises ValueError
+    before allocating when those entries, or the dense result, exceed
     ``MAX_DENSE_BYTES``; each factor is smaller, so none is made dense first."""
+    systems = sum((op.systems for op in ops), ())
+    entries = [_entries(op) for op in ops]
+    if ops and all(e is not None for e in entries):
+        count = math.prod(index.size for index, _ in entries)
+        _budget(48 * count, f"a product of {count} stored entries")
+        index, values, side = np.zeros(1, dtype=np.intp), np.ones(1), 1
+        for op, (i, v) in zip(ops, entries):
+            (rows, cols), (r, c) = np.divmod(index, side), np.divmod(i, op.dim)
+            side *= op.dim
+            index = ((rows[:, None] * op.dim + r) * side + cols[:, None] * op.dim + c).reshape(-1)
+            values = np.multiply.outer(values, v).reshape(-1)
+        order = np.argsort(index)
+        return _from_entries(systems, index[order], values[order])
     d = math.prod(op.dim for op in ops)
-    if 16 * d * d > MAX_DENSE_BYTES:
-        raise ValueError(f"a product on {d} dims would need {16 * d * d} bytes, more than {MAX_DENSE_BYTES}")
-    systems: tuple[SystemLabel, ...] = ()
+    _budget(16 * d * d, f"a product on {d} dims")
     matrix = np.array([[1.0 + 0.0j]])
     for op in ops:
-        systems = systems + op.systems
         matrix = np.kron(matrix, op.matrix)
     return LabeledOperator(systems, matrix)
 
@@ -425,8 +513,16 @@ def split_system(op: LabeledOperator, ref, parts) -> LabeledOperator:
 
 
 def embed(op: LabeledOperator, systems) -> LabeledOperator:
-    """Pad with identities so the result lives on ``systems`` (in that order)."""
+    """Pad with identities so the result lives on ``systems`` (in that order).
+
+    An operator held sparse or 1×1, or a dense one that ``sorted_coo``'s rule
+    finds sparse, is padded on its stored entries: each is repeated along the
+    padding's diagonal, straight into the order of ``systems``. Any other is
+    ``np.kron``-ed with a dense identity and reordered. Raises ValueError
+    before allocating when either route exceeds ``MAX_DENSE_BYTES``."""
     systems = tuple(systems)
+    if op.systems == systems:
+        return op
     have = {s.key for s in op.systems}
     missing = [s for s in systems if s.key not in have]
     if len(have - {s.key for s in systems}) > 0:
@@ -435,24 +531,37 @@ def embed(op: LabeledOperator, systems) -> LabeledOperator:
     padded = op.systems + tuple(missing)
     if d == 1:  # the identity on dimension-1 systems is [[1]]: they only relabel the matrix
         return reorder(_relabeled(op, padded), systems)
-    # The dense operand, the dense identity, their np.kron product and, unless
-    # the padding already comes last, its reordered copy are held at once.
-    need = 16 * (op.dim**2 + d**2 + (1 if padded == systems else 2) * (op.dim * d) ** 2)
-    if need > MAX_DENSE_BYTES:
-        raise ValueError(f"padding to {op.dim * d} dims would need {need} bytes, more than {MAX_DENSE_BYTES}")
-    return reorder(tensor(op, identity_operator(missing)), systems)
+    entries = _entries(op) or sorted_coo(op._dense)
+    if entries is None:
+        # The dense operand, the dense identity, their np.kron product and,
+        # unless the padding already comes last, its reordered copy are held at once.
+        _budget(16 * (op.dim**2 + d**2 + (1 if padded == systems else 2) * (op.dim * d) ** 2), f"padding to {op.dim * d} dims")
+        return reorder(tensor(op, identity_operator(missing)), systems)
+    index, values = entries
+    count = index.size * d
+    _budget((16 * len(systems) + 48) * count, f"padding {index.size} stored entries to {op.dim * d} dims")
+    n, at = len(op.systems), {s.key: i for i, s in enumerate(padded)}
+    digits = _digits(index, [s.dim for s in op.systems] * 2)
+    pad = _digits(np.arange(d), [s.dim for s in missing])
+    rows = [np.repeat(digits[at[s.key]], d) if at[s.key] < n else np.tile(pad[at[s.key] - n], index.size) for s in systems]
+    cols = [np.repeat(digits[n + at[s.key]], d) if at[s.key] < n else rows[i] for i, s in enumerate(systems)]
+    new = _flat(rows + cols, [s.dim for s in systems] * 2, count)
+    order = np.argsort(new)
+    return _from_entries(tuple(padded[at[s.key]] for s in systems), new[order], np.repeat(values, d)[order])
 
 
 def product(ops, systems=None) -> LabeledOperator:
     """Matrix product of operators embedded in a common system set.
 
     ``systems`` fixes the output order; by default the union in first-seen
-    order. The factors are multiplied left to right, each step only on the
-    union of the two operands' systems: with U the running product's own
-    systems, O the shared ones and V the factor's own, one contraction over
-    O gives ``R[u o v, u' o'' v'] = sum_p x[u o, u' p] y[p v, o'' v']`` at
-    |U O V|**2 * |O| flops. Only the final result is padded with identities
-    on the systems no factor touches and put in the order of ``systems``.
+    order. The factors are multiplied left to right by ``_multiply``, each
+    step only on the union of the two operands' systems: with U the running
+    product's own systems, O the shared ones and V the factor's own, one
+    contraction over O gives ``R[u o v, u' o'' v'] = sum_p x[u o, u' p] y[p
+    v, o'' v']``, at |U O V|**2 * |O| flops on dense operands and on the
+    stored entries of sparse ones. The last step writes in the order of
+    ``systems`` when the systems no factor touches there have dimension 1;
+    otherwise its result is padded with identities on them by ``embed``.
     """
     ops = list(ops)
     if systems is None:
@@ -464,54 +573,161 @@ def product(ops, systems=None) -> LabeledOperator:
     if not ops:
         return identity_operator(systems)
     m = ops[0]
-    for op in ops[1:]:
-        m = _multiply(m, op)
+    for step, op in enumerate(ops[1:], 2):
+        m = _multiply(m, op, systems if step == len(ops) else None)
     return embed(m, systems)
 
 
-def _multiply(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
-    """``x @ y`` on the union of their systems, ordered U + O + V as in
-    ``product``; sparse operands are made dense. Raises ValueError when a
-    shared system has two dimensions, or before allocating when the dense
-    operands, the contraction and its transposed copy exceed ``MAX_DENSE_BYTES``.
+def _multiply(x: LabeledOperator, y: LabeledOperator, systems=None) -> LabeledOperator:
+    """``x @ y`` on the union of their systems, in the order U + O + V of
+    ``product``, or in the order of ``systems`` when that holds the union and
+    dimension-1 systems only.
+
+    When both operands are held sparse or are 1×1, their stored entries are
+    joined on the contracted digits and the products summed per result
+    entry, which is held as ``sorted_coo``'s rule finds it. Otherwise both
+    are dense, and one ``np.tensordot`` is transposed once into the output
+    order. Raises ValueError when a shared system has two dimensions, or
+    before allocating when the join, or the dense operands, the contraction
+    and its transposed copy, exceed ``MAX_DENSE_BYTES``.
     """
+    own_x, shared, own_y = _groups(x, y)
+    out = own_x + shared + own_y
+    union = {s.key: s for s in out}
+    if systems is not None and union.keys() <= {s.key for s in systems} and all(s.key in union or s.dim == 1 for s in systems):
+        out = tuple(union.get(s.key, s) for s in systems)
+    kept = [s for s in out if s.key in union]  # dimension-1 extras add no digit
+    ex, ey = _entries(x), _entries(y)
+    if ex is not None and ey is not None:
+        return _joined(x.systems, ex, y.systems, ey, shared, out, kept)
+    t, axes = _contracted(x, y, own_x, shared, own_y)
+    t = t.transpose([axes[s.key, False] for s in kept] + [axes[s.key, True] for s in kept])
+    d = math.prod(s.dim for s in kept)
+    return LabeledOperator(out, t.reshape(d, d))
+
+
+def _groups(x: LabeledOperator, y: LabeledOperator) -> tuple[tuple[SystemLabel, ...], ...]:
+    """U, O and V of ``product``: x's own systems, the shared ones (in x's
+    order) and y's own; a ValueError when a shared system has two dimensions."""
     in_y = {s.key: s for s in y.systems}
     in_x = {s.key for s in x.systems}
-    own_x = tuple(s for s in x.systems if s.key not in in_y)
     shared = tuple(s for s in x.systems if s.key in in_y)
-    own_y = tuple(s for s in y.systems if s.key not in in_x)
     if any(in_y[s.key].dim != s.dim for s in shared):
         raise ValueError(f"shared systems differ in dimension: {x.systems} and {y.systems}")
+    return tuple(s for s in x.systems if s.key not in in_y), shared, tuple(s for s in y.systems if s.key not in in_x)
+
+
+def _contracted(x, y, own_x, shared, own_y) -> tuple[np.ndarray, dict]:
+    """The dense ``x @ y`` as one ``np.tensordot``, with one axis per system
+    for its rows and one for its columns, and those axes by (key, is column),
+    listed in axis order.
+    Raises ValueError before allocating when the dense operands, the
+    contraction and a transposed copy of it exceed ``MAX_DENSE_BYTES``."""
     du, do, dv = (math.prod(s.dim for s in group) for group in (own_x, shared, own_y))
     d = du * do * dv
-    need = 16 * ((du * do) ** 2 + (do * dv) ** 2 + 2 * d * d)
-    if need > MAX_DENSE_BYTES:
-        raise ValueError(f"a product on {d} dims would need {need} bytes, more than {MAX_DENSE_BYTES}")
+    _budget(16 * ((du * do) ** 2 + (do * dv) ** 2 + 2 * d * d), f"a product on {d} dims")
     a = reorder(x, own_x + shared).matrix.reshape(du * do, du, do)
     b = reorder(y, shared + own_y).matrix.reshape(do, dv, do, dv)
-    t = np.tensordot(a, b, 1).transpose(0, 2, 1, 3, 4)
-    return LabeledOperator(own_x + shared + own_y, t.reshape(d, d))
+    # rows of U O, columns of U, rows of V, columns of O V
+    layout = [(s, False) for s in own_x + shared] + [(s, True) for s in own_x]
+    layout += [(s, False) for s in own_y] + [(s, True) for s in shared + own_y]
+    t = np.tensordot(a, b, 1).reshape([s.dim for s, _ in layout])
+    return t, {(s.key, column): i for i, (s, column) in enumerate(layout)}
+
+
+def _joined(x_systems, ex, y_systems, ey, shared, out, kept) -> LabeledOperator:
+    """``_multiply`` of two operators given by their sorted-COO entries: each
+    entry of x meets the entries of y whose row digits on the shared systems
+    equal its column digits there, and equal result indices are summed."""
+    (ix, vx), (iy, vy) = ex, ey
+    nx, ny = len(x_systems), len(y_systems)
+    dx, dy = _digits(ix, [s.dim for s in x_systems] * 2), _digits(iy, [s.dim for s in y_systems] * 2)
+    at_x, at_y = {s.key: i for i, s in enumerate(x_systems)}, {s.key: i for i, s in enumerate(y_systems)}
+    dims = [s.dim for s in shared]
+    kx = _flat([dx[nx + at_x[s.key]] for s in shared], dims, ix.size)
+    ky = _flat([dy[at_y[s.key]] for s in shared], dims, iy.size)
+    counts = np.bincount(ky, minlength=math.prod(dims))
+    meets = counts[kx]
+    total = int(meets.sum())
+    _budget((16 * len(kept) + 56) * total, f"a product of {total} pairs of stored entries")
+    # y's entries grouped by that key; pair j of x's entry e is the j-th of e's group.
+    xi = np.repeat(np.arange(ix.size), meets)
+    first = np.cumsum(counts) - counts
+    yi = np.argsort(ky, kind="stable")[np.repeat(first[kx] - np.cumsum(meets) + meets, meets) + np.arange(total)]
+    rows = [dx[at_x[s.key]][xi] if s.key in at_x else dy[at_y[s.key]][yi] for s in kept]
+    cols = [dy[ny + at_y[s.key]][yi] if s.key in at_y else dx[nx + at_x[s.key]][xi] for s in kept]
+    index = _flat(rows + cols, [s.dim for s in kept] * 2, total)
+    return _from_entries(out, *_sum_duplicates(index, vx[xi] * vy[yi]))
+
+
+def _squares(m: np.ndarray, minus: np.ndarray | None = None) -> float:
+    """Σ|m − minus|² (``minus`` 0 if None) of two arrays of one shape, over
+    chunks of one tile's size in C order, with no full-size difference;
+    either may be a strided view."""
+    operands = [m] if minus is None else [m, minus]
+    total = 0.0
+    with np.nditer(operands, ["external_loop", "buffered"], [["readonly"]] * len(operands), buffersize=_TILE * _TILE) as it:
+        for chunk in it:
+            block = chunk if minus is None else np.subtract(*chunk)
+            total += float(np.vdot(block, block).real)
+    return total
+
+
+def _norms(a: LabeledOperator, b: LabeledOperator) -> tuple[float, float, float]:
+    """‖a − b‖, ‖a‖ and ‖b‖ (Frobenius) of two operators in one system order.
+    Each entry of a − b rounds as in the dense difference. Two sparse
+    operands are subtracted on their stored entries; a dense and a sparse one
+    by adding the sparse one's entries into a copy of the dense one; two
+    dense ones block by block (``_squares``)."""
+    held = [x._dense if x._coo is None else x._coo[1] for x in (a, b)]
+    if a._coo is None and b._coo is None:
+        return tuple(math.sqrt(q) for q in (_squares(*held), _squares(held[0]), _squares(held[1])))
+    if a._coo is not None and b._coo is not None:
+        (ia, va), (ib, vb) = a._coo, b._coo
+        diff = float(np.linalg.norm(_sum_duplicates(np.concatenate([ia, ib]), np.concatenate([va, -vb]))[1]))
+    else:
+        # The dense operand's difference with 0, the sparse one read as 0,
+        # with its stored entries then added in place: each rounds as in the dense a - b.
+        m = np.subtract(*(0.0 if x._coo is not None else x._dense for x in (a, b)), dtype=np.result_type(*held))
+        for x, sign in ((a, 1), (b, -1)):
+            if x._coo is not None:
+                m.reshape(-1)[x._coo[0]] += sign * x._coo[1]
+        diff = math.sqrt(_squares(m))
+    return diff, *(float(np.linalg.norm(h)) for h in held)
+
+
+def _product_distance(ops, target: LabeledOperator) -> float:
+    """``distance(product(ops, target.systems), target)``. When the last step
+    and ``target`` are dense, and ``target`` adds only dimension-1 systems to
+    the factors' union, the last contraction is compared with ``target``'s
+    tensor read in the contraction's axis order: the product is never copied
+    into ``target``'s order."""
+    if len(ops) < 2:
+        return distance(product(ops, target.systems), target)
+    x, y = ops[0], ops[-1]
+    for op in ops[1:-1]:
+        x = _multiply(x, op)
+    own_x, shared, own_y = _groups(x, y)
+    union = {s.key for s in own_x + shared + own_y}
+    n, at = len(target.systems), {s.key: i for i, s in enumerate(target.systems)}
+    extras = [i for i, s in enumerate(target.systems) if s.key not in union]
+    fits = union <= at.keys() and all(target.systems[i].dim == 1 for i in extras)
+    if not fits or target._coo is not None or (_entries(x) is not None and _entries(y) is not None):
+        return distance(embed(_multiply(x, y, target.systems), target.systems), target)
+    t, axes = _contracted(x, y, own_x, shared, own_y)
+    order = [at[key] + n * column for key, column in axes] + extras + [n + i for i in extras]
+    view = target.as_tensor().transpose(order).reshape(t.shape)  # the extras' axes have length 1
+    return math.sqrt(_squares(t, view)) / max(1.0, math.sqrt(_squares(t)), math.sqrt(_squares(target._dense)))
 
 
 def distance(a: LabeledOperator, b: LabeledOperator) -> float:
     """Frobenius distance normalized by max(1, operand norms).
 
-    ``b`` is reordered to ``a``'s system order first; the system sets must match.
-    """
-    b = reorder(b, [s.key for s in a.systems])
-    held = [x._dense if x._coo is None else x._coo[1] for x in (a, b)]
-    if a._coo is not None and b._coo is not None:
-        (ia, va), (ib, vb) = a._coo, b._coo
-        # a - b entry by entry: each shared entry rounds as the dense difference.
-        diff = _sum_duplicates(np.concatenate([ia, ib]), np.concatenate([va, -vb]))[1]
-    else:
-        # The dense operands' difference, a sparse one read as 0, with its
-        # stored entries then added in place: each rounds as in the dense a - b.
-        diff = np.subtract(*(0.0 if x._coo is not None else x._dense for x in (a, b)), dtype=np.result_type(*held))
-        for x, sign in ((a, 1), (b, -1)):
-            if x._coo is not None:
-                diff.reshape(-1)[x._coo[0]] += sign * x._coo[1]
-    return float(np.linalg.norm(diff) / max(1.0, *map(np.linalg.norm, held)))
+    ``b`` is reordered to ``a``'s system order first; the system sets must
+    match. The norms come from ``_norms``, on stored entries where either
+    operand is sparse."""
+    diff, norm_a, norm_b = _norms(a, reorder(b, [s.key for s in a.systems]))
+    return diff / max(1.0, norm_a, norm_b)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from .labeled import (
     LinearMap,
     SystemLabel,
     _TILE,
+    _blocks,
+    _hermitian_entries,
     _hermitian_part,
-    _sum_duplicates,
     cj_operator,
     distance,
     identity_operator,
@@ -144,7 +145,8 @@ class ValidationVerdict:
     """Per-condition numbers of ``validate_process`` and their verdicts.
     ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part; for a
     dense operator of low rank it is -δ, the lower bound certified by a pivoted
-    Cholesky factor, and it is NaN where the "cholesky" method certifies."""
+    Cholesky factor, and it is NaN where the "cholesky" method certifies or
+    where a NaN or infinite entry refutes positivity without an eigensolver."""
 
     valid: bool
     hermitian_residual: float
@@ -186,7 +188,9 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     table of type norms, whose components are mutually orthogonal. An
     operator that is sparse by ``labeled.sorted_coo``'s rule is checked on its
     stored entries and its positivity block by block; a dense one's Hermitian
-    part comes from one tiled pass and is freed before the table is built."""
+    part comes from one tiled pass and is freed before the table is built. A
+    NaN or infinite entry makes the Hermitian residual non-finite, and then
+    positivity fails with no eigensolver run, which would not converge."""
     d = sigma.op.dim
     entries = sigma.op._coo if sigma.op._coo is not None else sorted_coo(sigma.op.matrix)
     if entries is None:
@@ -195,21 +199,18 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         norm, trace = math.sqrt(np.vdot(m, m).real), np.trace(m)
     else:
         index, values = entries
-        rows, cols = np.divmod(index, d)
         norm = float(np.linalg.norm(values))
-        # m - m† and m + m† entry by entry, each sum rounding as the dense one.
-        both = np.concatenate([index, cols * d + rows])
-        adjoint = np.conj(values)
-        herm = float(np.linalg.norm(_sum_duplicates(both, np.concatenate([values, -adjoint]))[1]))
-        h_index, h = _sum_duplicates(both, np.concatenate([values, adjoint]))
-        h = h / 2
-        trace = values[rows == cols].sum()
+        herm, h_index, h = _hermitian_entries(index, values, d)
+        trace = values[index % (d + 1) == 0].sum()  # the diagonal's flat indices are the multiples of d + 1
     herm_ok = herm <= tol * max(1.0, norm)
     if np.iscomplexobj(h) and not h.imag.any():  # -0.0 is zero, NaN is not
         h = h.real
     method = "cholesky" if d > 2048 else "eigh"
-    certified = _low_rank_psd(h, tol) if entries is None and method == "eigh" else None
-    psd_ok, min_eig = certified or _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
+    if not math.isfinite(herm):  # a NaN or infinite entry: no eigensolver converges on it
+        psd_ok, min_eig = False, math.nan
+    else:
+        certified = _low_rank_psd(h, tol) if entries is None and method == "eigh" else None
+        psd_ok, min_eig = certified or _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
     del h  # before _type_squares copies a dense m
 
     expected = sigma.expected_trace()
@@ -297,47 +298,6 @@ def _low_rank_psd(h: np.ndarray, tol: float) -> tuple[bool, float] | None:
     if delta <= tol and delta <= d * eps * norm:
         return True, 0.0 - delta  # +0.0, never -0.0, when δ is 0
     return None
-
-
-def _blocks(index: np.ndarray, h: np.ndarray, d: int) -> list[np.ndarray]:
-    """The diagonal blocks of a d×d Hermitian matrix given by sorted-COO
-    entries, one per connected component of its nonzero graph, stacked by
-    block size into arrays of shape (count, size, size). The matrix is block
-    diagonal over them, so its spectrum is the union of theirs; a row with no
-    entry is a block [0]."""
-    rows, cols = np.divmod(index, d)
-    # Label propagation: each row takes the least label among its neighbours'
-    # and then its label's label, until nothing changes. Labels only fall and
-    # stay inside a component, so at the fixed point each component carries
-    # one label (the pattern is symmetric).
-    label = np.arange(d)
-    if rows.size:
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        heads = rows[starts]
-        while True:
-            new = label.copy()
-            new[heads] = np.minimum(label[heads], np.minimum.reduceat(label[cols], starts))
-            new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
-    order = np.argsort(label, kind="stable")
-    _, first, sizes = np.unique(label[order], return_index=True, return_counts=True)
-    comp = np.empty(d, dtype=np.int64)
-    comp[order] = np.repeat(np.arange(sizes.size), sizes)
-    pos = np.empty(d, dtype=np.int64)
-    pos[order] = np.arange(d) - np.repeat(first, sizes)
-    size = sizes[comp[rows]]
-    blocks = []
-    for s in np.unique(sizes):
-        members = np.flatnonzero(sizes == s)
-        slot = np.empty(sizes.size, dtype=np.int64)
-        slot[members] = np.arange(members.size)
-        sel = size == s
-        b = np.zeros((members.size, s, s), dtype=h.dtype)
-        b[slot[comp[rows[sel]]], pos[rows[sel]], pos[cols[sel]]] = h[sel]
-        blocks.append(b)
-    return blocks
 
 
 def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:

@@ -19,6 +19,7 @@ from causalproc import (
     comb_from_circuit,
     compatibility_check,
     complete_graph,
+    compose_maps,
     causal_structure_unitary,
     directed_graph,
     discover,
@@ -352,16 +353,34 @@ def _signalling_edges(sigma, tol=1e-9):
     return edges
 
 
+def _dressed_switch(rng):
+    """switch(2) with its root's output and its leaf's input relabelled by
+    seeded permutations with phases: a sparse, complex, valid process."""
+    sw = make_switch(2)
+    u = sw.unitary
+
+    def dress(systems, name):
+        s = next(x for x in systems if x.name == name)
+        local = np.eye(s.dim)[:, rng.permutation(s.dim)] * rng.choice([1.0, -1.0, 1j, -1j], size=s.dim)
+        return tensor_maps(identity_map([x for x in systems if x is not s]), LinearMap(local, (s,), (s,)))
+
+    u = compose_maps(dress(u.codomain, "F.in"), compose_maps(u, dress(u.domain, "P.out")))
+    return make_unitary_process(sw.nodes, u)
+
+
 def test_markov_check_matches_matmul_of_embeddings():
     rng = np.random.default_rng(2002)
     cases = {
         "switch": make_switch(2),
+        "switch(3)": make_switch(3),
+        "dressed switch": _dressed_switch(rng),
         "af": make_af(),
         "mix": make_mix_example(),
         "bw-extension": make_bw_extension(),
         "permutation chain": _permutation_chain(rng),
         "rank-two mixture": _rank_two_mixture(rng),
     }
+    assert all(cases[name].op._coo is not None for name in ("switch(3)", "dressed switch"))
     verdicts = set()
     for name, sigma in cases.items():
         graph, mf = discover(sigma)

@@ -175,40 +175,51 @@ def test_product_refuses_mismatched_dims_and_oversized_unions():
     o2, o3 = SystemLabel("o", 2), SystemLabel("o", 3)
     with pytest.raises(ValueError, match="dimension"):
         product([identity_operator([o2]), identity_operator([o3])])
-    # Two sparse 512-dim operators sharing one qubit: the union has 2**17 dims,
-    # so the dense product would need 2**39 bytes.
+    # A dense and a sparse 512-dim operator sharing one qubit: the union has
+    # 2**17 dims, so the dense product would need 2**39 bytes. Two sparse ones
+    # are multiplied on their stored entries into the sparse identity.
     a, b = SystemLabel("a", 256), SystemLabel("b", 256)
     eye = np.arange(512) * 513
     x = labeled._from_entries((a, o2), eye, np.ones(512))
     y = labeled._from_entries((o2, b), eye, np.ones(512))
+    dense = LabeledOperator((a, o2), np.eye(512))
     assert x._coo is not None and y._coo is not None
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=str(MAX_DENSE_BYTES)):
-            product([x, y])
+            product([dense, y])
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        joined = product([x, y])
+        _, joined_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2**20, peak
+    assert joined.systems == (a, o2, b) and joined_peak <= 64 * 2**20, joined_peak
+    assert np.array_equal(joined._coo[0], np.arange(2**17) * (2**17 + 1)) and np.all(joined._coo[1] == 1)
 
 
 
 def test_tensor_refuses_an_oversized_product_before_allocating():
-    # Two sparse 512-dim operators on disjoint systems: the tensor product has
-    # 2**18 dims, so the dense result alone would need 2**40 bytes.
+    # A dense and a sparse 512-dim operator on disjoint systems: the tensor
+    # product has 2**18 dims, so the dense result alone would need 2**40
+    # bytes. Two sparse ones give the sparse identity from their stored entries.
     a, b, c, e = SystemLabel("a", 256), SystemLabel("b", 2), SystemLabel("c", 256), SystemLabel("e", 2)
     eye = np.arange(512) * 513
     x = labeled._from_entries((a, b), eye, np.ones(512))
     y = labeled._from_entries((c, e), eye, np.ones(512))
+    dense = LabeledOperator((a, b), np.eye(512))
     assert x._coo is not None and y._coo is not None
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=str(MAX_DENSE_BYTES)):
-            tensor(x, y)
+            tensor(dense, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2**20, peak
+    joined = tensor(x, y)
+    assert np.array_equal(joined._coo[0], np.arange(2**18) * (2**18 + 1)) and np.all(joined._coo[1] == 1)
 
 
 def test_embed_refuses_its_product_and_reordered_copy_before_allocating(monkeypatch, rng):

@@ -24,6 +24,7 @@ from causalproc import (
     hs,
     identity_operator,
     joint_probabilities,
+    labeled,
     make_af_deterministic,
     make_classical_switch,
     make_methods_counterexample,
@@ -513,3 +514,27 @@ def test_dense_validation_peaks_below_two_operators():
             tracemalloc.stop()
         assert verdict.psd_ok and verdict.psd_method == "eigh" and verdict.type_ok == (sigma is mixture)
         assert peak <= 2 * size, peak
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_nan_or_infinite_entry_fails_validation_without_an_eigensolver(value):
+    # A non-finite Hermitian residual skips the PSD step, whose eigensolver
+    # would not converge: positivity is refuted with a NaN eigenvalue.
+    chain, switch = random_unitary_chain(3, np.random.default_rng(0)), make_switch(2)
+    index, values = switch.op._coo
+    on = index % (switch.dim + 1) == 0
+    cases = []
+    for i, j in [(5, 5), (3, 700)]:
+        m = chain.op.matrix.copy()
+        m[i, j] = value
+        cases.append(process_operator(chain.nodes, LabeledOperator(chain.op.systems, m)))
+    for k in (np.flatnonzero(on)[0], np.flatnonzero(~on)[0]):
+        v = values.copy()
+        v[k] = value
+        cases.append(process_operator(switch.nodes, labeled._from_entries(switch.op.systems, index, v)))
+    assert [sigma.op._coo is None for sigma in cases] == [True, True, False, False]
+    for sigma in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            verdict = validate_process(sigma)
+        assert not math.isfinite(verdict.hermitian_residual)
+        assert not verdict.valid and not verdict.psd_ok and math.isnan(verdict.min_eigenvalue)

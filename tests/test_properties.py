@@ -1,6 +1,7 @@
 """Properties that hold for every process: invariance under local unitaries,
-and the theorem for unitary processes (a comb order exists iff the influence
-graph is acyclic)."""
+the theorem for unitary processes (a comb order exists iff the influence
+graph is acyclic), and Markov checks on stored entries that match the dense
+ones."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from causalproc import (
     causal_structure_unitary,
     comb_search,
     compose_maps,
+    directed_graph,
     haar_unitary,
     identity_map,
     make_af,
@@ -22,12 +24,13 @@ from causalproc import (
     make_reduced_switch,
     make_switch,
     make_unitary_process,
+    markov_check,
     process_operator,
     tensor_maps,
     type_norms,
     validate_process,
 )
-from causalproc.labeled import LabeledOperator, apply_stage, sorted_coo
+from causalproc.labeled import LabeledOperator, _from_entries, apply_stage, sorted_coo
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -128,3 +131,26 @@ def test_comb_order_exists_iff_unitary_influence_is_acyclic(seed, switch):
     cyclic = causal_structure_unitary(up).is_cyclic
     assert cyclic == switch
     assert (comb_search(up) is None) == cyclic
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, switch=st.booleans())
+def test_markov_check_on_stored_entries_matches_the_densified_copy(seed, switch):
+    rng = np.random.default_rng(seed)
+    base = _dressed(BASES["switch"], lambda d: _permutation(rng, d) * rng.choice([1, -1, 1j], size=d)) if switch else _permutation_chain(rng)
+    m = base.op.matrix
+    sigma = process_operator(base.nodes, _from_entries(base.op.systems, *sorted_coo(m)))
+    dense = process_operator(base.nodes, LabeledOperator(base.op.systems, m))
+    assert sigma.op._coo is not None and dense.op._coo is None
+    names = sigma.node_names
+    drawn = directed_graph(names, [(a, b) for a in names for b in names if a != b and rng.random() < 0.4])
+    for graph in (causal_structure_unitary(sigma), drawn):
+        got, want = markov_check(sigma, graph), markov_check(dense, graph)
+        assert got.accepted == want.accepted
+        assert abs(got.product_residual - want.product_residual) <= 1e-12
+        assert got.commutator_residuals.keys() == want.commutator_residuals.keys()
+        for pair, value in want.commutator_residuals.items():
+            assert abs(got.commutator_residuals[pair] - value) <= 1e-12, pair
+        for node, residuals in want.channel_residuals.items():
+            for key, value in residuals.items():
+                assert abs(got.channel_residuals[node][key] - value) <= 1e-12, (node, key)

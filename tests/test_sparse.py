@@ -14,7 +14,11 @@ import copy
 import itertools
 import math
 import pickle
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +33,11 @@ from causalproc import (
     cj_operator,
     comb_check,
     comb_search,
+    discover,
     distance,
+    embed,
     identity_map,
+    identity_operator,
     is_isometric,
     labeled,
     make_bw_extension,
@@ -39,9 +46,11 @@ from causalproc import (
     make_unitary_process,
     partial_trace,
     process_operator,
+    product,
     project_trivial,
     read_process_file,
     reorder,
+    tensor,
     tensor_maps,
     transpose_systems,
     unitary_causal_separability,
@@ -197,6 +206,73 @@ def test_distance_of_a_sparse_and_a_dense_operand_never_densifies(monkeypatch):
         assert distance(other, op) == backward
 
 
+def _held_as_the_rule_finds(op: LabeledOperator) -> bool:
+    entries = sorted_coo(op.matrix)
+    return (op._coo is None) == (entries is None)
+
+
+def test_products_padding_tensors_and_sums_on_entries_match_dense():
+    """Sparse operands, and 1x1 ones, are multiplied, padded, tensored, added
+    and subtracted on their stored entries: padded entries and sums equal the
+    dense path's, products agree within 1e-12, and each such result is held
+    as the rule finds it. Dense operands keep the dense path, a product
+    written straight into its target order is bitwise the default-order
+    product reordered, and the Markov check's product residual equals
+    ``distance`` of the product whichever route it takes."""
+    one = LabeledOperator((SystemLabel("u", 1),), np.array([[2.5 - 1j]]))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        pool = _random_systems(rng, 4)
+        other = tuple(SystemLabel(f"t{i}", s.dim, s.dual) for i, s in enumerate(_random_systems(rng, 2)))
+
+        def sparse(systems):
+            return _random_sparse(rng, tuple(systems[i] for i in rng.permutation(len(systems))), real=seed % 3 == 0)
+
+        x, y, z = (sparse(pool[: rng.integers(1, 5)]) for _ in range(3))
+        order = tuple(pool[i] for i in rng.permutation(4)) + (one.systems[0],)
+        for ops in ([x, y], [x, one, y, z], [one, x], [x, y, z]):
+            dense = [LabeledOperator(op.systems, op.matrix) for op in ops]
+            scale = math.prod(max(1.0, float(np.linalg.norm(op.matrix))) for op in ops)
+            for systems in (None, order):
+                got, want = product(ops, systems), product(dense, systems)
+                assert got.systems == want.systems
+                assert np.abs(got.matrix - want.matrix).max(initial=0.0) <= 1e-12 * scale
+            union = tuple({s.key: s for op in ops for s in op.systems}.values())
+            for systems in (order, tuple(union[i] for i in rng.permutation(len(union))) + one.systems * (one not in ops)):
+                d = math.prod(s.dim for s in systems)
+                target = LabeledOperator(systems, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for factors in (ops, dense):
+                    got = labeled._product_distance(factors, target)
+                    assert abs(got - distance(product(dense, systems), target)) <= 1e-12
+            assert _held_as_the_rule_finds(labeled._multiply(ops[0], ops[1]))
+            step = labeled._multiply(dense[0], dense[1])
+            target = tuple(step.systems[i] for i in rng.permutation(len(step.systems))) + one.systems[-1:] * (one not in ops[:2])
+            direct = labeled._multiply(dense[0], dense[1], target)
+            assert direct.systems == target and _bits(direct.matrix) == _bits(embed(step, target).matrix)
+        padded = embed(x, order)
+        missing = [s for s in order if s.key not in {t.key for t in x.systems}]
+        want = reorder(tensor(_dense(x), identity_operator(missing)), [s.key for s in order])
+        assert padded.systems == want.systems and padded._coo is not None
+        assert np.array_equal(padded.matrix, want.matrix)
+        w = sparse(other)
+        for factors, on_entries in (([x, w], True), ([one, w], True), ([w, _dense(x)], x.dim == 1)):
+            got = tensor(*factors)
+            want = np.array([[1.0 + 0j]])
+            for op in factors:
+                want = np.kron(want, op.matrix)
+            if on_entries:
+                # np.kron's complex products may round differently in the last bit
+                assert _held_as_the_rule_finds(got) and np.allclose(got.matrix, want, rtol=1e-15, atol=0)
+            else:
+                assert got._coo is None and _bits(got.matrix) == _bits(want)
+        same = _random_sparse(rng, tuple(reversed(x.systems)))
+        for got, want in ((x + same, _dense(x) + _dense(same)), (x - same, _dense(x) - _dense(same))):
+            assert got.systems == want.systems and _held_as_the_rule_finds(got)
+            assert np.array_equal(got.matrix, want.matrix)
+        for got, want in ((x + _dense(same), x.matrix + reorder(same, x.systems).matrix), (_dense(x) - same, x.matrix - reorder(same, x.systems).matrix)):
+            assert got._coo is None and _bits(got.matrix) == _bits(want)
+
+
 def _permutation_chain(rng, slots):
     """Chain comb P -> A -> B ... -> F whose stages are seeded permutations of
     (slot wire, qubit memory), with a seeded phase sign per stage."""
@@ -324,6 +400,48 @@ def test_switch5_unitary_separability_memory_bound(no_densify):
         tracemalloc.stop()
     assert not verdict.separable and verdict.cycle == ("A", "B")
     assert peak <= 64 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "make, seconds",
+    [
+        (lambda: make_switch(2), 0.1),
+        (lambda: make_switch(3), 0.1),
+        (make_bw_extension, 0.3),
+        (lambda: _permutation_chain(np.random.default_rng(7), 3), 0.1),
+    ],
+    ids=["switch(2)", "switch(3)", "bw", "1024-dim chain"],
+)
+def test_discover_never_densifies(make, seconds, no_densify):
+    # The root's 1x1 Markov factor joins the sparse products on its one entry.
+    sigma = make()
+    assert sigma.op._coo is not None
+    start = time.perf_counter()
+    graph, mf = discover(sigma)
+    elapsed = time.perf_counter() - start
+    assert mf.accepted and mf.product_residual <= 1e-12 and graph.edges
+    assert elapsed <= seconds, elapsed
+
+
+DISCOVER_SWITCH4 = """
+import resource, subprocess, sys, time
+code = "import sys; sys.path.insert(0, {src!r}); from causalproc import discover, make_switch; print(discover(make_switch(4))[1].accepted)"
+start = time.perf_counter()
+accepted = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.strip()
+print(accepted, time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_discover_on_switch4_fits_in_a_fresh_process():
+    # 16384 dims: the dense commutators alone would need 8.7 GB. A child's
+    # peak RSS counts the RSS of the process that started it, so the child is
+    # started from a fresh interpreter, not from this one.
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", DISCOVER_SWITCH4.format(src=src)], capture_output=True, text=True, check=True, timeout=120)
+    accepted, seconds, peak_kib = out.stdout.split()
+    assert accepted == "True" and float(seconds) <= 10, out.stdout
+    assert int(peak_kib) <= 2**20, out.stdout  # ru_maxrss is in KiB on Linux
 
 
 def test_separability_fast_path_keeps_a_sparse_process_sparse(monkeypatch, tmp_path):
