@@ -3,13 +3,13 @@ classical polytope tooling, and exemplar export.
 
 Every command prints one JSON report to stdout. A command that reads a process
 file opens its report with the envelope ``command``, ``input`` (the path),
-``sha256`` (of the file) and ``tol``, and ends it with ``runtime_s``;
-``exemplar`` prints ``name``, ``out``, ``sha256`` (of the written file) and
-``runtime_s``. Exit codes: 0 = the checked property holds, 1 = it fails,
-2 = usage or input error (nothing on stdout), 3 = internal failure (one JSON
-line on stderr, no traceback, nothing on stdout), 4 = no verdict within the
-budget (``separability`` found no split in ``--max-iter`` iterations; the
-report is still printed).
+``sha256`` (of the bytes it read, once, and parsed) and ``tol``, and ends it
+with ``runtime_s``; ``exemplar`` prints ``name``, ``out``, ``sha256`` (of the
+written file) and ``runtime_s``. Exit codes: 0 = the checked property holds,
+1 = it fails, 2 = usage or input error (nothing on stdout), 3 = internal
+failure (one JSON line on stderr, no traceback, nothing on stdout), 4 = no
+verdict within the budget (``separability`` found no split in ``--max-iter``
+iterations; the report is still printed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .classical import (ENUMERATION_BUDGET, ClassicalProcess, causal_structure_d
                         enumerate_deterministic_processes, polytope_membership, quantize, reversible_extension,
                         validate_classical)
 from .combs import bipartite_separability, comb_check, comb_search
-from .fileio import ProcessFileError, read_process_file, write_process_file
+from .fileio import ProcessFileError, _load, dict_to_process, write_process_file
 from .graphs import discover
 from .labeled import partial_trace
 from .process import ProcessOperator, validate_process
@@ -81,12 +81,14 @@ def _emit(report: dict, started: float) -> None:
 
 
 def _run(command, args) -> int:
-    """Read ``args.file``, let ``command(args, loaded, report)`` add its fields
-    after the envelope, print the report and return the command's exit code."""
+    """Read ``args.file`` once, let ``command(args, loaded, report)`` add its
+    fields after the envelope, print the report and return the command's exit
+    code. The envelope's ``sha256`` is of the bytes that were parsed."""
     started = time.time()
-    loaded = read_process_file(args.file)
+    digest = hashlib.sha256()
+    loaded = dict_to_process(_load(args.file, digest))
     name = f"classical {args.subcommand}" if args.command == "classical" else args.command
-    report = {"command": name, "input": args.file, "sha256": _sha256(args.file), "tol": args.tol}
+    report = {"command": name, "input": args.file, "sha256": digest.hexdigest(), "tol": args.tol}
     code = command(args, loaded, report)
     _emit(report, started)
     return code

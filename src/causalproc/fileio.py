@@ -77,8 +77,8 @@ def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
         index, values = entries
         pairs = np.asarray(values, dtype=complex).view(float).reshape(-1, 2)
         return 2, {"index": index.tolist(), "values": pairs.tolist()}
-    raw = np.ascontiguousarray(op.matrix, dtype="<c16").tobytes()
-    return 3, base64.b64encode(raw).decode("ascii")
+    # b64encode reads the array's buffer: no bytes copy of the matrix
+    return 3, base64.b64encode(np.ascontiguousarray(op.matrix, dtype="<c16")).decode("ascii")
 
 
 def _finite_numbers(items, shape: tuple, what: str) -> np.ndarray:
@@ -274,23 +274,60 @@ def dict_to_process(doc) -> LoadedProcessFile:
     return LoadedProcessFile("classical", kp, graph, metadata)
 
 
+def _dumps(doc: dict) -> bytes:
+    return json.dumps(doc, separators=(",", ":")).encode("ascii")
+
+
 def write_process_file(path, obj, graph: DirectedGraph | None = None, metadata: dict | None = None) -> None:
-    text = json.dumps(process_to_dict(obj, graph, metadata), separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write ``obj`` (and the optional graph and metadata) as a process file.
+
+    The file is exactly ``json.dumps(process_to_dict(obj, graph, metadata),
+    separators=(",", ":")) + "\\n"``, ASCII. A base64 payload never needs
+    escaping, so it is written as it is between the two halves of the rest of
+    the document instead of going through the JSON encoder. Everything is
+    encoded before the file is opened, so a document that cannot be encoded
+    leaves the file at ``path`` as it was.
+    """
+    doc = process_to_dict(obj, graph, metadata)
+    payload = doc["payload"]
+    if isinstance(payload, str):
+        # Split at the first '"payload":""'. Its '"' after 'd' is unescaped (a
+        # '"' inside a JSON string is written '\"'), so it ends a string, and
+        # the ':' after it makes that string a key whose text ends in 'payload'.
+        # The keys written before "payload" (format_version, kind, nodes and
+        # each node's name, d_in, d_out and kind) do not; graph and metadata
+        # come after it. So the first match is the payload key and its value.
+        doc["payload"] = ""
+        head, tail = _dumps(doc).split(b'"payload":""', 1)
+        chunks = (head, b'"payload":"', payload.encode("ascii"), b'"', tail, b"\n")
+    else:
+        chunks = (_dumps(doc), b"\n")
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
-def read_process_file(path) -> LoadedProcessFile:
+def _load(path, digest=None) -> dict:
+    """The JSON document in the file at ``path``, whose bytes are read once.
+    ``digest`` (a hashlib object), if given, is updated with those bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ProcessFileError(f"cannot read {path}: {exc.strerror}") from exc
+    if digest is not None:
+        digest.update(data)
+    try:
+        text = data.decode("utf-8")
+        del data  # the bytes are not kept while the text is parsed
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProcessFileError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ProcessFileError(f"file is not UTF-8 text: {exc.reason}") from exc
     except RecursionError as exc:
         raise ProcessFileError("JSON nested too deeply") from exc
-    except OSError as exc:
-        raise ProcessFileError(f"cannot read {path}: {exc.strerror}") from exc
-    return dict_to_process(doc)
+
+
+def read_process_file(path) -> LoadedProcessFile:
+    return dict_to_process(_load(path))

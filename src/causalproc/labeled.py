@@ -86,11 +86,16 @@ class LabeledOperator:
 
     It is held either as a dense matrix or as sorted COO: the strictly
     increasing flat row-major indices of its stored entries and the entries
-    there, under ``sorted_coo``'s rule. The constructor keeps the matrix it is
-    given and marks it, like the sorted-COO arrays, read-only, so ``hs`` builds
-    the type-norm table once per operator and keeps it. Only that array is
-    frozen: a writable base or sibling view can still change the matrix and
-    leave the kept table stale, so pass one you will not write through again.
+    there, under ``sorted_coo``'s rule. The constructor keeps the array it is
+    given, without a copy, and marks it, like the sorted-COO arrays, read-only,
+    so ``hs`` builds the type-norm table once per operator and keeps it.
+
+    Frozen-array contract: only the array object passed in is made read-only,
+    not its base nor any other view of the same memory. A write through a
+    writable base or sibling view changes the matrix and leaves the kept
+    type-norm table stale. A caller who keeps writing to that memory must pass
+    a copy (``m.copy()``).
+
     Kernels that work on entries (``cj_operator``,
     ``reorder``, ``transpose_systems``, ``partial_trace``,
     ``hs.project_trivial`` and scalar ``*``) return sorted COO when that rule

@@ -208,6 +208,24 @@ def test_reports_carry_input_digest(tmp_path, capsys):
     assert report["sha256"] == expected
 
 
+def test_report_digest_is_of_the_bytes_that_were_parsed(tmp_path, capsys, monkeypatch):
+    # the file is replaced after it is parsed and before the report is built
+    path = tmp_path / "mix.json"
+    write_process_file(path, make_mix_example())
+    parsed = path.read_bytes()
+    to_process = cli.dict_to_process
+
+    def to_process_then_replace(doc):
+        loaded = to_process(doc)
+        path.write_text("{}")
+        return loaded
+
+    monkeypatch.setattr(cli, "dict_to_process", to_process_then_replace)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert json.loads(out)["sha256"] == hashlib.sha256(parsed).hexdigest()
+
+
 def test_malformed_files_exit_two(tmp_path, capsys, bad_docs):
     path = tmp_path / "bad.json"
     for name, doc in bad_docs.items():

@@ -22,6 +22,7 @@ from causalproc import (
     af_causal_graph,
     causal_structure_deterministic,
     dict_to_process,
+    directed_graph,
     make_af,
     make_af_deterministic,
     make_methods_counterexample,
@@ -134,6 +135,97 @@ def test_complex_payload_encoding(tmp_path):
     values = np.asarray(sparse["values"])
     assert values.shape == (side, 2)
     assert np.array_equal(values[:, 0] + 1j * values[:, 1], np.diag(mix.op.matrix))
+
+
+def canonical_bytes(obj, graph=None, metadata=None) -> bytes:
+    return json.dumps(process_to_dict(obj, graph, metadata), separators=(",", ":")).encode() + b"\n"
+
+
+# free-form text that the JSON encoder must escape, and the text the writer splits at
+TRICKY = ['"payload":""', 'a"payload":"b', "\\", '\\"payload":""', "é ∑ 😀", "payload", ""]
+
+
+def tricky_dense_process():
+    """A dense 4-dim process whose node names hold escaped and non-ASCII text."""
+    nodes = [QuantumNode('"payload":""', 2, 1), QuantumNode("é\\payload", 1, 2)]
+    m = np.arange(16).reshape(4, 4) + 0.5j
+    return process_operator(nodes, LabeledOperator(tuple(canonical_systems(nodes)), m))
+
+
+def test_written_bytes_are_the_canonical_json(tmp_path):
+    chain = dense_chain()
+    names = [n.name for n in chain.nodes]
+    chain_graph = directed_graph(names, zip(names, names[1:]))
+    tricky = tricky_dense_process()
+    tricky_graph = directed_graph([n.name for n in tricky.nodes], [[n.name for n in tricky.nodes]])
+    metadata = {
+        "payload": TRICKY,
+        '"payload":""': {text: text for text in TRICKY},
+        "description": 'quotes " and backslashes \\ in "payload":"" ünïcödé',
+        # each encodes to a second '"payload":""' in the document
+        "nested": {"payload": "", 'x"payload': ""},
+    }
+    dp = make_af_deterministic()
+    cases = [
+        (chain, None, None),
+        (chain, chain_graph, None),
+        (chain, None, metadata),
+        (chain, chain_graph, metadata),
+        (tricky, tricky_graph, metadata),
+        (make_mix_example(), None, metadata),
+        (make_switch(2), None, None),
+        (make_af(), af_causal_graph(), metadata),
+        (make_methods_counterexample().combined([0.3, 0.7]), None, metadata),
+        (dp, causal_structure_deterministic(dp), metadata),
+    ]
+    for i, (obj, graph, meta) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        write_process_file(path, obj, graph=graph, metadata=meta)
+        assert path.read_bytes() == canonical_bytes(obj, graph, meta), i
+    # the dense cases took the base64 payload
+    assert isinstance(process_to_dict(chain)["payload"], str)
+    assert isinstance(process_to_dict(tricky)["payload"], str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(metadata=st.dictionaries(st.sampled_from(TRICKY) | st.text(max_size=6), st.sampled_from(TRICKY) | st.text()))
+def test_written_dense_bytes_are_canonical_for_any_metadata(metadata, tmp_path_factory):
+    path = tmp_path_factory.mktemp("canonical") / "tricky.json"
+    sigma = tricky_dense_process()
+    write_process_file(path, sigma, metadata=metadata)
+    assert path.read_bytes() == canonical_bytes(sigma, None, metadata)
+    assert read_process_file(path).metadata == metadata
+
+
+def test_a_failed_encode_leaves_the_target_alone(tmp_path):
+    # a set is not JSON: the writer raises before it opens the file
+    for name, obj in (("dense", dense_chain()), ("sparse", make_mix_example()), ("classical", make_af_deterministic())):
+        path = tmp_path / f"{name}.json"
+        write_process_file(path, obj)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_process_file(path, obj, metadata={"tags": {1, 2}})
+        assert path.read_bytes() == before, name
+        missing = tmp_path / f"{name}-missing.json"
+        with pytest.raises(TypeError):
+            write_process_file(missing, obj, metadata={"tags": {1, 2}})
+        assert not missing.exists(), name
+
+
+def test_read_errors_keep_their_messages(tmp_path):
+    path = tmp_path / "bad.json"
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(newline.join(["{", ' "format_version": 1,', ' "nodes": [}']).encode())
+        with pytest.raises(ProcessFileError, match=r"^invalid JSON at line 3, column 12: Expecting value$"):
+            read_process_file(path)
+    path.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(ProcessFileError, match="^file is not UTF-8 text: invalid start byte$"):
+        read_process_file(path)
+    path.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    with pytest.raises(ProcessFileError, match="^JSON nested too deeply$"):
+        read_process_file(path)
+    with pytest.raises(ProcessFileError, match="^cannot read .*nope.json: No such file or directory$"):
+        read_process_file(tmp_path / "nope.json")
 
 
 def test_invalid_json_reports_location(tmp_path):

@@ -202,3 +202,17 @@ def test_results_do_not_depend_on_which_reader_built_the_table():
         if found is not None:
             assert comb_check(fresh, found).residuals == comb_check(warm, found).residuals
         assert _bits(validate_process(fresh)) == _bits(verdict) == _bits(validate_process(warm))
+
+
+def test_only_the_array_passed_in_is_frozen_so_callers_who_write_pass_a_copy():
+    # the frozen-array contract: the base of the view passed in stays writable,
+    # and a write through it leaves the kept table stale; an operator built on
+    # a copy does not see the write
+    systems = (SystemLabel("a", 2), SystemLabel("b", 2))
+    big = np.eye(4)
+    on_view, on_copy = LabeledOperator(systems, big.reshape(4, 4)[:]), LabeledOperator(systems, big.copy())
+    table = type_norms(on_view)
+    assert not on_view.matrix.flags.writeable and big.flags.writeable
+    big[0, 1] = 1.0
+    assert on_view.matrix[0, 1] == 1.0 and type_norms(on_view) == table
+    assert type_norms(on_copy) == table != type_norms(LabeledOperator(systems, big.copy()))
