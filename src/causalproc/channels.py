@@ -19,6 +19,7 @@ from .labeled import (
     SystemLabel,
     _as_key,
     _blocks,
+    _entries,
     _hermitian_entries,
     _hermitian_part,
     _sum_duplicates,
@@ -65,16 +66,16 @@ class ChannelOperator:
 
     def cptp_residuals(self) -> dict[str, float]:
         """Residuals of complete positivity (min eigenvalue) and trace preservation.
-        A sparse operator is read on its stored entries: its Hermitian part's
-        spectrum is the union of its connected blocks', and ‖Tr_out − 1‖ is
-        taken on the partial trace's entries."""
-        op, d = self.op, math.prod(s.dim for s in self.inputs)
-        if op._coo is None:
+        An operator routed on its stored entries is read on them: its
+        Hermitian part's spectrum is the union of its connected blocks', and
+        ‖Tr_out − 1‖ is taken on the partial trace's entries."""
+        op, d, entries = self.op, math.prod(s.dim for s in self.inputs), _entries(self.op)
+        if entries is None:
             herm, h = _hermitian_part(op.matrix)
             blocks = [h[None]]
             off = partial_trace(op, self.outputs).matrix - np.eye(d)
         else:
-            herm, h_index, h = _hermitian_entries(*op._coo, op.dim)
+            herm, h_index, h = _hermitian_entries(*entries, op.dim)
             blocks = _blocks(h_index, h, op.dim)
             index, values = _traced_entries(op, {s.key for s in self.outputs})
             off = _sum_duplicates(np.concatenate([index, np.arange(d) * (d + 1)]), np.concatenate([values, -np.ones(d)]))[1]

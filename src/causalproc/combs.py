@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import DirectedGraph, causal_structure_unitary
 from .hs import _type_bits, _type_squares, project_trivial
-from .labeled import LabeledOperator, _from_entries, _hermitian_part, distance, partial_trace
+from .labeled import LabeledOperator, _entries, _from_entries, _hermitian_part, distance, partial_trace
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
 __all__ = [
@@ -112,12 +112,12 @@ def _comb_residuals(sigma: ProcessOperator):
     √(∏ dims of S), and components of different types are orthogonal; so with
     n_T the norm of type T the residual is √(∏_S d · Σ n_T²) over the T that
     avoid S and contain the output, over max(1, √(∏_S d · Σ n_T²)) over all T
-    that avoid S, which is ``distance``'s value. A sparse operator walks its
-    marginals instead, one partial trace per traced node, keeping those of
-    the current prefix.
+    that avoid S, which is ``distance``'s value. An operator routed on its
+    stored entries walks its marginals instead, one partial trace per traced
+    node, keeping those of the current prefix.
     """
     nodes = {n.name: n for n in sigma.nodes}
-    if sigma.op._coo is not None:
+    if _entries(sigma.op) is not None:
         marginals = {(): sigma.op}
 
         def marginal(traced: tuple) -> LabeledOperator:

@@ -16,7 +16,7 @@ over the canonical interleaved system order, in one of three payloads:
 A version admits the payloads of every earlier one. An entry is stored unless
 both of its parts are +0.0, so -0.0 survives. The writer picks the sparse
 payload iff ``4 * stored <= side**2``, a rule on the matrix alone
-(``labeled.sorted_coo``, which validation follows too), and the base64 one
+(``labeled.sorted_coo``, which every kernel follows too), and the base64 one
 otherwise; it stamps a dense quantum file 3 and a sparse or classical one 2.
 So export, import and re-export give the same bytes, and every bit of the
 matrix survives. An optional graph block carries a directed graph and a
@@ -34,7 +34,7 @@ import numpy as np
 
 from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess
 from .graphs import DirectedGraph, directed_graph
-from .labeled import MAX_DENSE_BYTES, LabeledOperator, _from_entries, sorted_coo
+from .labeled import MAX_DENSE_BYTES, LabeledOperator, _entries, _from_entries
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = [
@@ -72,8 +72,8 @@ class LoadedProcessFile:
 def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
     """The format version and payload of an operator: sorted COO (format 2) if
     ``labeled.sorted_coo`` finds the matrix sparse, else base64 (format 3)."""
-    entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
-    if entries is not None:
+    entries = _entries(op)
+    if entries is not None and 4 * entries[0].size <= op.dim**2:  # a 1×1 is routed on its entry even if dense
         index, values = entries
         pairs = np.asarray(values, dtype=complex).view(float).reshape(-1, 2)
         return 2, {"index": index.tolist(), "values": pairs.tolist()}

@@ -25,6 +25,7 @@ from .labeled import (
     _multiply,
     _norms,
     _product_distance,
+    _values,
     cj_operator,
     distance,
     is_unitary,
@@ -246,8 +247,8 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
 
     Each node's factor conditions on its graph parents. Accepted iff every
     factor is a channel (PSD, trace-preserving), all factors commute, and the
-    ordered product reproduces sigma. Factors held sparse are multiplied,
-    compared and normed on their stored entries. Each commutator's two
+    ordered product reproduces sigma. Factors routed on their stored entries
+    are multiplied, compared and normed on them. Each commutator's two
     products are formed in one system order, and the ordered product is
     compared with sigma without being put in sigma's order.
     """
@@ -264,7 +265,7 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
             ok = False
 
     ops = {name: factors[name].op for name in factors}
-    norms = {name: float(np.linalg.norm(op._dense if op._coo is None else op._coo[1])) for name, op in ops.items()}
+    norms = {name: float(np.linalg.norm(_values(op))) for name, op in ops.items()}
     comm = {}
     names = [n.name for n in sigma.nodes]
     for a, b in itertools.combinations(names, 2):

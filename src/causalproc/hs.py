@@ -19,11 +19,11 @@ from .labeled import (
     SystemLabel,
     _as_key,
     _digits,
+    _entries,
     _flat,
-    _from_entries,
+    _padded,
     _traced_entries,
     partial_trace,
-    sorted_coo,
 )
 
 __all__ = [
@@ -36,8 +36,8 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
     """Orthogonal projection onto operators that act as identity on ``refs``.
 
     This is the conditional expectation  op ↦ (1/Πd) Tr_refs[op] ⊗ 1_refs,
-    returned in the original system order. A sparse operator is projected on
-    its stored entries.
+    returned in the original system order. An operator routed on entries
+    (``labeled._entries``) is projected on them.
     """
     keys = {_as_key(r, op.systems) for r in refs}
     if not keys:
@@ -48,8 +48,9 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
         raise KeyError(f"no systems {keys} in {op.systems}")
     keep = [i for i in range(n) if op.systems[i].key not in keys]
     scale = math.prod(op.systems[i].dim for i in traced)
-    if op._coo is not None:
-        return _sparse_projection(op, keys, keep, traced, scale)
+    if _entries(op) is not None:
+        index, values = _traced_entries(op, keys)
+        return _padded(tuple(op.systems[i] for i in keep), index, values / scale, op.systems)
     # Subscripts: rows 0..n-1, columns n..2n-1, a traced factor's column
     # sharing its row subscript. On the zeroed output einsum gives a writable
     # view of the traced factors' diagonal, into which the partial trace goes.
@@ -63,25 +64,6 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
     return LabeledOperator(op.systems, out.reshape(op.dim, op.dim))
 
 
-def _sparse_projection(op: LabeledOperator, keys, keep, traced, scale) -> LabeledOperator:
-    """project_trivial of a sparse operator: each entry of the partial trace,
-    over ``scale``, is repeated at every diagonal position of the traced
-    factors."""
-    index, values = _traced_entries(op, keys)
-    n = len(op.systems)
-    dims = [s.dim for s in op.systems]
-    kept = _digits(index, [dims[i] for i in keep] * 2)
-    grid = np.indices([dims[i] for i in traced]).reshape(len(traced), -1)
-    digits = [None] * (2 * n)
-    for j, i in enumerate(keep):
-        digits[i], digits[n + i] = kept[j][:, None], kept[len(keep) + j][:, None]
-    for j, i in enumerate(traced):
-        digits[i] = digits[n + i] = grid[j]
-    flat = np.broadcast_to(_flat(digits, dims * 2, index.size), (index.size, scale)).reshape(-1)
-    order = np.argsort(flat)
-    return _from_entries(op.systems, flat[order], np.repeat(values / scale, scale)[order])
-
-
 def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     """Frobenius norm of each nonzero type component of op.
 
@@ -89,22 +71,19 @@ def type_norms(op: LabeledOperator) -> dict[tuple, float]:
     component is nontrivial, in system order; () is the identity component.
     Squared norms sum to ‖op‖_F². One-dimensional systems are always trivial.
     Each factor is written in an orthogonal basis whose first element is the
-    identity, and the table is summed from the squared coefficients: on a
-    dense copy, or on the stored entries of an operator that is sparse by
-    ``labeled.sorted_coo``'s rule, once per operator, which keeps it.
+    identity, and the table is summed from the squared coefficients: on the
+    stored entries of an operator routed on them (``labeled._entries``), or
+    else on a dense copy, once per operator, which keeps it.
     """
     return _table(*_type_squares(op))
 
 
-def _type_squares(op: LabeledOperator, entries=...) -> tuple[tuple, np.ndarray]:
+def _type_squares(op: LabeledOperator) -> tuple[tuple, np.ndarray]:
     """The keys of op's nontrivial systems, in system order, and the squared
     norm of every type as a read-only array indexed by type bit mask. Built
-    once per operator, whose storage is read-only, and kept on it; a caller
-    that has counted op's storage passes the ``sorted_coo`` result."""
+    once per operator, whose storage is read-only, and kept on it."""
     if op._squares is None:
-        if entries is ...:
-            entries = op._coo if op._coo is not None else sorted_coo(op.matrix)
-        keys, squares = _dense_type_squares(op) if entries is None else _sparse_type_squares(op.systems, *entries)
+        keys, squares = _dense_type_squares(op) if _entries(op) is None else _sparse_type_squares(op.systems, *_entries(op))
         squares.flags.writeable = False
         object.__setattr__(op, "_squares", (tuple(keys), squares))
     return op._squares

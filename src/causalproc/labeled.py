@@ -84,25 +84,21 @@ def _as_key(ref, systems: tuple[SystemLabel, ...]) -> tuple[str, bool]:
 class LabeledOperator:
     """A square operator on an ordered tensor product of labeled systems.
 
-    It is held either as a dense matrix or as sorted COO: the strictly
+    It is held either as the dense matrix given to the constructor, which
+    keeps that array without a copy, or as sorted COO: the strictly
     increasing flat row-major indices of its stored entries and the entries
-    there, under ``sorted_coo``'s rule. The constructor keeps the array it is
-    given, without a copy, and marks it, like the sorted-COO arrays, read-only,
-    so ``hs`` builds the type-norm table once per operator and keeps it.
+    there. Every kernel routes it on its stored entries iff ``sorted_coo``'s
+    rule finds it sparse (a 1×1 always), however it was built: a dense-held
+    one is counted once, on first use (``_entries``), and the entries found
+    are kept on it, as ``hs`` keeps its type-norm table. Kernel results that
+    the rule finds sparse come back as sorted COO, whose ``matrix`` is built
+    anew on every access. Every array an operator holds or keeps is read-only.
 
     Frozen-array contract: only the array object passed in is made read-only,
     not its base nor any other view of the same memory. A write through a
     writable base or sibling view changes the matrix and leaves the kept
-    type-norm table stale. A caller who keeps writing to that memory must pass
-    a copy (``m.copy()``).
-
-    Kernels that work on entries (``cj_operator``,
-    ``reorder``, ``transpose_systems``, ``partial_trace``,
-    ``hs.project_trivial`` and scalar ``*``) return sorted COO when that rule
-    finds their result sparse, and so do ``product``, ``embed``, ``tensor``
-    and ``+``/``-`` when their operands are held sparse (a 1×1 operand counts
-    as sparse). ``matrix`` builds the dense array of a sparse operator anew on
-    every access.
+    entries and type-norm table stale. A caller who keeps writing to that
+    memory must pass a copy (``m.copy()``).
     """
 
     __slots__ = ("systems", "dim", "_dense", "_coo", "_squares")
@@ -113,23 +109,23 @@ class LabeledOperator:
         m = np.asarray(matrix)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match systems (dim {d})")
-        _set_storage(self, systems, m, None)
+        _set_storage(self, systems, m, ...)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LabeledOperator is immutable: cannot set {name!r}")
 
     def __reduce__(self):
-        if self._coo is None:
+        if self._dense is not None:
             return (LabeledOperator, (self.systems, self._dense))
         return (_from_entries, (self.systems, *self._coo))
 
     def __repr__(self) -> str:
-        held = "dense" if self._coo is None else f"{self._coo[0].size} stored entries"
+        held = "dense" if _entries(self) is None else f"{_entries(self)[0].size} stored entries"
         return f"LabeledOperator({self.systems!r}, {held})"
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._coo is None:
+        if self._dense is not None:
             return self._dense
         return _densify(self.dim, *self._coo)
 
@@ -155,12 +151,11 @@ class LabeledOperator:
         return _combined(self, other, np.subtract)
 
     def __mul__(self, scalar) -> "LabeledOperator":
-        if self._coo is not None:
-            index, values = self._coo
-            # The dense product turns each +0.0 into +0.0 * scalar; while that
-            # is +0.0 again the stored entries carry the whole product.
-            if not _stored(np.zeros(1, values.dtype) * scalar).any():
-                return _from_entries(self.systems, index, values * scalar)
+        entries = _entries(self)
+        # The dense product turns each +0.0 into +0.0 * scalar; while that is
+        # +0.0 again the stored entries carry the whole product.
+        if entries is not None and not _stored(np.zeros(1, entries[1].dtype) * scalar).any():
+            return _from_entries(self.systems, entries[0], entries[1] * scalar)
         return LabeledOperator(self.systems, self.matrix * scalar)
 
     __rmul__ = __mul__
@@ -181,10 +176,10 @@ def _checked_systems(systems) -> tuple[SystemLabel, ...]:
 def _set_storage(op: LabeledOperator, systems, dense, coo) -> None:
     object.__setattr__(op, "systems", systems)
     object.__setattr__(op, "dim", math.prod(s.dim for s in systems))
-    object.__setattr__(op, "_dense", dense)
-    object.__setattr__(op, "_coo", coo)
+    object.__setattr__(op, "_dense", dense)  # None when built from entries
+    object.__setattr__(op, "_coo", coo)  # what _entries returns; ... until counted
     object.__setattr__(op, "_squares", None)  # hs._type_squares fills it
-    for a in (dense,) if coo is None else coo:
+    for a in ((dense,) if dense is not None else ()) + (coo if isinstance(coo, tuple) else ()):
         a.flags.writeable = False
 
 
@@ -239,40 +234,57 @@ def _densify(side: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _from_entries(systems, index: np.ndarray, values: np.ndarray) -> LabeledOperator:
     """Operator on ``systems`` with float or complex entries at strictly
     increasing flat indices, zero elsewhere. Entries whose parts are both
-    +0.0 are dropped, and the result is held sparse iff ``sorted_coo``'s rule
-    finds it sparse."""
+    +0.0 are dropped, and the result is held and routed as ``sorted_coo``'s
+    rule finds it, with no count."""
     systems = _checked_systems(systems)
     d = math.prod(s.dim for s in systems)
     keep = _stored(values)
-    index, values = index[keep], values[keep]
-    if d == 1 and index.size:  # a 1x1 is within any budget
-        return LabeledOperator(systems, values.reshape(1, 1))
-    if 4 * index.size > d * d:
-        return LabeledOperator(systems, _densify(d, index, values))
+    entries = index[keep], values[keep]
     op = LabeledOperator.__new__(LabeledOperator)
-    _set_storage(op, systems, None, (index, values))
+    if 4 * entries[0].size <= d * d:
+        _set_storage(op, systems, None, entries)
+    elif d == 1:  # dense by the rule, but a 1×1 routes on its one entry
+        _set_storage(op, systems, entries[1].reshape(1, 1), entries)
+    else:
+        _set_storage(op, systems, _densify(d, *entries), None)
     return op
 
 
 def _entries(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted-COO entries of an operator held sparse or of side 1, else None."""
-    if op._coo is not None:
-        return op._coo
-    if op.dim == 1:
-        return np.zeros(1, dtype=np.intp), op._dense.reshape(1).astype(np.result_type(op._dense, np.float64))
-    return None
+    """The sorted-COO entries every kernel routes op on, or None if it is dense:
+    the one storage decision. A matrix given to the constructor is counted by
+    ``sorted_coo`` on first use and the result kept; a 1×1 is always entries."""
+    if op._coo is ...:
+        m = op._dense
+        coo = sorted_coo(m)
+        if coo is None and op.dim == 1:
+            coo = np.zeros(1, dtype=np.intp), m.reshape(1).astype(np.result_type(m, np.float64))
+        _set_storage(op, op.systems, m, coo)  # no type-norm table is built before the count
+    return op._coo
+
+
+def _dense_reference(systems, matrix) -> LabeledOperator:
+    """An operator that every kernel routes dense: the entry kernels' test reference."""
+    op = LabeledOperator(systems, matrix)
+    object.__setattr__(op, "_coo", None)
+    return op
+
+
+def _values(op: LabeledOperator) -> np.ndarray:
+    """op's stored entries if it is routed on them, else its dense matrix."""
+    return op.matrix if _entries(op) is None else _entries(op)[1]
 
 
 def _combined(x: LabeledOperator, y: LabeledOperator, ufunc) -> LabeledOperator:
     """``ufunc(x, y)`` for np.add or np.subtract, on x's systems. Two operators
-    held sparse are combined on their stored entries, each shared entry
-    rounding as the dense one; otherwise both are dense."""
+    routed on entries are combined on them, each shared entry rounding as the
+    dense one; otherwise both are dense."""
     if not isinstance(y, LabeledOperator):
         raise TypeError("expected a LabeledOperator")
     y = reorder(y, [s.key for s in x.systems])
-    if x._coo is None or y._coo is None:
+    if _entries(x) is None or _entries(y) is None:
         return LabeledOperator(x.systems, ufunc(x.matrix, y.matrix))
-    (ix, vx), (iy, vy) = x._coo, y._coo
+    (ix, vx), (iy, vy) = _entries(x), _entries(y)
     return _from_entries(x.systems, *_sum_duplicates(np.concatenate([ix, iy]), np.concatenate([vx, ufunc(0.0, vy)])))
 
 
@@ -383,7 +395,7 @@ def identity_operator(systems) -> LabeledOperator:
 def tensor(*ops: LabeledOperator) -> LabeledOperator:
     """Tensor product; system order is the concatenation of the factors'.
 
-    When every factor is held sparse or is 1×1, the result is built from the
+    When every factor is routed on entries, the result is built from the
     products of their stored entries and held as ``sorted_coo``'s rule finds
     it; otherwise it is ``np.kron`` of the dense factors. Raises ValueError
     before allocating when those entries, or the dense result, exceed
@@ -412,10 +424,10 @@ def tensor(*ops: LabeledOperator) -> LabeledOperator:
 def _permuted(op: LabeledOperator, axes, systems) -> LabeledOperator:
     """The operator whose tensor is op's with its axes (rows, then columns)
     permuted by ``axes``, on ``systems``."""
-    d = op.dim
-    if op._coo is None:
+    d, entries = op.dim, _entries(op)
+    if entries is None:
         return LabeledOperator(systems, op.as_tensor().transpose(axes).reshape(d, d))
-    index, values = op._coo
+    index, values = entries
     dims = [s.dim for s in op.systems] * 2
     digits = _digits(index, dims)
     new = _flat([digits[a] for a in axes], [dims[a] for a in axes], index.size)
@@ -424,10 +436,10 @@ def _permuted(op: LabeledOperator, axes, systems) -> LabeledOperator:
 
 
 def _relabeled(op: LabeledOperator, systems) -> LabeledOperator:
-    """The same matrix, held the same way, on systems of the same total dimension."""
-    if op._coo is None:
-        return LabeledOperator(systems, op._dense)
-    return _from_entries(systems, *op._coo)
+    """The same matrix, held and routed the same way, on systems of its dimension."""
+    new = LabeledOperator.__new__(LabeledOperator)
+    _set_storage(new, _checked_systems(systems), op._dense, op._coo)
+    return new
 
 
 def reorder(op: LabeledOperator, new_order) -> LabeledOperator:
@@ -448,7 +460,7 @@ def partial_trace(op: LabeledOperator, refs) -> LabeledOperator:
     n = len(op.systems)
     keep = [i for i in range(n) if op.systems[i].key not in keys]
     systems = tuple(op.systems[i] for i in keep)
-    if op._coo is not None:
+    if _entries(op) is not None:
         return _from_entries(systems, *_traced_entries(op, keys))
     in_subs = list(range(n)) + [
         i if op.systems[i].key in keys else n + i for i in range(n)
@@ -460,9 +472,9 @@ def partial_trace(op: LabeledOperator, refs) -> LabeledOperator:
 
 
 def _traced_entries(op: LabeledOperator, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-COO entries of the partial trace of a sparse operator over the
-    systems with these keys, on the others in order; duplicates are summed."""
-    index, values = op._coo
+    """Sorted-COO entries of the partial trace of an operator routed on entries
+    over the systems with these keys, on the others in order; duplicates summed."""
+    index, values = _entries(op)
     n = len(op.systems)
     dims = [s.dim for s in op.systems] * 2
     digits = _digits(index, dims)
@@ -520,10 +532,9 @@ def split_system(op: LabeledOperator, ref, parts) -> LabeledOperator:
 def embed(op: LabeledOperator, systems) -> LabeledOperator:
     """Pad with identities so the result lives on ``systems`` (in that order).
 
-    An operator held sparse or 1×1, or a dense one that ``sorted_coo``'s rule
-    finds sparse, is padded on its stored entries: each is repeated along the
-    padding's diagonal, straight into the order of ``systems``. Any other is
-    ``np.kron``-ed with a dense identity and reordered. Raises ValueError
+    An operator routed on entries is padded on them: each is repeated along
+    the padding's diagonal, straight into the order of ``systems``. A dense
+    one is ``np.kron``-ed with a dense identity and reordered. Raises ValueError
     before allocating when either route exceeds ``MAX_DENSE_BYTES``."""
     systems = tuple(systems)
     if op.systems == systems:
@@ -532,21 +543,28 @@ def embed(op: LabeledOperator, systems) -> LabeledOperator:
     missing = [s for s in systems if s.key not in have]
     if len(have - {s.key for s in systems}) > 0:
         raise ValueError("target systems must contain the operator's systems")
-    d = math.prod(s.dim for s in missing)
-    padded = op.systems + tuple(missing)
+    d, padded = math.prod(s.dim for s in missing), op.systems + tuple(missing)
     if d == 1:  # the identity on dimension-1 systems is [[1]]: they only relabel the matrix
         return reorder(_relabeled(op, padded), systems)
-    entries = _entries(op) or sorted_coo(op._dense)
+    entries = _entries(op)
     if entries is None:
         # The dense operand, the dense identity, their np.kron product and,
         # unless the padding already comes last, its reordered copy are held at once.
         _budget(16 * (op.dim**2 + d**2 + (1 if padded == systems else 2) * (op.dim * d) ** 2), f"padding to {op.dim * d} dims")
         return reorder(tensor(op, identity_operator(missing)), systems)
-    index, values = entries
+    return _padded(op.systems, *entries, systems)
+
+
+def _padded(inner, index: np.ndarray, values: np.ndarray, systems) -> LabeledOperator:
+    """The operator on ``systems`` ⊇ ``inner`` whose stored entries are these,
+    of an operator on ``inner``, each repeated along the diagonal of the
+    identity on the other systems, straight into the order of ``systems``."""
+    missing = [s for s in systems if s.key not in {t.key for t in inner}]
+    d, padded = math.prod(s.dim for s in missing), inner + tuple(missing)
     count = index.size * d
-    _budget((16 * len(systems) + 48) * count, f"padding {index.size} stored entries to {op.dim * d} dims")
-    n, at = len(op.systems), {s.key: i for i, s in enumerate(padded)}
-    digits = _digits(index, [s.dim for s in op.systems] * 2)
+    _budget((16 * len(systems) + 48) * count, f"padding {index.size} stored entries to {math.prod(s.dim for s in systems)} dims")
+    n, at = len(inner), {s.key: i for i, s in enumerate(padded)}
+    digits = _digits(index, [s.dim for s in inner] * 2)
     pad = _digits(np.arange(d), [s.dim for s in missing])
     rows = [np.repeat(digits[at[s.key]], d) if at[s.key] < n else np.tile(pad[at[s.key] - n], index.size) for s in systems]
     cols = [np.repeat(digits[n + at[s.key]], d) if at[s.key] < n else rows[i] for i, s in enumerate(systems)]
@@ -588,7 +606,7 @@ def _multiply(x: LabeledOperator, y: LabeledOperator, systems=None) -> LabeledOp
     ``product``, or in the order of ``systems`` when that holds the union and
     dimension-1 systems only.
 
-    When both operands are held sparse or are 1×1, their stored entries are
+    When both operands are routed on entries, their stored entries are
     joined on the contracted digits and the products summed per result
     entry, which is held as ``sorted_coo``'s rule finds it. Otherwise both
     are dense, and one ``np.tensordot`` is transposed once into the output
@@ -680,23 +698,23 @@ def _squares(m: np.ndarray, minus: np.ndarray | None = None) -> float:
 
 def _norms(a: LabeledOperator, b: LabeledOperator) -> tuple[float, float, float]:
     """‖a − b‖, ‖a‖ and ‖b‖ (Frobenius) of two operators in one system order.
-    Each entry of a − b rounds as in the dense difference. Two sparse
-    operands are subtracted on their stored entries; a dense and a sparse one
-    by adding the sparse one's entries into a copy of the dense one; two
-    dense ones block by block (``_squares``)."""
-    held = [x._dense if x._coo is None else x._coo[1] for x in (a, b)]
-    if a._coo is None and b._coo is None:
+    Each entry of a − b rounds as in the dense difference. Two operands
+    routed on entries are subtracted on them; a dense and a sparse one by
+    adding the sparse one's entries into a copy of the dense one; two dense
+    ones block by block (``_squares``)."""
+    (ea, eb), held = (_entries(a), _entries(b)), [_values(a), _values(b)]
+    if ea is None and eb is None:
         return tuple(math.sqrt(q) for q in (_squares(*held), _squares(held[0]), _squares(held[1])))
-    if a._coo is not None and b._coo is not None:
-        (ia, va), (ib, vb) = a._coo, b._coo
+    if ea is not None and eb is not None:
+        (ia, va), (ib, vb) = ea, eb
         diff = float(np.linalg.norm(_sum_duplicates(np.concatenate([ia, ib]), np.concatenate([va, -vb]))[1]))
     else:
         # The dense operand's difference with 0, the sparse one read as 0,
         # with its stored entries then added in place: each rounds as in the dense a - b.
-        m = np.subtract(*(0.0 if x._coo is not None else x._dense for x in (a, b)), dtype=np.result_type(*held))
-        for x, sign in ((a, 1), (b, -1)):
-            if x._coo is not None:
-                m.reshape(-1)[x._coo[0]] += sign * x._coo[1]
+        m = np.subtract(*(0.0 if e is not None else x.matrix for x, e in ((a, ea), (b, eb))), dtype=np.result_type(*held))
+        for e, sign in ((ea, 1), (eb, -1)):
+            if e is not None:
+                m.reshape(-1)[e[0]] += sign * e[1]
         diff = math.sqrt(_squares(m))
     return diff, *(float(np.linalg.norm(h)) for h in held)
 
@@ -717,12 +735,12 @@ def _product_distance(ops, target: LabeledOperator) -> float:
     n, at = len(target.systems), {s.key: i for i, s in enumerate(target.systems)}
     extras = [i for i, s in enumerate(target.systems) if s.key not in union]
     fits = union <= at.keys() and all(target.systems[i].dim == 1 for i in extras)
-    if not fits or target._coo is not None or (_entries(x) is not None and _entries(y) is not None):
+    if not fits or _entries(target) is not None or (_entries(x) is not None and _entries(y) is not None):
         return distance(embed(_multiply(x, y, target.systems), target.systems), target)
     t, axes = _contracted(x, y, own_x, shared, own_y)
     order = [at[key] + n * column for key, column in axes] + extras + [n + i for i in extras]
     view = target.as_tensor().transpose(order).reshape(t.shape)  # the extras' axes have length 1
-    return math.sqrt(_squares(t, view)) / max(1.0, math.sqrt(_squares(t)), math.sqrt(_squares(target._dense)))
+    return math.sqrt(_squares(t, view)) / max(1.0, math.sqrt(_squares(t)), math.sqrt(_squares(target.matrix)))
 
 
 def distance(a: LabeledOperator, b: LabeledOperator) -> float:
@@ -730,7 +748,7 @@ def distance(a: LabeledOperator, b: LabeledOperator) -> float:
 
     ``b`` is reordered to ``a``'s system order first; the system sets must
     match. The norms come from ``_norms``, on stored entries where either
-    operand is sparse."""
+    operand is routed on them."""
     diff, norm_a, norm_b = _norms(a, reorder(b, [s.key for s in a.systems]))
     return diff / max(1.0, norm_a, norm_b)
 

@@ -25,6 +25,7 @@ from .labeled import (
     SystemLabel,
     _TILE,
     _blocks,
+    _entries,
     _hermitian_entries,
     _hermitian_part,
     cj_operator,
@@ -33,7 +34,6 @@ from .labeled import (
     partial_trace,
     product,
     reorder,
-    sorted_coo,
     split_system,
     tensor,
     transpose_systems,
@@ -186,13 +186,13 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     -tol without computing it; the smallest eigenvalue is computed only if
     that fails. The forbidden norm and the offending types come from one
     table of type norms, whose components are mutually orthogonal. An
-    operator that is sparse by ``labeled.sorted_coo``'s rule is checked on its
-    stored entries and its positivity block by block; a dense one's Hermitian
-    part comes from one tiled pass and is freed before the table is built. A
-    NaN or infinite entry makes the Hermitian residual non-finite, and then
-    positivity fails with no eigensolver run, which would not converge."""
-    d = sigma.op.dim
-    entries = sigma.op._coo if sigma.op._coo is not None else sorted_coo(sigma.op.matrix)
+    operator routed on its stored entries (``labeled._entries``, counted once
+    per operator) is checked on them and its positivity block by block; a
+    dense one's Hermitian part comes from one tiled pass and is freed before
+    the table is built. A NaN or infinite entry makes the Hermitian residual
+    non-finite, and then positivity fails with no eigensolver run, which
+    would not converge."""
+    d, entries = sigma.op.dim, _entries(sigma.op)
     if entries is None:
         m = sigma.op.matrix
         herm, h = _hermitian_part(m)
@@ -216,7 +216,7 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     expected = sigma.expected_trace()
     trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
 
-    keys, squares = _type_squares(sigma.op, entries)
+    keys, squares = _type_squares(sigma.op)
     bit, types = _type_bits(keys), np.arange(squares.size)
     forbidden = np.flatnonzero((types != 0) & ~_witnessed(types, bit, sigma.nodes) & (squares > 0.0))
     norms = np.sqrt(squares[forbidden]).tolist()
@@ -332,15 +332,15 @@ def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
     Process operators of isometries and unitaries have exactly this form. With
     k the index of sigma's largest diagonal entry, v is column k over that
     entry's square root (0 if the entry is not positive), and sigma is
-    compared with v v† by ``distance``, a sparse one on its stored entries.
+    compared with v v† by ``distance``, on stored entries where it is routed on them.
     """
-    op, d = sigma.op, sigma.op.dim
-    if op._coo is None:
+    op, d, entries = sigma.op, sigma.op.dim, _entries(sigma.op)
+    if entries is None:
         diagonal = op.matrix.diagonal().real
         k = int(np.argmax(diagonal))
         column = op.matrix[:, k]
     else:
-        index, values = op._coo
+        index, values = entries
         rows, cols = np.divmod(index, d)
         on = rows == cols
         diagonal = np.zeros(d)

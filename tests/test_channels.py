@@ -20,6 +20,7 @@ from causalproc import (
     random_unitary_chain,
     readout_instrument,
 )
+from causalproc.labeled import _dense_reference, _entries
 from causalproc.rand import (
     haar_unitary,
     random_cptp,
@@ -115,10 +116,10 @@ def test_influence_pattern_of_swap():
 def test_influence_residuals_match_the_per_pair_residual_bitwise(switch_up, bw_up, rng):
     a, b, c, d = (SystemLabel(s, 2) for s in ("a", "b", "c", "d"))
     cnot = channel_from_unitary(LinearMap(CNOT, (a, b), (c, d)))
-    dense_cnot = ChannelOperator(LabeledOperator(cnot.op.systems, cnot.op.matrix), cnot.outputs, cnot.inputs)
+    dense_cnot = ChannelOperator(_dense_reference(cnot.op.systems, cnot.op.matrix), cnot.outputs, cnot.inputs)
     chain = random_unitary_chain(2, rng)
     channels = [switch_up.channel, bw_up.channel, chain.channel, cnot, dense_cnot]
-    assert {ch.op._coo is None for ch in channels} == {True, False}
+    assert {_entries(ch.op) is None for ch in channels} == {True, False}
     for ch in channels:
         matrix = influence_residuals(ch)
         # the process channels have one-dimensional legs (P.in, F.out) to skip

@@ -153,11 +153,11 @@ def test_classical_compatibility_chain():
     ext = reversible_extension([(1.0, chain)])
     g = directed_graph(["A", "B"], [("A", "B")])
     cv = classical_compatibility_check(kp, g, ext.extension, ext.lambda_distribution)
-    assert cv.compatible
+    assert cv.compatible and bool(cv)
     bad = classical_compatibility_check(
         kp, directed_graph(["A", "B"], []), ext.extension, ext.lambda_distribution
     )
-    assert not bad.compatible
+    assert not bad.compatible and not bool(bad)
     assert bad.violations
     for dist in ([1.0], np.append(ext.lambda_distribution, 0.0)):
         with pytest.raises(ValueError, match="one weight per root value"):

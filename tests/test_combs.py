@@ -119,9 +119,9 @@ def test_is_isometric_means_v_v_dagger_on_either_storage():
     }
     for name, (m, want) in cases.items():
         m = m + 0.0  # -0.0 becomes +0.0, which the sparse storage does not keep
-        dense = process_operator((node,), LabeledOperator(systems, m))
+        dense = process_operator((node,), labeled._dense_reference(systems, m))
         sparse = process_operator((node,), labeled._from_entries(systems, np.arange(16), m.reshape(-1)))
-        assert dense.op._coo is None and sparse.op._coo is not None
+        assert labeled._entries(dense.op) is None and labeled._entries(sparse.op) is not None
         assert is_isometric(dense) == is_isometric(sparse) == want, name
 
 
@@ -295,7 +295,7 @@ def assert_table_matches_walk(sigma, orders=None, atol=1e-14):
     """The residuals of every order (or of ``orders``) within atol of the
     walk, equal verdicts, and the walk's search order; returns the set of
     verdicts seen."""
-    assert sigma.op._coo is None
+    assert labeled._entries(sigma.op) is None
     residual = reference_residual(sigma)
     verdicts = set()
     for order in orders or itertools.permutations(sigma.node_names):
@@ -309,7 +309,7 @@ def assert_table_matches_walk(sigma, orders=None, atol=1e-14):
 
 
 def dense_copy(sigma):
-    return process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix.copy()))
+    return process_operator(sigma.nodes, labeled._dense_reference(sigma.op.systems, sigma.op.matrix.copy()))
 
 
 def haar_all_to_all(rng, slots=2):
@@ -381,7 +381,7 @@ def test_dense_comb_residuals_match_the_walk_on_random_operators(dims, seed, val
             # zeroed it: dims like [(1, 1), (1, 3)] admit no other comb.
             h = np.eye(d)
         x = LabeledOperator(systems, h * (np.prod([n.d_out for n in nodes]) / np.trace(h).real))
-    sigma = process_operator(nodes, x)
+    sigma = process_operator(nodes, labeled._dense_reference(systems, x.matrix))
     if valid:
         assert validate_process(sigma).valid
     assert_table_matches_walk(sigma)

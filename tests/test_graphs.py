@@ -45,7 +45,7 @@ from causalproc import (
     write_process_file,
 )
 from causalproc.graphs import marginal_factor
-from causalproc.labeled import apply_stage
+from causalproc.labeled import _entries, apply_stage
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -306,10 +306,11 @@ def _reference_markov(sigma, graph, tol=1e-9):
         scale = max(1.0, np.linalg.norm(ops[a].matrix) * np.linalg.norm(ops[b].matrix))
         commutators[(a, b)] = sparse_norm(diff) / scale
     prod = _matmul_chain(list(ops.values()), sigma.op.systems)
-    if sigma.op._coo is None:
+    entries = _entries(sigma.op)
+    if entries is None:
         target = sparse.csr_matrix(sigma.op.matrix)
     else:
-        index, values = sigma.op._coo
+        index, values = entries
         target = sparse.csr_matrix((values, np.divmod(index, sigma.dim)), shape=(sigma.dim,) * 2)
     residual = sparse_norm(prod - target) / max(1.0, sparse_norm(prod), sparse_norm(target))
     ok = ok and max(commutators.values(), default=0.0) <= tol and residual <= tol
@@ -380,7 +381,7 @@ def test_markov_check_matches_matmul_of_embeddings():
         "permutation chain": _permutation_chain(rng),
         "rank-two mixture": _rank_two_mixture(rng),
     }
-    assert all(cases[name].op._coo is not None for name in ("switch(3)", "dressed switch"))
+    assert all(_entries(cases[name].op) is not None for name in ("switch(3)", "dressed switch"))
     verdicts = set()
     for name, sigma in cases.items():
         graph, mf = discover(sigma)

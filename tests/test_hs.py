@@ -27,9 +27,8 @@ from causalproc import (
     type_norms,
     validate_process,
 )
-from causalproc import hs
 from causalproc.hs import _sparse_type_squares, _table
-from causalproc.labeled import sorted_coo
+from causalproc.labeled import _dense_reference, _entries, sorted_coo
 from causalproc.rand import random_state
 
 
@@ -145,9 +144,7 @@ def _assert_matches_projector_formula(x: LabeledOperator, got: dict):
 
 def _dense_table(x: LabeledOperator) -> dict:
     """type_norms of x read by the dense kernel, whatever its stored count."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hs, "sorted_coo", lambda m: None)
-        return type_norms(LabeledOperator(x.systems, x.matrix))
+    return type_norms(_dense_reference(x.systems, x.matrix))
 
 
 @pytest.mark.parametrize("dtype", ["real", "complex", "integer"])
@@ -174,7 +171,7 @@ def test_dense_type_norms_with_at_most_one_nontrivial_factor(rng):
     for systems in [(), (one,), (one, two), (b,), (one, b, two), (two, SystemLabel("c", 4))]:
         side = int(np.prod([s.dim for s in systems]))
         x = LabeledOperator(systems, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
-        got = type_norms(x)
+        got = _dense_table(x)  # a 1×1 routes on its entry by content
         assert set(got) <= {()} | {(s.key,) for s in systems if s.dim > 1}
         _assert_matches_projector_formula(x, got)
 
@@ -189,7 +186,7 @@ def test_dense_type_norms_of_1024_dim_processes(rng):
     cod = tuple(n.in_system for n in nodes if n.d_in > 1)
     haar = make_unitary_process(nodes, LinearMap(haar_unitary(32, rng), dom, cod))
     for x in (mixture, haar.op):
-        assert x.dim == 1024 and x._coo is None
+        assert x.dim == 1024 and _entries(x) is None
         got = type_norms(x)
         assert len(got) == 2**8
         _assert_matches_projector_formula(x, got)

@@ -182,7 +182,7 @@ def test_product_refuses_mismatched_dims_and_oversized_unions():
     eye = np.arange(512) * 513
     x = labeled._from_entries((a, o2), eye, np.ones(512))
     y = labeled._from_entries((o2, b), eye, np.ones(512))
-    dense = LabeledOperator((a, o2), np.eye(512))
+    dense = LabeledOperator((a, o2), np.ones((512, 512)))
     assert x._coo is not None and y._coo is not None
     tracemalloc.start()
     try:
@@ -208,7 +208,7 @@ def test_tensor_refuses_an_oversized_product_before_allocating():
     eye = np.arange(512) * 513
     x = labeled._from_entries((a, b), eye, np.ones(512))
     y = labeled._from_entries((c, e), eye, np.ones(512))
-    dense = LabeledOperator((a, b), np.eye(512))
+    dense = LabeledOperator((a, b), np.ones((512, 512)))
     assert x._coo is not None and y._coo is not None
     tracemalloc.start()
     try:

@@ -37,7 +37,6 @@ from causalproc import (
     project_trivial,
     readout_instrument,
     preparation_instrument,
-    process,
     quantize,
     random_unitary_chain,
     signalling_residual,
@@ -401,7 +400,7 @@ def _permuted_switch3(seed):
     return make_unitary_process(sw.nodes, compose_maps(dressed[1], compose_maps(u, dressed[0])))
 
 
-def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af_process, bw_up):
+def test_sparse_and_dense_paths_agree(switch_up, reduced_switch, af_process, bw_up):
     cx = make_methods_counterexample()
     bits = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))
     cases = [switch_up, reduced_switch, af_process, make_mix_example()]
@@ -414,16 +413,14 @@ def test_sparse_and_dense_paths_agree(monkeypatch, switch_up, reduced_switch, af
     tabled = cases + [make_switch(3), _permuted_switch3(7), bw_up]
     tabled += [quantize(table) for table in (make_af_deterministic().to_classical(), make_classical_switch(2).to_classical())]
     tables = [hs._table(*hs._sparse_type_squares(sigma.op.systems, *sorted_coo(sigma.op.matrix))) for sigma in tabled]
-    monkeypatch.setattr(hs, "sorted_coo", lambda m: None)
-    monkeypatch.setattr(process, "sorted_coo", lambda m: None)
     for sigma, got in zip(tabled, tables):
-        want = type_norms(LabeledOperator(sigma.op.systems, sigma.op.matrix))
+        want = type_norms(labeled._dense_reference(sigma.op.systems, sigma.op.matrix))
         assert set(got) == set(want), (sigma.node_names, len(got), len(want))
         bound = 1e-12 * float(np.linalg.norm(sigma.op.matrix))
         assert all(abs(got[key] - want[key]) <= bound for key in want), sigma.node_names
     for sigma, (got, got_signalling) in zip(cases, sparse):
-        # A copy held dense: an operator held as sorted COO is always checked on its entries.
-        dense = process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix))
+        # A copy that every kernel routes dense: the reference for the entry kernels.
+        dense = process_operator(sigma.nodes, labeled._dense_reference(sigma.op.systems, sigma.op.matrix))
         want, want_signalling = _verdict_and_signalling(dense)
         for field in ("valid", "hermitian_ok", "psd_ok", "trace_ok", "type_ok", "psd_method", "offending_types"):
             assert getattr(got, field) == getattr(want, field), (sigma.node_names, field)
@@ -443,22 +440,21 @@ def _spectral(rng, d, dtype, eigenvalues):
     return (m + m.conj().T) / 2
 
 
-def _dense_verdict(monkeypatch, m, tol=1e-9):
+def _dense_verdict(m, tol=1e-9):
     """validate_process of m on one node, held and checked dense."""
-    monkeypatch.setattr(process, "sorted_coo", lambda _: None)
     node = QuantumNode("A", len(m), 1)
-    return validate_process(process_operator([node], LabeledOperator((node.in_system, node.out_dual), m)), tol)
+    return validate_process(process_operator([node], labeled._dense_reference((node.in_system, node.out_dual), m)), tol)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("d", [16, 64, 256, 1024])
-def test_low_rank_certificate_matches_eigvalsh(monkeypatch, d, dtype):
+def test_low_rank_certificate_matches_eigvalsh(d, dtype):
     rng = np.random.default_rng(d + (dtype == complex))
     top = math.isqrt(d)
     eps = np.finfo(float).eps
     for rank in sorted({1, 2, top // 2, top}):
         m = _spectral(rng, d, dtype, rng.uniform(0.1, 2.0, rank))
-        verdict = _dense_verdict(monkeypatch, m)
+        verdict = _dense_verdict(m)
         want = np.linalg.eigvalsh(m)[0]
         assert verdict.psd_ok == (want >= -verdict.tol) and verdict.psd_method == "eigh"
         assert abs(verdict.min_eigenvalue - want) <= 2 * d * eps * np.linalg.norm(m), rank
@@ -470,10 +466,10 @@ def test_low_rank_certificate_matches_eigvalsh(monkeypatch, d, dtype):
         (_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, 2)), 0.0),
     ]
     for m, tol in fallbacks:
-        verdict = _dense_verdict(monkeypatch, m, tol)
+        verdict = _dense_verdict(m, tol)
         want = float(np.linalg.eigvalsh(m[None]).min())
         assert verdict.min_eigenvalue == want and verdict.psd_ok == (want >= -tol)
-    zero = _dense_verdict(monkeypatch, np.zeros((d, d), dtype=dtype))
+    zero = _dense_verdict(np.zeros((d, d), dtype=dtype))
     assert zero.psd_ok and zero.min_eigenvalue == 0.0 and not np.signbit(zero.min_eigenvalue)
 
 
@@ -487,7 +483,7 @@ def test_low_rank_dense_processes_skip_the_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for sigma in (c1, mixture):
-        assert sigma.dim == 1024 and sigma.op._coo is None
+        assert sigma.dim == 1024 and labeled._entries(sigma.op) is None
         verdict = validate_process(sigma)
         assert verdict.valid and verdict.psd_method == "eigh" and -1e-12 < verdict.min_eigenvalue <= 0.0
 
@@ -505,7 +501,7 @@ def test_dense_validation_peaks_below_two_operators():
     mixture = process_operator(c1.nodes, LabeledOperator(c1.op.systems, 0.4 * c1.op.matrix + 0.6 * c2.op.matrix))
     for sigma in (haar, mixture):
         size = sigma.op.matrix.nbytes
-        assert sigma.op._coo is None and size == 16 * 2**20
+        assert labeled._entries(sigma.op) is None and size == 16 * 2**20
         tracemalloc.start()
         try:
             verdict = validate_process(sigma)
@@ -521,7 +517,7 @@ def test_a_nan_or_infinite_entry_fails_validation_without_an_eigensolver(value):
     # A non-finite Hermitian residual skips the PSD step, whose eigensolver
     # would not converge: positivity is refuted with a NaN eigenvalue.
     chain, switch = random_unitary_chain(3, np.random.default_rng(0)), make_switch(2)
-    index, values = switch.op._coo
+    index, values = labeled._entries(switch.op)
     on = index % (switch.dim + 1) == 0
     cases = []
     for i, j in [(5, 5), (3, 700)]:
@@ -532,7 +528,7 @@ def test_a_nan_or_infinite_entry_fails_validation_without_an_eigensolver(value):
         v = values.copy()
         v[k] = value
         cases.append(process_operator(switch.nodes, labeled._from_entries(switch.op.systems, index, v)))
-    assert [sigma.op._coo is None for sigma in cases] == [True, True, False, False]
+    assert [labeled._entries(sigma.op) is None for sigma in cases] == [True, True, False, False]
     for sigma in cases:
         with np.errstate(invalid="ignore", over="ignore"):
             verdict = validate_process(sigma)

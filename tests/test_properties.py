@@ -30,7 +30,7 @@ from causalproc import (
     type_norms,
     validate_process,
 )
-from causalproc.labeled import LabeledOperator, _from_entries, apply_stage, sorted_coo
+from causalproc.labeled import LabeledOperator, _dense_reference, _entries, _from_entries, apply_stage, sorted_coo
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -140,8 +140,8 @@ def test_markov_check_on_stored_entries_matches_the_densified_copy(seed, switch)
     base = _dressed(BASES["switch"], lambda d: _permutation(rng, d) * rng.choice([1, -1, 1j], size=d)) if switch else _permutation_chain(rng)
     m = base.op.matrix
     sigma = process_operator(base.nodes, _from_entries(base.op.systems, *sorted_coo(m)))
-    dense = process_operator(base.nodes, LabeledOperator(base.op.systems, m))
-    assert sigma.op._coo is not None and dense.op._coo is None
+    dense = process_operator(base.nodes, _dense_reference(base.op.systems, m))
+    assert _entries(sigma.op) is not None and _entries(dense.op) is None
     names = sigma.node_names
     drawn = directed_graph(names, [(a, b) for a in names for b in names if a != b and rng.random() < 0.4])
     for graph in (causal_structure_unitary(sigma), drawn):

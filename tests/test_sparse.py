@@ -11,6 +11,7 @@ within 1e-12 with equal verdicts.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -85,12 +86,13 @@ def _random_sparse(rng, systems, real=False):
     index = np.sort(rng.choice(d * d, size=count, replace=False))
     values = rng.normal(size=count) if real else rng.normal(size=count) + 1j * rng.normal(size=count)
     op = labeled._from_entries(systems, index, _signed_zeros(rng, values))
-    assert op._coo is not None
+    assert labeled._entries(op) is not None
     return op
 
 
 def _dense(op: LabeledOperator) -> LabeledOperator:
-    return LabeledOperator(op.systems, op.matrix)
+    """A copy that every kernel routes dense: the reference path."""
+    return labeled._dense_reference(op.systems, op.matrix)
 
 
 def _operators(seeds=range(30)):
@@ -99,14 +101,24 @@ def _operators(seeds=range(30)):
         yield rng, _random_sparse(rng, _random_systems(rng), real=seed % 3 == 0)
 
 
-def test_dense_inputs_stay_dense_and_matrix_is_not_cached():
-    a = SystemLabel("a", 4)
+def test_dense_held_inputs_route_on_their_entries_and_matrix_is_not_cached():
+    """A matrix given to the constructor is kept as it is, counted once, and
+    routed on the entries the count finds: its kernel results come back held
+    as sorted COO, bitwise those of the dense reference."""
+    a, b = SystemLabel("a", 2), SystemLabel("b", 2)
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0
-    op = LabeledOperator((a,), m)
-    assert op._coo is None and op.matrix is m
-    assert reorder(op, [a])._coo is None and (op * 2.0)._coo is None
-    sparse = labeled._from_entries((a,), *sorted_coo(m))
+    m[0, 1] = 1.0
+    op = LabeledOperator((a, b), m)
+    assert op.matrix is m and op._dense is m
+    assert repr(op) == "LabeledOperator((a(2), b(2)), 1 stored entries)"
+    assert repr(_dense(op)) == "LabeledOperator((a(2), b(2)), dense)"
+    entries = labeled._entries(op)
+    assert labeled._entries(op) is entries and all(_bits(x) == _bits(y) for x, y in zip(entries, sorted_coo(m)))
+    with pytest.raises(ValueError):
+        entries[1][0] = 2.0
+    for got, want in ((reorder(op, [b, a]), reorder(_dense(op), [b, a])), (op * 2.0, _dense(op) * 2.0)):
+        assert got._dense is None and want._dense is not None and _bits(got.matrix) == _bits(want.matrix)
+    sparse = labeled._from_entries((a, b), *sorted_coo(m))
     first = sparse.matrix
     first[1, 1] = 5.0
     assert sparse.matrix is not first and _bits(sparse.matrix) == _bits(m)
@@ -114,9 +126,9 @@ def test_dense_inputs_stay_dense_and_matrix_is_not_cached():
 
 def test_operators_copy_and_pickle_in_either_form():
     sigma = make_switch(2)
-    for op in (sigma.op, _dense(sigma.op)):
+    for op in (sigma.op, LabeledOperator(sigma.op.systems, sigma.op.matrix)):
         for back in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
-            assert back.systems == op.systems and (back._coo is None) == (op._coo is None)
+            assert back.systems == op.systems and (back._dense is None) == (op._dense is None)
             assert _bits(back.matrix) == _bits(op.matrix)
     with pytest.raises(AttributeError):
         sigma.op.systems = ()
@@ -137,7 +149,7 @@ def test_cj_operator_entries_are_those_of_the_outer_product():
         got = cj_operator(LinearMap(u, dom, cod))
         assert _bits(got.matrix) == _bits(want), seed
         entries = sorted_coo(want)
-        assert (got._coo is None) == (entries is None), seed
+        assert (got._dense is not None) == (entries is None), seed
         if entries is not None:
             assert all(_bits(x) == _bits(y) for x, y in zip(got._coo, entries)), seed
 
@@ -158,7 +170,7 @@ def test_permutations_and_scalar_products_are_bitwise_dense():
             assert got.systems == want.systems
             assert _bits(got.matrix) == _bits(want.matrix)
             entries = sorted_coo(want.matrix)
-            assert (got._coo is None) == (entries is None)
+            assert (got._dense is not None) == (entries is None)
             if entries is not None:
                 assert all(_bits(x) == _bits(y) for x, y in zip(got._coo, entries))
 
@@ -171,7 +183,7 @@ def test_traces_projections_and_distances_match_dense():
                 got, want = partial_trace(op, refs), partial_trace(dense, refs)
                 assert got.systems == want.systems
                 assert np.abs(got.matrix - want.matrix).max(initial=0.0) <= 1e-12
-                if got._coo is not None:
+                if got._dense is None:
                     assert 4 * got._coo[0].size <= got.dim**2
                 if k:
                     got, want = project_trivial(op, refs), project_trivial(dense, refs)
@@ -188,13 +200,13 @@ def test_distance_of_a_sparse_and_a_dense_operand_never_densifies(monkeypatch):
     1, so the distances are equal bit for bit."""
     cases = []
     for rng, op in _operators():
-        op = op * (0.9 / max(1.0, float(np.linalg.norm(op._coo[1]))))
+        op = op * (0.9 / max(1.0, float(np.linalg.norm(labeled._entries(op)[1]))))
         d = op.dim
         m = rng.normal(size=d * d) + (1j * rng.normal(size=d * d) if rng.integers(2) else 0.0)
         m[rng.random(d * d) < 0.3] = 0.0
         m = _signed_zeros(rng, m) * (0.9 / max(1.0, float(np.linalg.norm(m))))
         other = LabeledOperator(tuple(reversed(op.systems)), m.reshape(d, d))
-        assert op._coo is not None and other._coo is None
+        assert op._dense is None and other._dense is not None
         cases.append((op, other, distance(_dense(op), other), distance(other, _dense(op))))
 
     def refuse(side, index, values):
@@ -207,8 +219,7 @@ def test_distance_of_a_sparse_and_a_dense_operand_never_densifies(monkeypatch):
 
 
 def _held_as_the_rule_finds(op: LabeledOperator) -> bool:
-    entries = sorted_coo(op.matrix)
-    return (op._coo is None) == (entries is None)
+    return (op._dense is None) == (sorted_coo(op.matrix) is not None)
 
 
 def test_products_padding_tensors_and_sums_on_entries_match_dense():
@@ -231,7 +242,7 @@ def test_products_padding_tensors_and_sums_on_entries_match_dense():
         x, y, z = (sparse(pool[: rng.integers(1, 5)]) for _ in range(3))
         order = tuple(pool[i] for i in rng.permutation(4)) + (one.systems[0],)
         for ops in ([x, y], [x, one, y, z], [one, x], [x, y, z]):
-            dense = [LabeledOperator(op.systems, op.matrix) for op in ops]
+            dense = [_dense(op) for op in ops]
             scale = math.prod(max(1.0, float(np.linalg.norm(op.matrix))) for op in ops)
             for systems in (None, order):
                 got, want = product(ops, systems), product(dense, systems)
@@ -252,10 +263,10 @@ def test_products_padding_tensors_and_sums_on_entries_match_dense():
         padded = embed(x, order)
         missing = [s for s in order if s.key not in {t.key for t in x.systems}]
         want = reorder(tensor(_dense(x), identity_operator(missing)), [s.key for s in order])
-        assert padded.systems == want.systems and padded._coo is not None
+        assert padded.systems == want.systems and labeled._entries(padded) is not None
         assert np.array_equal(padded.matrix, want.matrix)
         w = sparse(other)
-        for factors, on_entries in (([x, w], True), ([one, w], True), ([w, _dense(x)], x.dim == 1)):
+        for factors, on_entries in (([x, w], True), ([one, w], True), ([w, _dense(x)], False)):
             got = tensor(*factors)
             want = np.array([[1.0 + 0j]])
             for op in factors:
@@ -264,13 +275,14 @@ def test_products_padding_tensors_and_sums_on_entries_match_dense():
                 # np.kron's complex products may round differently in the last bit
                 assert _held_as_the_rule_finds(got) and np.allclose(got.matrix, want, rtol=1e-15, atol=0)
             else:
-                assert got._coo is None and _bits(got.matrix) == _bits(want)
+                assert got._dense is not None and _bits(got.matrix) == _bits(want)
         same = _random_sparse(rng, tuple(reversed(x.systems)))
         for got, want in ((x + same, _dense(x) + _dense(same)), (x - same, _dense(x) - _dense(same))):
             assert got.systems == want.systems and _held_as_the_rule_finds(got)
             assert np.array_equal(got.matrix, want.matrix)
-        for got, want in ((x + _dense(same), x.matrix + reorder(same, x.systems).matrix), (_dense(x) - same, x.matrix - reorder(same, x.systems).matrix)):
-            assert got._coo is None and _bits(got.matrix) == _bits(want)
+        same = reorder(same, x.systems)
+        for got, want in ((x + _dense(same), x.matrix + same.matrix), (_dense(x) - same, x.matrix - same.matrix)):
+            assert got._dense is not None and _bits(got.matrix) == _bits(want)
 
 
 def _permutation_chain(rng, slots):
@@ -307,7 +319,7 @@ def _processes():
 def test_comb_residuals_search_and_isometry_match_dense():
     verdicts = set()
     for sigma in _processes():
-        assert sigma.op._coo is not None
+        assert labeled._entries(sigma.op) is not None
         dense = process_operator(sigma.nodes, _dense(sigma.op))
         for order in itertools.permutations(sigma.node_names):
             got, want = comb_check(sigma, order), comb_check(dense, order)
@@ -343,29 +355,30 @@ def _end_to_end(up, path):
     write_process_file(path, up)
     back = read_process_file(path).process.op
     assert back.systems == sigma.op.systems
-    assert all(_bits(x) == _bits(y) for x, y in zip(back._coo, sigma.op._coo))
+    assert all(_bits(x) == _bits(y) for x, y in zip(labeled._entries(back), labeled._entries(sigma.op)))
 
 
 @pytest.mark.parametrize("make", [make_bw_extension, lambda: make_switch(4)], ids=["bw", "switch(4)"])
 def test_permutation_processes_never_densify(make, no_densify, tmp_path):
     up = make()
-    assert up.op._coo[0].size == up.dim
+    assert labeled._entries(up.op)[0].size == up.dim
     _end_to_end(up, tmp_path / "process.json")
 
 
 def _held_dense(op: LabeledOperator) -> LabeledOperator:
-    """A dense copy of a sparse operator, made without ``labeled._densify``."""
-    index, values = op._coo
+    """A copy of a sparse operator that every kernel routes dense, made
+    without ``labeled._densify``."""
+    index, values = labeled._entries(op)
     m = np.zeros(op.dim * op.dim, dtype=values.dtype)
     m[index] = values
-    return LabeledOperator(op.systems, m.reshape(op.dim, op.dim))
+    return labeled._dense_reference(op.systems, m.reshape(op.dim, op.dim))
 
 
 def test_sparse_comb_verdicts_never_densify_and_match_dense(no_densify):
     # The last marginal of a comb check is a 1x1 operator, built inline.
     chain = _permutation_chain(np.random.default_rng(7), 2)
     for sigma in (make_switch(3), chain):
-        assert sigma.op._coo is not None
+        assert labeled._entries(sigma.op) is not None
         dense = process_operator(sigma.nodes, _held_dense(sigma.op))
         for order in itertools.permutations(sigma.node_names):
             got, want = comb_check(sigma, order), comb_check(dense, order)
@@ -415,12 +428,58 @@ def test_switch5_unitary_separability_memory_bound(no_densify):
 def test_discover_never_densifies(make, seconds, no_densify):
     # The root's 1x1 Markov factor joins the sparse products on its one entry.
     sigma = make()
-    assert sigma.op._coo is not None
+    assert labeled._entries(sigma.op) is not None
     start = time.perf_counter()
     graph, mf = discover(sigma)
     elapsed = time.perf_counter() - start
     assert mf.accepted and mf.product_residual <= 1e-12 and graph.edges
     assert elapsed <= seconds, elapsed
+
+
+def _agree(got, want) -> bool:
+    """Equal verdicts field by field, with every float within 1e-14 (NaN
+    matching NaN) and operators compared entry by entry."""
+    if isinstance(got, LabeledOperator):
+        return got.systems == want.systems and np.abs(got.matrix - want.matrix).max(initial=0.0) <= 1e-14
+    if dataclasses.is_dataclass(got):
+        return type(got) is type(want) and all(_agree(getattr(got, f.name), getattr(want, f.name)) for f in dataclasses.fields(got))
+    if isinstance(got, dict):
+        return got.keys() == want.keys() and all(_agree(got[k], want[k]) for k in got)
+    if isinstance(got, (tuple, list)):
+        return len(got) == len(want) and all(map(_agree, got, want))
+    if isinstance(got, float):
+        return (math.isnan(got) and math.isnan(want)) or abs(got - want) <= 1e-14
+    return got == want
+
+
+def _best_seconds(call, repeats=5) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("make", [lambda: make_switch(3), make_bw_extension], ids=["switch(3)", "bw"])
+def test_dense_held_copies_route_and_run_as_the_sparse_held(make):
+    """A copy of switch(3) or bw held dense is counted once, on first use, and
+    then routed on its stored entries: validation, discovery, the comb search
+    and the paper's theorem give the sparse-held verdicts, with residuals
+    within 1e-14, each within twice the sparse-held time; and a fresh copy of
+    bw is discovered, its one count included, in under 0.15 s."""
+    sparse = make()
+    m = sparse.op.matrix
+    dense = dataclasses.replace(sparse, op=LabeledOperator(sparse.op.systems, m))
+    assert labeled._entries(sparse.op) is not None and dense.op.matrix is m
+    assert all(_bits(x) == _bits(y) for x, y in zip(labeled._entries(dense.op), labeled._entries(sparse.op)))
+    for call in (validate_process, discover, comb_search, unitary_causal_separability):
+        assert _agree(call(dense), call(sparse)), call.__name__
+        held, reference = _best_seconds(lambda: call(dense)), _best_seconds(lambda: call(sparse))
+        assert held <= 2 * reference, (call.__name__, held, reference)
+    if sparse.dim == 4096:
+        fresh = [dataclasses.replace(sparse, op=LabeledOperator(sparse.op.systems, m)) for _ in range(3)]
+        assert min(_best_seconds(lambda: discover(sigma), 1) for sigma in fresh) < 0.15
 
 
 DISCOVER_SWITCH4 = """
@@ -451,7 +510,7 @@ def test_separability_fast_path_keeps_a_sparse_process_sparse(monkeypatch, tmp_p
     path = tmp_path / "mix.json"
     write_process_file(path, make_mix_example())
     sigma = read_process_file(path).process
-    assert sigma.op._coo is not None
+    assert labeled._entries(sigma.op) is not None
     densify = labeled._densify
 
     def refuse_full_size(side, index, values):
@@ -461,12 +520,12 @@ def test_separability_fast_path_keeps_a_sparse_process_sparse(monkeypatch, tmp_p
     monkeypatch.setattr(labeled, "_densify", refuse_full_size)
     sv = bipartite_separability(sigma)
     assert (sv.status, sv.iterations) == ("separable", 0)
-    assert sv.second_component._coo is not None
+    assert labeled._entries(sv.second_component) is not None
 
 
 def test_matrix_beyond_the_byte_budget_is_refused_before_allocating():
     # one stored entry on 32768 dims: the dense matrix would need 16 GiB
     op = labeled._from_entries((SystemLabel("a", 2**15),), np.array([0]), np.array([1.0 + 0j]))
-    assert op._coo is not None
+    assert labeled._entries(op) is not None
     with pytest.raises(ValueError, match=f"would need {16 * 4**15} bytes, more than {labeled.MAX_DENSE_BYTES}"):
         op.matrix

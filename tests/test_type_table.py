@@ -57,13 +57,14 @@ def _inputs_module():
 
 
 def _dense(sigma):
-    return process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix))
+    """A copy that every kernel routes dense: the reference path."""
+    return process_operator(sigma.nodes, labeled._dense_reference(sigma.op.systems, sigma.op.matrix))
 
 
 def _fresh(sigma):
     """A copy of sigma held the same way, sharing no array and no table."""
     op = sigma.op
-    if op._coo is None:
+    if op._dense is not None:
         return process_operator(sigma.nodes, LabeledOperator(op.systems, op.matrix.copy()))
     return process_operator(sigma.nodes, labeled._from_entries(op.systems, *(a.copy() for a in op._coo)))
 
@@ -106,13 +107,13 @@ def test_operators_freeze_the_arrays_they_hold(rng):
 
 def test_the_table_is_kept_read_only_and_rebuilt_bitwise_after_pickling():
     switch = make_switch(2).process
-    for op in (switch.op, _dense(switch).op):
+    for op in (switch.op, LabeledOperator(switch.op.systems, switch.op.matrix)):
         keys, squares = hs._type_squares(op)
         assert hs._type_squares(op)[1] is squares
         with pytest.raises(ValueError):
             squares[0] = 0.0
         for back in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
-            assert back._squares is None and (back._coo is None) == (op._coo is None)
+            assert back._squares is None and (back._dense is None) == (op._dense is None)
             again_keys, again = hs._type_squares(back)
             assert again_keys == keys and again.dtype == squares.dtype and again.tobytes() == squares.tobytes()
 
@@ -120,10 +121,11 @@ def test_the_table_is_kept_read_only_and_rebuilt_bitwise_after_pickling():
 def test_one_table_per_operator_across_every_reader(builds):
     switch = make_switch(2).process
     chain = random_unitary_chain(2, np.random.default_rng(5)).process
-    assert switch.op._coo is not None and chain.op._coo is None
-    # the switch three ways: held sparse, held dense but sparse by the rule, and
-    # the dense chain
-    for sigma in (switch, _dense(switch), chain):
+    held_dense = process_operator(switch.nodes, LabeledOperator(switch.op.systems, switch.op.matrix))
+    assert labeled._entries(switch.op) is not None and labeled._entries(chain.op) is None
+    # the switch four ways: held sparse, held dense but sparse by the rule,
+    # routed dense, and the dense chain
+    for sigma in (switch, held_dense, _dense(switch), chain):
         builds.clear()
         assert validate_process(sigma).valid
         order = comb_search(sigma)
@@ -140,8 +142,8 @@ def _one_way_comb(rng, first, second):
 
 
 def test_bipartite_separability_builds_one_table_for_sigma(builds, rng):
-    # mix is a one-way comb: both comb checks of sigma read one table
-    mix = make_mix_example()
+    # mix is a one-way comb: routed dense, both comb checks of sigma read one table
+    mix = _dense(make_mix_example())
     verdict = bipartite_separability(mix)
     assert verdict.separable and verdict.iterations == 0
     assert len(builds) == 1 and mix.op._squares is not None
@@ -206,8 +208,8 @@ def test_results_do_not_depend_on_which_reader_built_the_table():
 
 def test_only_the_array_passed_in_is_frozen_so_callers_who_write_pass_a_copy():
     # the frozen-array contract: the base of the view passed in stays writable,
-    # and a write through it leaves the kept table stale; an operator built on
-    # a copy does not see the write
+    # and a write through it leaves the kept entries and table stale; an
+    # operator built on a copy does not see the write
     systems = (SystemLabel("a", 2), SystemLabel("b", 2))
     big = np.eye(4)
     on_view, on_copy = LabeledOperator(systems, big.reshape(4, 4)[:]), LabeledOperator(systems, big.copy())
@@ -215,4 +217,5 @@ def test_only_the_array_passed_in_is_frozen_so_callers_who_write_pass_a_copy():
     assert not on_view.matrix.flags.writeable and big.flags.writeable
     big[0, 1] = 1.0
     assert on_view.matrix[0, 1] == 1.0 and type_norms(on_view) == table
+    assert labeled._entries(on_view)[0].tolist() == [0, 5, 10, 15]
     assert type_norms(on_copy) == table != type_norms(LabeledOperator(systems, big.copy()))
