@@ -26,6 +26,8 @@ from .labeled import (
     partial_trace,
 )
 
+_SLICE = 1 << 16  # entries per slice of the type table's inner passes: 1 MiB of complex128
+
 __all__ = [
     "project_trivial",
     "type_norms",
@@ -90,25 +92,49 @@ def _type_squares(op: LabeledOperator) -> tuple[tuple, np.ndarray]:
 
 
 def _dense_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
-    """_type_squares of op by the dense change of basis."""
+    """_type_squares of op by the dense change of basis.
+
+    One copy, with axes (row_0, col_0, row_1, col_1, ...), in which each
+    factor's diagonal units become Helmert rows in place. The outer factors'
+    passes run on the whole copy, where their units are long contiguous runs;
+    the inner ones, whose blocks fit in ``_SLICE`` entries, run slice by
+    slice, and each slice is then squared into the copy's front. Every entry
+    gets the same operations in the same order as in whole-copy passes, so
+    the table is the same bit for bit. The class sums then alternate between
+    the copy's halves (a real copy has no spare half for the first), so a
+    complex operator's table allocates nothing else of its size."""
     dims = [s.dim for s in op.systems]
     n = len(dims)
-    # One copy, with axes (row_0, col_0, row_1, col_1, ...), in which each
-    # factor's diagonal units become Helmert rows in place.
     interleaved = [ax for i in range(n) for ax in (i, n + i)]
     m = np.array(op.as_tensor().transpose(interleaved), dtype=np.result_type(op.matrix.dtype, np.float64), order="C")
-    for i, d in enumerate(dims):
-        _helmert(np.moveaxis(m.reshape(math.prod(dims[:i]) ** 2, d * d, -1)[:, :: d + 1], 1, 0))
-    parts = m.reshape(-1).view(np.float64)  # |·|², in one real array
-    np.square(parts, out=parts)
-    a = np.add(parts[0::2], parts[1::2]) if np.iscomplexobj(m) else parts
-    del m, parts
+    flat = m.reshape(-1)
+    parts = flat.view(np.float64)  # |·|², in one real array
+    blocks = [math.prod(dims[i:]) ** 2 for i in range(n + 1)]  # entries of one factor's block of units
+    inner = next(i for i, size in enumerate(blocks) if size <= _SLICE)
+
+    def passes(x, factors):
+        for i in factors:
+            if dims[i] > 1:
+                _helmert(np.moveaxis(x.reshape(-1, dims[i] ** 2, blocks[i + 1])[:, :: dims[i] + 1], 1, 0))
+
+    passes(flat, range(inner))
+    step = _SLICE // blocks[inner] * blocks[inner]
+    for start in range(0, flat.size, step):
+        passes(flat[start : start + step], range(inner, n))
+        x = flat[start : start + step].view(np.float64)
+        np.square(x, out=x)
+        if np.iscomplexobj(m):  # the sums of entries [s, s + k) land on entries [s/2, (s + k)/2), summed already
+            parts[start : start + x.size // 2] = np.add(x[0::2], x[1::2])
+    a, spare = parts[: flat.size], parts[flat.size :]
     keys = []
     for i, d in enumerate(dims):
         if d > 1:
-            a = np.matmul(_class_weights(d), a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2))
+            size = a.size // (d * d) * 2
+            out = spare[:size] if spare.size >= size else np.empty(size)
+            np.matmul(_class_weights(d), a.reshape(-1, d * d, blocks[i + 1]), out=out.reshape(-1, 2, blocks[i + 1]))
+            a, spare = out, a
             keys.append(op.systems[i].key)
-    return keys, a.reshape(-1)
+    return keys, a.copy()  # not a view that would keep the copy alive
 
 
 def _sparse_type_squares(systems: tuple[SystemLabel, ...], index: np.ndarray, values: np.ndarray) -> tuple[list, np.ndarray]:

@@ -180,37 +180,42 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     A dense operator of low rank and at most 2048 dimensions is proved
     positive semidefinite by a pivoted Cholesky factor in O(d²·rank), and the
     certified lower bound -δ on its spectrum is reported as
-    ``min_eigenvalue``; the eigenvalues are computed only if the certificate
-    fails. Above 2048 dimensions positivity is certified by a Cholesky
+    ``min_eigenvalue``; the certificate reads the operator itself and forms
+    no Hermitian part, and the eigenvalues are computed only if it fails.
+    Above 2048 dimensions positivity is certified by a Cholesky
     factorization of the shifted operator, which proves the spectrum is above
     -tol without computing it; the smallest eigenvalue is computed only if
     that fails. The forbidden norm and the offending types come from one
     table of type norms, whose components are mutually orthogonal. An
     operator routed on its stored entries (``labeled._entries``, counted once
     per operator) is checked on them and its positivity block by block; a
-    dense one's Hermitian part comes from one tiled pass and is freed before
-    the table is built. A NaN or infinite entry makes the Hermitian residual
-    non-finite, and then positivity fails with no eigensolver run, which
-    would not converge."""
+    dense one that the certificate does not prove positive gets its Hermitian
+    part from one tiled pass, freed before the table is built. A NaN or
+    infinite entry makes the Hermitian residual non-finite, and then
+    positivity fails with no eigensolver run, which would not converge."""
     d, entries = sigma.op.dim, _entries(sigma.op)
+    method = "cholesky" if d > 2048 else "eigh"
+    certified = None
     if entries is None:
         m = sigma.op.matrix
-        herm, h = _hermitian_part(m)
         norm, trace = math.sqrt(np.vdot(m, m).real), np.trace(m)
+        if method == "eigh" and math.isfinite(norm):
+            certified = _low_rank_psd(m, norm, tol)
+        herm, h = (certified[0], None) if certified else _hermitian_part(m)
     else:
         index, values = entries
         norm = float(np.linalg.norm(values))
         herm, h_index, h = _hermitian_entries(index, values, d)
         trace = values[index % (d + 1) == 0].sum()  # the diagonal's flat indices are the multiples of d + 1
     herm_ok = herm <= tol * max(1.0, norm)
-    if np.iscomplexobj(h) and not h.imag.any():  # -0.0 is zero, NaN is not
-        h = h.real
-    method = "cholesky" if d > 2048 else "eigh"
-    if not math.isfinite(herm):  # a NaN or infinite entry: no eigensolver converges on it
+    if certified:
+        psd_ok, min_eig = True, certified[1]
+    elif not math.isfinite(herm):  # a NaN or infinite entry: no eigensolver converges on it
         psd_ok, min_eig = False, math.nan
     else:
-        certified = _low_rank_psd(h, tol) if entries is None and method == "eigh" else None
-        psd_ok, min_eig = certified or _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
+        if np.iscomplexobj(h) and not h.imag.any():  # -0.0 is zero, NaN is not
+            h = h.real
+        psd_ok, min_eig = _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
     del h  # before _type_squares copies a dense m
 
     expected = sigma.expected_trace()
@@ -255,48 +260,71 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
 
 def _psd_test(blocks: list[np.ndarray], tol: float, method: str) -> tuple[bool, float]:
     """(psd_ok, min_eigenvalue) of the Hermitian operator with these stacks
-    of diagonal blocks. With the "cholesky" method a factorization of each
-    block + tol·I certifies the spectrum above -tol and the eigenvalue stays
-    NaN; the eigenvalues are computed only if that fails."""
+    of diagonal blocks, which are the caller's own. With the "cholesky" method
+    a factorization of each block + tol·I certifies the spectrum above -tol
+    and the eigenvalue stays NaN; tol is added in place on the diagonals, which
+    are restored, bit for bit, for eigvalsh if a factorization fails. The
+    eigenvalues are computed only then."""
     if method == "cholesky":
+        diagonals = [np.einsum("kii->ki", b) for b in blocks]
+        saved = [x.copy() for x in diagonals]
         try:
-            for b in blocks:
-                np.linalg.cholesky(b + tol * np.eye(b.shape[1], dtype=b.dtype))
+            for b, x in zip(blocks, diagonals):
+                x += tol
+                np.linalg.cholesky(b)
             return True, float("nan")
         except np.linalg.LinAlgError:
-            pass
+            for x, y in zip(diagonals, saved):
+                x[...] = y
     min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
     return min_eig >= -tol, min_eig
 
 
-def _low_rank_psd(h: np.ndarray, tol: float) -> tuple[bool, float] | None:
-    """(True, -δ) if a pivoted Cholesky factor l of rank k < d proves the dense
-    Hermitian h positive semidefinite, else None. δ bounds ‖h - l·lᴴ‖ and the
-    rounding in forming it; l·lᴴ ⪰ 0 has a zero eigenvalue, so by Weyl's
-    inequality λ_min(h) ∈ [-δ, δ]. Taken only if δ ≤ tol and δ is within the
-    d·ε·‖h‖ accuracy of eigvalsh; at most √d steps keep a full-rank h O(d²).
-    ‖h - l·lᴴ‖ is summed over row blocks of one tile's size, with no d×d l·lᴴ."""
-    d = h.shape[0]
-    eps = float(np.finfo(float).eps)
-    norm = math.sqrt(np.vdot(h, h).real)
-    diag = h.diagonal().real.copy()
-    l = np.zeros((d, min(math.isqrt(d), d - 1)), dtype=h.dtype)
+def _low_rank_psd(m: np.ndarray, norm: float, tol: float) -> tuple[float, float] | None:
+    """(‖m − m†‖, -δ) if a pivoted Cholesky factor l of rank k < d proves the
+    Hermitian part h = (m + m†)/2 of the dense m positive semidefinite, else
+    None. δ bounds ‖h - l·lᴴ‖ and the rounding in forming it; l·lᴴ ⪰ 0 has a
+    zero eigenvalue, so by Weyl's inequality λ_min(h) ∈ [-δ, δ]. Taken only if
+    δ ≤ tol, ‖m − m†‖ is finite and δ is within the d·ε·‖m‖ accuracy of
+    eigvalsh (``norm`` is ‖m‖ ≥ ‖h‖, equal for a Hermitian m); at most √d
+    steps keep a full-rank h O(d²). h is never formed: each pivot column is
+    read from m as (m[:, p] + m[p, :]*)/2, which has the bits of h[:, p], and
+    one walk over m's upper tiles, each with its mirror tile, sums ‖m − m†‖²
+    as ``_hermitian_part`` does, bit for bit, and ‖2h − 2·l·lᴴ‖², with nothing
+    of m's size allocated. l is real where h is, that is where m's imaginary
+    part is symmetric; that check stops at the first tile where it is not."""
+    m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
+    d, eps, t = len(m), float(np.finfo(float).eps), _TILE
+    tiles = [(i, j) for i in range(0, d, t) for j in range(i, d, t)]
+    real = not np.iscomplexobj(m) or not any(
+        (m[i : i + t, j : j + t].imag != m[j : j + t, i : i + t].imag.T).any() for i, j in tiles
+    )
+    diag = m.diagonal().real.copy()
+    l = np.zeros((d, min(math.isqrt(d), d - 1)), dtype=float if real else m.dtype)
     k = 0
     while diag.max() > eps * norm:
         if k == l.shape[1]:
             return None
         p = int(np.argmax(diag))
-        l[:, k] = (h[:, p] - l[:, :k] @ l[p, :k].conj()) / math.sqrt(diag[p])
+        column = (m[:, p] + m[p, :].conj()) / 2
+        l[:, k] = ((column.real if real else column) - l[:, :k] @ l[p, :k].conj()) / math.sqrt(diag[p])
         diag -= np.abs(l[:, k]) ** 2
         k += 1
-    l, step, squares = l[:, :k], max(1, _TILE * _TILE // d), 0.0
-    adjoint = l.conj().T
-    for r in range(0, d, step):
-        rows = h[r : r + step] - l[r : r + step] @ adjoint
-        squares += float(np.vdot(rows, rows).real)
-    delta = math.sqrt(squares) + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
-    if delta <= tol and delta <= d * eps * norm:
-        return True, 0.0 - delta  # +0.0, never -0.0, when δ is 0
+    l, work, herm, squares = l[:, :k], np.empty((2, t * t), m.dtype), 0.0, 0.0
+    twice = 2 * l.conj().T  # exact: a power of two
+    for i, j in tiles:
+        a = m[i : i + t, j : j + t]
+        b_adj = np.conjugate(m[j : j + t, i : i + t].T, out=work[0, : a.size].reshape(a.shape))
+        diff = np.subtract(a, b_adj, out=work[1, : a.size].reshape(a.shape))
+        weight = 1.0 if i == j else 2.0  # a tile off the diagonal stands for its mirror too
+        herm += weight * float(np.vdot(diff, diff).real)
+        rest = np.add(a, b_adj, out=diff)
+        rest -= l[i : i + t] @ twice[:, j : j + t]
+        squares += weight * float(np.vdot(rest, rest).real)
+    herm = math.sqrt(herm)
+    delta = math.sqrt(squares) / 2 + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
+    if delta <= tol and delta <= d * eps * norm and math.isfinite(herm):
+        return herm, 0.0 - delta  # +0.0, never -0.0, when δ is 0
     return None
 
 

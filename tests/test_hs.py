@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from causalproc import (
     make_af_deterministic,
     make_classical_switch,
     make_methods_counterexample,
+    make_switch,
     make_unitary_process,
     partial_trace,
     project_trivial,
@@ -27,7 +29,7 @@ from causalproc import (
     type_norms,
     validate_process,
 )
-from causalproc.hs import _sparse_type_squares, _table
+from causalproc.hs import _SLICE, _class_weights, _dense_type_squares, _helmert, _sparse_type_squares, _table
 from causalproc.labeled import _dense_reference, _entries, sorted_coo
 from causalproc.rand import random_state
 
@@ -190,6 +192,53 @@ def test_dense_type_norms_of_1024_dim_processes(rng):
         got = type_norms(x)
         assert len(got) == 2**8
         _assert_matches_projector_formula(x, got)
+
+
+def _unblocked_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
+    """The dense table as built before it was blocked: each factor's Helmert
+    pass over the whole interleaved copy, then the squares, then the class
+    sums, each in a new array."""
+    dims = [s.dim for s in op.systems]
+    n = len(dims)
+    interleaved = [ax for i in range(n) for ax in (i, n + i)]
+    m = np.array(op.as_tensor().transpose(interleaved), dtype=np.result_type(op.matrix.dtype, np.float64), order="C")
+    for i, d in enumerate(dims):
+        _helmert(np.moveaxis(m.reshape(math.prod(dims[:i]) ** 2, d * d, -1)[:, :: d + 1], 1, 0))
+    parts = m.reshape(-1).view(np.float64)
+    np.square(parts, out=parts)
+    a = np.add(parts[0::2], parts[1::2]) if np.iscomplexobj(m) else parts
+    keys = []
+    for i, d in enumerate(dims):
+        if d > 1:
+            a = np.matmul(_class_weights(d), a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2))
+            keys.append(op.systems[i].key)
+    return keys, a.reshape(-1)
+
+
+def test_blocked_dense_type_squares_equal_the_unblocked_ones_bit_for_bit(rng):
+    c1, c2 = random_unitary_chain(3, rng), random_unitary_chain(3, rng)
+    nodes = [QuantumNode(name, 2, 2) for name in "ABC"] + [QuantumNode("P", 1, 4), QuantumNode("F", 4, 1)]
+    dom = tuple(n.out_system for n in nodes if n.d_out > 1)
+    cod = tuple(n.in_system for n in nodes if n.d_in > 1)
+    haar = make_unitary_process(nodes, LinearMap(haar_unitary(32, rng), dom, cod))
+    switch = make_switch(3).op
+    assert not switch.matrix.imag.any()
+    cases = [
+        LabeledOperator(c1.op.systems, 0.3 * c1.op.matrix + 0.7 * c2.op.matrix),
+        haar.op,
+        LabeledOperator(switch.systems, switch.matrix.real),  # 2916 dims, held dense and real
+    ]
+    for dims in [(3, 1, 5, 2), (5, 3, 1, 3, 2), (1, 5, 1), (300,), (1,), (1, 1)]:
+        systems = tuple(SystemLabel(f"s{i}", d, bool(i % 2)) for i, d in enumerate(dims))
+        side = math.prod(dims)
+        m = rng.normal(size=(side, side))
+        cases += [LabeledOperator(systems, m), LabeledOperator(systems, m + 1j * rng.normal(size=m.shape))]
+    assert cases[2].dim == 2916 and cases[-6].dim ** 2 > _SLICE  # one factor's block is larger than a slice
+    for op in cases:
+        keys, squares = _dense_type_squares(op)
+        want_keys, want = _unblocked_type_squares(op)
+        assert keys == want_keys and squares.dtype == want.dtype and squares.tobytes() == want.tobytes(), op.systems
+        assert squares.base is None or squares.base.nbytes == squares.nbytes  # not a view that keeps the copy
 
 
 def test_dense_type_norms_give_exact_zeros():

@@ -44,6 +44,8 @@ from causalproc import (
     type_norms,
     validate_process,
 )
+from causalproc import process as process_module
+from causalproc.process import canonical_systems
 from causalproc.labeled import sorted_coo
 from causalproc.rand import haar_unitary, random_state
 
@@ -473,6 +475,95 @@ def test_low_rank_certificate_matches_eigvalsh(d, dtype):
     assert zero.psd_ok and zero.min_eigenvalue == 0.0 and not np.signbit(zero.min_eigenvalue)
 
 
+def _pipeline_before(m, tol=1e-9):
+    """(hermitian_residual, psd_ok, min_eigenvalue, certified) of a dense
+    validation as it ran when the certificate was read off the Hermitian part
+    h: h first, real where its imaginary part is zero, then the pivoted
+    Cholesky certificate on h, else eigvalsh."""
+    herm, h = labeled._hermitian_part(m)
+    if np.iscomplexobj(h) and not h.imag.any():
+        h = h.real
+    if not math.isfinite(herm):
+        return herm, False, math.nan, False
+    d, eps = len(h), np.finfo(float).eps
+    norm = math.sqrt(np.vdot(h, h).real)
+    diag = h.diagonal().real.copy()
+    l = np.zeros((d, min(math.isqrt(d), d - 1)), dtype=h.dtype)
+    k = 0
+    while diag.max() > eps * norm and k < l.shape[1]:
+        p = int(np.argmax(diag))
+        l[:, k] = (h[:, p] - l[:, :k] @ l[p, :k].conj()) / math.sqrt(diag[p])
+        diag -= np.abs(l[:, k]) ** 2
+        k += 1
+    if diag.max() <= eps * norm:
+        l = l[:, :k]
+        delta = np.linalg.norm(h - l @ l.conj().T) + 4 * (k + 2) * eps * np.linalg.norm(l) ** 2
+        if delta <= tol and delta <= d * eps * norm:
+            return herm, True, -delta, True
+    min_eig = float(np.linalg.eigvalsh(h[None]).min())
+    return herm, min_eig >= -tol, min_eig, False
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "complex-held real"])
+@pytest.mark.parametrize("d", [1, 3, 127, 128, 129, 300, 1024])
+def test_certificate_read_off_the_operator_matches_the_hermitian_part_pipeline(d, kind, monkeypatch):
+    rng = np.random.default_rng(d + len(kind))
+    dtype = complex if kind == "complex" else float
+    top = math.isqrt(d)
+    # At 1024 dims the chain cases stand in for the costlier spectra, whose
+    # eigvalsh oracle dominates the test's time.
+    ranks = {1, 2} if d == 1024 else {1, 2, top // 2, top}
+    cases = [(_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, rank)), 1e-9) for rank in sorted(ranks) if rank <= d]
+    cases.append((_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, min(top + 1, d))), 1e-9))  # beyond the pivot cap
+    if d == 1024:  # a chain comb, moved off its mirror by one entry: within tol, and beyond it
+        chain = random_unitary_chain(3, rng).op.matrix
+        chain = chain.real.copy() if dtype == float else chain
+        cases += [(chain, 1e-9)]
+        for skew in (1e-13, 1e-6):
+            skewed = chain.copy()
+            skewed[0, 1] += skew
+            cases.append((skewed, 1e-9))
+    else:  # full rank, a negative eigenvalue, no tolerance, and a non-Hermitian m within tol
+        cases += [
+            (_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, d)), 1e-9),
+            (_spectral(rng, d, dtype, [*rng.uniform(0.1, 2.0, min(2, d - 1)), -1e-3]), 1e-9),
+            (_spectral(rng, d, dtype, rng.uniform(0.1, 2.0, min(2, d))), 0.0),
+        ]
+        skewed = cases[1][0].copy()
+        skewed[-1, 0] += np.spacing(abs(skewed[-1, 0]))  # about one ulp off its mirror
+        cases.append((skewed, 1e-9))
+    for value in (np.nan, np.inf):
+        broken = cases[0][0].copy()
+        broken[d // 2, 0] = value
+        cases.append((broken, 1e-9))
+    if kind == "complex-held real":
+        cases = [(m.astype(complex), tol) for m, tol in cases]
+    eps = np.finfo(float).eps
+
+    def refuse(m):
+        raise AssertionError("the certified path formed the Hermitian part")
+
+    certified = 0
+    for m, tol in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm, psd_ok, min_eig, was_certified = _pipeline_before(m, tol)
+        with monkeypatch.context() as patch:
+            if was_certified:
+                patch.setattr(process_module, "_hermitian_part", refuse)
+            with np.errstate(invalid="ignore", over="ignore"):
+                verdict = _dense_verdict(m, tol)
+        assert np.array_equal(verdict.hermitian_residual, herm, equal_nan=True)  # herm is _hermitian_part(m)[0]
+        assert verdict.psd_ok == psd_ok and verdict.psd_method == "eigh"
+        if was_certified:
+            certified += 1
+            want = float(np.linalg.eigvalsh(m[None] if kind != "complex-held real" else m.real[None]).min())
+            assert -tol <= verdict.min_eigenvalue <= 0.0
+            assert abs(verdict.min_eigenvalue - want) <= 2 * d * eps * np.linalg.norm(m)
+        else:  # the same fallback as before, bit for bit
+            assert np.array_equal(verdict.min_eigenvalue, min_eig, equal_nan=True)
+    assert certified >= (1 if d < 100 else 4)  # the skewed matrices within tol among them
+
+
 def test_low_rank_dense_processes_skip_the_eigendecomposition(monkeypatch):
     rng = np.random.default_rng(3)
     c1, c2 = (random_unitary_chain(3, rng) for _ in range(2))
@@ -510,6 +601,50 @@ def test_dense_validation_peaks_below_two_operators():
             tracemalloc.stop()
         assert verdict.psd_ok and verdict.psd_method == "eigh" and verdict.type_ok == (sigma is mixture)
         assert peak <= 2 * size, peak
+
+
+def _traced_peak(sigma):
+    """validate_process(sigma) and the peak of the bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        verdict = validate_process(sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return verdict, peak
+
+
+def test_certified_dense_validation_peaks_at_the_type_tables_copy():
+    """A certified validation of a fresh dense 1024-dim Haar process or rank-two
+    mixture forms no Hermitian part: the type-norm table's one copy of the
+    operator is all it holds of that size."""
+    rng = np.random.default_rng(28)
+    nodes = [QuantumNode(x, 2, 2) for x in "ABC"] + [QuantumNode("P", 1, 4), QuantumNode("F", 4, 1)]
+    dom = tuple(n.out_system for n in nodes if n.d_out > 1)
+    cod = tuple(n.in_system for n in nodes if n.d_in > 1)
+    haar = make_unitary_process(nodes, LinearMap(haar_unitary(32, rng), dom, cod)).process
+    c1, c2 = (random_unitary_chain(3, rng).process for _ in range(2))
+    mixture = process_operator(c1.nodes, LabeledOperator(c1.op.systems, 0.4 * c1.op.matrix + 0.6 * c2.op.matrix))
+    for sigma in (haar, mixture):
+        size = sigma.op.matrix.nbytes
+        assert labeled._entries(sigma.op) is None and size == 16 * 2**20
+        verdict, peak = _traced_peak(sigma)
+        assert verdict.psd_ok and -1e-12 < verdict.min_eigenvalue <= 0.0 and verdict.type_ok == (sigma is mixture)
+        assert peak <= 1.1 * size, peak / size
+
+
+def test_dense_cholesky_validation_peaks_at_two_operators():
+    """Above 2048 dims the Cholesky method shifts the Hermitian part's diagonal
+    in place: the part and the factor are all it holds of the operator's size."""
+    rng = np.random.default_rng(21)
+    nodes = [QuantumNode("A", 3, 4), QuantumNode("B", 5, 5), QuantumNode("C", 7, 1)]
+    d = 2100
+    a = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    sigma = process_operator(nodes, LabeledOperator(tuple(canonical_systems(nodes)), a @ a.conj().T))
+    assert sigma.dim == d and labeled._entries(sigma.op) is None
+    verdict, peak = _traced_peak(sigma)
+    assert verdict.psd_ok and verdict.psd_method == "cholesky" and math.isnan(verdict.min_eigenvalue)
+    assert peak <= 2.1 * sigma.op.matrix.nbytes, peak / sigma.op.matrix.nbytes
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
