@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs import project_trivial
+from .hs import _marginal_residual
 from .labeled import (
     LabeledOperator,
     LinearMap,
@@ -25,7 +25,6 @@ from .labeled import (
     _sum_duplicates,
     _traced_entries,
     cj_operator,
-    distance,
     dual,
     partial_trace,
     product,
@@ -130,28 +129,18 @@ def channel_influence_residual(ch: ChannelOperator, in_ref, out_ref) -> float:
     """Residual of the no-influence condition from one input to one output.
 
     The input does not influence the chosen output iff the CJ operator traced
-    over all other outputs is identity on that input's dual factor.
+    over all other outputs is identity on that input's dual factor: read off
+    the operator's one kept type-norm table (``hs._marginal_residual``).
     """
-    out_key = _as_key(out_ref, ch.outputs)
-    in_key = _as_key(in_ref, ch.inputs)
-    others = [s for s in ch.outputs if s.key != out_key]
-    marg = partial_trace(ch.op, [s.key for s in others])
-    return distance(marg, project_trivial(marg, [(in_key[0], True)]))
+    out_key, in_name = _as_key(out_ref, ch.outputs), _as_key(in_ref, ch.inputs)[0]
+    return _marginal_residual(ch.op, [s.key for s in ch.outputs if s.key != out_key], (in_name, True))
 
 
 def influence_residuals(ch: ChannelOperator) -> dict[tuple[str, str], float]:
     """``channel_influence_residual`` for every input and output of dimension
-    above one, keyed by (input name, output name): one partial trace per output.
-    """
-    residuals = {}
-    for out in ch.outputs:
-        if out.dim == 1:
-            continue
-        marg = partial_trace(ch.op, [s.key for s in ch.outputs if s.key != out.key])
-        for inp in ch.inputs:
-            if inp.dim > 1:
-                residuals[(inp.name, out.name)] = distance(marg, project_trivial(marg, [(inp.name, True)]))
-    return residuals
+    above one, keyed by (input name, output name)."""
+    outs, ins = [o for o in ch.outputs if o.dim > 1], [i for i in ch.inputs if i.dim > 1]
+    return {(i.name, o.name): channel_influence_residual(ch, i, o) for o in outs for i in ins}
 
 
 def channel_no_influence(ch: ChannelOperator, in_ref, out_ref, tol: float = 1e-9) -> bool:
@@ -162,7 +151,6 @@ def channel_no_influence(ch: ChannelOperator, in_ref, out_ref, tol: float = 1e-9
 def input_signals(ch: ChannelOperator, in_ref, tol: float = 1e-9) -> bool:
     """True iff the channel output depends on the given input at all.
 
-    Tests  ρ ≠ (1/d) Tr_{X*}[ρ] ⊗ 1_{X*}  on the full CJ operator.
+    Tests  ρ ≠ (1/d) Tr_{X*}[ρ] ⊗ 1_{X*}  on the full CJ operator's table.
     """
-    in_key = _as_key(in_ref, ch.inputs)
-    return distance(ch.op, project_trivial(ch.op, [(in_key[0], True)])) > tol
+    return _marginal_residual(ch.op, [], (_as_key(in_ref, ch.inputs)[0], True)) > tol

@@ -7,24 +7,26 @@ the two one-way comb types; the solver certifies splits (or reports that it
 could not find one) but never claims impossibility.
 
 ``comb_check`` and ``comb_search`` read their residuals from one function
-built per process. For a dense operator it sums the ``hs`` type-norm table the
-operator keeps: ``comb_search`` on a 1024-dim chain takes 0.03 s (the walk's:
-0.07-0.08 s) if it builds the table, 0.0002-0.0003 s if validation built it. A
-sparse operator walks its marginals on the stored entries, since there the
-table alone costs about as much as the walk's whole search or more:
-0.018-0.022 s against 0.011-0.012 s on ``make_bw_extension``, 0.025-0.030 s
-against 0.024-0.027 s on ``make_switch(4)`` (best of 5 to 7 on 2 cores).
+built per process. For a dense operator it reads the type-norm table the
+operator keeps by ``hs._marginal_residual``, as the influence residuals of
+``channels`` do on any operator: ``comb_search`` on a 1024-dim chain takes
+0.03 s (the walk's: 0.07-0.08 s) if it builds the table, 0.0002-0.0003 s if
+validation built it. A sparse operator walks its marginals on the stored
+entries, since there a cold table costs about as much as the walk's whole
+search or more: 0.018-0.022 s against 0.011-0.012 s on ``make_bw_extension``,
+0.025-0.030 s against 0.024-0.027 s on ``make_switch(4)`` (best of 5 to 7 on 2
+cores); the benchmark's ``combs.comb_search.nodes`` counts that walk's
+``project_trivial`` calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import DirectedGraph, causal_structure_unitary
-from .hs import _type_bits, _type_squares, project_trivial
+from .hs import _marginal_residual, project_trivial
 from .labeled import LabeledOperator, _entries, _from_entries, _hermitian_part, distance, partial_trace
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
@@ -107,14 +109,10 @@ def _comb_residuals(sigma: ProcessOperator):
     ``traced`` (in that order) from its projection trivial on node ``name``'s
     output.
 
-    A dense operator is read off one type-norm table. Tracing out a set S
-    keeps exactly the type components that avoid S, each scaled by
-    √(∏ dims of S), and components of different types are orthogonal; so with
-    n_T the norm of type T the residual is √(∏_S d · Σ n_T²) over the T that
-    avoid S and contain the output, over max(1, √(∏_S d · Σ n_T²)) over all T
-    that avoid S, which is ``distance``'s value. An operator routed on its
-    stored entries walks its marginals instead, one partial trace per traced
-    node, keeping those of the current prefix.
+    A dense operator is read off its one kept type-norm table
+    (``hs._marginal_residual``). An operator routed on its stored entries
+    walks its marginals instead, one partial trace per traced node, keeping
+    those of the current prefix.
     """
     nodes = {n.name: n for n in sigma.nodes}
     if _entries(sigma.op) is not None:
@@ -135,16 +133,9 @@ def _comb_residuals(sigma: ProcessOperator):
 
         return walk
 
-    keys, squares = _type_squares(sigma.op)
-    bit, types = _type_bits(keys), np.arange(squares.size)
-
     def read(traced: tuple, name: str) -> float:
-        gone = sum(bit.get(s.key, 0) for t in traced for s in (nodes[t].in_system, nodes[t].out_dual))
-        scale = math.prod(nodes[t].in_system.dim * nodes[t].out_dual.dim for t in traced)
-        kept = (types & gone) == 0
-        total = scale * squares[kept].sum()
-        dependent = scale * squares[kept & ((types & bit.get(nodes[name].out_dual.key, 0)) != 0)].sum()
-        return math.sqrt(dependent) / max(1.0, math.sqrt(total))
+        gone = [s.key for t in traced for s in (nodes[t].in_system, nodes[t].out_dual)]
+        return _marginal_residual(sigma.op, gone, nodes[name].out_dual.key)
 
     return read
 

@@ -91,6 +91,24 @@ def _type_squares(op: LabeledOperator) -> tuple[tuple, np.ndarray]:
     return op._squares
 
 
+def _marginal_residual(op: LabeledOperator, traced, ref) -> float:
+    """distance(m, project_trivial(m, [ref])) for m = partial_trace(op,
+    traced), read off op's kept type table; ``traced`` and ``ref`` are keys.
+    Tracing out a set S keeps exactly the types that avoid S, each scaled by
+    √(∏ dims of S), and types are orthogonal: with n_T the norm of type T the
+    value is √(∏_S d · Σ n_T²) over the T that avoid S and contain ref, over
+    max(1, √(∏_S d · Σ n_T²)) over all T that avoid S."""
+    keys, squares = _type_squares(op)
+    bit, dims, traced = _type_bits(keys), {s.key: s.dim for s in op.systems}, set(traced)
+    if ref not in dims:
+        raise KeyError(f"no system {ref} in {op.systems}")
+    types, scale = np.arange(squares.size), math.prod(dims[k] for k in traced)
+    kept = (types & sum(bit.get(k, 0) for k in traced)) == 0
+    total = scale * squares[kept].sum()
+    dependent = scale * squares[kept & ((types & bit.get(ref, 0)) != 0)].sum()
+    return math.sqrt(dependent) / max(1.0, math.sqrt(total))
+
+
 def _dense_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
     """_type_squares of op by the dense change of basis.
 

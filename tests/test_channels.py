@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalproc import (
     ChannelOperator,
@@ -16,11 +19,14 @@ from causalproc import (
     influence_residuals,
     input_signals,
     instrument_from_kraus,
+    make_mix_example,
+    make_switch,
     preparation_instrument,
     random_unitary_chain,
     readout_instrument,
 )
-from causalproc.labeled import _dense_reference, _entries
+from causalproc.hs import _marginal_residual, project_trivial
+from causalproc.labeled import _dense_reference, _entries, distance, partial_trace
 from causalproc.rand import (
     haar_unitary,
     random_cptp,
@@ -127,6 +133,77 @@ def test_influence_residuals_match_the_per_pair_residual_bitwise(switch_up, bw_u
         assert set(matrix) == pairs
         for i, o in pairs:
             assert matrix[(i, o)].hex() == channel_influence_residual(ch, i, o).hex(), (i, o)
+
+
+def _walked(ch: ChannelOperator, traced, inp: SystemLabel) -> float:
+    """The oracle: the marginal after tracing out ``traced``, its projection
+    trivial on the input's dual factor, and their normalized distance."""
+    marg = partial_trace(ch.op, [s.key for s in traced])
+    return distance(marg, project_trivial(marg, [(inp.name, True)]))
+
+
+def _assert_residuals_match_the_walk(ch: ChannelOperator) -> None:
+    """Every ``influence_residuals`` entry and every ``input_signals``
+    residual within 1e-14 of the walk's, with the walk's verdict at 1e-9."""
+    matrix = influence_residuals(ch)
+    assert set(matrix) == {(i.name, o.name) for o in ch.outputs for i in ch.inputs if i.dim > 1 and o.dim > 1}
+    for out in ch.outputs:
+        for inp in ch.inputs:
+            if (inp.name, out.name) in matrix:
+                got, want = matrix[(inp.name, out.name)], _walked(ch, [s for s in ch.outputs if s != out], inp)
+                assert abs(got - want) <= 1e-14 and (got <= 1e-9) == (want <= 1e-9), (inp, out, got, want)
+                assert channel_no_influence(ch, inp, out) == (want <= 1e-9)
+    for inp in ch.inputs:
+        got, want = _marginal_residual(ch.op, [], (inp.name, True)), _walked(ch, [], inp)
+        assert abs(got - want) <= 1e-14, (inp, got, want)
+        assert input_signals(ch, inp) == (want > 1e-9), (inp, got, want)
+
+
+def test_influence_residuals_match_the_marginal_walk(switch_up, bw_up, af_process, rng):
+    a, b, c, d = (SystemLabel(s, 2) for s in ("a", "b", "c", "d"))
+    channels = [
+        switch_up.channel,
+        make_switch(3).channel,
+        bw_up.channel,
+        af_process.channel,
+        make_mix_example().channel,
+        random_unitary_chain(2, rng).channel,
+        channel_from_unitary(LinearMap(CNOT, (a, b), (c, d))),
+    ]
+    routes = set()
+    for ch in channels:
+        matrix = ch.op.matrix
+        if ch.op.dim > 1024:  # switch(3) and bw: real entries, so a dense copy held real, at half the bytes
+            assert not matrix.imag.any()
+            matrix = matrix.real
+        dense = ChannelOperator(_dense_reference(ch.op.systems, matrix), ch.outputs, ch.inputs)
+        for held in (ch, dense):
+            routes.add(_entries(held.op) is None)
+            _assert_residuals_match_the_walk(held)
+    assert routes == {True, False}
+    with pytest.raises(KeyError):
+        channel_influence_residual(channels[-1], SystemLabel("x", 2), "c")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    in_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    out_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    rank=st.integers(1, 3),
+    permutation=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_influence_residuals_match_the_walk_on_random_channels(in_dims, out_dims, rank, permutation, seed):
+    # Kraus operators cut from a Stinespring isometry: the first columns of a
+    # Haar unitary (dense) or of a permutation (a sparse CJ operator)
+    rng = np.random.default_rng(seed)
+    ins = tuple(SystemLabel(f"i{k}", dim) for k, dim in enumerate(in_dims))
+    outs = tuple(SystemLabel(f"o{k}", dim) for k, dim in enumerate(out_dims))
+    d_in, d_out = int(np.prod(in_dims)), int(np.prod(out_dims))
+    width = d_out * max(rank, -(-d_in // d_out))
+    u = np.eye(width, dtype=complex)[:, rng.permutation(width)] if permutation else haar_unitary(width, rng)
+    kraus = [u[e : e + d_out, :d_in] for e in range(0, width, d_out)]
+    _assert_residuals_match_the_walk(cj_from_kraus(kraus, ins, outs))
 
 
 def test_input_signals_identity_vs_constant(rng):

@@ -3,7 +3,9 @@
 An operator marks its stored arrays read-only, so the table it keeps cannot
 disagree with its matrix; every table reader (``type_norms``,
 ``validate_process``, ``signalling_residual``, the dense comb residuals)
-shares it, and no result depends on which reader built it first.
+shares it, and no result depends on which reader built it first. The
+influence residuals of ``discover`` and ``unitary_causal_separability`` read
+it too.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from causalproc import (
     comb_check,
     comb_from_circuit,
     comb_search,
+    discover,
     identity_operator,
+    influence_residuals,
     make_mix_example,
     make_switch,
     process_operator,
@@ -38,6 +42,7 @@ from causalproc import (
     reorder,
     signalling_residual,
     type_norms,
+    unitary_causal_separability,
     validate_process,
     write_process_file,
 )
@@ -135,6 +140,27 @@ def test_one_table_per_operator_across_every_reader(builds):
         assert len(builds) == 1
 
 
+def test_validate_discover_and_separability_build_one_table(builds):
+    # the dense 1024-dim chain reads it for the edges and the comb check of
+    # its order; the sparse switch(3) for the edges (its graph is cyclic)
+    chain = random_unitary_chain(3, np.random.default_rng(0)).process
+    switch = make_switch(3).process
+    assert labeled._entries(chain.op) is None and labeled._entries(switch.op) is not None
+    for sigma, built in ((chain, chain.op), (switch, switch.op.systems)):
+        builds.clear()
+        assert validate_process(sigma).valid
+        graph = discover(sigma)[0]
+        verdict = unitary_causal_separability(sigma)
+        assert verdict.graph == graph and verdict.separable == (sigma is chain)
+        comb_check(sigma, verdict.order or sigma.node_names)
+        assert len(builds) == 1 and builds[0] is built
+        # a cold discover builds the table itself: its edges are read off it
+        cold = _fresh(sigma)
+        builds.clear()
+        assert discover(cold)[0] == graph
+        assert len(builds) == 1 and cold.op._squares is not None
+
+
 def _one_way_comb(rng, first, second):
     init = LabeledOperator((SystemLabel("w0", 2),), random_state(2, rng))
     ch = channel_from_unitary(LinearMap(haar_unitary(2, rng), (SystemLabel("wX", 2),), (SystemLabel("w1", 2),)))
@@ -191,8 +217,8 @@ def _corpus():
 def test_results_do_not_depend_on_which_reader_built_the_table():
     for sigma in _corpus():
         # one copy's table is built by validation, the other's by the comb
-        # residuals (a sparse one's by validation only: its comb residuals
-        # walk the marginals)
+        # residuals (a sparse one's by the influence residuals: its comb
+        # residuals walk the marginals)
         warm, fresh = _fresh(sigma), _fresh(sigma)
         verdict = validate_process(warm)
         assert warm.op._squares is not None and fresh.op._squares is None
@@ -203,6 +229,7 @@ def test_results_do_not_depend_on_which_reader_built_the_table():
         assert comb_search(warm) == found
         if found is not None:
             assert comb_check(fresh, found).residuals == comb_check(warm, found).residuals
+        assert influence_residuals(fresh.channel) == influence_residuals(warm.channel)
         assert _bits(validate_process(fresh)) == _bits(verdict) == _bits(validate_process(warm))
 
 
