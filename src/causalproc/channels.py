@@ -18,10 +18,8 @@ from .labeled import (
     LinearMap,
     SystemLabel,
     _as_key,
-    _blocks,
     _entries,
-    _hermitian_entries,
-    _hermitian_part,
+    _positivity,
     _sum_duplicates,
     _traced_entries,
     cj_operator,
@@ -65,24 +63,18 @@ class ChannelOperator:
 
     def cptp_residuals(self) -> dict[str, float]:
         """Residuals of complete positivity (min eigenvalue) and trace preservation.
-        An operator routed on its stored entries is read on them: its
-        Hermitian part's spectrum is the union of its connected blocks', and
-        ‖Tr_out − 1‖ is taken on the partial trace's entries."""
-        op, d, entries = self.op, math.prod(s.dim for s in self.inputs), _entries(self.op)
-        if entries is None:
-            herm, h = _hermitian_part(op.matrix)
-            blocks = [h[None]]
+        The Hermitian residual and the smallest eigenvalue come from
+        ``labeled._positivity``, so an operator routed on its stored entries
+        is read on them, block by block, and a NaN or infinite entry reports a
+        NaN eigenvalue; ‖Tr_out − 1‖ is taken on the partial trace's entries."""
+        op, d = self.op, math.prod(s.dim for s in self.inputs)
+        herm, _, min_eig = _positivity(op, 0.0, "eigh")
+        if _entries(op) is None:
             off = partial_trace(op, self.outputs).matrix - np.eye(d)
         else:
-            herm, h_index, h = _hermitian_entries(*entries, op.dim)
-            blocks = _blocks(h_index, h, op.dim)
             index, values = _traced_entries(op, {s.key for s in self.outputs})
             off = _sum_duplicates(np.concatenate([index, np.arange(d) * (d + 1)]), np.concatenate([values, -np.ones(d)]))[1]
-        return {
-            "hermitian": herm,
-            "min_eigenvalue": min(float(np.linalg.eigvalsh(b).min()) for b in blocks),
-            "trace_preserving": float(np.linalg.norm(off)),
-        }
+        return {"hermitian": herm, "min_eigenvalue": min_eig, "trace_preserving": float(np.linalg.norm(off))}
 
 
 def cj_from_kraus(kraus, in_systems, out_systems) -> ChannelOperator:

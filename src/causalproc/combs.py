@@ -56,7 +56,8 @@ def comb_check(sigma: ProcessOperator, order, tol: float = 1e-9) -> CombVerdict:
 
     For each l (from the last node down), the marginal over nodes after
     position l must be independent of node l's output. Residuals use the
-    normalized distance and are reported in order positions 1..n.
+    normalized distance and are reported in order positions 1..n. The order
+    is accepted iff every residual is within tol, which a NaN one is not.
     """
     order = tuple(order)
     if sorted(order) != sorted(sigma.node_names):
@@ -67,7 +68,7 @@ def comb_check(sigma: ProcessOperator, order, tol: float = 1e-9) -> CombVerdict:
         residuals.append(residual(traced, name))
         traced += (name,)
     residuals = tuple(reversed(residuals))
-    return CombVerdict(order, residuals, bool(max(residuals) <= tol), tol)
+    return CombVerdict(order, residuals, all(r <= tol for r in residuals), tol)
 
 
 def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
@@ -92,7 +93,7 @@ def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
         if remaining in dead:
             return None
         for name in sorted(remaining):
-            if residual(traced, name) > tol:
+            if not residual(traced, name) <= tol:
                 continue
             sub = dfs(remaining - {name}, traced + (name,))
             if sub is not None:

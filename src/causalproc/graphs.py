@@ -193,14 +193,14 @@ def make_unitary_process(nodes, u: LinearMap, tol: float = 1e-9) -> UnitaryProce
 
 def causal_structure_unitary(sigma: ProcessOperator, tol: float = 1e-9) -> DirectedGraph:
     """Influence graph of the process read as a channel: edge j -> i (j != i)
-    iff the residual of A_j.out on A_i.in exceeds tol. It is the causal
-    structure only of a process that passes ``is_isometric``: a mixture of
-    unitary processes can signal along edges that none of them has."""
+    unless the residual of A_j.out on A_i.in is within tol (NaN is not). It is
+    the causal structure only of a process that passes ``is_isometric``: a
+    mixture of unitary processes can signal along edges that none of them has."""
     node_of = {s.name: n.name for n in sigma.nodes for s in (n.in_system, n.out_system)}
     edges = {
         (node_of[j], node_of[i])
         for (j, i), r in influence_residuals(sigma.channel).items()
-        if r > tol and node_of[j] != node_of[i]
+        if not r <= tol and node_of[j] != node_of[i]
     }
     return DirectedGraph(tuple(sigma.node_names), frozenset(edges))
 
@@ -247,10 +247,11 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
 
     Each node's factor conditions on its graph parents. Accepted iff every
     factor is a channel (PSD, trace-preserving), all factors commute, and the
-    ordered product reproduces sigma. Factors routed on their stored entries
-    are multiplied, compared and normed on them. Each commutator's two
-    products are formed in one system order, and the ordered product is
-    compared with sigma without being put in sigma's order.
+    ordered product reproduces sigma, each residual within tol (NaN is not).
+    Factors routed on their stored entries are multiplied, compared and normed
+    on them. Each commutator's two products are formed in one system order,
+    and the ordered product is compared with sigma without being put in
+    sigma's order.
     """
     if set(graph.vertices) != set(sigma.node_names):
         raise ValueError("graph vertices must match the process nodes")
@@ -261,7 +262,7 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
     for name, ch in factors.items():
         r = ch.cptp_residuals()
         chres[name] = r
-        if r["hermitian"] > tol or r["min_eigenvalue"] < -tol or r["trace_preserving"] > tol:
+        if not (r["hermitian"] <= tol and r["min_eigenvalue"] >= -tol and r["trace_preserving"] <= tol):
             ok = False
 
     ops = {name: factors[name].op for name in factors}
@@ -272,11 +273,11 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
         x = _multiply(ops[a], ops[b])
         res = _norms(x, _multiply(ops[b], ops[a], x.systems))[0] / max(1.0, norms[a] * norms[b])
         comm[(a, b)] = res
-        if res > tol:
+        if not res <= tol:
             ok = False
 
     pres = _product_distance([ops[nm] for nm in names], sigma.op)
-    if pres > tol:
+    if not pres <= tol:
         ok = False
     return MarkovFactorization(graph, factors, chres, comm, pres, bool(ok), tol)
 

@@ -214,8 +214,8 @@ def _type_bits(keys) -> dict[tuple, int]:
 
 
 def _table(keys, squares: np.ndarray) -> dict[tuple, float]:
-    """The positive squared norms, indexed by type bit mask, as norms keyed by type."""
+    """The nonzero squared norms (NaN too), by type bit mask, as norms keyed by type."""
     bit, out = _type_bits(keys), {}
-    for mask in np.flatnonzero(squares > 0.0).tolist():
+    for mask in np.flatnonzero(squares != 0.0).tolist():
         out[tuple(key for key, b in bit.items() if mask & b)] = math.sqrt(squares[mask])
     return out

@@ -385,6 +385,47 @@ def _blocks(index: np.ndarray, h: np.ndarray, d: int) -> list[np.ndarray]:
     return blocks
 
 
+def _psd_test(blocks: list[np.ndarray], tol: float, method: str) -> tuple[bool, float]:
+    """(psd_ok, min_eigenvalue) of the Hermitian operator with these stacks of
+    diagonal blocks, which ``_positivity`` owns. The "cholesky" method proves
+    the spectrum above -tol by factoring each block + tol·I, with tol added in
+    place and the diagonals restored bit for bit if one fails, and leaves the
+    eigenvalue NaN; eigvalsh runs only then, or for "eigh"."""
+    if method == "cholesky":
+        diagonals = [np.einsum("kii->ki", b) for b in blocks]
+        saved = [x.copy() for x in diagonals]
+        try:
+            for b, x in zip(blocks, diagonals):
+                x += tol
+                np.linalg.cholesky(b)
+            return True, float("nan")
+        except np.linalg.LinAlgError:
+            for x, y in zip(diagonals, saved):
+                x[...] = y
+    min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
+    return min_eig >= -tol, min_eig
+
+
+def _positivity(op: LabeledOperator, tol: float, method: str) -> tuple[float, bool, float]:
+    """(‖m − m†‖_F, psd_ok, min_eigenvalue) of h = (m + m†)/2 by ``_psd_test``,
+    the one positivity reader of processes and channels. h is formed in tiles
+    (``_hermitian_part``), or on the stored entries (``_hermitian_entries``)
+    and then tested block by block (``_blocks``); it is real where its
+    imaginary part is zero, and freed on return. A NaN or infinite entry makes
+    the residual non-finite; then positivity fails, with a NaN eigenvalue, as
+    no eigensolver would converge."""
+    entries = _entries(op)
+    if entries is None:
+        herm, h = _hermitian_part(op.matrix)
+    else:
+        herm, index, h = _hermitian_entries(*entries, op.dim)
+    if not math.isfinite(herm):
+        return herm, False, math.nan
+    if np.iscomplexobj(h) and not h.imag.any():  # -0.0 is zero, NaN is not
+        h = h.real
+    return herm, *_psd_test([h[None]] if entries is None else _blocks(index, h, op.dim), tol, method)
+
+
 def identity_operator(systems) -> LabeledOperator:
     """The identity on ``systems``, held sparse from 4 dimensions up by ``sorted_coo``'s rule."""
     systems = tuple(systems)

@@ -24,10 +24,8 @@ from .labeled import (
     LinearMap,
     SystemLabel,
     _TILE,
-    _blocks,
     _entries,
-    _hermitian_entries,
-    _hermitian_part,
+    _positivity,
     cj_operator,
     distance,
     identity_operator,
@@ -181,18 +179,15 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     positive semidefinite by a pivoted Cholesky factor in O(d²·rank), and the
     certified lower bound -δ on its spectrum is reported as
     ``min_eigenvalue``; the certificate reads the operator itself and forms
-    no Hermitian part, and the eigenvalues are computed only if it fails.
-    Above 2048 dimensions positivity is certified by a Cholesky
-    factorization of the shifted operator, which proves the spectrum is above
-    -tol without computing it; the smallest eigenvalue is computed only if
-    that fails. The forbidden norm and the offending types come from one
-    table of type norms, whose components are mutually orthogonal. An
-    operator routed on its stored entries (``labeled._entries``, counted once
-    per operator) is checked on them and its positivity block by block; a
-    dense one that the certificate does not prove positive gets its Hermitian
-    part from one tiled pass, freed before the table is built. A NaN or
-    infinite entry makes the Hermitian residual non-finite, and then
-    positivity fails with no eigensolver run, which would not converge."""
+    no Hermitian part. Otherwise the Hermitian residual and positivity come
+    from ``labeled._positivity``: eigvalsh, or above 2048 dimensions a
+    Cholesky factorization of the shifted part, which proves the spectrum is
+    above -tol without computing it (the smallest eigenvalue is computed only
+    if that fails). An operator routed on its stored entries
+    (``labeled._entries``, counted once per operator) is checked on them, its
+    positivity block by block. The forbidden norm and the offending types come
+    from one table of type norms, whose components are mutually orthogonal; a
+    NaN squared norm counts as nonzero. A NaN or infinite entry passes no check."""
     d, entries = sigma.op.dim, _entries(sigma.op)
     method = "cholesky" if d > 2048 else "eigh"
     certified = None
@@ -201,33 +196,23 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
         norm, trace = math.sqrt(np.vdot(m, m).real), np.trace(m)
         if method == "eigh" and math.isfinite(norm):
             certified = _low_rank_psd(m, norm, tol)
-        herm, h = (certified[0], None) if certified else _hermitian_part(m)
     else:
         index, values = entries
         norm = float(np.linalg.norm(values))
-        herm, h_index, h = _hermitian_entries(index, values, d)
         trace = values[index % (d + 1) == 0].sum()  # the diagonal's flat indices are the multiples of d + 1
-    herm_ok = herm <= tol * max(1.0, norm)
-    if certified:
-        psd_ok, min_eig = True, certified[1]
-    elif not math.isfinite(herm):  # a NaN or infinite entry: no eigensolver converges on it
-        psd_ok, min_eig = False, math.nan
-    else:
-        if np.iscomplexobj(h) and not h.imag.any():  # -0.0 is zero, NaN is not
-            h = h.real
-        psd_ok, min_eig = _psd_test([h[None]] if entries is None else _blocks(h_index, h, d), tol, method)
-    del h  # before _type_squares copies a dense m
+    herm, psd_ok, min_eig = certified or _positivity(sigma.op, tol, method)
+    threshold = tol * max(1.0, norm)  # infinite for an infinite entry, which then passes no check
+    herm_ok = herm <= threshold < math.inf
 
     expected = sigma.expected_trace()
     trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
 
     keys, squares = _type_squares(sigma.op)
     bit, types = _type_bits(keys), np.arange(squares.size)
-    forbidden = np.flatnonzero((types != 0) & ~_witnessed(types, bit, sigma.nodes) & (squares > 0.0))
+    forbidden = np.flatnonzero((types != 0) & ~_witnessed(types, bit, sigma.nodes) & (squares != 0.0))
     norms = np.sqrt(squares[forbidden]).tolist()
     fnorm = math.hypot(*norms)
-    threshold = tol * max(1.0, norm)
-    type_ok = fnorm <= threshold
+    type_ok = fnorm <= threshold < math.inf
     names = [
         (val, "*".join(name + ("'" if is_dual else "") for (name, is_dual), b in bit.items() if mask & b))
         for mask, val in zip(forbidden.tolist(), norms)
@@ -258,30 +243,8 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     )
 
 
-def _psd_test(blocks: list[np.ndarray], tol: float, method: str) -> tuple[bool, float]:
-    """(psd_ok, min_eigenvalue) of the Hermitian operator with these stacks
-    of diagonal blocks, which are the caller's own. With the "cholesky" method
-    a factorization of each block + tol·I certifies the spectrum above -tol
-    and the eigenvalue stays NaN; tol is added in place on the diagonals, which
-    are restored, bit for bit, for eigvalsh if a factorization fails. The
-    eigenvalues are computed only then."""
-    if method == "cholesky":
-        diagonals = [np.einsum("kii->ki", b) for b in blocks]
-        saved = [x.copy() for x in diagonals]
-        try:
-            for b, x in zip(blocks, diagonals):
-                x += tol
-                np.linalg.cholesky(b)
-            return True, float("nan")
-        except np.linalg.LinAlgError:
-            for x, y in zip(diagonals, saved):
-                x[...] = y
-    min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
-    return min_eig >= -tol, min_eig
-
-
-def _low_rank_psd(m: np.ndarray, norm: float, tol: float) -> tuple[float, float] | None:
-    """(‖m − m†‖, -δ) if a pivoted Cholesky factor l of rank k < d proves the
+def _low_rank_psd(m: np.ndarray, norm: float, tol: float) -> tuple[float, bool, float] | None:
+    """(‖m − m†‖, True, -δ) if a pivoted Cholesky factor l of rank k < d proves the
     Hermitian part h = (m + m†)/2 of the dense m positive semidefinite, else
     None. δ bounds ‖h - l·lᴴ‖ and the rounding in forming it; l·lᴴ ⪰ 0 has a
     zero eigenvalue, so by Weyl's inequality λ_min(h) ∈ [-δ, δ]. Taken only if
@@ -290,7 +253,7 @@ def _low_rank_psd(m: np.ndarray, norm: float, tol: float) -> tuple[float, float]
     steps keep a full-rank h O(d²). h is never formed: each pivot column is
     read from m as (m[:, p] + m[p, :]*)/2, which has the bits of h[:, p], and
     one walk over m's upper tiles, each with its mirror tile, sums ‖m − m†‖²
-    as ``_hermitian_part`` does, bit for bit, and ‖2h − 2·l·lᴴ‖², with nothing
+    as ``labeled._hermitian_part`` does, bit for bit, and ‖2h − 2·l·lᴴ‖², with nothing
     of m's size allocated. l is real where h is, that is where m's imaginary
     part is symmetric; that check stops at the first tile where it is not."""
     m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
@@ -324,7 +287,7 @@ def _low_rank_psd(m: np.ndarray, norm: float, tol: float) -> tuple[float, float]
     herm = math.sqrt(herm)
     delta = math.sqrt(squares) / 2 + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
     if delta <= tol and delta <= d * eps * norm and math.isfinite(herm):
-        return herm, 0.0 - delta  # +0.0, never -0.0, when δ is 0
+        return herm, True, 0.0 - delta  # +0.0, never -0.0, when δ is 0
     return None
 
 
@@ -342,7 +305,7 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
     nodes = [n for n in sigma.nodes if n.name in names]
     keys, squares = _type_squares(sigma.op)
     bit, types = _type_bits(keys), np.arange(squares.size)
-    unwitnessed = np.flatnonzero(~_witnessed(types, bit, nodes) & (squares > 0.0))
+    unwitnessed = np.flatnonzero(~_witnessed(types, bit, nodes) & (squares != 0.0))
     factors = sum(bit.get(k, 0) for n in nodes for k in (n.in_system.key, n.out_dual.key))
     norms = np.sqrt(squares[unwitnessed])
     residual = math.hypot(*norms[unwitnessed & factors != 0].tolist())

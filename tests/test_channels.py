@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,12 @@ from causalproc import (
     channel_influence_residual,
     channel_no_influence,
     cj_from_kraus,
+    discover,
     influence_residuals,
     input_signals,
     instrument_from_kraus,
+    make_af,
+    make_bw_extension,
     make_mix_example,
     make_switch,
     preparation_instrument,
@@ -185,25 +190,64 @@ def test_influence_residuals_match_the_marginal_walk(switch_up, bw_up, af_proces
         channel_influence_residual(channels[-1], SystemLabel("x", 2), "c")
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    in_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
-    out_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
-    rank=st.integers(1, 3),
-    permutation=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_influence_residuals_match_the_walk_on_random_channels(in_dims, out_dims, rank, permutation, seed):
-    # Kraus operators cut from a Stinespring isometry: the first columns of a
-    # Haar unitary (dense) or of a permutation (a sparse CJ operator)
+def _random_channel(in_dims, out_dims, rank, permutation, seed) -> ChannelOperator:
+    """Kraus operators cut from a Stinespring isometry: the first columns of a
+    Haar unitary (dense) or of a permutation (a sparse CJ operator)."""
     rng = np.random.default_rng(seed)
     ins = tuple(SystemLabel(f"i{k}", dim) for k, dim in enumerate(in_dims))
     outs = tuple(SystemLabel(f"o{k}", dim) for k, dim in enumerate(out_dims))
     d_in, d_out = int(np.prod(in_dims)), int(np.prod(out_dims))
     width = d_out * max(rank, -(-d_in // d_out))
     u = np.eye(width, dtype=complex)[:, rng.permutation(width)] if permutation else haar_unitary(width, rng)
-    kraus = [u[e : e + d_out, :d_in] for e in range(0, width, d_out)]
-    _assert_residuals_match_the_walk(cj_from_kraus(kraus, ins, outs))
+    return cj_from_kraus([u[e : e + d_out, :d_in] for e in range(0, width, d_out)], ins, outs)
+
+
+_random_channels = dict(
+    in_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    out_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    rank=st.integers(1, 3),
+    permutation=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_random_channels)
+def test_influence_residuals_match_the_walk_on_random_channels(in_dims, out_dims, rank, permutation, seed):
+    _assert_residuals_match_the_walk(_random_channel(in_dims, out_dims, rank, permutation, seed))
+
+
+def _assert_cptp_residuals_agree_dense(ch: ChannelOperator) -> bool:
+    """ch.cptp_residuals() against its ``_dense_reference`` copy's; True iff ch is held dense."""
+    dense = ChannelOperator(_dense_reference(ch.op.systems, ch.op.matrix), ch.outputs, ch.inputs)
+    got, want = ch.cptp_residuals(), dense.cptp_residuals()
+    assert abs(got["hermitian"] - want["hermitian"]) <= 1e-14, (got, want)
+    assert abs(got["trace_preserving"] - want["trace_preserving"]) <= 1e-14, (got, want)
+    assert abs(got["min_eigenvalue"] - want["min_eigenvalue"]) <= 1e-12, (got, want)
+    return _entries(ch.op) is None
+
+
+def test_cptp_residuals_agree_on_either_storage(switch_up, bw_up, af_process, rng):
+    routes, factors = set(), []
+    for sigma in (switch_up, make_switch(3), bw_up, af_process, random_unitary_chain(3, rng)):
+        factors += discover(sigma)[1].factors.values()
+    for ch in factors:
+        routes.add(_assert_cptp_residuals_agree_dense(ch))
+    assert routes == {True, False}
+    # A NaN entry reports a NaN eigenvalue on both storages, never a passing one.
+    for ch in (f for f in factors if f.op.dim > 1):
+        m = ch.op.matrix.copy()
+        m[0, 0] = np.nan
+        for op in (LabeledOperator(ch.op.systems, m), _dense_reference(ch.op.systems, m)):
+            with np.errstate(invalid="ignore"):
+                r = ChannelOperator(op, ch.outputs, ch.inputs).cptp_residuals()
+            assert math.isnan(r["hermitian"]) and math.isnan(r["min_eigenvalue"]), r
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_random_channels)
+def test_cptp_residuals_agree_on_either_storage_on_random_channels(in_dims, out_dims, rank, permutation, seed):
+    _assert_cptp_residuals_agree_dense(_random_channel(in_dims, out_dims, rank, permutation, seed))
 
 
 def test_input_signals_identity_vs_constant(rng):

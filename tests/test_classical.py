@@ -164,6 +164,30 @@ def test_classical_compatibility_chain():
             classical_compatibility_check(kp, g, ext.extension, dist)
 
 
+def test_classical_markov_check_counts_a_negative_factor_entry():
+    # Every factor sums to one, but A's marginal is (1.5, -0.5): only the
+    # negative entry makes it no stochastic channel.
+    table = np.full((2, 2, 2, 2), 0.25)
+    table[0, 0, 0, 0] += 4.0
+    table[1, 0, 0, 0] -= 4.0
+    mk = classical_markov_check(ClassicalProcess(BITS2, table), directed_graph(["A", "B"], []))
+    assert np.array_equal(mk.factors["A"], [1.5, -0.5])
+    assert mk.stochastic_residual == 0.5 and not mk.accepted
+
+
+def test_classical_compatibility_names_a_root_factor_read_by_another_node():
+    # The chain's extension with A.in set to B's root factor: still a valid
+    # extension with the same marginal, but A reads B's memory.
+    chain = chain_process()
+    ext = reversible_extension([(1.0, chain)])
+    func = ext.extension.function.copy()
+    func.reshape(2, 2, 2, 2, 1, 4)[..., 1] = np.arange(2).reshape(1, 2, 1, 1, 1)  # axes: root A, root B, A.out, B.out, leaf
+    g = directed_graph(["A", "B"], [("A", "B")])
+    cv = classical_compatibility_check(chain.to_classical(), g, DeterministicProcess(ext.extension.nodes, func), ext.lambda_distribution)
+    assert cv.extension_valid and cv.marginal_residual == 0.0
+    assert cv.violations == ("root[B] -> A.in",) and not cv.compatible
+
+
 def test_validate_classical_rejects_negative_and_unnormalized():
     table = np.full((2, 2, 2, 2), 0.25)
     assert validate_classical(ClassicalProcess(BITS2, table)).valid

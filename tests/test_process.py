@@ -16,9 +16,12 @@ from causalproc import (
     QuantumNode,
     SystemLabel,
     channel_from_unitary,
+    comb_check,
     comb_from_circuit,
+    comb_search,
     compose_maps,
     conditional_process,
+    discover,
     distance,
     enumerate_deterministic_processes,
     hs,
@@ -44,7 +47,6 @@ from causalproc import (
     type_norms,
     validate_process,
 )
-from causalproc import process as process_module
 from causalproc.process import canonical_systems
 from causalproc.labeled import sorted_coo
 from causalproc.rand import haar_unitary, random_state
@@ -549,7 +551,7 @@ def test_certificate_read_off_the_operator_matches_the_hermitian_part_pipeline(d
             herm, psd_ok, min_eig, was_certified = _pipeline_before(m, tol)
         with monkeypatch.context() as patch:
             if was_certified:
-                patch.setattr(process_module, "_hermitian_part", refuse)
+                patch.setattr(labeled, "_hermitian_part", refuse)
             with np.errstate(invalid="ignore", over="ignore"):
                 verdict = _dense_verdict(m, tol)
         assert np.array_equal(verdict.hermitian_residual, herm, equal_nan=True)  # herm is _hermitian_part(m)[0]
@@ -669,3 +671,32 @@ def test_a_nan_or_infinite_entry_fails_validation_without_an_eigensolver(value):
             verdict = validate_process(sigma)
         assert not math.isfinite(verdict.hermitian_residual)
         assert not verdict.valid and not verdict.psd_ok and math.isnan(verdict.min_eigenvalue)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("make", [lambda: make_switch(2), make_mix_example], ids=["switch", "mix"])
+def test_a_nan_or_infinite_entry_passes_no_check_on_either_storage(make, value):
+    # A NaN residual compares False with every bound, so each check must pass
+    # only where its residual is within tol, never where it is not above it.
+    sigma = make()
+    m = sigma.op.matrix.copy()
+    m[0, 0] = value
+    held = [LabeledOperator(sigma.op.systems, m), labeled._dense_reference(sigma.op.systems, m)]
+    assert [labeled._entries(op) is None for op in held] == [False, True]
+    verdicts = []
+    for op in held:
+        broken = process_operator(sigma.nodes, op)
+        with np.errstate(invalid="ignore", over="ignore"):
+            verdict = validate_process(broken)
+            graph, mf = discover(broken)
+            passing = [o for o in itertools.permutations(broken.node_names) if comb_check(broken, o).accepted]
+            verdicts.append((
+                verdict.valid, verdict.type_ok, mf.accepted, passing, comb_search(broken),
+                no_signalling(broken, ["A"]), len(type_norms(op)), graph.edges,
+            ))
+        assert all(math.isnan(r["min_eigenvalue"]) for r in mf.channel_residuals.values())
+    assert verdicts[0] == verdicts[1]
+    valid, type_ok, accepted, passing, found, silent, types, _ = verdicts[0]
+    assert not valid and not type_ok and not accepted and not silent
+    assert passing == [] and found is None
+    assert types == 2 ** sum(s.dim > 1 for s in sigma.op.systems)  # no NaN type is dropped
