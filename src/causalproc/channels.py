@@ -143,6 +143,6 @@ def channel_no_influence(ch: ChannelOperator, in_ref, out_ref, tol: float = 1e-9
 def input_signals(ch: ChannelOperator, in_ref, tol: float = 1e-9) -> bool:
     """True iff the channel output depends on the given input at all.
 
-    Tests  ρ ≠ (1/d) Tr_{X*}[ρ] ⊗ 1_{X*}  on the full CJ operator's table.
-    """
-    return _marginal_residual(ch.op, [], (_as_key(in_ref, ch.inputs)[0], True)) > tol
+    Tests  ρ ≠ (1/d) Tr_{X*}[ρ] ⊗ 1_{X*}  on the full CJ operator's table; a
+    NaN residual signals."""
+    return not _marginal_residual(ch.op, [], (_as_key(in_ref, ch.inputs)[0], True)) <= tol

@@ -570,7 +570,7 @@ def _normalization_rows(nodes, budget: int) -> np.ndarray:
     return np.einsum(*operands, list(range(3 * n))).reshape(-1, int(np.prod(_interleaved_shape(nodes))))
 
 
-def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET, seed: int = 0, attempts: int = 64):
+def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET):
     """A valid classical process outside the deterministic hull, found by LP.
 
     Maximizes linear functionals over the validity polytope; each optimizer is
@@ -588,7 +588,7 @@ def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET, seed: int
 
     vertices = enumerate_deterministic_processes(nodes, budget)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     directions = []
     # structured candidates: reward agreement with cyclic copies of out-values
     for shift in range(1, n):
@@ -599,7 +599,7 @@ def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET, seed: int
                 d[tuple(v for i in range(n) for v in (ins[i], outs[i]))] = 1.0
         directions.append(d.reshape(-1))
         directions.append(-d.reshape(-1))
-    for _ in range(attempts):
+    for _ in range(64):
         directions.append(rng.normal(size=size))
 
     for c in directions:

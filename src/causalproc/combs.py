@@ -227,7 +227,8 @@ def bipartite_separability(
     over both out-spaces plus the offset L_{B≺A}(sigma) - P_{Ao,Bo}(sigma).
     A found split is re-validated (normalized components must be valid
     processes) before "separable" is reported; otherwise the verdict is
-    "inconclusive".
+    "inconclusive". A NaN or infinite entry, on which the loop's eigensolver
+    would not converge, raises ValueError naming the entry.
     """
     if len(sigma.nodes) != 2:
         raise ValueError("bipartite separability needs exactly two nodes")
@@ -245,6 +246,9 @@ def bipartite_separability(
 
     sig = sigma.op
     s = sig.matrix
+    if not np.isfinite(s).all():
+        i, j = np.argwhere(~np.isfinite(s))[0]
+        raise ValueError(f"sigma's entry [{i}, {j}] is {s[i, j]}, not finite")
     na, nb = sigma.nodes
     outs = [na.out_dual.key, nb.out_dual.key]
     a_out = project_trivial(sig, [na.out_dual.key])

@@ -11,6 +11,7 @@ starts with the identity, on a dense copy or on the stored entries.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -208,14 +209,27 @@ def _class_weights(d: int) -> np.ndarray:
     return w
 
 
+def _unwitnessed(op: LabeledOperator, nodes) -> dict[tuple, float]:
+    """``type_norms(op)`` over the types, in bit mask order, that no node of
+    ``nodes`` (``process.QuantumNode``) witnesses by being nontrivial on its in
+    factor and trivial on its out-dual factor: a process may hold only the
+    identity () and witnessed types (Oreshkov, Costa and Brukner)."""
+    keys, squares = _type_squares(op)
+    bit, types = _type_bits(keys), np.arange(squares.size)
+    witnessed = np.zeros(types.size, dtype=bool)
+    for n in nodes:
+        witnessed |= (types & bit.get(n.in_system.key, 0) != 0) & (types & bit.get(n.out_dual.key, 0) == 0)
+    return _table(keys, squares, ~witnessed)
+
+
 def _type_bits(keys) -> dict[tuple, int]:
     """Bit len(keys)-1-j of a type bit mask is set iff the type contains keys[j]."""
     return {key: 1 << (len(keys) - 1 - j) for j, key in enumerate(keys)}
 
 
-def _table(keys, squares: np.ndarray) -> dict[tuple, float]:
-    """The nonzero squared norms (NaN too), by type bit mask, as norms keyed by type."""
-    bit, out = _type_bits(keys), {}
-    for mask in np.flatnonzero(squares != 0.0).tolist():
-        out[tuple(key for key, b in bit.items() if mask & b)] = math.sqrt(squares[mask])
-    return out
+def _table(keys, squares: np.ndarray, select=True) -> dict[tuple, float]:
+    """The nonzero squared norms (NaN too) of the ``select``ed type bit masks,
+    as norms keyed by type, in mask order."""
+    masks = np.flatnonzero((squares != 0.0) & select)
+    members = (masks[:, None] & np.array([*_type_bits(keys).values()], dtype=np.int64)).tolist()
+    return dict(zip((tuple(compress(keys, row)) for row in members), np.sqrt(squares[masks]).tolist()))

@@ -539,19 +539,18 @@ def transpose_systems(op: LabeledOperator, refs) -> LabeledOperator:
     return _permuted(op, axes, systems)
 
 
-def fuse(op: LabeledOperator, refs, name: str, dual_flag: bool | None = None) -> LabeledOperator:
+def fuse(op: LabeledOperator, refs, name: str) -> LabeledOperator:
     """Merge the listed systems (in the given order) into one composite system.
 
-    The composite index of the new system is row-major over ``refs``.
-    """
+    The composite index of the new system is row-major over ``refs``; the
+    systems must share the dual flag it takes."""
     keys = [_as_key(r, op.systems) for r in refs]
     rest = [s for s in op.systems if s.key not in keys]
     group = [op.system(k) for k in keys]
-    if dual_flag is None:
-        flags = {s.dual for s in group}
-        if len(flags) != 1:
-            raise ValueError("fusing systems with mixed dual flags needs dual_flag")
-        dual_flag = flags.pop()
+    flags = {s.dual for s in group}
+    if len(flags) != 1:
+        raise ValueError("cannot fuse systems with mixed dual flags")
+    (dual_flag,) = flags
     moved = reorder(op, keys + [s.key for s in rest])
     fused = SystemLabel(name, math.prod(s.dim for s in group), dual_flag)
     return _relabeled(moved, (fused,) + tuple(rest))

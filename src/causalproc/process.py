@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelOperator, cj_from_kraus
-from .hs import _type_bits, _type_squares
+from .hs import _unwitnessed
 from .labeled import (
     LabeledOperator,
     LinearMap,
@@ -162,16 +162,6 @@ class ValidationVerdict:
     tol: float
 
 
-def _witnessed(types: np.ndarray, bit: dict, nodes) -> np.ndarray:
-    """Mask of the type bit masks ``types`` (over ``bit``) in which some node
-    is nontrivial on its in factor and trivial on its out-dual factor: a type
-    is allowed in a process iff it is the identity or witnessed."""
-    out = np.zeros(types.size, dtype=bool)
-    for n in nodes:
-        out |= (types & bit.get(n.in_system.key, 0) != 0) & (types & bit.get(n.out_dual.key, 0) == 0)
-    return out
-
-
 def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVerdict:
     """Check positivity, total trace, and the allowed-type support condition.
 
@@ -185,9 +175,10 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     above -tol without computing it (the smallest eigenvalue is computed only
     if that fails). An operator routed on its stored entries
     (``labeled._entries``, counted once per operator) is checked on them, its
-    positivity block by block. The forbidden norm and the offending types come
-    from one table of type norms, whose components are mutually orthogonal; a
-    NaN squared norm counts as nonzero. A NaN or infinite entry passes no check."""
+    positivity block by block. The forbidden norm and the offending types are
+    read off the non-identity types no node witnesses (``hs._unwitnessed``),
+    which are mutually orthogonal; a NaN norm counts as nonzero. A NaN or
+    infinite entry passes no check."""
     d, entries = sigma.op.dim, _entries(sigma.op)
     method = "cholesky" if d > 2048 else "eigh"
     certified = None
@@ -207,15 +198,12 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     expected = sigma.expected_trace()
     trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
 
-    keys, squares = _type_squares(sigma.op)
-    bit, types = _type_bits(keys), np.arange(squares.size)
-    forbidden = np.flatnonzero((types != 0) & ~_witnessed(types, bit, sigma.nodes) & (squares != 0.0))
-    norms = np.sqrt(squares[forbidden]).tolist()
-    fnorm = math.hypot(*norms)
+    forbidden = {key: val for key, val in _unwitnessed(sigma.op, sigma.nodes).items() if key}
+    fnorm = math.hypot(*forbidden.values())
     type_ok = fnorm <= threshold < math.inf
     names = [
-        (val, "*".join(name + ("'" if is_dual else "") for (name, is_dual), b in bit.items() if mask & b))
-        for mask, val in zip(forbidden.tolist(), norms)
+        (val, "*".join(name + ("'" if is_dual else "") for name, is_dual in key))
+        for key, val in forbidden.items()
         if val > threshold
     ]
     # Norms equal to 12 significant digits tie and are ordered by name, so that
@@ -303,13 +291,10 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
     if not names or not names < all_names:
         raise ValueError("from_nodes must be a nonempty proper subset of the nodes")
     nodes = [n for n in sigma.nodes if n.name in names]
-    keys, squares = _type_squares(sigma.op)
-    bit, types = _type_bits(keys), np.arange(squares.size)
-    unwitnessed = np.flatnonzero(~_witnessed(types, bit, nodes) & (squares != 0.0))
-    factors = sum(bit.get(k, 0) for n in nodes for k in (n.in_system.key, n.out_dual.key))
-    norms = np.sqrt(squares[unwitnessed])
-    residual = math.hypot(*norms[unwitnessed & factors != 0].tolist())
-    return residual / max(1.0, math.hypot(*norms.tolist()))
+    unwitnessed = _unwitnessed(sigma.op, nodes)
+    factors = {k for n in nodes for k in (n.in_system.key, n.out_dual.key)}
+    residual = math.hypot(*(val for key, val in unwitnessed.items() if factors.intersection(key)))
+    return residual / max(1.0, math.hypot(*unwitnessed.values()))
 
 
 def no_signalling(sigma: ProcessOperator, from_nodes, tol: float = 1e-9) -> bool:

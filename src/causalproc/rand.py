@@ -38,10 +38,9 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def random_state(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix from the Ginibre ensemble (full rank by default)."""
-    r = d if rank is None else rank
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+def random_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density matrix from the Ginibre ensemble."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -59,22 +58,20 @@ def random_signalling_channel(
     out_system: SystemLabel,
     probe_input,
     rng: np.random.Generator,
-    tol: float = 1e-6,
-    max_tries: int = 50,
 ) -> ChannelOperator:
     """Random CPTP channel whose output demonstrably depends on probe_input.
 
     ``in_system`` may be a tuple of labels; ``probe_input`` names the one whose
-    influence is required. Resamples until input_signals is clearly true.
+    influence is required. Resamples, up to 50 times, until it clearly signals.
     """
     ins = in_system if isinstance(in_system, tuple) else (in_system,)
     outs = out_system if isinstance(out_system, tuple) else (out_system,)
     d_in = int(np.prod([s.dim for s in ins]))
     d_out = int(np.prod([s.dim for s in outs]))
-    for _ in range(max_tries):
+    for _ in range(50):
         kraus = random_cptp(d_in, d_out, rng)
         ch = cj_from_kraus(kraus, ins, outs)
-        if input_signals(ch, probe_input, tol):
+        if input_signals(ch, probe_input, 1e-6):
             return ch
     raise RuntimeError("could not sample a signalling channel")
 

@@ -27,6 +27,7 @@ from causalproc import (
     make_mix_example,
     make_switch,
     preparation_instrument,
+    process_operator,
     random_unitary_chain,
     readout_instrument,
 )
@@ -257,6 +258,21 @@ def test_input_signals_identity_vs_constant(rng):
     const = cj_from_kraus([np.array([[1, 0], [0, 0]], dtype=complex),
                            np.array([[0, 1], [0, 0]], dtype=complex)], (a,), (b,))
     assert not input_signals(const, "a")
+
+
+def test_a_nan_entry_signals_from_every_input_on_either_storage():
+    # A NaN residual is not within tol, so it reads as "signals". A
+    # one-dimensional input is trivial on every type and never signals.
+    sigma = make_switch(2).process
+    m = sigma.op.matrix.copy()
+    m[0, 0] = np.nan
+    held = [LabeledOperator(sigma.op.systems, m), _dense_reference(sigma.op.systems, m)]
+    assert [_entries(op) is None for op in held] == [False, True]
+    for op in held:
+        ch = process_operator(sigma.nodes, op).channel
+        with np.errstate(invalid="ignore"):
+            got = {s.name: input_signals(ch, s) for s in ch.inputs}
+        assert got == {s.name: s.dim > 1 for s in ch.inputs} == {"A.out": True, "B.out": True, "P.out": True, "F.out": False}
 
 
 def test_random_signalling_channel_signals(rng):

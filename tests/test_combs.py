@@ -187,6 +187,19 @@ def test_bipartite_separability_of_mixture(rng):
         assert comb_check(part, order, tol=1e-4).accepted
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_separability_refuses_a_nan_entry_before_the_split_search(dense):
+    # The split search's eigensolver would not converge on a NaN entry.
+    sigma = make_mix_example()
+    m = sigma.op.matrix.copy()
+    m[0, 0] = np.nan
+    op = labeled._dense_reference(sigma.op.systems, m) if dense else LabeledOperator(sigma.op.systems, m)
+    assert (labeled._entries(op) is None) == dense
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"entry \[0, 0\] is \(nan") as info:
+        bipartite_separability(process_operator(sigma.nodes, op))
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 def test_order_projectors_compose_to_one_projection(rng):
     """The (A before B) and (B before A) type projectors commute, and their
     product is the one projection over both out-spaces that the split search

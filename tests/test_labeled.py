@@ -99,6 +99,8 @@ def test_fuse_and_split_round_trip(rng):
     back = split_system(f, "ab", [a, b])
     assert back.systems == (a, b)
     assert np.abs(back.matrix - m).max() < 1e-14
+    with pytest.raises(ValueError, match="mixed dual flags"):
+        fuse(LabeledOperator((a, dual(b)), m), [a, dual(b)], "ab")
 
 
 def test_product_embeds_factors(rng):

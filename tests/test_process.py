@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalproc import (
     ClassicalNode,
@@ -23,6 +25,7 @@ from causalproc import (
     conditional_process,
     discover,
     distance,
+    embed,
     enumerate_deterministic_processes,
     hs,
     identity_operator,
@@ -700,3 +703,49 @@ def test_a_nan_or_infinite_entry_passes_no_check_on_either_storage(make, value):
     assert not valid and not type_ok and not accepted and not silent
     assert passing == [] and found is None
     assert types == 2 ** sum(s.dim > 1 for s in sigma.op.systems)  # no NaN type is dropped
+
+
+def _witnessed(key, nodes) -> bool:
+    """The key rule: type ``key`` is allowed iff some node's in key is in it
+    and that node's out-dual key is not."""
+    return any(n.in_system.key in key and n.out_dual.key not in key for n in nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    identities=st.integers(0, 2**6 - 1),
+    density=st.sampled_from([1.0, 0.1, 0.01]),
+    nans=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_type_verdicts_follow_the_key_rule_on_type_norms(dims, identities, density, nans, seed):
+    # A random operator on some of the nodes' systems, padded by identities on
+    # the others (bit i of ``identities`` pads system i), so that whole types
+    # are exactly zero; thinned to a sparse pattern, and with NaN entries.
+    rng = np.random.default_rng(seed)
+    nodes = [QuantumNode("ABC"[i], d_in, d_out) for i, (d_in, d_out) in enumerate(dims)]
+    systems = tuple(canonical_systems(nodes))
+    assume(math.prod(s.dim for s in systems) <= 324)
+    kept = tuple(s for i, s in enumerate(systems) if not identities >> i & 1)
+    d = math.prod(s.dim for s in kept)
+    g = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * (rng.random((d, d)) < density)
+    m = embed(LabeledOperator(kept, g), systems).matrix.copy()
+    m.reshape(-1)[rng.integers(0, m.size, nans)] = np.nan
+    for op in (LabeledOperator(systems, m), labeled._dense_reference(systems, m)):
+        sigma = process_operator(nodes, op)
+        with np.errstate(invalid="ignore", over="ignore"):
+            verdict = validate_process(sigma)
+            table = type_norms(op)
+        forbidden = [(key, val) for key, val in table.items() if key and not _witnessed(key, nodes)]
+        assert repr(verdict.forbidden_norm) == repr(math.hypot(*(val for _, val in forbidden)))
+        named = [(val, "*".join(n + "'" * dual for n, dual in key)) for key, val in forbidden if val > verdict.forbidden_threshold]
+        named.sort(key=lambda item: (float(f"{item[0]:.12g}"), item[1]), reverse=True)
+        assert verdict.offending_types == tuple(label for _, label in named[:16])
+        for r in range(1, len(nodes)):
+            for group in itertools.combinations(nodes, r):
+                factors = {k for n in group for k in (n.in_system.key, n.out_dual.key)}
+                unwitnessed = [(key, val) for key, val in table.items() if not _witnessed(key, group)]
+                residual = math.hypot(*(val for key, val in unwitnessed if factors.intersection(key)))
+                want = residual / max(1.0, math.hypot(*(val for _, val in unwitnessed)))
+                assert repr(signalling_residual(sigma, [n.name for n in group])) == repr(want), group
