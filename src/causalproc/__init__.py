@@ -1,144 +1,86 @@
 """Process operators with cyclic causal structure: construction, validation,
 Markov factorization and discovery, comb and separability analysis, classical
 (deterministic and stochastic) processes, and JSON/CLI plumbing.
+
+The namespace is lazy (PEP 562): ``import causalproc`` loads no submodule.
+A public name, or a submodule such as ``causalproc.hs``, imports its module
+on first access and is then kept here, so each CLI command loads only the
+modules it runs.
 """
 
-from .labeled import (
-    LabeledOperator,
-    LinearMap,
-    SystemLabel,
-    cj_operator,
-    compose_maps,
-    distance,
-    dual,
-    embed,
-    fuse,
-    identity_map,
-    identity_operator,
-    is_unitary,
-    partial_trace,
-    permute_map,
-    product,
-    reorder,
-    split_system,
-    tensor,
-    tensor_maps,
-    transpose_systems,
-)
-from .hs import project_trivial, type_norms
-from .channels import (
-    ChannelOperator,
-    apply_channel,
-    channel_from_unitary,
-    channel_influence_residual,
-    channel_no_influence,
-    cj_from_kraus,
-    influence_residuals,
-    input_signals,
-)
-from .rand import (
-    haar_unitary,
-    random_cptp,
-    random_instrument_kraus,
-    random_signalling_channel,
-    random_state,
-)
-from .process import (
-    Instrument,
-    InstrumentElement,
-    ProcessOperator,
-    QuantumNode,
-    ValidationVerdict,
-    comb_from_circuit,
-    conditional_process,
-    element_from_kraus,
-    instrument_from_kraus,
-    is_isometric,
-    joint_probabilities,
-    measure_prepare_element,
-    no_signalling,
-    preparation_instrument,
-    process_operator,
-    readout_instrument,
-    signalling_residual,
-    validate_process,
-)
-from .graphs import (
-    CompatibilityVerdict,
-    DirectedGraph,
-    FaithfulnessReport,
-    MarkovFactorization,
-    UnitaryProcess,
-    causal_structure_unitary,
-    compatibility_check,
-    complete_graph,
-    directed_graph,
-    discover,
-    faithfulness_check,
-    make_unitary_process,
-    markov_check,
-)
-from .combs import (
-    CombVerdict,
-    SeparabilityVerdict,
-    UnitarySeparabilityVerdict,
-    bipartite_separability,
-    comb_check,
-    comb_search,
-    unitary_causal_separability,
-)
-from .classical import (
-    ClassicalCompatibilityVerdict,
-    ClassicalMarkov,
-    ClassicalNode,
-    ClassicalProcess,
-    ClassicalValidationVerdict,
-    DeterministicProcess,
-    PolytopeVerdict,
-    ReversibleExtension,
-    causal_structure_deterministic,
-    classical_compatibility_check,
-    classical_joint_probabilities,
-    classical_markov_check,
-    enumerate_deterministic_processes,
-    find_process_outside_hull,
-    polytope_membership,
-    quantize,
-    reversible_extension,
-    validate_classical,
-    validate_deterministic,
-)
-from .exemplars import (
-    BWParts,
-    DecompositionReport,
-    MethodsCounterexample,
-    SwitchParts,
-    af_causal_graph,
-    bw_decomposition,
-    decomposition_report,
-    make_af,
-    make_af_deterministic,
-    make_bw_extension,
-    make_classical_switch,
-    make_methods_counterexample,
-    make_mix_components,
-    make_mix_example,
-    make_reduced_switch,
-    make_switch,
-    random_unitary_chain,
-    reduced_switch_causal_graph,
-    switch_causal_graph,
-    switch_decomposition,
-    verify_decomposition,
-)
-from .fileio import (
-    FORMAT_VERSION,
-    LoadedProcessFile,
-    ProcessFileError,
-    dict_to_process,
-    process_to_dict,
-    read_process_file,
-    write_process_file,
-)
+from importlib import import_module as _import_module
 
+# submodule -> the public names it defines, in the order they are exported
+_EXPORTS = {
+    "labeled": (
+        "LabeledOperator", "LinearMap", "SystemLabel", "cj_operator", "compose_maps", "distance",
+        "dual", "embed", "fuse", "identity_map", "identity_operator", "is_unitary",
+        "partial_trace", "permute_map", "product", "reorder", "split_system", "tensor",
+        "tensor_maps", "transpose_systems",
+    ),
+    "hs": ("project_trivial", "type_norms"),
+    "channels": (
+        "ChannelOperator", "apply_channel", "channel_from_unitary", "channel_influence_residual",
+        "channel_no_influence", "cj_from_kraus", "influence_residuals", "input_signals",
+    ),
+    "rand": (
+        "haar_unitary", "random_cptp", "random_instrument_kraus", "random_signalling_channel",
+        "random_state",
+    ),
+    "process": (
+        "Instrument", "InstrumentElement", "ProcessOperator", "QuantumNode", "ValidationVerdict",
+        "comb_from_circuit", "conditional_process", "element_from_kraus", "instrument_from_kraus",
+        "is_isometric", "joint_probabilities", "measure_prepare_element", "no_signalling",
+        "preparation_instrument", "process_operator", "readout_instrument", "signalling_residual",
+        "validate_process",
+    ),
+    "graphs": (
+        "CompatibilityVerdict", "DirectedGraph", "FaithfulnessReport", "MarkovFactorization",
+        "UnitaryProcess", "causal_structure_unitary", "compatibility_check", "complete_graph",
+        "directed_graph", "discover", "faithfulness_check", "make_unitary_process", "markov_check",
+    ),
+    "combs": (
+        "CombVerdict", "SeparabilityVerdict", "UnitarySeparabilityVerdict",
+        "bipartite_separability", "comb_check", "comb_search", "unitary_causal_separability",
+    ),
+    "classical": (
+        "ClassicalCompatibilityVerdict", "ClassicalMarkov", "ClassicalNode", "ClassicalProcess",
+        "ClassicalValidationVerdict", "DeterministicProcess", "PolytopeVerdict",
+        "ReversibleExtension", "causal_structure_deterministic", "classical_compatibility_check",
+        "classical_joint_probabilities", "classical_markov_check",
+        "enumerate_deterministic_processes", "find_process_outside_hull", "polytope_membership",
+        "quantize", "reversible_extension", "validate_classical", "validate_deterministic",
+    ),
+    "exemplars": (
+        "BWParts", "DecompositionReport", "MethodsCounterexample", "SwitchParts",
+        "af_causal_graph", "bw_decomposition", "decomposition_report", "make_af",
+        "make_af_deterministic", "make_bw_extension", "make_classical_switch",
+        "make_methods_counterexample", "make_mix_components", "make_mix_example",
+        "make_reduced_switch", "make_switch", "random_unitary_chain",
+        "reduced_switch_causal_graph", "switch_causal_graph", "switch_decomposition",
+        "verify_decomposition",
+    ),
+    "fileio": (
+        "FORMAT_VERSION", "LoadedProcessFile", "ProcessFileError", "dict_to_process",
+        "process_to_dict", "read_process_file", "write_process_file",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -16,11 +16,7 @@ import numpy as np
 
 from .graphs import DirectedGraph
 from .labeled import _from_entries
-from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
-
-# Default bound on the tuples of local maps and the candidate functions that
-# validation and enumeration may scan.
-ENUMERATION_BUDGET = 2**24
+from .process import ENUMERATION_BUDGET, ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = [
     "ClassicalNode",
@@ -111,10 +107,10 @@ class DeterministicProcess:
         want = tuple(n.out_card for n in self.nodes) + (len(self.nodes),)
         if f.shape != want:
             raise ValueError(f"function shape {f.shape}, expected {want}")
-        for i, n in enumerate(self.nodes):
-            vals = f[..., i]
-            if vals.min() < 0 or vals.max() >= n.in_card:
-                raise ValueError(f"in-values for node {n.name!r} out of range")
+        bad = (f < 0) | (f >= [n.in_card for n in self.nodes])
+        if bad.any():
+            first = bad.reshape(-1, len(self.nodes)).any(axis=0).argmax()
+            raise ValueError(f"in-values for node {self.nodes[first].name!r} out of range")
         object.__setattr__(self, "function", f)
 
     def to_classical(self) -> ClassicalProcess:

@@ -20,40 +20,66 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import exemplars as ex
-from .classical import (ENUMERATION_BUDGET, ClassicalProcess, causal_structure_deterministic,
-                        enumerate_deterministic_processes, polytope_membership, quantize, reversible_extension,
-                        validate_classical)
 from .combs import bipartite_separability, comb_check, comb_search
 from .fileio import ProcessFileError, _load, dict_to_process, write_process_file
 from .graphs import discover
 from .labeled import partial_trace
-from .process import ProcessOperator, validate_process
+from .process import ENUMERATION_BUDGET, ProcessOperator, validate_process
+
+if TYPE_CHECKING:
+    from .classical import ClassicalProcess
+
+
+# The classical and exemplar modules are imported by the commands that run
+# them, through these accessors, so a quantum-file command never loads them.
+def _classical():
+    from . import classical
+
+    return classical
+
+
+def _exemplars():
+    from . import exemplars
+
+    return exemplars
 
 
 def _with_structure(dp):
-    return dp, causal_structure_deterministic(dp)
+    return dp, _classical().causal_structure_deterministic(dp)
 
 
 # name -> (builder of (object, graph or None), description)
 EXEMPLARS = {
-    "switch": (lambda: (ex.make_switch(2), ex.switch_causal_graph()), "order-controlling unitary process, qubit target"),
+    "switch": (
+        lambda: (_exemplars().make_switch(2), _exemplars().switch_causal_graph()),
+        "order-controlling unitary process, qubit target",
+    ),
     "reduced-switch": (
-        lambda: (ex.make_reduced_switch(2), ex.reduced_switch_causal_graph()),
+        lambda: (_exemplars().make_reduced_switch(2), _exemplars().reduced_switch_causal_graph()),
         "order-controlling process with the leaf traced out",
     ),
-    "af": (lambda: (ex.make_af(), ex.af_causal_graph()), "diagonal process of the three-bit cyclic function"),
-    "af-classical": (lambda: _with_structure(ex.make_af_deterministic()), "three-bit cyclic function process, classical table"),
-    "bw-extension": (lambda: (ex.make_bw_extension(), None), "reversible dilation of the three-bit cyclic process"),
-    "classical-switch": (lambda: _with_structure(ex.make_classical_switch(2)), "classical control of order, bit target"),
+    "af": (
+        lambda: (_exemplars().make_af(), _exemplars().af_causal_graph()),
+        "diagonal process of the three-bit cyclic function",
+    ),
+    "af-classical": (
+        lambda: _with_structure(_exemplars().make_af_deterministic()),
+        "three-bit cyclic function process, classical table",
+    ),
+    "bw-extension": (lambda: (_exemplars().make_bw_extension(), None), "reversible dilation of the three-bit cyclic process"),
+    "classical-switch": (
+        lambda: _with_structure(_exemplars().make_classical_switch(2)),
+        "classical control of order, bit target",
+    ),
     "counterexample": (
-        lambda: (ex.make_methods_counterexample().combined([0.5, 0.5]), None),
+        lambda: (_exemplars().make_methods_counterexample().combined([0.5, 0.5]), None),
         "two mutually conditioned channels with uniform C input; not a process",
     ),
-    "mix": (lambda: (ex.make_mix_example(), None), "two-node no-signalling process with mixed inputs"),
+    "mix": (lambda: (_exemplars().make_mix_example(), None), "two-node no-signalling process with mixed inputs"),
 }
 EXEMPLAR_NAMES = tuple(EXEMPLARS)
 
@@ -95,7 +121,7 @@ def _run(command, args) -> int:
 
 
 def _as_quantum(loaded) -> ProcessOperator:
-    return loaded.process if loaded.kind == "quantum" else quantize(loaded.process)
+    return loaded.process if loaded.kind == "quantum" else _classical().quantize(loaded.process)
 
 
 def cmd_validate(args, loaded, report) -> int:
@@ -119,7 +145,7 @@ def cmd_validate(args, loaded, report) -> int:
 
 
 def _classical_validity(args, kp: ClassicalProcess, report) -> int:
-    verdict = validate_classical(kp, args.tol, args.budget)
+    verdict = _classical().validate_classical(kp, args.tol, args.budget)
     report.update(
         valid=verdict.valid,
         min_entry=verdict.min_entry,
@@ -175,8 +201,9 @@ def cmd_separability(args, loaded, report) -> int:
 def _hull(args, kp: ClassicalProcess, report):
     """The deterministic processes over the nodes of ``kp`` and whether ``kp``
     lies in their convex hull (recorded as ``inside``)."""
-    vertices = enumerate_deterministic_processes(kp.nodes, args.budget)
-    verdict = polytope_membership(kp, vertices, tol=args.tol)
+    classical = _classical()
+    vertices = classical.enumerate_deterministic_processes(kp.nodes, args.budget)
+    verdict = classical.polytope_membership(kp, vertices, tol=args.tol)
     report["inside"] = verdict.inside
     return vertices, verdict
 
@@ -194,7 +221,7 @@ def _extend(args, kp: ClassicalProcess, report) -> int:
         return 1
     mixture = [(float(w), vert) for w, vert in zip(verdict.weights, vertices) if w > 1e-12]
     total = sum(w for w, _ in mixture)
-    ext = reversible_extension([(w / total, vert) for w, vert in mixture])
+    ext = _classical().reversible_extension([(w / total, vert) for w, vert in mixture])
     error = float(np.abs(ext.marginal().table - kp.table).max())
     exact = error <= max(args.tol, verdict.residual * 4)
     report.update(marginal_max_error=error, marginal_reproduced=exact, branches=len(mixture))
@@ -206,7 +233,7 @@ def _extend(args, kp: ClassicalProcess, report) -> int:
 
 
 def _quantize(args, kp: ClassicalProcess, report) -> int:
-    sigma = quantize(kp)
+    sigma = _classical().quantize(kp)
     verdict = validate_process(sigma, args.tol)
     report.update(valid=verdict.valid, trace=verdict.trace)
     if args.out:

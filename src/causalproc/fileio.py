@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import ClassicalNode, ClassicalProcess, DeterministicProcess
 from .graphs import DirectedGraph, directed_graph
 from .labeled import MAX_DENSE_BYTES, LabeledOperator, _entries, _from_entries
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
@@ -168,10 +167,9 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
     """Serialize a process to the file schema.
 
     Accepts ProcessOperator (a UnitaryProcess among them), ClassicalProcess,
-    or DeterministicProcess (stored as its table).
+    or DeterministicProcess (stored as its table). The classical module is
+    imported only for an object that is not a ProcessOperator.
     """
-    if isinstance(obj, DeterministicProcess):
-        obj = obj.to_classical()
     doc: dict = {"format_version": 2}
     if isinstance(obj, ProcessOperator):
         doc["kind"] = "quantum"
@@ -180,7 +178,13 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
             for n in obj.nodes
         ]
         doc["format_version"], doc["payload"] = _encode_matrix(obj.op)
-    elif isinstance(obj, ClassicalProcess):
+    else:
+        from .classical import ClassicalProcess, DeterministicProcess
+
+        if isinstance(obj, DeterministicProcess):
+            obj = obj.to_classical()
+        if not isinstance(obj, ClassicalProcess):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
         doc["kind"] = "classical"
         doc["nodes"] = [
             {"name": n.name, "d_in": n.in_card, "d_out": n.out_card, "kind": "classical"}
@@ -190,8 +194,6 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
             "shape": list(obj.table.shape),
             "values": obj.table.reshape(-1).astype(float).tolist(),
         }
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
     if graph is not None:
         doc["graph"] = _graph_block(graph)
     if metadata:
@@ -257,6 +259,8 @@ def dict_to_process(doc) -> LoadedProcessFile:
             raise ProcessFileError("a sparse payload needs format_version 2")
         sigma = process_operator(nodes, op)
         return LoadedProcessFile("quantum", sigma, graph, metadata)
+
+    from .classical import ClassicalNode, ClassicalProcess
 
     nodes_c = tuple(ClassicalNode(nm, di, do) for nm, di, do in parsed)
     if not isinstance(payload, dict) or "shape" not in payload or "values" not in payload:

@@ -374,7 +374,8 @@ def _blocks(index: np.ndarray, h: np.ndarray, d: int) -> list[np.ndarray]:
     pos[order] = np.arange(d) - np.repeat(first, sizes)
     size = sizes[comp[rows]]
     blocks = []
-    for s in np.unique(sizes):
+    # the distinct sizes, ascending (a plain np.unique would import numpy.ma)
+    for s in np.flatnonzero(np.bincount(sizes)):
         members = np.flatnonzero(sizes == s)
         slot = np.empty(sizes.size, dtype=np.int64)
         slot[members] = np.arange(members.size)

@@ -37,6 +37,11 @@ from .labeled import (
     transpose_systems,
 )
 
+# Default bound on the tuples of local maps and the candidate functions that
+# classical validation and enumeration may scan. It is defined here, not in
+# classical.py, so the CLI parser reads it without importing that module.
+ENUMERATION_BUDGET = 2**24
+
 __all__ = [
     "QuantumNode",
     "ProcessOperator",

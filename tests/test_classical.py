@@ -313,3 +313,30 @@ def test_polytope_and_extend_do_not_import_scipy(tmp_path, capsys):
     code = HULL_COMMANDS_IN_FRESH_PROCESS.format(src=src, cx=cx, af=af)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.split() == ["False", "1", "0"]
+
+
+
+def _first_out_of_range(nodes, f):
+    """The loop reference: the first node, in node order, with an in-value outside [0, in_card)."""
+    for i, n in enumerate(nodes):
+        if f[..., i].min() < 0 or f[..., i].max() >= n.in_card:
+            return n.name
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_deterministic_process_names_the_first_node_with_an_out_of_range_in_value(seed):
+    rng = np.random.default_rng(seed)
+    nodes = tuple(ClassicalNode(x, int(rng.integers(1, 4)), int(rng.integers(1, 4))) for x in "ABC"[: rng.integers(1, 4)])
+    shape = tuple(n.out_card for n in nodes)
+    f = np.stack([rng.integers(0, n.in_card, size=shape) for n in nodes], axis=-1)
+    for _ in range(int(rng.integers(0, 3))):  # a few in-values pushed one past either end
+        k = tuple(int(rng.integers(0, c)) for c in shape)
+        i = int(rng.integers(0, len(nodes)))
+        f[k + (i,)] = rng.choice([-1, nodes[i].in_card])
+    first = _first_out_of_range(nodes, f)
+    if first is None:
+        np.testing.assert_array_equal(DeterministicProcess(nodes, f).function, f)
+    else:
+        with pytest.raises(ValueError, match=f"^in-values for node '{first}' out of range$"):
+            DeterministicProcess(nodes, f)
