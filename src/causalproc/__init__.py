@@ -5,10 +5,10 @@ Markov factorization and discovery, comb and separability analysis, classical
 The namespace is lazy (PEP 562): ``import causalproc`` loads no submodule.
 A public name, or a submodule such as ``causalproc.hs``, imports its module
 on first access and is then kept here, so each CLI command loads only the
-modules it runs.
+modules it runs. ``_EXPORTS`` is the one declaration of the public API: each
+submodule's ``__all__`` is its entry in the table, and ``__all__`` here joins
+them in table order.
 """
-
-from importlib import import_module as _import_module
 
 # submodule -> the public names it defines, in the order they are exported
 _EXPORTS = {
@@ -72,12 +72,13 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _MODULE_OF:
-        value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
-    elif name in _EXPORTS:
-        value = _import_module(f".{name}", __name__)
-    else:
+    module = _MODULE_OF.get(name, name)
+    if module not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's path, which binds the submodule here and which
+    # ``python -X importtime`` lists (``importlib.import_module`` it does not)
+    __import__(f"{__name__}.{module}")
+    value = globals()[module] if name == module else getattr(globals()[module], name)
     globals()[name] = value
     return value
 

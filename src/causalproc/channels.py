@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .hs import _marginal_residual
 from .labeled import (
     LabeledOperator,
@@ -29,16 +30,7 @@ from .labeled import (
     transpose_systems,
 )
 
-__all__ = [
-    "ChannelOperator",
-    "cj_from_kraus",
-    "channel_from_unitary",
-    "apply_channel",
-    "channel_no_influence",
-    "channel_influence_residual",
-    "influence_residuals",
-    "input_signals",
-]
+__all__ = _EXPORTS["channels"]
 
 
 @dataclass(frozen=True)

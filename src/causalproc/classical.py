@@ -14,31 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .graphs import DirectedGraph
 from .labeled import _from_entries
 from .process import ENUMERATION_BUDGET, ProcessOperator, QuantumNode, canonical_systems, process_operator
 
-__all__ = [
-    "ClassicalNode",
-    "ClassicalProcess",
-    "DeterministicProcess",
-    "ClassicalValidationVerdict",
-    "validate_classical",
-    "validate_deterministic",
-    "classical_joint_probabilities",
-    "causal_structure_deterministic",
-    "ClassicalMarkov",
-    "classical_markov_check",
-    "enumerate_deterministic_processes",
-    "PolytopeVerdict",
-    "polytope_membership",
-    "ReversibleExtension",
-    "reversible_extension",
-    "find_process_outside_hull",
-    "ClassicalCompatibilityVerdict",
-    "classical_compatibility_check",
-    "quantize",
-]
+__all__ = _EXPORTS["classical"]
 
 
 @dataclass(frozen=True)

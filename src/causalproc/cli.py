@@ -20,9 +20,12 @@ import json
 import math
 import sys
 import time
-from typing import TYPE_CHECKING
 
 import numpy as np
+
+# Classical and exemplar names are read off the lazy package namespace, which
+# imports their modules on first access: a quantum-file command never loads them.
+import causalproc as cp
 
 from .combs import bipartite_separability, comb_check, comb_search
 from .fileio import ProcessFileError, _load, dict_to_process, write_process_file
@@ -30,56 +33,39 @@ from .graphs import discover
 from .labeled import partial_trace
 from .process import ENUMERATION_BUDGET, ProcessOperator, validate_process
 
-if TYPE_CHECKING:
-    from .classical import ClassicalProcess
-
-
-# The classical and exemplar modules are imported by the commands that run
-# them, through these accessors, so a quantum-file command never loads them.
-def _classical():
-    from . import classical
-
-    return classical
-
-
-def _exemplars():
-    from . import exemplars
-
-    return exemplars
-
 
 def _with_structure(dp):
-    return dp, _classical().causal_structure_deterministic(dp)
+    return dp, cp.causal_structure_deterministic(dp)
 
 
 # name -> (builder of (object, graph or None), description)
 EXEMPLARS = {
     "switch": (
-        lambda: (_exemplars().make_switch(2), _exemplars().switch_causal_graph()),
+        lambda: (cp.make_switch(2), cp.switch_causal_graph()),
         "order-controlling unitary process, qubit target",
     ),
     "reduced-switch": (
-        lambda: (_exemplars().make_reduced_switch(2), _exemplars().reduced_switch_causal_graph()),
+        lambda: (cp.make_reduced_switch(2), cp.reduced_switch_causal_graph()),
         "order-controlling process with the leaf traced out",
     ),
     "af": (
-        lambda: (_exemplars().make_af(), _exemplars().af_causal_graph()),
+        lambda: (cp.make_af(), cp.af_causal_graph()),
         "diagonal process of the three-bit cyclic function",
     ),
     "af-classical": (
-        lambda: _with_structure(_exemplars().make_af_deterministic()),
+        lambda: _with_structure(cp.make_af_deterministic()),
         "three-bit cyclic function process, classical table",
     ),
-    "bw-extension": (lambda: (_exemplars().make_bw_extension(), None), "reversible dilation of the three-bit cyclic process"),
+    "bw-extension": (lambda: (cp.make_bw_extension(), None), "reversible dilation of the three-bit cyclic process"),
     "classical-switch": (
-        lambda: _with_structure(_exemplars().make_classical_switch(2)),
+        lambda: _with_structure(cp.make_classical_switch(2)),
         "classical control of order, bit target",
     ),
     "counterexample": (
-        lambda: (_exemplars().make_methods_counterexample().combined([0.5, 0.5]), None),
+        lambda: (cp.make_methods_counterexample().combined([0.5, 0.5]), None),
         "two mutually conditioned channels with uniform C input; not a process",
     ),
-    "mix": (lambda: (_exemplars().make_mix_example(), None), "two-node no-signalling process with mixed inputs"),
+    "mix": (lambda: (cp.make_mix_example(), None), "two-node no-signalling process with mixed inputs"),
 }
 EXEMPLAR_NAMES = tuple(EXEMPLARS)
 
@@ -121,7 +107,7 @@ def _run(command, args) -> int:
 
 
 def _as_quantum(loaded) -> ProcessOperator:
-    return loaded.process if loaded.kind == "quantum" else _classical().quantize(loaded.process)
+    return loaded.process if loaded.kind == "quantum" else cp.quantize(loaded.process)
 
 
 def cmd_validate(args, loaded, report) -> int:
@@ -144,8 +130,8 @@ def cmd_validate(args, loaded, report) -> int:
     return 0 if verdict.valid else 1
 
 
-def _classical_validity(args, kp: ClassicalProcess, report) -> int:
-    verdict = _classical().validate_classical(kp, args.tol, args.budget)
+def _classical_validity(args, kp: cp.ClassicalProcess, report) -> int:
+    verdict = cp.validate_classical(kp, args.tol, args.budget)
     report.update(
         valid=verdict.valid,
         min_entry=verdict.min_entry,
@@ -198,30 +184,29 @@ def cmd_separability(args, loaded, report) -> int:
     return 0 if sv.separable else 4
 
 
-def _hull(args, kp: ClassicalProcess, report):
+def _hull(args, kp: cp.ClassicalProcess, report):
     """The deterministic processes over the nodes of ``kp`` and whether ``kp``
     lies in their convex hull (recorded as ``inside``)."""
-    classical = _classical()
-    vertices = classical.enumerate_deterministic_processes(kp.nodes, args.budget)
-    verdict = classical.polytope_membership(kp, vertices, tol=args.tol)
+    vertices = cp.enumerate_deterministic_processes(kp.nodes, args.budget)
+    verdict = cp.polytope_membership(kp, vertices, tol=args.tol)
     report["inside"] = verdict.inside
     return vertices, verdict
 
 
-def _polytope(args, kp: ClassicalProcess, report) -> int:
+def _polytope(args, kp: cp.ClassicalProcess, report) -> int:
     vertices, verdict = _hull(args, kp, report)
     report.update(residual=verdict.residual, n_vertices=len(vertices))
     return 0 if verdict.inside else 1
 
 
-def _extend(args, kp: ClassicalProcess, report) -> int:
+def _extend(args, kp: cp.ClassicalProcess, report) -> int:
     vertices, verdict = _hull(args, kp, report)
     if not verdict.inside:
         report["message"] = "process lies outside the deterministic hull; no reversible extension"
         return 1
     mixture = [(float(w), vert) for w, vert in zip(verdict.weights, vertices) if w > 1e-12]
     total = sum(w for w, _ in mixture)
-    ext = _classical().reversible_extension([(w / total, vert) for w, vert in mixture])
+    ext = cp.reversible_extension([(w / total, vert) for w, vert in mixture])
     error = float(np.abs(ext.marginal().table - kp.table).max())
     exact = error <= max(args.tol, verdict.residual * 4)
     report.update(marginal_max_error=error, marginal_reproduced=exact, branches=len(mixture))
@@ -232,8 +217,8 @@ def _extend(args, kp: ClassicalProcess, report) -> int:
     return 0 if exact else 1
 
 
-def _quantize(args, kp: ClassicalProcess, report) -> int:
-    sigma = _classical().quantize(kp)
+def _quantize(args, kp: cp.ClassicalProcess, report) -> int:
+    sigma = cp.quantize(kp)
     verdict = validate_process(sigma, args.tol)
     report.update(valid=verdict.valid, trace=verdict.trace)
     if args.out:

@@ -25,20 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .graphs import DirectedGraph, causal_structure_unitary
 from .hs import _marginal_residual, project_trivial
 from .labeled import LabeledOperator, _entries, _from_entries, _hermitian_part, distance, partial_trace
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
-__all__ = [
-    "CombVerdict",
-    "comb_check",
-    "comb_search",
-    "UnitarySeparabilityVerdict",
-    "unitary_causal_separability",
-    "SeparabilityVerdict",
-    "bipartite_separability",
-]
+__all__ = _EXPORTS["combs"]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .channels import channel_from_unitary, influence_residuals
 from .classical import (
     ClassicalNode,
@@ -33,29 +34,7 @@ from .labeled import (
 from .process import ProcessOperator, QuantumNode, comb_from_circuit, process_operator
 from .rand import haar_unitary
 
-__all__ = [
-    "make_switch",
-    "make_reduced_switch",
-    "make_af",
-    "make_af_deterministic",
-    "make_bw_extension",
-    "make_classical_switch",
-    "MethodsCounterexample",
-    "make_methods_counterexample",
-    "make_mix_example",
-    "make_mix_components",
-    "SwitchParts",
-    "BWParts",
-    "switch_decomposition",
-    "bw_decomposition",
-    "DecompositionReport",
-    "decomposition_report",
-    "verify_decomposition",
-    "random_unitary_chain",
-    "switch_causal_graph",
-    "reduced_switch_causal_graph",
-    "af_causal_graph",
-]
+__all__ = _EXPORTS["exemplars"]
 
 
 def _swap_matrix(d1: int, d2: int) -> np.ndarray:

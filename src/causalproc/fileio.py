@@ -32,19 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import causalproc as cp
+
+from . import _EXPORTS
 from .graphs import DirectedGraph, directed_graph
 from .labeled import MAX_DENSE_BYTES, LabeledOperator, _entries, _from_entries
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
-__all__ = [
-    "FORMAT_VERSION",
-    "ProcessFileError",
-    "LoadedProcessFile",
-    "process_to_dict",
-    "dict_to_process",
-    "write_process_file",
-    "read_process_file",
-]
+__all__ = _EXPORTS["fileio"]
 
 # The newest format, which a dense quantum file is stamped with; a sparse or
 # classical file is stamped 2, so its bytes are those of the format-2 writer.
@@ -179,11 +174,9 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
         ]
         doc["format_version"], doc["payload"] = _encode_matrix(obj.op)
     else:
-        from .classical import ClassicalProcess, DeterministicProcess
-
-        if isinstance(obj, DeterministicProcess):
+        if isinstance(obj, cp.DeterministicProcess):
             obj = obj.to_classical()
-        if not isinstance(obj, ClassicalProcess):
+        if not isinstance(obj, cp.ClassicalProcess):
             raise TypeError(f"cannot serialize {type(obj).__name__}")
         doc["kind"] = "classical"
         doc["nodes"] = [
@@ -260,9 +253,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
         sigma = process_operator(nodes, op)
         return LoadedProcessFile("quantum", sigma, graph, metadata)
 
-    from .classical import ClassicalNode, ClassicalProcess
-
-    nodes_c = tuple(ClassicalNode(nm, di, do) for nm, di, do in parsed)
+    nodes_c = tuple(cp.ClassicalNode(nm, di, do) for nm, di, do in parsed)
     if not isinstance(payload, dict) or "shape" not in payload or "values" not in payload:
         raise ProcessFileError("classical payload must carry 'shape' and 'values'")
     shape = payload["shape"]
@@ -274,7 +265,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
     if not isinstance(values, list) or len(values) != size:
         raise ProcessFileError(f"payload values must hold {size} numbers")
     table = _finite_numbers(values, (size,), "payload values").reshape(expect)
-    kp = ClassicalProcess(nodes_c, table)
+    kp = cp.ClassicalProcess(nodes_c, table)
     return LoadedProcessFile("classical", kp, graph, metadata)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .channels import ChannelOperator, influence_residuals, input_signals
 from .labeled import (
     LinearMap,
@@ -35,22 +36,7 @@ from .labeled import (
 )
 from .process import ProcessOperator, is_isometric, measure_prepare_element, process_operator, validate_process
 
-__all__ = [
-    "DirectedGraph",
-    "directed_graph",
-    "complete_graph",
-    "UnitaryProcess",
-    "make_unitary_process",
-    "causal_structure_unitary",
-    "marginal_factor",
-    "MarkovFactorization",
-    "markov_check",
-    "FaithfulnessReport",
-    "faithfulness_check",
-    "CompatibilityVerdict",
-    "compatibility_check",
-    "discover",
-]
+__all__ = _EXPORTS["graphs"]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import _EXPORTS
 from .labeled import (
     LabeledOperator,
     SystemLabel,
@@ -29,10 +30,7 @@ from .labeled import (
 
 _SLICE = 1 << 16  # entries per slice of the type table's inner passes: 1 MiB of complex128
 
-__all__ = [
-    "project_trivial",
-    "type_norms",
-]
+__all__ = _EXPORTS["hs"]
 
 
 def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:

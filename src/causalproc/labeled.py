@@ -13,32 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
+
 # Bytes one dense kernel or a declared operator may need: side 16384 at 16 B an entry.
 MAX_DENSE_BYTES = 2**32
 _TILE = 128  # side of the square tiles that _hermitian_part walks
 
-__all__ = [
-    "SystemLabel",
-    "LabeledOperator",
-    "LinearMap",
-    "dual",
-    "identity_operator",
-    "tensor",
-    "reorder",
-    "partial_trace",
-    "transpose_systems",
-    "fuse",
-    "split_system",
-    "embed",
-    "product",
-    "distance",
-    "identity_map",
-    "tensor_maps",
-    "compose_maps",
-    "apply_stage",
-    "cj_operator",
-    "is_unitary",
-]
+__all__ = _EXPORTS["labeled"]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .channels import ChannelOperator, cj_from_kraus
 from .hs import _unwitnessed
 from .labeled import (
@@ -42,26 +43,7 @@ from .labeled import (
 # classical.py, so the CLI parser reads it without importing that module.
 ENUMERATION_BUDGET = 2**24
 
-__all__ = [
-    "QuantumNode",
-    "ProcessOperator",
-    "process_operator",
-    "ValidationVerdict",
-    "validate_process",
-    "signalling_residual",
-    "no_signalling",
-    "is_isometric",
-    "InstrumentElement",
-    "Instrument",
-    "element_from_kraus",
-    "measure_prepare_element",
-    "instrument_from_kraus",
-    "readout_instrument",
-    "preparation_instrument",
-    "joint_probabilities",
-    "conditional_process",
-    "comb_from_circuit",
-]
+__all__ = _EXPORTS["process"]
 
 
 @dataclass(frozen=True)
@@ -461,7 +443,7 @@ def conditional_process(
     joined = product([sigma.op, element.tau])
     m = partial_trace(joined, [node.in_system.key, node.out_dual.key])
     rest_trace = float(np.prod([n.d_out for n in rest]))
-    lam = float(np.trace(m.matrix).real) / rest_trace
+    lam = float(partial_trace(m, m.systems).matrix[0, 0].real) / rest_trace
     if lam <= tol:
         raise ValueError("conditioning on an outcome of (near-)zero weight")
     result = process_operator(rest, m * (1.0 / lam))

@@ -9,16 +9,11 @@ import math
 
 import numpy as np
 
+from . import _EXPORTS
 from .channels import ChannelOperator, cj_from_kraus, input_signals
 from .labeled import SystemLabel
 
-__all__ = [
-    "haar_unitary",
-    "random_state",
-    "random_cptp",
-    "random_signalling_channel",
-    "random_instrument_kraus",
-]
+__all__ = _EXPORTS["rand"]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from causalproc import (
     comb_check,
     comb_from_circuit,
     comb_search,
+    combs,
     conditional_process,
     distance,
     is_isometric,
@@ -185,6 +188,35 @@ def test_bipartite_separability_of_mixture(rng):
             continue
         part = process_operator(sigma.nodes, LabeledOperator(comp.systems, comp.matrix * (4.0 / tr)))
         assert comb_check(part, order, tol=1e-4).accepted
+
+
+def test_separability_skips_the_recheck_of_a_negligible_component(rng, monkeypatch):
+    # 1e-8 of a B-before-A comb: no fast path at 1e-9, and the split gives
+    # the B-before-A component a weight within tol, which is not re-checked
+    ab, ba = one_way_comb(rng, "A", "B"), one_way_comb(rng, "B", "A")
+    mixed = (1 - 1e-8) * ab.op.matrix + 1e-8 * reorder(ba.op, ab.op.systems).matrix
+    sigma = process_operator(ab.nodes, LabeledOperator(ab.op.systems, mixed))
+    checked = []
+    validate = combs.validate_process
+
+    def recording(normalized, tol):
+        checked.append(normalized)
+        return validate(normalized, tol)
+
+    monkeypatch.setattr(combs, "validate_process", recording)
+    sv = bipartite_separability(sigma)
+    assert sv.separable and sv.iterations > 0
+    assert 0.0 < sv.weight <= 1e-6
+    assert len(checked) == 1
+
+
+def test_separability_is_inconclusive_when_a_component_fails_the_recheck(rng, monkeypatch):
+    sigma = order_mixture(rng)
+    assert bipartite_separability(sigma).separable
+    monkeypatch.setattr(combs, "validate_process", lambda normalized, tol: SimpleNamespace(valid=False))
+    sv = bipartite_separability(sigma)
+    assert sv.status == "inconclusive" and not sv.separable
+    assert sv.residual <= sv.tol and math.isnan(sv.weight)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])

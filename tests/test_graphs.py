@@ -240,6 +240,16 @@ def test_markov_check_accepts_chain(rng):
     assert fr.edge_signalling[("A", "B")]
 
 
+def test_markov_check_of_a_one_node_process(rng):
+    # the product of one factor is that factor: its distance from sigma is read directly
+    na = QuantumNode("A", 2, 2)
+    rho = random_state(2, rng)
+    sigma = process_operator([na], tensor(LabeledOperator((na.in_system,), rho), identity_operator([na.out_dual])))
+    mf = markov_check(sigma, directed_graph(["A"], []), tol=1e-9)
+    assert mf.accepted and mf.commutator_residuals == {}
+    assert mf.product_residual < 1e-12
+
+
 def test_markov_check_rejects_missing_edge(rng):
     sigma = chain_comb(rng)
     mf = markov_check(sigma, directed_graph(["A", "B"], []))

@@ -107,6 +107,26 @@ def test_lazy_namespace_binds_the_defining_modules_objects():
     assert out.stdout.splitlines()[-1] == "ok 0.1.0"
 
 
+MODULE_STAR_IMPORTS = """
+import json, sys
+sys.path.insert(0, {src!r})
+import causalproc as cp
+wrong = {{}}
+for module, names in cp._EXPORTS.items():
+    star = {{}}
+    exec(f"from causalproc.{{module}} import *", star)
+    star.pop("__builtins__")
+    if sorted(star) != sorted(names) or any(star[name] is not getattr(cp, name) for name in names):
+        wrong[module] = sorted(set(star) ^ set(names))
+print(json.dumps(wrong))
+"""
+
+
+def test_each_module_exports_exactly_its_entry_of_the_table():
+    code = MODULE_STAR_IMPORTS.format(src=SRC)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == {}
+
 def _blocks_by_unique(index, h, d):
     """``labeled._blocks`` with its distinct block sizes taken from ``np.unique``."""
     rows, cols = np.divmod(index, d)

@@ -339,6 +339,8 @@ def test_is_unitary(rng):
     u = haar_unitary(3, rng)
     assert is_unitary(LinearMap(u, (a,), (b,)))
     assert not is_unitary(LinearMap(u + 0.01, (a,), (b,)))
+    # an isometry into a larger space is not square
+    assert not is_unitary(LinearMap(u[:, :2], (SystemLabel("c", 2),), (b,)))
 
 
 def test_cj_operator_of_unitary(rng):

@@ -44,6 +44,7 @@ from causalproc import (
     readout_instrument,
     preparation_instrument,
     quantize,
+    reorder,
     random_unitary_chain,
     signalling_residual,
     tensor,
@@ -148,6 +149,21 @@ def test_comb_from_circuit_single_slot(rng):
     assert np.abs(sigma.op.matrix - want.matrix).max() < 1e-12
 
 
+def test_comb_from_circuit_applies_a_channel_once_a_later_one_feeds_it(rng):
+    # A -> first -> second -> B, with the channels listed in reverse: second
+    # waits a pass for the wire that first produces
+    w0 = SystemLabel("w0", 2)
+    init = LabeledOperator((w0,), random_state(2, rng))
+    first = channel_from_unitary(LinearMap(haar_unitary(2, rng), (SystemLabel("wA", 2),), (SystemLabel("w1", 2),)))
+    second = channel_from_unitary(LinearMap(haar_unitary(2, rng), (SystemLabel("w1", 2),), (SystemLabel("w2", 2),)))
+    slots = [(QuantumNode("A", 2, 2), "w0", "wA"), (QuantumNode("B", 2, 2), "w2", "wB")]
+    got = comb_from_circuit(init, [second, first], slots)
+    want = comb_from_circuit(init, [first, second], slots)
+    assert got.op.systems == want.op.systems
+    assert np.array_equal(got.op.matrix, want.op.matrix)
+    assert validate_process(got).valid
+
+
 def test_joint_probabilities_trace_rule(rng):
     rho_a, rho_b = random_state(2, rng), random_state(2, rng)
     sigma = product_process(rho_a, rho_b)
@@ -191,6 +207,29 @@ def test_conditional_process_on_product(rng):
         identity_operator([sigma.node("A").out_dual]),
     )
     assert np.abs(cond.op.matrix - want.matrix).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conditioning_a_sparse_switch_densifies_nothing(n, monkeypatch):
+    # the outcome's weight is a 1x1 partial trace on the stored entries
+    sigma = make_switch(n).process
+    p = sigma.node("P")
+    prep = np.zeros((p.d_out, p.d_out), dtype=complex)
+    prep[0, 0] = 1.0
+    el = measure_prepare_element(p, np.eye(p.d_in), prep)
+    if n == 3:
+        dense = process_operator(sigma.nodes, labeled._dense_reference(sigma.op.systems, sigma.op.matrix))
+        want = conditional_process(dense, "P", el)
+
+    def refuse(*args):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(labeled, "_densify", refuse)
+    cond = conditional_process(sigma, "P", el)
+    monkeypatch.undo()
+    assert [x.name for x in cond.nodes] == ["A", "B", "F"]
+    if n == 3:
+        assert distance(cond.op, reorder(want.op, cond.op.systems)) < 1e-12
 
 
 def test_process_operator_rejects_extra_systems(rng):

@@ -69,6 +69,30 @@ def _l1_lp(v, p):
     return np.concatenate([np.zeros(nv), np.ones(2 * m)]), a, np.append(p, 1.0)
 
 
+def test_an_artificial_left_basic_at_zero_is_swapped_for_a_structural_column(monkeypatch):
+    # Phase I ends with an artificial still basic, at level zero, in a row
+    # that is not redundant: a structural column takes its place and every
+    # row is kept.
+    a = np.array([[1, 1, 1, -1], [-2, 1, -1, -2], [0, 1, -1, 1]], dtype=float)
+    b = np.array([1.0, 1.0, 1.0])
+    c = np.array([-1.0, -1.0, 0.0, 0.0])
+    bases = []
+    run = classical._simplex_run
+
+    def recording(*args):
+        out = run(*args)
+        bases.append(args[3].copy())
+        return out
+
+    monkeypatch.setattr(classical, "_simplex_run", recording)
+    status, x = _simplex(c, a, b)
+    phase_one, phase_two = bases
+    assert (phase_one >= a.shape[1]).any()
+    assert phase_two.size == a.shape[0] and (phase_two < a.shape[1]).all()
+    assert status == "optimal" and np.abs(a @ x - b).max() < 1e-12
+    assert abs(c @ x - linprog(c, A_eq=a, b_eq=b, method="highs").fun) < 1e-12
+
+
 def test_two_calls_return_bitwise_equal_solutions():
     lib = enumerate_deterministic_processes(BITS3)
     v = np.stack([dp.to_classical().table.reshape(-1) for dp in lib], axis=1)
