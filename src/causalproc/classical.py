@@ -580,9 +580,9 @@ def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET):
         directions.append(rng.normal(size=size))
 
     for c in directions:
-        _, x = _simplex(-c, a_eq, b_eq)
+        status, x = _simplex(-c, a_eq, b_eq)
         if x is None:
-            continue
+            raise RuntimeError(f"validity LP ended {status}")
         kp = ClassicalProcess(nodes, x.reshape(shape))
         verdict = polytope_membership(kp, vertices)
         if not verdict.inside and verdict.residual > 1e-7:

@@ -163,7 +163,7 @@ def cmd_discover(args, loaded, report) -> int:
 
 def cmd_comb(args, loaded, report) -> int:
     sigma = _as_quantum(loaded)
-    if args.order:
+    if args.order is not None:
         order = tuple(x.strip() for x in args.order.split(",") if x.strip())
         cv = comb_check(sigma, order, args.tol)
         report.update(order=list(order), residuals=list(cv.residuals), accepted=cv.accepted)

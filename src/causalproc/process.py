@@ -389,7 +389,9 @@ def joint_probabilities(sigma: ProcessOperator, instruments) -> np.ndarray:
 
     ``instruments`` must contain exactly one Instrument for each node of the
     process, in any order; axis i of the result enumerates outcomes at the
-    i-th node of the process.
+    i-th node of the process. The trace rule is taken node by node on stored
+    entries, as in ``conditional_process``; a dense element makes its product
+    dense.
     """
     by_name = {}
     for ins in instruments:
@@ -399,27 +401,14 @@ def joint_probabilities(sigma: ProcessOperator, instruments) -> np.ndarray:
     if set(by_name) != set(sigma.node_names):
         raise ValueError("need exactly one instrument per node")
 
-    n = len(sigma.nodes)
-    st = sigma.op.as_tensor()
-    # Subscripts 4i..4i+3 are (row-in, row-outdual, col-in, col-outdual) of
-    # node i; subscripts 4n+i index outcomes.
-    sig_subs = []
-    for i in range(n):
-        sig_subs.extend([4 * i, 4 * i + 1])
-    for i in range(n):
-        sig_subs.extend([4 * i + 2, 4 * i + 3])
-    operands = [st, sig_subs]
-    for i, node in enumerate(sigma.nodes):
-        ins = by_name[node.name]
-        taus = [reorder(e.tau, [node.in_system.key, node.out_dual.key]).as_tensor() for e in ins.elements]
-        stack = np.stack(taus)
-        # P = Tr[sigma tau]: sum over sigma[r, c] tau[c, r], so tau's row axes
-        # carry sigma's column subscripts and vice versa.
-        operands.append(stack)
-        operands.append([4 * n + i, 4 * i + 2, 4 * i + 3, 4 * i, 4 * i + 1])
-    operands.append([4 * n + i for i in range(n)])
-    probs = np.einsum(*operands, optimize="greedy")
-    return probs.real
+    # sigma contracted with each outcome prefix's elements, in row-major order
+    kept = [sigma.op]
+    for node in sigma.nodes:
+        keys = [node.in_system.key, node.out_dual.key]
+        kept = [partial_trace(product([m, e.tau]), keys) for m in kept for e in by_name[node.name].elements]
+    # each is 1x1, routed on its one stored entry or on none
+    probs = np.array([_entries(m)[1].sum().real for m in kept])
+    return probs.reshape([len(by_name[node.name].elements) for node in sigma.nodes])
 
 
 def conditional_process(

@@ -41,8 +41,11 @@ def random_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_cptp(d_in: int, d_out: int, rng: np.random.Generator, kraus_rank: int | None = None) -> list[np.ndarray]:
-    """Kraus matrices of a random channel, via a Haar random Stinespring isometry."""
+    """Kraus matrices of a random channel, via a Haar random Stinespring
+    isometry; a ValueError when its d_out * kraus_rank rows are fewer than d_in."""
     r = kraus_rank if kraus_rank is not None else d_in
+    if r < 1 or d_out * r < d_in:
+        raise ValueError(f"a {d_in}->{d_out} channel has no isometry with Kraus rank {r}")
     u = haar_unitary(d_out * r, rng)
     v = u[:, :d_in]
     return [v[e * d_out : (e + 1) * d_out, :] for e in range(r)]

@@ -90,6 +90,23 @@ def test_random_cptp_trace_preserving(rng):
     assert abs(np.trace(out.matrix) - 1) < 1e-10
 
 
+def test_random_cptp_needs_an_isometry():
+    # a Stinespring isometry of a d_in -> d_out channel has d_out * rank >= d_in rows
+    rng = np.random.default_rng(7)
+    for d_in, d_out, rank in ((4, 1, 3), (2, 2, 0), (3, 1, -1)):
+        with pytest.raises(ValueError, match="Kraus rank"):
+            random_cptp(d_in, d_out, rng, kraus_rank=rank)
+    with pytest.raises(ValueError, match="Kraus rank"):
+        random_instrument_kraus(4, 1, 2, rng)
+    # a refused call draws nothing, and a valid one draws the isometry's columns
+    fresh = np.random.default_rng(7)
+    kraus = random_cptp(4, 1, rng, kraus_rank=4)
+    v = haar_unitary(4, fresh)[:, :4]
+    assert [k.shape for k in kraus] == [(1, 4)] * 4
+    assert np.array_equal(np.concatenate(kraus), v)
+    assert np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(4)).max() < 1e-10
+
+
 def test_influence_pattern_of_product_unitary(rng):
     a, b, c, d = (SystemLabel(s, 2) for s in ("a", "b", "c", "d"))
     u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))

@@ -147,6 +147,14 @@ def test_outside_hull_process_is_outside():
     assert dist > 1e-7
 
 
+def test_outside_hull_search_names_a_failed_validity_lp(monkeypatch):
+    import causalproc.classical as classical
+
+    monkeypatch.setattr(classical, "_simplex", lambda *args: ("infeasible", None))
+    with pytest.raises(RuntimeError, match="validity LP ended infeasible"):
+        find_process_outside_hull(BITS2)
+
+
 def test_classical_compatibility_chain():
     chain = chain_process()
     kp = chain.to_classical()

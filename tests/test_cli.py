@@ -142,6 +142,15 @@ def test_comb_order_accepts_chain(tmp_path, capsys):
     assert max(report["residuals"]) < 1e-9
 
 
+def test_comb_empty_order_is_a_usage_error(tmp_path, capsys):
+    # an empty --order is checked, and names no permutation, instead of running a search
+    path = tmp_path / "mix.json"
+    assert run(capsys, "exemplar", "mix", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "comb", "--order", "", str(path))
+    assert (code, out) == (2, "")
+    assert "not a permutation" in err
+
+
 def test_separability_on_no_signalling_process(tmp_path, capsys):
     path = tmp_path / "mix.json"
     assert run(capsys, "exemplar", "mix", "--out", str(path))[0] == 0

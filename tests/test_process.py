@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from causalproc import (
     ClassicalNode,
+    Instrument,
+    InstrumentElement,
     LabeledOperator,
     LinearMap,
     QuantumNode,
@@ -29,12 +31,14 @@ from causalproc import (
     enumerate_deterministic_processes,
     hs,
     identity_operator,
+    instrument_from_kraus,
     joint_probabilities,
     labeled,
     make_af_deterministic,
     make_classical_switch,
     make_methods_counterexample,
     make_mix_example,
+    make_reduced_switch,
     make_switch,
     make_unitary_process,
     measure_prepare_element,
@@ -53,7 +57,7 @@ from causalproc import (
 )
 from causalproc.process import canonical_systems
 from causalproc.labeled import sorted_coo
-from causalproc.rand import haar_unitary, random_state
+from causalproc.rand import haar_unitary, random_cptp, random_state
 
 
 def product_process(rho_a, rho_b):
@@ -194,6 +198,92 @@ def test_joint_probabilities_chain_copies_output(rng):
         sigma, [preparation_instrument(sigma.node("A"), [one]), readout_instrument(sigma.node("B"))]
     )
     assert np.abs(p1 - np.array([[0.0, 1.0]])).max() < 1e-10
+
+
+def dense_trace_rule(sigma, instruments):
+    """P(k_1 .. k_n) = Tr[sigma (tau_1^{k_1} ⊗ ... ⊗ tau_n^{k_n})] as one dense einsum.
+
+    Node i's (in, out*) pair is one axis of side D_i for sigma's rows (r_i) and
+    one for its columns (c_i); the trace pairs sigma[r, c] with tau[c, r].
+    """
+    by_name = {ins.node.name: ins for ins in instruments}
+    pairs = [[node.in_system.key, node.out_dual.key] for node in sigma.nodes]
+    sides = [node.d_in * node.d_out for node in sigma.nodes]
+    n = len(sides)
+    operands = [reorder(sigma.op, [key for pair in pairs for key in pair]).matrix.reshape(sides * 2), list(range(2 * n))]
+    for i, (node, pair) in enumerate(zip(sigma.nodes, pairs)):
+        operands += [np.stack([reorder(e.tau, pair).matrix for e in by_name[node.name].elements]), [2 * n + i, n + i, i]]
+    return np.einsum(*operands, list(range(2 * n, 3 * n))).real
+
+
+def kraus_instrument(node, rng, outcomes=3):
+    """Random instrument: one channel's Kraus operators dealt to the outcomes."""
+    kraus = random_cptp(node.d_in, node.d_out, rng, kraus_rank=max(outcomes, -(-node.d_in // node.d_out)))
+    return instrument_from_kraus(node, [kraus[k::outcomes] for k in range(outcomes)])
+
+
+def dense_instrument(ins):
+    return Instrument(ins.node, tuple(InstrumentElement(e.node_name, labeled._dense_reference(e.tau.systems, e.tau.matrix)) for e in ins.elements))
+
+
+@pytest.mark.parametrize("name", ["mix", "switch", "reduced-switch", "af", "chain"])
+def test_joint_probabilities_match_the_dense_trace_rule(name, rng):
+    sigma = {
+        "mix": make_mix_example,
+        "switch": lambda: make_switch(2).process,
+        "reduced-switch": make_reduced_switch,
+        "af": lambda: quantize(make_af_deterministic().to_classical()),
+        "chain": lambda: random_unitary_chain(2, np.random.default_rng(3)).process,
+    }[name]()
+    dense = process_operator(sigma.nodes, labeled._dense_reference(sigma.op.systems, sigma.op.matrix))
+    families = {
+        "readout": [readout_instrument(node) for node in sigma.nodes],
+        "preparation": [preparation_instrument(node, [random_state(node.d_out, rng) for _ in range(2)]) for node in sigma.nodes],
+        "kraus": [kraus_instrument(node, rng) for node in sigma.nodes],
+    }
+    for family, instruments in families.items():
+        want = dense_trace_rule(sigma, instruments)
+        for s, ins in ((sigma, instruments), (dense, [dense_instrument(x) for x in instruments])):
+            got = joint_probabilities(s, ins[::-1])
+            assert got.shape == want.shape, family
+            assert np.abs(got - want).max() < 1e-12, family
+            assert abs(got.sum() - 1) < 1e-10, family
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_joint_probabilities_on_a_sparse_switch_densify_nothing(d, monkeypatch):
+    # switch(4)'s dense operator would fill the whole byte budget
+    sigma = make_switch(d).process
+    p = sigma.node("P")
+    zero = np.zeros((p.d_out, p.d_out), dtype=complex)
+    zero[0, 0] = 1.0
+    readouts = [readout_instrument(node) for node in sigma.nodes]
+    prepared = [preparation_instrument(p, [zero]) if node is p else ins for node, ins in zip(sigma.nodes, readouts)]
+
+    def refuse(*args):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(labeled, "_densify", refuse)
+    tracemalloc.start()
+    try:
+        uniform = joint_probabilities(sigma, readouts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    probs = joint_probabilities(sigma, prepared)
+    monkeypatch.undo()
+    # maximally mixed preparations everywhere: every reading is uniform
+    assert uniform.shape == (d, d, 1, 2 * d)
+    assert np.abs(uniform - 1 / (2 * d**3)).max() < 1e-12
+    assert peak < 8 * 2**20, peak
+    # P emits control 0 and target 0: A reads 0, B reads A's mixed output,
+    # and F reads control 0 with a uniform target; P's one outcome has weight 1
+    order = [node.name for node in sigma.nodes]
+    marginal = {x: probs.sum(axis=tuple(j for j in range(len(order)) if j != i)) for i, x in enumerate(order)}
+    assert np.abs(marginal["P"] - 1).max() < 1e-12
+    assert np.abs(marginal["A"] - np.eye(d)[0]).max() < 1e-12
+    assert np.abs(marginal["B"] - 1 / d).max() < 1e-12
+    assert np.abs(marginal["F"] - np.r_[np.full(d, 1 / d), np.zeros(d)]).max() < 1e-12
 
 
 def test_conditional_process_on_product(rng):
