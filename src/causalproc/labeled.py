@@ -172,7 +172,8 @@ def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     the one rule for process files, for validation and for the operators
     that kernels return. Returns the strictly increasing flat row-major
     indices and the entries there, in the matrix's float or complex dtype. A
-    dense matrix costs one counting pass.
+    dense matrix costs one counting pass, and a sparse one no temporary of
+    the matrix's size.
     """
     m = np.asarray(m)
     limit = m.shape[0] ** 2 // 4
@@ -183,7 +184,9 @@ def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     # words means dense, decided by this one counting pass.
     if np.count_nonzero(words) > per * limit:
         return None
-    index = np.flatnonzero(words != 0) // per
+    # the nonzero words slice by slice, so no mask is as large as the matrix
+    step = 1 << 18
+    index = np.concatenate([np.flatnonzero(words[i : i + step] != 0) + i for i in range(0, words.size, step)]) // per
     if per > 1 and index.size:
         index = index[np.r_[True, index[1:] != index[:-1]]]
     if index.size > limit:
@@ -631,7 +634,7 @@ def _multiply(x: LabeledOperator, y: LabeledOperator, systems=None) -> LabeledOp
     When both operands are routed on entries, their stored entries are
     joined on the contracted digits and the products summed per result
     entry, which is held as ``sorted_coo``'s rule finds it. Otherwise both
-    are dense, and one ``np.tensordot`` is transposed once into the output
+    are dense, and one matrix product is transposed once into the output
     order. Raises ValueError when a shared system has two dimensions, or
     before allocating when the join, or the dense operands, the contraction
     and its transposed copy, exceed ``MAX_DENSE_BYTES``.
@@ -645,9 +648,10 @@ def _multiply(x: LabeledOperator, y: LabeledOperator, systems=None) -> LabeledOp
     ex, ey = _entries(x), _entries(y)
     if ex is not None and ey is not None:
         return _joined(x.systems, ex, y.systems, ey, shared, out, kept)
-    t, axes = _contracted(x, y, own_x, shared, own_y)
-    t = t.transpose([axes[s.key, False] for s in kept] + [axes[s.key, True] for s in kept])
     d = math.prod(s.dim for s in kept)
+    a, b, axes, shape = _operands(x, y, own_x, shared, own_y, 32 * d * d)  # the product and its transposed copy
+    t = np.dot(a, b).reshape(shape).transpose([axes[s.key, False] for s in kept] + [axes[s.key, True] for s in kept])
+    del a, b  # the operands are freed before the transposed copy is made
     return LabeledOperator(out, t.reshape(d, d))
 
 
@@ -662,22 +666,22 @@ def _groups(x: LabeledOperator, y: LabeledOperator) -> tuple[tuple[SystemLabel, 
     return tuple(s for s in x.systems if s.key not in in_y), shared, tuple(s for s in y.systems if s.key not in in_x)
 
 
-def _contracted(x, y, own_x, shared, own_y) -> tuple[np.ndarray, dict]:
-    """The dense ``x @ y`` as one ``np.tensordot``, with one axis per system
-    for its rows and one for its columns, and those axes by (key, is column),
-    listed in axis order.
-    Raises ValueError before allocating when the dense operands, the
-    contraction and a transposed copy of it exceed ``MAX_DENSE_BYTES``."""
+def _operands(x, y, own_x, shared, own_y, scratch: int) -> tuple[np.ndarray, np.ndarray, dict, tuple]:
+    """The dense ``x @ y`` as one matrix product ``a @ b``: x as ``a``, rows
+    U O U by columns O, and y as ``b``, rows O by columns V O V. Also the
+    product's tensor axes, one per system for its rows and one for its
+    columns, by (key, is column) in axis order, and their lengths; ``a``'s
+    rows are the first ``2 * len(own_x) + len(shared)`` of them.
+    Raises ValueError before allocating when the dense operands and
+    ``scratch`` more bytes exceed ``MAX_DENSE_BYTES``."""
     du, do, dv = (math.prod(s.dim for s in group) for group in (own_x, shared, own_y))
-    d = du * do * dv
-    _budget(16 * ((du * do) ** 2 + (do * dv) ** 2 + 2 * d * d), f"a product on {d} dims")
-    a = reorder(x, own_x + shared).matrix.reshape(du * do, du, do)
-    b = reorder(y, shared + own_y).matrix.reshape(do, dv, do, dv)
+    _budget(16 * ((du * do) ** 2 + (do * dv) ** 2) + scratch, f"a product on {du * do * dv} dims")
+    a = reorder(x, own_x + shared).matrix.reshape(du * do * du, do)
+    b = reorder(y, shared + own_y).matrix.reshape(do, dv * do * dv)
     # rows of U O, columns of U, rows of V, columns of O V
     layout = [(s, False) for s in own_x + shared] + [(s, True) for s in own_x]
     layout += [(s, False) for s in own_y] + [(s, True) for s in shared + own_y]
-    t = np.tensordot(a, b, 1).reshape([s.dim for s, _ in layout])
-    return t, {(s.key, column): i for i, (s, column) in enumerate(layout)}
+    return a, b, {(s.key, column): i for i, (s, column) in enumerate(layout)}, tuple(s.dim for s, _ in layout)
 
 
 def _joined(x_systems, ex, y_systems, ey, shared, out, kept) -> LabeledOperator:
@@ -744,9 +748,10 @@ def _norms(a: LabeledOperator, b: LabeledOperator) -> tuple[float, float, float]
 def _product_distance(ops, target: LabeledOperator) -> float:
     """``distance(product(ops, target.systems), target)``. When the last step
     and ``target`` are dense, and ``target`` adds only dimension-1 systems to
-    the factors' union, the last contraction is compared with ``target``'s
-    tensor read in the contraction's axis order: the product is never copied
-    into ``target``'s order."""
+    the factors' union, the last contraction is formed in row blocks of about
+    one tile's entries (at least one row), each compared with the matching
+    block of ``target``'s tensor read in the contraction's axis order: the
+    product is neither held whole nor copied into ``target``'s order."""
     if len(ops) < 2:
         return distance(product(ops, target.systems), target)
     x, y = ops[0], ops[-1]
@@ -759,10 +764,21 @@ def _product_distance(ops, target: LabeledOperator) -> float:
     fits = union <= at.keys() and all(target.systems[i].dim == 1 for i in extras)
     if not fits or _entries(target) is not None or (_entries(x) is not None and _entries(y) is not None):
         return distance(embed(_multiply(x, y, target.systems), target.systems), target)
-    t, axes = _contracted(x, y, own_x, shared, own_y)
+    columns = math.prod(s.dim for s in shared + own_y * 2)
+    a, b, axes, shape = _operands(x, y, own_x, shared, own_y, 32 * max(columns, _TILE * _TILE))
     order = [at[key] + n * column for key, column in axes] + extras + [n + i for i in extras]
-    view = target.as_tensor().transpose(order).reshape(t.shape)  # the extras' axes have length 1
-    return math.sqrt(_squares(t, view)) / max(1.0, math.sqrt(_squares(t)), math.sqrt(_squares(target.matrix)))
+    view = target.as_tensor().transpose(order).reshape(shape)  # the extras' axes have length 1
+    # a block fixes the first j row axes: the fewest that leave at most one
+    # tile, or all of them (one row)
+    rows = 2 * len(own_x) + len(shared)
+    j = next(j for j in range(rows + 1) if j == rows or math.prod(shape[j:rows]) * columns <= _TILE * _TILE)
+    step, diff, norm = math.prod(shape[j:rows]), 0.0, 0.0
+    for i, at_rows in enumerate(np.ndindex(*shape[:j])):
+        block = np.dot(a[i * step : (i + 1) * step], b).reshape(shape[j:])
+        rest = np.subtract(block, view[at_rows])
+        norm += float(np.vdot(block, block).real)
+        diff += float(np.vdot(rest, rest).real)
+    return math.sqrt(diff) / max(1.0, math.sqrt(norm), math.sqrt(_squares(target.matrix)))
 
 
 def distance(a: LabeledOperator, b: LabeledOperator) -> float:

@@ -79,8 +79,12 @@ def random_instrument_kraus(
 ) -> list[list[np.ndarray]]:
     """Kraus lists of instrument elements that sum to a CPTP channel.
 
-    Draws a random channel with one Kraus operator per outcome and lets each
-    outcome keep one of them.
+    Draws a random channel of Kraus rank ``max(n_outcomes, ceil(d_in/d_out))``,
+    the least that has an isometry, and deals its Kraus operators out to the
+    outcomes in turn: outcome k keeps operators k, k + n_outcomes, ... . With
+    at least ``ceil(d_in/d_out)`` outcomes each keeps exactly one.
     """
-    kraus = random_cptp(d_in, d_out, rng, kraus_rank=n_outcomes)
-    return [[k] for k in kraus]
+    if n_outcomes < 1:
+        raise ValueError(f"an instrument needs at least one outcome, not {n_outcomes}")
+    kraus = random_cptp(d_in, d_out, rng, kraus_rank=max(n_outcomes, -(-d_in // d_out)))
+    return [kraus[k::n_outcomes] for k in range(n_outcomes)]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,8 @@ from causalproc import (
     write_process_file,
 )
 from causalproc.cli import EXEMPLAR_NAMES, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -571,3 +574,71 @@ def test_every_command_reports_deterministically(tmp_path, capsys, bad_docs, mon
 
     monkeypatch.setattr(cli, "comb_search", broken_search)
     assert run(capsys, "comb", "--search", files["mix"])[:2] == (3, "")
+
+
+# the installed script's wrapper: import the entry named in pyproject.toml and exit with its code
+SCRIPT = "import sys; from causalproc.__main__ import main; sys.exit(main())"
+
+
+def _report(out: str):
+    """A command's stdout with ``runtime_s`` left out (empty stays empty)."""
+    return {k: v for k, v in json.loads(out).items() if k != "runtime_s"} if out else out
+
+
+@pytest.mark.parametrize("argv, want", [(["validate", "mix.json"], 0), (["validate", "counterexample.json"], 1),
+                                        (["validate", "missing.json"], 2)])
+def test_both_process_entries_run_the_command_as_in_process_main(argv, want, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("mix", "counterexample"):
+        assert run(capsys, "exemplar", name, "--out", f"{name}.json")[0] == 0
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    for entry in (["-m", "causalproc"], ["-c", SCRIPT]):
+        child = subprocess.run([sys.executable, *entry, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert (child.returncode, _report(child.stdout), child.stderr) == (code, _report(out), err)
+
+
+def test_the_installed_script_is_the_process_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'causalproc = "causalproc.__main__:main"' in pyproject.splitlines()
+
+
+CLI_COLLECTOR_IN_FRESH_PROCESS = """
+import gc, json, sys
+sys.path.insert(0, {src!r})
+start = gc.isenabled(), gc.get_freeze_count()
+import causalproc.cli
+after_import = gc.isenabled(), gc.get_freeze_count()
+code = causalproc.cli.main(["exemplar", "switch", "--out", "switch.json"])
+print(json.dumps([start, after_import, code, [gc.isenabled(), gc.get_freeze_count()]]))
+"""
+
+ENTRY_COLLECTOR_IN_FRESH_PROCESS = """
+import gc, json, sys
+sys.path.insert(0, {src!r})
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info["generation"]))
+sys.argv = ["causalproc", "validate", "switch.json"]
+from causalproc import __main__ as entry
+loaded = gc.isenabled(), gc.get_freeze_count(), list(collections)
+code = entry.main()
+print(json.dumps([loaded, code, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+def _fresh(code: str, cwd) -> list:
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_only_the_process_entry_pauses_and_freezes_the_collector(tmp_path):
+    # importing cli and calling cli.main leave the collector on and nothing frozen
+    start, after_import, code, after_main = _fresh(CLI_COLLECTOR_IN_FRESH_PROCESS.format(src=SRC), tmp_path)
+    assert start == after_import == after_main == [True, 0] and code == 0
+    # loading the entry (cli, numpy and the package) runs no collection,
+    # freezes what it loaded and turns the collector back on
+    (enabled, frozen, collected), code, enabled_at_exit, frozen_at_exit = _fresh(ENTRY_COLLECTOR_IN_FRESH_PROCESS.format(src=SRC), tmp_path)
+    assert enabled and frozen > 0 and collected == []
+    # the command runs with the collector on, and what is left at exit is frozen
+    assert code == 0 and enabled_at_exit and frozen_at_exit > frozen

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,22 @@ def test_markov_check_accepts_chain(rng):
     fr = faithfulness_check(mf)
     assert fr.faithful
     assert fr.edge_signalling[("A", "B")]
+
+
+def test_markov_check_of_a_dense_chain_never_holds_the_product():
+    # sigma is a dense 1024-dim operator (16 MiB): the ordered product is
+    # compared with it row block by row block, not formed whole
+    sigma = random_unitary_chain(3, np.random.default_rng(0)).process
+    assert _entries(sigma.op) is None and sigma.dim == 1024
+    order = ["P", "A", "B", "C", "F"]
+    tracemalloc.start()
+    try:
+        mf = markov_check(sigma, directed_graph(order, itertools.combinations(order, 2)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mf.accepted and mf.product_residual < 1e-12
+    assert peak <= 8 * 2**20, peak
 
 
 def test_markov_check_of_a_one_node_process(rng):

@@ -57,7 +57,7 @@ from causalproc import (
 )
 from causalproc.process import canonical_systems
 from causalproc.labeled import sorted_coo
-from causalproc.rand import haar_unitary, random_cptp, random_state
+from causalproc.rand import haar_unitary, random_instrument_kraus, random_state
 
 
 def product_process(rho_a, rho_b):
@@ -218,8 +218,7 @@ def dense_trace_rule(sigma, instruments):
 
 def kraus_instrument(node, rng, outcomes=3):
     """Random instrument: one channel's Kraus operators dealt to the outcomes."""
-    kraus = random_cptp(node.d_in, node.d_out, rng, kraus_rank=max(outcomes, -(-node.d_in // node.d_out)))
-    return instrument_from_kraus(node, [kraus[k::outcomes] for k in range(outcomes)])
+    return instrument_from_kraus(node, random_instrument_kraus(node.d_in, node.d_out, outcomes, rng))
 
 
 def dense_instrument(ins):

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalproc import (
     LabeledOperator,
@@ -41,8 +43,10 @@ from causalproc import (
     identity_operator,
     is_isometric,
     labeled,
+    make_af,
     make_bw_extension,
     make_mix_example,
+    make_reduced_switch,
     make_switch,
     make_unitary_process,
     partial_trace,
@@ -122,6 +126,68 @@ def test_dense_held_inputs_route_on_their_entries_and_matrix_is_not_cached():
     first = sparse.matrix
     first[1, 1] = 5.0
     assert sparse.matrix is not first and _bits(sparse.matrix) == _bits(m)
+
+
+def _plain_coo(m: np.ndarray):
+    """``sorted_coo`` by its definition, with one full-size mask: every entry
+    with a nonzero bit, or None when more than a quarter are stored."""
+    flat = np.ascontiguousarray(m, dtype=np.result_type(m.dtype, np.float64)).reshape(-1)
+    index = np.flatnonzero(flat.view(np.uint64).reshape(flat.size, -1).any(axis=1))
+    return (index, flat[index]) if 4 * index.size <= m.shape[0] ** 2 else None
+
+
+def _same_coo(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return all(_bits(x) == _bits(y) for x, y in zip(got, want))
+
+
+def test_sorted_coo_of_the_exemplars_is_their_stored_entries():
+    ops = [make_switch(2).process.op, make_switch(3).process.op, make_reduced_switch(2).op, make_af().op,
+           make_bw_extension().process.op, make_mix_example().op]
+    for op in ops:
+        m = op.matrix
+        assert _same_coo(sorted_coo(m), _plain_coo(m))
+
+
+# Words per sorted_coo slice in the tests below: a complex matrix of side
+# 363 or more spans several slices, and stored entries are drawn at their edges.
+_SLICE = 1 << 18
+
+
+@st.composite
+def dense_held_patterns(draw):
+    """A square float or complex matrix with up to a quarter of its entries
+    stored, or a few more, with signed zeros and entries with one zero part;
+    some stored entries sit either side of a slice edge."""
+    side, real = draw(st.integers(1, 40) | st.integers(363, 520)), draw(st.booleans())
+    size, per = side * side, 1 if real else 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    where = rng.choice(size, size=min(size, draw(st.integers(0, size // 4 + 2))), replace=False)
+    edges = [k * _SLICE // per + off for k in range(1, per * size // _SLICE + 1) for off in (-1, 0)]
+    where = np.concatenate([where, [e for e in edges if draw(st.booleans())]]).astype(np.intp)
+    m = np.zeros(size, dtype=float if real else complex)
+    for part in (m,) if real else (m.real, m.imag):
+        part[where] = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300], size=where.size)
+    return m.reshape(side, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=dense_held_patterns())
+def test_sorted_coo_slices_give_the_stored_entries(m):
+    assert _same_coo(sorted_coo(m), _plain_coo(m))
+
+
+def test_sorted_coo_of_a_dense_held_4096_dim_matrix_needs_no_full_size_mask():
+    m = make_bw_extension().process.op.matrix  # 256 MiB, 4096 stored entries
+    tracemalloc.start()
+    try:
+        got = sorted_coo(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _same_coo(got, labeled._entries(make_bw_extension().process.op))
+    assert peak <= 2 * 2**20, peak
 
 
 def test_operators_copy_and_pickle_in_either_form():
