@@ -319,7 +319,3 @@ def main(argv=None) -> int:
             return 2
         sys.stderr.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

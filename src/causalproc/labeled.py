@@ -749,9 +749,10 @@ def _product_distance(ops, target: LabeledOperator) -> float:
     """``distance(product(ops, target.systems), target)``. When the last step
     and ``target`` are dense, and ``target`` adds only dimension-1 systems to
     the factors' union, the last contraction is formed in row blocks of about
-    one tile's entries (at least one row), each compared with the matching
-    block of ``target``'s tensor read in the contraction's axis order: the
-    product is neither held whole nor copied into ``target``'s order."""
+    one tile's entries (at least the rows along its last row axis), each
+    compared with the matching block of ``target``'s tensor read in the
+    contraction's axis order: the product is neither held whole nor copied
+    into ``target``'s order."""
     if len(ops) < 2:
         return distance(product(ops, target.systems), target)
     x, y = ops[0], ops[-1]
@@ -764,20 +765,20 @@ def _product_distance(ops, target: LabeledOperator) -> float:
     fits = union <= at.keys() and all(target.systems[i].dim == 1 for i in extras)
     if not fits or _entries(target) is not None or (_entries(x) is not None and _entries(y) is not None):
         return distance(embed(_multiply(x, y, target.systems), target.systems), target)
-    columns = math.prod(s.dim for s in shared + own_y * 2)
-    a, b, axes, shape = _operands(x, y, own_x, shared, own_y, 32 * max(columns, _TILE * _TILE))
+    rows, columns = [s.dim for s in own_x + shared + own_x], math.prod(s.dim for s in shared + own_y * 2)
+    # a block fixes the first j row axes: the fewest that leave at most one
+    # tile, but never the last row axis, which a block always holds whole
+    j = next(j for j in range(len(rows) + 1) if j >= len(rows) - 1 or math.prod(rows[j:]) * columns <= _TILE * _TILE)
+    step, diff, norm = math.prod(rows[j:]), 0.0, 0.0
+    a, b, axes, shape = _operands(x, y, own_x, shared, own_y, 32 * step * columns)  # a block and its difference
     order = [at[key] + n * column for key, column in axes] + extras + [n + i for i in extras]
     view = target.as_tensor().transpose(order).reshape(shape)  # the extras' axes have length 1
-    # a block fixes the first j row axes: the fewest that leave at most one
-    # tile, or all of them (one row)
-    rows = 2 * len(own_x) + len(shared)
-    j = next(j for j in range(rows + 1) if j == rows or math.prod(shape[j:rows]) * columns <= _TILE * _TILE)
-    step, diff, norm = math.prod(shape[j:rows]), 0.0, 0.0
     for i, at_rows in enumerate(np.ndindex(*shape[:j])):
         block = np.dot(a[i * step : (i + 1) * step], b).reshape(shape[j:])
-        rest = np.subtract(block, view[at_rows])
         norm += float(np.vdot(block, block).real)
-        diff += float(np.vdot(rest, rest).real)
+        # the difference overwrites the block, unless only σ is complex
+        block = np.subtract(block, view[at_rows], out=block if np.can_cast(view.dtype, block.dtype) else None)
+        diff += float(np.vdot(block, block).real)
     return math.sqrt(diff) / max(1.0, math.sqrt(norm), math.sqrt(_squares(target.matrix)))
 
 

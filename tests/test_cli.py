@@ -617,13 +617,16 @@ print(json.dumps([start, after_import, code, [gc.isenabled(), gc.get_freeze_coun
 ENTRY_COLLECTOR_IN_FRESH_PROCESS = """
 import gc, json, sys
 sys.path.insert(0, {src!r})
-collections = []
-gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info["generation"]))
 sys.argv = ["causalproc", "validate", "switch.json"]
 from causalproc import __main__ as entry
-loaded = gc.isenabled(), gc.get_freeze_count(), list(collections)
+imported = gc.isenabled(), gc.get_freeze_count()
+collections = []  # the freeze count at the start of each collection
+gc.set_threshold(1)  # any allocation starts a collection while the collector is on
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(gc.get_freeze_count()))
 code = entry.main()
-print(json.dumps([loaded, code, gc.isenabled(), gc.get_freeze_count()]))
+enabled = gc.isenabled()
+gc.disable()  # so the collections listed are those of main alone
+print(json.dumps([imported, code, collections, enabled, gc.get_freeze_count()]))
 """
 
 
@@ -636,9 +639,11 @@ def test_only_the_process_entry_pauses_and_freezes_the_collector(tmp_path):
     # importing cli and calling cli.main leave the collector on and nothing frozen
     start, after_import, code, after_main = _fresh(CLI_COLLECTOR_IN_FRESH_PROCESS.format(src=SRC), tmp_path)
     assert start == after_import == after_main == [True, 0] and code == 0
-    # loading the entry (cli, numpy and the package) runs no collection,
-    # freezes what it loaded and turns the collector back on
-    (enabled, frozen, collected), code, enabled_at_exit, frozen_at_exit = _fresh(ENTRY_COLLECTOR_IN_FRESH_PROCESS.format(src=SRC), tmp_path)
-    assert enabled and frozen > 0 and collected == []
-    # the command runs with the collector on, and what is left at exit is frozen
-    assert code == 0 and enabled_at_exit and frozen_at_exit > frozen
+    # importing the entry leaves the collector alone too; its main loads
+    # cli, numpy and the package with no collection (none runs before the
+    # first freeze) and turns the collector back on for the command
+    imported, code, collections, enabled_at_exit, frozen_at_exit = _fresh(ENTRY_COLLECTOR_IN_FRESH_PROCESS.format(src=SRC), tmp_path)
+    assert imported == [True, 0] and code == 0 and enabled_at_exit
+    assert collections and min(collections) > 0
+    # what is left at exit is frozen
+    assert frozen_at_exit > collections[-1]

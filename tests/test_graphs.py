@@ -37,6 +37,7 @@ from causalproc import (
     markov_check,
     partial_trace,
     process_operator,
+    product,
     random_unitary_chain,
     read_process_file,
     reorder,
@@ -46,7 +47,7 @@ from causalproc import (
     write_process_file,
 )
 from causalproc.graphs import marginal_factor
-from causalproc.labeled import _entries, apply_stage
+from causalproc.labeled import _entries, _product_distance, apply_stage
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -255,6 +256,37 @@ def test_markov_check_of_a_dense_chain_never_holds_the_product():
         tracemalloc.stop()
     assert mf.accepted and mf.product_residual < 1e-12
     assert peak <= 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("wires", [[32], [16, 2], [2, 16]])
+def test_product_residual_of_a_process_with_wide_wires_matches_the_whole_product(wires):
+    # wires of these dims run from P through a line of nodes to F (1024 dims
+    # in all), so the last contraction has long row axes or few rows; a
+    # block holds at least one whole last row axis: with one wire the product
+    # has a single row, so its one block is the whole product (16 MiB)
+    rng = np.random.default_rng(0)
+    names = [chr(ord("A") + i) for i in range(len(wires) - 1)]
+    nodes = [QuantumNode(n, wires[i], wires[i + 1]) for i, n in enumerate(names)]
+    p, f = QuantumNode("P", 1, wires[0]), QuantumNode("F", wires[-1], 1)
+    ins = [nd.in_system for nd in nodes] + [f.in_system]
+    u = LinearMap(haar_unitary(wires[0], rng), (p.out_system,), ins[:1])
+    for nd, to in zip(nodes, ins[1:]):
+        u = apply_stage(u, LinearMap(haar_unitary(to.dim, rng), (nd.out_system,), (to,)))
+    sigma = make_unitary_process([p, *nodes, f], u).process
+    order = ["P", *names, "F"]
+    assert _entries(sigma.op) is None and sigma.dim == 1024
+    graph = directed_graph(order, list(zip(order, order[1:])))
+    ops = [marginal_factor(sigma, n, graph.parents(n)).op for n in order]
+    whole = distance(product(ops, sigma.op.systems), sigma.op)
+    tracemalloc.start()
+    try:
+        residual = _product_distance(ops, sigma.op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(residual - whole) <= 1e-15 and whole < 1e-12
+    assert markov_check(sigma, graph).product_residual == residual
+    assert peak <= (17 if len(wires) == 1 else 5) * 2**20, peak
 
 
 def test_markov_check_of_a_one_node_process(rng):
