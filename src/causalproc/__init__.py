@@ -14,14 +14,14 @@ them in table order.
 _EXPORTS = {
     "labeled": (
         "LabeledOperator", "LinearMap", "SystemLabel", "cj_operator", "compose_maps", "distance",
-        "dual", "embed", "fuse", "identity_map", "identity_operator", "is_unitary",
-        "partial_trace", "permute_map", "product", "reorder", "split_system", "tensor",
-        "tensor_maps", "transpose_systems",
+        "dual", "embed", "identity_map", "identity_operator", "is_unitary", "partial_trace",
+        "permute_map", "product", "reorder", "split_system", "tensor", "tensor_maps",
+        "transpose_systems",
     ),
     "hs": ("project_trivial", "type_norms"),
     "channels": (
-        "ChannelOperator", "apply_channel", "channel_from_unitary", "channel_influence_residual",
-        "channel_no_influence", "cj_from_kraus", "influence_residuals", "input_signals",
+        "ChannelOperator", "channel_from_unitary", "channel_influence_residual", "cj_from_kraus",
+        "influence_residuals", "input_signals",
     ),
     "rand": (
         "haar_unitary", "random_cptp", "random_instrument_kraus", "random_signalling_channel",
@@ -30,9 +30,8 @@ _EXPORTS = {
     "process": (
         "Instrument", "InstrumentElement", "ProcessOperator", "QuantumNode", "ValidationVerdict",
         "comb_from_circuit", "conditional_process", "element_from_kraus", "instrument_from_kraus",
-        "is_isometric", "joint_probabilities", "measure_prepare_element", "no_signalling",
-        "preparation_instrument", "process_operator", "readout_instrument", "signalling_residual",
-        "validate_process",
+        "is_isometric", "joint_probabilities", "measure_prepare_element", "preparation_instrument",
+        "process_operator", "readout_instrument", "signalling_residual", "validate_process",
     ),
     "graphs": (
         "CompatibilityVerdict", "DirectedGraph", "FaithfulnessReport", "MarkovFactorization",
@@ -44,10 +43,9 @@ _EXPORTS = {
         "bipartite_separability", "comb_check", "comb_search", "unitary_causal_separability",
     ),
     "classical": (
-        "ClassicalCompatibilityVerdict", "ClassicalMarkov", "ClassicalNode", "ClassicalProcess",
-        "ClassicalValidationVerdict", "DeterministicProcess", "PolytopeVerdict",
-        "ReversibleExtension", "causal_structure_deterministic", "classical_compatibility_check",
-        "classical_joint_probabilities", "classical_markov_check",
+        "ClassicalMarkov", "ClassicalNode", "ClassicalProcess", "ClassicalValidationVerdict",
+        "DeterministicProcess", "PolytopeVerdict", "ReversibleExtension",
+        "causal_structure_deterministic", "classical_joint_probabilities", "classical_markov_check",
         "enumerate_deterministic_processes", "find_process_outside_hull", "polytope_membership",
         "quantize", "reversible_extension", "validate_classical", "validate_deterministic",
     ),
@@ -55,10 +53,9 @@ _EXPORTS = {
         "BWParts", "DecompositionReport", "MethodsCounterexample", "SwitchParts",
         "af_causal_graph", "bw_decomposition", "decomposition_report", "make_af",
         "make_af_deterministic", "make_bw_extension", "make_classical_switch",
-        "make_methods_counterexample", "make_mix_components", "make_mix_example",
-        "make_reduced_switch", "make_switch", "random_unitary_chain",
-        "reduced_switch_causal_graph", "switch_causal_graph", "switch_decomposition",
-        "verify_decomposition",
+        "make_methods_counterexample", "make_mix_example", "make_reduced_switch", "make_switch",
+        "random_unitary_chain", "reduced_switch_causal_graph", "switch_causal_graph",
+        "switch_decomposition", "verify_decomposition",
     ),
     "fileio": (
         "FORMAT_VERSION", "LoadedProcessFile", "ProcessFileError", "dict_to_process",

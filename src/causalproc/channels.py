@@ -26,8 +26,6 @@ from .labeled import (
     cj_operator,
     dual,
     partial_trace,
-    product,
-    transpose_systems,
 )
 
 __all__ = _EXPORTS["channels"]
@@ -98,17 +96,6 @@ def channel_from_unitary(u: LinearMap) -> ChannelOperator:
     return ChannelOperator(cj_operator(u), u.codomain, u.domain)
 
 
-def apply_channel(ch: ChannelOperator, state: LabeledOperator) -> LabeledOperator:
-    """Apply the channel to a state on (a superset of) its input systems.
-
-    Input systems of the channel are contracted; other systems of the state
-    pass through untouched.
-    """
-    st = transpose_systems(state, [s.key for s in state.systems])
-    joined = product([ch.op, st])
-    return partial_trace(joined, [dual(s).key for s in ch.inputs])
-
-
 def channel_influence_residual(ch: ChannelOperator, in_ref, out_ref) -> float:
     """Residual of the no-influence condition from one input to one output.
 
@@ -125,11 +112,6 @@ def influence_residuals(ch: ChannelOperator) -> dict[tuple[str, str], float]:
     above one, keyed by (input name, output name)."""
     outs, ins = [o for o in ch.outputs if o.dim > 1], [i for i in ch.inputs if i.dim > 1]
     return {(i.name, o.name): channel_influence_residual(ch, i, o) for o in outs for i in ins}
-
-
-def channel_no_influence(ch: ChannelOperator, in_ref, out_ref, tol: float = 1e-9) -> bool:
-    """True iff the input system cannot influence the output system."""
-    return channel_influence_residual(ch, in_ref, out_ref) <= tol
 
 
 def input_signals(ch: ChannelOperator, in_ref, tol: float = 1e-9) -> bool:

@@ -477,21 +477,17 @@ class ReversibleExtension:
 
     def marginal(self) -> ClassicalProcess:
         """Feed the stored distribution into the root and discard the leaf."""
-        return _extension_marginal(self.extension, self.lambda_distribution, self.base_nodes)
-
-
-def _extension_marginal(ext: DeterministicProcess, dist: np.ndarray, base_nodes) -> ClassicalProcess:
-    # function axes: (root out, out_1..out_n, leaf out = 1, component)
-    ins = ext.function[..., 0, 1:-1]
-    grids = np.indices(ins.shape[:-1])
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != ins.shape[:1]:
-        raise ValueError(f"need one weight per root value ({ins.shape[0]}), got shape {dist.shape}")
-    acc = np.zeros(_interleaved_shape(base_nodes))
-    # np.add.at adds in C order (root value by root value), which fixes the rounding of each sum
-    weights = np.broadcast_to(dist.reshape((-1,) + (1,) * len(base_nodes)), ins.shape[:-1])
-    np.add.at(acc, _interleaved_index(ins, grids[1:]), weights)
-    return ClassicalProcess(tuple(base_nodes), acc)
+        # function axes: (root out, out_1..out_n, leaf out = 1, component)
+        ins = self.extension.function[..., 0, 1:-1]
+        grids = np.indices(ins.shape[:-1])
+        dist = np.asarray(self.lambda_distribution, dtype=float)
+        if dist.shape != ins.shape[:1]:
+            raise ValueError(f"need one weight per root value ({ins.shape[0]}), got shape {dist.shape}")
+        acc = np.zeros(_interleaved_shape(self.base_nodes))
+        # np.add.at adds in C order (root value by root value), which fixes the rounding of each sum
+        weights = np.broadcast_to(dist.reshape((-1,) + (1,) * len(self.base_nodes)), ins.shape[:-1])
+        np.add.at(acc, _interleaved_index(ins, grids[1:]), weights)
+        return ClassicalProcess(tuple(self.base_nodes), acc)
 
 
 def reversible_extension(mixture) -> ReversibleExtension:
@@ -588,66 +584,6 @@ def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET):
         if not verdict.inside and verdict.residual > 1e-7:
             return kp, float(verdict.residual)
     raise RuntimeError("no separating vertex found; hull may equal the validity polytope")
-
-
-@dataclass(frozen=True)
-class ClassicalCompatibilityVerdict:
-    compatible: bool
-    extension_valid: bool
-    marginal_residual: float
-    violations: tuple
-
-    def __bool__(self):
-        return self.compatible
-
-
-def classical_compatibility_check(
-    kp: ClassicalProcess,
-    graph,
-    extension: DeterministicProcess,
-    lambda_distribution: np.ndarray,
-    tol: float = 1e-12,
-) -> ClassicalCompatibilityVerdict:
-    """Confirm a causal structure for a classical process via a reversible extension.
-
-    The extension must have nodes (root, original..., leaf) with the root
-    out-space factoring per node as prod(in_cards). Checks: the extension is a
-    valid deterministic process; the stored distribution reproduces kappa; and
-    node i's in-value depends neither on the j-th root factor (j != i) nor on
-    X_j^out for j outside its parent set (including j = i).
-    """
-    base = kp.nodes
-    n = len(base)
-    if len(extension.nodes) != n + 2:
-        raise ValueError("extension must add exactly a root and a leaf node")
-    root, leaf = extension.nodes[0], extension.nodes[-1]
-    if tuple(extension.nodes[1:-1]) != tuple(base):
-        raise ValueError("extension middle nodes must match the process nodes")
-    in_cards = [nd.in_card for nd in base]
-    if root.in_card != 1 or root.out_card != int(np.prod(in_cards)):
-        raise ValueError("root out-space must factor as the product of in-cardinalities")
-    if leaf.out_card != 1:
-        raise ValueError("leaf must have a trivial out-space")
-
-    valid, _ = validate_deterministic(extension)
-    marg = _extension_marginal(extension, lambda_distribution, base)
-    mres = float(np.abs(marg.table - kp.table).max())
-
-    violations = []
-    # function axes: (root out, out_1..out_n, leaf out=1, component)
-    func = extension.function
-    split = func.reshape(tuple(in_cards) + tuple(nd.out_card for nd in base) + (1, n + 2))
-    for i, node in enumerate(base):
-        comp = split[..., 1 + i]
-        for j, other in enumerate(base):
-            if j != i and _varies_along(comp, j):
-                violations.append(f"root[{other.name}] -> {node.name}.in")
-        parents = set(graph.parents(node.name))
-        for j, other in enumerate(base):
-            if other.name not in parents and _varies_along(comp, n + j):
-                violations.append(f"{other.name}.out -> {node.name}.in")
-    compatible = bool(valid and mres <= tol and not violations)
-    return ClassicalCompatibilityVerdict(compatible, bool(valid), mres, tuple(violations))
 
 
 def quantize(kp: ClassicalProcess) -> ProcessOperator:

@@ -31,7 +31,7 @@ from .labeled import (
     permute_map,
     tensor,
 )
-from .process import ProcessOperator, QuantumNode, comb_from_circuit, process_operator
+from .process import ProcessOperator, QuantumNode, process_operator
 from .rand import haar_unitary
 
 __all__ = _EXPORTS["exemplars"]
@@ -174,37 +174,6 @@ def make_mix_example() -> ProcessOperator:
         identity_operator([nb.out_dual]),
     )
     return process_operator((na, nb), op)
-
-
-def make_mix_components():
-    """The two coin-value circuits averaging to the mixed example.
-
-    Each circuit prepares A's maximally mixed input and an ancilla bit (value
-    0 or 1), routes A's output through a controlled-NOT with the ancilla as
-    target, discards the control wire, and feeds the target wire to B.
-    Returns (sigma0, sigma1).
-    """
-    cnot = np.eye(4)[[0, 1, 3, 2]]  # |x, y> -> |x, y XOR x>
-
-    out = []
-    for coin in range(2):
-        w_a = SystemLabel("wA", 2)
-        w_anc = SystemLabel("wanc", 2)
-        w_ao = SystemLabel("wAout", 2)
-        w_ctrl = SystemLabel("wctrl", 2)
-        w_tgt = SystemLabel("wtgt", 2)
-        anc = np.zeros((2, 2), dtype=complex)
-        anc[coin, coin] = 1.0
-        init = tensor(
-            LabeledOperator((w_a,), np.eye(2, dtype=complex) / 2),
-            LabeledOperator((w_anc,), anc),
-        )
-        gate = channel_from_unitary(LinearMap(cnot.astype(complex), (w_ao, w_anc), (w_ctrl, w_tgt)))
-        na = QuantumNode("A", 2, 2)
-        nb = QuantumNode("B", 2, 2)
-        sigma = comb_from_circuit(init, [gate], [(na, "wA", "wAout"), (nb, "wtgt", "wB")])
-        out.append(sigma)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ class SystemLabel:
     dim: int
     dual: bool = False
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"system {self.name!r} needs dimension at least 1, got {self.dim}")
+
     @property
     def key(self) -> tuple[str, bool]:
         return (self.name, self.dual)
@@ -522,23 +526,6 @@ def transpose_systems(op: LabeledOperator, refs) -> LabeledOperator:
     axes += [i if s.key in keys else n + i for i, s in enumerate(op.systems)]
     systems = tuple(dual(s) if s.key in keys else s for s in op.systems)
     return _permuted(op, axes, systems)
-
-
-def fuse(op: LabeledOperator, refs, name: str) -> LabeledOperator:
-    """Merge the listed systems (in the given order) into one composite system.
-
-    The composite index of the new system is row-major over ``refs``; the
-    systems must share the dual flag it takes."""
-    keys = [_as_key(r, op.systems) for r in refs]
-    rest = [s for s in op.systems if s.key not in keys]
-    group = [op.system(k) for k in keys]
-    flags = {s.dual for s in group}
-    if len(flags) != 1:
-        raise ValueError("cannot fuse systems with mixed dual flags")
-    (dual_flag,) = flags
-    moved = reorder(op, keys + [s.key for s in rest])
-    fused = SystemLabel(name, math.prod(s.dim for s in group), dual_flag)
-    return _relabeled(moved, (fused,) + tuple(rest))
 
 
 def split_system(op: LabeledOperator, ref, parts) -> LabeledOperator:

@@ -284,11 +284,6 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
     return residual / max(1.0, math.hypot(*unwitnessed.values()))
 
 
-def no_signalling(sigma: ProcessOperator, from_nodes, tol: float = 1e-9) -> bool:
-    """True iff no choice of interventions at from_nodes is detectable outside."""
-    return signalling_residual(sigma, from_nodes) <= tol
-
-
 def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
     """True iff sigma is v v† for one vector v, within ``tol``.
 

@@ -14,10 +14,11 @@ from causalproc import (
     ClassicalNode,
     ClassicalProcess,
     DeterministicProcess,
+    ReversibleExtension,
     causal_structure_deterministic,
-    classical_compatibility_check,
     classical_joint_probabilities,
     classical_markov_check,
+    compatibility_check,
     directed_graph,
     enumerate_deterministic_processes,
     find_process_outside_hull,
@@ -29,6 +30,7 @@ from causalproc import (
     validate_deterministic,
     validate_process,
 )
+from causalproc.exemplars import _coherent_copy
 
 BITS2 = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))
 
@@ -155,21 +157,35 @@ def test_outside_hull_search_names_a_failed_validity_lp(monkeypatch):
         find_process_outside_hull(BITS2)
 
 
-def test_classical_compatibility_chain():
-    chain = chain_process()
-    kp = chain.to_classical()
-    ext = reversible_extension([(1.0, chain)])
-    g = directed_graph(["A", "B"], [("A", "B")])
-    cv = classical_compatibility_check(kp, g, ext.extension, ext.lambda_distribution)
-    assert cv.compatible and bool(cv)
-    bad = classical_compatibility_check(
-        kp, directed_graph(["A", "B"], []), ext.extension, ext.lambda_distribution
-    )
-    assert not bad.compatible and not bool(bad)
-    assert bad.violations
+def _compatibility(dp: DeterministicProcess, graph, extension: DeterministicProcess | None = None):
+    """The unitary-extension check on quantize(dp), with the coherent copy of
+    dp's reversible extension (or of ``extension``) and |0><0| in every memory."""
+    extension = extension or reversible_extension([(1.0, dp)]).extension
+    memories = [np.diag(np.eye(node.in_card)[0]) for node in dp.nodes]
+    return compatibility_check(quantize(dp.to_classical()), graph, _coherent_copy(extension), memories)
+
+
+@pytest.mark.parametrize("cards", [(2, 2), (3, 2)], ids=["2-2", "3-2"])
+def test_compatibility_of_each_vertex_is_its_influence_graph(cards):
+    # node A has in-card cards[0], B is a bit; every vertex on every graph over A, B
+    nodes = (ClassicalNode("A", cards[0], 2), ClassicalNode("B", 2, 2))
+    arrows = [("A", "B"), ("B", "A")]
+    graphs = [directed_graph(["A", "B"], kept) for k in range(3) for kept in itertools.combinations(arrows, k)]
+    vertices = enumerate_deterministic_processes(nodes)
+    assert len(vertices) * len(graphs) == {(2, 2): 48, (3, 2): 96}[cards]
+    for dp in vertices:
+        needed = causal_structure_deterministic(dp).edges
+        for g in graphs:
+            cv = _compatibility(dp, g)
+            assert cv.extension_valid and cv.marginal_residual <= 1e-12
+            assert cv.compatible == (needed <= g.edges), (dp.function.tolist(), g.edges, cv.influence_residuals)
+
+
+def test_reversible_extension_marginal_needs_one_weight_per_root_value():
+    ext = reversible_extension([(1.0, chain_process())])
     for dist in ([1.0], np.append(ext.lambda_distribution, 0.0)):
         with pytest.raises(ValueError, match="one weight per root value"):
-            classical_compatibility_check(kp, g, ext.extension, dist)
+            ReversibleExtension(ext.extension, dist, ext.base_nodes).marginal()
 
 
 def test_classical_markov_check_counts_a_negative_factor_entry():
@@ -183,17 +199,20 @@ def test_classical_markov_check_counts_a_negative_factor_entry():
     assert mk.stochastic_residual == 0.5 and not mk.accepted
 
 
-def test_classical_compatibility_names_a_root_factor_read_by_another_node():
-    # The chain's extension with A.in set to B's root factor: still a valid
-    # extension with the same marginal, but A reads B's memory.
+def test_compatibility_names_root_factors_read_by_the_other_node():
+    # The chain's extension with the root factors swapped: A.in = root[B] and
+    # B.in = root[A] xor A.out, still a bijection with the same marginal, but
+    # each node reads the other's memory.
     chain = chain_process()
     ext = reversible_extension([(1.0, chain)])
     func = ext.extension.function.copy()
-    func.reshape(2, 2, 2, 2, 1, 4)[..., 1] = np.arange(2).reshape(1, 2, 1, 1, 1)  # axes: root A, root B, A.out, B.out, leaf
+    split = func.reshape(2, 2, 2, 2, 1, 4)  # axes: root A, root B, A.out, B.out, leaf, component
+    split[..., 1] = np.arange(2).reshape(1, 2, 1, 1, 1)
+    split[..., 2] = (np.arange(2).reshape(2, 1, 1, 1, 1) + np.arange(2).reshape(1, 1, 2, 1, 1)) % 2
     g = directed_graph(["A", "B"], [("A", "B")])
-    cv = classical_compatibility_check(chain.to_classical(), g, DeterministicProcess(ext.extension.nodes, func), ext.lambda_distribution)
-    assert cv.extension_valid and cv.marginal_residual == 0.0
-    assert cv.violations == ("root[B] -> A.in",) and not cv.compatible
+    cv = _compatibility(chain, g, DeterministicProcess(ext.extension.nodes, func))
+    assert cv.extension_valid and cv.marginal_residual == 0.0 and not cv.compatible
+    assert {k for k, r in cv.influence_residuals.items() if r > 1e-9} == {"root[B] -/-> A.in", "root[A] -/-> B.in"}
 
 
 def test_validate_classical_rejects_negative_and_unnormalized():

@@ -15,7 +15,6 @@ from causalproc import (
     distance,
     dual,
     embed,
-    fuse,
     identity_map,
     identity_operator,
     is_unitary,
@@ -89,18 +88,26 @@ def test_embed_pads_with_identity(rng):
     assert np.abs(y.matrix - np.kron(ra, np.eye(3))).max() < 1e-14
 
 
-def test_fuse_and_split_round_trip(rng):
-    a, b = SystemLabel("a", 2), SystemLabel("b", 3)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    x = LabeledOperator((a, b), m)
-    f = fuse(x, [a, b], "ab")
-    assert f.systems[0].dim == 6
-    assert np.abs(f.matrix - m).max() < 1e-14
-    back = split_system(f, "ab", [a, b])
-    assert back.systems == (a, b)
-    assert np.abs(back.matrix - m).max() < 1e-14
-    with pytest.raises(ValueError, match="mixed dual flags"):
-        fuse(LabeledOperator((a, dual(b)), m), [a, dual(b)], "ab")
+def test_split_system_is_row_major_over_its_parts(rng):
+    a, b, c = SystemLabel("a", 2), SystemLabel("b", 3), SystemLabel("c", 2)
+    ma, mb = rng.normal(size=(2, 2)), rng.normal(size=(3, 3))
+    x = LabeledOperator((SystemLabel("ab", 6), c), np.kron(np.kron(ma, mb), np.eye(2)))
+    split = split_system(x, "ab", [a, b])
+    assert split.systems == (a, b, c)
+    assert np.array_equal(split.matrix, x.matrix)
+    # the first part is the most significant digit of the composite index
+    assert np.abs(partial_trace(split, ["b", "c"]).matrix - 2 * np.trace(mb) * ma).max() < 1e-12
+    with pytest.raises(ValueError, match="do not multiply"):
+        split_system(x, "ab", [a, c])
+
+
+def test_system_label_refuses_a_dimension_below_one():
+    # a dimension-0 system would reach the kernels, which divide by its size
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension at least 1"):
+            SystemLabel("a", dim)
+    with pytest.raises(ValueError, match="dimension at least 1"):
+        partial_trace(LabeledOperator((SystemLabel("a", 0), SystemLabel("b", 2)), np.zeros((0, 0))), ["a"])
 
 
 def test_product_embeds_factors(rng):

@@ -42,7 +42,6 @@ from causalproc import (
     make_switch,
     make_unitary_process,
     measure_prepare_element,
-    no_signalling,
     process_operator,
     project_trivial,
     readout_instrument,
@@ -128,7 +127,6 @@ def test_signalling_residual_of_product(rng):
     sigma = product_process(random_state(2, rng), random_state(2, rng))
     assert signalling_residual(sigma, ["A"]) < 1e-12
     assert signalling_residual(sigma, ["B"]) < 1e-12
-    assert no_signalling(sigma, ["A"])
 
 
 def test_chain_comb_signals_one_way(rng):
@@ -141,7 +139,6 @@ def test_chain_comb_signals_one_way(rng):
     assert validate_process(sigma).valid
     assert signalling_residual(sigma, ["B"]) < 1e-12
     assert signalling_residual(sigma, ["A"]) > 0.1
-    assert not no_signalling(sigma, ["A"])
 
 
 def test_comb_from_circuit_single_slot(rng):
@@ -823,7 +820,7 @@ def test_a_nan_or_infinite_entry_passes_no_check_on_either_storage(make, value):
             passing = [o for o in itertools.permutations(broken.node_names) if comb_check(broken, o).accepted]
             verdicts.append((
                 verdict.valid, verdict.type_ok, mf.accepted, passing, comb_search(broken),
-                no_signalling(broken, ["A"]), len(type_norms(op)), graph.edges,
+                signalling_residual(broken, ["A"]) <= 1e-9, len(type_norms(op)), graph.edges,
             ))
         assert all(math.isnan(r["min_eigenvalue"]) for r in mf.channel_residuals.values())
     assert verdicts[0] == verdicts[1]
