@@ -7,7 +7,6 @@ trace-preserving iff the partial trace over B is the identity on A*.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,10 @@ from .labeled import (
     LinearMap,
     SystemLabel,
     _as_key,
-    _entries,
     _positivity,
-    _sum_duplicates,
-    _traced_entries,
+    _trace_residual,
     cj_operator,
     dual,
-    partial_trace,
 )
 
 __all__ = _EXPORTS["channels"]
@@ -52,19 +48,12 @@ class ChannelOperator:
             raise ValueError(f"operator systems {have} do not match channel legs {want}")
 
     def cptp_residuals(self) -> dict[str, float]:
-        """Residuals of complete positivity (min eigenvalue) and trace preservation.
-        The Hermitian residual and the smallest eigenvalue come from
-        ``labeled._positivity``, so an operator routed on its stored entries
-        is read on them, block by block, and a NaN or infinite entry reports a
-        NaN eigenvalue; ‖Tr_out − 1‖ is taken on the partial trace's entries."""
-        op, d = self.op, math.prod(s.dim for s in self.inputs)
-        herm, _, min_eig = _positivity(op, 0.0, "eigh")
-        if _entries(op) is None:
-            off = partial_trace(op, self.outputs).matrix - np.eye(d)
-        else:
-            index, values = _traced_entries(op, {s.key for s in self.outputs})
-            off = _sum_duplicates(np.concatenate([index, np.arange(d) * (d + 1)]), np.concatenate([values, -np.ones(d)]))[1]
-        return {"hermitian": herm, "min_eigenvalue": min_eig, "trace_preserving": float(np.linalg.norm(off))}
+        """Residuals of complete positivity (min eigenvalue) and trace preservation,
+        read by ``labeled._positivity`` and ``labeled._trace_residual`` on the
+        stored entries where the operator is routed on them; a NaN or infinite
+        entry reports a NaN eigenvalue."""
+        herm, _, min_eig, _, _ = _positivity(self.op, 0.0, "eigh")
+        return {"hermitian": herm, "min_eigenvalue": min_eig, "trace_preserving": _trace_residual(self.op, self.outputs)}
 
 
 def cj_from_kraus(kraus, in_systems, out_systems) -> ChannelOperator:

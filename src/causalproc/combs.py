@@ -16,7 +16,8 @@ entries, since there a cold table costs about as much as the walk's whole
 search or more: 0.018-0.022 s against 0.011-0.012 s on ``make_bw_extension``,
 0.025-0.030 s against 0.024-0.027 s on ``make_switch(4)`` (best of 5 to 7 on 2
 cores); the benchmark's ``combs.comb_search.nodes`` counts that walk's
-``project_trivial`` calls.
+``project_trivial`` calls. The separability loop forms no Hermitian part: it
+reads ``labeled._psd_part`` and ``labeled._min_eig``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import _EXPORTS
 from .graphs import DirectedGraph, causal_structure_unitary
 from .hs import _marginal_residual, project_trivial
-from .labeled import LabeledOperator, _entries, _from_entries, _hermitian_part, distance, partial_trace
+from .labeled import LabeledOperator, _entries, _from_entries, _min_eig, _psd_part, distance, partial_trace
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
 __all__ = _EXPORTS["combs"]
@@ -190,16 +191,6 @@ class SeparabilityVerdict:
     @property
     def separable(self) -> bool:
         return self.status == "separable"
-
-
-def _psd_part(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitian_part(m)[1])
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_hermitian_part(m)[1])[0])
 
 
 def bipartite_separability(

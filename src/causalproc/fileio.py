@@ -151,9 +151,12 @@ def _graph_block(graph: DirectedGraph):
 
 def _parse_graph(block) -> DirectedGraph:
     try:
-        vertices = list(block["vertices"])
-        edges = [tuple(e) for e in block["edges"]]
-        return directed_graph(vertices, edges, allow_self_loops=True)
+        vertices, edges = block["vertices"], block["edges"]
+        ends = [v for e in edges if isinstance(e, list) and len(e) == 2 for v in e]
+        if (not isinstance(vertices, list) or not isinstance(edges, list) or len(ends) < 2 * len(edges)
+                or not all(isinstance(v, str) for v in vertices + ends)):
+            raise ValueError("vertices must be a list of strings and each edge a list of two")
+        return directed_graph(vertices, [tuple(e) for e in edges], allow_self_loops=True)
     except (TypeError, KeyError, ValueError) as exc:
         raise ProcessFileError(f"bad graph block: {exc!r}") from exc
 
@@ -259,8 +262,8 @@ def dict_to_process(doc) -> LoadedProcessFile:
     shape = payload["shape"]
     values = payload["values"]
     expect = [c for nd in nodes_c for c in (nd.in_card, nd.out_card)]
-    if shape != expect:
-        raise ProcessFileError(f"payload shape {shape} does not match nodes (expected {expect})")
+    if not isinstance(shape, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in shape) or shape != expect:
+        raise ProcessFileError(f"payload shape {shape!r} is not {expect}, the nodes' cardinalities as integers")
     size = math.prod(expect)
     if not isinstance(values, list) or len(values) != size:
         raise ProcessFileError(f"payload values must hold {size} numbers")

@@ -17,7 +17,7 @@ from . import _EXPORTS
 
 # Bytes one dense kernel or a declared operator may need: side 16384 at 16 B an entry.
 MAX_DENSE_BYTES = 2**32
-_TILE = 128  # side of the square tiles that _hermitian_part walks
+_TILE = 128  # side of the square tiles that _hermitian_part and _low_rank_psd walk
 
 __all__ = _EXPORTS["labeled"]
 
@@ -395,24 +395,112 @@ def _psd_test(blocks: list[np.ndarray], tol: float, method: str) -> tuple[bool, 
     return min_eig >= -tol, min_eig
 
 
-def _positivity(op: LabeledOperator, tol: float, method: str) -> tuple[float, bool, float]:
-    """(‖m − m†‖_F, psd_ok, min_eigenvalue) of h = (m + m†)/2 by ``_psd_test``,
-    the one positivity reader of processes and channels. h is formed in tiles
-    (``_hermitian_part``), or on the stored entries (``_hermitian_entries``)
-    and then tested block by block (``_blocks``); it is real where its
-    imaginary part is zero, and freed on return. A NaN or infinite entry makes
-    the residual non-finite; then positivity fails, with a NaN eigenvalue, as
-    no eigensolver would converge."""
-    entries = _entries(op)
+def _low_rank_psd(m: np.ndarray, norm: float, tol: float) -> tuple[float, bool, float] | None:
+    """(‖m − m†‖, True, -δ) if a pivoted Cholesky factor l of rank k < d proves the
+    Hermitian part h = (m + m†)/2 of the dense m positive semidefinite, else
+    None. δ bounds ‖h - l·lᴴ‖ and the rounding in forming it; l·lᴴ ⪰ 0 has a
+    zero eigenvalue, so by Weyl's inequality λ_min(h) ∈ [-δ, δ]. Taken only if
+    δ ≤ tol, ‖m − m†‖ is finite and δ is within the d·ε·‖m‖ accuracy of
+    eigvalsh (``norm`` is ‖m‖ ≥ ‖h‖, equal for a Hermitian m); at most √d
+    steps keep a full-rank h O(d²). h is never formed: each pivot column is
+    read from m as (m[:, p] + m[p, :]*)/2, which has the bits of h[:, p], and
+    one walk over m's upper tiles, each with its mirror tile, sums ‖m − m†‖²
+    as ``_hermitian_part`` does, bit for bit, and ‖2h − 2·l·lᴴ‖², with nothing
+    of m's size allocated. l is real where h is, that is where m's imaginary
+    part is symmetric; that check stops at the first tile where it is not."""
+    m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
+    d, eps, t = len(m), float(np.finfo(float).eps), _TILE
+    tiles = [(i, j) for i in range(0, d, t) for j in range(i, d, t)]
+    real = not np.iscomplexobj(m) or not any(
+        (m[i : i + t, j : j + t].imag != m[j : j + t, i : i + t].imag.T).any() for i, j in tiles
+    )
+    diag = m.diagonal().real.copy()
+    l = np.zeros((d, min(math.isqrt(d), d - 1)), dtype=float if real else m.dtype)
+    k = 0
+    while diag.max() > eps * norm:
+        if k == l.shape[1]:
+            return None
+        p = int(np.argmax(diag))
+        column = (m[:, p] + m[p, :].conj()) / 2
+        l[:, k] = ((column.real if real else column) - l[:, :k] @ l[p, :k].conj()) / math.sqrt(diag[p])
+        diag -= np.abs(l[:, k]) ** 2
+        k += 1
+    l, work, herm, squares = l[:, :k], np.empty((2, t * t), m.dtype), 0.0, 0.0
+    twice = 2 * l.conj().T  # exact: a power of two
+    for i, j in tiles:
+        a = m[i : i + t, j : j + t]
+        b_adj = np.conjugate(m[j : j + t, i : i + t].T, out=work[0, : a.size].reshape(a.shape))
+        diff = np.subtract(a, b_adj, out=work[1, : a.size].reshape(a.shape))
+        weight = 1.0 if i == j else 2.0  # a tile off the diagonal stands for its mirror too
+        herm += weight * float(np.vdot(diff, diff).real)
+        rest = np.add(a, b_adj, out=diff)
+        rest -= l[i : i + t] @ twice[:, j : j + t]
+        squares += weight * float(np.vdot(rest, rest).real)
+    herm = math.sqrt(herm)
+    delta = math.sqrt(squares) / 2 + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
+    if delta <= tol and delta <= d * eps * norm and math.isfinite(herm):
+        return herm, True, 0.0 - delta  # +0.0, never -0.0, when δ is 0
+    return None
+
+
+def _positivity(op: LabeledOperator, tol: float, method: str) -> tuple[float, bool, float, float, complex]:
+    """(‖m − m†‖_F, psd_ok, min_eigenvalue, ‖m‖_F, Tr m) of h = (m + m†)/2:
+    the one positivity reader. For "eigh", tol > 0 and a finite ‖m‖, a dense m
+    is first offered to ``_low_rank_psd``, which forms no h (at tol = 0 it could
+    certify only h = 0, whose eigvalsh is the same +0.0). Otherwise h, real
+    where its imaginary part is zero, is formed in tiles (``_hermitian_part``)
+    or on the stored entries (``_hermitian_entries``, then ``_blocks``) for
+    ``_psd_test``. A NaN or infinite entry makes the residual non-finite; then
+    positivity fails, with a NaN eigenvalue, as no eigensolver would converge."""
+    d, entries = op.dim, _entries(op)
     if entries is None:
-        herm, h = _hermitian_part(op.matrix)
+        m = op.matrix
+        norm, trace = math.sqrt(np.vdot(m, m).real), np.trace(m)
+        if method == "eigh" and tol > 0 and math.isfinite(norm) and (certified := _low_rank_psd(m, norm, tol)):
+            return *certified, norm, trace
+        herm, h = _hermitian_part(m)
     else:
-        herm, index, h = _hermitian_entries(*entries, op.dim)
+        index, values = entries
+        norm = float(np.linalg.norm(values))
+        trace = values[index % (d + 1) == 0].sum()  # the diagonal's flat indices are the multiples of d + 1
+        herm, index, h = _hermitian_entries(index, values, d)
     if not math.isfinite(herm):
-        return herm, False, math.nan
+        return herm, False, math.nan, norm, trace
     if np.iscomplexobj(h) and not h.imag.any():  # -0.0 is zero, NaN is not
         h = h.real
-    return herm, *_psd_test([h[None]] if entries is None else _blocks(index, h, op.dim), tol, method)
+    return herm, *_psd_test([h[None]] if entries is None else _blocks(index, h, d), tol, method), norm, trace
+
+
+def _psd_part(m: np.ndarray) -> np.ndarray:
+    """The plain dense m's Hermitian part with its negative eigenvalues set to 0."""
+    w, v = np.linalg.eigh(_hermitian_part(m)[1])
+    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+
+
+def _min_eig(m: np.ndarray) -> float:
+    """The smallest eigenvalue of the plain dense matrix m's Hermitian part."""
+    return float(np.linalg.eigvalsh(_hermitian_part(m)[1])[0])
+
+
+def _rank_one_factor(op: LabeledOperator) -> np.ndarray:
+    """v with op = v v† if op has rank one: the column at op's largest diagonal
+    entry over that entry's square root (0 if it is not positive), read on
+    the stored entries where op is routed on them."""
+    d, entries = op.dim, _entries(op)
+    if entries is None:
+        diagonal = op.matrix.diagonal().real
+        k = int(np.argmax(diagonal))
+        column = op.matrix[:, k]
+    else:
+        index, values = entries
+        rows, cols = np.divmod(index, d)
+        on = rows == cols
+        diagonal = np.zeros(d)
+        diagonal[rows[on]] = values[on].real
+        k = int(np.argmax(diagonal))
+        column = np.zeros(d, dtype=values.dtype)
+        column[rows[cols == k]] = values[cols == k]
+    return column / math.sqrt(diagonal[k]) if diagonal[k] > 0 else np.zeros(d)
 
 
 def identity_operator(systems) -> LabeledOperator:
@@ -518,6 +606,19 @@ def _traced_entries(op: LabeledOperator, keys) -> tuple[np.ndarray, np.ndarray]:
     return _sum_duplicates(new, values[on])
 
 
+def _trace_residual(op: LabeledOperator, refs) -> float:
+    """‖Tr_refs op − 1‖_F, 1 the identity on the other systems; on the partial
+    trace's stored entries, with no operator built, where op is routed on them."""
+    keys = {_as_key(r, op.systems) for r in refs}
+    d = math.prod(s.dim for s in op.systems if s.key not in keys)
+    if _entries(op) is None:
+        off = partial_trace(op, keys).matrix - np.eye(d)
+    else:
+        index, values = _traced_entries(op, keys)
+        off = _sum_duplicates(np.concatenate([index, np.arange(d) * (d + 1)]), np.concatenate([values, -np.ones(d)]))[1]
+    return float(np.linalg.norm(off))
+
+
 def transpose_systems(op: LabeledOperator, refs) -> LabeledOperator:
     """Partial transpose over the listed systems; their dual flags flip."""
     keys = {_as_key(r, op.systems) for r in refs}
@@ -532,12 +633,14 @@ def split_system(op: LabeledOperator, ref, parts) -> LabeledOperator:
     """Replace one system by consecutive factors (row-major composite index).
 
     ``parts`` is a sequence of SystemLabels whose dimensions multiply to the
-    dimension of the replaced system.
+    dimension of the replaced system, each with its dual flag.
     """
     i = op.index(ref)
     parts = tuple(parts)
     if math.prod(p.dim for p in parts) != op.systems[i].dim:
         raise ValueError("part dimensions do not multiply to the split system's")
+    if any(p.dual != op.systems[i].dual for p in parts):
+        raise ValueError(f"a part of {parts} differs from the split system {op.systems[i]!r} in its dual flag")
     return _relabeled(op, op.systems[:i] + parts + op.systems[i + 1 :])
 
 

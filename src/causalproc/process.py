@@ -24,9 +24,9 @@ from .labeled import (
     LabeledOperator,
     LinearMap,
     SystemLabel,
-    _TILE,
-    _entries,
     _positivity,
+    _rank_one_factor,
+    _values,
     cj_operator,
     distance,
     identity_operator,
@@ -152,33 +152,13 @@ class ValidationVerdict:
 def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVerdict:
     """Check positivity, total trace, and the allowed-type support condition.
 
-    A dense operator of low rank and at most 2048 dimensions is proved
-    positive semidefinite by a pivoted Cholesky factor in O(d²·rank), and the
-    certified lower bound -δ on its spectrum is reported as
-    ``min_eigenvalue``; the certificate reads the operator itself and forms
-    no Hermitian part. Otherwise the Hermitian residual and positivity come
-    from ``labeled._positivity``: eigvalsh, or above 2048 dimensions a
-    Cholesky factorization of the shifted part, which proves the spectrum is
-    above -tol without computing it (the smallest eigenvalue is computed only
-    if that fails). An operator routed on its stored entries
-    (``labeled._entries``, counted once per operator) is checked on them, its
-    positivity block by block. The forbidden norm and the offending types are
-    read off the non-identity types no node witnesses (``hs._unwitnessed``),
-    which are mutually orthogonal; a NaN norm counts as nonzero. A NaN or
-    infinite entry passes no check."""
-    d, entries = sigma.op.dim, _entries(sigma.op)
-    method = "cholesky" if d > 2048 else "eigh"
-    certified = None
-    if entries is None:
-        m = sigma.op.matrix
-        norm, trace = math.sqrt(np.vdot(m, m).real), np.trace(m)
-        if method == "eigh" and math.isfinite(norm):
-            certified = _low_rank_psd(m, norm, tol)
-    else:
-        index, values = entries
-        norm = float(np.linalg.norm(values))
-        trace = values[index % (d + 1) == 0].sum()  # the diagonal's flat indices are the multiples of d + 1
-    herm, psd_ok, min_eig = certified or _positivity(sigma.op, tol, method)
+    The Hermitian residual, positivity, ‖σ‖ and Tr σ come from the one positivity
+    reader, ``labeled._positivity`` ("eigh" up to 2048 dimensions, "cholesky"
+    above); the forbidden norm and the offending types from the mutually
+    orthogonal non-identity types no node witnesses (``hs._unwitnessed``),
+    where a NaN norm counts as nonzero. A NaN or infinite entry passes no check."""
+    method = "cholesky" if sigma.op.dim > 2048 else "eigh"
+    herm, psd_ok, min_eig, norm, trace = _positivity(sigma.op, tol, method)
     threshold = tol * max(1.0, norm)  # infinite for an infinite entry, which then passes no check
     herm_ok = herm <= threshold < math.inf
 
@@ -218,54 +198,6 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     )
 
 
-def _low_rank_psd(m: np.ndarray, norm: float, tol: float) -> tuple[float, bool, float] | None:
-    """(‖m − m†‖, True, -δ) if a pivoted Cholesky factor l of rank k < d proves the
-    Hermitian part h = (m + m†)/2 of the dense m positive semidefinite, else
-    None. δ bounds ‖h - l·lᴴ‖ and the rounding in forming it; l·lᴴ ⪰ 0 has a
-    zero eigenvalue, so by Weyl's inequality λ_min(h) ∈ [-δ, δ]. Taken only if
-    δ ≤ tol, ‖m − m†‖ is finite and δ is within the d·ε·‖m‖ accuracy of
-    eigvalsh (``norm`` is ‖m‖ ≥ ‖h‖, equal for a Hermitian m); at most √d
-    steps keep a full-rank h O(d²). h is never formed: each pivot column is
-    read from m as (m[:, p] + m[p, :]*)/2, which has the bits of h[:, p], and
-    one walk over m's upper tiles, each with its mirror tile, sums ‖m − m†‖²
-    as ``labeled._hermitian_part`` does, bit for bit, and ‖2h − 2·l·lᴴ‖², with nothing
-    of m's size allocated. l is real where h is, that is where m's imaginary
-    part is symmetric; that check stops at the first tile where it is not."""
-    m = np.asarray(m, dtype=np.result_type(m.dtype, np.float64))
-    d, eps, t = len(m), float(np.finfo(float).eps), _TILE
-    tiles = [(i, j) for i in range(0, d, t) for j in range(i, d, t)]
-    real = not np.iscomplexobj(m) or not any(
-        (m[i : i + t, j : j + t].imag != m[j : j + t, i : i + t].imag.T).any() for i, j in tiles
-    )
-    diag = m.diagonal().real.copy()
-    l = np.zeros((d, min(math.isqrt(d), d - 1)), dtype=float if real else m.dtype)
-    k = 0
-    while diag.max() > eps * norm:
-        if k == l.shape[1]:
-            return None
-        p = int(np.argmax(diag))
-        column = (m[:, p] + m[p, :].conj()) / 2
-        l[:, k] = ((column.real if real else column) - l[:, :k] @ l[p, :k].conj()) / math.sqrt(diag[p])
-        diag -= np.abs(l[:, k]) ** 2
-        k += 1
-    l, work, herm, squares = l[:, :k], np.empty((2, t * t), m.dtype), 0.0, 0.0
-    twice = 2 * l.conj().T  # exact: a power of two
-    for i, j in tiles:
-        a = m[i : i + t, j : j + t]
-        b_adj = np.conjugate(m[j : j + t, i : i + t].T, out=work[0, : a.size].reshape(a.shape))
-        diff = np.subtract(a, b_adj, out=work[1, : a.size].reshape(a.shape))
-        weight = 1.0 if i == j else 2.0  # a tile off the diagonal stands for its mirror too
-        herm += weight * float(np.vdot(diff, diff).real)
-        rest = np.add(a, b_adj, out=diff)
-        rest -= l[i : i + t] @ twice[:, j : j + t]
-        squares += weight * float(np.vdot(rest, rest).real)
-    herm = math.sqrt(herm)
-    delta = math.sqrt(squares) / 2 + 4 * (k + 2) * eps * float(np.linalg.norm(l)) ** 2
-    if delta <= tol and delta <= d * eps * norm and math.isfinite(herm):
-        return herm, True, 0.0 - delta  # +0.0, never -0.0, when δ is 0
-    return None
-
-
 def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
     """Residual of 'the nodes in from_nodes cannot signal to the rest'.
 
@@ -287,27 +219,11 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
 def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
     """True iff sigma is v v† for one vector v, within ``tol``.
 
-    Process operators of isometries and unitaries have exactly this form. With
-    k the index of sigma's largest diagonal entry, v is column k over that
-    entry's square root (0 if the entry is not positive), and sigma is
-    compared with v v† by ``distance``, on stored entries where it is routed on them.
+    Process operators of isometries and unitaries have exactly this form. v is
+    read off sigma by ``labeled._rank_one_factor`` and compared by ``distance``.
     """
-    op, d, entries = sigma.op, sigma.op.dim, _entries(sigma.op)
-    if entries is None:
-        diagonal = op.matrix.diagonal().real
-        k = int(np.argmax(diagonal))
-        column = op.matrix[:, k]
-    else:
-        index, values = entries
-        rows, cols = np.divmod(index, d)
-        on = rows == cols
-        diagonal = np.zeros(d)
-        diagonal[rows[on]] = values[on].real
-        k = int(np.argmax(diagonal))
-        column = np.zeros(d, dtype=values.dtype)
-        column[rows[cols == k]] = values[cols == k]
-    v = column / math.sqrt(diagonal[k]) if diagonal[k] > 0 else np.zeros(d)
-    return distance(op, cj_operator(LinearMap(v.reshape(d, 1), (), op.systems))) <= tol
+    op, v = sigma.op, _rank_one_factor(sigma.op)
+    return distance(op, cj_operator(LinearMap(v.reshape(op.dim, 1), (), op.systems))) <= tol
 
 
 @dataclass(frozen=True)
@@ -402,7 +318,7 @@ def joint_probabilities(sigma: ProcessOperator, instruments) -> np.ndarray:
         keys = [node.in_system.key, node.out_dual.key]
         kept = [partial_trace(product([m, e.tau]), keys) for m in kept for e in by_name[node.name].elements]
     # each is 1x1, routed on its one stored entry or on none
-    probs = np.array([_entries(m)[1].sum().real for m in kept])
+    probs = np.array([_values(m).sum().real for m in kept])
     return probs.reshape([len(by_name[node.name].elements) for node in sigma.nodes])
 
 
@@ -454,10 +370,8 @@ def comb_from_circuit(initial_state: LabeledOperator, channels, node_slots) -> P
     """
     current = initial_state
     open_primal: dict[str, SystemLabel] = {s.name: s for s in initial_state.systems}
-    if any(s.dual for s in initial_state.systems):
+    if any(s.dual for s in initial_state.systems):  # primal keys are unique, so the wire names are too
         raise ValueError("initial state must live on primal wire systems")
-    if len(open_primal) != len(initial_state.systems):
-        raise ValueError("wire names must be unique")
     virtual: dict[str, QuantumNode] = {}
     seen_wires = set(open_primal)
 

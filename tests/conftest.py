@@ -53,10 +53,10 @@ def rng():
 @pytest.fixture(scope="session")
 def bad_docs():
     """Process-file documents that each break one header, sparse-payload,
-    base64-payload, graph or metadata rule, by name; all are the mix
-    exemplar's sparse document, or its nodes with a full matrix in a format-3
-    base64 document, with one entry replaced, or two for the oversized dense
-    payload."""
+    base64-payload, classical-payload, graph or metadata rule, by name; all
+    are the mix exemplar's sparse document, or its nodes with a full matrix
+    in a format-3 base64 document, or the af-classical table's document,
+    with one entry replaced, or two for the oversized dense payload."""
     mix = make_mix_example()
     good = process_to_dict(mix)
     index, values = good["payload"]["index"], good["payload"]["values"]
@@ -65,6 +65,8 @@ def bad_docs():
     full = (np.arange(side * side) + 1.5j).reshape(side, side) / side
     dense = process_to_dict(process_operator(mix.nodes, LabeledOperator(mix.op.systems, full)))
     text = dense["payload"]
+    classical = process_to_dict(make_af_deterministic())
+    assert classical["payload"]["shape"] == [2, 2, 2, 2, 2, 2]
     # 16 * 256 bytes: 1366 groups of four characters, the last one padded "=="
     assert dense["format_version"] == 3 and len(text) == 5464 and text.endswith("==")
 
@@ -103,6 +105,10 @@ def bad_docs():
         "bool format_version": setting("format_version", value=True),
         "float format_version": setting("format_version", value=1.0),
         "unhashable graph vertex": setting("graph", value={"vertices": [["A"]], "edges": []}),
+        "graph vertices a string": setting("graph", value={"vertices": "AB", "edges": []}),
+        "number as a graph vertex": setting("graph", value={"vertices": [1, "A"], "edges": [[1, "A"]]}),
+        "graph edge an object": setting("graph", value={"vertices": ["A", "B"], "edges": [{"A": 1, "B": 2}]}),
+        "float in a classical shape": {**classical, "payload": {**classical["payload"], "shape": [2, 2, 2, 2, 2, 2.0]}},
         **{f"metadata {value!r}": setting("metadata", value=value) for value in (0, False, "", [], None, "x", [1])},
         # 16385 x 16385 complex entries would need more than 2**32 bytes
         "base64 payload in a v2 file": {**dense, "format_version": 2},

@@ -355,3 +355,19 @@ def test_preparation_instrument_counts(rng):
     preps = [random_state(2, rng), random_state(2, rng), random_state(2, rng)]
     inst = preparation_instrument(node, preps)
     assert len(inst.elements) == 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda a, b: ChannelOperator(LabeledOperator((b, dual(a)), np.eye(4)), (a,), (b,)),
+            "do not match channel legs",
+            id="legs",
+        ),
+        pytest.param(lambda a, b: cj_from_kraus([np.eye(3)], a, b), r"Kraus shape \(3, 3\), expected \(2, 2\)", id="Kraus shape"),
+    ],
+)
+def test_channel_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(SystemLabel("a", 2), SystemLabel("b", 2))

@@ -22,6 +22,8 @@ from causalproc import (
     directed_graph,
     enumerate_deterministic_processes,
     find_process_outside_hull,
+    make_af_deterministic,
+    make_classical_switch,
     markov_check,
     polytope_membership,
     quantize,
@@ -367,3 +369,62 @@ def test_deterministic_process_names_the_first_node_with_an_out_of_range_in_valu
     else:
         with pytest.raises(ValueError, match=f"^in-values for node '{first}' out of range$"):
             DeterministicProcess(nodes, f)
+
+
+_BIT = ClassicalNode("A", 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: ClassicalNode("A", 0, 2), ValueError, "cardinalities must be positive", id="cardinality"),
+        pytest.param(lambda: ClassicalProcess((_BIT,), np.zeros((3, 3))), ValueError, r"table shape \(3, 3\), expected \(2, 2\)", id="table shape"),
+        pytest.param(lambda: ClassicalProcess((_BIT,), np.zeros((2, 2))).node("Z"), KeyError, "no node named 'Z'", id="node name"),
+        pytest.param(lambda: DeterministicProcess((_BIT,), np.zeros((3, 1), int)), ValueError, "function shape", id="function shape"),
+        pytest.param(
+            lambda: classical_joint_probabilities(ClassicalProcess((_BIT,), np.zeros((2, 2))), []), ValueError, "one channel per node", id="channel count"
+        ),
+        pytest.param(
+            lambda: classical_joint_probabilities(ClassicalProcess((_BIT,), np.zeros((2, 2))), [np.zeros((1, 3, 2))]),
+            ValueError,
+            r"channel 0 has shape \(1, 3, 2\), expected \(k, 2, 2\)",
+            id="channel shape",
+        ),
+        pytest.param(
+            lambda: causal_structure_deterministic(DeterministicProcess((_BIT,), np.array([[0], [1]]))),
+            ValueError,
+            "node 'A' input depends on its own output",
+            id="self-influence",
+        ),
+        pytest.param(
+            lambda: classical_markov_check(ClassicalProcess((_BIT,), np.zeros((2, 2))), directed_graph(["B"], [])),
+            ValueError,
+            "graph vertices must match the process nodes",
+            id="markov graph",
+        ),
+        pytest.param(lambda: enumerate_deterministic_processes((_BIT,), budget=3), ValueError, "4 candidate functions exceed the budget 3", id="budget"),
+        pytest.param(lambda: reversible_extension([]), ValueError, "mixture must be nonempty", id="empty mixture"),
+        pytest.param(
+            lambda: reversible_extension([(0.5, make_af_deterministic()), (0.5, make_classical_switch(2))]),
+            ValueError,
+            "share the same nodes",
+            id="mixed nodes",
+        ),
+        pytest.param(
+            lambda: reversible_extension([(0.5, make_af_deterministic()), (0.6, make_af_deterministic())]),
+            ValueError,
+            "probability distribution",
+            id="weights",
+        ),
+        # on two bits every valid process is a mixture of deterministic ones
+        pytest.param(
+            lambda: find_process_outside_hull((ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))),
+            RuntimeError,
+            "no separating vertex",
+            id="two-bit hull",
+        ),
+    ],
+)
+def test_classical_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

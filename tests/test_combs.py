@@ -430,3 +430,8 @@ def test_dense_comb_residuals_match_the_walk_on_random_operators(dims, seed, val
     if valid:
         assert validate_process(sigma).valid
     assert_table_matches_walk(sigma)
+
+
+def test_bipartite_separability_refuses_three_nodes():
+    with pytest.raises(ValueError, match="needs exactly two nodes"):
+        bipartite_separability(make_af())

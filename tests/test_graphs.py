@@ -11,6 +11,7 @@ from scipy.sparse.linalg import norm as sparse_norm
 
 from causalproc import (
     LabeledOperator,
+    DirectedGraph,
     LinearMap,
     ProcessOperator,
     QuantumNode,
@@ -47,6 +48,7 @@ from causalproc import (
     write_process_file,
 )
 from causalproc.graphs import marginal_factor
+from causalproc.process import canonical_systems
 from causalproc.labeled import _entries, _product_distance, apply_stage
 from causalproc.rand import haar_unitary, random_state
 
@@ -459,3 +461,50 @@ def test_markov_check_matches_matmul_of_embeddings():
                 assert abs(got.commutator_residuals[pair] - value) <= 1e-12, (name, pair)
             assert abs(got.product_residual - residual) <= 1e-12, name
     assert verdicts == {True, False}
+
+
+def _compatibility(sigma_nodes=None, states=2):
+    """compatibility_check of the switch's unitary process as the extension
+    of a process on ``sigma_nodes`` (by default its A and B), with ``states``
+    ground memory states, or the states given."""
+    ext = make_switch(2).process
+    nodes = sigma_nodes or ext.nodes[:2]
+    sigma = process_operator(nodes, identity_operator(canonical_systems(nodes)))
+    ground = np.array([[1, 0], [0, 0]], dtype=complex)
+    lams = [ground] * states if isinstance(states, int) else states
+    return compatibility_check(sigma, directed_graph([n.name for n in nodes], []), ext, lams)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: DirectedGraph(("A", "A"), ()), "duplicate vertices", id="repeated vertex"),
+        pytest.param(
+            lambda: make_unitary_process([QuantumNode("A", 2, 2)], LinearMap(np.eye(2), (SystemLabel("X", 2),), (SystemLabel("A.in", 2),))),
+            "does not cover the node out-spaces",
+            id="domain",
+        ),
+        pytest.param(
+            lambda: make_unitary_process([QuantumNode("A", 2, 2)], LinearMap(np.eye(2), (SystemLabel("A.out", 2),), (SystemLabel("X", 2),))),
+            "does not cover the node in-spaces",
+            id="codomain",
+        ),
+        pytest.param(lambda: markov_check(make_af(), directed_graph(["A", "B"], [])), "graph vertices must match the process nodes", id="markov graph"),
+        pytest.param(lambda: _compatibility(make_switch(2).process.nodes), "exactly a root and a leaf", id="no extra nodes"),
+        pytest.param(
+            lambda: _compatibility((QuantumNode("A", 2, 2), QuantumNode("P", 1, 4))),
+            "could not identify root and leaf",
+            id="no root",
+        ),
+        pytest.param(
+            lambda: _compatibility((QuantumNode("A", 2, 2), QuantumNode("B", 1, 2))),
+            "node 'B' has different dimensions",
+            id="node dimensions",
+        ),
+        pytest.param(lambda: _compatibility(states=3), "one memory state per node", id="memory count"),
+        pytest.param(lambda: _compatibility(states=[np.eye(2) / 2, np.eye(3) / 3]), "do not multiply to the root out-space", id="memory dimensions"),
+    ],
+)
+def test_graph_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -99,6 +99,13 @@ def test_split_system_is_row_major_over_its_parts(rng):
     assert np.abs(partial_trace(split, ["b", "c"]).matrix - 2 * np.trace(mb) * ma).max() < 1e-12
     with pytest.raises(ValueError, match="do not multiply"):
         split_system(x, "ab", [a, c])
+    # each part keeps the split system's dual flag, which is checked, not dropped
+    p, q = SystemLabel("p", 2), SystemLabel("q", 2)
+    dual_x = LabeledOperator((SystemLabel("x", 4, dual=True),), np.eye(4))
+    assert split_system(dual_x, ("x", True), [dual(p), dual(q)]).systems == (dual(p), dual(q))
+    for parts, op, ref in (([p, q], dual_x, ("x", True)), ([a, dual(b)], x, "ab")):
+        with pytest.raises(ValueError, match="dual flag"):
+            split_system(op, ref, parts)
 
 
 def test_system_label_refuses_a_dimension_below_one():

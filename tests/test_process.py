@@ -20,6 +20,7 @@ from causalproc import (
     QuantumNode,
     SystemLabel,
     channel_from_unitary,
+    cj_from_kraus,
     comb_check,
     comb_from_circuit,
     comb_search,
@@ -874,3 +875,70 @@ def test_type_verdicts_follow_the_key_rule_on_type_norms(dims, identities, densi
                 residual = math.hypot(*(val for key, val in unwitnessed if factors.intersection(key)))
                 want = residual / max(1.0, math.hypot(*(val for _, val in unwitnessed)))
                 assert repr(signalling_residual(sigma, [n.name for n in group])) == repr(want), group
+
+
+def _two_qubit_nodes():
+    return QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
+
+
+def _flat_process(nodes):
+    """The identity on the nodes' spaces, read as a process (not validated)."""
+    return process_operator(nodes, identity_operator(canonical_systems(nodes)))
+
+
+def _circuit(slots, channels=(), state_dim=2):
+    """comb_from_circuit from a state on wire w0 of ``state_dim`` dims."""
+    state = LabeledOperator((SystemLabel("w0", state_dim),), np.eye(state_dim) / state_dim)
+    return comb_from_circuit(state, list(channels), slots)
+
+
+def _wire_channel(name, dim, out="w9"):
+    return cj_from_kraus([np.eye(dim)], SystemLabel(name, dim), SystemLabel(out, dim))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda a, b: process_operator([a, a], identity_operator(canonical_systems([a]))), "node names must be unique", id="repeated node"),
+        pytest.param(
+            lambda a, b: process_operator([a], identity_operator([SystemLabel("A.in", 3), a.out_dual])),
+            "missing system .* or has wrong dimension",
+            id="wrong dimension",
+        ),
+        pytest.param(lambda a, b: signalling_residual(_flat_process([a, b]), []), "nonempty proper subset", id="empty from-set"),
+        pytest.param(lambda a, b: signalling_residual(_flat_process([a, b]), ["A", "B"]), "nonempty proper subset", id="whole from-set"),
+        pytest.param(lambda a, b: Instrument(a, [readout_instrument(b).elements[0]]), "instrument element belongs to a different node", id="foreign element"),
+        pytest.param(
+            lambda a, b: joint_probabilities(_flat_process([a, b]), [readout_instrument(a), readout_instrument(a)]),
+            "two instruments for node 'A'",
+            id="two instruments",
+        ),
+        pytest.param(lambda a, b: joint_probabilities(_flat_process([a, b]), [readout_instrument(a)]), "exactly one instrument per node", id="missing instrument"),
+        pytest.param(
+            lambda a, b: conditional_process(_flat_process([a, b]), "A", readout_instrument(b).elements[0]),
+            "element belongs to a different node",
+            id="condition on a foreign element",
+        ),
+        pytest.param(lambda a, b: conditional_process(_flat_process([a]), "A", readout_instrument(a).elements[0]), "only node", id="condition the only node"),
+        pytest.param(
+            lambda a, b: conditional_process(_flat_process([a, b]), "A", measure_prepare_element(a, np.zeros((2, 2)), np.eye(2) / 2)),
+            r"\(near-\)zero weight",
+            id="zero-weight outcome",
+        ),
+        pytest.param(
+            lambda a, b: comb_from_circuit(LabeledOperator((SystemLabel("w0", 2, dual=True),), np.eye(2)), [], [(a, "w0", "wA")]),
+            "primal wire systems",
+            id="dual initial wire",
+        ),
+        # two primal wires of one name are two systems with one key, which no operator holds
+        pytest.param(lambda a, b: LabeledOperator((SystemLabel("w0", 2), SystemLabel("w0", 2)), np.eye(4)), "duplicate system labels", id="repeated wire name"),
+        pytest.param(lambda a, b: _circuit([(a, "w0", "w0")]), "wire name 'w0' reused", id="reused wire"),
+        pytest.param(lambda a, b: _circuit([(a, "w0", "wA")], state_dim=3), "wire 'w0' has dim 3, node needs 2", id="slot dimension"),
+        pytest.param(lambda a, b: _circuit([], [_wire_channel("w0", 3)]), "wire 'w0' dimension mismatch", id="channel on a state wire"),
+        pytest.param(lambda a, b: _circuit([(a, "w0", "wA")], [_wire_channel("wA", 3)]), "wire 'wA' dimension mismatch", id="channel on a node wire"),
+        pytest.param(lambda a, b: _circuit([(a, "w0", "wA")], [_wire_channel("zz", 2)]), "never become available", id="unfed channel"),
+    ],
+)
+def test_process_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*_two_qubit_nodes())
