@@ -5,7 +5,8 @@ kappa(X_1^in, X_1^out, ..., X_n^in, X_n^out) such that for every choice of
 deterministic local functions g_i: X_i^in -> X_i^out the total weight
 sum_ins kappa(ins, g(ins)) equals one. Deterministic processes are given by a
 global function f mapping all out-values to all in-values; they are valid iff
-f has exactly one consistent assignment against every local tuple g.
+f has exactly one consistent assignment against every local tuple g: that count is
+the total weight of its 0/1 table [ins == f(outs)], which ``_totals`` alone forms.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ class ClassicalNode:
 
 def _interleaved_shape(nodes) -> tuple[int, ...]:
     return tuple(c for n in nodes for c in (n.in_card, n.out_card))
-
-
-def _interleaved_index(ins: np.ndarray, outs) -> tuple:
-    """Index (in_1, out_1, ..., in_n, out_n) of an interleaved table, from the
-    in-values ``ins[..., i]`` and the out-value grids ``outs[i]``."""
-    return tuple(a for i in range(len(outs)) for a in (ins[..., i], outs[i]))
 
 
 @dataclass(frozen=True)
@@ -85,6 +80,8 @@ class DeterministicProcess:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         f = np.asarray(self.function)
+        if f.dtype.kind not in "iu":
+            raise ValueError(f"function must hold integers, got dtype {f.dtype}")
         want = tuple(n.out_card for n in self.nodes) + (len(self.nodes),)
         if f.shape != want:
             raise ValueError(f"function shape {f.shape}, expected {want}")
@@ -100,11 +97,22 @@ class DeterministicProcess:
 
 
 def _deterministic_tables(nodes, funcs: np.ndarray) -> np.ndarray:
-    """The 0/1 tables [ins == f(outs)] of a batch ``funcs`` of functions, stacked on axis 0."""
-    grids = np.indices(funcs.shape[:-1])
+    """The 0/1 tables [ins == f(outs)] of functions ``funcs`` (axes: batch,
+    out_1, ..., out_n, in-value of each node), stacked on axis 0."""
+    batch, *outs = np.indices(funcs.shape[:-1], sparse=True)
     tables = np.zeros((len(funcs),) + _interleaved_shape(nodes))
-    tables[(grids[0],) + _interleaved_index(funcs, grids[1:])] = 1.0
+    tables[(batch,) + tuple(a for i, out in enumerate(outs) for a in (funcs[..., i], out))] = 1.0
     return tables
+
+
+def _totals(tables: np.ndarray, channels) -> np.ndarray:
+    """Total weight of each table (leading batch axes, then in_1, out_1, ...) on each
+    tuple of outcomes of ``channels[i]`` (outcomes, out_i, in_i): batch axes, then outcomes."""
+    n = len(channels)
+    operands = [tables, [Ellipsis, *range(2 * n)]]
+    for i, ch in enumerate(channels):
+        operands += [ch, [2 * n + i, 2 * i + 1, 2 * i]]
+    return np.einsum(*operands, [Ellipsis, *range(2 * n, 3 * n)], optimize="greedy")
 
 
 def _product_rows(card: int, length: int) -> np.ndarray:
@@ -129,23 +137,6 @@ def _local_instruments(nodes, budget: int) -> list[np.ndarray]:
         maps = _product_rows(n.out_card, n.in_card)
         instruments.append((maps[:, None, :] == np.arange(n.out_card)[:, None]).astype(float))
     return instruments
-
-
-def _fixed_point_counts(funcs: np.ndarray, instruments) -> np.ndarray:
-    """#{y : g(f(y)) = y} for every function f of a batch and every tuple g of local maps.
-
-    ``funcs`` has shape (batch, out_space, n): each function's in-values at
-    each flat out-value. The result has shape (batch, G_1, ..., G_n).
-    """
-    n = len(instruments)
-    outs = np.indices([inst.shape[1] for inst in instruments]).reshape(n, -1)
-    operands = []
-    for i, inst in enumerate(instruments):
-        maps = inst.argmax(axis=1)
-        # hit[g, b, y] = [g(f_i(y)) == y_i]
-        hit = (maps[:, funcs[..., i]] == outs[i]).astype(np.int64)
-        operands += [hit, [1 + i, 0, n + 1]]
-    return np.einsum(*operands, list(range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -175,8 +166,7 @@ def validate_deterministic(dp: DeterministicProcess, budget: int = ENUMERATION_B
     maps (or None), with its number of consistent assignments.
     """
     instruments = _local_instruments(dp.nodes, budget)
-    funcs = dp.function.reshape(1, -1, len(dp.nodes))
-    counts = _fixed_point_counts(funcs, instruments)[0]
+    counts = _totals(_deterministic_tables(dp.nodes, dp.function[None]), instruments)[0]
     bad = np.flatnonzero(counts != 1)
     if bad.size == 0:
         return True, None
@@ -193,17 +183,11 @@ def classical_joint_probabilities(kp: ClassicalProcess, channels) -> np.ndarray:
     """
     if len(channels) != len(kp.nodes):
         raise ValueError("need one channel per node")
-    n = len(kp.nodes)
-    operands = [kp.table, list(range(2 * n))]
-    for i, ch in enumerate(channels):
-        ch = np.asarray(ch, dtype=float)
-        node = kp.nodes[i]
+    channels = [np.asarray(ch, dtype=float) for ch in channels]
+    for i, (ch, node) in enumerate(zip(channels, kp.nodes)):
         if ch.shape[1:] != (node.out_card, node.in_card):
             raise ValueError(f"channel {i} has shape {ch.shape}, expected (k, {node.out_card}, {node.in_card})")
-        operands.append(ch)
-        operands.append([2 * n + i, 2 * i + 1, 2 * i])
-    operands.append([2 * n + i for i in range(n)])
-    return np.einsum(*operands, optimize="greedy")
+    return _totals(kp.table, channels)
 
 
 def _varies_along(comp: np.ndarray, axis: int) -> bool:
@@ -313,12 +297,12 @@ def enumerate_deterministic_processes(nodes, budget: int = ENUMERATION_BUDGET) -
     for i, t in enumerate(tables):
         own = (1,) * i + (-1,) + (1,) * (n - 1 - i)
         funcs[..., i] = t.reshape(own + out_cards[:i] + (1,) + out_cards[i + 1 :])
-    funcs = funcs.reshape(-1, out_space, n)
+    funcs = funcs.reshape((-1,) + out_cards + (n,))
 
-    counts = _fixed_point_counts(funcs, instruments)
+    counts = _totals(_deterministic_tables(nodes, funcs), instruments)
     funcs = funcs[(counts == 1).reshape(len(funcs), -1).all(axis=1)]
     funcs = funcs[np.lexsort(funcs.reshape(len(funcs), -1).T[::-1])]
-    return [DeterministicProcess(nodes, f.reshape(out_cards + (n,))) for f in funcs]
+    return [DeterministicProcess(nodes, f) for f in funcs]
 
 
 _LP_TOL = 1e-9
@@ -479,15 +463,13 @@ class ReversibleExtension:
         """Feed the stored distribution into the root and discard the leaf."""
         # function axes: (root out, out_1..out_n, leaf out = 1, component)
         ins = self.extension.function[..., 0, 1:-1]
-        grids = np.indices(ins.shape[:-1])
         dist = np.asarray(self.lambda_distribution, dtype=float)
         if dist.shape != ins.shape[:1]:
             raise ValueError(f"need one weight per root value ({ins.shape[0]}), got shape {dist.shape}")
-        acc = np.zeros(_interleaved_shape(self.base_nodes))
-        # np.add.at adds in C order (root value by root value), which fixes the rounding of each sum
-        weights = np.broadcast_to(dist.reshape((-1,) + (1,) * len(self.base_nodes)), ins.shape[:-1])
-        np.add.at(acc, _interleaved_index(ins, grids[1:]), weights)
-        return ClassicalProcess(tuple(self.base_nodes), acc)
+        tables = _deterministic_tables(self.base_nodes, ins)
+        weighted = dist.reshape((-1,) + (1,) * (tables.ndim - 1)) * tables
+        # the last running sum adds root value by root value, like a loop (a plain sum may pair terms up)
+        return ClassicalProcess(tuple(self.base_nodes), np.cumsum(weighted, axis=0)[-1])
 
 
 def reversible_extension(mixture) -> ReversibleExtension:
@@ -534,13 +516,11 @@ def reversible_extension(mixture) -> ReversibleExtension:
 
 def _normalization_rows(nodes, budget: int) -> np.ndarray:
     """The validity constraints as rows over the flat table: one per tuple of
-    local maps, the outer product of the instruments, each row summing to one."""
-    instruments = _local_instruments(nodes, budget)
-    n = len(nodes)
-    operands = []
-    for i, inst in enumerate(instruments):
-        operands += [inst, [i, n + 2 * i + 1, n + 2 * i]]
-    return np.einsum(*operands, list(range(3 * n))).reshape(-1, int(np.prod(_interleaved_shape(nodes))))
+    local maps, the totals of the unit tables, each row summing to one."""
+    shape = _interleaved_shape(nodes)
+    size = int(np.prod(shape))
+    totals = _totals(np.eye(size).reshape((size,) + shape), _local_instruments(nodes, budget))
+    return np.ascontiguousarray(totals.reshape(size, -1).T)
 
 
 def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET):

@@ -143,6 +143,9 @@ def _decode_sparse(payload: dict, side: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _graph_block(graph: DirectedGraph):
+    bad = [v for v in graph.vertices if not isinstance(v, str)]
+    if bad:
+        raise ValueError(f"graph vertices must be strings to be written, got {bad[0]!r}")
     return {
         "vertices": sorted(graph.vertices),
         "edges": [[a, b] for a, b in sorted(graph.edges)],

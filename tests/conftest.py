@@ -97,6 +97,8 @@ def bad_docs():
         "fewer values than indices": setting("payload", "values", value=values[:-1]),
         "fewer indices than values": setting("payload", "index", value=index[:-1]),
         "value not a pair": setting("payload", "values", 0, value=[0.25]),
+        "every value a triple": setting("payload", "values", value=[[*v, 0.0] for v in values]),
+        "index not a list": setting("payload", "index", value=index[0]),
         "value not a number": setting("payload", "values", 0, value=["0.25", 0.0]),
         "infinite value": setting("payload", "values", 0, 0, value=float("inf")),
         "nan value": setting("payload", "values", 0, 1, value=float("nan")),
@@ -109,6 +111,7 @@ def bad_docs():
         "number as a graph vertex": setting("graph", value={"vertices": [1, "A"], "edges": [[1, "A"]]}),
         "graph edge an object": setting("graph", value={"vertices": ["A", "B"], "edges": [{"A": 1, "B": 2}]}),
         "float in a classical shape": {**classical, "payload": {**classical["payload"], "shape": [2, 2, 2, 2, 2, 2.0]}},
+        "classical payload without a shape": {**classical, "payload": {"values": classical["payload"]["values"]}},
         **{f"metadata {value!r}": setting("metadata", value=value) for value in (0, False, "", [], None, "x", [1])},
         # 16385 x 16385 complex entries would need more than 2**32 bytes
         "base64 payload in a v2 file": {**dense, "format_version": 2},

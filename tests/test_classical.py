@@ -32,7 +32,9 @@ from causalproc import (
     validate_deterministic,
     validate_process,
 )
+from causalproc.classical import _normalization_rows
 from causalproc.exemplars import _coherent_copy
+from causalproc.process import ENUMERATION_BUDGET
 
 BITS2 = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2))
 
@@ -273,6 +275,114 @@ def test_three_bit_library_is_pinned():
     assert digest == "58d87613577cfbecd23368af0062f3238ee627ab0c0abbe946c8769e3acaf785"
 
 
+PARITY_SIGNATURES = {
+    "2-2": (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2)),
+    "3-2": (ClassicalNode("A", 3, 2), ClassicalNode("B", 3, 2)),
+    "2-3": (ClassicalNode("A", 2, 3), ClassicalNode("B", 2, 3)),
+    "bits3": tuple(ClassicalNode(x, 2, 2) for x in "ABC"),
+    "PABF": (ClassicalNode("P", 1, 2), ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2), ClassicalNode("F", 2, 1)),
+}
+
+
+def _sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+# sha256 of the stacked vertex functions and of the LP's validity rows, recorded
+# from an integer fixed-point count and the instruments' outer product
+PARITY_DIGESTS = {
+    "2-2": (
+        "1fb04f40d55bafba858bfdd8ca594b21b80d7b5f7f1a9e4800e4df628b391f72",
+        "c121e6e7c918767165ab65b3b709a6116436ab7a6a5b6cdba4bfe5bea893f2c5",
+    ),
+    "3-2": (
+        "37c3b173a8346f55478fab8b16fcb8d0c19f53c5575ca0eb69dee1f12bb1e553",
+        "30690f7e1608962ef0504895700bdab3f26a5489f130d37d6e1e0a7c18a768d5",
+    ),
+    "2-3": (
+        "9815c5d024dcf8e209992205df28aa4484e46bf0f4572caf4770c9f73da12e26",
+        "b3af5e01fd543df3c11647f5bea9b53d7920464050c0fa246dffc0361f5165a7",
+    ),
+    "bits3": (
+        "58d87613577cfbecd23368af0062f3238ee627ab0c0abbe946c8769e3acaf785",
+        "6d9fb5d055a7ea40876604a3dbde427914be4de6abedbbf7cfbc0af3ee9a0f32",
+    ),
+    "PABF": (
+        "061ac5fbc521a9c01aa6d74ccaa23d680e282abc997006091cdd0c7311a548f5",
+        "d5e011bf188b862122ea4e67b8154be2127b57f566a572977efcaccb4388217c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_SIGNATURES))
+def test_vertices_and_validity_rows_are_pinned(name):
+    nodes = PARITY_SIGNATURES[name]
+    lib = enumerate_deterministic_processes(nodes)
+    rows = _normalization_rows(nodes, ENUMERATION_BUDGET)
+    assert (_sha256(np.stack([dp.function for dp in lib])), _sha256(rows)) == PARITY_DIGESTS[name]
+
+
+def _fixed_point_witness(nodes, func):
+    """The loop reference for validate_deterministic: the first tuple of local
+    maps, in itertools.product order, without exactly one out-value y with
+    g(f(y)) = y, and that number of out-values."""
+    per_node = [list(itertools.product(range(n.out_card), repeat=n.in_card)) for n in nodes]
+    outs = list(itertools.product(*(range(n.out_card) for n in nodes)))
+    for g in itertools.product(*per_node):
+        count = sum(all(g[i][func[y][i]] == y[i] for i in range(len(nodes))) for y in outs)
+        if count != 1:
+            return g, count
+    return None
+
+
+@pytest.mark.parametrize("name", ["2-2", "3-2"])
+def test_validate_deterministic_matches_a_fixed_point_loop(name):
+    nodes = PARITY_SIGNATURES[name]
+    shape = tuple(n.out_card for n in nodes)
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        func = np.stack([rng.integers(0, n.in_card, size=shape) for n in nodes], axis=-1)
+        ok, witness = validate_deterministic(DeterministicProcess(nodes, func))
+        want = _fixed_point_witness(nodes, func)
+        assert ok == (want is None)
+        if witness is not None:
+            maps, count = witness
+            assert (tuple(tuple(int(v) for v in g) for g in maps), count) == want, seed
+
+
+def _seeded_marginals(count: int) -> bytes:
+    """The marginal tables of ``count`` seeded reversible extensions of
+    Dirichlet mixtures of up to 20 vertices, cycling over three signatures."""
+    libs = [enumerate_deterministic_processes(PARITY_SIGNATURES[name]) for name in ("2-2", "3-2", "bits3")]
+    tables = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        lib = libs[seed % 3]
+        k = int(rng.integers(1, min(len(lib), 20) + 1))
+        picked = rng.choice(len(lib), k, replace=False)
+        weights = rng.dirichlet(np.ones(k))
+        ext = reversible_extension([(float(w), lib[j]) for w, j in zip(weights, picked)])
+        tables.append(ext.marginal().table.tobytes())
+    return b"".join(tables)
+
+
+def test_extension_marginals_are_pinned_bit_for_bit():
+    # recorded from a scatter-add (np.add.at) over the root values in order
+    assert hashlib.sha256(_seeded_marginals(150)).hexdigest() == "f7d04f61caef138f6e032639d278e312e2a233fe0823c84760ae9484cea0a0d6"
+
+
+def test_extension_marginal_of_a_one_cell_table_adds_branch_by_branch(rng):
+    # every table has one cell, so all twelve weights land on it, in branch order
+    (dp,) = enumerate_deterministic_processes((ClassicalNode("A", 1, 1),))
+    for _ in range(20):
+        weights = rng.dirichlet(np.ones(12))
+        total = 0.0
+        for w in weights:
+            total += w
+        marg = reversible_extension([(float(w), dp) for w in weights]).marginal()
+        assert marg.table.shape == (1, 1) and marg.table[0, 0] == total
+
+
 def test_single_node_with_many_in_values_enumerates_constants():
     lib = enumerate_deterministic_processes((ClassicalNode("F", 2**14, 1),))
     assert len(lib) == 2**14
@@ -381,6 +491,8 @@ _BIT = ClassicalNode("A", 2, 2)
         pytest.param(lambda: ClassicalProcess((_BIT,), np.zeros((3, 3))), ValueError, r"table shape \(3, 3\), expected \(2, 2\)", id="table shape"),
         pytest.param(lambda: ClassicalProcess((_BIT,), np.zeros((2, 2))).node("Z"), KeyError, "no node named 'Z'", id="node name"),
         pytest.param(lambda: DeterministicProcess((_BIT,), np.zeros((3, 1), int)), ValueError, "function shape", id="function shape"),
+        pytest.param(lambda: DeterministicProcess((_BIT,), np.full((2, 1), 0.5)), ValueError, "function must hold integers, got dtype float64", id="float function"),
+        pytest.param(lambda: DeterministicProcess((_BIT,), np.zeros((2, 1), bool)), ValueError, "function must hold integers, got dtype bool", id="bool function"),
         pytest.param(
             lambda: classical_joint_probabilities(ClassicalProcess((_BIT,), np.zeros((2, 2))), []), ValueError, "one channel per node", id="channel count"
         ),

@@ -212,6 +212,25 @@ def test_a_failed_encode_leaves_the_target_alone(tmp_path):
         assert not missing.exists(), name
 
 
+def test_a_graph_with_a_vertex_that_is_not_a_string_is_refused_before_writing(tmp_path):
+    # a file's graph block holds strings only: dict_to_process refuses [1, 2],
+    # and sorting [1, "A"] would raise TypeError
+    path = tmp_path / "af.json"
+    write_process_file(path, make_af())
+    before = path.read_bytes()
+    for graph in (directed_graph([1, 2], [(1, 2)]), directed_graph([1, "A"], [(1, "A")])):
+        with pytest.raises(ValueError, match="^graph vertices must be strings to be written, got 1$"):
+            process_to_dict(make_af(), graph=graph)
+        with pytest.raises(ValueError, match="graph vertices must be strings"):
+            write_process_file(path, make_af(), graph=graph)
+        assert path.read_bytes() == before
+
+
+def test_only_processes_are_serialized():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        process_to_dict(object())
+
+
 def test_read_errors_keep_their_messages(tmp_path):
     path = tmp_path / "bad.json"
     for newline in ("\n", "\r\n"):

@@ -151,6 +151,17 @@ def test_comb_from_circuit_single_slot(rng):
     assert np.abs(sigma.op.matrix - want.matrix).max() < 1e-12
 
 
+def test_comb_from_circuit_traces_out_unread_wires(rng):
+    # rho (x) tau on w0 and w9 with Tr tau = 1; only w0 is read, so w9 is traced away
+    rho, tau = random_state(2, rng), random_state(3, rng)
+    w0, w9 = SystemLabel("w0", 2), SystemLabel("w9", 3)
+    slots = [(QuantumNode("A", 2, 2), "w0", "wA")]
+    got = comb_from_circuit(LabeledOperator((w0, w9), np.kron(rho, tau)), [], slots)
+    want = comb_from_circuit(LabeledOperator((w0,), rho), [], slots)
+    assert got.nodes == want.nodes and got.op.systems == want.op.systems
+    assert np.abs(got.op.matrix - want.op.matrix).max() < 1e-12
+
+
 def test_comb_from_circuit_applies_a_channel_once_a_later_one_feeds_it(rng):
     # A -> first -> second -> B, with the channels listed in reverse: second
     # waits a pass for the wire that first produces
