@@ -97,11 +97,11 @@ class DeterministicProcess:
 
 
 def _deterministic_tables(nodes, funcs: np.ndarray) -> np.ndarray:
-    """The 0/1 tables [ins == f(outs)] of functions ``funcs`` (axes: batch,
-    out_1, ..., out_n, in-value of each node), stacked on axis 0."""
+    """The integer 0/1 tables [ins == f(outs)] of functions ``funcs`` (axes:
+    batch, out_1, ..., out_n, in-value of each node), stacked on axis 0."""
     batch, *outs = np.indices(funcs.shape[:-1], sparse=True)
-    tables = np.zeros((len(funcs),) + _interleaved_shape(nodes))
-    tables[(batch,) + tuple(a for i, out in enumerate(outs) for a in (funcs[..., i], out))] = 1.0
+    tables = np.zeros((len(funcs),) + _interleaved_shape(nodes), dtype=np.int64)
+    tables[(batch,) + tuple(a for i, out in enumerate(outs) for a in (funcs[..., i], out))] = 1
     return tables
 
 
@@ -115,6 +115,17 @@ def _totals(tables: np.ndarray, channels) -> np.ndarray:
     return np.einsum(*operands, [Ellipsis, *range(2 * n, 3 * n)], optimize="greedy")
 
 
+def _consistent_counts(nodes, funcs: np.ndarray, instruments) -> np.ndarray:
+    """Consistent assignments of each function of a batch (as for
+    ``_deterministic_tables``) against each tuple of local maps: the totals of
+    its table. A node with one out-value accepts every in-value under its one
+    map, so its in-values are all counted as 0 and add nothing to the tables."""
+    choosing = np.array([nd.out_card > 1 for nd in nodes])
+    counted = [ClassicalNode(nd.name, nd.in_card if c else 1, nd.out_card) for nd, c in zip(nodes, choosing)]
+    instruments = [inst if c else inst[..., :1] for inst, c in zip(instruments, choosing)]
+    return _totals(_deterministic_tables(counted, funcs * choosing), instruments)
+
+
 def _product_rows(card: int, length: int) -> np.ndarray:
     """All tuples of ``length`` values below ``card``, as rows in ``itertools.product`` order."""
     return np.arange(card**length)[:, None] // card ** np.arange(length - 1, -1, -1) % card
@@ -123,8 +134,8 @@ def _product_rows(card: int, length: int) -> np.ndarray:
 def _local_instruments(nodes, budget: int) -> list[np.ndarray]:
     """Per node, the classical instrument whose outcome is a local map g: in -> out.
 
-    Array i has shape (out_i**in_i, out_i, in_i) with [g, y, x] = 1 iff
-    g(x) = y. The maps run in ``itertools.product`` order, so tuples of maps
+    Array i holds integers, shape (out_i**in_i, out_i, in_i), with [g, y, x] = 1
+    iff g(x) = y. The maps run in ``itertools.product`` order, so tuples of maps
     run in the C order of the outcome axes.
     """
     total = 1
@@ -135,7 +146,7 @@ def _local_instruments(nodes, budget: int) -> list[np.ndarray]:
     instruments = []
     for n in nodes:
         maps = _product_rows(n.out_card, n.in_card)
-        instruments.append((maps[:, None, :] == np.arange(n.out_card)[:, None]).astype(float))
+        instruments.append((maps[:, None, :] == np.arange(n.out_card)[:, None]).astype(np.int64))
     return instruments
 
 
@@ -166,7 +177,7 @@ def validate_deterministic(dp: DeterministicProcess, budget: int = ENUMERATION_B
     maps (or None), with its number of consistent assignments.
     """
     instruments = _local_instruments(dp.nodes, budget)
-    counts = _totals(_deterministic_tables(dp.nodes, dp.function[None]), instruments)[0]
+    counts = _consistent_counts(dp.nodes, dp.function[None], instruments)[0]
     bad = np.flatnonzero(counts != 1)
     if bad.size == 0:
         return True, None
@@ -299,7 +310,7 @@ def enumerate_deterministic_processes(nodes, budget: int = ENUMERATION_BUDGET) -
         funcs[..., i] = t.reshape(own + out_cards[:i] + (1,) + out_cards[i + 1 :])
     funcs = funcs.reshape((-1,) + out_cards + (n,))
 
-    counts = _totals(_deterministic_tables(nodes, funcs), instruments)
+    counts = _consistent_counts(nodes, funcs, instruments)
     funcs = funcs[(counts == 1).reshape(len(funcs), -1).all(axis=1)]
     funcs = funcs[np.lexsort(funcs.reshape(len(funcs), -1).T[::-1])]
     return [DeterministicProcess(nodes, f) for f in funcs]
@@ -426,7 +437,7 @@ def polytope_membership(
     if vertices is None:
         vertices = enumerate_deterministic_processes(kp.nodes, budget)
     v = _deterministic_tables(kp.nodes, np.stack([vert.function for vert in vertices]))
-    v = v.reshape(len(vertices), -1).T
+    v = v.reshape(len(vertices), -1).astype(float).T
     target = kp.table.reshape(-1)
     m, nv = v.shape
     eye = np.eye(m)
@@ -466,10 +477,11 @@ class ReversibleExtension:
         dist = np.asarray(self.lambda_distribution, dtype=float)
         if dist.shape != ins.shape[:1]:
             raise ValueError(f"need one weight per root value ({ins.shape[0]}), got shape {dist.shape}")
-        tables = _deterministic_tables(self.base_nodes, ins)
-        weighted = dist.reshape((-1,) + (1,) * (tables.ndim - 1)) * tables
-        # the last running sum adds root value by root value, like a loop (a plain sum may pair terms up)
-        return ClassicalProcess(tuple(self.base_nodes), np.cumsum(weighted, axis=0)[-1])
+        # root value by root value, skipping the weights of zero, which would add zeros
+        fed = np.flatnonzero(dist)
+        tables = _deterministic_tables(self.base_nodes, ins[fed])
+        table = sum((w * t for w, t in zip(dist[fed], tables)), np.zeros(tables.shape[1:]))
+        return ClassicalProcess(tuple(self.base_nodes), table)
 
 
 def reversible_extension(mixture) -> ReversibleExtension:
@@ -486,7 +498,7 @@ def reversible_extension(mixture) -> ReversibleExtension:
         if dp.nodes != base:
             raise ValueError("all processes must share the same nodes")
     weights = np.array([w for w, _ in mixture], dtype=float)
-    if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
+    if not (weights.min() >= 0 and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValueError("weights must be a probability distribution")
 
     n = len(base)
@@ -519,8 +531,8 @@ def _normalization_rows(nodes, budget: int) -> np.ndarray:
     local maps, the totals of the unit tables, each row summing to one."""
     shape = _interleaved_shape(nodes)
     size = int(np.prod(shape))
-    totals = _totals(np.eye(size).reshape((size,) + shape), _local_instruments(nodes, budget))
-    return np.ascontiguousarray(totals.reshape(size, -1).T)
+    totals = _totals(np.eye(size, dtype=np.int64).reshape((size,) + shape), _local_instruments(nodes, budget))
+    return np.ascontiguousarray(totals.reshape(size, -1).T, dtype=float)
 
 
 def find_process_outside_hull(nodes, budget: int = ENUMERATION_BUDGET):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -335,7 +336,7 @@ def _fixed_point_witness(nodes, func):
     return None
 
 
-@pytest.mark.parametrize("name", ["2-2", "3-2"])
+@pytest.mark.parametrize("name", ["2-2", "3-2", "PABF"])
 def test_validate_deterministic_matches_a_fixed_point_loop(name):
     nodes = PARITY_SIGNATURES[name]
     shape = tuple(n.out_card for n in nodes)
@@ -384,9 +385,24 @@ def test_extension_marginal_of_a_one_cell_table_adds_branch_by_branch(rng):
 
 
 def test_single_node_with_many_in_values_enumerates_constants():
-    lib = enumerate_deterministic_processes((ClassicalNode("F", 2**14, 1),))
-    assert len(lib) == 2**14
+    lib = enumerate_deterministic_processes((ClassicalNode("F", 2**16, 1),))
+    assert len(lib) == 2**16
     assert [int(dp.function[0, 0]) for dp in lib[:3]] == [0, 1, 2]
+
+
+def test_receive_only_nodes_are_counted_at_one_in_value():
+    # a node with one out-value accepts every in-value under its one local map,
+    # so the count's tables do not grow with its in-card
+    nodes = (ClassicalNode("A", 2, 2), ClassicalNode("F", 2**12, 1), ClassicalNode("G", 2**12, 1))
+    func = np.zeros((2, 1, 1, 3), dtype=np.int64)
+    func[1, 0, 0] = (0, 4095, 7)
+    tracemalloc.start()
+    try:
+        verdict = validate_deterministic(DeterministicProcess(nodes, func))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == (True, None) and peak < 4 * 2**20
 
 
 def _witness(nodes, func):
@@ -527,6 +543,12 @@ _BIT = ClassicalNode("A", 2, 2)
             ValueError,
             "probability distribution",
             id="weights",
+        ),
+        pytest.param(
+            lambda: reversible_extension([(float("nan"), make_af_deterministic()), (1.0, make_af_deterministic())]),
+            ValueError,
+            "probability distribution",
+            id="nan weight",
         ),
         # on two bits every valid process is a mixture of deterministic ones
         pytest.param(
