@@ -36,7 +36,7 @@ import causalproc as cp
 
 from . import _EXPORTS
 from .graphs import DirectedGraph, directed_graph
-from .labeled import MAX_DENSE_BYTES, LabeledOperator, _entries, _from_entries
+from .labeled import MAX_DENSE_BYTES, LabeledOperator, _from_entries, _sparse_entries
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = _EXPORTS["fileio"]
@@ -65,12 +65,11 @@ class LoadedProcessFile:
 
 def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
     """The format version and payload of an operator: sorted COO (format 2) if
-    ``labeled.sorted_coo`` finds the matrix sparse, else base64 (format 3)."""
-    entries = _entries(op)
-    if entries is not None and 4 * entries[0].size <= op.dim**2:  # a 1×1 is routed on its entry even if dense
-        index, values = entries
-        pairs = np.asarray(values, dtype=complex).view(float).reshape(-1, 2)
-        return 2, {"index": index.tolist(), "values": pairs.tolist()}
+    ``labeled.sorted_coo`` finds the matrix sparse (``labeled._sparse_entries``),
+    else base64 (format 3)."""
+    if (entries := _sparse_entries(op)) is not None:
+        pairs = np.asarray(entries[1], dtype=complex).view(float).reshape(-1, 2)
+        return 2, {"index": entries[0].tolist(), "values": pairs.tolist()}
     # b64encode reads the array's buffer: no bytes copy of the matrix
     return 3, base64.b64encode(np.ascontiguousarray(op.matrix, dtype="<c16")).decode("ascii")
 

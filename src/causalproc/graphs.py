@@ -12,7 +12,6 @@ matches the graph.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -23,10 +22,8 @@ from .channels import ChannelOperator, influence_residuals, input_signals
 from .labeled import (
     LinearMap,
     SystemLabel,
-    _multiply,
-    _norms,
+    _commutator_residuals,
     _product_distance,
-    _values,
     cj_operator,
     distance,
     is_unitary,
@@ -234,37 +231,19 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
     Each node's factor conditions on its graph parents. Accepted iff every
     factor is a channel (PSD, trace-preserving), all factors commute, and the
     ordered product reproduces sigma, each residual within tol (NaN is not).
-    Factors routed on their stored entries are multiplied, compared and normed
-    on them. Each commutator's two products are formed in one system order,
-    and the ordered product is compared with sigma without being put in
-    sigma's order.
+    The commutator residuals come from ``labeled._commutator_residuals`` and
+    the product residual from ``labeled._product_distance``, on stored entries
+    where the factors are routed on them.
     """
     if set(graph.vertices) != set(sigma.node_names):
         raise ValueError("graph vertices must match the process nodes")
     factors = {n.name: marginal_factor(sigma, n.name, graph.parents(n.name)) for n in sigma.nodes}
 
-    chres = {}
-    ok = True
-    for name, ch in factors.items():
-        r = ch.cptp_residuals()
-        chres[name] = r
-        if not (r["hermitian"] <= tol and r["min_eigenvalue"] >= -tol and r["trace_preserving"] <= tol):
-            ok = False
-
-    ops = {name: factors[name].op for name in factors}
-    norms = {name: float(np.linalg.norm(_values(op))) for name, op in ops.items()}
-    comm = {}
-    names = [n.name for n in sigma.nodes]
-    for a, b in itertools.combinations(names, 2):
-        x = _multiply(ops[a], ops[b])
-        res = _norms(x, _multiply(ops[b], ops[a], x.systems))[0] / max(1.0, norms[a] * norms[b])
-        comm[(a, b)] = res
-        if not res <= tol:
-            ok = False
-
-    pres = _product_distance([ops[nm] for nm in names], sigma.op)
-    if not pres <= tol:
-        ok = False
+    chres = {name: ch.cptp_residuals() for name, ch in factors.items()}
+    comm = _commutator_residuals({name: factor.op for name, factor in factors.items()})
+    pres = _product_distance([factor.op for factor in factors.values()], sigma.op)
+    ok = all(r["hermitian"] <= tol and r["min_eigenvalue"] >= -tol and r["trace_preserving"] <= tol for r in chres.values())
+    ok = ok and all(r <= tol for r in comm.values()) and pres <= tol
     return MarkovFactorization(graph, factors, chres, comm, pres, bool(ok), tol)
 
 
@@ -357,13 +336,8 @@ def compatibility_check(
     chop = ch.op
     if root.d_out > 1:
         chop = split_system(chop, (f"{root.name}.out", True), [SystemLabel(l.name, l.dim, dual=True) for l in lam_labels])
-    new_inputs = []
-    for s in ch.inputs:
-        if s.name == f"{root.name}.out":
-            new_inputs.extend(lam_labels)
-        else:
-            new_inputs.append(s)
-    ch2 = ChannelOperator(chop, ch.outputs, tuple(new_inputs))
+    new_inputs = tuple(t for s in ch.inputs for t in (lam_labels if s.name == f"{root.name}.out" else [s]))
+    ch2 = ChannelOperator(chop, ch.outputs, new_inputs)
 
     slot_in = {sigma.node(nm).in_system.name: nm for nm in sig_names}
     slot_out = {sigma.node(nm).out_system.name: nm for nm in sig_names}

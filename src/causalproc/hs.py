@@ -220,6 +220,28 @@ def _unwitnessed(op: LabeledOperator, nodes) -> dict[tuple, float]:
     return _table(keys, squares, ~witnessed)
 
 
+def _forbidden_types(op: LabeledOperator, nodes, threshold: float) -> tuple[float, tuple[str, ...]]:
+    """The norm of op's forbidden types, the unwitnessed ones but the identity,
+    and the labels of at most 16 of them above ``threshold``, largest first. A
+    label joins a type's system names with "*", a dual one primed. Norms equal
+    to 12 significant digits tie and are ordered by label, so that rounding in
+    the last bits, which differs between the sparse and the dense table, does
+    not reorder equal types."""
+    forbidden = {key: val for key, val in _unwitnessed(op, nodes).items() if key}
+    labels = [(float(f"{val:.12g}"), "*".join(s + "'" * dual for s, dual in key)) for key, val in forbidden.items() if val > threshold]
+    return math.hypot(*forbidden.values()), tuple(label for _, label in sorted(labels, reverse=True)[:16])
+
+
+def _signalling_cut(op: LabeledOperator, nodes) -> float:
+    """Residual of "``nodes`` cannot signal to the other nodes": the norm of
+    the types unwitnessed by ``nodes`` that are nontrivial on one of their
+    factors, over max(1, the norm of all types unwitnessed by them)."""
+    unwitnessed = _unwitnessed(op, nodes)
+    factors = {k for n in nodes for k in (n.in_system.key, n.out_dual.key)}
+    residual = math.hypot(*(val for key, val in unwitnessed.items() if factors.intersection(key)))
+    return residual / max(1.0, math.hypot(*unwitnessed.values()))
+
+
 def _type_bits(keys) -> dict[tuple, int]:
     """Bit len(keys)-1-j of a type bit mask is set iff the type contains keys[j]."""
     return {key: 1 << (len(keys) - 1 - j) for j, key in enumerate(keys)}

@@ -8,6 +8,7 @@ matrix data is stored the same way for primal and dual factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -249,6 +250,13 @@ def _entries(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray] | None:
             coo = np.zeros(1, dtype=np.intp), m.reshape(1).astype(np.result_type(m, np.float64))
         _set_storage(op, op.systems, m, coo)  # no type-norm table is built before the count
     return op._coo
+
+
+def _sparse_entries(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray] | None:
+    """op's sorted-COO entries iff ``sorted_coo``'s rule finds it sparse, else
+    None: ``_entries``, but None for a dense 1×1 too."""
+    entries = _entries(op)
+    return entries if entries is not None and 4 * entries[0].size <= op.dim**2 else None
 
 
 def _dense_reference(systems, matrix) -> LabeledOperator:
@@ -833,6 +841,18 @@ def _norms(a: LabeledOperator, b: LabeledOperator) -> tuple[float, float, float]
                 m.reshape(-1)[e[0]] += sign * e[1]
         diff = math.sqrt(_squares(m))
     return diff, *(float(np.linalg.norm(h)) for h in held)
+
+
+def _commutator_residuals(ops: dict) -> dict:
+    """‖ab − ba‖ / max(1, ‖a‖‖b‖) (Frobenius) of each pair of the named
+    operators ``ops``, keyed by their names in order. Each norm is formed
+    once, and each pair's two products in one system order (``_norms``)."""
+    norms = {name: float(np.linalg.norm(_values(op))) for name, op in ops.items()}
+    residuals = {}
+    for (a, x), (b, y) in itertools.combinations(ops.items(), 2):
+        xy = _multiply(x, y)
+        residuals[a, b] = _norms(xy, _multiply(y, x, xy.systems))[0] / max(1.0, norms[a] * norms[b])
+    return residuals
 
 
 def _product_distance(ops, target: LabeledOperator) -> float:

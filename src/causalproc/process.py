@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .channels import ChannelOperator, cj_from_kraus
-from .hs import _unwitnessed
+from .hs import _forbidden_types, _signalling_cut
 from .labeled import (
     LabeledOperator,
     LinearMap,
@@ -154,9 +154,9 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
 
     The Hermitian residual, positivity, ‖σ‖ and Tr σ come from the one positivity
     reader, ``labeled._positivity`` ("eigh" up to 2048 dimensions, "cholesky"
-    above); the forbidden norm and the offending types from the mutually
-    orthogonal non-identity types no node witnesses (``hs._unwitnessed``),
-    where a NaN norm counts as nonzero. A NaN or infinite entry passes no check."""
+    above); the forbidden norm and the offending types from the type table's
+    reader ``hs._forbidden_types``, where a NaN norm counts as nonzero. A NaN
+    or infinite entry passes no check."""
     method = "cholesky" if sigma.op.dim > 2048 else "eigh"
     herm, psd_ok, min_eig, norm, trace = _positivity(sigma.op, tol, method)
     threshold = tol * max(1.0, norm)  # infinite for an infinite entry, which then passes no check
@@ -165,19 +165,8 @@ def validate_process(sigma: ProcessOperator, tol: float = 1e-9) -> ValidationVer
     expected = sigma.expected_trace()
     trace_ok = abs(trace - expected) <= tol * max(1.0, expected)
 
-    forbidden = {key: val for key, val in _unwitnessed(sigma.op, sigma.nodes).items() if key}
-    fnorm = math.hypot(*forbidden.values())
+    fnorm, offenders = _forbidden_types(sigma.op, sigma.nodes, threshold)
     type_ok = fnorm <= threshold < math.inf
-    names = [
-        (val, "*".join(name + ("'" if is_dual else "") for name, is_dual in key))
-        for key, val in forbidden.items()
-        if val > threshold
-    ]
-    # Norms equal to 12 significant digits tie and are ordered by name, so that
-    # rounding in the last bits, which differs between the sparse and the
-    # dense table, does not reorder equal sectors.
-    names.sort(key=lambda item: (float(f"{item[0]:.12g}"), item[1]), reverse=True)
-    offenders = tuple(label for _, label in names[:16])
 
     valid = bool(herm_ok and psd_ok and trace_ok and type_ok)
     return ValidationVerdict(
@@ -203,17 +192,12 @@ def signalling_residual(sigma: ProcessOperator, from_nodes) -> float:
 
     Zero iff every type of sigma that no node of the from-set witnesses is
     trivial on all of the from-set's factors. The residual is the norm of the
-    other unwitnessed types, relative to max(1, norm of all unwitnessed types).
+    other unwitnessed types, relative to max(1, norm of all unwitnessed types),
+    read off the type table by ``hs._signalling_cut``.
     """
-    names = set(from_nodes)
-    all_names = set(sigma.node_names)
-    if not names or not names < all_names:
+    if not (names := set(from_nodes)) or not names < set(sigma.node_names):
         raise ValueError("from_nodes must be a nonempty proper subset of the nodes")
-    nodes = [n for n in sigma.nodes if n.name in names]
-    unwitnessed = _unwitnessed(sigma.op, nodes)
-    factors = {k for n in nodes for k in (n.in_system.key, n.out_dual.key)}
-    residual = math.hypot(*(val for key, val in unwitnessed.items() if factors.intersection(key)))
-    return residual / max(1.0, math.hypot(*unwitnessed.values()))
+    return _signalling_cut(sigma.op, [n for n in sigma.nodes if n.name in names])
 
 
 def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
