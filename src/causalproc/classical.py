@@ -80,20 +80,36 @@ class DeterministicProcess:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         f = np.asarray(self.function)
-        if f.dtype.kind not in "iu":
-            raise ValueError(f"function must hold integers, got dtype {f.dtype}")
-        want = tuple(n.out_card for n in self.nodes) + (len(self.nodes),)
-        if f.shape != want:
-            raise ValueError(f"function shape {f.shape}, expected {want}")
-        bad = (f < 0) | (f >= [n.in_card for n in self.nodes])
-        if bad.any():
-            first = bad.reshape(-1, len(self.nodes)).any(axis=0).argmax()
-            raise ValueError(f"in-values for node {self.nodes[first].name!r} out of range")
+        _check_functions(self.nodes, f[None])
         object.__setattr__(self, "function", f)
+
+    @classmethod
+    def _from_checked(cls, nodes: tuple, function: np.ndarray) -> DeterministicProcess:
+        """The process of a function that ``_check_functions`` has passed,
+        built without checking it again."""
+        dp = object.__new__(cls)
+        object.__setattr__(dp, "nodes", nodes)
+        object.__setattr__(dp, "function", function)
+        return dp
 
     def to_classical(self) -> ClassicalProcess:
         """The 0/1 table kappa(ins, outs) = [ins == f(outs)]."""
         return ClassicalProcess(self.nodes, _deterministic_tables(self.nodes, self.function[None])[0])
+
+
+def _check_functions(nodes, funcs: np.ndarray) -> None:
+    """A ValueError unless every function of the stack ``funcs`` (axis 0) is
+    one ``DeterministicProcess`` takes: integer in-values of the nodes, in
+    range, on one axis per node's out-variable and a trailing node axis."""
+    if funcs.dtype.kind not in "iu":
+        raise ValueError(f"function must hold integers, got dtype {funcs.dtype}")
+    want = tuple(n.out_card for n in nodes) + (len(nodes),)
+    if funcs.shape[1:] != want:
+        raise ValueError(f"function shape {funcs.shape[1:]}, expected {want}")
+    bad = (funcs < 0) | (funcs >= [n.in_card for n in nodes])
+    if bad.any():
+        first = bad.reshape(-1, len(nodes)).any(axis=0).argmax()
+        raise ValueError(f"in-values for node {nodes[first].name!r} out of range")
 
 
 def _deterministic_tables(nodes, funcs: np.ndarray) -> np.ndarray:
@@ -152,6 +168,11 @@ def _local_instruments(nodes, budget: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ClassicalValidationVerdict:
+    """Verdict of ``validate_classical``: valid iff the smallest entry is at
+    least -tol and the total weight on each of the ``tuples_checked`` tuples
+    of deterministic local maps is within tol of one (worst deviation
+    ``max_normalization_error``)."""
+
     valid: bool
     min_entry: float
     max_normalization_error: float
@@ -226,6 +247,11 @@ def causal_structure_deterministic(dp: DeterministicProcess):
 
 @dataclass(frozen=True)
 class ClassicalMarkov:
+    """Result of ``classical_markov_check``: the conditional factor of each
+    node (axes in_i, then its parents' out-variables), the worst deviation of
+    a factor from a stochastic channel, the largest entry of the product's
+    difference from the table, and whether both are within tol."""
+
     graph: object
     factors: dict
     stochastic_residual: float
@@ -313,7 +339,8 @@ def enumerate_deterministic_processes(nodes, budget: int = ENUMERATION_BUDGET) -
     counts = _consistent_counts(nodes, funcs, instruments)
     funcs = funcs[(counts == 1).reshape(len(funcs), -1).all(axis=1)]
     funcs = funcs[np.lexsort(funcs.reshape(len(funcs), -1).T[::-1])]
-    return [DeterministicProcess(nodes, f) for f in funcs]
+    _check_functions(nodes, funcs)
+    return [DeterministicProcess._from_checked(nodes, f) for f in funcs]
 
 
 _LP_TOL = 1e-9
@@ -415,6 +442,11 @@ def _simplex_run(c, a, b, basis, max_pivots: int) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class PolytopeVerdict:
+    """Result of ``polytope_membership``: whether the table lies in the hull
+    of the vertex tables, the LP's vertex weights, and the residual (the
+    largest entry of the mixture's difference from the table if inside, else
+    the L1 distance to the hull)."""
+
     inside: bool
     weights: np.ndarray
     residual: float

@@ -243,6 +243,11 @@ def bw_decomposition() -> BWParts:
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """Result of ``decomposition_report``: the largest entry of the
+    reconstructed unitary's difference from u, each block's signalling
+    residuals, whether every block meets its one-way or diagonal condition,
+    and whether both pass."""
+
     passed: bool
     reconstruction_residual: float
     block_signalling: dict

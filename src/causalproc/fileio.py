@@ -16,10 +16,10 @@ over the canonical interleaved system order, in one of three payloads:
 A version admits the payloads of every earlier one. An entry is stored unless
 both of its parts are +0.0, so -0.0 survives. The writer picks the sparse
 payload iff ``4 * stored <= side**2``, a rule on the matrix alone
-(``labeled.sorted_coo``, which every kernel follows too), and the base64 one
-otherwise; it stamps a dense quantum file 3 and a sparse or classical one 2.
-So export, import and re-export give the same bytes, and every bit of the
-matrix survives. An optional graph block carries a directed graph and a
+(``labeled.sorted_coo``, which every kernel follows too; the writer asks
+``labeled._sparse_entries``), and the base64 one otherwise; it stamps a dense
+quantum file 3 and a sparse or classical one 2. So export, import and
+re-export give the same bytes, and every bit of the matrix survives. An optional graph block carries a directed graph and a
 metadata block free-form data.
 """
 
@@ -57,6 +57,9 @@ class ProcessFileError(ValueError):
 
 @dataclass(frozen=True)
 class LoadedProcessFile:
+    """A process file as read: its kind ("quantum" or "classical"), the
+    process, the graph block if present and the metadata block."""
+
     kind: str
     process: object
     graph: DirectedGraph | None
@@ -65,8 +68,7 @@ class LoadedProcessFile:
 
 def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
     """The format version and payload of an operator: sorted COO (format 2) if
-    ``labeled.sorted_coo`` finds the matrix sparse (``labeled._sparse_entries``),
-    else base64 (format 3)."""
+    ``labeled._sparse_entries`` finds the matrix sparse, else base64 (format 3)."""
     if (entries := _sparse_entries(op)) is not None:
         pairs = np.asarray(entries[1], dtype=complex).view(float).reshape(-1, 2)
         return 2, {"index": entries[0].tolist(), "values": pairs.tolist()}

@@ -6,7 +6,9 @@ the unitary can influence which outputs. A directed graph (cycles allowed)
 is confirmed for a process either intrinsically, by factoring the process
 into commuting channel factors indexed by the graph's parent sets, or
 extrinsically, by exhibiting a unitary extension whose influence pattern
-matches the graph.
+matches the graph. The factorization's residuals are read by ``labeled``'s
+kernels (``_commutator_residuals``, ``_product_distance``), so this module
+does no kernel arithmetic.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from .labeled import (
     _product_distance,
     cj_operator,
     distance,
+    dual,
     is_unitary,
     partial_trace,
+    permute_map,
     product,
     split_system,
 )
-from .process import ProcessOperator, is_isometric, measure_prepare_element, process_operator, validate_process
+from .process import ProcessOperator, canonical_systems, is_isometric, measure_prepare_element, process_operator, validate_process
 
 __all__ = _EXPORTS["graphs"]
 
@@ -170,7 +174,10 @@ def make_unitary_process(nodes, u: LinearMap, tol: float = 1e-9) -> UnitaryProce
         raise ValueError(f"unitary codomain {cod} does not cover the node in-spaces")
     if not is_unitary(u, tol):
         raise ValueError("map is not unitary within tolerance")
-    sigma = process_operator(nodes, cj_operator(u))
+    # the CJ vector, as a one-column map, put in canonical order before vv† is formed
+    systems = u.codomain + tuple(dual(s) for s in u.domain)
+    v = permute_map(LinearMap(u.matrix.reshape(-1, 1), (), systems), codomain=[s.key for s in canonical_systems(nodes)])
+    sigma = process_operator(nodes, cj_operator(v))
     return UnitaryProcess(sigma.nodes, sigma.op, u)
 
 
@@ -216,6 +223,10 @@ def marginal_factor(sigma: ProcessOperator, node_name: str, parents) -> ChannelO
 
 @dataclass(frozen=True)
 class MarkovFactorization:
+    """Result of ``markov_check``: each node's channel factor, its
+    ``cptp_residuals``, the commutator residual of each pair of factors, the
+    distance of their ordered product from σ, and whether all are within tol."""
+
     graph: DirectedGraph
     factors: dict
     channel_residuals: dict
@@ -249,6 +260,9 @@ def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9
 
 @dataclass(frozen=True)
 class FaithfulnessReport:
+    """Result of ``faithfulness_check``: whether each edge's parent signals
+    to its child's factor, and whether every edge does."""
+
     edge_signalling: dict
     faithful: bool
     tol: float
@@ -266,6 +280,10 @@ def faithfulness_check(mf: MarkovFactorization) -> FaithfulnessReport:
 
 @dataclass(frozen=True)
 class CompatibilityVerdict:
+    """Result of ``compatibility_check``: whether the extension is a valid
+    process, the distance of its marginal from σ, and the influence residual
+    of every pair the graph forbids; compatible iff all three pass at tol."""
+
     compatible: bool
     extension_valid: bool
     marginal_residual: float

@@ -5,7 +5,9 @@ it acts as something other than a multiple of the identity. Both functions
 work directly on the operator's (row_i, col_i) axes. Projections trace out a
 trivial factor and keep the traceless part X − Tr(X)/d·1 of a nontrivial one;
 the type table changes each factor's basis once, to an orthogonal one that
-starts with the identity, on a dense copy or on the stored entries.
+starts with the identity, on a dense copy or on the stored entries. The
+table's readers for validity, ``_forbidden_types`` and ``_signalling_cut``,
+read the types that no node witnesses (``_unwitnessed``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ out-space. Probabilities of instrument outcomes come from the trace rule
     P(k_1 .. k_n) = Tr[ sigma  (tau_1^{k_1} ⊗ ... ⊗ tau_n^{k_n}) ],
 
 where tau is the transposed CJ operator of the instrument element, living on
-the same spaces as sigma's node factors.
+the same spaces as sigma's node factors. Validation reads positivity from
+``labeled._positivity`` and the allowed types from ``hs._forbidden_types``,
+and the signalling residual is ``hs._signalling_cut``'s: this module keeps
+the thresholds and assembles the verdicts.
 """
 
 from __future__ import annotations
@@ -224,6 +227,9 @@ class InstrumentElement:
 
 @dataclass(frozen=True)
 class Instrument:
+    """A local intervention at one node: its outcomes' elements, in outcome
+    order, each belonging to that node."""
+
     node: QuantumNode
     elements: tuple[InstrumentElement, ...]
 

@@ -103,6 +103,7 @@ def bad_docs():
         "infinite value": setting("payload", "values", 0, 0, value=float("inf")),
         "nan value": setting("payload", "values", 0, 1, value=float("nan")),
         "extra payload key": setting("payload", "shape", value=[side, side]),
+        "nested payload a row short": setting("payload", value=[[[0.0, 0.0]] * side] * (side - 1)),
         "sparse payload in a v1 file": setting("format_version", value=1),
         "bool format_version": setting("format_version", value=True),
         "float format_version": setting("format_version", value=1.0),

@@ -33,6 +33,7 @@ from causalproc import (
     validate_deterministic,
     validate_process,
 )
+from causalproc import classical
 from causalproc.classical import _normalization_rows
 from causalproc.exemplars import _coherent_copy
 from causalproc.process import ENUMERATION_BUDGET
@@ -388,6 +389,27 @@ def test_single_node_with_many_in_values_enumerates_constants():
     lib = enumerate_deterministic_processes((ClassicalNode("F", 2**16, 1),))
     assert len(lib) == 2**16
     assert [int(dp.function[0, 0]) for dp in lib[:3]] == [0, 1, 2]
+
+
+def test_enumeration_checks_the_surviving_stack_once(monkeypatch):
+    """The enumerated functions are checked as one stack, and no vertex runs
+    the constructor's per-object checks."""
+    calls = {"post_init": 0, "stack": 0}
+    post_init, check = DeterministicProcess.__post_init__, classical._check_functions
+
+    def counted_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    def counted_check(nodes, funcs):
+        calls["stack"] += 1
+        check(nodes, funcs)
+
+    monkeypatch.setattr(DeterministicProcess, "__post_init__", counted_post_init)
+    monkeypatch.setattr(classical, "_check_functions", counted_check)
+    lib = enumerate_deterministic_processes(BITS2)
+    assert calls == {"post_init": 0, "stack": 1} and len(lib) == 12
+    assert all(dp == DeterministicProcess(dp.nodes, dp.function) for dp in lib)
 
 
 def test_receive_only_nodes_are_counted_at_one_in_value():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from causalproc import (
+    LinearMap,
+    SystemLabel,
     af_causal_graph,
     bw_decomposition,
     causal_structure_deterministic,
@@ -22,6 +24,7 @@ from causalproc import (
     partial_trace,
     process_operator,
     quantize,
+    random_unitary_chain,
     reduced_switch_causal_graph,
     signalling_residual,
     switch_causal_graph,
@@ -45,6 +48,49 @@ def test_switch_process_is_rank_one_with_right_trace(switch_up):
 def test_switch_rejects_trivial_target_dimension():
     with pytest.raises(ValueError):
         make_switch(1)
+
+
+def _with_extra_system(u: LinearMap) -> LinearMap:
+    """u ⊗ 1 on one more qubit, which the decomposition does not expect."""
+    return LinearMap(np.kron(u.matrix, np.eye(2)), u.domain + (SystemLabel("X", 2),), u.codomain + (SystemLabel("Y", 2),))
+
+
+_QUBIT_MAP = LinearMap(np.eye(2), (SystemLabel("X", 2),), (SystemLabel("Y", 2),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: make_methods_counterexample().combined([1.0]), ValueError, "distribution over two C.in values", id="C.in distribution"),
+        pytest.param(lambda: switch_decomposition(1), ValueError, "target dimension must be at least 2", id="switch parts dimension"),
+        pytest.param(lambda: decomposition_report(_QUBIT_MAP, switch_decomposition()), ValueError, "expected a system named 'B.in'", id="missing system"),
+        pytest.param(
+            lambda: decomposition_report(_with_extra_system(make_switch(2).unitary), switch_decomposition()),
+            ValueError,
+            "unexpected nontrivial system",
+            id="extra system",
+        ),
+        pytest.param(
+            lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(switch_decomposition(), s=np.eye(3))),
+            ValueError,
+            "boundary matrices do not match the block dimensions",
+            id="switch boundary",
+        ),
+        pytest.param(
+            lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(switch_decomposition(), w=(np.eye(3), np.eye(2)))),
+            ValueError,
+            r"block 0: w has shape \(3, 3\), expected \(4, 4\)",
+            id="switch block",
+        ),
+        pytest.param(lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(bw_decomposition(), t=np.eye(3))), ValueError, "boundary t must be 2x2", id="bw boundary"),
+        pytest.param(lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(bw_decomposition(), w=np.eye(4))), ValueError, "w must be 8x8", id="bw collector"),
+        pytest.param(lambda: decomposition_report(_QUBIT_MAP, object()), TypeError, "unsupported parts type object", id="parts type"),
+        pytest.param(lambda: random_unitary_chain(0, np.random.default_rng(0)), ValueError, "need at least one slot", id="no slot"),
+    ],
+)
+def test_exemplar_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_switch_causal_structure(switch_up):

@@ -18,6 +18,7 @@ from causalproc import (
     SystemLabel,
     af_causal_graph,
     channel_from_unitary,
+    cj_operator,
     comb_from_circuit,
     compatibility_check,
     complete_graph,
@@ -216,6 +217,25 @@ def test_make_unitary_process_rejects_nonunitary():
                    (na.in_system, nf.in_system))
     with pytest.raises(ValueError):
         make_unitary_process([np_, na, nf], um)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_switch(2), lambda: make_switch(3), make_bw_extension]
+    + [lambda n=n, seed=seed: random_unitary_chain(n, np.random.default_rng(seed)) for n in (1, 2, 3) for seed in (0, 7)],
+)
+def test_unitary_process_is_formed_in_canonical_order_bit_for_bit(make):
+    """σ is vv† of the CJ vector put in canonical order first: the same
+    entries, held the same way, as the outer product in the unitary's own
+    order reordered afterwards."""
+    up = make()
+    want = process_operator(up.nodes, cj_operator(up.unitary)).op
+    assert up.op.systems == want.systems
+    got_entries, want_entries = _entries(up.op), _entries(want)
+    assert (got_entries is None) == (want_entries is None)
+    held = zip(got_entries, want_entries) if got_entries is not None else [(up.op.matrix, want.matrix)]
+    for a, b in held:
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 def test_exchange_unitary_is_not_a_process():

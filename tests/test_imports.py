@@ -3,6 +3,7 @@ namespace binds the same objects as the submodules that define them."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalproc
 from causalproc import cli, labeled, make_bw_extension, make_switch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -42,6 +44,18 @@ def exemplar_files(tmp_path_factory):
     for name in ("switch", "af-classical"):
         assert cli.main(["exemplar", name, "--out", str(where / f"{name}.json")]) == 0
     return where
+
+
+def test_dir_lists_every_export_and_submodule():
+    names = dir(causalproc)
+    assert names == sorted(set(names)) and set(causalproc.__all__) | set(causalproc._EXPORTS) <= set(names)
+
+
+def test_every_exported_class_has_its_own_docstring():
+    """A dataclass without one gets its signature as ``__doc__``, which says nothing."""
+    classes = [obj for obj in (getattr(causalproc, name) for name in causalproc.__all__) if inspect.isclass(obj)]
+    bare = [c.__name__ for c in classes if not c.__dict__.get("__doc__") or c.__doc__.startswith(f"{c.__name__}(")]
+    assert classes and not bare, bare
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -9,6 +9,7 @@ import pytest
 from causalproc import (
     LabeledOperator,
     LinearMap,
+    QuantumNode,
     SystemLabel,
     cj_operator,
     compose_maps,
@@ -21,7 +22,9 @@ from causalproc import (
     labeled,
     partial_trace,
     permute_map,
+    process_operator,
     product,
+    project_trivial,
     reorder,
     split_system,
     tensor,
@@ -29,6 +32,7 @@ from causalproc import (
     transpose_systems,
 )
 from causalproc.labeled import MAX_DENSE_BYTES, apply_stage
+from causalproc.process import canonical_systems
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -428,3 +432,30 @@ def test_hermitian_part_of_nan_and_inf_entries(value, dtype):
         assert np.array_equal(_bits(h), _bits(want))
         # the residual is NaN or inf, so no tolerance accepts it
         assert not residual <= 1e300, (i, j, residual)
+
+
+_A, _B = SystemLabel("a", 2), SystemLabel("b", 2)
+_PRIMAL_AND_DUAL = LabeledOperator((_A, dual(_A)), np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: _PRIMAL_AND_DUAL.index("a"), KeyError, "system name 'a' is ambiguous or absent", id="ambiguous name"),
+        pytest.param(lambda: _PRIMAL_AND_DUAL.index(3), TypeError, "cannot interpret system reference 3", id="reference type"),
+        pytest.param(lambda: _PRIMAL_AND_DUAL.index(("b", False)), KeyError, "no system", id="absent key"),
+        pytest.param(lambda: _PRIMAL_AND_DUAL + 1, TypeError, "expected a LabeledOperator", id="sum with a number"),
+        pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [("a", False)]), ValueError, "is not a permutation", id="partial order"),
+        pytest.param(lambda: LinearMap(np.eye(3), (_A,), (_B,)), ValueError, r"matrix shape \(3, 3\), expected \(2, 2\)", id="map shape"),
+        pytest.param(lambda: project_trivial(_PRIMAL_AND_DUAL, [("b", False)]), KeyError, "no systems", id="projection onto an absent system"),
+        pytest.param(
+            lambda: process_operator([QuantumNode("A", 2, 2)], identity_operator(canonical_systems([QuantumNode("A", 2, 2)]))).node("B"),
+            KeyError,
+            "no node named 'B'",
+            id="absent node",
+        ),
+    ],
+)
+def test_kernel_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

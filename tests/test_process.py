@@ -910,6 +910,7 @@ def _wire_channel(name, dim, out="w9"):
 @pytest.mark.parametrize(
     "call, message",
     [
+        pytest.param(lambda a, b: QuantumNode("C", 0, 2), "node dimensions must be positive", id="empty node space"),
         pytest.param(lambda a, b: process_operator([a, a], identity_operator(canonical_systems([a]))), "node names must be unique", id="repeated node"),
         pytest.param(
             lambda a, b: process_operator([a], identity_operator([SystemLabel("A.in", 3), a.out_dual])),
