@@ -558,6 +558,26 @@ def reversible_extension(mixture) -> ReversibleExtension:
     return ReversibleExtension(ext, dist, base)
 
 
+def _extend_in_hull(kp: ClassicalProcess, tol: float, budget: int):
+    """(extension, branches, marginal_max_error, marginal_reproduced) of kp's
+    deterministic decomposition, or None outside the hull.
+
+    The LP of ``polytope_membership`` weighs every deterministic vertex; weights
+    at most 1e-12 are dropped, the rest renormalised, and ``reversible_extension``
+    dilates that mixture. Its marginal reproduces kp iff the largest entry
+    error is at most max(tol, 4 × the LP residual).
+    """
+    vertices = enumerate_deterministic_processes(kp.nodes, budget)
+    hull = polytope_membership(kp, vertices, tol=tol)
+    if not hull.inside:
+        return None
+    mixture = [(float(w), vert) for w, vert in zip(hull.weights, vertices) if w > 1e-12]
+    total = sum(w for w, _ in mixture)
+    ext = reversible_extension([(w / total, vert) for w, vert in mixture])
+    error = float(np.abs(ext.marginal().table - kp.table).max())
+    return ext, len(mixture), error, error <= max(tol, hull.residual * 4)
+
+
 def _normalization_rows(nodes, budget: int) -> np.ndarray:
     """The validity constraints as rows over the flat table: one per tuple of
     local maps, the totals of the unit tables, each row summing to one."""

@@ -23,14 +23,13 @@ import time
 
 import numpy as np
 
-# Classical and exemplar names are read off the lazy package namespace, which
-# imports their modules on first access: a quantum-file command never loads them.
+# Comb, classical and exemplar names are read off the lazy package namespace,
+# which imports their modules on first access: validate and discover on a
+# quantum file never load them.
 import causalproc as cp
 
-from .combs import bipartite_separability, comb_check, comb_search
 from .fileio import ProcessFileError, _load, dict_to_process, write_process_file
 from .graphs import discover
-from .labeled import partial_trace
 from .process import ENUMERATION_BUDGET, ProcessOperator, validate_process
 
 
@@ -78,14 +77,6 @@ CONDITIONS = {
 }
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _emit(report: dict, started: float) -> None:
     report["runtime_s"] = round(time.time() - started, 3)
     json.dump(report, sys.stdout, indent=1)
@@ -116,15 +107,10 @@ def cmd_validate(args, loaded, report) -> int:
         return _classical_validity(args, loaded.process, report)
     verdict = validate_process(loaded.process, args.tol)
     report.update(
-        kind="quantum",
-        valid=verdict.valid,
-        trace=verdict.trace,
-        expected_trace=verdict.expected_trace,
+        kind="quantum", valid=verdict.valid, trace=verdict.trace, expected_trace=verdict.expected_trace,
         hermitian_residual=verdict.hermitian_residual,
         min_eigenvalue=None if math.isnan(verdict.min_eigenvalue) else verdict.min_eigenvalue,
-        psd_ok=verdict.psd_ok,
-        forbidden_norm=verdict.forbidden_norm,
-        offending_types=list(verdict.offending_types),
+        psd_ok=verdict.psd_ok, forbidden_norm=verdict.forbidden_norm, offending_types=list(verdict.offending_types),
         failed_conditions=[name for name, flag in CONDITIONS.items() if not getattr(verdict, flag)],
     )
     return 0 if verdict.valid else 1
@@ -133,10 +119,8 @@ def cmd_validate(args, loaded, report) -> int:
 def _classical_validity(args, kp: cp.ClassicalProcess, report) -> int:
     verdict = cp.validate_classical(kp, args.tol, args.budget)
     report.update(
-        valid=verdict.valid,
-        min_entry=verdict.min_entry,
-        max_normalization_error=verdict.max_normalization_error,
-        tuples_checked=verdict.tuples_checked,
+        valid=verdict.valid, min_entry=verdict.min_entry,
+        max_normalization_error=verdict.max_normalization_error, tuples_checked=verdict.tuples_checked,
     )
     return 0 if verdict.valid else 1
 
@@ -144,16 +128,11 @@ def _classical_validity(args, kp: cp.ClassicalProcess, report) -> int:
 def cmd_discover(args, loaded, report) -> int:
     graph, mf = discover(_as_quantum(loaded), args.tol)
     report.update(
-        vertices=sorted(graph.vertices),
-        edges=[list(e) for e in sorted(graph.edges)],
-        cyclic=graph.is_cyclic,
-        markov_accepted=mf.accepted,
-        product_residual=mf.product_residual,
+        vertices=sorted(graph.vertices), edges=[list(e) for e in sorted(graph.edges)], cyclic=graph.is_cyclic,
+        markov_accepted=mf.accepted, product_residual=mf.product_residual,
     )
     if mf.accepted:
-        # each trace is a 1x1 partial trace, taken on a sparse factor's stored entries
-        traces = {name: partial_trace(ch.op, ch.op.systems).matrix for name, ch in sorted(mf.factors.items())}
-        report["factor_traces"] = {name: float(t[0, 0].real) for name, t in traces.items()}
+        report["factor_traces"] = mf.factor_traces
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph.to_dot())
@@ -164,52 +143,40 @@ def cmd_discover(args, loaded, report) -> int:
 def cmd_comb(args, loaded, report) -> int:
     sigma = _as_quantum(loaded)
     if args.order is not None:
-        order = tuple(x.strip() for x in args.order.split(",") if x.strip())
-        cv = comb_check(sigma, order, args.tol)
-        report.update(order=list(order), residuals=list(cv.residuals), accepted=cv.accepted)
+        # an empty name is kept, so that comb_check refuses the order
+        cv = cp.comb_check(sigma, tuple(x.strip() for x in args.order.split(",")), args.tol)
+        report.update(order=list(cv.order), residuals=list(cv.residuals), accepted=cv.accepted)
         return 0 if cv.accepted else 1
-    found = comb_search(sigma, args.tol, args.budget)
+    found = cp.combs._search(sigma, args.tol, args.budget)
     if found is None:
         report.update(found=None, message=f"no compatible order ({math.factorial(len(sigma.nodes))} scanned)")
         return 1
-    report.update(found=list(found), residuals=list(comb_check(sigma, found, args.tol).residuals))
+    report.update(found=list(found.order), residuals=list(found.residuals))
     return 0
 
 
 def cmd_separability(args, loaded, report) -> int:
-    sv = bipartite_separability(_as_quantum(loaded), args.tol, args.max_iter)
+    sv = cp.bipartite_separability(_as_quantum(loaded), args.tol, args.max_iter)
     report.update(max_iter=args.max_iter, status=sv.status, residual=sv.residual, iterations=sv.iterations)
     if sv.separable:
         report["weight_second_order"] = sv.weight
     return 0 if sv.separable else 4
 
 
-def _hull(args, kp: cp.ClassicalProcess, report):
-    """The deterministic processes over the nodes of ``kp`` and whether ``kp``
-    lies in their convex hull (recorded as ``inside``)."""
-    vertices = cp.enumerate_deterministic_processes(kp.nodes, args.budget)
-    verdict = cp.polytope_membership(kp, vertices, tol=args.tol)
-    report["inside"] = verdict.inside
-    return vertices, verdict
-
-
 def _polytope(args, kp: cp.ClassicalProcess, report) -> int:
-    vertices, verdict = _hull(args, kp, report)
-    report.update(residual=verdict.residual, n_vertices=len(vertices))
+    verdict = cp.polytope_membership(kp, tol=args.tol, budget=args.budget)
+    report.update(inside=verdict.inside, residual=verdict.residual, n_vertices=len(verdict.weights))
     return 0 if verdict.inside else 1
 
 
 def _extend(args, kp: cp.ClassicalProcess, report) -> int:
-    vertices, verdict = _hull(args, kp, report)
-    if not verdict.inside:
+    found = cp.classical._extend_in_hull(kp, args.tol, args.budget)
+    report["inside"] = found is not None
+    if found is None:
         report["message"] = "process lies outside the deterministic hull; no reversible extension"
         return 1
-    mixture = [(float(w), vert) for w, vert in zip(verdict.weights, vertices) if w > 1e-12]
-    total = sum(w for w, _ in mixture)
-    ext = cp.reversible_extension([(w / total, vert) for w, vert in mixture])
-    error = float(np.abs(ext.marginal().table - kp.table).max())
-    exact = error <= max(args.tol, verdict.residual * 4)
-    report.update(marginal_max_error=error, marginal_reproduced=exact, branches=len(mixture))
+    ext, branches, error, exact = found
+    report.update(marginal_max_error=error, marginal_reproduced=exact, branches=branches)
     if args.out:
         meta = {"lambda_distribution": [float(v) for v in ext.lambda_distribution]}
         write_process_file(args.out, ext.extension, metadata=meta)
@@ -245,7 +212,9 @@ def cmd_exemplar(args) -> int:
     obj, graph = build()
     out = args.out or f"{args.name}.json"
     write_process_file(out, obj, graph=graph, metadata={"description": description})
-    _emit({"command": "exemplar", "name": args.name, "out": out, "sha256": _sha256(out)}, started)
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    _emit({"command": "exemplar", "name": args.name, "out": out, "sha256": digest}, started)
     return 0
 
 
@@ -286,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--order", help="comma-separated node names to test")
     group.add_argument("--search", action="store_true", help="search all orders")
     _reads_file(p, cmd_comb)
-    p.add_argument("--budget", type=int, default=8, help="maximum node count for --search")
+    p.add_argument("--budget", type=_at_least(1, int), default=8, help="maximum node count for --search")
 
     p = sub.add_parser("separability", help="two-node convex split into one-way combs")
     _reads_file(p, cmd_separability, tol=1e-6)
@@ -295,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="classical process tooling")
     p.add_argument("subcommand", choices=list(CLASSICAL_COMMANDS))
     _reads_file(p, cmd_classical)
-    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
+    p.add_argument("--budget", type=_at_least(1, int), default=ENUMERATION_BUDGET)
     p.add_argument("--out", help="output path for extend/quantize results")
 
     p = sub.add_parser("exemplar", help="write a built-in example process to a file")

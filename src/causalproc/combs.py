@@ -57,11 +57,8 @@ def comb_check(sigma: ProcessOperator, order, tol: float = 1e-9) -> CombVerdict:
     if sorted(order) != sorted(sigma.node_names):
         raise ValueError(f"order {order} is not a permutation of {sigma.node_names}")
     residual = _comb_residuals(sigma)
-    residuals, traced = [], ()
-    for name in reversed(order):
-        residuals.append(residual(traced, name))
-        traced += (name,)
-    residuals = tuple(reversed(residuals))
+    # position i's residual traces out the later nodes, last first
+    residuals = tuple(residual(order[:i:-1], name) for i, name in enumerate(order))
     return CombVerdict(order, residuals, all(r <= tol for r in residuals), tol)
 
 
@@ -75,6 +72,13 @@ def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
     the type-norm table for a dense operator, by the marginal walk for a
     sparse one, where the table is slower (see the module docstring).
     """
+    found = _search(sigma, tol, budget)
+    return None if found is None else found.order
+
+
+def _search(sigma: ProcessOperator, tol: float, budget: int) -> CombVerdict | None:
+    """``comb_search``'s walk: the accepted ``CombVerdict`` of the order found,
+    with the residuals read along its path (those ``comb_check`` reads), or None."""
     nodes = sigma.node_names
     if len(nodes) > budget:
         raise ValueError(f"{len(nodes)} nodes exceeds the search budget ({budget})")
@@ -83,19 +87,20 @@ def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
 
     def dfs(remaining: frozenset, traced: tuple):
         if not remaining:
-            return ()
+            return (), ()
         if remaining in dead:
             return None
         for name in sorted(remaining):
-            if not residual(traced, name) <= tol:
+            if not (r := residual(traced, name)) <= tol:
                 continue
             sub = dfs(remaining - {name}, traced + (name,))
             if sub is not None:
-                return sub + (name,)
+                return sub[0] + (name,), sub[1] + (r,)
         dead.add(remaining)
         return None
 
-    return dfs(frozenset(nodes), ())
+    found = dfs(frozenset(nodes), ())
+    return None if found is None else CombVerdict(*found, True, tol)
 
 
 def _comb_residuals(sigma: ProcessOperator):

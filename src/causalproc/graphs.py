@@ -235,6 +235,11 @@ class MarkovFactorization:
     accepted: bool
     tol: float
 
+    @property
+    def factor_traces(self) -> dict:
+        """Each factor's trace, by node name in sorted order (on a sparse factor's stored entries)."""
+        return {name: float(partial_trace(ch.op, ch.op.systems).matrix[0, 0].real) for name, ch in sorted(self.factors.items())}
+
 
 def markov_check(sigma: ProcessOperator, graph: DirectedGraph, tol: float = 1e-9) -> MarkovFactorization:
     """Does sigma factor into commuting channels, one per node, along the graph?

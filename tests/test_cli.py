@@ -16,6 +16,7 @@ from causalproc import (
     DeterministicProcess,
     LabeledOperator,
     cli,
+    combs,
     embed,
     make_mix_example,
     process_operator,
@@ -145,11 +146,13 @@ def test_comb_order_accepts_chain(tmp_path, capsys):
     assert max(report["residuals"]) < 1e-9
 
 
-def test_comb_empty_order_is_a_usage_error(tmp_path, capsys):
-    # an empty --order is checked, and names no permutation, instead of running a search
+@pytest.mark.parametrize("order", ["", "A,,B", "A,B,"])
+def test_comb_empty_order_is_a_usage_error(tmp_path, capsys, order):
+    # an empty --order, or an empty name in one, is checked and names no
+    # permutation, instead of running a search or being dropped
     path = tmp_path / "mix.json"
     assert run(capsys, "exemplar", "mix", "--out", str(path))[0] == 0
-    code, out, err = run(capsys, "comb", "--order", "", str(path))
+    code, out, err = run(capsys, "comb", "--order", order, str(path))
     assert (code, out) == (2, "")
     assert "not a permutation" in err
 
@@ -431,6 +434,10 @@ def test_both_validate_routes_share_the_enumeration_budget(tmp_path, capsys):
         ("separability", "--tol", "-0.5"),
         ("separability", "--max-iter", "0"),
         ("separability", "--max-iter", "-3"),
+        ("comb", "--search", "--budget", "0"),
+        ("comb", "--search", "--budget", "-3"),
+        ("classical", "extend", "--budget", "0"),
+        ("classical", "polytope", "--budget", "-3"),
     ],
 )
 def test_unusable_tolerance_or_iteration_count_is_a_usage_error(tmp_path, capsys, argv):
@@ -527,10 +534,9 @@ def test_classical_extend_outside_the_hull_exits_one(tmp_path, capsys):
 ENVELOPE = ("command", "input", "sha256", "tol")
 
 
-def test_every_command_reports_deterministically(tmp_path, capsys, bad_docs, monkeypatch):
-    """Each command, run twice, prints the same report once ``runtime_s`` is
-    dropped; file-reading reports open with the envelope keys in order; usage
-    and internal failures print nothing on stdout."""
+def _commands(capsys, tmp_path, bad_docs):
+    """The exemplar files, keyed by name, and three argv lists over them:
+    exports, file-reading commands that exit 0 or 1, and usage errors."""
     files = {name: exemplar_file(capsys, tmp_path, name) for name in EXEMPLAR_NAMES}
     exports = [("exemplar", name, "--out", str(tmp_path / f"again-{name}.json")) for name in EXEMPLAR_NAMES]
     reading = [("validate", f) for f in files.values()]
@@ -544,6 +550,18 @@ def test_every_command_reports_deterministically(tmp_path, capsys, bad_docs, mon
     reading += [("classical", "polytope", files[n]) for n in ("af-classical", "counterexample")]
     reading += [("classical", "extend", files[n], "--out", str(tmp_path / f"ext-{n}.json"))
                 for n in ("af-classical", "counterexample")]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(next(iter(bad_docs.values()))))
+    refused = [("validate", str(broken)), ("classical", "validate", files["mix"]),
+               ("exemplar", "quux"), ("discover", files["mix"], "--dot", str(tmp_path))]
+    return files, exports, reading, refused
+
+
+def test_every_command_reports_deterministically(tmp_path, capsys, bad_docs, monkeypatch):
+    """Each command, run twice, prints the same report once ``runtime_s`` is
+    dropped; file-reading reports open with the envelope keys in order; usage
+    and internal failures print nothing on stdout."""
+    files, exports, reading, refused = _commands(capsys, tmp_path, bad_docs)
     for argv in exports + reading:
         reports = []
         for _ in range(2):
@@ -559,10 +577,7 @@ def test_every_command_reports_deterministically(tmp_path, capsys, bad_docs, mon
         else:
             assert keys == ["command", "name", "out", "sha256"], argv
 
-    broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(next(iter(bad_docs.values()))))
-    for argv in [("validate", str(broken)), ("classical", "validate", files["mix"]),
-                 ("exemplar", "quux"), ("discover", files["mix"], "--dot", str(tmp_path))]:
+    for argv in refused:
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
     with pytest.raises(SystemExit):
@@ -572,8 +587,43 @@ def test_every_command_reports_deterministically(tmp_path, capsys, bad_docs, mon
     def broken_search(*args, **kwargs):
         raise RuntimeError("search failed")
 
-    monkeypatch.setattr(cli, "comb_search", broken_search)
+    monkeypatch.setattr(combs, "_search", broken_search)
     assert run(capsys, "comb", "--search", files["mix"])[:2] == (3, "")
+
+
+# each report of _commands' argvs, keyed by argv with the scratch directory as
+# TMP: its exit code, stderr and report without the fields that name or hash a
+# path or time the run. Set CAUSALPROC_RECORD_REPORTS=1 to write it afresh.
+REPORTS = Path(__file__).parent / "data" / "cli-reports.json"
+VOLATILE = {"runtime_s", "input", "sha256", "out", "dot"}
+
+
+def _matches(got, want) -> bool:
+    """Equal keys, strings, bools, ints and None; floats within 1e-12 + 1e-9|want|
+    (another BLAS may round the last bit differently); NaN matches NaN."""
+    if isinstance(want, float) and isinstance(got, float):
+        return got == want or abs(got - want) <= 1e-12 + 1e-9 * abs(want) or (got != got and want != want)
+    if isinstance(want, dict) and isinstance(got, dict):
+        return list(got) == list(want) and all(_matches(got[k], want[k]) for k in want)
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(_matches(g, w) for g, w in zip(got, want))
+    return type(got) is type(want) and got == want
+
+
+def test_every_report_matches_the_recorded_one(tmp_path, capsys, bad_docs):
+    _, exports, reading, refused = _commands(capsys, tmp_path, bad_docs)
+    got = {}
+    for argv in exports + reading + refused:
+        code, out, err = run(capsys, *argv)
+        report = {k: v for k, v in json.loads(out).items() if k not in VOLATILE} if out else None
+        key = " ".join(argv).replace(str(tmp_path), "TMP")
+        got[key] = {"exit": code, "stderr": err.replace(str(tmp_path), "TMP"), "report": report}
+    if os.environ.get("CAUSALPROC_RECORD_REPORTS") == "1":
+        REPORTS.write_text(json.dumps(got, indent=1) + "\n")
+    want = json.loads(REPORTS.read_text())
+    assert list(got) == list(want)
+    for key, entry in want.items():
+        assert _matches(got[key], entry), (key, got[key], entry)
 
 
 # the installed script's wrapper: import the entry named in pyproject.toml and exit with its code

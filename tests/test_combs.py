@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalproc import (
+    ClassicalNode,
+    DeterministicProcess,
     LabeledOperator,
     LinearMap,
     QuantumNode,
@@ -34,6 +36,7 @@ from causalproc import (
     partial_trace,
     process_operator,
     project_trivial,
+    quantize,
     read_process_file,
     reorder,
     switch_decomposition,
@@ -385,6 +388,20 @@ def test_dense_comb_residuals_and_search_match_the_operator_walk(rng):
         assert assert_table_matches_walk(sigma) == {False}
     for sigma in exemplars:
         assert_table_matches_walk(sigma)
+
+
+def test_the_search_keeps_the_residuals_comb_check_reads(rng):
+    """The search's verdict carries the residuals it read along its path: bit
+    for bit those ``comb_check`` reads for the order found, dense or sparse."""
+    nodes = (ClassicalNode("A", 2, 2), ClassicalNode("B", 2, 2), ClassicalNode("C", 2, 2))
+    outs = np.indices((2, 2, 2))
+    chain = quantize(DeterministicProcess(nodes, np.stack([0 * outs[0], outs[0], outs[1]], axis=-1)).to_classical())
+    mix = make_mix_example()
+    for sigma in (random_unitary_chain(3, rng).process, chain, mix, dense_copy(mix)):
+        found = combs._search(sigma, 1e-9, 8)
+        assert found == comb_check(sigma, found.order) and found.order == comb_search(sigma)
+    for sigma in (make_af(), make_switch(2).process):
+        assert combs._search(sigma, 1e-9, 8) is None and comb_search(sigma) is None
 
 
 def comb_projection(x, nodes):

@@ -71,6 +71,13 @@ def test_quantum_file_commands_load_no_classical_exemplar_or_random_code(argv, e
     assert not {"causalproc.classical", "causalproc.exemplars", "causalproc.rand"} & set(report["loaded"])
 
 
+@pytest.mark.parametrize("argv", [["validate", "switch.json"], ["discover", "switch.json"]])
+def test_validate_and_discover_load_no_comb_code(argv, exemplar_files):
+    report = _loaded_by(argv, exemplar_files)
+    assert report["code"] == 0
+    assert "causalproc.combs" not in report["loaded"]
+
+
 @pytest.mark.parametrize("sub", ["validate", "polytope", "extend", "quantize"])
 def test_classical_commands_load_no_exemplar_code(sub, exemplar_files):
     report = _loaded_by(["classical", sub, "af-classical.json", "--out", f"{sub}-out.json"], exemplar_files)

@@ -165,7 +165,8 @@ def dense_held_patterns(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     where = rng.choice(size, size=min(size, draw(st.integers(0, size // 4 + 2))), replace=False)
     edges = [k * _SLICE // per + off for k in range(1, per * size // _SLICE + 1) for off in (-1, 0)]
-    where = np.concatenate([where, [e for e in edges if draw(st.booleans())]]).astype(np.intp)
+    # an edge at the matrix's end (side 512) has no entry after it
+    where = np.concatenate([where, [e for e in edges if e < size and draw(st.booleans())]]).astype(np.intp)
     m = np.zeros(size, dtype=float if real else complex)
     for part in (m,) if real else (m.real, m.imag):
         part[where] = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300], size=where.size)
