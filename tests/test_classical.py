@@ -5,6 +5,7 @@ import itertools
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,24 @@ def test_reversible_extension_marginal_exact(rng):
     for wi, dp in mixture:
         oracle = oracle + wi * dp.to_classical().table
     assert np.array_equal(marg.table, oracle)
+
+
+def test_extension_reproduces_the_table_within_four_lp_residuals_or_tol(monkeypatch):
+    """``classical._extend_in_hull``'s rule at its boundary: the marginal's
+    error against max(tol, 4 × the LP residual), and no extension outside."""
+    table = chain_process().to_classical().table.copy()
+    table[0, 0, 0, 0] += 1e-9  # inside: within the LP's 1e-7 of a vertex
+    kp = ClassicalProcess(BITS2, table)
+    ext, branches, error, exact = classical._extend_in_hull(kp, 0.0, ENUMERATION_BUDGET)
+    assert (branches, exact) == (1, True) and 0 < error < 1e-8
+    assert np.array_equal(ext.marginal().table, chain_process().to_classical().table)
+    real = classical.polytope_membership
+    for residual, want in ((error / 4, True), (float(np.nextafter(error / 4, 0)), False)):
+        monkeypatch.setattr(classical, "polytope_membership", lambda *a, r=residual, **k: replace(real(*a, **k), residual=r))
+        assert classical._extend_in_hull(kp, 0.0, ENUMERATION_BUDGET)[3] is want
+        assert classical._extend_in_hull(kp, error, ENUMERATION_BUDGET)[3] is True
+    table[0, 0, 0, 0] += 1e-3
+    assert classical._extend_in_hull(ClassicalProcess(BITS2, table), 0.0, ENUMERATION_BUDGET) is None
 
 
 def test_outside_hull_process_is_outside():
