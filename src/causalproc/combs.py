@@ -7,17 +7,9 @@ the two one-way comb types; the solver certifies splits (or reports that it
 could not find one) but never claims impossibility.
 
 ``comb_check`` and ``comb_search`` read their residuals from one function
-built per process. For a dense operator it reads the type-norm table the
-operator keeps by ``hs._marginal_residual``, as the influence residuals of
-``channels`` do on any operator: ``comb_search`` on a 1024-dim chain takes
-0.03 s (the walk's: 0.07-0.08 s) if it builds the table, 0.0002-0.0003 s if
-validation built it. A sparse operator walks its marginals on the stored
-entries, since there a cold table costs about as much as the walk's whole
-search or more: 0.018-0.022 s against 0.011-0.012 s on ``make_bw_extension``,
-0.025-0.030 s against 0.024-0.027 s on ``make_switch(4)`` (best of 5 to 7 on 2
-cores); the benchmark's ``combs.comb_search.nodes`` counts that walk's
-``project_trivial`` calls. The separability loop forms no Hermitian part: it
-reads ``labeled._psd_part`` and ``labeled._min_eig``.
+built per process, ``hs._comb_residual``, which picks the operator's route.
+The separability loop forms no Hermitian part: it reads ``labeled._psd_part``
+and ``labeled._min_eig``, and its affine offset is ``hs._order_offset``.
 """
 
 from __future__ import annotations
@@ -28,8 +20,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .graphs import DirectedGraph, causal_structure_unitary
-from .hs import _marginal_residual, project_trivial
-from .labeled import LabeledOperator, _entries, _from_entries, _min_eig, _psd_part, distance, partial_trace
+from .hs import _comb_residual, _order_offset, project_trivial
+from .labeled import LabeledOperator, _from_entries, _min_eig, _psd_part
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
 __all__ = _EXPORTS["combs"]
@@ -56,7 +48,7 @@ def comb_check(sigma: ProcessOperator, order, tol: float = 1e-9) -> CombVerdict:
     order = tuple(order)
     if sorted(order) != sorted(sigma.node_names):
         raise ValueError(f"order {order} is not a permutation of {sigma.node_names}")
-    residual = _comb_residuals(sigma)
+    residual = _comb_residual(sigma.op, sigma.nodes)
     # position i's residual traces out the later nodes, last first
     residuals = tuple(residual(order[:i:-1], name) for i, name in enumerate(order))
     return CombVerdict(order, residuals, all(r <= tol for r in residuals), tol)
@@ -70,7 +62,7 @@ def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
     candidates are tried in sorted name order). Every residual comes from the
     one function ``comb_check`` uses, so the order found passes it: read off
     the type-norm table for a dense operator, by the marginal walk for a
-    sparse one, where the table is slower (see the module docstring).
+    sparse one, where a cold table costs more (see ``hs._comb_residual``).
     """
     found = _search(sigma, tol, budget)
     return None if found is None else found.order
@@ -82,7 +74,7 @@ def _search(sigma: ProcessOperator, tol: float, budget: int) -> CombVerdict | No
     nodes = sigma.node_names
     if len(nodes) > budget:
         raise ValueError(f"{len(nodes)} nodes exceeds the search budget ({budget})")
-    residual = _comb_residuals(sigma)
+    residual = _comb_residual(sigma.op, sigma.nodes)
     dead: set = set()
 
     def dfs(remaining: frozenset, traced: tuple):
@@ -101,43 +93,6 @@ def _search(sigma: ProcessOperator, tol: float, budget: int) -> CombVerdict | No
 
     found = dfs(frozenset(nodes), ())
     return None if found is None else CombVerdict(*found, True, tol)
-
-
-def _comb_residuals(sigma: ProcessOperator):
-    """The comb residual function of sigma: ``residual(traced, name)`` is the
-    normalized distance of the marginal after tracing out the nodes
-    ``traced`` (in that order) from its projection trivial on node ``name``'s
-    output.
-
-    A dense operator is read off its one kept type-norm table
-    (``hs._marginal_residual``). An operator routed on its stored entries
-    walks its marginals instead, one partial trace per traced node, keeping
-    those of the current prefix.
-    """
-    nodes = {n.name: n for n in sigma.nodes}
-    if _entries(sigma.op) is not None:
-        marginals = {(): sigma.op}
-
-        def marginal(traced: tuple) -> LabeledOperator:
-            if traced not in marginals:
-                node = nodes[traced[-1]]
-                op = partial_trace(marginal(traced[:-1]), [node.in_system.key, node.out_dual.key])
-                for key in [k for k in marginals if traced[: len(k)] != k]:
-                    del marginals[key]
-                marginals[traced] = op
-            return marginals[traced]
-
-        def walk(traced: tuple, name: str) -> float:
-            op = marginal(traced)
-            return distance(op, project_trivial(op, [nodes[name].out_dual.key]))
-
-        return walk
-
-    def read(traced: tuple, name: str) -> float:
-        gone = [s.key for t in traced for s in (nodes[t].in_system, nodes[t].out_dual)]
-        return _marginal_residual(sigma.op, gone, nodes[name].out_dual.key)
-
-    return read
 
 
 @dataclass(frozen=True)
@@ -240,10 +195,7 @@ def bipartite_separability(
         raise ValueError(f"sigma's entry [{i}, {j}] is {s[i, j]}, not finite")
     na, nb = sigma.nodes
     outs = [na.out_dual.key, nb.out_dual.key]
-    a_out = project_trivial(sig, [na.out_dual.key])
-    a_both = project_trivial(a_out, [na.in_system.key])
-    ba_sig = a_out - a_both + project_trivial(a_both, [nb.out_dual.key])
-    offset = (ba_sig - project_trivial(sig, outs)).matrix
+    offset = _order_offset(sig, nb, na)
 
     def p_aff(m: np.ndarray) -> np.ndarray:
         return project_trivial(LabeledOperator(sig.systems, m), outs).matrix + offset

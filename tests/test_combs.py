@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,12 +26,15 @@ from causalproc import (
     comb_from_circuit,
     comb_search,
     combs,
+    compose_maps,
     conditional_process,
     distance,
+    identity_map,
     is_isometric,
     labeled,
     causal_structure_unitary,
     make_af,
+    make_bw_extension,
     make_mix_example,
     make_switch,
     make_unitary_process,
@@ -40,12 +46,13 @@ from causalproc import (
     read_process_file,
     reorder,
     switch_decomposition,
+    tensor_maps,
     unitary_causal_separability,
     validate_process,
     verify_decomposition,
     write_process_file,
 )
-from causalproc.cli import main
+from causalproc.cli import EXEMPLARS, main
 from causalproc.exemplars import random_unitary_chain
 from causalproc.rand import haar_unitary, random_state
 
@@ -452,3 +459,70 @@ def test_dense_comb_residuals_match_the_walk_on_random_operators(dims, seed, val
 def test_bipartite_separability_refuses_three_nodes():
     with pytest.raises(ValueError, match="needs exactly two nodes"):
         bipartite_separability(make_af())
+
+
+READERS = Path(__file__).parent / "data" / "comb-readers.json"
+
+
+def dressed_pairs(rng, count):
+    """Two-node processes built as the order-control acceptance test builds
+    them: the switch dressed by Haar unitaries on P's output and F's input,
+    conditioned on a random control state, its leaf traced out."""
+    sw = make_switch(2)
+    u = sw.unitary
+    p_out = next(s for s in u.domain if s.name == "P.out")
+    f_in = next(s for s in u.codomain if s.name == "F.in")
+    rest_domain = tuple(s for s in u.domain if s.name != "P.out")
+    rest_codomain = tuple(s for s in u.codomain if s.name != "F.in")
+    for _ in range(count):
+        dress_p = tensor_maps(identity_map(rest_domain), LinearMap(haar_unitary(4, rng), (p_out,), (p_out,)))
+        dress_f = tensor_maps(identity_map(rest_codomain), LinearMap(haar_unitary(4, rng), (f_in,), (f_in,)))
+        up = make_unitary_process(sw.process.nodes, compose_maps(dress_f, compose_maps(u, dress_p)))
+        element = measure_prepare_element(up.process.node("P"), np.eye(1, dtype=complex), random_state(4, rng))
+        cond = conditional_process(up.process, "P", element)
+        leaf = cond.node("F")
+        yield process_operator([cond.node("A"), cond.node("B")], partial_trace(cond.op, [leaf.in_system.key, leaf.out_dual.key]))
+
+
+def recorded_readers(tmp_path) -> dict:
+    """What ``tests/data/comb-readers.json`` pins, floats as ``float.hex``:
+    every ``comb_check`` residual tuple over every node order of the eight
+    exemplar files (the classical ones quantized), ``make_switch(3)`` and
+    ``make_bw_extension()``, each as built and as a dense copy, so both of
+    ``hs._comb_residual``'s routes are read; and ``bipartite_separability``'s
+    status, weight, residual, iterations and components' sha256 on ``mix``,
+    three dressed order-control pairs and a mixture of the two one-way orders."""
+    files = {}
+    for name, (build, _) in EXEMPLARS.items():
+        obj, graph = build()
+        write_process_file(tmp_path / f"{name}.json", obj, graph=graph)
+        loaded = read_process_file(tmp_path / f"{name}.json")
+        files[name] = loaded.process if loaded.kind == "quantum" else quantize(loaded.process)
+    residuals = {}
+    for name, sigma in {**files, "make_switch(3)": make_switch(3).process, "make_bw_extension()": make_bw_extension().process}.items():
+        for key, s in ((name, sigma), (f"{name} dense", dense_copy(sigma))):
+            residuals[key] = {",".join(order): [r.hex() for r in comb_check(s, order).residuals]
+                              for order in itertools.permutations(s.node_names)}
+    pairs = {"mix": files["mix"]}
+    pairs.update((f"dressed pair {k}", pair) for k, pair in enumerate(dressed_pairs(np.random.default_rng(20260816), 3)))
+    pairs["two orders"] = order_mixture(np.random.default_rng(20260816))
+    splits = {}
+    for name, pair in pairs.items():
+        sv = bipartite_separability(pair)
+        splits[name] = {"status": sv.status, "weight": sv.weight.hex(), "residual": sv.residual.hex(), "iterations": sv.iterations,
+                        "components_sha256": [None if c is None else hashlib.sha256(np.ascontiguousarray(c.matrix).tobytes()).hexdigest()
+                                              for c in (sv.first_component, sv.second_component)]}
+    return {"comb_check": residuals, "bipartite_separability": splits}
+
+
+def test_comb_readers_match_the_recorded_bits(tmp_path):
+    """The comb residual reader and the order offset, bit for bit as recorded;
+    set CAUSALPROC_RECORD_READERS=1 to write the record afresh."""
+    got = recorded_readers(tmp_path)
+    if os.environ.get("CAUSALPROC_RECORD_READERS") == "1":
+        READERS.write_text(json.dumps(got, indent=1) + "\n")
+    want = json.loads(READERS.read_text())
+    assert list(got["comb_check"]) == list(want["comb_check"])
+    for name, tuples in want["comb_check"].items():
+        assert got["comb_check"][name] == tuples, name
+    assert got["bipartite_separability"] == want["bipartite_separability"]
