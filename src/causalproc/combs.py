@@ -9,7 +9,7 @@ could not find one) but never claims impossibility.
 ``comb_check`` and ``comb_search`` read their residuals from one function
 built per process, ``hs._comb_residual``, which picks the operator's route.
 The separability loop forms no Hermitian part: it reads ``labeled._psd_part``
-and ``labeled._min_eig``, and its affine offset is ``hs._order_offset``.
+and ``labeled._min_eig``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .graphs import DirectedGraph, causal_structure_unitary
-from .hs import _comb_residual, _order_offset, project_trivial
+from .hs import _comb_residual, project_trivial
 from .labeled import LabeledOperator, _from_entries, _min_eig, _psd_part
 from .process import ProcessOperator, is_isometric, process_operator, validate_process
 
@@ -195,7 +195,10 @@ def bipartite_separability(
         raise ValueError(f"sigma's entry [{i}, {j}] is {s[i, j]}, not finite")
     na, nb = sigma.nodes
     outs = [na.out_dual.key, nb.out_dual.key]
-    offset = _order_offset(sig, nb, na)
+    a_out = project_trivial(sig, [na.out_dual.key])
+    a_both = project_trivial(a_out, [na.in_system.key])
+    ba_sig = a_out - a_both + project_trivial(a_both, [nb.out_dual.key])
+    offset = (ba_sig - project_trivial(sig, outs)).matrix
 
     def p_aff(m: np.ndarray) -> np.ndarray:
         return project_trivial(LabeledOperator(sig.systems, m), outs).matrix + offset

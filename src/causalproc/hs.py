@@ -8,7 +8,7 @@ the type table changes each factor's basis once, to an orthogonal one that
 starts with the identity, on a dense copy or on the stored entries. The
 table's readers for validity, ``_forbidden_types`` and ``_signalling_cut``,
 read the types that no node witnesses (``_unwitnessed``). ``combs`` reads its
-comb residuals and order offset here (``_comb_residual``, ``_order_offset``).
+comb residuals here (``_comb_residual``).
 """
 
 from __future__ import annotations
@@ -154,18 +154,6 @@ def _comb_residual(op: LabeledOperator, nodes):
         return _marginal_residual(op, gone, by_name[name].out_dual.key)
 
     return read
-
-
-def _order_offset(op: LabeledOperator, first, second) -> np.ndarray:
-    """L(op) − P_{1o,2o}(op) as a matrix, for two nodes 1 = ``first`` and 2 =
-    ``second`` (``process.QuantumNode``), with P_S the ``project_trivial``
-    over systems S and L = P_{2o} − P_{2o,2i} + P_{2o,2i,1o} the projector
-    onto (1 before 2) types (Oreshkov and Giarmatzi): the offset of
-    ``combs.bipartite_separability``'s affine projection, P_{1o,2o} plus it."""
-    second_out = project_trivial(op, [second.out_dual.key])
-    second_both = project_trivial(second_out, [second.in_system.key])
-    ordered = second_out - second_both + project_trivial(second_both, [first.out_dual.key])
-    return (ordered - project_trivial(op, [second.out_dual.key, first.out_dual.key])).matrix
 
 
 def _dense_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
