@@ -2,30 +2,35 @@
 
 A file stores either a quantum process operator or a classical process table
 (shape plus flat row-major values). The operator is a complex matrix, row-major
-over the canonical interleaved system order, in one of three payloads:
+over the canonical interleaved system order, in one of four payloads:
 
-- nested (format versions 1 to 3): the ``[side, side, 2]`` list of [re, im]
+- nested (format 1 on): the ``[side, side, 2]`` list of [re, im]
   pairs;
 - sparse (format 2 on): sorted COO, ``{"index": [...], "values": [...]}``,
   the strictly increasing flat row-major indices of the stored entries and
   their [re, im] pairs;
 - base64 (format 3 on): one string, the standard base64 (with padding, no line
   breaks) of the matrix's row-major little-endian complex128 bytes, real part
-  first, so exactly ``4 * ceil(16 * side**2 / 3)`` characters.
+  first, so exactly ``4 * ceil(16 * side**2 / 3)`` characters;
+- hex (format 4 on): one string, the lowercase hex of the same bytes, so
+  exactly ``32 * side**2`` characters.
 
-A version admits the payloads of every earlier one. An entry is stored unless
-both of its parts are +0.0, so -0.0 survives. The writer picks the sparse
-payload iff ``4 * stored <= side**2``, a rule on the matrix alone
-(``labeled.sorted_coo``, which every kernel follows too; the writer asks
-``labeled._sparse_entries``), and the base64 one otherwise; it stamps a dense
-quantum file 3 and a sparse or classical one 2. So export, import and
-re-export give the same bytes, and every bit of the matrix survives. An optional graph block carries a directed graph and a
-metadata block free-form data.
+A version admits the payloads of every earlier one; a string payload's length
+picks its codec (for ``n = 16 * side**2`` bytes, ``2n`` hex characters never
+equal the ``4 * ceil(n / 3)`` of base64). An entry is stored unless both of its
+parts are +0.0, so -0.0 survives. The writer picks the sparse payload iff
+``4 * stored <= side**2``, a rule on the matrix alone (``labeled.sorted_coo``,
+which every kernel follows too; the writer asks ``labeled._sparse_entries``),
+and the hex one otherwise; it stamps a dense quantum file 4 and a sparse or
+classical one 2. So export, import and re-export give the same bytes, and every
+bit of the matrix survives. An optional graph block carries a directed graph
+and a metadata block free-form data.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,8 +48,8 @@ __all__ = _EXPORTS["fileio"]
 
 # The newest format, which a dense quantum file is stamped with; a sparse or
 # classical file is stamped 2, so its bytes are those of the format-2 writer.
-FORMAT_VERSION = 3
-READ_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+READ_VERSIONS = (1, 2, 3, 4)
 # A sparse payload allocates no side x side array; validating it (labeled._blocks)
 # peaks at about a dozen int64 arrays of one entry per row, bounded here by 16.
 # So side <= 2**25, and every flat index (below side**2) fits in an int64.
@@ -68,12 +73,13 @@ class LoadedProcessFile:
 
 def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
     """The format version and payload of an operator: sorted COO (format 2) if
-    ``labeled._sparse_entries`` finds the matrix sparse, else base64 (format 3)."""
+    ``labeled._sparse_entries`` finds the matrix sparse, else the hex digits as
+    ASCII bytes (format 4)."""
     if (entries := _sparse_entries(op)) is not None:
         pairs = np.asarray(entries[1], dtype=complex).view(float).reshape(-1, 2)
         return 2, {"index": entries[0].tolist(), "values": pairs.tolist()}
-    # b64encode reads the array's buffer: no bytes copy of the matrix
-    return 3, base64.b64encode(np.ascontiguousarray(op.matrix, dtype="<c16")).decode("ascii")
+    # b2a_hex reads the array's buffer: no bytes copy of the matrix
+    return 4, binascii.b2a_hex(np.ascontiguousarray(op.matrix, dtype="<c16"))
 
 
 def _finite_numbers(items, shape: tuple, what: str) -> np.ndarray:
@@ -101,23 +107,34 @@ def _decode_dense(rows, side: int) -> np.ndarray:
     return arr.view(complex).reshape(side, side)
 
 
-def _decode_base64(text: str, side: int) -> np.ndarray:
+def _decode_string(text: str, side: int, version: int) -> np.ndarray:
+    """The matrix in a string payload: hex (format 4) if it has two characters
+    per byte, else base64 (format 3)."""
     nbytes = 16 * side * side
-    length = 4 * -(-nbytes // 3)
-    if len(text) != length:
-        raise ProcessFileError(f"base64 payload of a {side}x{side} matrix must be {length} characters, got {len(text)}")
+    if len(text) == 2 * nbytes:
+        codec, since = "hex", 4
+    else:
+        codec, since, length = "base64", 3, 4 * -(-nbytes // 3)
+        if len(text) != length:
+            raise ProcessFileError(
+                f"string payload of a {side}x{side} matrix must be {2 * nbytes} (hex)"
+                f" or {length} (base64) characters, got {len(text)}"
+            )
+    if version < since:
+        raise ProcessFileError(f"a {codec} payload needs format_version {since}")
     try:
-        # validate=True raises binascii.Error, a ValueError, on a character
-        # outside the alphabet (a line break included) or padding before the
-        # end; a non-ASCII character raises a ValueError itself.
-        raw = base64.b64decode(text, validate=True)
+        # Both raise binascii.Error, a ValueError, on a character outside the
+        # codec's alphabet (a line break included), and a ValueError on a
+        # non-ASCII one; validate=True also refuses base64 padding before the end.
+        raw = binascii.a2b_hex(text) if codec == "hex" else base64.b64decode(text, validate=True)
     except ValueError as exc:
-        raise ProcessFileError(f"base64 payload is malformed: {exc}") from exc
+        raise ProcessFileError(f"{codec} payload is malformed: {exc}") from exc
     if len(raw) != nbytes:
-        raise ProcessFileError(f"base64 payload decodes to {len(raw)} bytes, not {nbytes}")
-    m = np.frombuffer(raw, dtype="<c16").astype(complex)
+        raise ProcessFileError(f"{codec} payload decodes to {len(raw)} bytes, not {nbytes}")
+    # a read-only view of the decoded bytes; only a big-endian host copies
+    m = np.frombuffer(raw, dtype="<c16").astype(complex, copy=False)
     if not np.all(np.isfinite(m.view(float))):
-        raise ProcessFileError("base64 payload contains non-finite numbers")
+        raise ProcessFileError(f"{codec} payload contains non-finite numbers")
     return m.reshape(side, side)
 
 
@@ -172,6 +189,14 @@ def process_to_dict(obj, graph: DirectedGraph | None = None, metadata: dict | No
     or DeterministicProcess (stored as its table). The classical module is
     imported only for an object that is not a ProcessOperator.
     """
+    doc = _document(obj, graph, metadata)
+    if isinstance(doc["payload"], bytes):
+        doc["payload"] = doc["payload"].decode("ascii")
+    return doc
+
+
+def _document(obj, graph: DirectedGraph | None, metadata: dict | None) -> dict:
+    """``process_to_dict``'s document, with a hex payload kept as ASCII bytes."""
     doc: dict = {"format_version": 2}
     if isinstance(obj, ProcessOperator):
         doc["kind"] = "quantum"
@@ -248,9 +273,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
             )
         systems = tuple(canonical_systems(nodes))
         if isinstance(payload, str):
-            if version < 3:
-                raise ProcessFileError("a base64 payload needs format_version 3")
-            op = LabeledOperator(systems, _decode_base64(payload, side))
+            op = LabeledOperator(systems, _decode_string(payload, side, version))
         elif dense:
             op = LabeledOperator(systems, _decode_dense(payload, side))
         elif version >= 2:
@@ -284,15 +307,15 @@ def write_process_file(path, obj, graph: DirectedGraph | None = None, metadata: 
     """Write ``obj`` (and the optional graph and metadata) as a process file.
 
     The file is exactly ``json.dumps(process_to_dict(obj, graph, metadata),
-    separators=(",", ":")) + "\\n"``, ASCII. A base64 payload never needs
-    escaping, so it is written as it is between the two halves of the rest of
-    the document instead of going through the JSON encoder. Everything is
-    encoded before the file is opened, so a document that cannot be encoded
-    leaves the file at ``path`` as it was.
+    separators=(",", ":")) + "\\n"``, ASCII. A hex payload never needs
+    escaping, so its bytes are written as they are between the two halves of
+    the rest of the document instead of going through the JSON encoder.
+    Everything is encoded before the file is opened, so a document that cannot
+    be encoded leaves the file at ``path`` as it was.
     """
-    doc = process_to_dict(obj, graph, metadata)
+    doc = _document(obj, graph, metadata)
     payload = doc["payload"]
-    if isinstance(payload, str):
+    if isinstance(payload, bytes):
         # Split at the first '"payload":""'. Its '"' after 'd' is unescaped (a
         # '"' inside a JSON string is written '\"'), so it ends a string, and
         # the ':' after it makes that string a key whose text ends in 'payload'.
@@ -301,7 +324,7 @@ def write_process_file(path, obj, graph: DirectedGraph | None = None, metadata: 
         # come after it. So the first match is the payload key and its value.
         doc["payload"] = ""
         head, tail = _dumps(doc).split(b'"payload":""', 1)
-        chunks = (head, b'"payload":"', payload.encode("ascii"), b'"', tail, b"\n")
+        chunks = (head, b'"payload":"', payload, b'"', tail, b"\n")
     else:
         chunks = (_dumps(doc), b"\n")
     with open(path, "wb") as fh:

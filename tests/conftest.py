@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
 
 import numpy as np
@@ -53,30 +54,42 @@ def rng():
 @pytest.fixture(scope="session")
 def bad_docs():
     """Process-file documents that each break one header, sparse-payload,
-    base64-payload, classical-payload, graph or metadata rule, by name; all
-    are the mix exemplar's sparse document, or its nodes with a full matrix
-    in a format-3 base64 document, or the af-classical table's document,
-    with one entry replaced, or two for the oversized dense payload."""
+    hex-payload, base64-payload, classical-payload, graph or metadata rule, by
+    name; all are the mix exemplar's sparse document, or its nodes with a full
+    matrix in the writer's format-4 hex document or a format-3 base64 one, or
+    the af-classical table's document, with one entry replaced, or two for the
+    oversized dense payloads."""
     mix = make_mix_example()
     good = process_to_dict(mix)
     index, values = good["payload"]["index"], good["payload"]["values"]
     side = 16
     assert len(index) == side
     full = (np.arange(side * side) + 1.5j).reshape(side, side) / side
-    dense = process_to_dict(process_operator(mix.nodes, LabeledOperator(mix.op.systems, full)))
+    hexed = process_to_dict(process_operator(mix.nodes, LabeledOperator(mix.op.systems, full)))
+    digits = hexed["payload"]
+    dense = {**hexed, "format_version": 3, "payload": base64.b64encode(full.astype("<c16")).decode()}
     text = dense["payload"]
     classical = process_to_dict(make_af_deterministic())
     assert classical["payload"]["shape"] == [2, 2, 2, 2, 2, 2]
-    # 16 * 256 bytes: 1366 groups of four characters, the last one padded "=="
-    assert dense["format_version"] == 3 and len(text) == 5464 and text.endswith("==")
+    # 16 * 256 bytes: 8192 hex digits, or 1366 groups of four base64 characters, the last one padded "=="
+    assert hexed["format_version"] == 4 and len(digits) == 8192
+    assert len(text) == 5464 and text.endswith("==")
 
     def with_word(at, value):
         words = np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
         words[at] = value
         return {**dense, "payload": base64.b64encode(words.tobytes()).decode()}
 
+    def with_hex_word(at, value):
+        words = np.frombuffer(binascii.a2b_hex(digits), dtype="<f8").copy()
+        words[at] = value
+        return {**hexed, "payload": words.tobytes().hex()}
+
     def spliced(at, chars):
         return {**dense, "payload": text[:at] + chars + text[at + len(chars):]}
+
+    def hex_spliced(at, chars):
+        return {**hexed, "payload": digits[:at] + chars + digits[at + len(chars):]}
 
     def setting(*path, value):
         doc = copy.deepcopy(good)
@@ -114,7 +127,6 @@ def bad_docs():
         "float in a classical shape": {**classical, "payload": {**classical["payload"], "shape": [2, 2, 2, 2, 2, 2.0]}},
         "classical payload without a shape": {**classical, "payload": {"values": classical["payload"]["values"]}},
         **{f"metadata {value!r}": setting("metadata", value=value) for value in (0, False, "", [], None, "x", [1])},
-        # 16385 x 16385 complex entries would need more than 2**32 bytes
         "base64 payload in a v2 file": {**dense, "format_version": 2},
         "base64 payload in a v1 file": {**dense, "format_version": 1},
         "base64 one character short": {**dense, "payload": text[:-1]},
@@ -127,6 +139,22 @@ def bad_docs():
         "base64 infinite word": with_word(5, float("inf")),
         "base64 nan word": with_word(6, float("nan")),
         "base64 empty string": {**dense, "payload": ""},
+        "hex payload in a v3 file": {**hexed, "format_version": 3},
+        "hex payload in a v2 file": {**hexed, "format_version": 2},
+        "hex one character short": {**hexed, "payload": digits[:-1]},
+        "hex one character long": {**hexed, "payload": digits + "0"},
+        "hex non-hex character": hex_spliced(100, "g"),
+        "hex non-ASCII character": hex_spliced(100, "\u00e9"),
+        "hex embedded space": hex_spliced(100, " "),
+        "hex embedded newline": hex_spliced(64, "\n"),
+        "hex infinite word": with_hex_word(5, float("inf")),
+        "hex nan word": with_hex_word(6, float("nan")),
+        "hex empty string": {**hexed, "payload": ""},
+        # 16385 x 16385 complex entries would need more than 2**32 bytes
+        "oversized declared side, hex payload": {
+            **hexed,
+            "nodes": [{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}],
+        },
         "oversized declared side, base64 payload": {
             **dense,
             "nodes": [{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}],

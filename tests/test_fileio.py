@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
 import functools
 import hashlib
@@ -61,9 +62,19 @@ def nested(doc: dict, m: np.ndarray, version: int = 2) -> dict:
     return {**doc, "format_version": version, "payload": bits(m).view(float).reshape(side, side, 2).tolist()}
 
 
+def base64_doc(doc: dict, m: np.ndarray) -> dict:
+    """``doc`` with ``m`` in the base64 payload of format 3."""
+    return {**doc, "format_version": 3, "payload": base64.b64encode(np.ascontiguousarray(m, dtype="<c16")).decode()}
+
+
 def base64_words(text: str) -> np.ndarray:
     """The float64 words of a format-3 base64 payload, in file order."""
     return np.frombuffer(base64.b64decode(text, validate=True), dtype="<u8")
+
+
+def hex_words(text: str) -> np.ndarray:
+    """The float64 words of a format-4 hex payload, in file order."""
+    return np.frombuffer(binascii.a2b_hex(text), dtype="<u8")
 
 
 def test_quantum_round_trip_bit_exact(tmp_path):
@@ -107,7 +118,7 @@ def test_deterministic_process_saves_as_classical(tmp_path):
     doc = process_to_dict(dp)
     assert doc["kind"] == "classical"
     # a classical file keeps the stamp of the format-2 writer
-    assert doc["format_version"] == 2 < FORMAT_VERSION == 3
+    assert doc["format_version"] == 2 < FORMAT_VERSION == 4
     back = dict_to_process(doc)
     assert np.array_equal(back.process.table, dp.to_classical().table)
 
@@ -116,11 +127,16 @@ def test_complex_payload_encoding(tmp_path):
     sigma = dense_chain()
     m = sigma.op.matrix
     side = m.shape[0]
-    # format 3: one base64 string of the row-major little-endian complex128 bytes
+    # format 4: one lowercase hex string of the row-major little-endian complex128 bytes
     doc = process_to_dict(sigma)
-    assert doc["format_version"] == 3 and isinstance(doc["payload"], str)
-    assert len(doc["payload"]) == 4 * math.ceil(16 * side * side / 3)
-    assert np.array_equal(base64_words(doc["payload"]), bits(m).reshape(-1))
+    assert doc["format_version"] == 4 and isinstance(doc["payload"], str)
+    assert len(doc["payload"]) == 32 * side * side and doc["payload"] == doc["payload"].lower()
+    assert np.array_equal(hex_words(doc["payload"]), bits(m).reshape(-1))
+    # format 3: one base64 string of the same bytes, still read bit-exact
+    v3 = base64_doc(doc, m)
+    assert len(v3["payload"]) == 4 * math.ceil(16 * side * side / 3)
+    assert np.array_equal(base64_words(v3["payload"]), bits(m).reshape(-1))
+    assert np.array_equal(bits(dict_to_process(v3).process.op.matrix), bits(m))
     # format 2: the nested [side, side, 2] list of [re, im] pairs, still read bit-exact
     v2 = nested(doc, m)
     payload = np.asarray(v2["payload"])
@@ -182,7 +198,7 @@ def test_written_bytes_are_the_canonical_json(tmp_path):
         path = tmp_path / f"case{i}.json"
         write_process_file(path, obj, graph=graph, metadata=meta)
         assert path.read_bytes() == canonical_bytes(obj, graph, meta), i
-    # the dense cases took the base64 payload
+    # the dense cases took the hex payload
     assert isinstance(process_to_dict(chain)["payload"], str)
     assert isinstance(process_to_dict(tricky)["payload"], str)
 
@@ -287,11 +303,13 @@ def test_nonfinite_payload_rejected():
     v2["payload"][0][0][0] = float("inf")
     with pytest.raises(ProcessFileError):
         dict_to_process(v2)
-    # an inf written into the bytes of the base64 payload
-    raw = bytearray(base64.b64decode(doc["payload"]))
+    # an inf written into the bytes of the hex and of the base64 payload
+    raw = bytearray(binascii.a2b_hex(doc["payload"]))
     raw[:8] = struct.pack("<d", float("inf"))
-    with pytest.raises(ProcessFileError, match="non-finite"):
-        dict_to_process({**doc, "payload": base64.b64encode(raw).decode()})
+    with pytest.raises(ProcessFileError, match="^hex payload contains non-finite numbers$"):
+        dict_to_process({**doc, "payload": raw.hex()})
+    with pytest.raises(ProcessFileError, match="^base64 payload contains non-finite numbers$"):
+        dict_to_process({**doc, "format_version": 3, "payload": base64.b64encode(raw).decode()})
     sparse = process_to_dict(make_mix_example())
     sparse["payload"]["values"][0][0] = float("inf")
     with pytest.raises(ProcessFileError):
@@ -336,7 +354,7 @@ def test_writer_picks_layout_by_stored_count():
     # sparse iff 4 * stored <= side**2, whatever the values
     mix = make_mix_example()
     side = mix.op.matrix.shape[0]
-    for stored, layout, version in ((side * side // 4, dict, 2), (side * side // 4 + 1, str, 3)):
+    for stored, layout, version in ((side * side // 4, dict, 2), (side * side // 4 + 1, str, 4)):
         m = np.zeros(side * side, dtype=complex)
         m[:stored] = 1e-300j
         m = m.reshape(side, side)
@@ -364,8 +382,8 @@ def test_golden_v1_file_reads_bit_exact():
     assert np.array_equal(bits(dict_to_process(doc).process.op.matrix), bits(mix.op.matrix))
 
 
-# sha256 of the float64 words of the matrix in tests/data/chain-v2.json
-CHAIN_V2_BITS = "e22ced64f6b0165bcd9975c32e2cded69e9ea134038ba1c16fdedd75c97129ff"
+# sha256 of the float64 words of the matrix in tests/data/chain-v2.json and chain-v3.json
+CHAIN_BITS = "e22ced64f6b0165bcd9975c32e2cded69e9ea134038ba1c16fdedd75c97129ff"
 
 
 def test_golden_v2_dense_file_reads_bit_exact(tmp_path):
@@ -377,29 +395,53 @@ def test_golden_v2_dense_file_reads_bit_exact(tmp_path):
     assert [(n.name, n.d_in, n.d_out) for n in loaded.process.nodes] == [("A", 2, 2), ("P", 1, 4), ("F", 4, 1)]
     m = loaded.process.op.matrix
     assert m.shape == (64, 64)
-    assert hashlib.sha256(bits(m).tobytes()).hexdigest() == CHAIN_V2_BITS
-    # a re-export is format 3 and reads back to the same bits
+    assert hashlib.sha256(bits(m).tobytes()).hexdigest() == CHAIN_BITS
+    # a re-export is format 4 and reads back to the same bits
     again = tmp_path / "chain.json"
     write_process_file(again, loaded.process, metadata=loaded.metadata)
     redoc = json.loads(again.read_text())
-    assert redoc["format_version"] == 3 and isinstance(redoc["payload"], str)
+    assert redoc["format_version"] == 4 and isinstance(redoc["payload"], str)
     assert redoc["metadata"] == doc["metadata"]
     assert np.array_equal(bits(read_process_file(again).process.op.matrix), bits(m))
 
 
-def test_base64_payload_is_bounded_before_it_is_decoded(monkeypatch):
+def test_golden_v3_dense_file_reads_bit_exact(tmp_path):
+    # written by the format-3 writer: base64 dense payload, "format_version": 3
+    path = DATA / "chain-v3.json"
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 3 and len(doc["payload"]) == 4 * math.ceil(16 * 64 * 64 / 3)
+    loaded = read_process_file(path)
+    assert [(n.name, n.d_in, n.d_out) for n in loaded.process.nodes] == [("A", 2, 2), ("P", 1, 4), ("F", 4, 1)]
+    m = loaded.process.op.matrix
+    assert hashlib.sha256(bits(m).tobytes()).hexdigest() == CHAIN_BITS
+    # a re-export is format 4 and reads back to the same bits
+    again = tmp_path / "chain.json"
+    write_process_file(again, loaded.process, metadata=loaded.metadata)
+    redoc = json.loads(again.read_text())
+    assert redoc["format_version"] == 4 and len(redoc["payload"]) == 32 * 64 * 64
+    assert redoc["metadata"] == doc["metadata"]
+    assert np.array_equal(bits(read_process_file(again).process.op.matrix), bits(m))
+
+
+@pytest.mark.parametrize("codec", ["base64", "hex"])
+def test_string_payload_is_bounded_before_it_is_decoded(codec, monkeypatch):
     sigma = dense_chain()
     doc, side = process_to_dict(sigma), sigma.dim
+    if codec == "base64":
+        doc = base64_doc(doc, sigma.op.matrix)
 
     def refuse(*args, **kwargs):
         raise AssertionError("decoded")
 
     monkeypatch.setattr(base64, "b64decode", refuse)
+    monkeypatch.setattr(binascii, "a2b_hex", refuse)
     oversized = {**doc, "nodes": [{"name": "A", "d_in": 16385, "d_out": 1, "kind": "quantum"}]}
     with pytest.raises(ProcessFileError, match="dense matrix"):
         dict_to_process(oversized)
-    with pytest.raises(ProcessFileError, match=f"must be {4 * math.ceil(16 * side * side / 3)} characters"):
-        dict_to_process({**doc, "payload": doc["payload"] + "AAAA"})
+    lengths = f"must be {32 * side * side} \\(hex\\) or {4 * math.ceil(16 * side * side / 3)} \\(base64\\) characters"
+    for extra in ("AAAA", "0"):
+        with pytest.raises(ProcessFileError, match=lengths):
+            dict_to_process({**doc, "payload": doc["payload"] + extra})
 
 
 def test_exemplars_reexport_identically_from_either_layout(tmp_path):
@@ -505,17 +547,22 @@ def test_dense_bit_patterns_round_trip_and_nonfinite_words_are_refused(sigma, da
     first, second = folder / "first.json", folder / "second.json"
     write_process_file(first, sigma)
     doc = json.loads(first.read_text())
-    assert doc["format_version"] == 3 and isinstance(doc["payload"], str)
+    assert doc["format_version"] == 4 and isinstance(doc["payload"], str)
     loaded = read_process_file(first).process
     assert np.array_equal(bits(loaded.op.matrix), bits(sigma.op.matrix))
     write_process_file(second, loaded)
     assert second.read_bytes() == first.read_bytes()
-    # any word with all exponent bits set (an inf or a NaN) is refused
-    words = base64_words(doc["payload"]).copy()
+    # the same words in a format-3 base64 payload read back bitwise too
+    v3 = base64_doc(doc, sigma.op.matrix)
+    assert np.array_equal(bits(dict_to_process(v3).process.op.matrix), bits(sigma.op.matrix))
+    # any word with all exponent bits set (an inf or a NaN) is refused in either payload
+    words = hex_words(doc["payload"]).copy()
     where = data.draw(st.integers(0, words.size - 1))
     words[where] = data.draw(st.integers(0, 1)) << 63 | 0x7FF << 52 | data.draw(st.integers(0, 2**52 - 1))
-    with pytest.raises(ProcessFileError, match="non-finite"):
-        dict_to_process({**doc, "payload": base64.b64encode(words.tobytes()).decode()})
+    with pytest.raises(ProcessFileError, match="^hex payload contains non-finite numbers$"):
+        dict_to_process({**doc, "payload": words.tobytes().hex()})
+    with pytest.raises(ProcessFileError, match="^base64 payload contains non-finite numbers$"):
+        dict_to_process({**v3, "payload": base64.b64encode(words.tobytes()).decode()})
 
 
 def test_sparse_file_above_the_dense_bound_round_trips(tmp_path):
@@ -544,13 +591,15 @@ def test_declared_side_is_bounded_by_what_the_payload_allocates():
 @functools.cache
 def fuzz_documents() -> dict:
     """Valid documents of every payload kind, each with a graph or metadata block:
-    the writer's sparse, base64 and classical ones and a nested format-2 one."""
+    the writer's sparse, hex and classical ones, a base64 format-3 one and a
+    nested format-2 one."""
     dense = LabeledOperator(tuple(canonical_systems([QuantumNode("N", 2, 2)])), np.arange(16).reshape(4, 4) + 0.5j)
     dense_doc = process_to_dict(process_operator([QuantumNode("N", 2, 2)], dense), metadata={"n": 1})
     dp = make_af_deterministic()
     return {
         "sparse": process_to_dict(make_af(), af_causal_graph(), {"source": "af", "tags": [1, 2]}),
         "dense": dense_doc,
+        "dense-v3": base64_doc(dense_doc, dense.matrix),
         "dense-v2": nested(dense_doc, dense.matrix),
         "classical": process_to_dict(dp, causal_structure_deterministic(dp)),
     }

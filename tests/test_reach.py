@@ -32,6 +32,7 @@ KEPT = {
     "readout_instrument": "builds the instruments that joint_probabilities takes",
     "random_instrument_kraus": "the sampler of the instrument layer",
     "signalling_residual": "the measure that certifies a cut of the causal-order skeleton (ROADMAP item 13)",
+    "process_to_dict": "public serializer",
 }
 
 
