@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import base64
-import binascii
 import copy
 
 import numpy as np
@@ -75,21 +74,13 @@ def bad_docs():
     assert hexed["format_version"] == 4 and len(digits) == 8192
     assert len(text) == 5464 and text.endswith("==")
 
-    def with_word(at, value):
-        words = np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+    def with_word(at, value) -> bytes:
+        words = full.astype("<c16").view("<f8")
         words[at] = value
-        return {**dense, "payload": base64.b64encode(words.tobytes()).decode()}
+        return words.tobytes()
 
-    def with_hex_word(at, value):
-        words = np.frombuffer(binascii.a2b_hex(digits), dtype="<f8").copy()
-        words[at] = value
-        return {**hexed, "payload": words.tobytes().hex()}
-
-    def spliced(at, chars):
-        return {**dense, "payload": text[:at] + chars + text[at + len(chars):]}
-
-    def hex_spliced(at, chars):
-        return {**hexed, "payload": digits[:at] + chars + digits[at + len(chars):]}
+    def spliced(doc, at, chars):
+        return {**doc, "payload": doc["payload"][:at] + chars + doc["payload"][at + len(chars):]}
 
     def setting(*path, value):
         doc = copy.deepcopy(good)
@@ -132,23 +123,23 @@ def bad_docs():
         "base64 one character short": {**dense, "payload": text[:-1]},
         "base64 one character long": {**dense, "payload": text + "A"},
         "base64 without its padding": {**dense, "payload": text[:-2] + "AA"},
-        "base64 non-alphabet character": spliced(100, "-"),
-        "base64 non-ASCII character": spliced(100, "\u00e9"),
-        "base64 embedded newline": spliced(76, "\n"),
-        "base64 padding in the middle": spliced(100, "=="),
-        "base64 infinite word": with_word(5, float("inf")),
-        "base64 nan word": with_word(6, float("nan")),
+        "base64 non-alphabet character": spliced(dense, 100, "-"),
+        "base64 non-ASCII character": spliced(dense, 100, "\u00e9"),
+        "base64 embedded newline": spliced(dense, 76, "\n"),
+        "base64 padding in the middle": spliced(dense, 100, "=="),
+        "base64 infinite word": {**dense, "payload": base64.b64encode(with_word(5, float("inf"))).decode()},
+        "base64 nan word": {**dense, "payload": base64.b64encode(with_word(6, float("nan"))).decode()},
         "base64 empty string": {**dense, "payload": ""},
         "hex payload in a v3 file": {**hexed, "format_version": 3},
         "hex payload in a v2 file": {**hexed, "format_version": 2},
         "hex one character short": {**hexed, "payload": digits[:-1]},
         "hex one character long": {**hexed, "payload": digits + "0"},
-        "hex non-hex character": hex_spliced(100, "g"),
-        "hex non-ASCII character": hex_spliced(100, "\u00e9"),
-        "hex embedded space": hex_spliced(100, " "),
-        "hex embedded newline": hex_spliced(64, "\n"),
-        "hex infinite word": with_hex_word(5, float("inf")),
-        "hex nan word": with_hex_word(6, float("nan")),
+        "hex non-hex character": spliced(hexed, 100, "g"),
+        "hex non-ASCII character": spliced(hexed, 100, "\u00e9"),
+        "hex embedded space": spliced(hexed, 100, " "),
+        "hex embedded newline": spliced(hexed, 64, "\n"),
+        "hex infinite word": {**hexed, "payload": with_word(5, float("inf")).hex()},
+        "hex nan word": {**hexed, "payload": with_word(6, float("nan")).hex()},
         "hex empty string": {**hexed, "payload": ""},
         # 16385 x 16385 complex entries would need more than 2**32 bytes
         "oversized declared side, hex payload": {
