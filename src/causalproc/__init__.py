@@ -50,7 +50,7 @@ _EXPORTS = {
         "quantize", "reversible_extension", "validate_classical", "validate_deterministic",
     ),
     "exemplars": (
-        "BWParts", "DecompositionReport", "MethodsCounterexample", "SwitchParts",
+        "BlockDecomposition", "DecompositionReport", "MethodsCounterexample",
         "af_causal_graph", "bw_decomposition", "decomposition_report", "make_af",
         "make_af_deterministic", "make_bw_extension", "make_classical_switch",
         "make_methods_counterexample", "make_mix_example", "make_reduced_switch", "make_switch",

@@ -1,7 +1,9 @@
 """Reference processes: the coherent control-of-order process, its classical
 and reduced variants, the cyclic three-party fixed-point process with its
-reversible dilation, signalling/mixing examples, and direct-sum decomposition
-verifiers for the routing unitaries.
+reversible dilation, and signalling/mixing examples. The two cyclic unitaries
+come with a ``BlockDecomposition`` each: a coherently controlled direct sum of
+blocks, checked by reconstruction and by the acyclic influence graph of every
+block.
 """
 
 from __future__ import annotations
@@ -30,16 +32,12 @@ from .labeled import (
     partial_trace,
     permute_map,
     tensor,
+    tensor_maps,
 )
 from .process import ProcessOperator, QuantumNode, process_operator
 from .rand import haar_unitary
 
 __all__ = _EXPORTS["exemplars"]
-
-
-def _swap_matrix(d1: int, d2: int) -> np.ndarray:
-    """Permutation sending |x, y> to |y, x>."""
-    return np.eye(d1 * d2).reshape(d1, d2, -1).swapaxes(0, 1).reshape(d1 * d2, -1)
 
 
 def _coherent_copy(dp: DeterministicProcess, names=None) -> UnitaryProcess:
@@ -177,76 +175,68 @@ def make_mix_example() -> ProcessOperator:
 
 
 @dataclass(frozen=True)
-class SwitchParts:
-    """Direct-sum routing decomposition for a two-slot control-of-order unitary.
+class BlockDecomposition:
+    """A unitary u written as a coherently controlled direct sum of blocks.
 
-    The control block i splits P.out into L x R factors of dimensions
-    ``block_dims[i]``; ``v[i]`` maps A.out (x) L_i to B.in (x) FL_i and
-    ``w[i]`` maps R_i (x) B.out to FR_i (x) A.in, with F.in split per block
-    into ``f_block_dims[i]``. ``s`` and ``t`` are the boundary basis changes
-    on P.out and F.in.
+    Once each system named in ``splits`` (pairs of a name and its digit
+    labels) is split into its row-major digits and the trivial systems are
+    dropped, u equals  Σ_c |c⟩⟨c| (control_out ← control_in) ⊗ blocks[c],  with
+    c running row-major over the control digits. Every block acts on the same
+    systems. The decomposition shows a causal order per block when each
+    block's influence graph is acyclic, reading a system named ``X.suffix``
+    as node X.
     """
 
-    d: int
-    block_dims: tuple
-    f_block_dims: tuple
-    s: np.ndarray
-    t: np.ndarray
-    v: tuple
-    w: tuple
+    splits: tuple
+    control_in: tuple
+    control_out: tuple
+    blocks: tuple
 
 
-def switch_decomposition(d: int = 2) -> SwitchParts:
-    """Concrete routing parts: identity boundaries, identity-or-swap blocks."""
+def _wire(src: SystemLabel, dst: SystemLabel, flip: bool = False) -> LinearMap:
+    """An identity wire from ``src`` to ``dst``, or a NOT gate on a bit."""
+    return LinearMap(np.array([[0.0, 1.0], [1.0, 0.0]]) if flip else np.eye(src.dim), (src,), (dst,))
+
+
+def switch_decomposition(d: int = 2) -> BlockDecomposition:
+    """P.out and F.in split into a control bit and a target; control 0 wires
+    the target through A then B, control 1 through B then A."""
     if d < 2:
         raise ValueError("target dimension must be at least 2")
-    return SwitchParts(
-        d=d,
-        block_dims=((1, d), (d, 1)),
-        f_block_dims=((1, d), (d, 1)),
-        s=np.eye(2 * d),
-        t=np.eye(2 * d),
-        v=(np.eye(d), _swap_matrix(d, d)),
-        w=(_swap_matrix(d, d), np.eye(d)),
+    ain, aout, bin_, bout = (SystemLabel(nm, d) for nm in ("A.in", "A.out", "B.in", "B.out"))
+    pc, pt, fc, ft = SystemLabel("P.ctl", 2), SystemLabel("P.tgt", d), SystemLabel("F.ctl", 2), SystemLabel("F.tgt", d)
+    return BlockDecomposition(
+        splits=(("P.out", (pc, pt)), ("F.in", (fc, ft))),
+        control_in=(pc,),
+        control_out=(fc,),
+        blocks=(
+            tensor_maps(_wire(pt, ain), _wire(aout, bin_), _wire(bout, ft)),
+            tensor_maps(_wire(pt, bin_), _wire(bout, ain), _wire(aout, ft)),
+        ),
     )
 
 
-@dataclass(frozen=True)
-class BWParts:
-    """Direct-sum decomposition of the three-bit dilation unitary.
-
-    All direct-sum indices are binary and every indexed interior space is
-    one-dimensional. ``p[i][j]``, ``q[i][k]``, ``r[j][k]`` are the per-block
-    single-qubit maps ancilla -> node input; ``s``/``t``/``v`` split the three
-    node outputs into their index values and ``w`` collects the index triple
-    into F.in (lexicographic i, j, k).
-    """
-
-    s: np.ndarray
-    t: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    p: tuple
-    q: tuple
-    r: tuple
-
-
-def bw_decomposition() -> BWParts:
-    """Concrete parts: identity boundaries, identity-or-NOT blocks."""
-    eye = np.eye(2)
-    not_ = np.array([[0.0, 1.0], [1.0, 0.0]])
-    p = tuple(tuple(not_ if ((1 - i) & j) else eye for j in range(2)) for i in range(2))
-    q = tuple(tuple(not_ if ((1 - k) & i) else eye for k in range(2)) for i in range(2))
-    r = tuple(tuple(not_ if ((1 - j) & k) else eye for k in range(2)) for j in range(2))
-    return BWParts(s=np.eye(2), t=np.eye(2), v=np.eye(2), w=np.eye(8), p=p, q=q, r=r)
+def bw_decomposition() -> BlockDecomposition:
+    """The node outputs (a, b, c) control, and are copied into F.in's three
+    bits; P.out splits into one ancilla bit per node, which block (a, b, c)
+    wires to that node's input through NOT where its function value is 1."""
+    outs = tuple(SystemLabel(f"{nm}.out", 2) for nm in "ABC")
+    ins = tuple(SystemLabel(f"{nm}.in", 2) for nm in "ABC")
+    anc = tuple(SystemLabel(f"P.{nm}", 2) for nm in "ABC")
+    copy = tuple(SystemLabel(f"F.{nm}", 2) for nm in "ABC")
+    blocks = tuple(
+        tensor_maps(*(_wire(x, y, bool(f)) for x, y, f in zip(anc, ins, ((1 - b) & c, (1 - c) & a, (1 - a) & b))))
+        for a, b, c in np.ndindex(2, 2, 2)
+    )
+    return BlockDecomposition((("P.out", anc), ("F.in", copy)), outs, copy, blocks)
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
     """Result of ``decomposition_report``: the largest entry of the
-    reconstructed unitary's difference from u, each block's signalling
-    residuals, whether every block meets its one-way or diagonal condition,
-    and whether both pass."""
+    reconstructed unitary's difference from u, each block's largest influence
+    residual per node pair ("A->B"), whether every block's influence graph is
+    acyclic, and whether both pass."""
 
     passed: bool
     reconstruction_residual: float
@@ -255,139 +245,66 @@ class DecompositionReport:
     tol: float
 
 
-def _systems_in_order(labels, wanted_names) -> list:
-    """``labels`` with the systems named in ``wanted_names`` first, in that
-    order; any other system must be trivial (dimension one) and goes last."""
-    names = [s.name for s in labels]
-    for nm in wanted_names:
-        if nm not in names:
-            raise ValueError(f"expected a system named {nm!r}, found {names}")
-    rest = [s for s in labels if s.name not in wanted_names]
-    for s in rest:
-        if s.dim != 1:
-            raise ValueError(f"unexpected nontrivial system {s!r}")
-    return [labels[names.index(nm)] for nm in wanted_names] + rest
+def _nontrivial(m: LinearMap) -> LinearMap:
+    """The same map without its dimension-one systems."""
+    return LinearMap(m.matrix, [s for s in m.domain if s.dim > 1], [s for s in m.codomain if s.dim > 1])
 
 
-def _aligned_matrix(u: LinearMap, codomain_names, domain_names) -> np.ndarray:
-    """Matrix of u with its systems listed as the decomposition expects them."""
-    cod = _systems_in_order(u.codomain, codomain_names)
-    dom = _systems_in_order(u.domain, domain_names)
-    return permute_map(u, dom, cod).matrix
+def _split(systems, splits: dict) -> tuple:
+    """``systems`` with each one named in ``splits`` replaced by its digits."""
+    out = ()
+    for s in systems:
+        digits = splits.get(s.name, (s,))
+        if math.prod(t.dim for t in digits) != s.dim:
+            raise ValueError(f"digits {digits} do not split {s!r}")
+        out += tuple(digits)
+    return out
 
 
-def _switch_report(u: LinearMap, parts: SwitchParts, tol: float) -> DecompositionReport:
-    d = parts.d
-    dp = sum(l * r for l, r in parts.block_dims)
-    df = sum(l * r for l, r in parts.f_block_dims)
-    if parts.s.shape != (dp, dp) or parts.t.shape != (df, df):
-        raise ValueError("boundary matrices do not match the block dimensions")
+def decomposition_report(u: LinearMap, parts: BlockDecomposition, tol: float = 1e-9) -> DecompositionReport:
+    """Reconstruct the controlled sum from the parts and compare it to u, and
+    read each block's influence graph from its channel's influence residuals.
+    """
+    blocks = [_nontrivial(b) for b in parts.blocks]
+    first = blocks[0]
+    for c, b in enumerate(blocks):
+        if set(b.domain) != set(first.domain) or set(b.codomain) != set(first.codomain):
+            raise ValueError(f"block {c} maps {b.domain} to {b.codomain}, block 0 {first.domain} to {first.codomain}")
+    k = len(blocks)
+    if math.prod(s.dim for s in parts.control_in) != k or math.prod(s.dim for s in parts.control_out) != k:
+        raise ValueError(f"{k} blocks for controls {parts.control_in} -> {parts.control_out}")
 
-    # middle stage on (A.out, sum-block, B.out) -> (B.in, f-sum-block, A.in);
-    # block i is v_i (x) w_i on (A.out, L_i, R_i, B.out) -> (B.in, FL_i, FR_i, A.in)
-    mid = np.zeros((d, df, d, d, dp, d), dtype=complex)
-    off_in = 0
-    off_out = 0
-    for i, ((ld, rd), (fld, frd)) in enumerate(zip(parts.block_dims, parts.f_block_dims)):
-        if parts.v[i].shape != (d * fld, d * ld):
-            raise ValueError(f"block {i}: v has shape {parts.v[i].shape}, expected {(d * fld, d * ld)}")
-        if parts.w[i].shape != (frd * d, rd * d):
-            raise ValueError(f"block {i}: w has shape {parts.w[i].shape}, expected {(frd * d, rd * d)}")
-        block = np.einsum(
-            "yfal,gxrb->yfgxalrb", parts.v[i].reshape(d, fld, d, ld), parts.w[i].reshape(frd, d, rd, d)
-        )
-        mid[:, off_out:off_out + fld * frd, :, :, off_in:off_in + ld * rd, :] = block.reshape(
-            d, fld * frd, d, d, ld * rd, d
-        )
-        off_in += ld * rd
-        off_out += fld * frd
+    u = _nontrivial(u)
+    splits = dict(parts.splits)
+    dom, cod = _split(u.domain, splits), _split(u.codomain, splits)
+    want_dom, want_cod = parts.control_in + first.domain, parts.control_out + first.codomain
+    for have, want in ((dom, want_dom), (cod, want_cod)):
+        if missing := [s.name for s in want if s not in have]:
+            raise ValueError(f"expected a system named {missing[0]!r}, found {have}")
+        if extra := [s for s in have if s not in want]:
+            raise ValueError(f"unexpected nontrivial system {extra[0]!r}")
+    target = permute_map(LinearMap(u.matrix, dom, cod), want_dom, want_cod).matrix
 
-    stage1 = np.kron(np.kron(np.eye(d), parts.s), np.eye(d))
-    stage3 = np.kron(np.kron(np.eye(d), parts.t), np.eye(d))
-    u_rec = stage3 @ mid.reshape(d * df * d, d * dp * d) @ stage1
-    u_target = _aligned_matrix(u, ["B.in", "F.in", "A.in"], ["A.out", "P.out", "B.out"])
-    resid = float(np.abs(u_rec - u_target).max())
-
+    m, n = first.matrix.shape
+    rec = np.zeros((k, m, k, n), dtype=complex)
     block_sig = {}
     one_way = True
-    aout = SystemLabel("A.out", d)
-    bout = SystemLabel("B.out", d)
-    ain = SystemLabel("A.in", d)
-    bin_ = SystemLabel("B.in", d)
-    for i, ((ld, rd), (fld, frd)) in enumerate(zip(parts.block_dims, parts.f_block_dims)):
-        pl = SystemLabel("P.L", ld)
-        pr = SystemLabel("P.R", rd)
-        fl = SystemLabel("F.L", fld)
-        fr = SystemLabel("F.R", frd)
-        ch_v = channel_from_unitary(LinearMap(parts.v[i].astype(complex), (aout, pl), (bin_, fl)))
-        ch_w = channel_from_unitary(LinearMap(parts.w[i].astype(complex), (pr, bout), (fr, ain)))
-        r_ab = influence_residuals(ch_v)[("A.out", "B.in")]
-        r_ba = influence_residuals(ch_w)[("B.out", "A.in")]
-        block_sig[i] = {"A->B": r_ab, "B->A": r_ba}
-        if r_ab > tol and r_ba > tol:
-            one_way = False
-
+    for c, b in enumerate(blocks):
+        rec[c, :, c, :] = permute_map(b, first.domain, first.codomain).matrix
+        pairs = {}
+        for (src, dst), r in influence_residuals(channel_from_unitary(b)).items():
+            pairs.setdefault((src.rsplit(".", 1)[0], dst.rsplit(".", 1)[0]), []).append(r)
+        worst = {pair: float(np.max(rs)) for pair, rs in sorted(pairs.items())}
+        graph = DirectedGraph(tuple({v for pair in worst for v in pair}), frozenset(p for p, r in worst.items() if not r <= tol))
+        block_sig[c] = {f"{src}->{dst}": r for (src, dst), r in worst.items()}
+        one_way = one_way and not graph.is_cyclic
+    resid = float(np.abs(rec.reshape(k * m, k * n) - target).max())
     passed = resid <= max(tol, 1e-12) and one_way
     return DecompositionReport(bool(passed), resid, block_sig, bool(one_way), tol)
 
 
-def _bw_report(u: LinearMap, parts: BWParts, tol: float) -> DecompositionReport:
-    for mat, nm in [(parts.s, "s"), (parts.t, "t"), (parts.v, "v")]:
-        if mat.shape != (2, 2):
-            raise ValueError(f"boundary {nm} must be 2x2")
-    if parts.w.shape != (8, 8):
-        raise ValueError("w must be 8x8")
-
-    # middle stage on (lC, i, lB, j, k, lA) -> (C.in, B.in, A.in, sum-ijk):
-    # block (i, j, k) is p[i][j] (x) q[i][k] (x) r[j][k] on (lC, lB, lA)
-    mid = np.zeros((2,) * 12, dtype=complex)
-    for i, j, k in np.ndindex(2, 2, 2):
-        mid[:, :, :, i, j, k, :, i, :, j, k, :] = np.einsum(
-            "zn,ym,xl->zyxnml", parts.p[i][j], parts.q[i][k], parts.r[j][k]
-        )
-    stage1 = np.kron(np.kron(np.kron(np.eye(2), parts.s), np.kron(np.eye(2), parts.t)),
-                     np.kron(parts.v, np.eye(2)))
-    stage3 = np.kron(np.eye(8), parts.w)
-    u_rec = stage3 @ mid.reshape(64, 64) @ stage1
-
-    arr = _aligned_matrix(u, ["C.in", "B.in", "A.in", "F.in"], ["A.out", "B.out", "C.out", "P.out"])
-    # split P.out (A-major l, m, n) and bring the domain to (n, a, m, b, c, l)
-    arr = arr.reshape(2, 2, 2, 8, 2, 2, 2, 2, 2, 2)
-    u_target = np.transpose(arr, (0, 1, 2, 3, 9, 4, 8, 5, 6, 7)).reshape(64, 64)
-    resid = float(np.abs(u_rec - u_target).max())
-
-    block_sig = {}
-    lam = tuple(SystemLabel(f"anc.{nm}", 2) for nm in "CBA")
-    ins = tuple(SystemLabel(f"{nm}.in", 2) for nm in "CBA")
-    for i, j, k in np.ndindex(2, 2, 2):
-        block = np.kron(np.kron(parts.p[i][j], parts.q[i][k]), parts.r[j][k])
-        ch = channel_from_unitary(LinearMap(block.astype(complex), lam, ins))
-        block_sig[(i, j, k)] = {
-            f"{src}->{dst}": r
-            for (src, dst), r in sorted(influence_residuals(ch).items())
-            if src != f"anc.{dst.removesuffix('.in')}"
-        }
-    one_way = not any(r > tol for cross in block_sig.values() for r in cross.values())
-    passed = resid <= max(tol, 1e-12) and one_way
-    return DecompositionReport(bool(passed), resid, block_sig, bool(one_way), tol)
-
-
-def decomposition_report(u: LinearMap, parts, tol: float = 1e-9) -> DecompositionReport:
-    """Reconstruct the direct-sum sandwich from the parts and compare to u.
-
-    Also evaluates the per-block signalling structure: for the two-slot shape,
-    each block may signal A to B or B to A but not both; for the three-bit
-    shape every block must be influence-diagonal (ancilla i to node i only).
-    """
-    if isinstance(parts, SwitchParts):
-        return _switch_report(u, parts, tol)
-    if isinstance(parts, BWParts):
-        return _bw_report(u, parts, tol)
-    raise TypeError(f"unsupported parts type {type(parts).__name__}")
-
-
-def verify_decomposition(u: LinearMap, parts, tol: float = 1e-9) -> bool:
-    """True iff the parts reconstruct u and satisfy the block conditions."""
+def verify_decomposition(u: LinearMap, parts: BlockDecomposition, tol: float = 1e-9) -> bool:
+    """True iff the parts reconstruct u and every block is causally ordered."""
     return decomposition_report(u, parts, tol).passed
 
 

@@ -109,11 +109,14 @@ class DirectedGraph:
         return tuple(order)
 
     def to_dot(self) -> str:
+        """The graph in DOT, vertices and edges sorted; each name is a quoted
+        DOT string, with its backslashes and double quotes escaped."""
+        name = {v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"' for v in self.vertices}
         lines = ["digraph causal {"]
         for v in sorted(self.vertices):
-            lines.append(f'  "{v}";')
+            lines.append(f"  {name[v]};")
         for a, b in sorted(self.edges):
-            lines.append(f'  "{a}" -> "{b}";')
+            lines.append(f"  {name[a]} -> {name[b]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

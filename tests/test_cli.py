@@ -15,11 +15,16 @@ from causalproc import (
     ClassicalProcess,
     DeterministicProcess,
     LabeledOperator,
+    LinearMap,
+    QuantumNode,
+    cj_operator,
     cli,
     combs,
     embed,
+    identity_operator,
     make_mix_example,
     process_operator,
+    tensor,
     write_process_file,
 )
 from causalproc.cli import EXEMPLAR_NAMES, main
@@ -124,6 +129,19 @@ def test_discover_emits_deterministic_dot(tmp_path, capsys):
     assert sorted(report["factor_traces"]) == ["A", "B", "F", "P"]
     assert run(capsys, "discover", str(path), "--dot", str(dot2))[0] == 0
     assert dot1.read_bytes() == dot2.read_bytes()
+
+
+def test_discover_dot_escapes_node_names(tmp_path, capsys):
+    """Node names holding a double quote or a backslash stay valid DOT strings."""
+    na, nc = QuantumNode('a"b', 2, 2), QuantumNode("c\\", 2, 2)
+    wire = cj_operator(LinearMap(np.eye(2), (na.out_system,), (nc.in_system,)))
+    op = tensor(LabeledOperator((na.in_system,), np.eye(2) / 2), wire, identity_operator([nc.out_dual]))
+    path, dot = tmp_path / "names.json", tmp_path / "names.dot"
+    write_process_file(path, process_operator((na, nc), op))
+    code, out, _ = run(capsys, "discover", str(path), "--dot", str(dot))
+    assert code == 0
+    assert json.loads(out)["edges"] == [['a"b', "c\\"]]
+    assert dot.read_text() == 'digraph causal {\n  "a\\"b";\n  "c\\\\";\n  "a\\"b" -> "c\\\\";\n}\n'
 
 
 def test_comb_search_reports_scan_count(tmp_path, capsys):

@@ -301,7 +301,7 @@ def test_switch_type_decomposition_check(switch_up):
     bad = switch_decomposition(2)
     import dataclasses
 
-    bad = dataclasses.replace(bad, v=(np.eye(2, dtype=complex), np.eye(4, dtype=complex)))
+    bad = dataclasses.replace(bad, blocks=(bad.blocks[0], bad.blocks[0]))
     assert not verify_decomposition(switch_up.unitary, bad)
 
 

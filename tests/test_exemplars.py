@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from causalproc import (
+    BlockDecomposition,
     LinearMap,
     SystemLabel,
     af_causal_graph,
@@ -63,7 +64,7 @@ _QUBIT_MAP = LinearMap(np.eye(2), (SystemLabel("X", 2),), (SystemLabel("Y", 2),)
     [
         pytest.param(lambda: make_methods_counterexample().combined([1.0]), ValueError, "distribution over two C.in values", id="C.in distribution"),
         pytest.param(lambda: switch_decomposition(1), ValueError, "target dimension must be at least 2", id="switch parts dimension"),
-        pytest.param(lambda: decomposition_report(_QUBIT_MAP, switch_decomposition()), ValueError, "expected a system named 'B.in'", id="missing system"),
+        pytest.param(lambda: decomposition_report(_QUBIT_MAP, switch_decomposition()), ValueError, "expected a system named 'P.ctl'", id="missing system"),
         pytest.param(
             lambda: decomposition_report(_with_extra_system(make_switch(2).unitary), switch_decomposition()),
             ValueError,
@@ -71,20 +72,11 @@ _QUBIT_MAP = LinearMap(np.eye(2), (SystemLabel("X", 2),), (SystemLabel("Y", 2),)
             id="extra system",
         ),
         pytest.param(
-            lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(switch_decomposition(), s=np.eye(3))),
+            lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(switch_decomposition(), blocks=(switch_decomposition().blocks[0], _QUBIT_MAP))),
             ValueError,
-            "boundary matrices do not match the block dimensions",
-            id="switch boundary",
-        ),
-        pytest.param(
-            lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(switch_decomposition(), w=(np.eye(3), np.eye(2)))),
-            ValueError,
-            r"block 0: w has shape \(3, 3\), expected \(4, 4\)",
+            r"block 1 maps \(X\(2\),\) to \(Y\(2\),\)",
             id="switch block",
         ),
-        pytest.param(lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(bw_decomposition(), t=np.eye(3))), ValueError, "boundary t must be 2x2", id="bw boundary"),
-        pytest.param(lambda: decomposition_report(_QUBIT_MAP, dataclasses.replace(bw_decomposition(), w=np.eye(4))), ValueError, "w must be 8x8", id="bw collector"),
-        pytest.param(lambda: decomposition_report(_QUBIT_MAP, object()), TypeError, "unsupported parts type object", id="parts type"),
         pytest.param(lambda: random_unitary_chain(0, np.random.default_rng(0)), ValueError, "need at least one slot", id="no slot"),
     ],
 )
@@ -154,8 +146,9 @@ def test_bw_nodes_and_dimensions(bw_up):
     assert bw_up.dim == 4096
 
 
-def test_switch_decomposition_reconstructs_exactly(switch_up):
-    rep = decomposition_report(switch_up.unitary, switch_decomposition(2))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_switch_decomposition_reconstructs_exactly(d):
+    rep = decomposition_report(make_switch(d).unitary, switch_decomposition(d))
     assert rep.passed
     assert rep.reconstruction_residual == 0.0
     assert rep.blocks_one_way
@@ -171,22 +164,39 @@ def test_bw_decomposition_reconstructs_exactly(bw_up):
     assert rep.passed
     assert rep.reconstruction_residual == 0.0
     assert rep.blocks_one_way
+    # each block wires only P's ancillas to the node inputs
+    assert all(r == 0.0 for sig in rep.block_signalling.values() for key, r in sig.items() if not key.startswith("P->"))
+
+
+def test_one_block_decomposition_is_acyclic_only_for_an_ordered_unitary(switch_up, bw_up):
+    """The whole unitary as its single block always reconstructs; the block's
+    influence graph is cyclic for the two cyclic exemplars and acyclic for a
+    chain comb."""
+    for up, ordered in ((switch_up, False), (bw_up, False), (random_unitary_chain(2, np.random.default_rng(45)), True)):
+        rep = decomposition_report(up.unitary, BlockDecomposition((), (), (), (up.unitary,)))
+        assert rep.reconstruction_residual == 0.0
+        assert rep.blocks_one_way is ordered
+        assert rep.passed is ordered
 
 
 def test_perturbed_decompositions_are_rejected(switch_up, bw_up):
     sw = switch_decomposition(2)
-    bad_sw = dataclasses.replace(sw, v=(np.eye(2, dtype=complex), np.eye(4, dtype=complex)))
-    assert not verify_decomposition(switch_up.unitary, bad_sw)
+    swapped = decomposition_report(switch_up.unitary, dataclasses.replace(sw, blocks=sw.blocks[::-1]))
+    assert not swapped.passed and swapped.reconstruction_residual == 1.0 and swapped.blocks_one_way
     bw = bw_decomposition()
-    pbad = tuple(tuple(np.eye(2, dtype=complex) for _ in range(2)) for _ in range(2))
-    assert not verify_decomposition(bw_up.unitary, dataclasses.replace(bw, p=pbad))
+    # block 0 has no NOT gate: wiring it under every control drops the function
+    assert not verify_decomposition(bw_up.unitary, dataclasses.replace(bw, blocks=(bw.blocks[0],) * 8))
+    phased = dataclasses.replace(bw, blocks=bw.blocks[:7] + (LinearMap(-bw.blocks[7].matrix, bw.blocks[7].domain, bw.blocks[7].codomain),))
+    assert decomposition_report(bw_up.unitary, phased).reconstruction_residual == 2.0
 
 
 def test_decomposition_dimension_errors(switch_up):
     sw = switch_decomposition(2)
-    bad = dataclasses.replace(sw, v=(np.eye(3, dtype=complex), sw.v[1]))
-    with pytest.raises(ValueError):
-        verify_decomposition(switch_up.unitary, bad)
+    wide = LinearMap(np.eye(3), (SystemLabel("A.out", 3),), (SystemLabel("B.in", 3),))
+    with pytest.raises(ValueError, match=r"block 1 maps \(A.out\(3\),\)"):
+        verify_decomposition(switch_up.unitary, dataclasses.replace(sw, blocks=(sw.blocks[0], wide)))
+    with pytest.raises(ValueError, match="3 blocks for controls"):
+        verify_decomposition(switch_up.unitary, dataclasses.replace(sw, blocks=sw.blocks + sw.blocks[:1]))
 
 
 def test_classical_switch_matches_quantum_structure():

@@ -156,6 +156,11 @@ def test_to_dot_deterministic_and_sorted():
     assert dot.endswith("}\n")
 
 
+def test_to_dot_escapes_quotes_and_backslashes():
+    g = directed_graph(['a"b', "c\\"], [('a"b', "c\\")])
+    assert g.to_dot() == 'digraph causal {\n  "a\\"b";\n  "c\\\\";\n  "a\\"b" -> "c\\\\";\n}\n'
+
+
 def test_unitary_process_routing_structure():
     np_, na, nf = QuantumNode("P", 1, 2), QuantumNode("A", 2, 2), QuantumNode("F", 2, 1)
     um = LinearMap(np.eye(4, dtype=complex), (np_.out_system, na.out_system),
