@@ -266,13 +266,13 @@ def decomposition_report(u: LinearMap, parts: BlockDecomposition, tol: float = 1
     read each block's influence graph from its channel's influence residuals.
     """
     blocks = [_nontrivial(b) for b in parts.blocks]
+    k = len(blocks)
+    if math.prod(s.dim for s in parts.control_in) != k or math.prod(s.dim for s in parts.control_out) != k:
+        raise ValueError(f"{k} blocks for controls {parts.control_in} -> {parts.control_out}")
     first = blocks[0]
     for c, b in enumerate(blocks):
         if set(b.domain) != set(first.domain) or set(b.codomain) != set(first.codomain):
             raise ValueError(f"block {c} maps {b.domain} to {b.codomain}, block 0 {first.domain} to {first.codomain}")
-    k = len(blocks)
-    if math.prod(s.dim for s in parts.control_in) != k or math.prod(s.dim for s in parts.control_out) != k:
-        raise ValueError(f"{k} blocks for controls {parts.control_in} -> {parts.control_out}")
 
     u = _nontrivial(u)
     splits = dict(parts.splits)

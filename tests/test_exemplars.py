@@ -195,8 +195,9 @@ def test_decomposition_dimension_errors(switch_up):
     wide = LinearMap(np.eye(3), (SystemLabel("A.out", 3),), (SystemLabel("B.in", 3),))
     with pytest.raises(ValueError, match=r"block 1 maps \(A.out\(3\),\)"):
         verify_decomposition(switch_up.unitary, dataclasses.replace(sw, blocks=(sw.blocks[0], wide)))
-    with pytest.raises(ValueError, match="3 blocks for controls"):
-        verify_decomposition(switch_up.unitary, dataclasses.replace(sw, blocks=sw.blocks + sw.blocks[:1]))
+    for blocks in (sw.blocks + sw.blocks[:1], ()):
+        with pytest.raises(ValueError, match=f"{len(blocks)} blocks for controls"):
+            verify_decomposition(switch_up.unitary, dataclasses.replace(sw, blocks=blocks))
 
 
 def test_classical_switch_matches_quantum_structure():
