@@ -25,6 +25,14 @@ and the hex one otherwise; it stamps a dense quantum file 4 and a sparse or
 classical one 2. So export, import and re-export give the same bytes, and every
 bit of the matrix survives. An optional graph block carries a directed graph
 and a metadata block free-form data.
+
+The reader decodes a string payload from the file's bytes, without the JSON
+parser ever seeing it, where a rule proves that this reads the same document as
+the whole-text parse: the first ``"payload":"`` must start the one top-level
+``payload`` key, and the bytes up to the next ``"`` must be ASCII from 0x20 up
+with no backslash (``_located`` states the rule in full; the writer's files
+meet it). Any other file is parsed whole, which raises every message. A number
+in a list payload must be a JSON number: a boolean is refused.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import binascii
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -83,18 +92,29 @@ def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
 
 
 def _finite_numbers(items, shape: tuple, what: str) -> np.ndarray:
-    """``items`` as a float array of the given shape; only finite JSON numbers."""
-    try:
-        arr = np.asarray(items)
-    except (TypeError, ValueError) as exc:
-        raise ProcessFileError(f"{what} must hold numbers: {exc}") from exc
-    if arr.size == 0 and math.prod(shape) == 0:
-        arr = arr.reshape(shape)
+    """``items``, lists nested to the given shape, as a float array. Each leaf
+    must be a finite JSON number, an int or a float: not a boolean, which
+    numpy would read as 0 or 1 beside a number."""
+    leaves = [items]
+    for n in shape:
+        try:
+            regular = set(map(len, leaves)) <= {n}
+        except TypeError:  # a number where a list belongs
+            regular = False
+        if not regular:
+            raise ProcessFileError(f"{what} must have shape {list(shape)}")
+        leaves = list(chain.from_iterable(leaves))
+    # what JSON writes as a number: an int or a float, not a bool. A string or
+    # an object where a list belongs has left its characters or keys here.
+    types = set(map(type, leaves))
+    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+        raise ProcessFileError(f"{what} must hold numbers only")
+    # ints are read as numpy reads them, so one beyond int64 makes an object array
+    floats = all(issubclass(t, float) for t in types)
+    arr = np.array(leaves, dtype=float if floats else None)
     if arr.dtype.kind not in "iuf":
         raise ProcessFileError(f"{what} must hold numbers only")
-    if arr.shape != shape:
-        raise ProcessFileError(f"{what} must have shape {list(shape)}, got {list(arr.shape)}")
-    arr = arr.astype(float, copy=False)
+    arr = arr.astype(float, copy=False).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ProcessFileError(f"{what} contains non-finite numbers")
     return arr
@@ -107,9 +127,10 @@ def _decode_dense(rows, side: int) -> np.ndarray:
     return arr.view(complex).reshape(side, side)
 
 
-def _decode_string(text: str, side: int, version: int) -> np.ndarray:
-    """The matrix in a string payload: hex (format 4) if it has two characters
-    per byte, else base64 (format 3)."""
+def _decode_string(text: str | memoryview, side: int, version: int) -> np.ndarray:
+    """The matrix in a string payload, given as text or as the file's bytes
+    between its quotes (``_load``'s view): hex (format 4) if it has two
+    characters per byte, else base64 (format 3)."""
     nbytes = 16 * side * side
     if len(text) == 2 * nbytes:
         codec, since = "hex", 4
@@ -272,7 +293,7 @@ def dict_to_process(doc) -> LoadedProcessFile:
                 f" would need more than {MAX_DENSE_BYTES} bytes"
             )
         systems = tuple(canonical_systems(nodes))
-        if isinstance(payload, str):
+        if isinstance(payload, (str, memoryview)):
             op = LabeledOperator(systems, _decode_string(payload, side, version))
         elif dense:
             op = LabeledOperator(systems, _decode_dense(payload, side))
@@ -332,9 +353,66 @@ def write_process_file(path, obj, graph: DirectedGraph | None = None, metadata: 
             fh.write(chunk)
 
 
+def _object_pairs(text: str) -> list:
+    """The key-value pairs of the top-level object in ``text``, which starts
+    with ``{`` or ends with ``}``: the object that closes last. Raises what
+    ``json.loads(text)`` raises."""
+    last: list = []
+
+    def keep(pairs):
+        last[:] = pairs
+        return dict(pairs)
+
+    json.loads(text, object_pairs_hook=keep)
+    return last
+
+
+def _located(data: bytes) -> dict | None:
+    """``json.loads(data)`` with its top-level string payload left in ``data``,
+    as a read-only view of the bytes between its quotes, or None where the
+    rule below cannot prove that equality.
+
+    Take the first ``"payload":"`` at byte i and the next ``"`` after it at
+    byte j. The bytes between them must be ASCII from 0x20 up (JSON admits
+    each unescaped, DEL included) with no backslash, so that they are the
+    string's characters as they are. ``data[:i] + '"payload":""}'`` must
+    parse with ``payload`` as its top-level object's last key, which proves
+    that byte i starts a top-level key, and ``'{"payload":""' + data[j+1:]``
+    must parse, which proves that the rest of the document follows the
+    string. Neither part may hold another top-level
+    ``payload`` key (however escaped), so the last-wins rule keeps this one.
+    The document is then the first part's pairs, the payload and the second
+    part's pairs: the same keys, values and key order as the whole parse.
+    """
+    i = data.find(b'"payload":"')
+    start, end = i + 11, data.find(b'"', i + 11)
+    # as int8, a byte from 0x80 up (not ASCII) is negative: one minimum checks both ends
+    if (i < 0 or end < 0 or data.find(b"\\", start, end) >= 0
+            or np.frombuffer(data, np.int8, end - start, start).min(initial=0x20) < 0x20):
+        return None
+    try:
+        head = _object_pairs(data[:i].decode("utf-8") + '"payload":""}')
+        tail = _object_pairs('{"payload":""' + data[end + 1:].decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    pairs = head[:-1] + tail[1:]
+    if head[-1][0] != "payload" or any(key == "payload" for key, _ in pairs):
+        return None
+    doc = dict(head[:-1])
+    doc["payload"] = memoryview(data)[start:end]
+    doc.update(tail[1:])
+    return doc
+
+
 def _load(path, digest=None) -> dict:
     """The JSON document in the file at ``path``, whose bytes are read once.
-    ``digest`` (a hashlib object), if given, is updated with those bytes."""
+    ``digest`` (a hashlib object), if given, is updated with those bytes.
+
+    A top-level string payload that ``_located`` finds stays in the bytes, and
+    only the rest of the document goes through the JSON parser, so neither the
+    file's text nor the payload's ever exists. Any other file is decoded and
+    parsed whole, the bytes dropped first; that parse raises every message.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -342,6 +420,8 @@ def _load(path, digest=None) -> dict:
         raise ProcessFileError(f"cannot read {path}: {exc.strerror}") from exc
     if digest is not None:
         digest.update(data)
+    if (doc := _located(data)) is not None:
+        return doc
     try:
         text = data.decode("utf-8")
         del data  # the bytes are not kept while the text is parsed

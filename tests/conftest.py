@@ -53,11 +53,11 @@ def rng():
 @pytest.fixture(scope="session")
 def bad_docs():
     """Process-file documents that each break one header, sparse-payload,
-    hex-payload, base64-payload, classical-payload, graph or metadata rule, by
-    name; all are the mix exemplar's sparse document, or its nodes with a full
-    matrix in the writer's format-4 hex document or a format-3 base64 one, or
-    the af-classical table's document, with one entry replaced, or two for the
-    oversized dense payloads."""
+    hex-payload, base64-payload, nested-payload, classical-payload, graph or
+    metadata rule, by name; all are the mix exemplar's sparse document, or its
+    nodes with a full matrix in the writer's format-4 hex document, a format-3
+    base64 one or a format-2 nested one, or the af-classical table's document,
+    with one entry replaced, or two for the oversized dense payloads."""
     mix = make_mix_example()
     good = process_to_dict(mix)
     index, values = good["payload"]["index"], good["payload"]["values"]
@@ -73,6 +73,12 @@ def bad_docs():
     # 16 * 256 bytes: 8192 hex digits, or 1366 groups of four base64 characters, the last one padded "=="
     assert hexed["format_version"] == 4 and len(digits) == 8192
     assert len(text) == 5464 and text.endswith("==")
+
+    # JSON true in place of a number, which numpy would read as 1.0 beside the others
+    nested_true = full.view(float).reshape(side, side, 2).tolist()
+    nested_true[0][0][1] = True
+    bool_values = list(classical["payload"]["values"])
+    bool_values[bool_values.index(1.0)] = True
 
     def with_word(at, value) -> bytes:
         words = full.astype("<c16").view("<f8")
@@ -115,6 +121,9 @@ def bad_docs():
         "graph vertices a string": setting("graph", value={"vertices": "AB", "edges": []}),
         "number as a graph vertex": setting("graph", value={"vertices": [1, "A"], "edges": [[1, "A"]]}),
         "graph edge an object": setting("graph", value={"vertices": ["A", "B"], "edges": [{"A": 1, "B": 2}]}),
+        "bool in a sparse value pair": setting("payload", "values", 0, 0, value=True),
+        "bool in a nested pair": {**good, "payload": nested_true},
+        "bool among classical values": {**classical, "payload": {**classical["payload"], "values": bool_values}},
         "float in a classical shape": {**classical, "payload": {**classical["payload"], "shape": [2, 2, 2, 2, 2, 2.0]}},
         "classical payload without a shape": {**classical, "payload": {"values": classical["payload"]["values"]}},
         **{f"metadata {value!r}": setting("metadata", value=value) for value in (0, False, "", [], None, "x", [1])},

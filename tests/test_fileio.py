@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ from causalproc import (
     validate_process,
     write_process_file,
 )
+from causalproc import fileio
+from causalproc.labeled import _sparse_entries
 from causalproc.process import canonical_systems
 
 DATA = Path(__file__).parent / "data"
@@ -571,6 +574,116 @@ def test_declared_side_is_bounded_by_what_the_payload_allocates():
                 dict_to_process(doc)
 
 
+def read_routes(path) -> list:
+    """``read_process_file(path)`` with the payload locator on, then off (the
+    whole-text parse), each as what the read gives: the kind, the nodes, the
+    raw words of the matrix (of its stored entries and their indices if the
+    writer would store it sparse, so no large side is densified) or of the
+    table, the graph and the metadata's repr (which tells key order, -0.0 and
+    nan), or the ProcessFileError message."""
+    outcomes = []
+    for locate in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not locate:
+                mp.setattr(fileio, "_located", lambda data: None)
+            try:
+                loaded = read_process_file(path)
+            except ProcessFileError as exc:
+                outcomes.append(str(exc))
+                continue
+        p = loaded.process
+        if loaded.kind == "classical":
+            content = p.table.tobytes()
+        elif (entries := _sparse_entries(p.op)) is not None:
+            content = (p.op.systems, entries[0].tobytes(), bits(entries[1]).tobytes())
+        else:
+            content = (p.op.systems, bits(p.op.matrix).tobytes())
+        graph = None if loaded.graph is None else (sorted(loaded.graph.vertices), sorted(loaded.graph.edges))
+        outcomes.append((loaded.kind, p.nodes, content, graph, repr(loaded.metadata)))
+    return outcomes
+
+
+def test_the_located_payload_reads_as_the_whole_text_parse(tmp_path):
+    """Each file reads to the same process, graph and metadata by either route,
+    or fails with the same message; the locator takes exactly the files where
+    byte i of the first '"payload":"' provably starts the one top-level key."""
+    chain = dense_chain()
+    names = chain.node_names
+    path = tmp_path / "chain.json"
+    write_process_file(path, chain, graph=directed_graph(names, zip(names, names[1:])), metadata={"n": [1, -0.0]})
+    text = path.read_text()
+    i = text.index('"payload":"')
+    j = text.index('"', i + 11)
+    head, digits, tail = text[:i], text[i + 11:j], text[j + 1:]
+    other = binascii.b2a_hex(np.ascontiguousarray(2 * chain.op.matrix, dtype="<c16")).decode()
+    assert head.endswith(",") and tail.startswith(",") and len(other) == len(digits)
+    written = (chain.op.systems, bits(chain.op.matrix).tobytes())
+    doubled = (chain.op.systems, bits(2 * chain.op.matrix).tobytes())
+
+    def payload(key=":", value=digits):
+        return f'"payload"{key}"{value}"'
+
+    def first(key_value):
+        return head.replace("{", "{" + key_value + ",", 1) + payload() + tail
+
+    def spliced(chars):
+        return head + payload(value=digits[:9] + chars + digits[10:]) + tail
+
+    escaped = "".join(f"\\u{ord(c):04x}" if k % 7 == 0 else c for k, c in enumerate(digits))
+    # name: (document, whether the locator takes it, the matrix it reads to if checked)
+    cases = {
+        "written": (text, True, written),
+        "nested payload after": (head + payload() + ',"metadata":{"payload":"' + other + '"}}', True, written),
+        "base64": ((DATA / "chain-v3.json").read_text(), True, None),
+        # JSON admits DEL unescaped in a string, and it is ASCII: both routes refuse the digit
+        "DEL in the digits": (spliced("\x7f"), True, None),
+        "empty payload": (head + payload(value="") + tail, True, None),
+        "nested payload before": (first('"metadata":{"payload":"' + other + '"}'), False, written),
+        'key a\\"payload': (first('"a\\' + payload(value=other)[:-1] + '"'), False, written),
+        "spaced colon": (head + payload(" : ") + tail, False, written),
+        "spaced after the colon": (head + payload(": ") + tail, False, written),
+        "escaped digits": (head + payload(value=escaped) + tail, False, written),
+        "control character": (spliced("\x01"), False, None),
+        "non-ASCII character": (spliced("\u00e9"), False, None),
+        "backslash escape": (spliced("\\n"), False, None),
+        "UTF-8 BOM": ("\ufeff" + text, False, None),
+        "trailing data": (text + "x", False, None),
+        "truncated in the payload": (text[: i + 100], False, None),
+        "truncated after the payload": (text[: j + 1], False, None),
+    }
+    # of two top-level payload keys, however spelled, the last wins
+    for spelling in ('"payload"', '"pay\\u006coad"'):
+        for value, wins in (('""', None), ("null", None), (f'"{other}"', doubled)):
+            cases[f"{spelling}:{value[:9]} before"] = (first(f"{spelling}:{value}"), False, written)
+            cases[f"{spelling}:{value[:9]} after"] = (head + payload() + f",{spelling}:{value}" + tail, False, wins)
+    for kind, obj in (("sparse", make_mix_example()), ("classical", make_af_deterministic())):
+        write_process_file(path, obj, metadata={"payload": digits})
+        cases[kind] = (path.read_text(), False, None)
+    for name, (document, located, matrix) in cases.items():
+        path.write_bytes(document.encode("utf-8"))
+        assert (fileio._located(path.read_bytes()) is not None) == located, name
+        read, whole = read_routes(path)
+        assert read == whole, name
+        if matrix is not None:
+            assert read[2] == matrix, name
+
+
+def test_a_dense_read_peaks_below_1_6_times_its_file(tmp_path):
+    """The hex payload is decoded from the file's bytes: the 1024-dim chain's
+    read holds its 33.6 MB of bytes and its 16 MiB matrix, not its text."""
+    path = tmp_path / "chain.json"
+    write_process_file(path, random_unitary_chain(3, np.random.default_rng(0)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = read_process_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.process.dim == 1024
+    assert peak <= 1.6 * size, peak / size
+
+
 @functools.cache
 def fuzz_documents() -> dict:
     """Valid documents of every payload kind, each with a graph or metadata block:
@@ -608,7 +721,10 @@ json_values = st.recursive(
 def test_mutated_documents_raise_only_process_file_errors(data, tmp_path_factory):
     """A valid document with one to three values replaced, deleted or inserted,
     and its text with one byte replaced or cut short, is read or refused with
-    ProcessFileError (exit 2 in the CLI), never with another exception."""
+    ProcessFileError (exit 2 in the CLI), never with another exception, and
+    reads the same with the payload locator as by the whole-text parse. The
+    text is written with the default separators and with the writer's compact
+    ones, where the locator finds a string payload."""
     doc = copy.deepcopy(fuzz_documents()[data.draw(st.sampled_from(list(fuzz_documents())))])
     for _ in range(data.draw(st.integers(1, 3))):
         place = data.draw(st.sampled_from(list(_places(doc))))
@@ -629,16 +745,19 @@ def test_mutated_documents_raise_only_process_file_errors(data, tmp_path_factory
         dict_to_process(doc)
     except ProcessFileError:
         pass
-    raw = bytearray(json.dumps(doc).encode())
-    where = data.draw(st.integers(0, len(raw) - 1))
-    if data.draw(st.booleans()):
-        raw[where] = data.draw(st.integers(0, 255))
-    else:
-        del raw[where:]
+    texts = [json.dumps(doc).encode(), json.dumps(doc, separators=(",", ":")).encode()]
+    where = data.draw(st.integers(0, len(texts[0]) - 1))
+    byte = data.draw(st.integers(0, 255) | st.none())
+    for raw in map(bytearray, texts[:2]):
+        # the same place in each text, in proportion to its length
+        at = where * len(raw) // len(texts[0])
+        if byte is None:
+            del raw[at:]
+        else:
+            raw[at] = byte
+        texts.append(bytes(raw))
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-    for payload in (json.dumps(doc).encode(), bytes(raw)):
-        path.write_bytes(payload)
-        try:
-            read_process_file(path)
-        except ProcessFileError:
-            pass
+    for text in texts:
+        path.write_bytes(text)
+        located, whole = read_routes(path)
+        assert located == whole
