@@ -167,7 +167,7 @@ def _decode_sparse(payload: dict, side: int) -> tuple[np.ndarray, np.ndarray]:
         raise ProcessFileError("sparse 'index' and 'values' must be lists")
     if len(index) != len(values):
         raise ProcessFileError(f"sparse payload has {len(index)} indices but {len(values)} values")
-    if any(type(i) is not int for i in index):
+    if not set(map(type, index)) <= {int}:  # refuses bool, float and the rest
         raise ProcessFileError("sparse indices must be integers")
     try:
         idx = np.array(index, dtype=np.int64)

@@ -23,9 +23,7 @@ from .labeled import (
     LabeledOperator,
     SystemLabel,
     _as_key,
-    _digits,
     _entries,
-    _flat,
     _padded,
     _traced_entries,
     distance,
@@ -121,14 +119,16 @@ def _comb_residual(op: LabeledOperator, nodes):
     A dense operator is read off its kept type table (``_marginal_residual``),
     which validation builds. One routed on its stored entries walks its
     marginals, one partial trace per traced node, keeping those of the current
-    prefix, since there a cold table costs about as much as the walk's whole
-    search and twice its memory or more. ``comb_search`` on a fresh operator,
-    walk against table plus reads (medians of 9 in two rounds, one BLAS
-    thread, 2-core host; tracemalloc peaks): ``make_bw_extension()`` 8-9 ms
-    against 16-17 ms, 1.6 / 10.8 MiB; ``make_switch(3)`` 4.5 / 3.0-3.2 ms,
-    0.9 / 2.2 MiB; ``make_switch(4)`` 18-19 / 21-22 ms, 5.3 / 12.5 MiB;
-    ``make_switch(5)`` 83-86 / 76-83 ms, 20 / 47 MiB; ``make_switch(6)``
-    240-264 / 224-249 ms, 60 / 139 MiB.
+    prefix: the benchmark's ``combs.comb_search.nodes`` counter counts the
+    walk's projections. A cold table plus reads is now faster and no larger
+    except on ``make_bw_extension()``. ``comb_search`` on a fresh operator,
+    walk against table plus reads (medians of 9, of 3 on ``make_switch(6)``,
+    one run on ``make_switch(8)``; one BLAS thread, 2-core host; tracemalloc
+    peaks): ``make_bw_extension()`` 8.4 / 5.5 ms, 1.6 / 2.4 MiB;
+    ``make_switch(3)`` 4.6 / 1.8 ms, 0.9 / 0.6 MiB; ``make_switch(4)``
+    18.6 / 7.2 ms, 5.3 / 3.5 MiB; ``make_switch(5)`` 71 / 31 ms, 20 / 7.4 MiB;
+    ``make_switch(6)`` 240 / 77 ms, 60 / 15 MiB; ``make_switch(8)`` 1.80 /
+    0.54 s, 337 / 84 MiB.
     """
     by_name = {n.name: n for n in nodes}
     if _entries(op) is not None:
@@ -206,31 +206,108 @@ def _sparse_type_squares(systems: tuple[SystemLabel, ...], index: np.ndarray, va
     """_type_squares of the operator whose sorted-COO entries are given.
 
     The dense change of basis on flat indices into the axes (row_0, col_0,
-    row_1, col_1, ...): each factor's stored diagonal units, gathered by the
-    other digits into a d × groups array, become Helmert rows, and the nonzero
-    ones are stored back. The weighted squares are then binned by type.
+    row_1, col_1, ...): each factor's pass (``_helmert_pass``) turns its
+    stored diagonal units into Helmert rows and stores back the nonzero ones.
+    A pass combines only entries equal in every other digit, so each of its
+    groups lies wholly above, on or below the diagonal. On exactly
+    conjugate-symmetric entries (``_mirrored``) the passes therefore run on
+    those with row <= col alone, and each one off the diagonal counts twice:
+    its mirror's coefficients are its own conjugated. Any other entries all
+    run, each counted once. After a factor's pass, entries that differ in its
+    digit pair never meet again, so a chunk of more than ``_SLICE`` entries is
+    split by that pair and each part goes on alone, and each finished chunk's
+    weighted squares are binned into one table (``_binned``). Peak memory thus
+    follows the largest chunk, not the whole fill-in: on ``make_switch(8)``
+    (1048576 entries, 24 MiB) the table takes 0.53-0.58 s and peaks at 3.5
+    times the entries' bytes (tracemalloc), where every entry in one piece
+    took 1.8-1.9 s and 32 times; on the benchmark's permuted
+    ``make_switch(3)`` it takes 1.9 ms against 3.9-4.1 ms, and on
+    ``make_bw_extension()`` 6.0 against 16.3 ms (medians of interleaved
+    runs, one BLAS thread, 2-core host).
     """
     dims = [s.dim for s in systems]
-    row_col, pairs = _digits(index, dims * 2), [d * d for d in dims]
-    flat = _flat([row_col[i] * d + row_col[len(dims) + i] for i, d in enumerate(dims)], pairs, index.size)
-    for i, d in enumerate(dims):
-        if d > 1:
-            rest = math.prod(dims[i + 1 :]) ** 2
-            pair = flat // rest % (d * d)
-            on = pair % (d + 1) == 0
-            base, group = np.unique(flat[on] - pair[on] * rest, return_inverse=True)
-            units = np.zeros((d, base.size), dtype=values.dtype)
-            units[pair[on] // (d + 1), group] = values[on]
-            _helmert(units)
-            row, col = np.nonzero(units)
-            flat = np.concatenate([flat[~on], base[col] + row * (d + 1) * rest])
-            values = np.concatenate([values[~on], units[row, col]])
+    side, nontrivial = math.prod(dims), [i for i, d in enumerate(dims) if d > 1]
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    factors = [(dims[i], strides[i] ** 2) for i in nontrivial]  # a digit pair's worth in the flat index
+    mirrored = _mirrored(index, values, side)
+    if mirrored:
+        upper = index // side <= index % side
+        index, values = index[upper], values[upper]
+    row, col = np.divmod(index, side)
+    flat = np.zeros_like(index)
+    for i in nontrivial:  # each factor's digits, most significant first, peeled off the row and the column
+        r, c = row // strides[i], col // strides[i]
+        row -= r * strides[i]
+        col -= c * strides[i]
+        flat += (r * dims[i] + c) * strides[i] ** 2
+    table, chunks = np.zeros(2 ** len(factors)), [(0, flat, values)]
+    while chunks:
+        start, flat, values = chunks.pop()
+        for j in range(start, len(factors)):
+            d, rest = factors[j]
+            flat, values = _helmert_pass(flat, values, d, rest)
+            if flat.size > _SLICE and j + 1 < len(factors):
+                pair = flat // rest % (d * d)
+                order, ends = np.argsort(pair, kind="stable"), np.cumsum(np.bincount(pair, minlength=d * d))
+                flat, values = flat[order], values[order]
+                chunks += [(j + 1, flat[a:b], values[a:b]) for a, b in zip([0, *ends[:-1]], ends) if a < b]
+                break
+        else:
+            sums = _binned(flat, values, factors, mirrored)
+            table[: sums.size] += sums
+    return [systems[i].key for i in nontrivial], table
+
+
+def _binned(flat: np.ndarray, values: np.ndarray, factors, mirrored: bool) -> np.ndarray:
+    """The weighted squares of entries at ``flat`` indices, after every pass,
+    summed by type bit mask. Each factor (d, the worth of its digit pair)
+    weighs an entry by the pair's class, read off its digits: 1 off the
+    diagonal, 1/d for Helmert row 0 and 1/(k(k+1)) for row k; it sets its bit
+    unless the pair is row 0, the identity. If ``mirrored``, an entry off the
+    matrix's diagonal counts twice, once for its mirror."""
     squares = np.square(values.real) + np.square(values.imag)
-    nontrivial = [(s, pair) for s, pair in zip(systems, _digits(flat, pairs)) if s.dim > 1]
-    for s, pair in nontrivial:
-        squares *= _class_weights(s.dim).sum(axis=0)[pair]
-    masks = _flat([np.minimum(pair, 1) for _, pair in nontrivial], [2] * len(nontrivial), flat.size)
-    return [s.key for s, _ in nontrivial], np.bincount(masks, squares, minlength=2 ** len(nontrivial))
+    masks, diagonal = np.zeros(flat.size, dtype=np.intp), np.ones(flat.size, dtype=bool)
+    for d, rest in factors:
+        pair = flat // rest
+        flat = flat - pair * rest
+        k = pair // (d + 1)
+        on = k * (d + 1) == pair  # Helmert row k, else off the diagonal
+        squares *= np.where(on, np.array([1.0 / d] + [1.0 / (j * (j + 1)) for j in range(1, d)])[k], 1.0)
+        masks = 2 * masks + (pair != 0)
+        diagonal &= on
+    if mirrored:
+        squares[~diagonal] *= 2.0
+    return np.bincount(masks, squares)
+
+
+def _mirrored(index: np.ndarray, values: np.ndarray, side: int) -> bool:
+    """Whether the sorted-COO entries of a side × side matrix are exactly
+    conjugate-symmetric: every transposed index stored, with a value ``==``
+    the entry's conjugate (so a NaN anywhere fails)."""
+    mirror = index % side * side + index // side
+    order = np.argsort(mirror, kind="stable")  # a stable sort merges the ascending runs of each row
+    if not np.array_equal(mirror[order], index):
+        return False
+    mirrors = values[order]
+    return bool(np.array_equal(values, np.conjugate(mirrors, out=mirrors)))
+
+
+def _helmert_pass(flat: np.ndarray, values: np.ndarray, d: int, rest: int) -> tuple[np.ndarray, np.ndarray]:
+    """One factor's pass on entries at ``flat`` indices, in which its digit
+    pair (row, col) is worth ``rest``: its diagonal units, gathered by the
+    other digits into a d × groups array, become Helmert rows, and the
+    nonzero ones are stored back on the diagonal."""
+    unit = (d + 1) * rest  # from one diagonal unit of the factor to the next
+    pair = flat // rest % (d * d)
+    k = pair // (d + 1)
+    on = k * (d + 1) == pair  # diagonal unit k, else off the diagonal
+    k = k[on]
+    base, group = np.unique(flat[on] - k * unit, return_inverse=True)
+    units = np.zeros((d, base.size), dtype=values.dtype)
+    units[k, group] = values[on]
+    _helmert(units)
+    row, col = np.nonzero(units)
+    return np.concatenate([flat[~on], base[col] + row * unit]), np.concatenate([values[~on], units[row, col]])
 
 
 def _helmert(units) -> None:

@@ -299,6 +299,18 @@ def test_wrong_payload_shape_rejected(tmp_path):
         dict_to_process(sparse)
 
 
+@pytest.mark.parametrize("literal", ["true", "1.0"])
+def test_sparse_index_that_is_not_an_integer_is_refused(tmp_path, literal):
+    # index 1 of the mix exemplar is side + 1, so a 1 there stays in range and increasing
+    doc = process_to_dict(make_mix_example())
+    text = json.dumps(doc).replace(f'"index": [0, {doc["payload"]["index"][1]},', f'"index": [0, {literal},', 1)
+    assert literal in text
+    (tmp_path / "p.json").write_text(text)
+    for read in (lambda: dict_to_process(json.loads(text)), lambda: read_process_file(tmp_path / "p.json")):
+        with pytest.raises(ProcessFileError, match="^sparse indices must be integers$"):
+            read()
+
+
 def test_nonfinite_payload_rejected():
     sigma = dense_chain()
     doc = process_to_dict(sigma)

@@ -29,7 +29,8 @@ from causalproc import (
     type_norms,
     validate_process,
 )
-from causalproc.hs import _SLICE, _class_weights, _dense_type_squares, _helmert, _sparse_type_squares, _table
+from causalproc import hs
+from causalproc.hs import _SLICE, _class_weights, _dense_type_squares, _helmert, _mirrored, _sparse_type_squares, _table
 from causalproc.labeled import _dense_reference, _entries, sorted_coo
 from causalproc.rand import random_state
 
@@ -308,3 +309,104 @@ def test_sparse_and_dense_type_norms_have_the_same_types(x):
     assert set(got) == set(want)
     bound = 1e-12 * float(np.linalg.norm(x.matrix))
     assert all(abs(got[key] - want[key]) <= bound for key in want)
+
+
+def _coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m's entries by ``sorted_coo``'s rule (stored unless both parts are
+    +0.0), however many there are."""
+    flat = np.ascontiguousarray(m).reshape(-1)
+    index = np.flatnonzero(flat.view(np.uint64).reshape(flat.size, -1).any(axis=1))
+    return index, flat[index]
+
+
+@pytest.fixture()
+def first_pass(monkeypatch):
+    """Records the entry count and the call count of the sparse table's
+    Helmert passes: the first pass sees every entry it will change."""
+    sizes = []
+
+    def counted(flat, *rest, real=hs._helmert_pass):
+        sizes.append(flat.size)
+        return real(flat, *rest)
+
+    monkeypatch.setattr(hs, "_helmert_pass", counted)
+    return sizes
+
+
+def _assert_tables_agree(x: LabeledOperator, got: tuple, want: tuple):
+    """Equal keys and nonzero types, and norms within 1e-12·‖x‖_F per type."""
+    assert got[0] == want[0] and np.array_equal(got[1] != 0.0, want[1] != 0.0)
+    bound = 1e-12 * float(np.linalg.norm(x.matrix))
+    assert np.abs(np.sqrt(got[1]) - np.sqrt(want[1])).max(initial=0.0) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=sorted_coo_operators())
+def test_hermitian_sparse_type_norms_run_on_half_and_match_the_dense_ones(x):
+    # adding +0.0 turns each -0.0 into +0.0, so the stored pattern is symmetric too
+    h = LabeledOperator(x.systems, (x.matrix + x.matrix.conj().T) / 2 + 0.0)
+    index, values = _coo(h.matrix)
+    assert _mirrored(index, values, h.dim)
+    got, want = _table(*_sparse_type_squares(h.systems, index, values)), _dense_table(h)
+    assert set(got) == set(want)
+    bound = 1e-12 * float(np.linalg.norm(h.matrix))
+    assert all(abs(got[key] - want[key]) <= bound for key in want)
+
+
+def _hermitian_case(rng) -> LabeledOperator:
+    """A sparse complex Hermitian operator on factors of dims 2, 1 and 3 (one
+    dual), with a quarter of its entries stored."""
+    systems = (SystemLabel("a", 2), SystemLabel("one", 1), SystemLabel("b", 3, True))
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    m[rng.random((6, 6)) < 0.8] = 0.0
+    m = (m + m.conj().T) / 2 + 0.0
+    m[0, 0] = 1.0  # a nonzero trace: the identity type
+    m[0, 5] = 0.5 - 0.25j  # off every factor's diagonal: a pair on type (a, b) alone
+    m[5, 0] = np.conj(m[0, 5])
+    return LabeledOperator(systems, m)
+
+
+def test_an_entry_one_ulp_off_its_mirror_takes_the_every_entry_loop(rng, first_pass):
+    x = _hermitian_case(rng)
+    index, values = _coo(x.matrix)
+    upper = np.count_nonzero(index // x.dim <= index % x.dim)
+    assert _mirrored(index, values, x.dim) and upper < index.size
+    _sparse_type_squares(x.systems, index, values)
+    assert first_pass[0] == upper
+    m = x.matrix.copy()
+    m[5, 0] = complex(np.nextafter(m[5, 0].real, np.inf), m[5, 0].imag)
+    skewed = LabeledOperator(x.systems, m)
+    index, values = _coo(m)
+    assert not _mirrored(index, values, skewed.dim)
+    first_pass.clear()
+    got = _sparse_type_squares(skewed.systems, index, values)
+    assert first_pass[0] == index.size
+    _assert_tables_agree(skewed, got, _dense_type_squares(_dense_reference(skewed.systems, skewed.matrix)))
+
+
+def test_a_nan_entry_takes_the_every_entry_loop_and_gives_nan_norms(rng, first_pass):
+    x = _hermitian_case(rng)
+    m = x.matrix.copy()
+    m[0, 5] = m[5, 0] = complex(np.nan, 0.0)  # a stored pattern still symmetric
+    index, values = _coo(m)
+    assert not _mirrored(index, values, x.dim)
+    keys, squares = _sparse_type_squares(x.systems, index, values)
+    assert first_pass[0] == index.size
+    norms = _table(keys, squares)
+    nan_type = (x.systems[0].key, x.systems[2].key)
+    assert math.isnan(norms.pop(nan_type))
+    assert () in norms and not any(math.isnan(v) for v in norms.values())
+
+
+def test_a_chunk_just_above_the_slice_is_split_and_sums_as_one(monkeypatch, first_pass):
+    switch = make_switch(2).op
+    index, values = _entries(switch)
+    want = _sparse_type_squares(switch.systems, index, values)
+    unsplit = list(first_pass)
+    assert len(unsplit) == 6 and max(unsplit) + 1 <= _SLICE  # one pass per nontrivial factor, on one chunk
+    # the first pass's output holds the second pass's input count of entries
+    monkeypatch.setattr(hs, "_SLICE", unsplit[1] - 1)
+    first_pass.clear()
+    got = _sparse_type_squares(switch.systems, index, values)
+    assert first_pass[0] == unsplit[0] and len(first_pass) > len(unsplit) and sum(first_pass[1:]) >= unsplit[1]
+    _assert_tables_agree(switch, got, want)
