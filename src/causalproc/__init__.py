@@ -24,14 +24,12 @@ _EXPORTS = {
         "influence_residuals", "input_signals",
     ),
     "rand": (
-        "haar_unitary", "random_cptp", "random_instrument_kraus", "random_signalling_channel",
-        "random_state",
+        "haar_unitary", "random_cptp", "random_signalling_channel", "random_state",
     ),
     "process": (
-        "Instrument", "InstrumentElement", "ProcessOperator", "QuantumNode", "ValidationVerdict",
-        "comb_from_circuit", "conditional_process", "element_from_kraus", "instrument_from_kraus",
-        "is_isometric", "joint_probabilities", "measure_prepare_element", "preparation_instrument",
-        "process_operator", "readout_instrument", "signalling_residual", "validate_process",
+        "InstrumentElement", "ProcessOperator", "QuantumNode", "ValidationVerdict",
+        "comb_from_circuit", "conditional_process", "is_isometric", "measure_prepare_element",
+        "process_operator", "signalling_residual", "validate_process",
     ),
     "graphs": (
         "CompatibilityVerdict", "DirectedGraph", "FaithfulnessReport", "MarkovFactorization",

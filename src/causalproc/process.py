@@ -1,16 +1,19 @@
-"""Process operators over event nodes: construction, validation, probabilities.
+"""Process operators over event nodes: construction, validation, conditioning.
 
 A node X has an in-space X.in and an out-space X.out; the process operator
 lives on the tensor product of every node's in-space with the dual of its
-out-space. Probabilities of instrument outcomes come from the trace rule
+out-space. An instrument element at X is held as tau, the transposed CJ
+operator of the element, on X's two factors of sigma. ``conditional_process``
+weighs its outcome by the trace rule
 
-    P(k_1 .. k_n) = Tr[ sigma  (tau_1^{k_1} ⊗ ... ⊗ tau_n^{k_n}) ],
+    P(tau) = Tr[ sigma (tau ⊗ ⊗_{Y≠X} 1_{Y.in} ⊗ 1_{Y.out*} / d_{Y.out}) ],
 
-where tau is the transposed CJ operator of the instrument element, living on
-the same spaces as sigma's node factors. Validation reads positivity from
-``labeled._positivity`` and the allowed types from ``hs._forbidden_types``,
-and the signalling residual is ``hs._signalling_cut``'s: this module keeps
-the thresholds and assembles the verdicts.
+the weight when every other node discards its input and prepares the
+maximally mixed state, and divides Tr_X[sigma tau] by it. Validation reads
+positivity from ``labeled._positivity`` and the allowed types from
+``hs._forbidden_types``, and the signalling residual is
+``hs._signalling_cut``'s: this module keeps the thresholds and assembles the
+verdicts.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .channels import ChannelOperator, cj_from_kraus
+from .channels import ChannelOperator
 from .hs import _forbidden_types, _signalling_cut
 from .labeled import (
     LabeledOperator,
@@ -29,7 +32,6 @@ from .labeled import (
     SystemLabel,
     _positivity,
     _rank_one_factor,
-    _values,
     cj_operator,
     distance,
     identity_operator,
@@ -225,28 +227,6 @@ class InstrumentElement:
     tau: LabeledOperator
 
 
-@dataclass(frozen=True)
-class Instrument:
-    """A local intervention at one node: its outcomes' elements, in outcome
-    order, each belonging to that node."""
-
-    node: QuantumNode
-    elements: tuple[InstrumentElement, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for e in self.elements:
-            if e.node_name != self.node.name:
-                raise ValueError("instrument element belongs to a different node")
-
-
-def element_from_kraus(node: QuantumNode, kraus) -> InstrumentElement:
-    """Instrument element from Kraus matrices mapping the in- to the out-space."""
-    ch = cj_from_kraus(kraus, node.in_system, node.out_system)
-    tau = transpose_systems(ch.op, [s.key for s in ch.op.systems])
-    return InstrumentElement(node.name, tau)
-
-
 def measure_prepare_element(node: QuantumNode, effect: np.ndarray, prep: np.ndarray) -> InstrumentElement:
     """Element that measures POVM effect on the input and prepares a fresh state.
 
@@ -259,57 +239,6 @@ def measure_prepare_element(node: QuantumNode, effect: np.ndarray, prep: np.ndar
         LabeledOperator((node.out_dual,), prep.T),
     )
     return InstrumentElement(node.name, tau)
-
-
-def instrument_from_kraus(node: QuantumNode, kraus_lists) -> Instrument:
-    return Instrument(node, tuple(element_from_kraus(node, kl) for kl in kraus_lists))
-
-
-def readout_instrument(node: QuantumNode) -> Instrument:
-    """Computational-basis measurement of the in-space, repreparing the
-    maximally mixed state of the out-space; for a node with a one-dimensional
-    out-space this is the plain readout.
-    """
-    prep = np.eye(node.d_out) / node.d_out
-    return Instrument(node, tuple(measure_prepare_element(node, np.diag(row), prep) for row in np.eye(node.d_in)))
-
-
-def preparation_instrument(node: QuantumNode, preps) -> Instrument:
-    """Flip a uniform coin, discard the in-space, prepare the drawn state.
-
-    Outcome k has element tau_k = (1/m) 1_in ⊗ prep_k^T, so the elements sum
-    to a channel whenever each preparation has unit trace.
-    """
-    m = len(preps)
-    eff = np.eye(node.d_in) / m
-    return Instrument(node, tuple(measure_prepare_element(node, eff, p) for p in preps))
-
-
-def joint_probabilities(sigma: ProcessOperator, instruments) -> np.ndarray:
-    """Outcome distribution of one instrument per node, as an ndarray.
-
-    ``instruments`` must contain exactly one Instrument for each node of the
-    process, in any order; axis i of the result enumerates outcomes at the
-    i-th node of the process. The trace rule is taken node by node on stored
-    entries, as in ``conditional_process``; a dense element makes its product
-    dense.
-    """
-    by_name = {}
-    for ins in instruments:
-        if ins.node.name in by_name:
-            raise ValueError(f"two instruments for node {ins.node.name!r}")
-        by_name[ins.node.name] = ins
-    if set(by_name) != set(sigma.node_names):
-        raise ValueError("need exactly one instrument per node")
-
-    # sigma contracted with each outcome prefix's elements, in row-major order
-    kept = [sigma.op]
-    for node in sigma.nodes:
-        keys = [node.in_system.key, node.out_dual.key]
-        kept = [partial_trace(product([m, e.tau]), keys) for m in kept for e in by_name[node.name].elements]
-    # each is 1x1, routed on its one stored entry or on none
-    probs = np.array([_values(m).sum().real for m in kept])
-    return probs.reshape([len(by_name[node.name].elements) for node in sigma.nodes])
 
 
 def conditional_process(

@@ -1,4 +1,4 @@
-"""Seeded random instances: states, channels, instruments, chain processes.
+"""Seeded random instances: unitaries, states and channels.
 
 Everything takes an explicit numpy Generator so tests stay reproducible.
 """
@@ -40,15 +40,13 @@ def random_state(d: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_cptp(d_in: int, d_out: int, rng: np.random.Generator, kraus_rank: int | None = None) -> list[np.ndarray]:
-    """Kraus matrices of a random channel, via a Haar random Stinespring
-    isometry; a ValueError when its d_out * kraus_rank rows are fewer than d_in."""
-    r = kraus_rank if kraus_rank is not None else d_in
-    if r < 1 or d_out * r < d_in:
-        raise ValueError(f"a {d_in}->{d_out} channel has no isometry with Kraus rank {r}")
-    u = haar_unitary(d_out * r, rng)
-    v = u[:, :d_in]
-    return [v[e * d_out : (e + 1) * d_out, :] for e in range(r)]
+def random_cptp(d_in: int, d_out: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Kraus matrices of a random channel of Kraus rank d_in, via a Haar random
+    Stinespring isometry; a ValueError when a dimension below 1 leaves none."""
+    if d_in < 1 or d_out < 1:
+        raise ValueError(f"a {d_in}->{d_out} channel has no isometry with Kraus rank {d_in}")
+    v = haar_unitary(d_out * d_in, rng)[:, :d_in]
+    return [v[e * d_out : (e + 1) * d_out, :] for e in range(d_in)]
 
 
 def random_signalling_channel(
@@ -73,18 +71,3 @@ def random_signalling_channel(
             return ch
     raise RuntimeError("could not sample a signalling channel")
 
-
-def random_instrument_kraus(
-    d_in: int, d_out: int, n_outcomes: int, rng: np.random.Generator
-) -> list[list[np.ndarray]]:
-    """Kraus lists of instrument elements that sum to a CPTP channel.
-
-    Draws a random channel of Kraus rank ``max(n_outcomes, ceil(d_in/d_out))``,
-    the least that has an isometry, and deals its Kraus operators out to the
-    outcomes in turn: outcome k keeps operators k, k + n_outcomes, ... . With
-    at least ``ceil(d_in/d_out)`` outcomes each keeps exactly one.
-    """
-    if n_outcomes < 1:
-        raise ValueError(f"an instrument needs at least one outcome, not {n_outcomes}")
-    kraus = random_cptp(d_in, d_out, rng, kraus_rank=max(n_outcomes, -(-d_in // d_out)))
-    return [kraus[k::n_outcomes] for k in range(n_outcomes)]

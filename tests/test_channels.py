@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from causalproc import (
     ChannelOperator,
     LabeledOperator,
     LinearMap,
-    QuantumNode,
     SystemLabel,
     channel_from_unitary,
     channel_influence_residual,
@@ -20,22 +18,18 @@ from causalproc import (
     discover,
     influence_residuals,
     input_signals,
-    instrument_from_kraus,
     make_af,
     make_bw_extension,
     make_mix_example,
     make_switch,
-    preparation_instrument,
     process_operator,
     random_unitary_chain,
-    readout_instrument,
 )
 from causalproc.hs import _marginal_residual, project_trivial
 from causalproc.labeled import _dense_reference, _entries, distance, dual, partial_trace, product
 from causalproc.rand import (
     haar_unitary,
     random_cptp,
-    random_instrument_kraus,
     random_signalling_channel,
     random_state,
 )
@@ -96,48 +90,18 @@ def test_random_cptp_trace_preserving(rng):
 
 
 def test_random_cptp_needs_an_isometry():
-    # a Stinespring isometry of a d_in -> d_out channel has d_out * rank >= d_in rows
+    # a Stinespring isometry of a d_in -> d_out channel has d_out * d_in rows,
+    # so a zero out-dimension leaves none
     rng = np.random.default_rng(7)
-    for d_in, d_out, rank in ((4, 1, 3), (2, 2, 0), (3, 1, -1)):
-        with pytest.raises(ValueError, match="Kraus rank"):
-            random_cptp(d_in, d_out, rng, kraus_rank=rank)
+    with pytest.raises(ValueError, match="no isometry"):
+        random_cptp(2, 0, rng)
     # a refused call draws nothing, and a valid one draws the isometry's columns
     fresh = np.random.default_rng(7)
-    kraus = random_cptp(4, 1, rng, kraus_rank=4)
+    kraus = random_cptp(4, 1, rng)
     v = haar_unitary(4, fresh)[:, :4]
     assert [k.shape for k in kraus] == [(1, 4)] * 4
     assert np.array_equal(np.concatenate(kraus), v)
     assert np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(4)).max() < 1e-10
-
-
-def test_random_instrument_with_fewer_outcomes_than_kraus_operators():
-    # switch(2)'s F maps 4 dims to 1, so its channels have Kraus rank at least 4:
-    # two outcomes keep two Kraus operators each
-    node = next(n for n in make_switch(2).process.nodes if n.name == "F")
-    assert (node.d_in, node.d_out) == (4, 1)
-    kraus_lists = random_instrument_kraus(node.d_in, node.d_out, 2, np.random.default_rng(5))
-    assert [len(kl) for kl in kraus_lists] == [2, 2]
-    assert len(instrument_from_kraus(node, kraus_lists).elements) == 2
-    parts = [cj_from_kraus(kl, node.in_system, node.out_system) for kl in kraus_lists]
-    total = ChannelOperator(parts[0].op + parts[1].op, parts[0].outputs, parts[0].inputs)
-    res = total.cptp_residuals()
-    assert res["hermitian"] <= 1e-12 and res["min_eigenvalue"] >= -1e-12 and res["trace_preserving"] <= 1e-12, res
-    with pytest.raises(ValueError, match="at least one outcome"):
-        random_instrument_kraus(4, 1, 0, np.random.default_rng(5))
-
-
-def test_random_instrument_with_one_kraus_operator_per_outcome_is_pinned():
-    # sha256 of the Kraus matrices' bytes, recorded when every outcome had to
-    # keep exactly one: a draw with at least ceil(d_in / d_out) outcomes is unchanged
-    pinned = {
-        (2, 2, 3): "0131c02fca62216b90b412f6bf65133470994b544ccdf85105d98fa7901c09ea",
-        (4, 1, 4): "85f98b6d320094b6d7756cc650d34e39c6e026e0db3e6ab11ae9f1059432f54f",
-        (4, 2, 5): "cd51a8f2faad0da55a0d988628cd44721cfd5d17b6960d7d162cf00546753f87",
-    }
-    for (d_in, d_out, n), digest in pinned.items():
-        kraus_lists = random_instrument_kraus(d_in, d_out, n, np.random.default_rng(20261019))
-        assert [len(kl) for kl in kraus_lists] == [1] * n
-        assert hashlib.sha256(b"".join(kl[0].tobytes() for kl in kraus_lists)).hexdigest() == digest
 
 
 def test_influence_pattern_of_product_unitary(rng):
@@ -326,35 +290,6 @@ def test_random_signalling_channel_signals(rng):
         ch = random_signalling_channel(a, b, a, rng)
         assert input_signals(ch, "A.out")
         assert abs(np.trace(ch.op.matrix) - 2) < 1e-9
-
-
-def test_instrument_elements_sum_to_channel(rng):
-    node = QuantumNode("A", 2, 2)
-    kraus_lists = random_instrument_kraus(2, 2, 3, rng)
-    inst = instrument_from_kraus(node, kraus_lists)
-    assert len(inst.elements) == 3
-    total = sum(el.tau.matrix for el in inst.elements)
-    acc = sum(
-        k.conj().T @ k for kl in kraus_lists for k in kl
-    )
-    assert np.abs(acc - np.eye(2)).max() < 1e-10
-    # trace of the summed tau equals d_in for a trace-preserving instrument
-    assert abs(np.trace(total) - 2) < 1e-9
-
-
-def test_readout_instrument_outcomes():
-    node = QuantumNode("A", 2, 2)
-    inst = readout_instrument(node)
-    assert len(inst.elements) == 2
-    for el in inst.elements:
-        assert el.node_name == "A"
-
-
-def test_preparation_instrument_counts(rng):
-    node = QuantumNode("A", 2, 2)
-    preps = [random_state(2, rng), random_state(2, rng), random_state(2, rng)]
-    inst = preparation_instrument(node, preps)
-    assert len(inst.elements) == 3
 
 
 @pytest.mark.parametrize(

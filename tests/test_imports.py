@@ -1,10 +1,18 @@
-"""Each CLI command loads only the modules it runs, and the lazy package
-namespace binds the same objects as the submodules that define them."""
+"""Each CLI command loads only the modules it runs, the lazy package
+namespace binds the same objects as the submodules that define them, and the
+README's module table names only code that exists."""
 
 from __future__ import annotations
 
+import argparse
+import ast
+import builtins
+import functools
+import importlib
 import inspect
 import json
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +25,8 @@ from hypothesis import strategies as st
 import causalproc
 from causalproc import cli, labeled, make_bw_extension, make_switch
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 LOADED_BY_COMMAND = """
 import contextlib, io, json, sys
@@ -99,7 +108,7 @@ sys.path.insert(0, {src!r})
 import causalproc as cp
 assert "causalproc.hs" not in sys.modules and "causalproc.labeled" not in sys.modules
 assert cp.hs is importlib.import_module("causalproc.hs") and cp.labeled.tensor is cp.tensor
-assert len(set(cp.__all__)) == len(cp.__all__) == 112
+assert len(set(cp.__all__)) == len(cp.__all__) == 105
 submodules = [importlib.import_module(f"causalproc.{{info.name}}") for info in pkgutil.iter_modules(cp.__path__)]
 for name in cp.__all__:
     value = getattr(cp, name)
@@ -147,6 +156,53 @@ def test_each_module_exports_exactly_its_entry_of_the_table():
     code = MODULE_STAR_IMPORTS.format(src=SRC)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(out.stdout.splitlines()[-1]) == {}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> set[str]:
+    """Every subcommand name of ``parser``, nested ones included."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name for a in actions for name, sub in a.choices.items() for name in {name} | _subcommands(sub)}
+
+
+def _defined_names() -> set[str]:
+    """The names the package's modules, and their classes, bind at their top level."""
+    names = set()
+    for path in (ROOT / "src" / "causalproc").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_readme_module_table_names_only_code_that_exists():
+    """Each backticked identifier of the README's module table, with or without
+    a call's parentheses, is a module- or class-level name of the package, a
+    package module, a builtin, a ``numpy.linalg`` name or a CLI subcommand. A
+    dotted one rooted at a package module is an attribute of that module;
+    dotted names on other roots (``np.dot``, ``op.matrix``) name no package
+    code and are not checked."""
+    modules = {"causalproc"} | {info.name for info in pkgutil.iter_modules(causalproc.__path__)}
+    known = _defined_names() | modules | set(dir(builtins)) | set(dir(np.linalg)) | _subcommands(cli.build_parser())
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("| `causalproc.")]
+    assert rows
+    missing = []
+    for span in re.findall(r"`([^`]+)`", "\n".join(rows)):
+        if not (m := re.fullmatch(r"\.?([A-Za-z_][\w.]*)(\(.*\))?", span)):
+            continue
+        root, *attrs = m[1].removeprefix("causalproc.").split(".")
+        if not attrs and root not in known:
+            missing.append(span)
+        elif attrs and root in modules:
+            try:
+                functools.reduce(getattr, attrs, importlib.import_module(f"causalproc.{root}"))
+            except AttributeError:
+                missing.append(span)
+    assert not missing, missing
 
 def _blocks_by_unique(index, h, d):
     """``labeled._blocks`` with its distinct block sizes taken from ``np.unique``."""

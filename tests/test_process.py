@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from causalproc import (
     ClassicalNode,
-    Instrument,
     InstrumentElement,
     LabeledOperator,
     LinearMap,
@@ -32,8 +31,6 @@ from causalproc import (
     enumerate_deterministic_processes,
     hs,
     identity_operator,
-    instrument_from_kraus,
-    joint_probabilities,
     labeled,
     make_af_deterministic,
     make_classical_switch,
@@ -45,8 +42,6 @@ from causalproc import (
     measure_prepare_element,
     process_operator,
     project_trivial,
-    readout_instrument,
-    preparation_instrument,
     quantize,
     reorder,
     random_unitary_chain,
@@ -57,7 +52,7 @@ from causalproc import (
 )
 from causalproc.process import canonical_systems
 from causalproc.labeled import sorted_coo
-from causalproc.rand import haar_unitary, random_instrument_kraus, random_state
+from causalproc.rand import haar_unitary, random_state
 
 
 def product_process(rho_a, rho_b):
@@ -177,65 +172,26 @@ def test_comb_from_circuit_applies_a_channel_once_a_later_one_feeds_it(rng):
     assert validate_process(got).valid
 
 
-def test_joint_probabilities_trace_rule(rng):
-    rho_a, rho_b = random_state(2, rng), random_state(2, rng)
-    sigma = product_process(rho_a, rho_b)
-    insts = [readout_instrument(sigma.node("A")), readout_instrument(sigma.node("B"))]
-    p = joint_probabilities(sigma, insts)
-    assert p.shape == (2, 2)
-    assert abs(p.sum() - 1) < 1e-10
-    want = np.outer(np.diag(rho_a).real, np.diag(rho_b).real)
-    assert np.abs(p - want).max() < 1e-10
+def dense_conditional(sigma, node_name, tau):
+    """Tr_X[sigma tau] over its outcome weight, as one dense einsum, in the
+    canonical order of the other nodes' systems.
 
-
-def test_joint_probabilities_chain_copies_output(rng):
-    # B reads exactly what A prepared through the identity wire
-    w0 = SystemLabel("w0", 2)
-    init = LabeledOperator((w0,), np.eye(2, dtype=complex) / 2)
-    ch = channel_from_unitary(
-        LinearMap(np.eye(2, dtype=complex), (SystemLabel("wA", 2),), (SystemLabel("w1", 2),))
-    )
-    na, nb = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
-    sigma = comb_from_circuit(init, [ch], [(na, "w0", "wA"), (nb, "w1", "wB")])
-    zero = np.array([[1, 0], [0, 0]], dtype=complex)
-    one = np.array([[0, 0], [0, 1]], dtype=complex)
-    p0 = joint_probabilities(
-        sigma, [preparation_instrument(sigma.node("A"), [zero]), readout_instrument(sigma.node("B"))]
-    )
-    assert np.abs(p0 - np.array([[1.0, 0.0]])).max() < 1e-10
-    p1 = joint_probabilities(
-        sigma, [preparation_instrument(sigma.node("A"), [one]), readout_instrument(sigma.node("B"))]
-    )
-    assert np.abs(p1 - np.array([[0.0, 1.0]])).max() < 1e-10
-
-
-def dense_trace_rule(sigma, instruments):
-    """P(k_1 .. k_n) = Tr[sigma (tau_1^{k_1} ⊗ ... ⊗ tau_n^{k_n})] as one dense einsum.
-
-    Node i's (in, out*) pair is one axis of side D_i for sigma's rows (r_i) and
-    one for its columns (c_i); the trace pairs sigma[r, c] with tau[c, r].
+    Node X's (in, out*) pair is one axis of side D for sigma's rows and one
+    for its columns, and the rest one axis of side R each; the trace pairs
+    sigma[a r, b s] with tau[b, a]. The weight is the trace of the result
+    over the product of the other nodes' out-dimensions.
     """
-    by_name = {ins.node.name: ins for ins in instruments}
-    pairs = [[node.in_system.key, node.out_dual.key] for node in sigma.nodes]
-    sides = [node.d_in * node.d_out for node in sigma.nodes]
-    n = len(sides)
-    operands = [reorder(sigma.op, [key for pair in pairs for key in pair]).matrix.reshape(sides * 2), list(range(2 * n))]
-    for i, (node, pair) in enumerate(zip(sigma.nodes, pairs)):
-        operands += [np.stack([reorder(e.tau, pair).matrix for e in by_name[node.name].elements]), [2 * n + i, n + i, i]]
-    return np.einsum(*operands, list(range(2 * n, 3 * n))).real
-
-
-def kraus_instrument(node, rng, outcomes=3):
-    """Random instrument: one channel's Kraus operators dealt to the outcomes."""
-    return instrument_from_kraus(node, random_instrument_kraus(node.d_in, node.d_out, outcomes, rng))
-
-
-def dense_instrument(ins):
-    return Instrument(ins.node, tuple(InstrumentElement(e.node_name, labeled._dense_reference(e.tau.systems, e.tau.matrix)) for e in ins.elements))
+    node = sigma.node(node_name)
+    rest = [n for n in sigma.nodes if n is not node]
+    pair = [node.in_system.key, node.out_dual.key]
+    side = node.d_in * node.d_out
+    s = reorder(sigma.op, pair + [x.key for x in canonical_systems(rest)]).matrix
+    m = np.einsum("arbs,ba->rs", s.reshape(side, -1, side, s.shape[0] // side), reorder(tau, pair).matrix)
+    return m / (np.trace(m).real / math.prod(n.d_out for n in rest))
 
 
 @pytest.mark.parametrize("name", ["mix", "switch", "reduced-switch", "af", "chain"])
-def test_joint_probabilities_match_the_dense_trace_rule(name, rng):
+def test_conditional_process_matches_the_dense_trace_rule(name, rng):
     sigma = {
         "mix": make_mix_example,
         "switch": lambda: make_switch(2).process,
@@ -244,54 +200,21 @@ def test_joint_probabilities_match_the_dense_trace_rule(name, rng):
         "chain": lambda: random_unitary_chain(2, np.random.default_rng(3)).process,
     }[name]()
     dense = process_operator(sigma.nodes, labeled._dense_reference(sigma.op.systems, sigma.op.matrix))
-    families = {
-        "readout": [readout_instrument(node) for node in sigma.nodes],
-        "preparation": [preparation_instrument(node, [random_state(node.d_out, rng) for _ in range(2)]) for node in sigma.nodes],
-        "kraus": [kraus_instrument(node, rng) for node in sigma.nodes],
-    }
-    for family, instruments in families.items():
-        want = dense_trace_rule(sigma, instruments)
-        for s, ins in ((sigma, instruments), (dense, [dense_instrument(x) for x in instruments])):
-            got = joint_probabilities(s, ins[::-1])
-            assert got.shape == want.shape, family
-            assert np.abs(got - want).max() < 1e-12, family
-            assert abs(got.sum() - 1) < 1e-10, family
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_joint_probabilities_on_a_sparse_switch_densify_nothing(d, monkeypatch):
-    # switch(4)'s dense operator would fill the whole byte budget
-    sigma = make_switch(d).process
-    p = sigma.node("P")
-    zero = np.zeros((p.d_out, p.d_out), dtype=complex)
-    zero[0, 0] = 1.0
-    readouts = [readout_instrument(node) for node in sigma.nodes]
-    prepared = [preparation_instrument(p, [zero]) if node is p else ins for node, ins in zip(sigma.nodes, readouts)]
-
-    def refuse(*args):
-        raise AssertionError("densified")
-
-    monkeypatch.setattr(labeled, "_densify", refuse)
-    tracemalloc.start()
-    try:
-        uniform = joint_probabilities(sigma, readouts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    probs = joint_probabilities(sigma, prepared)
-    monkeypatch.undo()
-    # maximally mixed preparations everywhere: every reading is uniform
-    assert uniform.shape == (d, d, 1, 2 * d)
-    assert np.abs(uniform - 1 / (2 * d**3)).max() < 1e-12
-    assert peak < 8 * 2**20, peak
-    # P emits control 0 and target 0: A reads 0, B reads A's mixed output,
-    # and F reads control 0 with a uniform target; P's one outcome has weight 1
-    order = [node.name for node in sigma.nodes]
-    marginal = {x: probs.sum(axis=tuple(j for j in range(len(order)) if j != i)) for i, x in enumerate(order)}
-    assert np.abs(marginal["P"] - 1).max() < 1e-12
-    assert np.abs(marginal["A"] - np.eye(d)[0]).max() < 1e-12
-    assert np.abs(marginal["B"] - 1 / d).max() < 1e-12
-    assert np.abs(marginal["F"] - np.r_[np.full(d, 1 / d), np.zeros(d)]).max() < 1e-12
+    for node in sigma.nodes:
+        others = [n.name for n in sigma.nodes if n is not node]
+        if signalling_residual(sigma, others) <= 1e-9:
+            # no other node signals to this one, so any outcome leaves a valid process
+            effect, prep = random_state(node.d_in, rng), random_state(node.d_out, rng)
+        else:
+            # a multiple of the identity does too; a basis-state preparation makes the element sparse
+            effect, prep = np.eye(node.d_in) / 2, np.diag(np.eye(node.d_out)[-1])
+        element = measure_prepare_element(node, effect, prep)
+        want = dense_conditional(sigma, node.name, element.tau)
+        dense_element = InstrumentElement(node.name, labeled._dense_reference(element.tau.systems, element.tau.matrix))
+        for s, e in ((sigma, element), (dense, dense_element)):
+            got = conditional_process(s, node.name, e)
+            assert got.op.systems == tuple(canonical_systems(got.nodes)), node.name
+            assert np.abs(got.op.matrix - want).max() < 1e-12, node.name
 
 
 def test_conditional_process_on_product(rng):
@@ -919,19 +842,16 @@ def _wire_channel(name, dim, out="w9"):
         ),
         pytest.param(lambda a, b: signalling_residual(_flat_process([a, b]), []), "nonempty proper subset", id="empty from-set"),
         pytest.param(lambda a, b: signalling_residual(_flat_process([a, b]), ["A", "B"]), "nonempty proper subset", id="whole from-set"),
-        pytest.param(lambda a, b: Instrument(a, [readout_instrument(b).elements[0]]), "instrument element belongs to a different node", id="foreign element"),
         pytest.param(
-            lambda a, b: joint_probabilities(_flat_process([a, b]), [readout_instrument(a), readout_instrument(a)]),
-            "two instruments for node 'A'",
-            id="two instruments",
-        ),
-        pytest.param(lambda a, b: joint_probabilities(_flat_process([a, b]), [readout_instrument(a)]), "exactly one instrument per node", id="missing instrument"),
-        pytest.param(
-            lambda a, b: conditional_process(_flat_process([a, b]), "A", readout_instrument(b).elements[0]),
+            lambda a, b: conditional_process(_flat_process([a, b]), "A", measure_prepare_element(b, np.eye(2), np.eye(2) / 2)),
             "element belongs to a different node",
             id="condition on a foreign element",
         ),
-        pytest.param(lambda a, b: conditional_process(_flat_process([a]), "A", readout_instrument(a).elements[0]), "only node", id="condition the only node"),
+        pytest.param(
+            lambda a, b: conditional_process(_flat_process([a]), "A", measure_prepare_element(a, np.eye(2), np.eye(2) / 2)),
+            "only node",
+            id="condition the only node",
+        ),
         pytest.param(
             lambda a, b: conditional_process(_flat_process([a, b]), "A", measure_prepare_element(a, np.zeros((2, 2)), np.eye(2) / 2)),
             r"\(near-\)zero weight",

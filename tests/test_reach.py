@@ -26,11 +26,6 @@ KEPT = {
     "_dense_reference": "the dense path tests compare the kernels against; it sets labeled's private slots",
     "type_norms": "the public reader of the type-norm table every check reads; the benchmark declares its calls",
     "comb_from_circuit": "CI builds the two-order mixture orders.json with it",
-    "joint_probabilities": "the operational rule of the framework, pinned against the dense trace",
-    "instrument_from_kraus": "builds the instruments that joint_probabilities takes",
-    "preparation_instrument": "builds the instruments that joint_probabilities takes",
-    "readout_instrument": "builds the instruments that joint_probabilities takes",
-    "random_instrument_kraus": "the sampler of the instrument layer",
     "signalling_residual": "the measure that certifies a cut of the causal-order skeleton (ROADMAP item 13)",
     "process_to_dict": "public serializer",
 }
