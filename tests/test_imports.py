@@ -158,12 +158,6 @@ def test_each_module_exports_exactly_its_entry_of_the_table():
     assert json.loads(out.stdout.splitlines()[-1]) == {}
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> set[str]:
-    """Every subcommand name of ``parser``, nested ones included."""
-    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name for a in actions for name, sub in a.choices.items() for name in {name} | _subcommands(sub)}
-
-
 def _defined_names() -> set[str]:
     """The names the package's modules, and their classes, bind at their top level."""
     names = set()
@@ -187,7 +181,8 @@ def test_readme_module_table_names_only_code_that_exists():
     dotted names on other roots (``np.dot``, ``op.matrix``) name no package
     code and are not checked."""
     modules = {"causalproc"} | {info.name for info in pkgutil.iter_modules(causalproc.__path__)}
-    known = _defined_names() | modules | set(dir(builtins)) | set(dir(np.linalg)) | _subcommands(cli.build_parser())
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    known = _defined_names() | modules | set(dir(builtins)) | set(dir(np.linalg)) | set(commands) | set(cli.CLASSICAL_COMMANDS)
     rows = [line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("| `causalproc.")]
     assert rows
     missing = []
@@ -203,6 +198,7 @@ def test_readme_module_table_names_only_code_that_exists():
             except AttributeError:
                 missing.append(span)
     assert not missing, missing
+
 
 def _blocks_by_unique(index, h, d):
     """``labeled._blocks`` with its distinct block sizes taken from ``np.unique``."""
