@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -103,6 +104,23 @@ def test_random_cptp_needs_an_isometry():
     assert np.array_equal(np.concatenate(kraus), v)
     assert np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(4)).max() < 1e-10
 
+
+
+@pytest.mark.parametrize(
+    "d_in, d_out, digest",
+    [
+        (1, 3, "e739265f6a94f040053ea1def1ca07b2529c4056264d36a7c354733664f9489b"),
+        (2, 2, "51a4ffe0d2641372d38fb156e4d030bb6c8d521a5402555930df32b69958ae14"),
+        (2, 3, "dacae99ad08dd0370aa44dd1de936f64be915b782889fbc2c0fae4e37818c2ef"),
+        (4, 1, "30fa6ea984ddf9737d0274bc0e954a91556984a98726ca3a995c2a55778fd416"),
+    ],
+)
+def test_random_cptp_draw_is_pinned(d_in, d_out, digest):
+    # sha256 of the Kraus matrices' bytes, recorded when the Kraus rank was a
+    # parameter defaulting to d_in: the fixed rank draws the same channels
+    kraus = random_cptp(d_in, d_out, np.random.default_rng(20261020))
+    assert [k.shape for k in kraus] == [(d_out, d_in)] * d_in
+    assert hashlib.sha256(b"".join(k.tobytes() for k in kraus)).hexdigest() == digest
 
 def test_influence_pattern_of_product_unitary(rng):
     a, b, c, d = (SystemLabel(s, 2) for s in ("a", "b", "c", "d"))

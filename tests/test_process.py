@@ -51,7 +51,7 @@ from causalproc import (
     validate_process,
 )
 from causalproc.process import canonical_systems
-from causalproc.labeled import sorted_coo
+from causalproc.labeled import partial_trace, sorted_coo
 from causalproc.rand import haar_unitary, random_state
 
 
@@ -229,6 +229,62 @@ def test_conditional_process_on_product(rng):
     )
     assert np.abs(cond.op.matrix - want.matrix).max() < 1e-10
 
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_conditional_process_divides_by_the_outcome_weight(k, rng):
+    # reading B's input in the computational basis: outcome k has weight
+    # rho_b[k, k], and A's process is the same after either reading
+    rho_a, rho_b = random_state(2, rng), random_state(2, rng)
+    sigma = product_process(rho_a, rho_b)
+    el = measure_prepare_element(sigma.node("B"), np.diag(np.eye(2)[k]), random_state(2, rng))
+    weight = rho_b[k, k].real
+    cond = conditional_process(sigma, "B", el, tol=weight * (1 - 1e-9))
+    want = tensor(
+        LabeledOperator((sigma.node("A").in_system,), rho_a),
+        identity_operator([sigma.node("A").out_dual]),
+    )
+    assert np.abs(cond.op.matrix - want.matrix).max() < 1e-10
+    with pytest.raises(ValueError, match=r"\(near-\)zero weight"):
+        conditional_process(sigma, "B", el, tol=weight * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("prep", ["zero", "one", "complex"])
+def test_conditional_process_chain_copies_output(prep, rng):
+    # B reads exactly what A prepared through the identity wire; a preparation
+    # with complex coherences tells rho from its transpose
+    w0 = SystemLabel("w0", 2)
+    init = LabeledOperator((w0,), np.eye(2, dtype=complex) / 2)
+    ch = channel_from_unitary(
+        LinearMap(np.eye(2, dtype=complex), (SystemLabel("wA", 2),), (SystemLabel("w1", 2),))
+    )
+    na, nb = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
+    sigma = comb_from_circuit(init, [ch], [(na, "w0", "wA"), (nb, "w1", "wB")])
+    rho = {"zero": np.diag([1.0, 0.0]), "one": np.diag([0.0, 1.0]), "complex": random_state(2, rng)}[prep].astype(complex)
+    if prep == "complex":
+        assert np.abs(rho - rho.T).max() > 1e-3
+    cond = conditional_process(sigma, "A", measure_prepare_element(sigma.node("A"), np.eye(2), rho))
+    b = cond.node("B")
+    want = tensor(LabeledOperator((b.in_system,), rho), identity_operator([b.out_dual]))
+    assert distance(cond.op, reorder(want, cond.op.systems)) < 1e-12
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 2), (3, 2), (1, 4)])
+def test_readout_elements_sum_to_a_trace_preserving_element(d_in, d_out, rng):
+    # reading the input in a basis and preparing one state: the outcomes' tau
+    # sum to the element that discards the input, whose trace is d_in
+    node = QuantumNode("A", d_in, d_out)
+    prep = random_state(d_out, rng)
+    readouts = [measure_prepare_element(node, np.diag(np.eye(d_in)[k]), prep) for k in range(d_in)]
+    whole = measure_prepare_element(node, np.eye(d_in), prep)
+    for el in readouts + [whole]:
+        assert el.node_name == "A"
+        assert set(el.tau.systems) == {node.in_system, node.out_dual}
+    assert np.abs(sum(el.tau.matrix for el in readouts) - whole.tau.matrix).max() < 1e-12
+    assert abs(np.trace(whole.tau.matrix) - d_in) < 1e-12
+    # the dual out-space carries the transposed preparation
+    out = partial_trace(whole.tau, [node.in_system.key])
+    assert np.abs(out.matrix - d_in * prep.T).max() < 1e-12
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_conditioning_a_sparse_switch_densifies_nothing(n, monkeypatch):
