@@ -16,7 +16,6 @@ _EXPORTS = {
         "LabeledOperator", "LinearMap", "SystemLabel", "cj_operator", "compose_maps", "distance",
         "dual", "embed", "identity_map", "identity_operator", "is_unitary", "partial_trace",
         "permute_map", "product", "reorder", "split_system", "tensor", "tensor_maps",
-        "transpose_systems",
     ),
     "hs": ("project_trivial", "type_norms"),
     "channels": (
@@ -28,7 +27,7 @@ _EXPORTS = {
     ),
     "process": (
         "InstrumentElement", "ProcessOperator", "QuantumNode", "ValidationVerdict",
-        "comb_from_circuit", "conditional_process", "is_isometric", "measure_prepare_element",
+        "conditional_process", "is_isometric", "measure_prepare_element",
         "process_operator", "signalling_residual", "validate_process",
     ),
     "graphs": (

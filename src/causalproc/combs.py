@@ -62,7 +62,9 @@ def comb_search(sigma: ProcessOperator, tol: float = 1e-9, budget: int = 8):
     candidates are tried in sorted name order). Every residual comes from the
     one function ``comb_check`` uses, so the order found passes it: read off
     the type-norm table for a dense operator, by the marginal walk for a
-    sparse one, where a cold table costs more (see ``hs._comb_residual``).
+    sparse one. A cold table plus reads is faster there too (timings in
+    ``hs._comb_residual``); the walk stays because the benchmark's
+    ``combs.comb_search.nodes`` counter counts its projections.
     """
     found = _search(sigma, tol, budget)
     return None if found is None else found.order

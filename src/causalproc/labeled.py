@@ -547,20 +547,6 @@ def tensor(*ops: LabeledOperator) -> LabeledOperator:
     return LabeledOperator(systems, matrix)
 
 
-def _permuted(op: LabeledOperator, axes, systems) -> LabeledOperator:
-    """The operator whose tensor is op's with its axes (rows, then columns)
-    permuted by ``axes``, on ``systems``."""
-    d, entries = op.dim, _entries(op)
-    if entries is None:
-        return LabeledOperator(systems, op.as_tensor().transpose(axes).reshape(d, d))
-    index, values = entries
-    dims = [s.dim for s in op.systems] * 2
-    digits = _digits(index, dims)
-    new = _flat([digits[a] for a in axes], [dims[a] for a in axes], index.size)
-    order = np.argsort(new)
-    return _from_entries(systems, new[order], values[order])
-
-
 def _relabeled(op: LabeledOperator, systems) -> LabeledOperator:
     """The same matrix, held and routed the same way, on systems of its dimension."""
     new = LabeledOperator.__new__(LabeledOperator)
@@ -574,10 +560,19 @@ def reorder(op: LabeledOperator, new_order) -> LabeledOperator:
     if sorted(keys) != sorted(s.key for s in op.systems):
         raise ValueError(f"{keys} is not a permutation of {[s.key for s in op.systems]}")
     perm = [op.index(k) for k in keys]
-    n = len(op.systems)
+    n, d = len(op.systems), op.dim
     if perm == list(range(n)):
         return op
-    return _permuted(op, perm + [n + p for p in perm], tuple(op.systems[p] for p in perm))
+    axes, systems = perm + [n + p for p in perm], tuple(op.systems[p] for p in perm)
+    entries = _entries(op)
+    if entries is None:
+        return LabeledOperator(systems, op.as_tensor().transpose(axes).reshape(d, d))
+    index, values = entries
+    dims = [s.dim for s in op.systems] * 2
+    digits = _digits(index, dims)
+    new = _flat([digits[a] for a in axes], [dims[a] for a in axes], index.size)
+    order = np.argsort(new)
+    return _from_entries(systems, new[order], values[order])
 
 
 def partial_trace(op: LabeledOperator, refs) -> LabeledOperator:
@@ -625,16 +620,6 @@ def _trace_residual(op: LabeledOperator, refs) -> float:
         index, values = _traced_entries(op, keys)
         off = _sum_duplicates(np.concatenate([index, np.arange(d) * (d + 1)]), np.concatenate([values, -np.ones(d)]))[1]
     return float(np.linalg.norm(off))
-
-
-def transpose_systems(op: LabeledOperator, refs) -> LabeledOperator:
-    """Partial transpose over the listed systems; their dual flags flip."""
-    keys = {_as_key(r, op.systems) for r in refs}
-    n = len(op.systems)
-    axes = [n + i if s.key in keys else i for i, s in enumerate(op.systems)]
-    axes += [i if s.key in keys else n + i for i, s in enumerate(op.systems)]
-    systems = tuple(dual(s) if s.key in keys else s for s in op.systems)
-    return _permuted(op, axes, systems)
 
 
 def split_system(op: LabeledOperator, ref, parts) -> LabeledOperator:

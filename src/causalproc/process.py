@@ -34,13 +34,10 @@ from .labeled import (
     _rank_one_factor,
     cj_operator,
     distance,
-    identity_operator,
     partial_trace,
     product,
     reorder,
-    split_system,
     tensor,
-    transpose_systems,
 )
 
 # Default bound on the tuples of local maps and the candidate functions that
@@ -273,86 +270,3 @@ def conditional_process(
             f"(forbidden norm {verdict.forbidden_norm:.3e}, min eig {verdict.min_eigenvalue:.3e})"
         )
     return result
-
-
-def comb_from_circuit(initial_state: LabeledOperator, channels, node_slots) -> ProcessOperator:
-    """Process operator of a fixed circuit with open slots.
-
-    ``initial_state``: state on named wire systems. ``channels``: list of
-    ChannelOperator whose input labels name the wires they consume and whose
-    output labels name fresh wires. ``node_slots``: (node, in_wire, out_wire)
-    triples; the slot's in-wire is rerouted into the node and the out-wire is
-    a fresh wire carrying whatever the node emits, which only a channel may
-    read: a slot whose in-wire is another node's out-wire raises ValueError.
-    Steps are applied in any data-available order; unread wires are traced out
-    at the end, and unread node out-wires become identity (discarded) legs.
-    """
-    current = initial_state
-    open_primal: dict[str, SystemLabel] = {s.name: s for s in initial_state.systems}
-    if any(s.dual for s in initial_state.systems):  # primal keys are unique, so the wire names are too
-        raise ValueError("initial state must live on primal wire systems")
-    virtual: dict[str, QuantumNode] = {}
-    seen_wires = set(open_primal)
-
-    def fresh(name: str):
-        if name in seen_wires:
-            raise ValueError(f"wire name {name!r} reused")
-        seen_wires.add(name)
-
-    pending = [("slot", s) for s in node_slots] + [("chan", c) for c in channels]
-    nodes = tuple(s[0] for s in node_slots)
-    progress = True
-    while pending and progress:
-        progress = False
-        remaining = []
-        for kind, item in pending:
-            if kind == "slot":
-                node, in_wire, out_wire = item
-                if in_wire in virtual:
-                    raise ValueError(f"slot {node.name!r} reads {in_wire!r}, a node out-wire that only a channel may read")
-                if in_wire not in open_primal:
-                    remaining.append((kind, item))
-                    continue
-                w = open_primal.pop(in_wire)
-                if w.dim != node.d_in:
-                    raise ValueError(f"wire {in_wire!r} has dim {w.dim}, node needs {node.d_in}")
-                current = split_system(current, (in_wire, False), [node.in_system])
-                fresh(out_wire)
-                virtual[out_wire] = node
-                progress = True
-            else:
-                ch = item
-                names = [s.name for s in ch.inputs]
-                if not all(nm in open_primal or nm in virtual for nm in names):
-                    remaining.append((kind, item))
-                    continue
-                chop = ch.op
-                consumed = []
-                for inp in ch.inputs:
-                    if inp.name in open_primal:
-                        w = open_primal.pop(inp.name)
-                        if w.dim != inp.dim:
-                            raise ValueError(f"wire {inp.name!r} dimension mismatch")
-                        current = transpose_systems(current, [(inp.name, False)])
-                        consumed.append((inp.name, True))
-                    else:
-                        src = virtual.pop(inp.name)
-                        if src.d_out != inp.dim:
-                            raise ValueError(f"wire {inp.name!r} dimension mismatch")
-                        chop = split_system(chop, (inp.name, True), [src.out_dual])
-                current = product([current, chop])
-                if consumed:
-                    current = partial_trace(current, consumed)
-                for out in ch.outputs:
-                    fresh(out.name)
-                    open_primal[out.name] = out
-                progress = True
-        pending = remaining
-    if pending:
-        raise ValueError("circuit has steps whose input wires never become available")
-
-    if open_primal:
-        current = partial_trace(current, [(nm, False) for nm in open_primal])
-    for nm, node in virtual.items():
-        current = tensor(current, identity_operator([node.out_dual]))
-    return process_operator(nodes, current)

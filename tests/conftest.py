@@ -8,6 +8,10 @@ import pytest
 
 from causalproc import (
     LabeledOperator,
+    LinearMap,
+    QuantumNode,
+    channel_from_unitary,
+    identity_operator,
     make_af,
     make_af_deterministic,
     make_bw_extension,
@@ -16,7 +20,9 @@ from causalproc import (
     make_switch,
     process_operator,
     process_to_dict,
+    tensor,
 )
+from causalproc.rand import haar_unitary, random_state
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +54,17 @@ def bw_up():
 def rng():
     return np.random.default_rng(20260816)
 
+
+def one_way_comb(a, b, rho, u):
+    """The comb in which node a reads the state rho, and node b reads what a
+    emits after the unitary u and discards what it emits itself."""
+    wire = channel_from_unitary(LinearMap(u, (a.out_system,), (b.in_system,)))
+    return process_operator((a, b), tensor(LabeledOperator((a.in_system,), rho), wire.op, identity_operator([b.out_dual])))
+
+
+def random_one_way_comb(rng, first="A", second="B"):
+    """``one_way_comb`` of two qubit nodes, its state and then its unitary drawn from rng."""
+    return one_way_comb(QuantumNode(first, 2, 2), QuantumNode(second, 2, 2), random_state(2, rng), haar_unitary(2, rng))
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,6 @@ from causalproc import (
     discover,
     influence_residuals,
     input_signals,
-    make_af,
-    make_bw_extension,
     make_mix_example,
     make_switch,
     process_operator,

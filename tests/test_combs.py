@@ -18,11 +18,8 @@ from causalproc import (
     LabeledOperator,
     LinearMap,
     QuantumNode,
-    SystemLabel,
     bipartite_separability,
-    channel_from_unitary,
     comb_check,
-    comb_from_circuit,
     comb_search,
     combs,
     compose_maps,
@@ -54,29 +51,20 @@ from causalproc import (
 from causalproc.cli import EXEMPLARS, main
 from causalproc.exemplars import random_unitary_chain
 from causalproc.rand import haar_unitary, random_state
-
-
-def one_way_comb(rng, first="A", second="B"):
-    w0 = SystemLabel("w0", 2)
-    init = LabeledOperator((w0,), random_state(2, rng))
-    ch = channel_from_unitary(
-        LinearMap(haar_unitary(2, rng), (SystemLabel("wX", 2),), (SystemLabel("w1", 2),))
-    )
-    n1, n2 = QuantumNode(first, 2, 2), QuantumNode(second, 2, 2)
-    return comb_from_circuit(init, [ch], [(n1, "w0", "wX"), (n2, "w1", "wY")])
+from conftest import random_one_way_comb
 
 
 def order_mixture(rng):
     """0.37 times an A-before-B comb plus 0.63 times a B-before-A comb."""
-    ab = one_way_comb(rng, "A", "B")
-    ba = one_way_comb(rng, "B", "A")
+    ab = random_one_way_comb(rng, "A", "B")
+    ba = random_one_way_comb(rng, "B", "A")
     w = 0.37
     mixed = w * ab.op.matrix + (1 - w) * reorder(ba.op, ab.op.systems).matrix
     return process_operator(ab.nodes, LabeledOperator(ab.op.systems, mixed))
 
 
 def test_comb_check_chain_orders(rng):
-    sigma = one_way_comb(rng)
+    sigma = random_one_way_comb(rng)
     good = comb_check(sigma, ("A", "B"))
     assert good.accepted
     assert max(good.residuals) < 1e-9
@@ -86,7 +74,7 @@ def test_comb_check_chain_orders(rng):
 
 
 def test_comb_check_validates_order(rng):
-    sigma = one_way_comb(rng)
+    sigma = random_one_way_comb(rng)
     with pytest.raises(ValueError):
         comb_check(sigma, ("A",))
     with pytest.raises(ValueError):
@@ -173,7 +161,7 @@ def test_unitary_separability_refuses_a_mixture_of_orders(rng):
 
 
 def test_bipartite_separability_fast_path(rng):
-    sigma = one_way_comb(rng)
+    sigma = random_one_way_comb(rng)
     sv = bipartite_separability(sigma)
     assert sv.separable
     assert sv.iterations == 0
@@ -202,7 +190,7 @@ def test_bipartite_separability_of_mixture(rng):
 def test_separability_skips_the_recheck_of_a_negligible_component(rng, monkeypatch):
     # 1e-8 of a B-before-A comb: no fast path at 1e-9, and the split gives
     # the B-before-A component a weight within tol, which is not re-checked
-    ab, ba = one_way_comb(rng, "A", "B"), one_way_comb(rng, "B", "A")
+    ab, ba = random_one_way_comb(rng, "A", "B"), random_one_way_comb(rng, "B", "A")
     mixed = (1 - 1e-8) * ab.op.matrix + 1e-8 * reorder(ba.op, ab.op.systems).matrix
     sigma = process_operator(ab.nodes, LabeledOperator(ab.op.systems, mixed))
     checked = []
@@ -276,13 +264,6 @@ def test_separability_cli_exits_four_without_a_verdict(rng, tmp_path, capsys):
     mix = tmp_path / "mix.json"
     write_process_file(mix, make_mix_example())
     assert main(["separability", "--max-iter", "1", str(mix)]) == 0
-
-
-def test_comb_from_circuit_rejects_a_slot_fed_by_a_slot(rng):
-    init = LabeledOperator((SystemLabel("w0", 2),), random_state(2, rng))
-    slots = [(QuantumNode("A", 2, 2), "w0", "w1"), (QuantumNode("B", 2, 2), "w1", "w2")]
-    with pytest.raises(ValueError, match="only a channel may read"):
-        comb_from_circuit(init, [], slots)
 
 
 def test_bipartite_separability_of_conditioned_reduced_switch(reduced_switch, rng):

@@ -17,9 +17,7 @@ from causalproc import (
     QuantumNode,
     SystemLabel,
     af_causal_graph,
-    channel_from_unitary,
     cj_operator,
-    comb_from_circuit,
     compatibility_check,
     complete_graph,
     compose_maps,
@@ -52,16 +50,7 @@ from causalproc.graphs import marginal_factor
 from causalproc.process import canonical_systems
 from causalproc.labeled import _entries, _product_distance, apply_stage
 from causalproc.rand import haar_unitary, random_state
-
-
-def chain_comb(rng):
-    w0 = SystemLabel("w0", 2)
-    init = LabeledOperator((w0,), random_state(2, rng))
-    ch = channel_from_unitary(
-        LinearMap(haar_unitary(2, rng), (SystemLabel("wA", 2),), (SystemLabel("w1", 2),))
-    )
-    na, nb = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
-    return comb_from_circuit(init, [ch], [(na, "w0", "wA"), (nb, "w1", "wB")])
+from conftest import random_one_way_comb
 
 
 def test_directed_graph_basics():
@@ -257,7 +246,7 @@ def test_exchange_unitary_is_not_a_process():
 
 
 def test_markov_check_accepts_chain(rng):
-    sigma = chain_comb(rng)
+    sigma = random_one_way_comb(rng)
     g = directed_graph(["A", "B"], [("A", "B")])
     mf = markov_check(sigma, g)
     assert mf.accepted
@@ -327,7 +316,7 @@ def test_markov_check_of_a_one_node_process(rng):
 
 
 def test_markov_check_rejects_missing_edge(rng):
-    sigma = chain_comb(rng)
+    sigma = random_one_way_comb(rng)
     mf = markov_check(sigma, directed_graph(["A", "B"], []))
     assert not mf.accepted
     assert mf.product_residual > 1e-6
@@ -350,7 +339,7 @@ def test_superfluous_edge_is_unfaithful(rng):
 
 
 def test_discover_chain(rng):
-    sigma = chain_comb(rng)
+    sigma = random_one_way_comb(rng)
     g, mf = discover(sigma)
     assert set(g.edges) == {("A", "B")}
     assert mf.accepted

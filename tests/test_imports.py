@@ -108,7 +108,7 @@ sys.path.insert(0, {src!r})
 import causalproc as cp
 assert "causalproc.hs" not in sys.modules and "causalproc.labeled" not in sys.modules
 assert cp.hs is importlib.import_module("causalproc.hs") and cp.labeled.tensor is cp.tensor
-assert len(set(cp.__all__)) == len(cp.__all__) == 105
+assert len(set(cp.__all__)) == len(cp.__all__) == 103
 submodules = [importlib.import_module(f"causalproc.{{info.name}}") for info in pkgutil.iter_modules(cp.__path__)]
 for name in cp.__all__:
     value = getattr(cp, name)
@@ -135,6 +135,12 @@ def test_lazy_namespace_binds_the_defining_modules_objects():
     code = NAMESPACE_IN_FRESH_PROCESS.format(src=SRC)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "ok 0.1.0"
+
+
+def test_readme_counts_the_names_a_star_import_binds():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    counts = re.findall(r"`from causalproc import \*` binds the (\d+) names", text)
+    assert counts == [str(len(causalproc.__all__))]
 
 
 MODULE_STAR_IMPORTS = """

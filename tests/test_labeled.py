@@ -29,7 +29,6 @@ from causalproc import (
     split_system,
     tensor,
     tensor_maps,
-    transpose_systems,
 )
 from causalproc.labeled import MAX_DENSE_BYTES, apply_stage
 from causalproc.process import canonical_systems
@@ -282,19 +281,6 @@ def test_permute_map_matches_permutation_matrix(rng):
     assert np.abs(g.matrix - ref).max() < 1e-12
     with pytest.raises(ValueError):
         permute_map(f, domain=(a, a, b))
-
-
-def test_transpose_systems_is_involutive(rng):
-    a, b = SystemLabel("a", 2), SystemLabel("b", 3)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    x = LabeledOperator((a, b), m)
-    t = transpose_systems(x, [b])
-    assert t.systems[1].dual
-    tt = transpose_systems(t, [dual(b)])
-    assert np.abs(tt.matrix - m).max() < 1e-14
-    # full transpose equals the matrix transpose
-    full = transpose_systems(x, [a, b])
-    assert np.abs(full.matrix - m.T).max() < 1e-14
 
 
 def test_identity_operator_trace():

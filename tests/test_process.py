@@ -18,10 +18,7 @@ from causalproc import (
     LinearMap,
     QuantumNode,
     SystemLabel,
-    channel_from_unitary,
-    cj_from_kraus,
     comb_check,
-    comb_from_circuit,
     comb_search,
     compose_maps,
     conditional_process,
@@ -53,6 +50,7 @@ from causalproc import (
 from causalproc.process import canonical_systems
 from causalproc.labeled import partial_trace, sorted_coo
 from causalproc.rand import haar_unitary, random_state
+from conftest import one_way_comb
 
 
 def product_process(rho_a, rho_b):
@@ -126,50 +124,12 @@ def test_signalling_residual_of_product(rng):
 
 
 def test_chain_comb_signals_one_way(rng):
-    # state -> A -> identity wire -> B: A signals to B, B does not signal back
-    w0, u = SystemLabel("w0", 2), haar_unitary(2, rng)
-    init = LabeledOperator((w0,), random_state(2, rng))
-    ch = channel_from_unitary(LinearMap(u, (SystemLabel("wA", 2),), (SystemLabel("w1", 2),)))
-    na, nb = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
-    sigma = comb_from_circuit(init, [ch], [(na, "w0", "wA"), (nb, "w1", "wB")])
+    # state -> A -> unitary wire -> B: A signals to B, B does not signal back
+    u = haar_unitary(2, rng)
+    sigma = one_way_comb(QuantumNode("A", 2, 2), QuantumNode("B", 2, 2), random_state(2, rng), u)
     assert validate_process(sigma).valid
     assert signalling_residual(sigma, ["B"]) < 1e-12
     assert signalling_residual(sigma, ["A"]) > 0.1
-
-
-def test_comb_from_circuit_single_slot(rng):
-    rho = random_state(2, rng)
-    w0 = SystemLabel("w0", 2)
-    na = QuantumNode("A", 2, 2)
-    sigma = comb_from_circuit(LabeledOperator((w0,), rho), [], [(na, "w0", "wA")])
-    want = tensor(LabeledOperator((na.in_system,), rho), identity_operator([na.out_dual]))
-    assert np.abs(sigma.op.matrix - want.matrix).max() < 1e-12
-
-
-def test_comb_from_circuit_traces_out_unread_wires(rng):
-    # rho (x) tau on w0 and w9 with Tr tau = 1; only w0 is read, so w9 is traced away
-    rho, tau = random_state(2, rng), random_state(3, rng)
-    w0, w9 = SystemLabel("w0", 2), SystemLabel("w9", 3)
-    slots = [(QuantumNode("A", 2, 2), "w0", "wA")]
-    got = comb_from_circuit(LabeledOperator((w0, w9), np.kron(rho, tau)), [], slots)
-    want = comb_from_circuit(LabeledOperator((w0,), rho), [], slots)
-    assert got.nodes == want.nodes and got.op.systems == want.op.systems
-    assert np.abs(got.op.matrix - want.op.matrix).max() < 1e-12
-
-
-def test_comb_from_circuit_applies_a_channel_once_a_later_one_feeds_it(rng):
-    # A -> first -> second -> B, with the channels listed in reverse: second
-    # waits a pass for the wire that first produces
-    w0 = SystemLabel("w0", 2)
-    init = LabeledOperator((w0,), random_state(2, rng))
-    first = channel_from_unitary(LinearMap(haar_unitary(2, rng), (SystemLabel("wA", 2),), (SystemLabel("w1", 2),)))
-    second = channel_from_unitary(LinearMap(haar_unitary(2, rng), (SystemLabel("w1", 2),), (SystemLabel("w2", 2),)))
-    slots = [(QuantumNode("A", 2, 2), "w0", "wA"), (QuantumNode("B", 2, 2), "w2", "wB")]
-    got = comb_from_circuit(init, [second, first], slots)
-    want = comb_from_circuit(init, [first, second], slots)
-    assert got.op.systems == want.op.systems
-    assert np.array_equal(got.op.matrix, want.op.matrix)
-    assert validate_process(got).valid
 
 
 def dense_conditional(sigma, node_name, tau):
@@ -253,13 +213,8 @@ def test_conditional_process_divides_by_the_outcome_weight(k, rng):
 def test_conditional_process_chain_copies_output(prep, rng):
     # B reads exactly what A prepared through the identity wire; a preparation
     # with complex coherences tells rho from its transpose
-    w0 = SystemLabel("w0", 2)
-    init = LabeledOperator((w0,), np.eye(2, dtype=complex) / 2)
-    ch = channel_from_unitary(
-        LinearMap(np.eye(2, dtype=complex), (SystemLabel("wA", 2),), (SystemLabel("w1", 2),))
-    )
     na, nb = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
-    sigma = comb_from_circuit(init, [ch], [(na, "w0", "wA"), (nb, "w1", "wB")])
+    sigma = one_way_comb(na, nb, np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex))
     rho = {"zero": np.diag([1.0, 0.0]), "one": np.diag([0.0, 1.0]), "complex": random_state(2, rng)}[prep].astype(complex)
     if prep == "complex":
         assert np.abs(rho - rho.T).max() > 1e-3
@@ -323,12 +278,8 @@ def test_process_operator_rejects_extra_systems(rng):
 def test_conditional_process_raises_when_conditioning_breaks_validity(rng):
     # B's output reaches A's input; post-selecting A's reading fixes what B
     # emitted, which no single-node process allows.
-    w0 = SystemLabel("w0", 2)
-    wire = channel_from_unitary(
-        LinearMap(np.eye(2, dtype=complex), (SystemLabel("wB", 2),), (SystemLabel("w1", 2),))
-    )
     na, nb = QuantumNode("A", 2, 2), QuantumNode("B", 2, 2)
-    sigma = comb_from_circuit(LabeledOperator((w0,), random_state(2, rng)), [wire], [(nb, "w0", "wB"), (na, "w1", "wA")])
+    sigma = one_way_comb(nb, na, random_state(2, rng), np.eye(2, dtype=complex))
     assert validate_process(sigma).valid
     zero = np.diag([1.0, 0.0]).astype(complex)
     el = measure_prepare_element(sigma.node("A"), zero, random_state(2, rng))
@@ -876,16 +827,6 @@ def _flat_process(nodes):
     return process_operator(nodes, identity_operator(canonical_systems(nodes)))
 
 
-def _circuit(slots, channels=(), state_dim=2):
-    """comb_from_circuit from a state on wire w0 of ``state_dim`` dims."""
-    state = LabeledOperator((SystemLabel("w0", state_dim),), np.eye(state_dim) / state_dim)
-    return comb_from_circuit(state, list(channels), slots)
-
-
-def _wire_channel(name, dim, out="w9"):
-    return cj_from_kraus([np.eye(dim)], SystemLabel(name, dim), SystemLabel(out, dim))
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -913,18 +854,8 @@ def _wire_channel(name, dim, out="w9"):
             r"\(near-\)zero weight",
             id="zero-weight outcome",
         ),
-        pytest.param(
-            lambda a, b: comb_from_circuit(LabeledOperator((SystemLabel("w0", 2, dual=True),), np.eye(2)), [], [(a, "w0", "wA")]),
-            "primal wire systems",
-            id="dual initial wire",
-        ),
         # two primal wires of one name are two systems with one key, which no operator holds
         pytest.param(lambda a, b: LabeledOperator((SystemLabel("w0", 2), SystemLabel("w0", 2)), np.eye(4)), "duplicate system labels", id="repeated wire name"),
-        pytest.param(lambda a, b: _circuit([(a, "w0", "w0")]), "wire name 'w0' reused", id="reused wire"),
-        pytest.param(lambda a, b: _circuit([(a, "w0", "wA")], state_dim=3), "wire 'w0' has dim 3, node needs 2", id="slot dimension"),
-        pytest.param(lambda a, b: _circuit([], [_wire_channel("w0", 3)]), "wire 'w0' dimension mismatch", id="channel on a state wire"),
-        pytest.param(lambda a, b: _circuit([(a, "w0", "wA")], [_wire_channel("wA", 3)]), "wire 'wA' dimension mismatch", id="channel on a node wire"),
-        pytest.param(lambda a, b: _circuit([(a, "w0", "wA")], [_wire_channel("zz", 2)]), "never become available", id="unfed channel"),
     ],
 )
 def test_process_input_checks(call, message):

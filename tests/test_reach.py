@@ -25,7 +25,6 @@ DUNDERS = {"__getattr__", "__dir__"}
 KEPT = {
     "_dense_reference": "the dense path tests compare the kernels against; it sets labeled's private slots",
     "type_norms": "the public reader of the type-norm table every check reads; the benchmark declares its calls",
-    "comb_from_circuit": "CI builds the two-order mixture orders.json with it",
     "signalling_residual": "the measure that certifies a cut of the causal-order skeleton (ROADMAP item 13)",
     "process_to_dict": "public serializer",
 }

@@ -2,7 +2,7 @@
 dense path it replaces, and the permutation processes run end to end without
 a dense copy.
 
-Permutations of entries (``reorder``, ``transpose_systems``) and products
+Permutations of entries (``reorder``) and products
 (``cj_operator``, scalar ``*`` and unary ``-``) must give bitwise the dense
 matrix; sums (partial traces, projections, distances, comb residuals) agree
 within 1e-12 with equal verdicts.
@@ -57,7 +57,6 @@ from causalproc import (
     reorder,
     tensor,
     tensor_maps,
-    transpose_systems,
     unitary_causal_separability,
     validate_process,
     write_process_file,
@@ -225,10 +224,8 @@ def test_permutations_and_scalar_products_are_bitwise_dense():
     for rng, op in _operators():
         dense = _dense(op)
         order = [op.systems[i].key for i in rng.permutation(len(op.systems))]
-        flipped = [s.key for s in op.systems if rng.integers(2)]
         pairs = [
             (reorder(op, order), reorder(dense, order)),
-            (transpose_systems(op, flipped), transpose_systems(dense, flipped)),
             (-op, -dense),
         ]
         for scalar in (0.0, -1.0, 2.5, 1j - 0.5):

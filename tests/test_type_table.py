@@ -24,13 +24,9 @@ from causalproc import (
     ClassicalProcess,
     DeterministicProcess,
     LabeledOperator,
-    LinearMap,
-    QuantumNode,
     SystemLabel,
     bipartite_separability,
-    channel_from_unitary,
     comb_check,
-    comb_from_circuit,
     comb_search,
     discover,
     identity_operator,
@@ -47,9 +43,9 @@ from causalproc import (
     write_process_file,
 )
 from causalproc import hs, labeled
-from causalproc.rand import haar_unitary, random_state
 from causalproc.cli import EXEMPLARS, main
 from causalproc.exemplars import random_unitary_chain
+from conftest import random_one_way_comb
 
 
 def _inputs_module():
@@ -161,12 +157,6 @@ def test_validate_discover_and_separability_build_one_table(builds):
         assert len(builds) == 1 and cold.op._squares is not None
 
 
-def _one_way_comb(rng, first, second):
-    init = LabeledOperator((SystemLabel("w0", 2),), random_state(2, rng))
-    ch = channel_from_unitary(LinearMap(haar_unitary(2, rng), (SystemLabel("wX", 2),), (SystemLabel("w1", 2),)))
-    return comb_from_circuit(init, [ch], [(QuantumNode(first, 2, 2), "w0", "wX"), (QuantumNode(second, 2, 2), "w1", "wY")])
-
-
 def test_bipartite_separability_builds_one_table_for_sigma(builds, rng):
     # mix is a one-way comb: routed dense, both comb checks of sigma read one table
     mix = _dense(make_mix_example())
@@ -175,7 +165,7 @@ def test_bipartite_separability_builds_one_table_for_sigma(builds, rng):
     assert len(builds) == 1 and mix.op._squares is not None
     # a mixture of the two orders: one table for sigma's two comb checks, and
     # one for each normalized component's validation and comb check
-    ab, ba = _one_way_comb(rng, "A", "B"), _one_way_comb(rng, "B", "A")
+    ab, ba = random_one_way_comb(rng, "A", "B"), random_one_way_comb(rng, "B", "A")
     mixed = 0.37 * ab.op.matrix + 0.63 * reorder(ba.op, ab.op.systems).matrix
     sigma = process_operator(ab.nodes, LabeledOperator(ab.op.systems, mixed))
     builds.clear()
