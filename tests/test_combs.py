@@ -51,7 +51,7 @@ from causalproc import (
 from causalproc.cli import EXEMPLARS, main
 from causalproc.exemplars import random_unitary_chain
 from causalproc.rand import haar_unitary, random_state
-from conftest import random_one_way_comb
+from conftest import one_way_comb, random_one_way_comb
 
 
 def order_mixture(rng):
@@ -65,6 +65,21 @@ def order_mixture(rng):
 
 def test_comb_check_chain_orders(rng):
     sigma = random_one_way_comb(rng)
+    good = comb_check(sigma, ("A", "B"))
+    assert good.accepted
+    assert max(good.residuals) < 1e-9
+    bad = comb_check(sigma, ("B", "A"))
+    assert not bad.accepted
+    assert max(bad.residuals) > 1e-3
+
+
+@pytest.mark.parametrize("a_in, wire, b_out", [(3, 2, 2), (2, 3, 2), (2, 2, 3), (1, 2, 1)])
+def test_comb_check_of_a_one_way_comb_of_unequal_dims(a_in, wire, b_out, rng):
+    # A's output reaches B's input through a Haar unitary; the comb is valid,
+    # fits A before B and not B before A, whatever the dims of the three spaces
+    a, b = QuantumNode("A", a_in, wire), QuantumNode("B", wire, b_out)
+    sigma = one_way_comb(a, b, random_state(a_in, rng), haar_unitary(wire, rng))
+    assert validate_process(sigma).valid
     good = comb_check(sigma, ("A", "B"))
     assert good.accepted
     assert max(good.residuals) < 1e-9

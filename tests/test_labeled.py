@@ -52,6 +52,17 @@ def test_reorder_round_trip(rng):
     assert np.abs(y.matrix - m).max() < 1e-14
 
 
+@pytest.mark.parametrize("held", ["dense", "entries"])
+def test_reorder_to_its_own_order_returns_the_operator(held, rng):
+    a, b, c = SystemLabel("a", 2), SystemLabel("b", 3), SystemLabel("c", 2, dual=True)
+    m = np.zeros((12, 12), dtype=complex)
+    m[rng.integers(12, size=5), rng.integers(12, size=5)] = 1.0 + 2.0j
+    x = LabeledOperator((a, b, c), rng.normal(size=(12, 12)) if held == "dense" else m)
+    assert (labeled._entries(x) is None) == (held == "dense")
+    assert reorder(x, [a, b, c]) is x
+    assert reorder(x, ["a", "b", ("c", True)]) is x
+
+
 def test_reorder_matches_kron_swap(rng):
     a, b = SystemLabel("a", 2), SystemLabel("b", 3)
     ma = rng.normal(size=(2, 2))
@@ -432,6 +443,9 @@ _PRIMAL_AND_DUAL = LabeledOperator((_A, dual(_A)), np.eye(4))
         pytest.param(lambda: _PRIMAL_AND_DUAL.index(("b", False)), KeyError, "no system", id="absent key"),
         pytest.param(lambda: _PRIMAL_AND_DUAL + 1, TypeError, "expected a LabeledOperator", id="sum with a number"),
         pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [("a", False)]), ValueError, "is not a permutation", id="partial order"),
+        pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [("a", False), ("a", True), ("a", True)]), ValueError, "is not a permutation", id="repeated system in an order"),
+        pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [_A, dual(_A), _B]), ValueError, "is not a permutation", id="extra system in an order"),
+        pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, ["b", dual(_A)]), KeyError, "system name 'b' is ambiguous or absent", id="absent name in an order"),
         pytest.param(lambda: LinearMap(np.eye(3), (_A,), (_B,)), ValueError, r"matrix shape \(3, 3\), expected \(2, 2\)", id="map shape"),
         pytest.param(lambda: project_trivial(_PRIMAL_AND_DUAL, [("b", False)]), KeyError, "no systems", id="projection onto an absent system"),
         pytest.param(

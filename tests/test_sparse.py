@@ -220,6 +220,22 @@ def test_cj_operator_entries_are_those_of_the_outer_product():
             assert all(_bits(x) == _bits(y) for x, y in zip(got._coo, entries)), seed
 
 
+@pytest.mark.parametrize("kind", ["reversal", "cycle", "random"])
+def test_reorder_on_entries_inverts_and_composes_bitwise(kind):
+    # the result is sorted COO, p then p is the square of p, and p then the
+    # first order is op again
+    for rng, op in _operators():
+        n, keys = len(op.systems), [s.key for s in op.systems]
+        p = {"reversal": np.arange(n)[::-1], "cycle": np.roll(np.arange(n), 1), "random": rng.permutation(n)}[kind]
+        once = reorder(op, [keys[i] for i in p])
+        twice = reorder(once, [once.systems[i].key for i in p])
+        square = reorder(op, [keys[i] for i in p[p]])
+        back = reorder(once, keys)
+        assert labeled._entries(once) is not None and np.all(np.diff(labeled._entries(once)[0]) > 0)
+        assert back.systems == op.systems and _same_coo(labeled._entries(back), labeled._entries(op))
+        assert twice.systems == square.systems and _same_coo(labeled._entries(twice), labeled._entries(square))
+
+
 def test_permutations_and_scalar_products_are_bitwise_dense():
     for rng, op in _operators():
         dense = _dense(op)
