@@ -23,6 +23,7 @@ from .labeled import (
     LabeledOperator,
     SystemLabel,
     _as_key,
+    _budget,
     _entries,
     _padded,
     _traced_entries,
@@ -165,9 +166,11 @@ def _dense_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
     the inner ones, whose blocks fit in ``_SLICE`` entries, run slice by
     slice, and each slice is then squared into the copy's front. Every entry
     gets the same operations in the same order as in whole-copy passes, so
-    the table is the same bit for bit. The class sums then alternate between
-    the copy's halves (a real copy has no spare half for the first), so a
-    complex operator's table allocates nothing else of its size."""
+    the table is the same bit for bit. Each factor's Helmert rows are then
+    weighed (``_row_weights``: row 0 into class 0, the others in place) and
+    units 1 ... d²-1 summed into class 1, in the copy's spare half (a real
+    copy has none for the first): a complex table allocates nothing else of
+    its size, and a NaN or infinite coefficient reaches only its own types."""
     dims = [s.dim for s in op.systems]
     n = len(dims)
     interleaved = [ax for i in range(n) for ax in (i, n + i)]
@@ -189,16 +192,18 @@ def _dense_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
         x = flat[start : start + step].view(np.float64)
         np.square(x, out=x)
         if np.iscomplexobj(m):  # the sums of entries [s, s + k) land on entries [s/2, (s + k)/2), summed already
-            parts[start : start + x.size // 2] = np.add(x[0::2], x[1::2])
+            np.add(x[0::2], x[1::2], out=parts[start : start + x.size // 2])
     a, spare = parts[: flat.size], parts[flat.size :]
-    keys = []
+    keys = [s.key for s in op.systems if s.dim > 1]
     for i, d in enumerate(dims):
         if d > 1:
+            units, w = a.reshape(-1, d * d, blocks[i + 1]), _row_weights(d)
+            units[:, d + 1 :: d + 1] *= w[1:, None]
             size = a.size // (d * d) * 2
-            out = spare[:size] if spare.size >= size else np.empty(size)
-            np.matmul(_class_weights(d), a.reshape(-1, d * d, blocks[i + 1]), out=out.reshape(-1, 2, blocks[i + 1]))
-            a, spare = out, a
-            keys.append(op.systems[i].key)
+            out = (spare[:size] if spare.size >= size else np.empty(size)).reshape(-1, 2, blocks[i + 1])
+            np.multiply(units[:, 0], w[0], out=out[:, 0])
+            np.add.reduce(units[:, 1:], axis=1, out=out[:, 1])
+            a, spare = out.reshape(-1), a
     return keys, a.copy()  # not a view that would keep the copy alive
 
 
@@ -219,12 +224,12 @@ def _sparse_type_squares(systems: tuple[SystemLabel, ...], index: np.ndarray, va
     weighted squares are binned into one table (``_binned``). Peak memory thus
     follows the largest chunk, not the whole fill-in: on ``make_switch(8)``
     (1048576 entries, 24 MiB) the table takes 0.53-0.58 s and peaks at 3.5
-    times the entries' bytes (tracemalloc), where every entry in one piece
-    took 1.8-1.9 s and 32 times; on the benchmark's permuted
-    ``make_switch(3)`` it takes 1.9 ms against 3.9-4.1 ms, and on
-    ``make_bw_extension()`` 6.0 against 16.3 ms (medians of interleaved
-    runs, one BLAS thread, 2-core host).
+    times the entries' bytes (tracemalloc; one BLAS thread, 2-core host),
+    where every entry in one piece took 1.8-1.9 s and 32 times. A table for
+    which 8 times the entries' bytes would pass ``MAX_DENSE_BYTES`` is
+    refused before it allocates (``labeled._budget``).
     """
+    _budget(8 * (index.nbytes + values.nbytes), f"the type table of {index.size} stored entries")
     dims = [s.dim for s in systems]
     side, nontrivial = math.prod(dims), [i for i, d in enumerate(dims) if d > 1]
     strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
@@ -259,12 +264,11 @@ def _sparse_type_squares(systems: tuple[SystemLabel, ...], index: np.ndarray, va
 
 
 def _binned(flat: np.ndarray, values: np.ndarray, factors, mirrored: bool) -> np.ndarray:
-    """The weighted squares of entries at ``flat`` indices, after every pass,
-    summed by type bit mask. Each factor (d, the worth of its digit pair)
-    weighs an entry by the pair's class, read off its digits: 1 off the
-    diagonal, 1/d for Helmert row 0 and 1/(k(k+1)) for row k; it sets its bit
-    unless the pair is row 0, the identity. If ``mirrored``, an entry off the
-    matrix's diagonal counts twice, once for its mirror."""
+    """The squares of entries at ``flat`` indices, after every pass, weighed
+    by each factor (d, the worth of its digit pair): Helmert row k by
+    ``_row_weights(d)[k]``, an off-diagonal unit by 1. They are summed by type
+    bit mask, in which a factor's bit is set unless its pair is row 0. If
+    ``mirrored``, an entry off the matrix's diagonal counts twice."""
     squares = np.square(values.real) + np.square(values.imag)
     masks, diagonal = np.zeros(flat.size, dtype=np.intp), np.ones(flat.size, dtype=bool)
     for d, rest in factors:
@@ -272,7 +276,7 @@ def _binned(flat: np.ndarray, values: np.ndarray, factors, mirrored: bool) -> np
         flat = flat - pair * rest
         k = pair // (d + 1)
         on = k * (d + 1) == pair  # Helmert row k, else off the diagonal
-        squares *= np.where(on, np.array([1.0 / d] + [1.0 / (j * (j + 1)) for j in range(1, d)])[k], 1.0)
+        squares *= np.where(on, _row_weights(d)[k], 1.0)
         masks = 2 * masks + (pair != 0)
         diagonal &= on
     if mirrored:
@@ -321,15 +325,10 @@ def _helmert(units) -> None:
         units[k] += units[0]
 
 
-def _class_weights(d: int) -> np.ndarray:
-    """Weights of a factor's d² squared coefficients in its two classes, as
-    sums of nonnegative terms, never as differences: the identity 1/√d·1,
-    whose squared coefficient is |row 0|²/d, and all the others, with Helmert
-    row k normalized by k(k+1) and off-diagonal units by 1."""
-    w = np.zeros((2, d * d))
-    w[0, 0], w[1] = 1.0 / d, 1.0
-    w[1, :: d + 1] = [0.0] + [1.0 / (k * (k + 1)) for k in range(1, d)]
-    return w
+def _row_weights(d: int) -> np.ndarray:
+    """A factor's weights of its squared Helmert rows: 1/d for row 0, the
+    identity 1/√d·1, and 1/(k(k+1)) for row k; an off-diagonal unit weighs 1."""
+    return np.array([1.0 / d] + [1.0 / (k * (k + 1)) for k in range(1, d)])
 
 
 def _unwitnessed(op: LabeledOperator, nodes) -> dict[tuple, float]:

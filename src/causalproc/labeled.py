@@ -177,8 +177,8 @@ def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     the one rule for process files, for validation and for the operators
     that kernels return. Returns the strictly increasing flat row-major
     indices and the entries there, in the matrix's float or complex dtype. A
-    dense matrix costs one counting pass, and a sparse one no temporary of
-    the matrix's size.
+    dense matrix costs a counting pass that stops once it proves the matrix
+    dense, and a sparse one no temporary of the matrix's size.
     """
     m = np.asarray(m)
     limit = m.shape[0] ** 2 // 4
@@ -186,11 +186,14 @@ def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     words = m.view(np.uint64)
     per = words.size // m.size  # one word per float entry, two per complex
     # stored <= nonzero words <= per * stored: more than per * limit nonzero
-    # words means dense, decided by this one counting pass.
-    if np.count_nonzero(words) > per * limit:
-        return None
-    # the nonzero words slice by slice, so no mask is as large as the matrix
-    step = 1 << 18
+    # words means dense. The count runs slice by slice and stops as soon as it
+    # passes that bound; the nonzero words are then found slice by slice too,
+    # so no mask is as large as the matrix.
+    step, count = 1 << 18, 0
+    for i in range(0, words.size, step):
+        count += np.count_nonzero(words[i : i + step])
+        if count > per * limit:
+            return None
     index = np.concatenate([np.flatnonzero(words[i : i + step] != 0) + i for i in range(0, words.size, step)]) // per
     if per > 1 and index.size:
         index = index[np.r_[True, index[1:] != index[:-1]]]

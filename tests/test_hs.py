@@ -15,22 +15,26 @@ from causalproc import (
     SystemLabel,
     haar_unitary,
     identity_operator,
+    make_af,
     make_af_deterministic,
     make_classical_switch,
     make_methods_counterexample,
+    make_mix_example,
     make_switch,
     make_unitary_process,
     partial_trace,
     project_trivial,
     quantize,
     random_unitary_chain,
+    read_process_file,
     reorder,
     tensor,
     type_norms,
     validate_process,
+    write_process_file,
 )
-from causalproc import hs
-from causalproc.hs import _SLICE, _class_weights, _dense_type_squares, _helmert, _mirrored, _sparse_type_squares, _table
+from causalproc import cli, hs, labeled
+from causalproc.hs import _SLICE, _dense_type_squares, _helmert, _mirrored, _row_weights, _sparse_type_squares, _table
 from causalproc.labeled import _dense_reference, _entries, sorted_coo
 from causalproc.rand import random_state
 
@@ -197,8 +201,8 @@ def test_dense_type_norms_of_1024_dim_processes(rng):
 
 def _unblocked_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
     """The dense table as built before it was blocked: each factor's Helmert
-    pass over the whole interleaved copy, then the squares, then the class
-    sums, each in a new array."""
+    pass over the whole interleaved copy, then the squares, then the weighed
+    class sums, each in a new array."""
     dims = [s.dim for s in op.systems]
     n = len(dims)
     interleaved = [ax for i in range(n) for ax in (i, n + i)]
@@ -211,7 +215,9 @@ def _unblocked_type_squares(op: LabeledOperator) -> tuple[list, np.ndarray]:
     keys = []
     for i, d in enumerate(dims):
         if d > 1:
-            a = np.matmul(_class_weights(d), a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2))
+            units = a.reshape(-1, d * d, math.prod(dims[i + 1 :]) ** 2).copy()
+            units[:, :: d + 1] *= _row_weights(d)[:, None]
+            a = np.stack([units[:, 0], units[:, 1:].sum(axis=1)], axis=1)
             keys.append(op.systems[i].key)
     return keys, a.reshape(-1)
 
@@ -334,10 +340,13 @@ def first_pass(monkeypatch):
 
 
 def _assert_tables_agree(x: LabeledOperator, got: tuple, want: tuple):
-    """Equal keys and nonzero types, and norms within 1e-12·‖x‖_F per type."""
+    """Equal keys, nonzero types and non-finite types, and finite norms within
+    1e-12·‖x‖_F per type, the norm of x's finite entries."""
     assert got[0] == want[0] and np.array_equal(got[1] != 0.0, want[1] != 0.0)
-    bound = 1e-12 * float(np.linalg.norm(x.matrix))
-    assert np.abs(np.sqrt(got[1]) - np.sqrt(want[1])).max(initial=0.0) <= bound
+    finite, m = np.isfinite(got[1]), x.matrix
+    assert np.array_equal(finite, np.isfinite(want[1]))
+    bound = 1e-12 * float(np.linalg.norm(np.where(np.isfinite(m), m, 0.0)))
+    assert np.abs(np.sqrt(got[1][finite]) - np.sqrt(want[1][finite])).max(initial=0.0) <= bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,3 +419,72 @@ def test_a_chunk_just_above_the_slice_is_split_and_sums_as_one(monkeypatch, firs
     got = _sparse_type_squares(switch.systems, index, values)
     assert first_pass[0] == unsplit[0] and len(first_pass) > len(unsplit) and sum(first_pass[1:]) >= unsplit[1]
     _assert_tables_agree(switch, got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build, at, count",
+    [
+        (make_switch, (0, 10), 16),  # switch(2)'s first stored entry off the diagonal
+        (make_mix_example, (0, 1), 8),  # mix and af are diagonal
+        (make_af, (0, 1), 32),
+    ],
+    ids=["switch", "mix", "af"],
+)
+def test_a_non_finite_entry_reaches_the_same_types_on_either_storage(build, at, count, bad):
+    """One off-diagonal entry and its mirror set to NaN or inf: its stored
+    entries and the dense reference give the same nonzero, zero and
+    non-finite types, as the type classes are sums of nonnegative terms."""
+    op = build().op
+    m = op.matrix.copy()
+    m[at] = m[at[::-1]] = bad
+    stored, dense = LabeledOperator(op.systems, m), _dense_reference(op.systems, m)
+    assert _entries(stored) is not None
+    with np.errstate(invalid="ignore"):
+        got, want = hs._type_squares(stored), hs._type_squares(dense)
+        assert set(type_norms(stored)) == set(type_norms(dense))
+    _assert_tables_agree(stored, got, want)
+    assert np.count_nonzero(~np.isfinite(got[1])) == count
+
+
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def operators_with_non_finite_entries(draw):
+    """``sorted_coo_operators`` with up to two entries, stored or not, made
+    NaN or infinite in one part or both."""
+    x = draw(sorted_coo_operators())
+    m = x.matrix.copy()
+    for _ in range(draw(st.integers(0, 2))):
+        at, bad = draw(st.integers(0, m.size - 1)), draw(non_finite)
+        m.flat[at] = complex(*draw(st.permutations([bad, draw(non_finite | parts)]))) if np.iscomplexobj(m) else bad
+    return LabeledOperator(x.systems, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=operators_with_non_finite_entries())
+def test_sparse_and_dense_tables_agree_on_non_finite_entries(x):
+    with np.errstate(invalid="ignore"):
+        got = _sparse_type_squares(x.systems, *_coo(x.matrix))
+        want = _dense_type_squares(_dense_reference(x.systems, x.matrix))
+    _assert_tables_agree(x, got, want)
+
+
+def test_the_sparse_table_is_refused_past_its_byte_bound(tmp_path, capsys, monkeypatch):
+    """8 times the stored entries' bytes is the table's bound: a byte under it,
+    validation raises a ValueError naming the table before it allocates, and
+    the CLI exits 2 with one line and no traceback."""
+    path = tmp_path / "switch3.json"
+    write_process_file(path, make_switch(3))
+    entries = _entries(read_process_file(path).process.op)
+    assert entries is not None
+    bound = 8 * sum(a.nbytes for a in entries)
+    monkeypatch.setattr(labeled, "MAX_DENSE_BYTES", bound - 1)
+    with pytest.raises(ValueError, match=f"type table of {entries[0].size} stored entries would need {bound} bytes"):
+        validate_process(make_switch(3))
+    assert cli.main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the type table") and "Traceback" not in err
+    monkeypatch.setattr(labeled, "MAX_DENSE_BYTES", bound)
+    assert cli.main(["validate", str(path)]) == 0

@@ -178,6 +178,20 @@ def test_sorted_coo_slices_give_the_stored_entries(m):
     assert _same_coo(sorted_coo(m), _plain_coo(m))
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["a-quarter", "one-more"])
+@pytest.mark.parametrize("value", [1.0, -0.0, np.nan, complex(-0.0, 0.0), complex(0.0, np.nan), complex(2.0, -0.0)])
+def test_sorted_coo_routes_a_quarter_stored_as_a_full_count_does(extra, value):
+    """Exactly side²/4 stored entries, and one more, placed last, where a
+    count that stops early passes its bound on the final slice, if at all."""
+    side = 1024  # 4 slices of words if real, 8 if complex
+    m = np.zeros(side * side, dtype=type(value))
+    m[-(side * side // 4 + extra) :] = value
+    m = m.reshape(side, side)
+    want = _plain_coo(m)
+    assert (want is None) == bool(extra)
+    assert _same_coo(sorted_coo(m), want)
+
+
 def test_sorted_coo_of_a_dense_held_4096_dim_matrix_needs_no_full_size_mask():
     m = make_bw_extension().process.op.matrix  # 256 MiB, 4096 stored entries
     tracemalloc.start()
