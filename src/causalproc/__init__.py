@@ -26,7 +26,7 @@ _EXPORTS = {
         "haar_unitary", "random_cptp", "random_signalling_channel", "random_state",
     ),
     "process": (
-        "InstrumentElement", "ProcessOperator", "QuantumNode", "ValidationVerdict",
+        "ProcessOperator", "QuantumNode", "ValidationVerdict",
         "conditional_process", "is_isometric", "measure_prepare_element",
         "process_operator", "signalling_residual", "validate_process",
     ),

@@ -49,7 +49,7 @@ import numpy as np
 import causalproc as cp
 
 from . import _EXPORTS
-from .graphs import DirectedGraph, directed_graph
+from .graphs import DirectedGraph
 from .labeled import MAX_DENSE_BYTES, LabeledOperator, _from_entries, _sparse_entries
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
@@ -198,7 +198,7 @@ def _parse_graph(block) -> DirectedGraph:
         if (not isinstance(vertices, list) or not isinstance(edges, list) or len(ends) < 2 * len(edges)
                 or not all(isinstance(v, str) for v in vertices + ends)):
             raise ValueError("vertices must be a list of strings and each edge a list of two")
-        return directed_graph(vertices, [tuple(e) for e in edges], allow_self_loops=True)
+        return DirectedGraph(vertices, edges)
     except (TypeError, KeyError, ValueError) as exc:
         raise ProcessFileError(f"bad graph block: {exc!r}") from exc
 

@@ -121,12 +121,12 @@ class DirectedGraph:
         return "\n".join(lines) + "\n"
 
 
-def directed_graph(vertices, edges, allow_self_loops: bool = False) -> DirectedGraph:
-    g = DirectedGraph(tuple(vertices), frozenset(tuple(e) for e in edges))
-    if not allow_self_loops:
-        for a, b in g.edges:
-            if a == b:
-                raise ValueError(f"self-loop at {a!r} (not enabled)")
+def directed_graph(vertices, edges) -> DirectedGraph:
+    """A DirectedGraph that refuses a self-loop."""
+    g = DirectedGraph(vertices, edges)
+    for a, b in g.edges:
+        if a == b:
+            raise ValueError(f"self-loop at {a!r}")
     return g
 
 
@@ -348,7 +348,7 @@ def compatibility_check(
     prep = lams[0]
     for l in lams[1:]:
         prep = np.kron(prep, l)
-    tau_root = measure_prepare_element(root, np.eye(1), prep).tau
+    tau_root = measure_prepare_element(root, np.eye(1), prep)
     contracted = product([extension.op, tau_root])
     marg = partial_trace(
         contracted,

@@ -48,8 +48,6 @@ def project_trivial(op: LabeledOperator, refs) -> LabeledOperator:
         return op
     n = len(op.systems)
     traced = [i for i in range(n) if op.systems[i].key in keys]
-    if len(traced) != len(keys):
-        raise KeyError(f"no systems {keys} in {op.systems}")
     keep = [i for i in range(n) if op.systems[i].key not in keys]
     scale = math.prod(op.systems[i].dim for i in traced)
     if _entries(op) is not None:

@@ -50,21 +50,22 @@ def dual(label: SystemLabel) -> SystemLabel:
 
 
 def _as_key(ref, systems: tuple[SystemLabel, ...]) -> tuple[str, bool]:
-    """Resolve a system reference to a (name, dual) key.
+    """Resolve a system reference to the (name, dual) key of one of ``systems``.
 
     Accepts a SystemLabel, a (name, dual) pair, or a bare name when the name is
-    unambiguous among ``systems``.
+    unambiguous; a system that ``systems`` does not hold raises KeyError.
     """
-    if isinstance(ref, SystemLabel):
-        return ref.key
-    if isinstance(ref, tuple) and len(ref) == 2 and isinstance(ref[0], str):
-        return (ref[0], bool(ref[1]))
     if isinstance(ref, str):
         hits = [s.key for s in systems if s.name == ref]
         if len(hits) != 1:
             raise KeyError(f"system name {ref!r} is ambiguous or absent: {hits}")
         return hits[0]
-    raise TypeError(f"cannot interpret system reference {ref!r}")
+    if not isinstance(ref, SystemLabel) and not (isinstance(ref, tuple) and len(ref) == 2 and isinstance(ref[0], str)):
+        raise TypeError(f"cannot interpret system reference {ref!r}")
+    key = ref.key if isinstance(ref, SystemLabel) else (ref[0], bool(ref[1]))
+    if key not in [s.key for s in systems]:
+        raise KeyError(f"no system {key} in {systems}")
+    return key
 
 
 class LabeledOperator:
@@ -116,11 +117,7 @@ class LabeledOperator:
         return _densify(self.dim, *self._coo)
 
     def index(self, ref) -> int:
-        key = _as_key(ref, self.systems)
-        for i, s in enumerate(self.systems):
-            if s.key == key:
-                return i
-        raise KeyError(f"no system {key} in {self.systems}")
+        return [s.key for s in self.systems].index(_as_key(ref, self.systems))
 
     def system(self, ref) -> SystemLabel:
         return self.systems[self.index(ref)]
@@ -559,10 +556,7 @@ def _relabeled(op: LabeledOperator, systems) -> LabeledOperator:
 
 def reorder(op: LabeledOperator, new_order) -> LabeledOperator:
     """Permute the system order; the matrix is permuted to match."""
-    keys = [_as_key(r, op.systems) for r in new_order]
-    if sorted(keys) != sorted(s.key for s in op.systems):
-        raise ValueError(f"{keys} is not a permutation of {[s.key for s in op.systems]}")
-    perm = [op.index(k) for k in keys]
+    perm = _positions(op.systems, new_order)
     n, d = len(op.systems), op.dim
     if perm == list(range(n)):
         return op
@@ -903,8 +897,8 @@ class LinearMap:
     codomain: tuple[SystemLabel, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "codomain", tuple(self.codomain))
+        object.__setattr__(self, "domain", _checked_systems(self.domain))
+        object.__setattr__(self, "codomain", _checked_systems(self.codomain))
         m = np.asarray(self.matrix)
         shape = (
             math.prod(s.dim for s in self.codomain),
@@ -937,7 +931,7 @@ def _positions(systems, refs) -> list[int]:
     keys = [s.key for s in systems]
     new = [_as_key(r, systems) for r in refs]
     if sorted(new) != sorted(keys):
-        raise ValueError(f"{new} vs {keys}: not a permutation")
+        raise ValueError(f"{new} is not a permutation of {keys}")
     return [keys.index(k) for k in new]
 
 

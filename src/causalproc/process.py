@@ -212,52 +212,38 @@ def is_isometric(sigma: ProcessOperator, tol: float = 1e-9) -> bool:
     return distance(op, cj_operator(LinearMap(v.reshape(op.dim, 1), (), op.systems))) <= tol
 
 
-@dataclass(frozen=True)
-class InstrumentElement:
-    """One outcome of a local intervention, as a transposed CJ operator.
-
-    ``tau`` lives on the node's in-space (primal) and out-space (dual), i.e.
-    the same factors the process operator uses for that node.
-    """
-
-    node_name: str
-    tau: LabeledOperator
-
-
-def measure_prepare_element(node: QuantumNode, effect: np.ndarray, prep: np.ndarray) -> InstrumentElement:
+def measure_prepare_element(node: QuantumNode, effect: np.ndarray, prep: np.ndarray) -> LabeledOperator:
     """Element that measures POVM effect on the input and prepares a fresh state.
 
     tau = effect ⊗ prep^T, on (node.in, node.out*).
     """
-    effect = np.asarray(effect, dtype=complex)
-    prep = np.asarray(prep, dtype=complex)
-    tau = tensor(
-        LabeledOperator((node.in_system,), effect),
-        LabeledOperator((node.out_dual,), prep.T),
+    return tensor(
+        LabeledOperator((node.in_system,), np.asarray(effect, dtype=complex)),
+        LabeledOperator((node.out_dual,), np.asarray(prep, dtype=complex).T),
     )
-    return InstrumentElement(node.name, tau)
 
 
 def conditional_process(
     sigma: ProcessOperator,
     node_name: str,
-    element: InstrumentElement,
+    tau: LabeledOperator,
     tol: float = 1e-9,
 ) -> ProcessOperator:
     """Process on the remaining nodes, conditioned on one outcome at a node.
 
-    The result is validated, and an error is raised if conditioning broke
+    ``tau`` is the element, on the node's in-space and out-space dual. The
+    result is validated, and an error is raised if conditioning broke
     validity (possible when the other nodes can signal to the conditioned one).
     """
-    if element.node_name != node_name:
-        raise ValueError("element belongs to a different node")
     node = sigma.node(node_name)
+    if set(tau.systems) != {node.in_system, node.out_dual}:
+        raise ValueError(f"element belongs to a different node than {node_name!r}: it acts on {tau.systems}")
     rest = tuple(n for n in sigma.nodes if n.name != node_name)
     if not rest:
         raise ValueError("cannot condition away the only node")
 
-    joined = product([sigma.op, element.tau])
-    m = partial_trace(joined, [node.in_system.key, node.out_dual.key])
+    joined = product([sigma.op, tau])
+    m = partial_trace(joined, tau.systems)
     rest_trace = float(np.prod([n.d_out for n in rest]))
     lam = float(partial_trace(m, m.systems).matrix[0, 0].real) / rest_trace
     if lam <= tol:

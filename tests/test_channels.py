@@ -151,6 +151,18 @@ def test_influence_pattern_of_swap():
     assert channel_influence_residual(ch, "b", "c") > 0.1
 
 
+@pytest.mark.parametrize("absent", [SystemLabel("z", 2), ("z", False), "z"], ids=["label", "key", "name"])
+def test_influence_residual_refuses_a_leg_the_channel_does_not_have(absent):
+    a, b, c, d = (SystemLabel(s, 2) for s in ("a", "b", "c", "d"))
+    cnot = channel_from_unitary(LinearMap(CNOT, (a, b), (c, d)))
+    dense_cnot = ChannelOperator(_dense_reference(cnot.op.systems, cnot.op.matrix), cnot.outputs, cnot.inputs)
+    assert [_entries(ch.op) is None for ch in (cnot, dense_cnot)] == [False, True]
+    for ch in (cnot, dense_cnot):
+        for in_ref, out_ref in ((absent, "c"), ("a", absent)):
+            with pytest.raises(KeyError, match="z"):
+                channel_influence_residual(ch, in_ref, out_ref)
+
+
 def test_influence_residuals_match_the_per_pair_residual_bitwise(switch_up, bw_up, rng):
     a, b, c, d = (SystemLabel(s, 2) for s in ("a", "b", "c", "d"))
     cnot = channel_from_unitary(LinearMap(CNOT, (a, b), (c, d)))

@@ -116,6 +116,17 @@ def test_graph_and_metadata_survive(tmp_path):
     assert loaded.metadata["label"] == "triangle"
 
 
+def test_a_graph_block_with_a_self_loop_reads():
+    # a file's graph is read as written, self-loops included, while an edge
+    # to a vertex the block does not list is refused
+    doc = process_to_dict(make_af(), af_causal_graph())
+    doc["graph"]["edges"].append(["A", "A"])
+    assert dict_to_process(doc).graph.edges == af_causal_graph().edges | {("A", "A")}
+    doc["graph"]["edges"].append(["A", "Z"])
+    with pytest.raises(ProcessFileError, match="bad graph block.*leaves the vertex set"):
+        dict_to_process(doc)
+
+
 def test_deterministic_process_saves_as_classical(tmp_path):
     dp = make_af_deterministic()
     doc = process_to_dict(dp)

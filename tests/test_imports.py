@@ -108,7 +108,7 @@ sys.path.insert(0, {src!r})
 import causalproc as cp
 assert "causalproc.hs" not in sys.modules and "causalproc.labeled" not in sys.modules
 assert cp.hs is importlib.import_module("causalproc.hs") and cp.labeled.tensor is cp.tensor
-assert len(set(cp.__all__)) == len(cp.__all__) == 103
+assert len(set(cp.__all__)) == len(cp.__all__) == 102
 submodules = [importlib.import_module(f"causalproc.{{info.name}}") for info in pkgutil.iter_modules(cp.__path__)]
 for name in cp.__all__:
     value = getattr(cp, name)

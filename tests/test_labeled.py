@@ -20,6 +20,7 @@ from causalproc import (
     identity_operator,
     is_unitary,
     labeled,
+    make_switch,
     partial_trace,
     permute_map,
     process_operator,
@@ -444,10 +445,13 @@ _PRIMAL_AND_DUAL = LabeledOperator((_A, dual(_A)), np.eye(4))
         pytest.param(lambda: _PRIMAL_AND_DUAL + 1, TypeError, "expected a LabeledOperator", id="sum with a number"),
         pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [("a", False)]), ValueError, "is not a permutation", id="partial order"),
         pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [("a", False), ("a", True), ("a", True)]), ValueError, "is not a permutation", id="repeated system in an order"),
-        pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [_A, dual(_A), _B]), ValueError, "is not a permutation", id="extra system in an order"),
+        pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, [_A, dual(_A), _B]), KeyError, r"no system \('b', False\)", id="extra system in an order"),
         pytest.param(lambda: reorder(_PRIMAL_AND_DUAL, ["b", dual(_A)]), KeyError, "system name 'b' is ambiguous or absent", id="absent name in an order"),
         pytest.param(lambda: LinearMap(np.eye(3), (_A,), (_B,)), ValueError, r"matrix shape \(3, 3\), expected \(2, 2\)", id="map shape"),
-        pytest.param(lambda: project_trivial(_PRIMAL_AND_DUAL, [("b", False)]), KeyError, "no systems", id="projection onto an absent system"),
+        pytest.param(lambda: LinearMap(np.eye(4), (_A, _A), (_A, _B)), ValueError, "duplicate system labels", id="map domain repeats a label"),
+        pytest.param(lambda: LinearMap(np.eye(4), (_A, _B), (_B, _B)), ValueError, "duplicate system labels", id="map codomain repeats a label"),
+        pytest.param(lambda: tensor_maps(identity_map([_A]), identity_map([_A])), ValueError, "duplicate system labels", id="maps that share a label"),
+        pytest.param(lambda: project_trivial(_PRIMAL_AND_DUAL, [("b", False)]), KeyError, r"no system \('b', False\)", id="projection onto an absent system"),
         pytest.param(
             lambda: process_operator([QuantumNode("A", 2, 2)], identity_operator(canonical_systems([QuantumNode("A", 2, 2)]))).node("B"),
             KeyError,
@@ -459,3 +463,35 @@ _PRIMAL_AND_DUAL = LabeledOperator((_A, dual(_A)), np.eye(4))
 def test_kernel_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+_KERNELS = {
+    "partial_trace": lambda op, ref: partial_trace(op, [op.systems[0], ref]),
+    "trace residual": lambda op, ref: labeled._trace_residual(op, [ref]),
+    "project_trivial": lambda op, ref: project_trivial(op, [ref]),
+    "reorder": lambda op, ref: reorder(op, [ref, *op.systems[1:]]),
+    "index": lambda op, ref: op.index(ref),
+}
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+@pytest.mark.parametrize("ref", [SystemLabel("Z.in", 2), ("Z.in", False), "Z.in"], ids=["label", "key", "name"])
+@pytest.mark.parametrize("held", ["entries", "dense"])
+def test_every_kernel_refuses_a_system_the_operator_does_not_hold(held, ref, kernel):
+    # each reference resolves through labeled._as_key, which refuses a system
+    # the operator does not hold instead of tracing or projecting nothing
+    op = make_switch(2).op
+    if held == "dense":
+        op = labeled._dense_reference(op.systems, op.matrix)
+    assert (labeled._entries(op) is None) == (held == "dense")
+    with pytest.raises(KeyError, match=r"Z\.in"):
+        _KERNELS[kernel](op, ref)
+
+
+@pytest.mark.parametrize("held", ["entries", "dense"])
+def test_an_order_that_repeats_a_system_is_no_permutation(held):
+    op = make_switch(2).op
+    if held == "dense":
+        op = labeled._dense_reference(op.systems, op.matrix)
+    with pytest.raises(ValueError, match="is not a permutation"):
+        reorder(op, [op.systems[0], *op.systems[:-1]])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from causalproc import (
     ClassicalNode,
-    InstrumentElement,
     LabeledOperator,
     LinearMap,
     QuantumNode,
@@ -168,10 +167,10 @@ def test_conditional_process_matches_the_dense_trace_rule(name, rng):
         else:
             # a multiple of the identity does too; a basis-state preparation makes the element sparse
             effect, prep = np.eye(node.d_in) / 2, np.diag(np.eye(node.d_out)[-1])
-        element = measure_prepare_element(node, effect, prep)
-        want = dense_conditional(sigma, node.name, element.tau)
-        dense_element = InstrumentElement(node.name, labeled._dense_reference(element.tau.systems, element.tau.matrix))
-        for s, e in ((sigma, element), (dense, dense_element)):
+        tau = measure_prepare_element(node, effect, prep)
+        want = dense_conditional(sigma, node.name, tau)
+        dense_tau = labeled._dense_reference(tau.systems, tau.matrix)
+        for s, e in ((sigma, tau), (dense, dense_tau)):
             got = conditional_process(s, node.name, e)
             assert got.op.systems == tuple(canonical_systems(got.nodes)), node.name
             assert np.abs(got.op.matrix - want).max() < 1e-12, node.name
@@ -232,13 +231,12 @@ def test_readout_elements_sum_to_a_trace_preserving_element(d_in, d_out, rng):
     prep = random_state(d_out, rng)
     readouts = [measure_prepare_element(node, np.diag(np.eye(d_in)[k]), prep) for k in range(d_in)]
     whole = measure_prepare_element(node, np.eye(d_in), prep)
-    for el in readouts + [whole]:
-        assert el.node_name == "A"
-        assert set(el.tau.systems) == {node.in_system, node.out_dual}
-    assert np.abs(sum(el.tau.matrix for el in readouts) - whole.tau.matrix).max() < 1e-12
-    assert abs(np.trace(whole.tau.matrix) - d_in) < 1e-12
+    for tau in readouts + [whole]:
+        assert set(tau.systems) == {node.in_system, node.out_dual}
+    assert np.abs(sum(tau.matrix for tau in readouts) - whole.matrix).max() < 1e-12
+    assert abs(np.trace(whole.matrix) - d_in) < 1e-12
     # the dual out-space carries the transposed preparation
-    out = partial_trace(whole.tau, [node.in_system.key])
+    out = partial_trace(whole, [node.in_system.key])
     assert np.abs(out.matrix - d_in * prep.T).max() < 1e-12
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -843,6 +841,18 @@ def _flat_process(nodes):
             lambda a, b: conditional_process(_flat_process([a, b]), "A", measure_prepare_element(b, np.eye(2), np.eye(2) / 2)),
             "element belongs to a different node",
             id="condition on a foreign element",
+        ),
+        # the element is its operator tau: one on B's systems, or on A's
+        # in-space and B's out-dual, is not A's
+        pytest.param(
+            lambda a, b: conditional_process(make_mix_example(), "A", measure_prepare_element(b, np.eye(2), np.eye(2) / 2)),
+            "element belongs to a different node than 'A'",
+            id="condition on B's element as A's",
+        ),
+        pytest.param(
+            lambda a, b: conditional_process(make_mix_example(), "A", LabeledOperator((a.in_system, b.out_dual), np.eye(4))),
+            "element belongs to a different node than 'A'",
+            id="condition on an element across two nodes",
         ),
         pytest.param(
             lambda a, b: conditional_process(_flat_process([a]), "A", measure_prepare_element(a, np.eye(2), np.eye(2) / 2)),

@@ -9,6 +9,9 @@ Python calls itself, and ``KEPT``. A reached function or class reaches every
 name its source refers to, as a bare name or as an attribute, in whichever
 module that name is defined. Public code that only unit tests, the README or
 CI scripts call is unreached, and fails the test until it is deleted or kept.
+
+A second check reads the same trees: no module-level import of the package
+or of a test module binds a name that its module never reads.
 """
 
 from __future__ import annotations
@@ -77,3 +80,18 @@ def test_each_kept_name_is_needed():
     assert set(KEPT) <= set(bodies), sorted(set(KEPT) - set(bodies))
     for name in KEPT:
         assert name not in _reached(bodies, roots | set(KEPT) - {name}), f"{name} is reached without being kept"
+
+
+def test_no_module_level_import_is_unused():
+    # each name a module-level import of the package or of a test module
+    # binds (but _EXPORTS and __future__) is read somewhere in its module as a
+    # bare name
+    unused = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name != "_EXPORTS" and name not in read]
+    assert not unused, f"unused module-level imports: {unused}"
