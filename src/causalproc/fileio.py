@@ -2,7 +2,7 @@
 
 A file stores either a quantum process operator or a classical process table
 (shape plus flat row-major values). The operator is a complex matrix, row-major
-over the canonical interleaved system order, in one of four payloads:
+over the canonical interleaved system order, in one of five payloads:
 
 - nested (format 1 on): the ``[side, side, 2]`` list of [re, im]
   pairs;
@@ -13,18 +13,29 @@ over the canonical interleaved system order, in one of four payloads:
   breaks) of the matrix's row-major little-endian complex128 bytes, real part
   first, so exactly ``4 * ceil(16 * side**2 / 3)`` characters;
 - hex (format 4 on): one string, the lowercase hex of the same bytes, so
-  exactly ``32 * side**2`` characters.
+  exactly ``32 * side**2`` characters;
+- vector (format 5 on): ``{"vector": V}``, the CJ vector v of a unitary
+  process, whose operator is ``np.outer(v, v.conj())``. V is v's sorted COO
+  (indices below side) if ``4 * stored <= side``, else the hex of v's bytes,
+  exactly ``32 * side`` characters. The reader rebuilds the operator with
+  ``labeled.cj_operator``, so it has the bits and storage of the one written.
 
 A version admits the payloads of every earlier one; a string payload's length
 picks its codec (for ``n = 16 * side**2`` bytes, ``2n`` hex characters never
 equal the ``4 * ceil(n / 3)`` of base64). An entry is stored unless both of its
-parts are +0.0, so -0.0 survives. The writer picks the sparse payload iff
-``4 * stored <= side**2``, a rule on the matrix alone (``labeled.sorted_coo``,
-which every kernel follows too; the writer asks ``labeled._sparse_entries``),
-and the hex one otherwise; it stamps a dense quantum file 4 and a sparse or
-classical one 2. So export, import and re-export give the same bytes, and every
-bit of the matrix survives. An optional graph block carries a directed graph
-and a metadata block free-form data.
+parts are +0.0, so -0.0 survives. An operator that keeps a complex128 CJ vector
+(``labeled._cj_vector``: one built by ``cj_operator``, a unitary process among
+them) is written as that vector and stamped 5. Any other is written as its
+matrix: the sparse payload iff ``4 * stored <= side**2``, a rule on the matrix
+alone (``labeled.sorted_coo``, which every kernel follows too; the writer asks
+``labeled._sparse_entries``), and the hex one otherwise; a dense matrix is
+stamped 4 and a sparse or classical file 2. So the bytes depend on whether the
+operator keeps its vector: an operator read from format 1 to 4 keeps none and
+is written as it was read. Either way export, import and re-export give the
+same bytes, and every bit of the operator survives. The 256-dim
+``random_unitary_chain(2)`` takes 8.4 KB as its vector and 2.10 MB as its
+matrix, ``make_switch(8)`` 17.6 KB and 24.1 MB. An optional graph block
+carries a directed graph and a metadata block free-form data.
 
 The reader decodes a string payload from the file's bytes, without the JSON
 parser ever seeing it, where a rule proves that this reads the same document as
@@ -50,15 +61,25 @@ import causalproc as cp
 
 from . import _EXPORTS
 from .graphs import DirectedGraph
-from .labeled import MAX_DENSE_BYTES, LabeledOperator, _from_entries, _sparse_entries
+from .labeled import (
+    MAX_DENSE_BYTES,
+    LabeledOperator,
+    LinearMap,
+    _cj_vector,
+    _from_entries,
+    _sparse_entries,
+    _stored,
+    cj_operator,
+)
 from .process import ProcessOperator, QuantumNode, canonical_systems, process_operator
 
 __all__ = _EXPORTS["fileio"]
 
-# The newest format, which a dense quantum file is stamped with; a sparse or
-# classical file is stamped 2, so its bytes are those of the format-2 writer.
-FORMAT_VERSION = 4
-READ_VERSIONS = (1, 2, 3, 4)
+# The newest format, which a file holding a CJ vector is stamped with; a dense
+# matrix is stamped 4 and a sparse or classical file 2, so their bytes are
+# those of the format-4 and format-2 writers.
+FORMAT_VERSION = 5
+READ_VERSIONS = (1, 2, 3, 4, 5)
 # A sparse payload allocates no side x side array; validating it (labeled._blocks)
 # peaks at about a dozen int64 arrays of one entry per row, bounded here by 16.
 # So side <= 2**25, and every flat index (below side**2) fits in an int64.
@@ -80,13 +101,25 @@ class LoadedProcessFile:
     metadata: dict = field(default_factory=dict)
 
 
+def _coo(index: np.ndarray, values: np.ndarray) -> dict:
+    pairs = np.asarray(values, dtype=complex).view(float).reshape(-1, 2)
+    return {"index": index.tolist(), "values": pairs.tolist()}
+
+
 def _encode_matrix(op: LabeledOperator) -> tuple[int, object]:
-    """The format version and payload of an operator: sorted COO (format 2) if
-    ``labeled._sparse_entries`` finds the matrix sparse, else the hex digits as
-    ASCII bytes (format 4)."""
+    """The format version and payload of an operator. One that keeps a
+    complex128 CJ vector v (``labeled._cj_vector``) is written as v (format
+    5): sorted COO if ``4 * stored <= side``, else its hex digits. Any other
+    is written as its matrix: sorted COO (format 2) if
+    ``labeled._sparse_entries`` finds it sparse, else the hex digits as ASCII
+    bytes (format 4)."""
+    if (v := _cj_vector(op)) is not None and v.dtype == np.complex128:
+        index = np.flatnonzero(_stored(v))
+        if 4 * index.size <= v.size:
+            return 5, {"vector": _coo(index, v[index])}
+        return 5, {"vector": binascii.b2a_hex(v.astype("<c16", copy=False)).decode("ascii")}
     if (entries := _sparse_entries(op)) is not None:
-        pairs = np.asarray(entries[1], dtype=complex).view(float).reshape(-1, 2)
-        return 2, {"index": entries[0].tolist(), "values": pairs.tolist()}
+        return 2, _coo(*entries)
     # b2a_hex reads the array's buffer: no bytes copy of the matrix
     return 4, binascii.b2a_hex(np.ascontiguousarray(op.matrix, dtype="<c16"))
 
@@ -143,6 +176,12 @@ def _decode_string(text: str | memoryview, side: int, version: int) -> np.ndarra
             )
     if version < since:
         raise ProcessFileError(f"a {codec} payload needs format_version {since}")
+    return _decoded(text, codec, nbytes).reshape(side, side)
+
+
+def _decoded(text: str | memoryview, codec: str, nbytes: int) -> np.ndarray:
+    """The complex128 entries in ``nbytes`` bytes of hex or base64 text, whose
+    length is checked; refuses a malformed text and a non-finite number."""
     try:
         # Both raise binascii.Error, a ValueError, on a character outside the
         # codec's alphabet (a line break included), and a ValueError on a
@@ -156,10 +195,11 @@ def _decode_string(text: str | memoryview, side: int, version: int) -> np.ndarra
     m = np.frombuffer(raw, dtype="<c16").astype(complex, copy=False)
     if not np.all(np.isfinite(m.view(float))):
         raise ProcessFileError(f"{codec} payload contains non-finite numbers")
-    return m.reshape(side, side)
+    return m
 
 
-def _decode_sparse(payload: dict, side: int) -> tuple[np.ndarray, np.ndarray]:
+def _decode_sparse(payload: dict, size: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The indices below ``size`` and the entries of a sorted-COO payload of ``what``."""
     if set(payload) != {"index", "values"}:
         raise ProcessFileError("sparse payload must hold exactly 'index' and 'values'")
     index, values = payload["index"], payload["values"]
@@ -173,12 +213,40 @@ def _decode_sparse(payload: dict, side: int) -> tuple[np.ndarray, np.ndarray]:
         idx = np.array(index, dtype=np.int64)
     except OverflowError as exc:
         raise ProcessFileError("sparse index out of range") from exc
-    if idx.size and (idx[0] < 0 or idx[-1] >= side * side):
-        raise ProcessFileError(f"sparse index out of range for a {side}x{side} matrix")
+    if idx.size and (idx[0] < 0 or idx[-1] >= size):
+        raise ProcessFileError(f"sparse index out of range for {what}")
     if np.any(idx[1:] <= idx[:-1]):
         raise ProcessFileError("sparse indices must be strictly increasing")
     pairs = _finite_numbers(values, (idx.size, 2), "sparse values")
     return idx, pairs.view(complex)[:, 0]
+
+
+def _vector_operator(payload: dict, systems, side: int, version: int) -> LabeledOperator:
+    """σ = vv† of the CJ vector v of ``side`` entries in a format-5 payload
+    (its hex digits, exactly ``32 * side`` of them, or its sorted COO),
+    rebuilt by ``cj_operator``: the bits, storage and kept vector of the
+    operator that was written. ``cj_operator`` refuses a σ that would need
+    more than ``MAX_DENSE_BYTES`` before it allocates it."""
+    if version < 5:
+        raise ProcessFileError("a vector payload needs format_version 5")
+    if set(payload) != {"vector"}:
+        raise ProcessFileError("vector payload must hold exactly 'vector'")
+    vector = payload["vector"]
+    if isinstance(vector, str):
+        if len(vector) != 32 * side:
+            raise ProcessFileError(f"hex vector of {side} entries must be {32 * side} characters, got {len(vector)}")
+        v = _decoded(vector, "hex", 16 * side)
+    elif isinstance(vector, dict):
+        index, values = _decode_sparse(vector, side, f"a vector of {side} entries")
+        v = np.zeros(side, dtype=complex)
+        v[index] = values
+    else:
+        raise ProcessFileError("a vector must be a hex string or sorted COO")
+    one_column = LinearMap(v.reshape(side, 1), (), systems)
+    try:
+        return cj_operator(one_column)
+    except ValueError as exc:  # labeled._budget
+        raise ProcessFileError(f"declared operator is {side}x{side}; built from its vector, {exc}") from exc
 
 
 def _graph_block(graph: DirectedGraph):
@@ -297,8 +365,10 @@ def dict_to_process(doc) -> LoadedProcessFile:
             op = LabeledOperator(systems, _decode_string(payload, side, version))
         elif dense:
             op = LabeledOperator(systems, _decode_dense(payload, side))
+        elif "vector" in payload:
+            op = _vector_operator(payload, systems, side, version)
         elif version >= 2:
-            op = _from_entries(systems, *_decode_sparse(payload, side))
+            op = _from_entries(systems, *_decode_sparse(payload, side * side, f"a {side}x{side} matrix"))
         else:
             raise ProcessFileError("a sparse payload needs format_version 2")
         sigma = process_operator(nodes, op)

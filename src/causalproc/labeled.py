@@ -19,6 +19,7 @@ from . import _EXPORTS
 # Bytes one dense kernel or a declared operator may need: side 16384 at 16 B an entry.
 MAX_DENSE_BYTES = 2**32
 _TILE = 128  # side of the square tiles that _hermitian_part and _low_rank_psd walk
+_OUTER_BYTES = 96  # peak bytes of _outer_entries and _from_entries per product they may store
 
 __all__ = _EXPORTS["labeled"]
 
@@ -53,7 +54,8 @@ def _as_key(ref, systems: tuple[SystemLabel, ...]) -> tuple[str, bool]:
     """Resolve a system reference to the (name, dual) key of one of ``systems``.
 
     Accepts a SystemLabel, a (name, dual) pair, or a bare name when the name is
-    unambiguous; a system that ``systems`` does not hold raises KeyError.
+    unambiguous; a system that ``systems`` does not hold, or a SystemLabel
+    whose dimension differs from the held system's, raises KeyError.
     """
     if isinstance(ref, str):
         hits = [s.key for s in systems if s.name == ref]
@@ -63,8 +65,11 @@ def _as_key(ref, systems: tuple[SystemLabel, ...]) -> tuple[str, bool]:
     if not isinstance(ref, SystemLabel) and not (isinstance(ref, tuple) and len(ref) == 2 and isinstance(ref[0], str)):
         raise TypeError(f"cannot interpret system reference {ref!r}")
     key = ref.key if isinstance(ref, SystemLabel) else (ref[0], bool(ref[1]))
-    if key not in [s.key for s in systems]:
+    held = next((s for s in systems if s.key == key), None)
+    if held is None:
         raise KeyError(f"no system {key} in {systems}")
+    if isinstance(ref, SystemLabel) and ref != held:
+        raise KeyError(f"{ref!r} is not the system {held!r} of {systems}")
     return key
 
 
@@ -79,7 +84,10 @@ class LabeledOperator:
     one is counted once, on first use (``_entries``), and the entries found
     are kept on it, as ``hs`` keeps its type-norm table. Kernel results that
     the rule finds sparse come back as sorted COO, whose ``matrix`` is built
-    anew on every access. Every array an operator holds or keeps is read-only.
+    anew on every access. An operator built by ``cj_operator`` also keeps its
+    CJ vector v, of which it is ``np.outer(v, v.conj())`` bit for bit
+    (``_cj_vector``); every other operator keeps none. Every array an
+    operator holds or keeps is read-only.
 
     Frozen-array contract: only the array object passed in is made read-only,
     not its base nor any other view of the same memory. A write through a
@@ -88,7 +96,7 @@ class LabeledOperator:
     memory must pass a copy (``m.copy()``).
     """
 
-    __slots__ = ("systems", "dim", "_dense", "_coo", "_squares")
+    __slots__ = ("systems", "dim", "_dense", "_coo", "_squares", "_factor")
 
     def __init__(self, systems, matrix):
         systems = _checked_systems(systems)
@@ -102,9 +110,7 @@ class LabeledOperator:
         raise AttributeError(f"LabeledOperator is immutable: cannot set {name!r}")
 
     def __reduce__(self):
-        if self._dense is not None:
-            return (LabeledOperator, (self.systems, self._dense))
-        return (_from_entries, (self.systems, *self._coo))
+        return (_restored, (self.systems, self._dense, self._coo, self._factor))
 
     def __repr__(self) -> str:
         held = "dense" if _entries(self) is None else f"{_entries(self)[0].size} stored entries"
@@ -156,14 +162,23 @@ def _checked_systems(systems) -> tuple[SystemLabel, ...]:
     return systems
 
 
-def _set_storage(op: LabeledOperator, systems, dense, coo) -> None:
+def _set_storage(op: LabeledOperator, systems, dense, coo, factor=None) -> None:
     object.__setattr__(op, "systems", systems)
     object.__setattr__(op, "dim", math.prod(s.dim for s in systems))
     object.__setattr__(op, "_dense", dense)  # None when built from entries
     object.__setattr__(op, "_coo", coo)  # what _entries returns; ... until counted
     object.__setattr__(op, "_squares", None)  # hs._type_squares fills it
-    for a in ((dense,) if dense is not None else ()) + (coo if isinstance(coo, tuple) else ()):
-        a.flags.writeable = False
+    object.__setattr__(op, "_factor", factor)  # cj_operator's v, or None
+    for a in (dense, factor, *(coo if isinstance(coo, tuple) else ())):
+        if a is not None:
+            a.flags.writeable = False
+
+
+def _restored(systems, dense, coo, factor) -> LabeledOperator:
+    """The operator with this storage and kept vector: what ``__reduce__`` rebuilds."""
+    op = LabeledOperator.__new__(LabeledOperator)
+    _set_storage(op, systems, dense, coo, factor)
+    return op
 
 
 def sorted_coo(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -248,7 +263,7 @@ def _entries(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray] | None:
         coo = sorted_coo(m)
         if coo is None and op.dim == 1:
             coo = np.zeros(1, dtype=np.intp), m.reshape(1).astype(np.result_type(m, np.float64))
-        _set_storage(op, op.systems, m, coo)  # no type-norm table is built before the count
+        _set_storage(op, op.systems, m, coo, op._factor)  # no type-norm table is built before the count
     return op._coo
 
 
@@ -257,6 +272,12 @@ def _sparse_entries(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray] | None
     None: ``_entries``, but None for a dense 1×1 too."""
     entries = _entries(op)
     return entries if entries is not None and 4 * entries[0].size <= op.dim**2 else None
+
+
+def _cj_vector(op: LabeledOperator) -> np.ndarray | None:
+    """The CJ vector v that ``cj_operator`` kept on op, which is then
+    ``np.outer(v, v.conj())`` bit for bit, or None if op keeps none."""
+    return op._factor
 
 
 def _dense_reference(systems, matrix) -> LabeledOperator:
@@ -987,14 +1008,21 @@ def cj_operator(m: LinearMap) -> LabeledOperator:
     v[(out, in)] = V[out, in]; general channels sum this over Kraus terms.
     A float or complex map whose operator is sparse by ``sorted_coo``'s rule
     gives it as sorted COO, built from the map's stored entries alone, with
-    the entries ``np.outer`` would give.
+    the entries ``np.outer`` would give. The operator keeps a read-only copy
+    of v (``_cj_vector``). Raises ValueError before allocating when the
+    operator, or the products its entries are built from, exceed
+    ``MAX_DENSE_BYTES``.
     """
     v = m.matrix.reshape(-1)
     systems = m.codomain + tuple(dual(s) for s in m.domain)
     entries = _outer_entries(v) if v.dtype in (np.float64, np.complex128) else None
     if entries is None:
-        return LabeledOperator(systems, np.outer(v, v.conj()))
-    return _from_entries(systems, *entries)
+        _budget(16 * v.size**2, f"a dense {v.size}-dim operator")
+        op = LabeledOperator(systems, np.outer(v, v.conj()))
+    else:
+        op = _from_entries(systems, *entries)
+    _set_storage(op, op.systems, op._dense, op._coo, v.copy())
+    return op
 
 
 def _outer_entries(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -1004,6 +1032,8 @@ def _outer_entries(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     columns in S every product is +0.0·+0.0 = +0.0. A product of an entry in
     S with +0.0 can still be a stored -0.0 (e.g. (+0.0)·(-1.0)); it is the
     same along that entry's row or column, so one product decides the line.
+    Raises ValueError before the products are formed when the ones it may
+    store exceed ``MAX_DENSE_BYTES`` at ``_OUTER_BYTES`` each.
     """
     side = v.size
     mask = _stored(v)
@@ -1011,12 +1041,16 @@ def _outer_entries(v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if 4 * s.size**2 > side * side:  # the products within S alone make it dense
         return None
     zero = np.zeros(1, dtype=v.dtype)
-    block = np.outer(v[s], v[s].conj()).reshape(-1)
-    on = _stored(block)
     row = np.outer(v[s], zero.conj())[:, 0]  # v[i]·conj(0), i in S
     col = np.outer(zero, v[s].conj())[0]  # 0·conj(v[j]), j in S
     rows, cols = _stored(row), _stored(col)
-    if 4 * (np.count_nonzero(on) + (np.count_nonzero(rows) + np.count_nonzero(cols)) * rest.size) > side * side:
+    lines = (np.count_nonzero(rows) + np.count_nonzero(cols)) * rest.size
+    if 4 * lines > side * side:  # the stored lines alone make it dense
+        return None
+    _budget(_OUTER_BYTES * (s.size**2 + lines), f"the stored products of a {side}-entry vector")
+    block = np.outer(v[s], v[s].conj()).reshape(-1)
+    on = _stored(block)
+    if 4 * (np.count_nonzero(on) + lines) > side * side:
         return None
     index = np.concatenate([
         (s[:, None] * side + s).reshape(-1)[on],

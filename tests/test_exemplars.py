@@ -8,6 +8,7 @@ import pytest
 
 from causalproc import (
     BlockDecomposition,
+    LabeledOperator,
     LinearMap,
     SystemLabel,
     af_causal_graph,
@@ -26,6 +27,7 @@ from causalproc import (
     process_operator,
     quantize,
     random_unitary_chain,
+    read_process_file,
     reduced_switch_causal_graph,
     signalling_residual,
     switch_causal_graph,
@@ -34,6 +36,7 @@ from causalproc import (
     validate_deterministic,
     validate_process,
     verify_decomposition,
+    write_process_file,
 )
 from causalproc.cli import main
 
@@ -241,12 +244,13 @@ def test_bw_marginal_equals_af(bw_up, af_process):
 # sha256 of each `causalproc exemplar NAME` file, and of the raw bytes of the
 # dense make_switch(3) process operator, as written before the switch and
 # three-bit dilation unitaries were derived from their classical processes.
+# The switch and bw-extension files hold their CJ vectors (format 5).
 EXEMPLAR_DIGESTS = {
-    "switch": "495679e5e1fad362113810c704271b1dc1dfa1b22a6c2136b1ef56e8a055be4b",
+    "switch": "9770bd9911f9d58048b3ec685e6b82cec28aef1e8373875bb27324d737c8c6c2",
     "reduced-switch": "b16b3033c4c5348662abccdccb8eaa79d5ea901d335d13fa3e2ad3fc4d084465",
     "af": "6066876ffde342aaf5a42fd88feb0bd0282d22defaaad2bb8a20b462a78cfc2e",
     "af-classical": "00d08889361031a334b4e90c2e9424d4d04000efdee60b9fa80d011933600371",
-    "bw-extension": "fc1d8187ae376da379d7225279fa13506127a2a4bde19026c87c47d30ed56219",
+    "bw-extension": "467d5b2a2d401b436af9bb12a8f3f965fb5a656f7b061d6602a0312bfce9e25a",
     "classical-switch": "288c2535265c18db692cc2266f1ec13e45898685e8af466843cbd0172cada506",
     "counterexample": "371d9a172bcb5bab6ca8d3f6ab5b658b939a729ed1f7df9725509c7cb9cfe5d4",
     "mix": "6b5fe30e419786fa0f0bc8d5367691aada739f9c29f28969f77b0baad52bbb7f",
@@ -263,3 +267,24 @@ def test_exemplar_content_is_pinned(name, tmp_path, capsys):
         assert main(["exemplar", name, "--out", str(out)]) == 0
         data = out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == EXEMPLAR_DIGESTS[name]
+
+
+# sha256 of the switch and bw-extension files as the format-2 writer wrote
+# them, from their matrices (EXEMPLAR_DIGESTS before they held their vectors)
+MATRIX_DIGESTS = {
+    "switch": "495679e5e1fad362113810c704271b1dc1dfa1b22a6c2136b1ef56e8a055be4b",
+    "bw-extension": "fc1d8187ae376da379d7225279fa13506127a2a4bde19026c87c47d30ed56219",
+}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_DIGESTS))
+def test_a_vector_exemplar_keeps_its_matrix(name, tmp_path, capsys):
+    # the exemplar as read, on a copy of its matrix that keeps no vector,
+    # writes the format-2 file it was written as before
+    out = tmp_path / "exemplar.json"
+    assert main(["exemplar", name, "--out", str(out)]) == 0
+    loaded = read_process_file(out)
+    sigma = loaded.process
+    copy = process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix.copy()))
+    write_process_file(out, copy, graph=loaded.graph, metadata=loaded.metadata)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MATRIX_DIGESTS[name]

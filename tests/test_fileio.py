@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from causalproc import (
     FORMAT_VERSION,
     LabeledOperator,
+    LinearMap,
     ProcessFileError,
     QuantumNode,
     af_causal_graph,
     causal_structure_deterministic,
+    cj_operator,
     dict_to_process,
     directed_graph,
     make_af,
@@ -39,15 +41,22 @@ from causalproc import (
     write_process_file,
 )
 from causalproc import fileio
-from causalproc.labeled import _sparse_entries
+from causalproc.labeled import _cj_vector, _entries, _sparse_entries
 from causalproc.process import canonical_systems
 
 DATA = Path(__file__).parent / "data"
 
 
+def without_vector(sigma):
+    """``sigma`` on a copy of its matrix, which keeps no CJ vector: a file
+    stores its matrix (format 2 or 4), not its vector (format 5)."""
+    return process_operator(sigma.nodes, LabeledOperator(sigma.op.systems, sigma.op.matrix.copy()))
+
+
 def dense_chain():
-    """A process whose every entry is nonzero, so files store it dense."""
-    return random_unitary_chain(1, np.random.default_rng(5))
+    """A process whose every entry is nonzero and that keeps no CJ vector, so
+    files store its matrix dense (format 4)."""
+    return without_vector(random_unitary_chain(1, np.random.default_rng(5)))
 
 
 def bits(m: np.ndarray) -> np.ndarray:
@@ -132,7 +141,7 @@ def test_deterministic_process_saves_as_classical(tmp_path):
     doc = process_to_dict(dp)
     assert doc["kind"] == "classical"
     # a classical file keeps the stamp of the format-2 writer
-    assert doc["format_version"] == 2 < FORMAT_VERSION == 4
+    assert doc["format_version"] == 2 < FORMAT_VERSION == 5
     back = dict_to_process(doc)
     assert np.array_equal(back.process.table, dp.to_classical().table)
 
@@ -461,6 +470,9 @@ def test_exemplars_reexport_identically_from_either_layout(tmp_path):
         ("reduced-switch", make_reduced_switch(2)),
         ("dense-chain", dense_chain()),
     ):
+        # read from the v1 layout, the matrix keeps no vector, so the first
+        # file is written from a copy without one too
+        sigma = without_vector(sigma)
         path = tmp_path / f"{name}.json"
         write_process_file(path, sigma)
         # the same matrix in the v1 dense layout
@@ -485,6 +497,113 @@ def test_negative_zero_survives_round_trip(tmp_path):
         assert np.array_equal(bits(back), bits(m))
         assert np.signbit(back[0, 1].real) and np.signbit(back[1, 0].imag)
         assert np.signbit(back[1, 1].real) and np.signbit(back[1, 1].imag)
+
+
+def stored_form(op) -> tuple:
+    """What an operator holds, bit for bit: its systems, its storage, its
+    stored entries or matrix with their dtypes, and its kept CJ vector."""
+    entries = _entries(op)
+    if entries is None:
+        held = (bits(op.matrix).tobytes(), op.matrix.dtype)
+    else:
+        held = (entries[0].tobytes(), entries[0].dtype, bits(entries[1]).tobytes(), entries[1].dtype)
+    v = _cj_vector(op)
+    return op.systems, op._dense is None, held, None if v is None else (bits(v).tobytes(), v.dtype)
+
+
+@pytest.mark.parametrize("layout", ["hex", "coo"])
+def test_a_kept_vector_round_trips_bit_exact_in_both_layouts(layout, tmp_path):
+    # all 256 entries of the chain's vector are stored, 16 of the switch's 256
+    sigma = random_unitary_chain(2, np.random.default_rng(3)) if layout == "hex" else make_switch(2)
+    v = _cj_vector(sigma.op)
+    path, again = tmp_path / "first.json", tmp_path / "again.json"
+    write_process_file(path, sigma)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 5 and list(doc["payload"]) == ["vector"]
+    vector = doc["payload"]["vector"]
+    if layout == "hex":
+        assert len(vector) == 32 * v.size and np.array_equal(hex_words(vector), bits(v))
+    else:
+        index = np.flatnonzero(v)
+        assert vector["index"] == index.tolist() and 4 * index.size <= v.size
+        assert np.array_equal(np.array(vector["values"]).view(complex)[:, 0], v[index])
+    loaded = read_process_file(path).process
+    assert stored_form(loaded.op) == stored_form(sigma.op)
+    write_process_file(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_negative_zero_survives_in_a_vector(tmp_path):
+    # v's entries are stored signed zeros but one: four of four (hex) or of sixteen (sorted COO)
+    for d, layout in ((2, str), (4, dict)):
+        node = QuantumNode("N", d, d)
+        u = np.zeros((d, d), dtype=complex)
+        u.flat[:4] = [1.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        sigma = process_operator([node], cj_operator(LinearMap(u, (node.out_system,), (node.in_system,))))
+        path = tmp_path / f"signed{d}.json"
+        write_process_file(path, sigma)
+        assert isinstance(json.loads(path.read_text())["payload"]["vector"], layout)
+        loaded = read_process_file(path).process
+        assert stored_form(loaded.op) == stored_form(sigma.op)
+        v = _cj_vector(loaded.op)
+        assert np.signbit(v[1].real) and np.signbit(v[2].imag) and np.signbit(v[3].real) and np.signbit(v[3].imag)
+
+
+def test_malformed_vectors_are_refused():
+    hexed = process_to_dict(random_unitary_chain(1, np.random.default_rng(5)))
+    coo = process_to_dict(make_switch(2))
+    digits, index, values = hexed["payload"]["vector"], coo["payload"]["vector"]["index"], coo["payload"]["vector"]["values"]
+    side = len(digits) // 32
+    raw = bytearray(binascii.a2b_hex(digits))
+    raw[8:16] = struct.pack("<d", float("nan"))
+
+    def vector(doc, v):
+        return {**doc, "payload": {"vector": v}}
+
+    lengths = f"^hex vector of {side} entries must be {32 * side} characters, got"
+    cases = {
+        "a nan word": (vector(hexed, raw.hex()), "^hex payload contains non-finite numbers$"),
+        "an infinite value": (
+            vector(coo, {"index": index, "values": [[math.inf, 0.0], *values[1:]]}),
+            "^sparse values contains non-finite numbers$",
+        ),
+        "hex in a format-4 file": ({**hexed, "format_version": 4}, "^a vector payload needs format_version 5$"),
+        "sorted COO in a format-2 file": ({**coo, "format_version": 2}, "^a vector payload needs format_version 5$"),
+        "one digit short": (vector(hexed, digits[:-1]), f"{lengths} {32 * side - 1}$"),
+        "one entry long": (vector(hexed, digits + digits[:32]), f"{lengths} {32 * side + 32}$"),
+        "a non-hex digit": (vector(hexed, "g" + digits[1:]), "^hex payload is malformed"),
+        "an index past the end": (
+            vector(coo, {"index": [*index[:-1], 256], "values": values}),
+            "^sparse index out of range for a vector of 256 entries$",
+        ),
+        "a negative index": (vector(coo, {"index": [-1, *index[1:]], "values": values}), "^sparse index out of range"),
+        "a decreasing index": (vector(coo, {"index": index[::-1], "values": values}), "^sparse indices must be strictly increasing$"),
+        "a second key": ({**coo, "payload": {**coo["payload"], "index": []}}, "^vector payload must hold exactly 'vector'$"),
+        "a list": (vector(coo, values), "^a vector must be a hex string or sorted COO$"),
+    }
+    for name, (doc, message) in cases.items():
+        with pytest.raises(ProcessFileError, match=message):
+            dict_to_process(doc)
+            pytest.fail(f"accepted: {name}")
+
+
+def test_a_small_file_that_declares_a_huge_operator_is_refused_before_it_is_built():
+    # Each σ = vv† would need more than 2**32 bytes: 8193 stored entries of a
+    # 16385-entry v make it dense, and 400 entries -1-1j of a 65536-entry v
+    # store -0.0 along 800 lines of σ, 5.2e7 products. The reader refuses
+    # both holding little more than v.
+    for side, stored, value in ((16385, 8193, 1.0), (65536, 400, -1 - 1j)):
+        node = {"name": "A", "d_in": side, "d_out": 1, "kind": "quantum"}
+        pairs = [[complex(value).real, complex(value).imag]] * stored
+        doc = {"format_version": 5, "kind": "quantum", "nodes": [node], "payload": {"vector": {"index": list(range(stored)), "values": pairs}}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProcessFileError, match=rf"^declared operator is {side}x{side}; built from its vector, .* more than {2**32}$"):
+                dict_to_process(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24, (side, peak)
 
 
 def test_malformed_documents_rejected(bad_docs):
@@ -695,7 +814,7 @@ def test_a_dense_read_peaks_below_1_6_times_its_file(tmp_path):
     """The hex payload is decoded from the file's bytes: the 1024-dim chain's
     read holds its 33.6 MB of bytes and its 16 MiB matrix, not its text."""
     path = tmp_path / "chain.json"
-    write_process_file(path, random_unitary_chain(3, np.random.default_rng(0)))
+    write_process_file(path, without_vector(random_unitary_chain(3, np.random.default_rng(0))))
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -710,14 +829,18 @@ def test_a_dense_read_peaks_below_1_6_times_its_file(tmp_path):
 @functools.cache
 def fuzz_documents() -> dict:
     """Valid documents of every payload kind, each with a graph or metadata block:
-    the writer's sparse, hex and classical ones, a base64 format-3 one and a
-    nested format-2 one."""
-    dense = LabeledOperator(tuple(canonical_systems([QuantumNode("N", 2, 2)])), np.arange(16).reshape(4, 4) + 0.5j)
-    dense_doc = process_to_dict(process_operator([QuantumNode("N", 2, 2)], dense), metadata={"n": 1})
+    the writer's sparse, hex, hex-vector, sorted-COO-vector and classical ones,
+    a base64 format-3 one and a nested format-2 one."""
+    node = QuantumNode("N", 2, 2)
+    dense = LabeledOperator(tuple(canonical_systems([node])), np.arange(16).reshape(4, 4) + 0.5j)
+    dense_doc = process_to_dict(process_operator([node], dense), metadata={"n": 1})
+    rotation = cj_operator(LinearMap(np.array([[0.6, 0.8j], [0.8j, 0.6]]), (node.out_system,), (node.in_system,)))
     dp = make_af_deterministic()
     return {
         "sparse": process_to_dict(make_af(), af_causal_graph(), {"source": "af", "tags": [1, 2]}),
         "dense": dense_doc,
+        "vector-hex": process_to_dict(process_operator([node], rotation), metadata={"n": [1, -0.0]}),
+        "vector-coo": process_to_dict(make_switch(2), metadata={"source": "switch"}),
         "dense-v3": base64_doc(dense_doc, dense.matrix),
         "dense-v2": nested(dense_doc, dense.matrix),
         "classical": process_to_dict(dp, causal_structure_deterministic(dp)),

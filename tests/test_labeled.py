@@ -488,6 +488,20 @@ def test_every_kernel_refuses_a_system_the_operator_does_not_hold(held, ref, ker
         _KERNELS[kernel](op, ref)
 
 
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+@pytest.mark.parametrize("ref", [SystemLabel("A.in", 5), SystemLabel("A.in", 7)], ids=["A.in(5)", "A.in(7)"])
+@pytest.mark.parametrize("held", ["entries", "dense"])
+def test_every_kernel_refuses_a_label_of_another_dimension(held, ref, kernel):
+    # a label names a system only with its dimension: A.in(5) is not the
+    # switch's A.in(2), so it is neither indexed, traced, projected nor moved
+    op = make_switch(2).op
+    if held == "dense":
+        op = labeled._dense_reference(op.systems, op.matrix)
+    assert (labeled._entries(op) is None) == (held == "dense")
+    with pytest.raises(KeyError, match=rf"A\.in\({ref.dim}\) is not the system A\.in\(2\)"):
+        _KERNELS[kernel](op, ref)
+
+
 @pytest.mark.parametrize("held", ["entries", "dense"])
 def test_an_order_that_repeats_a_system_is_no_permutation(held):
     op = make_switch(2).op

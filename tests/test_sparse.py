@@ -204,12 +204,20 @@ def test_sorted_coo_of_a_dense_held_4096_dim_matrix_needs_no_full_size_mask():
     assert peak <= 2 * 2**20, peak
 
 
-def test_operators_copy_and_pickle_in_either_form():
+def test_operators_copy_and_pickle_in_either_form(tmp_path):
     sigma = make_switch(2)
     for op in (sigma.op, LabeledOperator(sigma.op.systems, sigma.op.matrix)):
+        kept = labeled._cj_vector(op)
+        write_process_file(tmp_path / "op.json", process_operator(sigma.nodes, op))
         for back in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
             assert back.systems == op.systems and (back._dense is None) == (op._dense is None)
             assert _bits(back.matrix) == _bits(op.matrix)
+            # a copy keeps the CJ vector, or keeps none, so it writes the same file
+            vector = labeled._cj_vector(back)
+            assert (vector is None) == (kept is None) and (kept is None or _bits(vector) == _bits(kept))
+            write_process_file(tmp_path / "back.json", process_operator(sigma.nodes, back))
+            assert (tmp_path / "back.json").read_bytes() == (tmp_path / "op.json").read_bytes()
+    assert labeled._cj_vector(sigma.op) is not None
     with pytest.raises(AttributeError):
         sigma.op.systems = ()
 
